@@ -58,7 +58,7 @@ from .manifold import (
     validate_point,
 )
 from .quadrature import gaussian_tail_radius
-from .rng import RngContract, StreamCursor
+from .rng import RngContract, StreamCursor, box_muller
 
 REJECTION_BUDGET = 10 ** 4
 
@@ -227,21 +227,19 @@ def _h3_radius(cursor, rows, t):
                 attempts=attempts,
                 acceptance_rate=1.0 - pending.size / rows.shape[0],
             )
-        u_prop = cursor.uniforms_at(rows[pending])
-        u_acc = cursor.uniforms_at(rows[pending])
-        r = _radial_proposal_ppf(t, u_prop)
-        ok = u_acc < -np.expm1(-2.0 * r)
+        u = cursor.uniforms_at(rows[pending], 2)  # proposal, acceptance
+        r = _radial_proposal_ppf(t, u[:, 0])
+        ok = u[:, 1] < -np.expm1(-2.0 * r)
         out[pending[ok]] = r[ok]
         pending = pending[~ok]
     return out, attempts
 
 
 def _h3_direction(cursor, rows):
-    u = cursor.uniforms_at(rows)
-    v = cursor.uniforms_at(rows)
-    c = 1.0 - 2.0 * u
+    uv = cursor.uniforms_at(rows, 2)
+    c = 1.0 - 2.0 * uv[:, 0]
     s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    phi = 2.0 * np.pi * v
+    phi = 2.0 * np.pi * uv[:, 1]
     return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
 
 
@@ -283,9 +281,8 @@ def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
         for j, dt in enumerate(steps):
             if alive.size == 0:
                 break
-            z = cursor.normals_at(alive)
-            prop = pos[alive, j, 0] + math.sqrt(2.0 * dt) * z
-            u = cursor.uniforms_at(alive)
+            u = cursor.uniforms_at(alive, 3)  # normal proposal, acceptance
+            prop = pos[alive, j, 0] + math.sqrt(2.0 * dt) * box_muller(u[:, :2])[:, 0]
             inside = (prop > 0.0) & (prop < L)
             ratio = np.zeros_like(prop)
             if np.any(inside):
@@ -293,7 +290,7 @@ def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
                 num = dirichlet_kernel_arrays(dt, prev, prop[inside], L, kernel.truncation)
                 den = gauss_profile(dt, (prev - prop[inside]) ** 2, 1)
                 ratio[inside] = np.minimum(num / den, 1.0)
-            survive = u < ratio
+            survive = u[:, 2] < ratio
             pos[alive[survive], j + 1, 0] = prop[survive]
             kill[alive[~survive]] = j + 1
             alive = alive[survive]
@@ -459,7 +456,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
                 safe = np.where(small, 1.0, rho)
                 ratio = np.where(small, 1.0 - rho * rho / 6.0, safe / np.sinh(safe))
                 acc_p = ratio * np.exp(-rho * rho / (4.0 * tau))
-                u = cursor.uniforms_at(pending)
+                u = cursor.uniforms_at(pending)[:, 0]
                 ok = u < acc_p
                 pos[pending[ok], j] = prop[ok]
                 pending = pending[~ok]

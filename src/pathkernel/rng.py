@@ -7,18 +7,30 @@ serially, in blocks, or across a process pool and always produce
 bit-identical per-sample results.
 
 The generator is Philox4x32-10, evaluated vectorized in numpy.  The
-128-bit counter is laid out as ``(draw_block, sample_index)`` and the
+128-bit counter is laid out as ``(block_index, sample_index)`` and the
 64-bit key is the master seed, which makes substreams disjoint by
 construction.  Known-answer vectors from the reference implementation
 are pinned in the test suite.
 
-Draw indices count *uniform* variates.  A standard normal consumes two
-consecutive uniform slots (Box-Muller, cosine branch), so callers that
-mix draw kinds keep a single per-sample cursor in uniform units.
+Draw indices count *uniform* slots.  One Philox block yields four
+32-bit words and so two 53-bit slots: slot ``2b`` is built from words
+``(w0, w1)`` of block ``b`` and slot ``2b + 1`` from ``(w2, w3)``.  Slot
+arithmetic wraps modulo 2**64, so slot ``2**64 - 1`` is followed by
+slot 0.  ``uniforms`` draws ``width`` consecutive slots per address and
+computes each block it touches once: from an even start ``d`` the slots
+pair up in blocks ``d >> 1, (d >> 1) + 1, ...``; from an odd start the
+first slot is the second lane of block ``d >> 1`` and the rest pair up
+from block ``(d + 1) >> 1`` on.
+
+A standard normal consumes two consecutive uniform slots (Box-Muller,
+cosine branch), so a normal drawn at an even slot shares one block and
+a normal drawn at an odd slot straddles two.  Callers that mix draw
+kinds keep a single per-sample cursor in uniform units.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +44,8 @@ _WEYL1 = 0xBB67AE85
 _ROUNDS = 10
 
 _U64 = np.uint64
+_ONE = np.uint64(1)
+_EVEN = np.uint64(0xFFFFFFFFFFFFFFFE)
 _TWO_NEG53 = 2.0 ** -53
 
 
@@ -54,9 +68,10 @@ class RngContract:
             raise ValueError("sample_index must be nonnegative")
 
 
+@functools.lru_cache(maxsize=64)
 def _key_schedule(master_seed):
-    k0 = int(master_seed) & 0xFFFFFFFF
-    k1 = (int(master_seed) >> 32) & 0xFFFFFFFF
+    k0 = master_seed & 0xFFFFFFFF
+    k1 = (master_seed >> 32) & 0xFFFFFFFF
     return tuple(
         (
             _U64((k0 + r * _WEYL0) & 0xFFFFFFFF),
@@ -66,15 +81,34 @@ def _key_schedule(master_seed):
     )
 
 
-def _philox(c0, c1, c2, c3, schedule):
-    """Philox4x32-10 block function; lanes held in uint64, values < 2^32."""
-    for k0, k1 in schedule:
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        c0 = (p1 >> _SHIFT32) ^ c1 ^ k0
-        c1 = p1 & _MASK32
-        c2 = (p0 >> _SHIFT32) ^ c3 ^ k1
-        c3 = p0 & _MASK32
+def philox_words(master_seed, sample_index, block_index):
+    """Philox4x32-10 block function: the raw 4x32-bit output of each counter block.
+
+    Lanes are held in uint64 with values < 2^32; the four lanes and two
+    products live in buffers that every round overwrites in place.
+    """
+    samp, blk = np.broadcast_arrays(
+        np.asarray(sample_index, dtype=np.uint64), np.asarray(block_index, dtype=np.uint64)
+    )
+    c0 = blk & _MASK32
+    c1 = blk >> _SHIFT32
+    c2 = samp & _MASK32
+    c3 = samp >> _SHIFT32
+    # 0-d inputs yield numpy scalars, which the in-place rounds cannot update
+    c0, c1, c2, c3 = (np.asarray(c) for c in (c0, c1, c2, c3))
+    p0 = np.empty_like(c0)
+    p1 = np.empty_like(c0)
+    for k0, k1 in _key_schedule(int(master_seed)):
+        np.multiply(c0, _M0, out=p0)
+        np.multiply(c2, _M1, out=p1)
+        np.right_shift(p1, _SHIFT32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.bitwise_and(p1, _MASK32, out=c1)
+        np.right_shift(p0, _SHIFT32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(p0, _MASK32, out=c3)
     return c0, c1, c2, c3
 
 
@@ -82,41 +116,55 @@ def _to_u53(word_a, word_b):
     return (word_a << np.uint64(21)) | (word_b >> np.uint64(11))
 
 
-def philox_words(master_seed, sample_index, block_index):
-    """Raw 4x32-bit output for counter blocks; mainly for tests."""
-    samp = np.asarray(sample_index, dtype=np.uint64)
-    blk = np.asarray(block_index, dtype=np.uint64)
-    samp, blk = np.broadcast_arrays(samp, blk)
-    schedule = _key_schedule(master_seed)
-    return _philox(blk & _MASK32, blk >> _SHIFT32, samp & _MASK32, samp >> _SHIFT32, schedule)
+def _block_u53(master_seed, sample_index, block_index):
+    """53-bit integers of both slots of each block, shape ``block.shape + (2,)``."""
+    w0, w1, w2, w3 = philox_words(master_seed, sample_index, block_index)
+    return np.stack([_to_u53(w0, w1), _to_u53(w2, w3)], axis=-1)
 
 
-def uniforms(master_seed, sample_index, draw_index):
+def uniforms(master_seed, sample_index, draw_index, width=1):
     """Uniform variates in the open interval (0, 1).
 
-    ``sample_index`` and ``draw_index`` broadcast; the result has the
-    broadcast shape.  Each variate carries 53 random bits and is offset
-    by half an ulp so 0.0 and 1.0 never occur (safe under log).
+    ``sample_index`` and ``draw_index`` broadcast to a shape ``S``; the
+    result has shape ``S + (width,)`` and holds slots ``d, d+1, ...,
+    d+width-1`` of each address.  Each variate carries 53 random bits and
+    is offset by half an ulp so 0.0 and 1.0 never occur (safe under log).
     """
+    if width < 1:
+        raise ValueError("width must be at least 1")
     samp = np.asarray(sample_index, dtype=np.uint64)
     draw = np.asarray(draw_index, dtype=np.uint64)
     samp, draw = np.broadcast_arrays(samp, draw)
-    block = draw >> np.uint64(1)
-    lane = draw & np.uint64(1)
-    schedule = _key_schedule(master_seed)
-    w0, w1, w2, w3 = _philox(
-        block & _MASK32, block >> _SHIFT32, samp & _MASK32, samp >> _SHIFT32, schedule
-    )
-    u53 = np.where(lane == 0, _to_u53(w0, w1), _to_u53(w2, w3))
+    odd = (draw & _ONE).astype(bool)
+    pairs = (width + 1) // 2
+    # first slot of every block the addresses touch, wrapping modulo 2**64
+    first = (draw & _EVEN)[..., None] + np.arange(0, 2 * pairs, 2, dtype=np.uint64)
+    u53 = _block_u53(master_seed, samp[..., None], first >> _ONE).reshape(draw.shape + (2 * pairs,))
+    if width % 2:
+        u53 = np.where(odd[..., None], u53[..., 1:], u53[..., :-1])
+    elif np.any(odd):
+        # an odd start ends on the first lane of one more block
+        last = (draw[odd] + np.uint64(width - 1)) >> _ONE
+        tail = _block_u53(master_seed, samp[odd], last)[:, 0]
+        u53[odd] = np.concatenate([u53[odd][:, 1:], tail[:, None]], axis=1)
     return (u53.astype(np.float64) + 0.5) * _TWO_NEG53
+
+
+def box_muller(u):
+    """Standard normals from uniform slot pairs along the last axis.
+
+    ``(..., 2k)`` uniforms give ``(..., k)`` normals; slot ``2i`` sets the
+    radius and slot ``2i + 1`` the angle (cosine branch).
+    """
+    # np.log may round differently on strided input; contiguous radius
+    # slots keep the bits independent of how the draw was laid out
+    radius = np.ascontiguousarray(u[..., 0::2])
+    return np.sqrt(-2.0 * np.log(radius)) * np.cos(2.0 * np.pi * u[..., 1::2])
 
 
 def normals(master_seed, sample_index, draw_index):
     """Standard normals; draw ``d`` consumes uniform slots ``d`` and ``d+1``."""
-    draw = np.asarray(draw_index, dtype=np.uint64)
-    u_r = uniforms(master_seed, sample_index, draw)
-    u_a = uniforms(master_seed, sample_index, draw + np.uint64(1))
-    return np.sqrt(-2.0 * np.log(u_r)) * np.cos(2.0 * np.pi * u_a)
+    return box_muller(uniforms(master_seed, sample_index, draw_index, 2))[..., 0]
 
 
 class StreamCursor:
@@ -139,22 +187,20 @@ class StreamCursor:
 
     def uniforms(self, cols=1):
         """(n, cols) uniforms for every sample; advances cursors by cols."""
-        draw = self.pos[:, None] + np.arange(cols, dtype=np.uint64)[None, :]
-        out = uniforms(self.master_seed, self.samples[:, None], draw)
+        out = uniforms(self.master_seed, self.samples, self.pos, cols)
         self.pos = self.pos + np.uint64(cols)
         return out
 
     def normals(self, cols=1):
         """(n, cols) standard normals; advances cursors by 2*cols."""
-        base = self.pos[:, None] + np.uint64(2) * np.arange(cols, dtype=np.uint64)[None, :]
-        out = normals(self.master_seed, self.samples[:, None], base)
+        out = box_muller(uniforms(self.master_seed, self.samples, self.pos, 2 * cols))
         self.pos = self.pos + np.uint64(2 * cols)
         return out
 
-    def uniforms_at(self, rows):
-        """One uniform for each sample in ``rows`` (index array); advances those cursors."""
-        out = uniforms(self.master_seed, self.samples[rows], self.pos[rows])
-        self.pos[rows] += np.uint64(1)
+    def uniforms_at(self, rows, cols=1):
+        """(len(rows), cols) uniforms for the samples in ``rows`` (index array); advances those cursors by cols."""
+        out = uniforms(self.master_seed, self.samples[rows], self.pos[rows], cols)
+        self.pos[rows] += np.uint64(cols)
         return out
 
     def normals_at(self, rows):

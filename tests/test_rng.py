@@ -1,11 +1,43 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathkernel.rng import RngContract, StreamCursor, normals, philox_words, uniforms
+
+U64_MAX = 2 ** 64 - 1
 
 
 def words_hex(seed, sample, block):
     return [hex(int(w)) for w in philox_words(seed, sample, block)]
+
+
+def reference_slots(seed, sample, draw):
+    """Per-slot formula: one whole Philox block per slot, lane chosen by parity."""
+    sample, draw = np.broadcast_arrays(np.asarray(sample, np.uint64), np.asarray(draw, np.uint64))
+    w0, w1, w2, w3 = philox_words(seed, sample, draw >> np.uint64(1))
+    odd = (draw & np.uint64(1)) == 1
+    hi = np.where(odd, w2, w0)
+    lo = np.where(odd, w3, w1)
+    u53 = (hi << np.uint64(21)) | (lo >> np.uint64(11))
+    return (u53.astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def reference_uniforms(seed, sample, draw, width):
+    draw = np.asarray(draw, np.uint64)
+    return np.stack([reference_slots(seed, sample, draw + np.uint64(k)) for k in range(width)], axis=-1)
+
+
+def reference_normals(seed, sample, draw):
+    u = reference_uniforms(seed, sample, draw, 2)
+    return np.sqrt(-2.0 * np.log(u[..., 0])) * np.cos(2.0 * np.pi * u[..., 1])
+
+
+def assert_same_bits(got, ref):
+    got = np.asarray(got, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestPhiloxReference:
@@ -46,9 +78,10 @@ class TestStreams:
     def test_pure_function_of_address(self):
         a = uniforms(42, 5, 17)
         b = uniforms(42, 5, 17)
-        assert float(a) == float(b)
-        assert float(uniforms(42, 6, 17)) != float(a)
-        assert float(uniforms(43, 5, 17)) != float(a)
+        assert a.shape == (1,)
+        assert float(a[0]) == float(b[0])
+        assert float(uniforms(42, 6, 17)[0]) != float(a[0])
+        assert float(uniforms(43, 5, 17)[0]) != float(a[0])
 
     def test_partition_invariance(self):
         whole = StreamCursor(99, np.arange(100))
@@ -68,8 +101,8 @@ class TestStreams:
     def test_interleaving_matches_straight_line(self):
         # a sample's draws depend on its own cursor history only
         cur = StreamCursor(5, np.arange(3))
-        a0 = cur.uniforms_at(np.array([0]))[0]
-        a1 = cur.uniforms_at(np.array([0]))[0]
+        a0 = cur.uniforms_at(np.array([0]))[0, 0]
+        a1 = cur.uniforms_at(np.array([0]))[0, 0]
         solo = StreamCursor(5, np.array([0]))
         b = solo.uniforms(2)
         assert a0 == b[0, 0] and a1 == b[0, 1]
@@ -79,3 +112,106 @@ class TestStreams:
             RngContract(-1)
         with pytest.raises(ValueError):
             RngContract(1, -2)
+
+
+SEEDS = (0, 99, U64_MAX, 0x299F31D0A4093822)
+
+
+def _draws(parity, n=4000, seed=0):
+    """Random 64-bit draw indices: all even, all odd, or mixed."""
+    g = np.random.default_rng(seed)
+    d = g.integers(0, 2 ** 63, n, dtype=np.uint64) << np.uint64(1)
+    if parity == "odd":
+        d |= np.uint64(1)
+    elif parity == "mixed":
+        d |= g.integers(0, 2, n, dtype=np.uint64)
+    return d
+
+
+class TestFusedDraws:
+    """Every draw computes whole blocks; it must match the per-slot formula bit for bit."""
+
+    @pytest.mark.parametrize("parity", ["even", "odd", "mixed"])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_uniforms_match_per_slot_reference(self, width, parity):
+        draw = _draws(parity)
+        sample = np.arange(draw.size, dtype=np.uint64) * np.uint64(7919)
+        for seed in SEEDS:
+            got = uniforms(seed, sample, draw, width)
+            assert got.shape == (draw.size, width)
+            assert_same_bits(got, reference_uniforms(seed, sample, draw, width))
+
+    def test_uniforms_broadcast_shape(self):
+        draw = np.arange(6, dtype=np.uint64).reshape(2, 3)
+        sample = np.array([[4], [9]], dtype=np.uint64)
+        got = uniforms(3, sample, draw, 3)
+        assert got.shape == (2, 3, 3)
+        assert_same_bits(got, reference_uniforms(3, sample, draw, 3))
+
+    @pytest.mark.parametrize("parity", ["even", "odd", "mixed"])
+    def test_normals_match_per_slot_reference(self, parity):
+        draw = _draws(parity, seed=1)
+        sample = np.arange(draw.size, dtype=np.uint64)
+        for seed in SEEDS:
+            assert_same_bits(normals(seed, sample, draw), reference_normals(seed, sample, draw))
+
+    def test_cursor_methods_match_per_slot_reference(self):
+        n = 257
+        samples = np.arange(1000, 1000 + n, dtype=np.uint64)
+        cur = StreamCursor(2024, samples)
+        g = np.random.default_rng(5)
+        for _ in range(12):
+            # a single-slot draw on a random subset leaves the rows at mixed parities
+            rows = np.flatnonzero(g.integers(0, 2, n))
+            before = cur.pos.copy()
+            assert_same_bits(cur.uniforms_at(rows), reference_uniforms(2024, samples[rows], before[rows], 1))
+            rows = np.flatnonzero(g.integers(0, 2, n))
+            for cols in (1, 2, 3):
+                before = cur.pos.copy()
+                got = cur.uniforms_at(rows, cols)
+                assert_same_bits(got, reference_uniforms(2024, samples[rows], before[rows], cols))
+                assert np.array_equal(cur.pos - before, np.isin(np.arange(n), rows) * np.uint64(cols))
+            before = cur.pos.copy()
+            assert_same_bits(cur.normals_at(rows), reference_normals(2024, samples[rows], before[rows]))
+            for cols in (1, 2):
+                before = cur.pos.copy()
+                assert_same_bits(cur.uniforms(cols), reference_uniforms(2024, samples, before, cols))
+                before = cur.pos.copy()
+                ref = np.stack(
+                    [reference_normals(2024, samples, before + np.uint64(2 * k)) for k in range(cols)], axis=-1
+                )
+                assert_same_bits(cur.normals(cols), ref)
+                assert np.array_equal(cur.pos, before + np.uint64(2 * cols))
+        assert len(set(int(p) % 2 for p in cur.pos)) == 2
+
+    def test_odd_draw_carries_into_block_high_word(self):
+        # slot 2**33 - 1 is the second lane of block 2**32 - 1; the next slot
+        # opens block 2**32, whose low counter word wraps and carries
+        draw = np.array([2 ** 33 - 1, 2 ** 33 - 3], dtype=np.uint64)
+        sample = np.array([3, 3], dtype=np.uint64)
+        for width in (1, 2, 3, 4):
+            assert_same_bits(uniforms(11, sample, draw, width), reference_uniforms(11, sample, draw, width))
+        assert_same_bits(normals(11, sample, draw), reference_normals(11, sample, draw))
+
+    def test_last_slot_wraps_to_slot_zero(self):
+        draw = np.array([U64_MAX, U64_MAX - 1], dtype=np.uint64)
+        sample = np.array([8, 8], dtype=np.uint64)
+        for width in (1, 2, 3, 4):
+            assert_same_bits(uniforms(11, sample, draw, width), reference_uniforms(11, sample, draw, width))
+        assert_same_bits(normals(11, sample, draw), reference_normals(11, sample, draw))
+        assert uniforms(11, 8, U64_MAX, 2)[1] == uniforms(11, 8, 0)[0]
+        cur = StreamCursor(11, sample)
+        cur.pos[:] = draw
+        assert_same_bits(cur.normals(1)[:, 0], reference_normals(11, sample, draw))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, U64_MAX),
+        sample=st.integers(0, U64_MAX),
+        draw=st.integers(0, U64_MAX),
+        width=st.integers(1, 6),
+    )
+    def test_property_matches_per_slot_reference(self, seed, sample, draw, width):
+        samp = np.array([sample], dtype=np.uint64)
+        d = np.array([draw], dtype=np.uint64)
+        assert_same_bits(uniforms(seed, samp, d, width), reference_uniforms(seed, samp, d, width))
