@@ -98,8 +98,15 @@ class RunConfig:
 
 def _positive_float(text):
     v = float(text)
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (v > 0 and math.isfinite(v)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return v
+
+
+def _seed(text):
+    v = int(text)
+    if not 0 <= v < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text}")
     return v
 
 
@@ -262,7 +269,7 @@ def _add_common(p, *, seeded=True):
     p.add_argument("--tail-tol", type=_positive_float, default=1e-12, dest="tail_tol")
     p.add_argument("--quad-tol", type=_positive_float, default=1e-10, dest="quad_tol")
     if seeded:
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
 
 def build_parser():
@@ -389,6 +396,10 @@ def parse_args(argv=None):
     argv = _merge_config_file(argv)
     parser = build_parser()
     ns = parser.parse_args(argv)
+    try:
+        worker_count()  # PATHKERNEL_WORKERS is part of the command line
+    except ValueError as exc:
+        parser.error(str(exc))
     options = vars(ns)
     sub = options.pop("subcommand")
     return RunConfig(subcommand=sub, options=options)

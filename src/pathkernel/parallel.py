@@ -48,7 +48,10 @@ def worker_count(requested=None):
     """Effective worker count; the PATHKERNEL_WORKERS env var wins."""
     env = os.environ.get("PATHKERNEL_WORKERS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"PATHKERNEL_WORKERS must be an integer, got {env!r}") from None
     if requested is None:
         return 1
     return max(1, int(requested))

@@ -16,10 +16,13 @@ import numpy as np
 from .errors import DivergentIntegralError, QuadratureError
 
 
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48, min_depth=2):
+def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48, min_depth=4):
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    f must accept and return numpy arrays.  Raises QuadratureError if
+    f must accept and return numpy arrays.  No interval is accepted
+    before it has been halved ``min_depth`` times, so a narrow peak
+    cannot slip between the first few Simpson nodes while the coarse
+    and fine estimates agree by accident.  Raises QuadratureError if
     the worklist still holds unconverged intervals at max_depth.
     """
     a = float(a)

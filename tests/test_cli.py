@@ -85,6 +85,25 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "--t" in res.stderr
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_is_usage_error(self, seed):
+        res = run_cli(["bridge", "--model", "circle:1.0", "--x0", "0", "--y0", "0", "--T", "0.5",
+                       "--steps", "2", "--samples", "10", "--seed", seed])
+        assert res.returncode == 2
+        assert "--seed" in res.stderr and "Traceback" not in res.stderr
+
+    def test_infinite_time_is_usage_error(self):
+        res = run_cli(["fk", "expectation", "--model", "circle:6.283185307179586", "--potential", "cos",
+                       "--t", "inf", "--steps", "4", "--samples", "10"])
+        assert res.returncode == 2
+        assert "--t" in res.stderr and "Traceback" not in res.stderr
+
+    def test_non_integer_worker_env_is_usage_error(self):
+        res = run_cli(["fk", "expectation", "--model", "circle:6.283185307179586", "--potential", "cos",
+                       "--t", "1", "--steps", "4", "--samples", "10"], env={"PATHKERNEL_WORKERS": "abc"})
+        assert res.returncode == 2
+        assert "PATHKERNEL_WORKERS" in res.stderr and "Traceback" not in res.stderr
+
     def test_unknown_flag_rejected(self):
         res = run_cli(["kernel", "--model", "euclidean:1", "--t", "1", "--x", "0",
                        "--y", "0", "--frobnicate", "1"])

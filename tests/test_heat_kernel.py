@@ -218,6 +218,19 @@ class TestChapmanKolmogorov:
         r = chapman_kolmogorov_residual(DIRPI, 0.3, 0.5, point(1.0), point(2.0))
         assert r < 1e-9
 
+    @pytest.mark.parametrize(
+        "s, t, x, z",
+        [
+            (0.5440815150514569, 0.44408332428937825, 1.2632331867728728, 2.064852069761169),
+            (0.4751931044344479, 0.6107088906296506, 1.1920509305888902, 1.2338750592979826),
+        ],
+    )
+    def test_dirichlet_smooth_peak_not_accepted_early(self, s, t, x, z):
+        # tuples of `verify chapman-kolmogorov --model dirichlet:3.14159265`
+        # at seeds 90 and 403, where Simpson once stopped about 5e-9 short
+        k = TransitionKernel(DirichletInterval(3.14159265))
+        assert chapman_kolmogorov_residual(k, s, t, point(x), point(z)) <= 1e-10
+
     def test_euclidean_3d_factorized(self):
         k3 = TransitionKernel(Euclidean(3))
         r = chapman_kolmogorov_residual(k3, 0.4, 0.3, point(0.0, 0.5, -1.0), point(1.0, 0.0, 0.2))
