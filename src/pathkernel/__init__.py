@@ -24,6 +24,7 @@ from .diagnostics import (
 )
 from .errors import (
     DivergentIntegralError,
+    NonFiniteSampleError,
     PathkernelError,
     PotentialBoundError,
     QuadratureError,

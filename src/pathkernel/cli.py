@@ -400,6 +400,9 @@ def parse_args(argv=None):
         worker_count()  # PATHKERNEL_WORKERS is part of the command line
     except ValueError as exc:
         parser.error(str(exc))
+    index = getattr(ns, "sample_index", None)
+    if index is not None and not 0 <= index < ns.samples:
+        parser.error(f"argument --sample-index: must be in [0, {ns.samples}), got {index}")
     options = vars(ns)
     sub = options.pop("subcommand")
     return RunConfig(subcommand=sub, options=options)
@@ -547,10 +550,7 @@ def _run_sample(config):
     x0 = _parse_point(config.options["x0"], k.model)
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     ens = sample_paths(k, x0, grid, config.options["seed"], config.options["samples"])
-    idx = config.options["sample_index"]
-    if not 0 <= idx < len(ens):
-        raise PathkernelError(f"sample index {idx} outside 0..{len(ens) - 1}")
-    csv_text = path_to_csv(ens.path(idx), comment=_header_line(config)[2:])
+    csv_text = path_to_csv(ens.path(config.options["sample_index"]), comment=_header_line(config)[2:])
     if config.options.get("out"):
         with open(config.options["out"], "w") as fh:
             fh.write(csv_text)
@@ -577,10 +577,7 @@ def _run_bridge(config):
     y0 = _parse_point(config.options["y0"], k.model)
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     ens = sample_bridges(k, x0, y0, grid, config.options["seed"], config.options["samples"])
-    idx = config.options["sample_index"]
-    if not 0 <= idx < len(ens):
-        raise PathkernelError(f"sample index {idx} outside 0..{len(ens) - 1}")
-    csv_text = path_to_csv(ens.path(idx), comment=_header_line(config)[2:])
+    csv_text = path_to_csv(ens.path(config.options["sample_index"]), comment=_header_line(config)[2:])
     if config.options.get("out"):
         with open(config.options["out"], "w") as fh:
             fh.write(csv_text)

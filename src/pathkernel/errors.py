@@ -26,6 +26,10 @@ class RejectionBudgetError(PathkernelError):
         self.acceptance_rate = acceptance_rate
 
 
+class NonFiniteSampleError(PathkernelError):
+    """A sampled position overflowed the float range."""
+
+
 class StepTooLargeError(PathkernelError):
     """A path step exceeds half the shortest period, so its lift is ambiguous."""
 

@@ -175,18 +175,27 @@ def _wrap_abs(diff, per):
 
 
 def hyperbolic_distance_arrays(x, y):
-    """Geodesic distance on the hyperboloid, stable near coincidence.
+    """Geodesic distance on the hyperboloid, stable near and far.
 
-    Uses cosh(rho) - 1 computed from coordinate differences, which avoids
-    the catastrophic cancellation of the direct Minkowski pairing when
-    the points are close.
+    cosh(rho) - 1 = (|dx|^2 - dx0^2) / 2 avoids the cancellation of the
+    Minkowski pairing x0 y0 - x.y when the points are close, but itself
+    cancels once |dx|^2 ~ dx0^2 is large.  Each pair takes the form with
+    the smaller rounding bound (about eps dx0^2 against eps x0 y0): the
+    difference form where dx0^2 <= x0 y0, arccosh of the pairing elsewhere.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     d = x - y
-    delta = 0.5 * (np.sum(d[..., 1:] ** 2, axis=-1) - d[..., 0] ** 2)
-    delta = np.maximum(delta, 0.0)
-    return np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
+    pair = x[..., 0] * y[..., 0]
+    # the squares may overflow for far points, which take the pairing form
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx0sq = d[..., 0] ** 2
+        delta = 0.5 * (np.sum(d[..., 1:] ** 2, axis=-1) - dx0sq)
+    far = dx0sq > pair
+    delta = np.where(far, 0.0, np.maximum(delta, 0.0))
+    near_rho = np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
+    cosh_rho = pair - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+    return np.where(far, np.arccosh(np.maximum(cosh_rho, 1.0)), near_rho)
 
 
 def distance_arrays(model, x, y):

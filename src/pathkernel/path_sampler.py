@@ -13,14 +13,14 @@ fixed order per model:
 
 * Euclidean / torus / circle step: ``dim`` normals (2 uniform slots each).
 * Cauchy step: one uniform.
-* Hyperbolic step: per rejection attempt one proposal uniform and one
-  acceptance uniform, then two uniforms for the sphere direction.
+* Hyperbolic step: three normals (6 slots) for the radius, then two
+  uniforms for the sphere direction.
 * Killed interval step: one normal proposal (2 slots) plus one
   acceptance uniform; killed samples stop drawing.
 * Torus/circle bridge: one winding uniform per coordinate, then
   Euclidean bridge steps.
-* Hyperbolic bridge step: free-step draws per attempt plus one
-  acceptance uniform.
+* Hyperbolic bridge step: per rejection attempt the 8 slots of a free
+  step plus one acceptance uniform.
 
 Because of this, results are bit-identical no matter how samples are
 partitioned across workers.
@@ -32,9 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .errors import RejectionBudgetError, StepTooLargeError
+from .errors import NonFiniteSampleError, RejectionBudgetError, StepTooLargeError
 from .heat_kernel import (
     dirichlet_kernel_arrays,
     evaluate,
@@ -168,71 +167,7 @@ class PathEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic radial sampling
-
-
-def _radial_proposal_ppf(t, u):
-    """Percentile function of the density ~ r exp(-(r-2t)^2/4t) on r > 0.
-
-    Closed-form CDF (exponential plus erf terms) inverted by safeguarded
-    Newton to machine precision, so one uniform maps to one proposal.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    m = 2.0 * t
-    s2 = 2.0 * t
-    s = math.sqrt(s2)
-    phi0 = ndtr(-m / s)
-    zfull = s2 * math.exp(-m * m / (2.0 * s2)) + m * s * math.sqrt(2.0 * math.pi) * (1.0 - phi0)
-    target = u * zfull
-
-    def cdf(r):
-        return s2 * (math.exp(-m * m / (2.0 * s2)) - np.exp(-((r - m) ** 2) / (2.0 * s2))) + m * s * math.sqrt(
-            2.0 * math.pi
-        ) * (ndtr((r - m) / s) - phi0)
-
-    r = m + s * ndtri(phi0 + u * (1.0 - phi0))
-    hi_cap = m + 14.0 * s
-    r = np.clip(r, 1e-12, hi_cap)
-    lo = np.zeros_like(r)
-    hi = np.full_like(r, hi_cap)
-    # fixed iteration count, elementwise updates only: each element's
-    # trajectory is independent of what else shares the batch, which keeps
-    # per-sample results bit-identical under any partitioning
-    for _ in range(60):
-        f = cdf(r) - target
-        hi = np.where(f > 0.0, np.minimum(hi, r), hi)
-        lo = np.where(f <= 0.0, np.maximum(lo, r), lo)
-        dens = r * np.exp(-((r - m) ** 2) / (2.0 * s2))
-        step = f / np.maximum(dens, 1e-300)
-        r_new = r - step
-        bad = ~np.isfinite(r_new) | (r_new <= lo) | (r_new >= hi)
-        r = np.where(bad, 0.5 * (lo + hi), r_new)
-    return r
-
-
-def _h3_radius(cursor, rows, t):
-    """Step radii for the hyperbolic kernel via envelope rejection.
-
-    Proposal ~ r exp(-(r-2t)^2/4t), acceptance 1 - exp(-2r); the product
-    reconstructs r sinh(r) exp(-r^2/4t) exactly.
-    """
-    out = np.empty(rows.shape[0])
-    pending = np.arange(rows.shape[0])
-    attempts = 0
-    while pending.size:
-        attempts += 1
-        if attempts > REJECTION_BUDGET:
-            raise RejectionBudgetError(
-                f"hyperbolic radial sampler exceeded {REJECTION_BUDGET} attempts at t={t}",
-                attempts=attempts,
-                acceptance_rate=1.0 - pending.size / rows.shape[0],
-            )
-        u = cursor.uniforms_at(rows[pending], 2)  # proposal, acceptance
-        r = _radial_proposal_ppf(t, u[:, 0])
-        ok = u[:, 1] < -np.expm1(-2.0 * r)
-        out[pending[ok]] = r[ok]
-        pending = pending[~ok]
-    return out, attempts
+# hyperbolic steps
 
 
 def _h3_direction(cursor, rows):
@@ -244,9 +179,26 @@ def _h3_direction(cursor, rows):
 
 
 def _h3_free_step(cursor, rows, current, dt):
-    r, attempts = _h3_radius(cursor, rows, dt)
+    """One exact H^3 heat-kernel step from each row of ``current``.
+
+    The radial law ~ r sinh(r) exp(-r^2/4t) is the law of |Z| for
+    Z ~ N(2t e_1, 2t I_3) (Rogers & Pitman, 1981), so three normals give
+    the radius; the direction is drawn independently and uniformly.
+    """
+    s = math.sqrt(2.0 * dt)
+    z0 = cursor.normals_at(rows)
+    z1 = cursor.normals_at(rows)
+    z2 = cursor.normals_at(rows)
+    r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
     direction = _h3_direction(cursor, rows)
-    return exp_point_arrays(current, direction, r), attempts
+    # overflow is reported once, below, as an error rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = exp_point_arrays(current, direction, r)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteSampleError(
+            f"a hyperbolic step of time {dt} left the float range; shorten the steps or the horizon"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +220,6 @@ def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
     cursor = StreamCursor(master_seed, first_index + np.arange(n, dtype=np.uint64))
     steps = grid.steps()
     m = grid.n_steps
-    rej = 0
 
     if isinstance(model, Compactified):
         if not isinstance(model.base, DirichletInterval) or kernel.kind != "heat":
@@ -324,10 +275,9 @@ def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
         pos[:, 0] = x0a
         rows = np.arange(n)
         for j, dt in enumerate(steps):
-            pos[:, j + 1], att = _h3_free_step(cursor, rows, pos[:, j], dt)
-            rej += att
+            pos[:, j + 1] = _h3_free_step(cursor, rows, pos[:, j], dt)
         kill = np.full(n, NEVER_KILLED, dtype=np.int64)
-        return PathEnsemble(model, grid, pos, kill, first_index, int(master_seed), rejection_attempts=rej)
+        return PathEnsemble(model, grid, pos, kill, first_index, int(master_seed))
 
     if isinstance(model, DirichletInterval):
         raise ValueError(
@@ -449,8 +399,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
                         attempts=attempts,
                         acceptance_rate=1.0 - pending.size / n,
                     )
-                prop, att = _h3_free_step(cursor, pending, pos[pending, j - 1], dt)
-                rej += att
+                prop = _h3_free_step(cursor, pending, pos[pending, j - 1], dt)
                 rho = distance_arrays(model, prop, np.broadcast_to(y0a, prop.shape))
                 small = rho < 1e-6
                 safe = np.where(small, 1.0, rho)
@@ -460,6 +409,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
                 ok = u < acc_p
                 pos[pending[ok], j] = prop[ok]
                 pending = pending[~ok]
+            rej += attempts
         pos[:, m] = y0a
         return PathEnsemble(model, grid, pos, kill, first_index, int(master_seed), rejection_attempts=rej)
 

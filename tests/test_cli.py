@@ -104,6 +104,23 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "PATHKERNEL_WORKERS" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("command", ["sample", "bridge"])
+    @pytest.mark.parametrize("index", ["-1", "3"])
+    def test_sample_index_outside_samples_is_usage_error(self, command, index):
+        ends = ["--x0", "0"] + (["--y0", "0"] if command == "bridge" else [])
+        res = run_cli([command, "--model", "euclidean:1", *ends, "--T", "1", "--steps", "2",
+                       "--samples", "3", "--sample-index", index])
+        assert res.returncode == 2
+        assert "--sample-index" in res.stderr and "Traceback" not in res.stderr
+
+    def test_hyperbolic_overflow_is_numeric_failure(self, tmp_path):
+        out = tmp_path / "path.csv"
+        res = run_cli(["sample", "--model", "hyperbolic3", "--x0", "1,0,0,0", "--T", "200",
+                       "--steps", "2", "--samples", "4", "--out", str(out)])
+        assert res.returncode == 1
+        assert json.loads(res.stdout)["error"] == "NonFiniteSampleError"
+        assert "Traceback" not in res.stderr and not out.exists()
+
     def test_unknown_flag_rejected(self):
         res = run_cli(["kernel", "--model", "euclidean:1", "--t", "1", "--x", "0",
                        "--y", "0", "--frobnicate", "1"])

@@ -92,6 +92,19 @@ class TestDistance:
         q = Point(tuple(exp_point_arrays(np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0]), 1e-9)))
         assert distance(H3, ORIGIN4, q) == pytest.approx(1e-9, rel=1e-5)
 
+    def test_far_from_origin(self):
+        # the difference form cancels here: both squares are about 5e86
+        q = point(math.cosh(100.0), math.sinh(100.0), 0.0, 0.0)
+        assert distance(H3, ORIGIN4, q) == pytest.approx(100.0, rel=1e-14)
+
+    def test_close_pair_far_out(self):
+        # two points at radius 40, 5 apart: the pairing form cancels here
+        s = math.sinh(40.0)
+        a = 2.0 * math.sinh(2.5)
+        x = point(math.sqrt(1.0 + s * s), s, 0.0, 0.0)
+        y = point(math.sqrt(1.0 + s * s + a * a), s, a, 0.0)
+        assert distance(H3, x, y) == pytest.approx(5.0, rel=1e-14)
+
 
 class TestExpPoint:
     def test_zero_radius(self):

@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import ks_2samp
 
 import pathkernel.path_sampler as ps
-from pathkernel.errors import RejectionBudgetError, StepTooLargeError
+from pathkernel.diagnostics import expected_distance_analytic
+from pathkernel.errors import NonFiniteSampleError, RejectionBudgetError, StepTooLargeError
 from pathkernel.heat_kernel import TransitionKernel, dirichlet_mass_series, evaluate
 from pathkernel.manifold import (
     Circle,
@@ -30,7 +31,7 @@ from pathkernel.path_sampler import (
     sample_path,
     sample_paths,
 )
-from pathkernel.rng import RngContract
+from pathkernel.rng import RngContract, StreamCursor
 
 from stat_helpers import (
     bin_counts,
@@ -367,11 +368,44 @@ class TestCoveringPaths:
 
 
 class TestRejectionBudget:
+    # the H^3 bridge is the one sampler that still rejects
+    Y0 = point(math.cosh(0.8), math.sinh(0.8), 0.0, 0.0)
+
     def test_budget_error_carries_diagnostics(self, monkeypatch):
         monkeypatch.setattr(ps, "REJECTION_BUDGET", 1)
         with pytest.raises(RejectionBudgetError) as info:
-            sample_paths(H3K, ORIGIN4, TimeGrid.uniform(0.001, 1), 0, 256)
+            sample_bridges(H3K, ORIGIN4, self.Y0, TimeGrid.uniform(1.0, 2), 0, 256)
         assert info.value.attempts is not None
+
+    def test_attempts_counted_only_where_a_loop_runs(self):
+        grid = TimeGrid.uniform(1.0, 2)
+        assert sample_paths(H3K, ORIGIN4, grid, 0, 256).rejection_attempts == 0
+        assert sample_bridges(H3K, ORIGIN4, self.Y0, grid, 0, 256).rejection_attempts > 0
+
+
+class TestHyperbolicStep:
+    def test_step_consumes_eight_slots(self):
+        cursor = StreamCursor(5, np.arange(6, dtype=np.uint64))
+        rows = np.array([0, 2, 5])
+        ps._h3_free_step(cursor, rows, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), 0.4)
+        assert cursor.pos.tolist() == [8, 0, 8, 0, 0, 8]
+
+    def test_far_one_step_mean_distance(self):
+        # at t = 20 the step radius is about 40, where the coordinates
+        # reach 1e17 and the distance must not cancel
+        n = 100000
+        ens = sample_paths(H3K, ORIGIN4, TimeGrid.uniform(20.0, 1), 2020, n)
+        rho = distance_arrays(Hyperbolic3(), ens.positions[:, -1, :], np.array([1.0, 0, 0, 0]))
+        se = float(np.std(rho, ddof=1) / math.sqrt(n))
+        assert abs(float(np.mean(rho)) - expected_distance_analytic(Hyperbolic3(), 20.0)) < 4.0 * se
+
+    def test_path_overflow_is_an_error(self):
+        with pytest.raises(NonFiniteSampleError):
+            sample_paths(H3K, ORIGIN4, TimeGrid.uniform(200.0, 2), 0, 4)
+
+    def test_bridge_overflow_is_an_error(self):
+        with pytest.raises(NonFiniteSampleError):
+            sample_bridges(H3K, ORIGIN4, ORIGIN4, TimeGrid.uniform(2000.0, 3), 0, 4)
 
 
 class TestCsv:
