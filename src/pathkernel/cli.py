@@ -45,7 +45,7 @@ from .heat_kernel import (
     MomentCheckConfig,
     TransitionKernel,
     TruncationPolicy,
-    chapman_kolmogorov_residual,
+    chapman_kolmogorov_residuals,
     delta_family_residuals,
     eval_compactified,
     evaluate,
@@ -63,6 +63,7 @@ from .manifold import (
     Point,
     covering_of,
     model_dim,
+    validate_point,
 )
 from .parallel import worker_count
 from .path_sampler import (
@@ -164,16 +165,21 @@ def parse_potential(text):
     raise argparse.ArgumentTypeError(f"unknown potential {text!r}")
 
 
-def _parse_point(text, model):
+def _point_option(config, key, model, default=None):
+    """The point given as --key, checked against the model; default if absent."""
+    text = config.options[key]
+    if not text:
+        return default
+    name = f"--{key}"
     if text.strip().lower() in ("inf", "cemetery"):
-        return CEMETERY
-    coords = tuple(float(s) for s in text.split(","))
-    want = model_dim(model)
-    if len(coords) != want:
-        raise argparse.ArgumentTypeError(
-            f"point {text!r} has {len(coords)} coordinates, model needs {want}"
-        )
-    return Point(coords=coords)
+        p = CEMETERY
+    else:
+        try:
+            p = Point(coords=tuple(float(s) for s in text.split(",")))
+        except ValueError:
+            raise ValueError(f"{name} {text!r} is not a comma-separated list of numbers") from None
+    validate_point(model, p, name)  # dimension, box, hyperboloid, cemetery
+    return p
 
 
 def _parse_grid_spec(text):
@@ -364,7 +370,7 @@ def build_parser():
     return parser
 
 
-def _merge_config_file(argv):
+def _merge_config_file(argv, parser):
     """Inject key=value pairs from --config FILE under the explicit flags."""
     if "--config" not in argv:
         return argv
@@ -373,15 +379,19 @@ def _merge_config_file(argv):
         return argv
     path = argv[i + 1]
     injected = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(2)
-            key, _, value = line.partition("=")
-            injected.extend([f"--{key.strip()}", value.strip()])
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        parser.error(f"argument --config: cannot read {path!r}: {exc.strerror}")
+    for number, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            parser.error(f"argument --config: {path}:{number}: want 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        injected.extend([f"--{key.strip()}", value.strip()])
     # subcommand (and any positional task) stays first; file pairs go before
     # the explicit flags so the flags win on repeat
     head = []
@@ -393,8 +403,8 @@ def _merge_config_file(argv):
 
 def parse_args(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _merge_config_file(argv)
     parser = build_parser()
+    argv = _merge_config_file(argv, parser)
     ns = parser.parse_args(argv)
     try:
         worker_count()  # PATHKERNEL_WORKERS is part of the command line
@@ -421,8 +431,8 @@ def _kernel_for(config):
 def _run_kernel(config):
     k = _kernel_for(config)
     model = k.model
-    x = _parse_point(config.options["x"], model)
-    y = _parse_point(config.options["y"], model)
+    x = _point_option(config, "x", model)
+    y = _point_option(config, "y", model)
     if isinstance(model, Compactified) and (x.cemetery or y.cemetery):
         value = eval_compactified(k, config.options["t"], x, y)
     else:
@@ -433,10 +443,20 @@ def _run_kernel(config):
 
 def _run_mass(config):
     k = _kernel_for(config)
-    x = _parse_point(config.options["x"], k.model)
+    x = _point_option(config, "x", k.model)
     value = total_mass(k, config.options["t"], x, quad_tol=config.options["quad_tol"])
     _emit(config, {"value": value})
     return 0
+
+
+def _check_unkilled(model):
+    """Paths on the bare absorbing interval are killed at the walls; only the
+    compactified model has a state to send them to."""
+    if isinstance(model, DirichletInterval):
+        raise ValueError(
+            f"paths on dirichlet:{model.length!r} are killed at the walls; "
+            f"sample compactified:dirichlet:{model.length!r}, whose cemetery keeps them"
+        )
 
 
 def _default_point(model):
@@ -475,16 +495,17 @@ def _run_verify(config):
     k = _kernel_for(config)
     if check == "chapman-kolmogorov":
         gen = np.random.default_rng(config.options["seed"])
-        worst = 0.0
-        for _ in range(config.options["tuples"]):
+        tuples = []
+        for _ in range(config.options["tuples"]):  # s, t, x, z per tuple
             s = float(gen.uniform(0.2, 0.8))
             t = float(gen.uniform(0.2, 0.8))
             x = _random_interior(k.model, gen)
             z = _random_interior(k.model, gen)
-            worst = max(worst, chapman_kolmogorov_residual(k, s, t, x, z))
+            tuples.append((s, t, x, z))
+        worst = float(np.max(chapman_kolmogorov_residuals(k, *zip(*tuples))))
         payload = {"max_residual": worst, "tuples": config.options["tuples"],
                    "tol": config.options["tol"], "seed": config.options["seed"]}
-        if worst > config.options["tol"]:
+        if not worst <= config.options["tol"]:  # a NaN residual fails too
             _emit(config, {"error": "VerificationFailed", **payload})
             return 1
         _emit(config, payload)
@@ -510,10 +531,10 @@ def _run_verify(config):
     if check == "covering":
         model = k.model
         if not isinstance(model, Circle):
-            raise PathkernelError("verify covering runs on circle models")
+            raise ValueError("verify covering runs on circle models")
         t = config.options["t"]
-        x = _parse_point(config.options["x"], model) if config.options["x"] else _default_point(model)
-        y = _parse_point(config.options["y"], model) if config.options["y"] else Point((model.circumference / 3.0,))
+        x = _point_option(config, "x", model, _default_point(model))
+        y = _point_option(config, "y", model, Point((model.circumference / 3.0,)))
         w = config.options["windings"]
         length = model.circumference
         gap = y.coords[0] - x.coords[0]
@@ -533,7 +554,7 @@ def _run_verify(config):
         _emit(config, payload)
         return 0
     # delta-family
-    y = _parse_point(config.options["y"], k.model) if config.options["y"] else _default_point(k.model)
+    y = _point_option(config, "y", k.model, _default_point(k.model))
     t_seq = [0.05 * 2.0 ** -j for j in range(10)]
     residuals = delta_family_residuals(k, y, t_seq)
     payload = {"t": t_seq, "residuals": residuals, "seed": config.options["seed"]}
@@ -547,7 +568,8 @@ def _run_verify(config):
 
 def _run_sample(config):
     k = _kernel_for(config)
-    x0 = _parse_point(config.options["x0"], k.model)
+    _check_unkilled(k.model)
+    x0 = _point_option(config, "x0", k.model)
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     ens = sample_paths(k, x0, grid, config.options["seed"], config.options["samples"])
     csv_text = path_to_csv(ens.path(config.options["sample_index"]), comment=_header_line(config)[2:])
@@ -573,8 +595,8 @@ def _run_sample(config):
 
 def _run_bridge(config):
     k = _kernel_for(config)
-    x0 = _parse_point(config.options["x0"], k.model)
-    y0 = _parse_point(config.options["y0"], k.model)
+    x0 = _point_option(config, "x0", k.model)
+    y0 = _point_option(config, "y0", k.model)
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     ens = sample_bridges(k, x0, y0, grid, config.options["seed"], config.options["samples"])
     csv_text = path_to_csv(ens.path(config.options["sample_index"]), comment=_header_line(config)[2:])
@@ -600,12 +622,26 @@ def _run_bridge(config):
     return 0
 
 
+def _oracle_value(config, task, model, pot, t, g, x0, y0):
+    """The spectral oracle's value for `fk expectation` or `fk kernel`, if
+    --oracle-m asks for it.  It is computed before any path is drawn, so a
+    model the oracle does not cover is refused at once, and its matrices
+    are freed before the paths take their memory."""
+    m = config.options["oracle_m"]
+    if not m or task not in ("expectation", "kernel"):
+        return None
+    orc = spectral_oracle(model, m, pot, t)
+    if task == "expectation":
+        return orc.value_at(g, x0.coords[0])
+    return orc.kernel_entry(x0.coords[0], y0.coords[0])
+
+
 def _run_fk(config):
     task = config.options["task"]
     k = _kernel_for(config)
     model = k.model
     pot = config.options["potential"]
-    x0 = _parse_point(config.options["x0"], model) if config.options["x0"] else _default_point(model)
+    x0 = _point_option(config, "x0", model, _default_point(model))
     t = config.options["t"]
     steps = config.options["steps"]
     samples = config.options["samples"]
@@ -614,38 +650,37 @@ def _run_fk(config):
     workers = worker_count(config.options["workers"])
     rng = RngContract(seed)
     terminal = config.options["terminal"] or None
+    g = terminal if terminal is not None else constant_one
+    y0 = _point_option(config, "y0", model)
+    if task in ("expectation", "monotonicity"):
+        _check_unkilled(model)
+    if task in ("kernel", "covering-sum") and y0 is None:
+        raise ValueError(f"fk {task} needs --y0")
+    oracle = _oracle_value(config, task, model, pot, t, g, x0, y0)
 
     if task == "expectation":
-        g = terminal if terminal is not None else constant_one
         prob = FKProblem(k, pot, g, x0, t, steps, samples, rng)
         est = fk_expectation(prob, rule=rule, workers=workers)
         payload = {"value": est.value, "std_error": est.std_error,
                    "n_samples": est.n_samples, "n_steps": steps, "seed": seed}
-        if config.options["oracle_m"]:
-            orc = spectral_oracle(model, config.options["oracle_m"], pot, t)
-            gfun = g if terminal is not None else constant_one
-            payload["oracle"] = orc.value_at(gfun, x0.coords[0])
+        if oracle is not None:
+            payload["oracle"] = oracle
         _emit(config, payload)
         return 0
 
     if task == "kernel":
-        if not config.options["y0"]:
-            raise PathkernelError("fk kernel needs --y0")
-        y0 = _parse_point(config.options["y0"], model)
         est = fk_kernel(k, pot, x0, y0, t, steps, samples, rng, rule=rule, workers=workers)
         payload = {"value": est.value, "std_error": est.std_error,
                    "n_samples": est.n_samples, "n_steps": steps, "seed": seed}
-        if config.options["oracle_m"]:
-            orc = spectral_oracle(model, config.options["oracle_m"], pot, t)
-            payload["oracle"] = orc.kernel_entry(x0.coords[0], y0.coords[0])
+        if oracle is not None:
+            payload["oracle"] = oracle
         _emit(config, payload)
         return 0
 
     if task == "monotonicity":
         pot2 = config.options["potential2"]
         if pot2 is None:
-            raise PathkernelError("fk monotonicity needs --potential2")
-        y0 = _parse_point(config.options["y0"], model) if config.options["y0"] else None
+            raise ValueError("fk monotonicity needs --potential2")
         rep = fk_monotonicity_check(k, pot, pot2, x0, t, steps, samples, rng, y0=y0)
         payload = {
             "passed": rep.passed, "n_violations": rep.n_violations,
@@ -662,10 +697,7 @@ def _run_fk(config):
 
     # covering-sum
     if not isinstance(model, Circle):
-        raise PathkernelError("fk covering-sum runs on circle models")
-    if not config.options["y0"]:
-        raise PathkernelError("fk covering-sum needs --y0")
-    y0 = _parse_point(config.options["y0"], model)
+        raise ValueError("fk covering-sum runs on circle models")
     rep = fk_covering_sum_check(
         covering_of(model), pot, x0, y0, t, config.options["windings"],
         steps, samples, rng, rule=rule, workers=workers,
@@ -690,8 +722,8 @@ def _run_fk(config):
 def _run_curve(config):
     model, kind = config.options["model"]
     if kind != "heat":
-        raise PathkernelError("curve runs on heat kernels")
-    x0 = _parse_point(config.options["x0"], model) if config.options["x0"] else _default_point(model)
+        raise ValueError("curve runs on heat kernels")
+    x0 = _point_option(config, "x0", model, _default_point(model))
     t_grid = _parse_grid_spec(config.options["t_grid"])
     rows = distance_curve(
         model, x0, t_grid, config.options["samples"], RngContract(config.options["seed"]),
@@ -715,8 +747,9 @@ def _run_holder(config):
         ensemble = brownian_dyadic_ensemble(n_paths, levels, seed)
         rep = holder_exponent(ensemble)
     else:
+        _check_unkilled(model)
         k = TransitionKernel(model, kind=kind)
-        x0 = _parse_point(config.options["x0"], model) if config.options["x0"] else _default_point(model)
+        x0 = _point_option(config, "x0", model, _default_point(model))
         ensemble = strided_dyadic_ensemble(k, x0, levels, n_paths, seed)
         rep = holder_exponent(ensemble, model=model)
     payload = {
@@ -744,9 +777,17 @@ _RUNNERS = {
 
 
 def run(config):
-    """Execute a parsed configuration; returns the process exit code."""
+    """Execute a parsed configuration; returns the process exit code.
+
+    Numeric failures (PathkernelError) exit 1 with a JSON record on
+    stdout; input the run cannot use (ValueError, TypeError, OSError)
+    exits 2 with a message on stderr, as argparse does for bad flags.
+    """
     try:
         return _RUNNERS[config.subcommand](config)
+    except (ValueError, TypeError, OSError) as exc:
+        sys.stderr.write(f"pathkernel {config.subcommand}: error: {exc}\n")
+        return 2
     except PathkernelError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         if "seed" in config.options:

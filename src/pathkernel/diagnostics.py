@@ -232,9 +232,3 @@ def completeness_check(kernel, t_list, x0, tolerance=1e-8):
         mass = total_mass(kernel, float(t), x0)
         rows.append((float(t), mass, 1.0 - mass))
     return CompletenessReport(model=kernel.model, rows=rows, tolerance=tolerance)
-
-
-def occupation_fraction(positions, center, width):
-    """Fraction of grid times spent within width/2 of a center (first coordinate)."""
-    x = np.asarray(positions)[..., 0]
-    return float(np.mean(np.abs(x - center) < width / 2.0))

@@ -6,7 +6,14 @@ class PathkernelError(RuntimeError):
 
 
 class QuadratureError(PathkernelError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach the requested tolerance.
+
+    ``owners`` lists the integrals of a batched call that were still open.
+    """
+
+    def __init__(self, message, owners=None):
+        super().__init__(message)
+        self.owners = owners
 
 
 class DivergentIntegralError(PathkernelError):

@@ -12,11 +12,19 @@ points can be shared freely across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 HYPERBOLOID_TOL = 1e-12
+
+
+def _finite_positive(value, what):
+    v = float(value)
+    if not 0.0 < v < math.inf:  # NaN fails too
+        raise ValueError(f"{what} must be a finite positive real, got {value!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -39,8 +47,10 @@ class FlatTorus:
 
     def __post_init__(self):
         object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
-        if len(self.periods) < 1 or any(p <= 0 for p in self.periods):
+        if len(self.periods) < 1:
             raise ValueError("torus periods must be a nonempty tuple of positive reals")
+        for p in self.periods:
+            _finite_positive(p, "torus period")
 
     @property
     def dim(self):
@@ -52,8 +62,7 @@ class Circle:
     circumference: float
 
     def __post_init__(self):
-        if float(self.circumference) <= 0:
-            raise ValueError("circumference must be positive")
+        _finite_positive(self.circumference, "circumference")
 
 
 @dataclass(frozen=True)
@@ -61,8 +70,10 @@ class DirichletInterval:
     length: float
 
     def __post_init__(self):
-        if float(self.length) <= 0:
-            raise ValueError("interval length must be positive")
+        L = _finite_positive(self.length, "interval length")
+        # the kernel needs L^2 (its switch time) and (pi/L)^2 (its first eigenvalue)
+        if not (math.isfinite(L * L) and math.isfinite((math.pi / L) * (math.pi / L))):
+            raise ValueError(f"interval length {self.length!r} is too extreme: L^2 or (pi/L)^2 overflows")
 
 
 @dataclass(frozen=True)

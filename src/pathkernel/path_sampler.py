@@ -48,6 +48,7 @@ from .manifold import (
     FlatTorus,
     Hyperbolic3,
     Point,
+    covering_of,
     distance_arrays,
     exp_point_arrays,
     lift_arrays,
@@ -265,7 +266,7 @@ def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
             z = cursor.normals(d)
             nxt = pos[:, j] + math.sqrt(2.0 * dt) * z
             if periodic:
-                nxt = _project_box(nxt, periods_of(model))
+                nxt = project_arrays(covering_of(model), nxt)
             pos[:, j + 1] = nxt
         kill = np.full(n, NEVER_KILLED, dtype=np.int64)
         return PathEnsemble(model, grid, pos, kill, first_index, int(master_seed))
@@ -284,12 +285,6 @@ def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
             "paths on the absorbing interval carry killing; wrap the model in Compactified"
         )
     raise TypeError(f"no path sampler for {model!r}")
-
-
-def _project_box(x, periods):
-    per = np.asarray(periods)
-    out = x - np.floor(x / per) * per
-    return np.where(out >= per, out - per, out)
 
 
 def sample_path(kernel, x0, grid, rng):
@@ -377,7 +372,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
         pos = np.empty((n, m + 1, d))
         pos[:, 0] = x0a
         _euclidean_bridge_fill(cursor, pos, times, target, d)
-        pos = _project_box(pos, periods)
+        pos = project_arrays(covering_of(model), pos)
         pos[:, 0] = x0a
         pos[:, m] = y0a
         return PathEnsemble(model, grid, pos, kill, first_index, int(master_seed), windings=windings)
@@ -425,10 +420,6 @@ def sample_bridge(kernel, x0, y0, grid, rng):
 
 # ---------------------------------------------------------------------------
 # covering operations on whole paths
-
-
-def project_positions(cov, positions):
-    return project_arrays(cov, positions)
 
 
 def project_path(cov, path):

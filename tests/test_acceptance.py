@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 
-import pathkernel.path_sampler as ps
 from pathkernel.diagnostics import (
     brownian_dyadic_ensemble,
     expected_distance_mc,
@@ -59,6 +58,7 @@ from pathkernel.manifold import (
     Hyperbolic3,
     covering_of,
     point,
+    project_arrays,
 )
 from pathkernel.path_sampler import TimeGrid, lift_path, project_path, sample_bridges, sample_paths
 from pathkernel.rng import RngContract
@@ -187,7 +187,7 @@ def test_criterion_5_covering_identity():
     circ = TransitionKernel(Circle(1.0))
 
     ens = sample_paths(line, point(0.5), TimeGrid.uniform(horizon, 8), 20245, n)
-    projected = ps.project_positions(cov, ens.positions)
+    projected = project_arrays(cov, ens.positions)
     edges, probs = circle_bin_probs(horizon, 0.5, 1.0, circ.truncation)
     stat = chi2_statistic(bin_counts(projected[:, -1, 0], edges), probs, n)
     chi_ok = stat < chi2_threshold(len(probs))

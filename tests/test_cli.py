@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -164,6 +165,76 @@ class TestExitCodes:
                        "--t", "1", "--x", "inf", "--y", "1.5707963267948966"])
         assert res.returncode == 0
         assert json.loads(res.stdout)["value"] == pytest.approx(0.5317, abs=5e-4)
+
+
+DIRICHLET = ["--model", "dirichlet:3.14159265"]
+FK_SHORT = ["--potential", "const:1", "--t", "0.5", "--steps", "8", "--samples", "200"]
+
+
+class TestInputErrors:
+    """Input the run cannot use exits 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["fk", "expectation", *DIRICHLET, *FK_SHORT], "compactified:dirichlet:3.14159265"),
+            (["fk", "monotonicity", *DIRICHLET, *FK_SHORT, "--potential2", "const:2"],
+             "compactified:dirichlet:3.14159265"),
+            (["fk", "kernel", *DIRICHLET, *FK_SHORT, "--y0", "1"], "bridges"),
+            (["sample", *DIRICHLET, "--x0", "1", "--T", "1", "--steps", "4"],
+             "compactified:dirichlet:3.14159265"),
+            (["bridge", *DIRICHLET, "--x0", "1", "--y0", "1", "--T", "1", "--steps", "4"], "bridges"),
+            (["holder", *DIRICHLET, "--paths", "10", "--levels", "2:4"],
+             "compactified:dirichlet:3.14159265"),
+            (["curve", *DIRICHLET, "--t-grid", "0.1:0.2:0.1", "--samples", "100"], "DirichletInterval"),
+            (["kernel", *DIRICHLET, "--t", "1", "--x", "5", "--y", "1"], "--x must lie in"),
+            (["kernel", "--model", "euclidean:1", "--t", "1", "--x", "abc", "--y", "0"], "--x 'abc'"),
+            (["mass", "--model", "euclidean:2", "--t", "1", "--x", "0"], "--x has 1 coordinates, expected 2"),
+            (["fk", "expectation", "--model", "euclidean:1", "--potential", "cos", "--t", "1",
+              "--steps", "4", "--samples", "100", "--oracle-m", "64"], "spectral oracle"),
+            (["verify", "moments", "--model", "torus:1,2"], "not implemented"),
+        ],
+        ids=["fk-expectation", "fk-monotonicity", "fk-kernel", "sample", "bridge", "holder", "curve",
+             "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify"],
+    )
+    def test_exits_2_with_message(self, args, message):
+        res = run_cli(args)
+        assert res.returncode == 2
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read"),
+        ("seed = 7\ngarbage line\n", ":2: want 'key = value'"),
+    ], ids=["missing", "malformed"])
+    def test_bad_config_file(self, tmp_path, content, message):
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_text(content)
+        res = run_cli(["kernel", "--model", "euclidean:1", "--t", "1", "--x", "0", "--y", "0",
+                       "--config", str(cfg)])
+        assert res.returncode == 2
+        assert "--config" in res.stderr and message in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("spec", [
+        "circle:inf", "circle:nan", "torus:1,inf", "torus:nan,2", "dirichlet:inf", "dirichlet:1e300",
+        "dirichlet:1e-300", "compactified:dirichlet:inf", "compactified:dirichlet:1e300",
+        "compactified:dirichlet:1e-300",
+    ])
+    def test_uncomputable_model_parameters_rejected(self, spec):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_model(spec)
+
+    @pytest.mark.parametrize("args", [
+        ["kernel", "--model", "circle:inf", "--t", "1", "--x", "0", "--y", "0"],
+        ["mass", "--model", "dirichlet:1e300", "--t", "1", "--x", "1"],
+        ["kernel", "--model", "dirichlet:1e-300", "--t", "1", "--x", "1e-301", "--y", "2e-301"],
+    ], ids=["circle-inf", "dirichlet-huge", "dirichlet-tiny"])
+    def test_uncomputable_model_exits_2(self, args):
+        res = run_cli(args)
+        assert res.returncode == 2
+        assert "--model" in res.stderr and "Traceback" not in res.stderr and res.stdout == ""
 
 
 class TestOutputs:

@@ -15,7 +15,6 @@ from pathkernel.diagnostics import (
     holder_exponent,
     linear_dyadic_levels,
     max_increment_stat,
-    occupation_fraction,
     strided_dyadic_ensemble,
 )
 from pathkernel.heat_kernel import TransitionKernel
@@ -158,9 +157,3 @@ class TestCompleteness:
         )
         assert not rep.complete
         assert rep.rows[0][2] == pytest.approx(0.5317, abs=5e-4)
-
-
-class TestOccupation:
-    def test_counts_window_hits(self):
-        pos = np.array([[[0.0], [0.6], [0.01], [-0.02]]])
-        assert occupation_fraction(pos, 0.0, 0.1) == pytest.approx(0.75)

@@ -5,10 +5,12 @@ import pytest
 
 from pathkernel.errors import PathkernelError
 from pathkernel.heat_kernel import (
+    CK_BLOCK,
     MomentCheckConfig,
     TransitionKernel,
     TruncationPolicy,
     chapman_kolmogorov_residual,
+    chapman_kolmogorov_residuals,
     delta_family_residuals,
     dirichlet_images_arrays,
     dirichlet_mass_series,
@@ -241,6 +243,64 @@ class TestChapmanKolmogorov:
         r = chapman_kolmogorov_residual(comp, 0.4, 0.6, point(1.2), CEMETERY)
         assert r < 1e-7
         assert chapman_kolmogorov_residual(comp, 0.4, 0.6, CEMETERY, point(1.2)) == 0.0
+
+
+def ck_tuples(model, n, seed, times=(0.2, 0.8)):
+    gen = np.random.default_rng(seed)
+    s = [float(v) for v in gen.uniform(*times, n)]
+    t = [float(v) for v in gen.uniform(*times, n)]
+    base = model.base if isinstance(model, Compactified) else model
+    x = [random_point(base, gen) for _ in range(n)]
+    z = [random_point(base, gen) for _ in range(n)]
+    return s, t, x, z
+
+
+class TestBatchedChapmanKolmogorov:
+    """One batched call gives each tuple the bits of its one-tuple call."""
+
+    @pytest.mark.parametrize(
+        "kernel, n",
+        [
+            (GAUSS1, 6),
+            (TransitionKernel(Euclidean(3)), 5),
+            (CAUCHY, 6),
+            (CIRC1, 6),
+            (TransitionKernel(FlatTorus((1.0, 2.0))), 5),
+            (H3K, 6),
+            (DIRPI, CK_BLOCK + 3),  # crosses a block boundary
+        ],
+        ids=["euclidean1", "euclidean3", "cauchy", "circle", "torus", "h3", "dirichlet"],
+    )
+    def test_batch_equals_one_tuple_calls(self, kernel, n):
+        s, t, x, z = ck_tuples(kernel.model, n, seed=11)
+        if isinstance(kernel.model, Hyperbolic3):
+            z[0] = x[0]  # a target at the source takes the kernel-itself form
+        batch = chapman_kolmogorov_residuals(kernel, s, t, x, z)
+        alone = [chapman_kolmogorov_residual(kernel, *row) for row in zip(s, t, x, z)]
+        assert batch.tolist() == alone
+        assert max(alone) < 1e-8
+
+    def test_dirichlet_both_representations(self):
+        # L = 1 switches from images to the sine series at t = 1/pi^2 ~ 0.101
+        k = TransitionKernel(DirichletInterval(1.0))
+        s, t, x, z = ck_tuples(k.model, 8, seed=12, times=(0.02, 0.3))
+        batch = chapman_kolmogorov_residuals(k, s, t, x, z)
+        alone = [chapman_kolmogorov_residual(k, *row) for row in zip(s, t, x, z)]
+        assert batch.tolist() == alone
+        assert max(alone) < 1e-9
+
+    def test_compactified_mixes_cemetery_rows(self):
+        comp = TransitionKernel(Compactified(DirichletInterval(math.pi)))
+        s, t, x, z = ck_tuples(comp.model, 5, seed=13)
+        x[1], z[2], x[3], z[3] = CEMETERY, CEMETERY, CEMETERY, CEMETERY
+        batch = chapman_kolmogorov_residuals(comp, s, t, x, z)
+        alone = [chapman_kolmogorov_residual(comp, *row) for row in zip(s, t, x, z)]
+        assert batch.tolist() == alone
+        assert batch[3] == 0.0
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            chapman_kolmogorov_residuals(GAUSS1, [0.5, 0.5], [0.5], [point(0.0)], [point(1.0)])
 
 
 class TestMoments:

@@ -211,3 +211,26 @@ class TestValidation:
     def test_compactified_wraps_substochastic_base_only(self):
         with pytest.raises(ValueError):
             Compactified(Euclidean(1))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Circle(math.inf),
+            lambda: Circle(math.nan),
+            lambda: FlatTorus((1.0, math.inf)),
+            lambda: FlatTorus((math.nan, 2.0)),
+            lambda: DirichletInterval(math.inf),
+            lambda: DirichletInterval(math.nan),
+            lambda: DirichletInterval(1e300),  # L^2 overflows
+            lambda: DirichletInterval(1e-300),  # (pi/L)^2 overflows
+        ],
+        ids=["circle-inf", "circle-nan", "torus-inf", "torus-nan", "interval-inf", "interval-nan",
+             "interval-huge", "interval-tiny"],
+    )
+    def test_parameters_must_be_computable(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_extreme_but_computable_interval_allowed(self):
+        assert DirichletInterval(1e150).length == 1e150
+        assert DirichletInterval(1e-150).length == 1e-150

@@ -17,6 +17,7 @@ from pathkernel.manifold import (
     covering_of,
     distance_arrays,
     point,
+    project_arrays,
 )
 from pathkernel.path_sampler import (
     NEVER_KILLED,
@@ -348,7 +349,7 @@ class TestCoveringPaths:
         n = 100000
         horizon = 0.25
         ens = sample_paths(TransitionKernel(Euclidean(1)), point(0.5), TimeGrid.uniform(horizon, 8), 16, n)
-        projected = ps.project_positions(self.COV, ens.positions)
+        projected = project_arrays(self.COV, ens.positions)
         edges, probs = circle_bin_probs(horizon, 0.5, 1.0, CIRC1.truncation)
         stat = chi2_statistic(bin_counts(projected[:, -1, 0], edges), probs, n)
         assert stat < chi2_threshold(len(probs))

@@ -1,0 +1,77 @@
+import math
+
+import numpy as np
+import pytest
+
+from pathkernel.errors import QuadratureError
+from pathkernel.quadrature import adaptive_simpson, adaptive_simpson_batch
+
+
+def cubic(x):
+    # Simpson is exact on cubics: accepted as soon as min_depth allows
+    return 2.0 * x ** 3 - x + 0.5
+
+
+def narrow_peak(x):
+    return np.exp(-(((x - 0.3) / 1e-3) ** 2))
+
+
+def gauss(x):
+    return np.exp(-x * x)
+
+
+def oscillating(x):
+    return np.sin(7.0 * x) * np.exp(-0.5 * x)
+
+
+# (integrand, a, b, tol): different domains and tolerances, one shallow, one deep
+CASES = [
+    (cubic, -1.0, 2.0, 1e-10),
+    (narrow_peak, 0.0, 1.0, 1e-13),
+    (gauss, -6.0, 6.0, 1e-11),
+    (oscillating, 0.5, 4.0, 1e-9),
+]
+
+
+def batched_integrand(x, owner):
+    out = np.empty(x.shape)
+    for i, (f, _, _, _) in enumerate(CASES):
+        sel = owner == i
+        out[sel] = f(x[sel])
+    return out
+
+
+class TestBatchedSimpson:
+    def test_batch_equals_one_at_a_time_bit_for_bit(self):
+        a = [c[1] for c in CASES]
+        b = [c[2] for c in CASES]
+        tol = [c[3] for c in CASES]
+        batch = adaptive_simpson_batch(batched_integrand, a, b, tol=tol)
+        alone = [adaptive_simpson(f, lo, hi, tol=t) for f, lo, hi, t in CASES]
+        assert batch.tolist() == alone
+        assert batch[0] == pytest.approx(7.5, abs=1e-12)
+        assert batch[1] == pytest.approx(1e-3 * math.sqrt(math.pi), rel=1e-9)
+
+    def test_cases_span_shallow_and_deep_owners(self):
+        # the cubic is accepted at min_depth; the narrow peak is not done by then
+        assert adaptive_simpson(cubic, -1.0, 2.0, tol=1e-10, max_depth=5) == pytest.approx(7.5)
+        with pytest.raises(QuadratureError):
+            adaptive_simpson(narrow_peak, 0.0, 1.0, tol=1e-13, max_depth=8)
+
+    def test_scalar_tolerance_applies_to_every_owner(self):
+        batch = adaptive_simpson_batch(lambda x, o: gauss(x), [-6.0, -3.0], [6.0, 3.0], tol=1e-10)
+        assert batch.tolist() == [adaptive_simpson(gauss, -6.0, 6.0, tol=1e-10),
+                                  adaptive_simpson(gauss, -3.0, 3.0, tol=1e-10)]
+
+    def test_max_depth_names_the_open_owners(self):
+        def f(x, owner):
+            return np.where(owner == 1, narrow_peak(x), cubic(x))
+
+        with pytest.raises(QuadratureError) as info:
+            adaptive_simpson_batch(f, [0.0, 0.0, -1.0], [1.0, 1.0, 2.0], tol=1e-13, max_depth=8)
+        assert info.value.owners == [1]
+        assert "[1]" in str(info.value)
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError):
+            adaptive_simpson_batch(lambda x, o: x, [0.0, 1.0], [1.0, 1.0])
