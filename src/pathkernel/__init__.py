@@ -28,7 +28,6 @@ from .errors import (
     PathkernelError,
     PotentialBoundError,
     QuadratureError,
-    RejectionBudgetError,
     StepTooLargeError,
 )
 from .feynman_kac import (

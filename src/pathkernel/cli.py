@@ -62,6 +62,7 @@ from .manifold import (
     Hyperbolic3,
     Point,
     covering_of,
+    exp_point_arrays,
     model_dim,
     validate_point,
 )
@@ -187,9 +188,9 @@ def _parse_grid_spec(text):
     try:
         a, b, step = (float(s) for s in text.split(":"))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}, want a:b:step")
-    if step <= 0 or b < a:
-        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
+        raise ValueError(f"bad grid spec {text!r}, want a:b:step") from None
+    if not (step > 0 and a <= b and math.isfinite(b - a)):
+        raise ValueError(f"bad grid spec {text!r}")
     n = int(math.floor((b - a) / step + 1e-9)) + 1
     return [a + i * step for i in range(n)]
 
@@ -198,7 +199,7 @@ def _parse_level_range(text):
     lo, _, hi = text.partition(":")
     lo, hi = int(lo), int(hi)
     if not 1 <= lo < hi:
-        raise argparse.ArgumentTypeError(f"bad level range {text!r}")
+        raise ValueError(f"bad level range {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -248,17 +249,13 @@ def _header_line(config):
     return f"# pathkernel {__version__} {config.subcommand} " + " ".join(parts)
 
 
-def _emit(config, payload, is_csv=False):
-    """Print payload to stdout; mirror it to --out with the header line."""
-    out = config.options.get("out")
-    if is_csv:
-        text = payload
-        sys.stdout.write(text)
-    else:
-        text = _json17(payload) + "\n"
-        sys.stdout.write(text)
-    if out:
-        with open(out, "w") as fh:
+def _emit(config, payload, out_key="out"):
+    """Print payload as JSON; mirror it under the header line to the file
+    named by option out_key."""
+    text = _json17(payload) + "\n"
+    sys.stdout.write(text)
+    if config.options.get(out_key):
+        with open(config.options[out_key], "w") as fh:
             fh.write(_header_line(config) + "\n")
             fh.write(text)
 
@@ -473,8 +470,6 @@ def _random_interior(model, gen):
     if isinstance(model, Euclidean):
         return Point(tuple(gen.normal(0.0, 1.0, model.dim)))
     if isinstance(model, Hyperbolic3):
-        from .manifold import exp_point_arrays
-
         d = gen.normal(size=3)
         d /= np.linalg.norm(d)
         r = gen.uniform(0.1, 1.5)
@@ -566,31 +561,35 @@ def _run_verify(config):
     return 0
 
 
+def _write_csv(config, text):
+    """CSV text goes to --out if given, else to stdout."""
+    if config.options.get("out"):
+        with open(config.options["out"], "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_path(config, ens, summary):
+    """Dump path --sample-index as CSV, then print the summary and mirror it to --summary-out."""
+    _write_csv(config, path_to_csv(ens.path(config.options["sample_index"]), comment=_header_line(config)[2:]))
+    _emit(config, summary, "summary_out")
+    return 0
+
+
 def _run_sample(config):
     k = _kernel_for(config)
     _check_unkilled(k.model)
     x0 = _point_option(config, "x0", k.model)
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     ens = sample_paths(k, x0, grid, config.options["seed"], config.options["samples"])
-    csv_text = path_to_csv(ens.path(config.options["sample_index"]), comment=_header_line(config)[2:])
-    if config.options.get("out"):
-        with open(config.options["out"], "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
-    summary = {
+    return _emit_path(config, ens, {
         "n_samples": len(ens),
         "survival_fraction": ens.survival_fraction(),
         "seed": config.options["seed"],
         "horizon": grid.horizon,
         "n_steps": grid.n_steps,
-    }
-    sys.stdout.write(_json17(summary) + "\n")
-    if config.options.get("summary_out"):
-        with open(config.options["summary_out"], "w") as fh:
-            fh.write(_header_line(config) + "\n")
-            fh.write(_json17(summary) + "\n")
-    return 0
+    })
 
 
 def _run_bridge(config):
@@ -599,12 +598,6 @@ def _run_bridge(config):
     y0 = _point_option(config, "y0", k.model)
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     ens = sample_bridges(k, x0, y0, grid, config.options["seed"], config.options["samples"])
-    csv_text = path_to_csv(ens.path(config.options["sample_index"]), comment=_header_line(config)[2:])
-    if config.options.get("out"):
-        with open(config.options["out"], "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
     summary = {
         "n_samples": len(ens),
         "seed": config.options["seed"],
@@ -614,12 +607,7 @@ def _run_bridge(config):
     if ens.windings is not None:
         vals, counts = np.unique(ens.windings[:, 0], return_counts=True)
         summary["winding_histogram"] = {str(int(v)): int(c) for v, c in zip(vals, counts)}
-    sys.stdout.write(_json17(summary) + "\n")
-    if config.options.get("summary_out"):
-        with open(config.options["summary_out"], "w") as fh:
-            fh.write(_header_line(config) + "\n")
-            fh.write(_json17(summary) + "\n")
-    return 0
+    return _emit_path(config, ens, summary)
 
 
 def _oracle_value(config, task, model, pot, t, g, x0, y0):
@@ -649,8 +637,7 @@ def _run_fk(config):
     rule = config.options["rule"]
     workers = worker_count(config.options["workers"])
     rng = RngContract(seed)
-    terminal = config.options["terminal"] or None
-    g = terminal if terminal is not None else constant_one
+    g = config.options["terminal"] or constant_one
     y0 = _point_option(config, "y0", model)
     if task in ("expectation", "monotonicity"):
         _check_unkilled(model)
@@ -658,18 +645,11 @@ def _run_fk(config):
         raise ValueError(f"fk {task} needs --y0")
     oracle = _oracle_value(config, task, model, pot, t, g, x0, y0)
 
-    if task == "expectation":
-        prob = FKProblem(k, pot, g, x0, t, steps, samples, rng)
-        est = fk_expectation(prob, rule=rule, workers=workers)
-        payload = {"value": est.value, "std_error": est.std_error,
-                   "n_samples": est.n_samples, "n_steps": steps, "seed": seed}
-        if oracle is not None:
-            payload["oracle"] = oracle
-        _emit(config, payload)
-        return 0
-
-    if task == "kernel":
-        est = fk_kernel(k, pot, x0, y0, t, steps, samples, rng, rule=rule, workers=workers)
+    if task in ("expectation", "kernel"):
+        if task == "expectation":
+            est = fk_expectation(FKProblem(k, pot, g, x0, t, steps, samples, rng), rule=rule, workers=workers)
+        else:
+            est = fk_kernel(k, pot, x0, y0, t, steps, samples, rng, rule=rule, workers=workers)
         payload = {"value": est.value, "std_error": est.std_error,
                    "n_samples": est.n_samples, "n_steps": steps, "seed": seed}
         if oracle is not None:
@@ -729,12 +709,7 @@ def _run_curve(config):
         model, x0, t_grid, config.options["samples"], RngContract(config.options["seed"]),
         workers=worker_count(config.options["workers"]),
     )
-    text = curve_to_csv(rows, comment=_header_line(config)[2:])
-    if config.options.get("out"):
-        with open(config.options["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(config, curve_to_csv(rows, comment=_header_line(config)[2:]))
     return 0
 
 

@@ -20,19 +20,6 @@ class DivergentIntegralError(PathkernelError):
     """An integral was detected as non-convergent under domain expansion."""
 
 
-class RejectionBudgetError(PathkernelError):
-    """A rejection sampler exhausted its attempt budget.
-
-    Carries diagnostics so the failure can be reported rather than
-    silently retried.
-    """
-
-    def __init__(self, message, attempts=None, acceptance_rate=None):
-        super().__init__(message)
-        self.attempts = attempts
-        self.acceptance_rate = acceptance_rate
-
-
 class NonFiniteSampleError(PathkernelError):
     """A sampled position overflowed the float range."""
 

@@ -134,11 +134,16 @@ def _by_key(keys, owner, fn):
 
 
 def _gauss_norm(t, n):
-    return (4.0 * np.pi * t) ** (-0.5 * n)
+    try:
+        return (4.0 * np.pi * t) ** (-0.5 * n)
+    except OverflowError:
+        raise PathkernelError(
+            f"the kernel prefactor (4 pi t)^(-{0.5 * n:g}) overflows at t = {t!r}; t is too small"
+        ) from None
 
 
 def _h3_norm(t):
-    return math.exp(-t) * (4.0 * np.pi * t) ** -1.5
+    return math.exp(-t) * _gauss_norm(t, 3)
 
 
 def gauss_profile(t, rho2, n, owner=None):
@@ -162,8 +167,15 @@ def cauchy_profile(t, dx):
 
 def _image_range(t, span, period, policy):
     """Number of one-sided images needed so the omitted Gaussian tail < tolerance."""
-    radius = gaussian_tail_radius(t, policy.tail_tolerance * 1e-3) + span
-    kmax = int(math.ceil(radius / period)) + 1
+    return image_count(gaussian_tail_radius(t, policy.tail_tolerance * 1e-3) + span, period, policy)
+
+
+def image_count(radius, period, policy):
+    """One-sided count of period translates covering radius, within policy.max_terms."""
+    reach = radius / period
+    if not reach < policy.max_terms:  # an infinite radius too
+        raise PathkernelError(f"a lattice sum over radius {radius:.3g} needs over {policy.max_terms} terms")
+    kmax = int(math.ceil(reach)) + 1
     if 2 * kmax + 1 > policy.max_terms:
         raise PathkernelError(
             f"lattice sum needs {2 * kmax + 1} terms, over the budget of {policy.max_terms}"
@@ -329,12 +341,11 @@ def eval_compactified(kernel, t, x, y):
 def h3_radial_mass(t, tol=1e-10, tail=1e-14):
     """Radial quadrature of the hyperbolic kernel's total mass."""
     rmax = 4.0 * t + gaussian_tail_radius(t, tail) + 5.0
+    pref = 4.0 * np.pi * math.exp(-t) * _gauss_norm(t, 3)
 
     def f(r):
         # sinh^2(r) * p_t(r) with the r/sinh(r) factor cancelled once
-        return 4.0 * np.pi * math.exp(-t) * (4.0 * np.pi * t) ** -1.5 * r * np.sinh(r) * np.exp(
-            -r * r / (4.0 * t)
-        )
+        return pref * r * np.sinh(r) * np.exp(-r * r / (4.0 * t))
 
     return adaptive_simpson(f, 0.0, rmax, tol=tol)
 
@@ -628,7 +639,7 @@ def _integrated_moment(kernel, a, tau, tol):
         return _sphere_volume(n) * math.pi ** (-n / 2.0) * (4.0 * tau) ** (a / 2.0) * j
     if isinstance(model, Hyperbolic3):
         rmax = 4.0 * tau + gaussian_tail_radius(tau, 1e-16) + 3.0
-        c = math.exp(-tau) * (4.0 * np.pi * tau) ** -1.5
+        c = _h3_norm(tau)
 
         def f(r):
             return 4.0 * np.pi * c * r ** (a + 1.0) * np.sinh(r) * np.exp(-r * r / (4.0 * tau))

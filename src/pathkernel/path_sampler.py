@@ -19,8 +19,8 @@ fixed order per model:
   acceptance uniform; killed samples stop drawing.
 * Torus/circle bridge: one winding uniform per coordinate, then
   Euclidean bridge steps.
-* Hyperbolic bridge step: per rejection attempt the 8 slots of a free
-  step plus one acceptance uniform.
+* Hyperbolic bridge step: three normals (6 slots) for the radius to y,
+  then two uniforms for the angle and azimuth.
 
 Because of this, results are bit-identical no matter how samples are
 partitioned across workers.
@@ -33,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteSampleError, RejectionBudgetError, StepTooLargeError
+from .errors import NonFiniteSampleError, StepTooLargeError
 from .heat_kernel import (
     dirichlet_kernel_arrays,
     evaluate,
     gauss_profile,
+    image_count,
 )
 from .manifold import (
     CEMETERY,
@@ -51,6 +52,7 @@ from .manifold import (
     covering_of,
     distance_arrays,
     exp_point_arrays,
+    hyperbolic_distance_arrays,
     lift_arrays,
     model_dim,
     periods_of,
@@ -59,8 +61,6 @@ from .manifold import (
 )
 from .quadrature import gaussian_tail_radius
 from .rng import RngContract, StreamCursor, box_muller
-
-REJECTION_BUDGET = 10 ** 4
 
 NEVER_KILLED = -1
 
@@ -144,7 +144,7 @@ class PathEnsemble:
     first_index: int = 0
     master_seed: int = 0
     windings: np.ndarray | None = None
-    rejection_attempts: int = 0
+    rejection_attempts: int = 0  # no sampler rejects; kept for the benchmark tracer, which reads it
 
     def __len__(self):
         return self.positions.shape[0]
@@ -187,19 +187,68 @@ def _h3_free_step(cursor, rows, current, dt):
     the radius; the direction is drawn independently and uniformly.
     """
     s = math.sqrt(2.0 * dt)
-    z0 = cursor.normals_at(rows)
-    z1 = cursor.normals_at(rows)
-    z2 = cursor.normals_at(rows)
+    z0, z1, z2 = (cursor.normals_at(rows) for _ in range(3))
     r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
-    direction = _h3_direction(cursor, rows)
+    return _h3_exp(current, _h3_direction(cursor, rows), r, dt)
+
+
+def _h3_exp(base, direction, r, dt):
+    """exp_point_arrays for a step of time dt; overflow is an error."""
     # overflow is reported once, below, as an error rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        out = exp_point_arrays(current, direction, r)
+        out = exp_point_arrays(base, direction, r)
     if not np.all(np.isfinite(out)):
         raise NonFiniteSampleError(
             f"a hyperbolic step of time {dt} left the float range; shorten the steps or the horizon"
         )
     return out
+
+
+def _sinh_ratio(x, y):
+    """sinh(x) / sinh(y) for 0 <= x <= y, y > 0, without overflow."""
+    return np.exp(x - y) * np.expm1(-2.0 * x) / np.expm1(-2.0 * y)
+
+
+def _h3_bridge_step(cursor, rows, current, y, dt, tau_before):
+    """One exact step of the H^3 bridge to y, with tau_before time left.
+
+    The distance to y is the norm of a 3-d Euclidean Brownian bridge to 0:
+    the h-transform factors of the radial law cancel in the bridge ratio
+    (Rogers & Pitman, 1981), so three normals give the new radius b.
+    Given b, the distance d to the current point c has density
+    ~ d exp(-d^2/4dt) on [|a-b|, a+b], a = d(c, y); one uniform draws the
+    truncated exponential d^2, the law of cosines at y turns d into the
+    angle from the geodesic y -> c, and a second uniform sets the azimuth.
+    """
+    k = 1.0 - dt / tau_before
+    s = math.sqrt(2.0 * dt * k)
+    z0, z1, z2 = (cursor.normals_at(rows) for _ in range(3))
+    u, v = cursor.uniforms_at(rows, 2).T
+    a = hyperbolic_distance_arrays(current, y)
+    b = np.sqrt((k * a + s * z0) ** 2 + s * s * (z1 * z1 + z2 * z2))
+    lo, gap = np.minimum(a, b), np.abs(a - b)
+    # far rows may overflow; _h3_exp reports them once
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = -4.0 * dt * np.log1p(u * np.expm1(-a * b / dt))  # d^2 - (a-b)^2
+        d_plus = np.sqrt(gap * gap + q) + gap
+        d_minus = np.where(d_plus > 0.0, q / d_plus, 0.0)
+        # 1 - cos(theta) = 2 sinh((d-|a-b|)/2) sinh((d+|a-b|)/2) / (sinh a sinh b)
+        w = 2.0 * _sinh_ratio(0.5 * d_minus, lo) * _sinh_ratio(0.5 * d_plus, np.maximum(a, b))
+        w = np.where(lo > 0.0, np.clip(w, 0.0, 2.0), 2.0 * u)
+        # log-map direction at y toward c, in _h3_tangent's transported frame
+        e = current[:, 1:] - ((current[:, 0] + np.cosh(a)) / (1.0 + y[0]))[:, None] * y[1:]
+        norm = np.sqrt(np.sum(e * e, axis=-1, keepdims=True))
+        e = np.where(norm > 0.0, e / norm, [1.0, 0.0, 0.0])
+        # f1, f2 complete e to an orthonormal frame (Duff et al., 2017)
+        sign = np.copysign(1.0, e[:, 2])
+        g = -1.0 / (sign + e[:, 2])
+        h = e[:, 0] * e[:, 1] * g
+        f1 = np.stack([1.0 + sign * e[:, 0] ** 2 * g, sign * h, -sign * e[:, 0]], axis=-1)
+        f2 = np.stack([h, sign + e[:, 1] ** 2 * g, -e[:, 1]], axis=-1)
+        rim = np.sqrt(w * (2.0 - w))  # sin(theta)
+        phi = 2.0 * np.pi * v
+        direction = (1.0 - w)[:, None] * e + (rim * np.cos(phi))[:, None] * f1 + (rim * np.sin(phi))[:, None] * f2
+    return _h3_exp(y, direction, b, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +372,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
 
     Periodic models draw a deck element per coordinate with Gaussian
     image weights, run a Euclidean bridge to the chosen lift and
-    project.  Hyperbolic bridges sample each step against the remaining
-    time by rejection on the free step.
+    project.  Hyperbolic bridges take exact bridge steps (no rejection).
     """
     model = kernel.model
     x0a = validate_point(model, x0, "x0")
@@ -359,8 +407,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
         target = np.empty((n, d))
         for i, L in enumerate(periods):
             gap = y0a[i] - x0a[i]
-            radius = gaussian_tail_radius(horizon, 1e-17) + abs(gap)
-            kmax = int(math.ceil(radius / L)) + 1
+            kmax = image_count(gaussian_tail_radius(horizon, 1e-17) + abs(gap), L, kernel.truncation)
             ks = np.arange(-kmax, kmax + 1, dtype=np.float64)
             w = np.exp(-((gap + ks * L) ** 2) / (4.0 * horizon))
             cum = np.cumsum(w / np.sum(w))
@@ -380,33 +427,13 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
     if isinstance(model, Hyperbolic3):
         pos = np.empty((n, m + 1, 4))
         pos[:, 0] = x0a
-        rej = 0
+        rows = np.arange(n)
         for j in range(1, m):
-            dt = times[j] - times[j - 1]
-            tau = horizon - times[j]
-            pending = np.arange(n)
-            attempts = 0
-            while pending.size:
-                attempts += 1
-                if attempts > REJECTION_BUDGET:
-                    raise RejectionBudgetError(
-                        f"hyperbolic bridge step {j} exceeded {REJECTION_BUDGET} attempts",
-                        attempts=attempts,
-                        acceptance_rate=1.0 - pending.size / n,
-                    )
-                prop = _h3_free_step(cursor, pending, pos[pending, j - 1], dt)
-                rho = distance_arrays(model, prop, np.broadcast_to(y0a, prop.shape))
-                small = rho < 1e-6
-                safe = np.where(small, 1.0, rho)
-                ratio = np.where(small, 1.0 - rho * rho / 6.0, safe / np.sinh(safe))
-                acc_p = ratio * np.exp(-rho * rho / (4.0 * tau))
-                u = cursor.uniforms_at(pending)[:, 0]
-                ok = u < acc_p
-                pos[pending[ok], j] = prop[ok]
-                pending = pending[~ok]
-            rej += attempts
+            pos[:, j] = _h3_bridge_step(
+                cursor, rows, pos[:, j - 1], y0a, times[j] - times[j - 1], horizon - times[j - 1]
+            )
         pos[:, m] = y0a
-        return PathEnsemble(model, grid, pos, kill, first_index, int(master_seed), rejection_attempts=rej)
+        return PathEnsemble(model, grid, pos, kill, first_index, int(master_seed))
 
     raise TypeError(f"no bridge sampler for {model!r}")
 

@@ -79,3 +79,14 @@ def h3_radial_bin_probs(t, n_bins=64):
 
 def bin_counts(values, edges):
     return np.histogram(values, bins=edges)[0]
+
+
+def h3_bridge_midpoint_mean(T, d):
+    """E[rho(x0, w(T/2))] under the H^3 bridge from x0 to a point at distance
+    d, by quadrature of the 1-d radial density left by the angular reduction."""
+    s = T / 2.0
+    r = np.linspace(1e-9, 12.0, 400001)
+    dens = r * np.exp(-r * r / (4.0 * s)) * (
+        np.exp(-((d - r) ** 2) / (4.0 * s)) - np.exp(-((d + r) ** 2) / (4.0 * s))
+    )
+    return float(np.trapezoid(r * dens, r) / np.trapezoid(dens, r))

@@ -122,6 +122,27 @@ class TestExitCodes:
         assert json.loads(res.stdout)["error"] == "NonFiniteSampleError"
         assert "Traceback" not in res.stderr and not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["kernel", "--model", "hyperbolic3", "--t", "1e-300", "--x", "1,0,0,0", "--y", "1,0,0,0"],
+        ["kernel", "--model", "euclidean:3", "--t", "1e-300", "--x", "0,0,0", "--y", "0,0,0"],
+        ["mass", "--model", "hyperbolic3", "--t", "1e-300", "--x", "1,0,0,0"],
+    ], ids=["kernel-h3", "kernel-euclidean", "mass-h3"])
+    def test_tiny_time_is_numeric_failure(self, args):
+        res = run_cli(args)
+        assert res.returncode == 1
+        record = json.loads(res.stdout)
+        assert record["error"] == "PathkernelError" and "t = 1e-300" in record["message"]
+        assert "Traceback" not in res.stderr
+
+    def test_h3_bridge_beyond_three_steps(self):
+        res = run_cli(["bridge", "--model", "hyperbolic3", "--x0", "1,0,0,0",
+                       "--y0", "1.3374349463048447,0.888105982187623,0,0", "--T", "1",
+                       "--steps", "4", "--samples", "4096"])
+        assert res.returncode == 0
+        lines = res.stdout.splitlines()
+        assert lines[-2] == "1,1.3374349463048447,0.88810598218762304,0,0,0"
+        assert json.loads(lines[-1])["n_steps"] == 4
+
     def test_unknown_flag_rejected(self):
         res = run_cli(["kernel", "--model", "euclidean:1", "--t", "1", "--x", "0",
                        "--y", "0", "--frobnicate", "1"])
@@ -294,10 +315,8 @@ class TestOutputs:
 
 
 class TestDeterminismAcrossWorkers:
-    def test_fk_outputs_byte_identical(self, tmp_path):
-        args = ["fk", "expectation", "--model", "circle:6.283185307179586",
-                "--potential", "cos", "--t", "0.5", "--steps", "16",
-                "--samples", "40000", "--seed", "77"]
+    @staticmethod
+    def assert_worker_invariant(tmp_path, args):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         c = tmp_path / "c.json"
@@ -306,6 +325,18 @@ class TestDeterminismAcrossWorkers:
         assert run_cli(args + ["--workers", "1", "--out", str(c)],
                        env={"PATHKERNEL_WORKERS": "3"}).returncode == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_fk_outputs_byte_identical(self, tmp_path):
+        self.assert_worker_invariant(tmp_path, [
+            "fk", "expectation", "--model", "circle:6.283185307179586",
+            "--potential", "cos", "--t", "0.5", "--steps", "16",
+            "--samples", "40000", "--seed", "77"])
+
+    def test_h3_fk_kernel_outputs_byte_identical(self, tmp_path):
+        self.assert_worker_invariant(tmp_path, [
+            "fk", "kernel", "--model", "hyperbolic3", "--potential", "cos",
+            "--y0", "1.3374349463048447,0.888105982187623,0,0", "--t", "1", "--steps", "16",
+            "--samples", "40000", "--seed", "78"])
 
     def test_curve_outputs_byte_identical(self, tmp_path):
         args = ["curve", "--model", "hyperbolic3", "--t-grid", "0.5:1.0:0.5",

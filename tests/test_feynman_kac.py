@@ -149,6 +149,13 @@ class TestKernelEstimator:
         estc = fk_kernel(CIRCLE, const_potential(0.4), point(0.0), point(1.0), 0.5, 16, 256, RngContract(3))
         assert estc.value == pytest.approx(math.exp(-0.4 * 0.5) * est0.value, rel=1e-14)
 
+    def test_h3_constant_potential_factors_at_16_slices(self):
+        # exact H^3 bridges run at any slice count, and a constant potential
+        # only scales the kernel
+        y0 = point(1.3374349463048447, 0.888105982187623, 0.0, 0.0)
+        est = fk_kernel(H3K, const_potential(0.7), ORIGIN4, y0, 1.0, 16, 2000, RngContract(4))
+        assert est.value == pytest.approx(math.exp(-0.7) * evaluate(H3K, 1.0, y0, ORIGIN4), rel=1e-12)
+
     def test_matches_oracle_entry(self):
         est = fk_kernel(CIRCLE, cos_potential(), point(0.0), point(math.pi), 1.0,
                         512, 20000, RngContract(7))

@@ -6,8 +6,8 @@ from scipy.stats import ks_2samp
 
 import pathkernel.path_sampler as ps
 from pathkernel.diagnostics import expected_distance_analytic
-from pathkernel.errors import NonFiniteSampleError, RejectionBudgetError, StepTooLargeError
-from pathkernel.heat_kernel import TransitionKernel, dirichlet_mass_series, evaluate
+from pathkernel.errors import NonFiniteSampleError, PathkernelError, StepTooLargeError
+from pathkernel.heat_kernel import TransitionKernel, dirichlet_mass_series, evaluate, h3_profile
 from pathkernel.manifold import (
     Circle,
     Compactified,
@@ -16,6 +16,7 @@ from pathkernel.manifold import (
     Hyperbolic3,
     covering_of,
     distance_arrays,
+    exp_point_arrays,
     point,
     project_arrays,
 )
@@ -41,6 +42,7 @@ from stat_helpers import (
     chi2_threshold,
     circle_bin_probs,
     gaussian_bin_probs,
+    h3_bridge_midpoint_mean,
     h3_radial_bin_probs,
 )
 
@@ -50,6 +52,15 @@ H3K = TransitionKernel(Hyperbolic3())
 CAUCHY = TransitionKernel(Euclidean(1), kind="cauchy")
 KILLED = TransitionKernel(Compactified(DirichletInterval(math.pi)))
 ORIGIN4 = point(1.0, 0.0, 0.0, 0.0)
+
+
+def h3_point(base, direction, r):
+    d = np.asarray(direction, dtype=np.float64)
+    return exp_point_arrays(np.asarray(base, dtype=np.float64), d / np.linalg.norm(d), r)
+
+
+# off the origin and off the axes, so bridge steps use the transported frame
+H3_OFF = h3_point(ORIGIN4.coords, [0.3, -0.5, 0.8], 0.7)
 
 
 class TestTimeGridAndPath:
@@ -289,6 +300,51 @@ class TestBridges:
         se = float(np.std(rho, ddof=1) / math.sqrt(n))
         assert abs(float(np.mean(rho)) - want) < 4.0 * se
 
+    @pytest.mark.parametrize("steps", [4, 16])
+    def test_h3_bridge_multistep_midtime_marginal(self, steps):
+        # the exact bridge composes: the midpoint of a finer grid has the
+        # same law as in test_h3_bridge_midtime_marginal
+        T, d = 1.0, 0.8
+        n = 100000
+        y0 = point(math.cosh(d), math.sinh(d), 0.0, 0.0)
+        ens = sample_bridges(H3K, ORIGIN4, y0, TimeGrid.uniform(T, steps), 91, n)
+        rho = distance_arrays(Hyperbolic3(), ens.positions[:, steps // 2, :], np.array([1.0, 0, 0, 0]))
+        se = float(np.std(rho, ddof=1) / math.sqrt(n))
+        assert abs(float(np.mean(rho)) - h3_bridge_midpoint_mean(T, d)) < 4.0 * se
+
+    @pytest.mark.parametrize("steps", [2, 4])
+    @pytest.mark.parametrize("x0, y0, T", [
+        (H3_OFF, H3_OFF, 2.0),
+        (H3_OFF, h3_point(H3_OFF, [-0.2, 0.9, 0.4], 2.0), 0.5),
+        (np.asarray(ORIGIN4.coords), h3_point(ORIGIN4.coords, [1.0, 0.0, 0.0], 0.8), 1.0),
+    ], ids=["loop", "distance-2", "distance-0.8"])
+    def test_h3_bridge_midpoint_matches_reweighted_free_step(self, x0, y0, T, steps):
+        # the bridge midpoint has density ~ p_{T/2}(x0, z) p_{T/2}(z, y0):
+        # free one-step samples weighted by p_{T/2}(z, y0) are the reference
+        n = 100000
+        h3 = Hyperbolic3()
+
+        def stats(z):
+            return np.column_stack([z[:, 1], z[:, 2], z[:, 3], z[:, 3] ** 2,
+                                    distance_arrays(h3, z, x0), distance_arrays(h3, z, y0)])
+
+        ens = sample_bridges(H3K, point(*x0), point(*y0), TimeGrid.uniform(T, steps), 2024, n)
+        got = stats(ens.positions[:, steps // 2])
+        free = sample_paths(H3K, point(*x0), TimeGrid.uniform(T / 2.0, 1), 2025, n).positions[:, 1]
+        w = h3_profile(T / 2.0, distance_arrays(h3, free, y0))
+        w = w / np.sum(w)
+        ref = stats(free)
+        want = np.sum(w[:, None] * ref, axis=0)
+        se_want = np.sqrt(np.sum(w[:, None] ** 2 * (ref - want) ** 2, axis=0))
+        se_got = np.std(got, axis=0, ddof=1) / math.sqrt(n)
+        z = (np.mean(got, axis=0) - want) / np.hypot(se_got, se_want)
+        assert np.all(np.abs(z) < 4.0), z
+
+    def test_circle_bridge_winding_count_is_budgeted(self):
+        # at T = 1e12 the winding weights would span 2.5e7 images
+        with pytest.raises(PathkernelError, match="lattice sum"):
+            sample_bridges(CIRC1, point(0.0), point(0.0), TimeGrid.uniform(1e12, 2), 0, 2)
+
     def test_unsupported_bridges(self):
         g = TimeGrid.uniform(1.0, 2)
         with pytest.raises(ValueError):
@@ -368,28 +424,22 @@ class TestCoveringPaths:
             lift_path(self.COV, base, point(0.35))
 
 
-class TestRejectionBudget:
-    # the H^3 bridge is the one sampler that still rejects
-    Y0 = point(math.cosh(0.8), math.sinh(0.8), 0.0, 0.0)
-
-    def test_budget_error_carries_diagnostics(self, monkeypatch):
-        monkeypatch.setattr(ps, "REJECTION_BUDGET", 1)
-        with pytest.raises(RejectionBudgetError) as info:
-            sample_bridges(H3K, ORIGIN4, self.Y0, TimeGrid.uniform(1.0, 2), 0, 256)
-        assert info.value.attempts is not None
-
-    def test_attempts_counted_only_where_a_loop_runs(self):
-        grid = TimeGrid.uniform(1.0, 2)
-        assert sample_paths(H3K, ORIGIN4, grid, 0, 256).rejection_attempts == 0
-        assert sample_bridges(H3K, ORIGIN4, self.Y0, grid, 0, 256).rejection_attempts > 0
-
-
 class TestHyperbolicStep:
     def test_step_consumes_eight_slots(self):
         cursor = StreamCursor(5, np.arange(6, dtype=np.uint64))
         rows = np.array([0, 2, 5])
         ps._h3_free_step(cursor, rows, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), 0.4)
         assert cursor.pos.tolist() == [8, 0, 8, 0, 0, 8]
+
+    def test_bridge_step_consumes_eight_slots(self):
+        # row 2 sits on the endpoint, where the angle has no reference direction
+        cursor = StreamCursor(5, np.arange(6, dtype=np.uint64))
+        rows = np.array([0, 2, 5])
+        y = h3_point(ORIGIN4.coords, [0.0, 1.0, 0.0], 0.8)
+        current = np.stack([H3_OFF, y, np.asarray(ORIGIN4.coords)])
+        out = ps._h3_bridge_step(cursor, rows, current, y, 0.25, 0.75)
+        assert cursor.pos.tolist() == [8, 0, 8, 0, 0, 8]
+        assert np.all(np.isfinite(out))
 
     def test_far_one_step_mean_distance(self):
         # at t = 20 the step radius is about 40, where the coordinates
@@ -406,7 +456,7 @@ class TestHyperbolicStep:
 
     def test_bridge_overflow_is_an_error(self):
         with pytest.raises(NonFiniteSampleError):
-            sample_bridges(H3K, ORIGIN4, ORIGIN4, TimeGrid.uniform(2000.0, 3), 0, 4)
+            sample_bridges(H3K, ORIGIN4, ORIGIN4, TimeGrid.uniform(1e5, 3), 0, 4)
 
 
 class TestCsv:
