@@ -1,17 +1,22 @@
-"""Print a sha256 digest of every output of the README's CLI commands.
+"""Print a sha256 digest of every output of the README's CLI commands
+and of a fixed model-by-command matrix.
 
 Each `pathkernel ...` line in the README's "Command line" block runs once,
-in a fresh temporary directory, as `python -m pathkernel.cli` with `src/`
-of the chosen checkout on PYTHONPATH.  The script prints one line per
-captured stream and per `--out` file:
+then each run of the matrix (every model spec in MODELS under every
+command in MATRIX, at small sizes), in a fresh temporary directory, as
+`python -m pathkernel.cli` with `src/` of the chosen checkout on
+PYTHONPATH.  The script prints one line per captured stream and per
+`--out` file:
 
     <name>.stdout <sha256>
     <name>.exit <code>
     <file> <sha256>
 
 where <name> is the subcommand, joined with the task for `verify` and
-`fk` and numbered from its second use on.  Run it on two checkouts and
-diff the results; byte-identical outputs give identical lines:
+`fk` and numbered from its second use on; a matrix run's name is
+`<model spec>/<command>` and its `--out` file is `<name>/out`.  Stderr is
+not digested, so messages may change.  Run it on two checkouts and diff
+the results; byte-identical outputs give identical lines:
 
     python tools/readme_digests.py > after.txt
     python tools/readme_digests.py --root ../parent > before.txt
@@ -31,6 +36,41 @@ from pathlib import Path
 
 # short names for the tasks whose full names make long keys
 _TASK_NAMES = {"chapman-kolmogorov": "ck", "covering-sum": "covering"}
+
+# model spec -> (x, y): the points of the matrix commands.  The kernel
+# command of the compactified model starts at the cemetery ("inf"), so the
+# cemetery row of the density is digested too.
+MODELS = {
+    "euclidean:1": ("0.3", "-0.4"),
+    "euclidean:2": ("0.3,0.1", "-0.4,0.2"),
+    "hyperbolic3": ("1,0,0,0", "1.3374349463048447,0.888105982187623,0,0"),
+    "circle:1.0": ("0.2", "0.7"),
+    "torus:1,2": ("0.2,0.5", "0.7,1.5"),
+    "dirichlet:3.14159265": ("1", "2"),
+    "compactified:dirichlet:3.14159265": ("1", "2"),
+    "cauchy": ("0.3", "-0.4"),
+}
+_CEMETERY_SOURCE = {"compactified:dirichlet:3.14159265"}
+
+_FK = "--t 0.5 --steps 4 --samples 64 --x0 {x}"
+# command name -> arguments after `--model <spec>`; {x}, {y} are the points
+MATRIX = {
+    "kernel": "kernel --t 0.5 --x {kx} --y {y}",
+    "mass": "mass --t 0.5 --x {x}",
+    "verify_ck": "verify chapman-kolmogorov --tuples 3",
+    "verify_moments_integrated": "verify moments --mode integrated --tau-grid 0.01:0.05:0.02",
+    "verify_moments_pointwise": "verify moments --mode pointwise --tau-grid 0.01:0.05:0.02",
+    "verify_delta": "verify delta-family --y {x}",
+    "verify_covering": "verify covering --t 0.5 --x {x} --y {y}",
+    "sample": "sample --x0 {x} --T 1 --steps 4 --samples 64",
+    "bridge": "bridge --x0 {x} --y0 {y} --T 1 --steps 4 --samples 64",
+    "fk_expectation": "fk expectation --potential cos " + _FK,
+    "fk_kernel": "fk kernel --potential cos --y0 {y} " + _FK,
+    "fk_monotonicity": "fk monotonicity --potential const:0.5 --potential2 const:1 " + _FK,
+    "fk_covering": "fk covering-sum --potential cos --y0 {y} --windings 2 " + _FK,
+    "curve": "curve --x0 {x} --t-grid 0.5:1.0:0.5 --samples 64",
+    "holder": "holder --x0 {x} --paths 64 --levels 2:4",
+}
 
 
 def readme_commands(readme):
@@ -58,6 +98,35 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def matrix_commands():
+    """(name, argv) of every matrix run; each writes its --out file to `out`."""
+    runs = []
+    for spec, (x, y) in MODELS.items():
+        kx = "inf" if spec in _CEMETERY_SOURCE else x
+        for name, args in MATRIX.items():
+            words = args.format(x=x, y=y, kx=kx).split()
+            # the subcommand (and its task) come before the model
+            head = 2 if words[0] in ("verify", "fk") else 1
+            argv = ["pathkernel", *words[:head], "--model", spec, *words[head:], "--out", "out"]
+            runs.append((f"{spec}/{name}", argv))
+    return runs
+
+
+def run_digest(env, name, argv, outs):
+    """The digest lines of one run, in a fresh temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathkernel.cli", *argv[1:]],
+            cwd=tmp, env=env, capture_output=True, check=False,
+        )
+        lines = [f"{name}.stdout {sha256(proc.stdout)}", f"{name}.exit {proc.returncode}"]
+        for label, out in outs:
+            path = Path(tmp) / out
+            digest = sha256(path.read_bytes()) if path.exists() else "missing"
+            lines.append(f"{label} {digest}")
+    return lines
+
+
 def digests(root):
     env = dict(os.environ)
     env["PYTHONPATH"] = str((root / "src").resolve())
@@ -69,17 +138,9 @@ def digests(root):
         seen[name] = seen.get(name, 0) + 1
         if seen[name] > 1:  # a repeated command gets its own key
             name = f"{name}_{seen[name]}"
-        with tempfile.TemporaryDirectory() as tmp:
-            proc = subprocess.run(
-                [sys.executable, "-m", "pathkernel.cli", *argv[1:]],
-                cwd=tmp, env=env, capture_output=True, check=False,
-            )
-            lines.append(f"{name}.stdout {sha256(proc.stdout)}")
-            lines.append(f"{name}.exit {proc.returncode}")
-            for out in out_files(argv):
-                path = Path(tmp) / out
-                digest = sha256(path.read_bytes()) if path.exists() else "missing"
-                lines.append(f"{out} {digest}")
+        lines += run_digest(env, name, argv, [(out, out) for out in out_files(argv)])
+    for name, argv in matrix_commands():
+        lines += run_digest(env, name, argv, [(f"{name}/out", "out")])
     return lines
 
 
