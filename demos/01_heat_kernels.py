@@ -12,7 +12,6 @@ from pathkernel import (
     Hyperbolic3,
     TransitionKernel,
     chapman_kolmogorov_residual,
-    eval_compactified,
     evaluate,
     point,
     total_mass,
@@ -49,7 +48,7 @@ comp = TransitionKernel(Compactified(DirichletInterval(math.pi)))
 x = point(math.pi / 2)
 print("\nthe compactified wrapper books the lost mass on a cemetery state:")
 print(f"  interior survives: {total_mass(interval, 1.0, x):.6f}")
-print(f"  cemetery row:      {eval_compactified(comp, 1.0, CEMETERY, x):.6f}")
+print(f"  cemetery row:      {evaluate(comp, 1.0, CEMETERY, x):.6f}")
 print(f"  wrapper total:     {total_mass(comp, 1.0, x):.6f}")
 
 print("\n== semigroup identity (Chapman-Kolmogorov residuals) ==")

@@ -57,7 +57,6 @@ from .heat_kernel import (
     chapman_kolmogorov_residual,
     delta_family_residuals,
     dirichlet_mass_series,
-    eval_compactified,
     evaluate,
     moment_check,
     total_mass,

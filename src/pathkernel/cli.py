@@ -47,7 +47,6 @@ from .heat_kernel import (
     TruncationPolicy,
     chapman_kolmogorov_residuals,
     delta_family_residuals,
-    eval_compactified,
     evaluate,
     moment_check,
     total_mass,
@@ -62,8 +61,6 @@ from .manifold import (
     Hyperbolic3,
     Point,
     covering_of,
-    exp_point_arrays,
-    model_dim,
     validate_point,
 )
 from .parallel import worker_count
@@ -183,14 +180,22 @@ def _point_option(config, key, model, default=None):
     return p
 
 
+# the largest grid and the finest dyadic level a run may ask for; the
+# README's grids have 11 and 28 points and its finest level is 12
+MAX_GRID_POINTS = 10 ** 4
+MAX_LEVEL = 20
+
+
 def _parse_grid_spec(text):
-    """a:b:step inclusive grid."""
+    """a:b:step inclusive grid of at most MAX_GRID_POINTS points."""
     try:
         a, b, step = (float(s) for s in text.split(":"))
     except ValueError:
         raise ValueError(f"bad grid spec {text!r}, want a:b:step") from None
     if not (step > 0 and a <= b and math.isfinite(b - a)):
         raise ValueError(f"bad grid spec {text!r}")
+    if not (b - a) / step + 1e-9 < MAX_GRID_POINTS:  # an overflowing count too
+        raise ValueError(f"grid spec {text!r} has over {MAX_GRID_POINTS} points")
     n = int(math.floor((b - a) / step + 1e-9)) + 1
     return [a + i * step for i in range(n)]
 
@@ -198,8 +203,8 @@ def _parse_grid_spec(text):
 def _parse_level_range(text):
     lo, _, hi = text.partition(":")
     lo, hi = int(lo), int(hi)
-    if not 1 <= lo < hi:
-        raise ValueError(f"bad level range {text!r}")
+    if not 1 <= lo < hi <= MAX_LEVEL:
+        raise ValueError(f"bad level range {text!r}, want lo:hi with 1 <= lo < hi <= {MAX_LEVEL}")
     return list(range(lo, hi + 1))
 
 
@@ -430,11 +435,7 @@ def _run_kernel(config):
     model = k.model
     x = _point_option(config, "x", model)
     y = _point_option(config, "y", model)
-    if isinstance(model, Compactified) and (x.cemetery or y.cemetery):
-        value = eval_compactified(k, config.options["t"], x, y)
-    else:
-        value = evaluate(k, config.options["t"], x, y)
-    _emit(config, {"value": value})
+    _emit(config, {"value": evaluate(k, config.options["t"], x, y)})
     return 0
 
 
@@ -446,45 +447,6 @@ def _run_mass(config):
     return 0
 
 
-def _check_unkilled(model):
-    """Paths on the bare absorbing interval are killed at the walls; only the
-    compactified model has a state to send them to."""
-    if isinstance(model, DirichletInterval):
-        raise ValueError(
-            f"paths on dirichlet:{model.length!r} are killed at the walls; "
-            f"sample compactified:dirichlet:{model.length!r}, whose cemetery keeps them"
-        )
-
-
-def _default_point(model):
-    if isinstance(model, Hyperbolic3):
-        return Point((1.0, 0.0, 0.0, 0.0))
-    if isinstance(model, (DirichletInterval,)):
-        return Point((model.length / 2.0,))
-    if isinstance(model, Compactified):
-        return Point((model.base.length / 2.0,))
-    return Point(tuple(0.0 for _ in range(model_dim(model))))
-
-
-def _random_interior(model, gen):
-    if isinstance(model, Euclidean):
-        return Point(tuple(gen.normal(0.0, 1.0, model.dim)))
-    if isinstance(model, Hyperbolic3):
-        d = gen.normal(size=3)
-        d /= np.linalg.norm(d)
-        r = gen.uniform(0.1, 1.5)
-        return Point(tuple(exp_point_arrays(np.array([1.0, 0, 0, 0]), d, r)))
-    if isinstance(model, Circle):
-        return Point((gen.uniform(0.0, model.circumference),))
-    if isinstance(model, FlatTorus):
-        return Point(tuple(gen.uniform(0.0, p) for p in model.periods))
-    if isinstance(model, DirichletInterval):
-        return Point((gen.uniform(0.1, 0.9) * model.length,))
-    if isinstance(model, Compactified):
-        return _random_interior(model.base, gen)
-    raise TypeError(model)
-
-
 def _run_verify(config):
     check = config.options["check"]
     k = _kernel_for(config)
@@ -494,8 +456,8 @@ def _run_verify(config):
         for _ in range(config.options["tuples"]):  # s, t, x, z per tuple
             s = float(gen.uniform(0.2, 0.8))
             t = float(gen.uniform(0.2, 0.8))
-            x = _random_interior(k.model, gen)
-            z = _random_interior(k.model, gen)
+            x = k.model.random_interior(gen)
+            z = k.model.random_interior(gen)
             tuples.append((s, t, x, z))
         worst = float(np.max(chapman_kolmogorov_residuals(k, *zip(*tuples))))
         payload = {"max_residual": worst, "tuples": config.options["tuples"],
@@ -528,7 +490,7 @@ def _run_verify(config):
         if not isinstance(model, Circle):
             raise ValueError("verify covering runs on circle models")
         t = config.options["t"]
-        x = _point_option(config, "x", model, _default_point(model))
+        x = _point_option(config, "x", model, model.default_point())
         y = _point_option(config, "y", model, Point((model.circumference / 3.0,)))
         w = config.options["windings"]
         length = model.circumference
@@ -549,7 +511,7 @@ def _run_verify(config):
         _emit(config, payload)
         return 0
     # delta-family
-    y = _point_option(config, "y", k.model, _default_point(k.model))
+    y = _point_option(config, "y", k.model, k.model.default_point())
     t_seq = [0.05 * 2.0 ** -j for j in range(10)]
     residuals = delta_family_residuals(k, y, t_seq)
     payload = {"t": t_seq, "residuals": residuals, "seed": config.options["seed"]}
@@ -579,7 +541,6 @@ def _emit_path(config, ens, summary):
 
 def _run_sample(config):
     k = _kernel_for(config)
-    _check_unkilled(k.model)
     x0 = _point_option(config, "x0", k.model)
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     ens = sample_paths(k, x0, grid, config.options["seed"], config.options["samples"])
@@ -629,7 +590,7 @@ def _run_fk(config):
     k = _kernel_for(config)
     model = k.model
     pot = config.options["potential"]
-    x0 = _point_option(config, "x0", model, _default_point(model))
+    x0 = _point_option(config, "x0", model, model.default_point())
     t = config.options["t"]
     steps = config.options["steps"]
     samples = config.options["samples"]
@@ -639,8 +600,6 @@ def _run_fk(config):
     rng = RngContract(seed)
     g = config.options["terminal"] or constant_one
     y0 = _point_option(config, "y0", model)
-    if task in ("expectation", "monotonicity"):
-        _check_unkilled(model)
     if task in ("kernel", "covering-sum") and y0 is None:
         raise ValueError(f"fk {task} needs --y0")
     oracle = _oracle_value(config, task, model, pot, t, g, x0, y0)
@@ -703,7 +662,7 @@ def _run_curve(config):
     model, kind = config.options["model"]
     if kind != "heat":
         raise ValueError("curve runs on heat kernels")
-    x0 = _point_option(config, "x0", model, _default_point(model))
+    x0 = _point_option(config, "x0", model, model.default_point())
     t_grid = _parse_grid_spec(config.options["t_grid"])
     rows = distance_curve(
         model, x0, t_grid, config.options["samples"], RngContract(config.options["seed"]),
@@ -722,9 +681,11 @@ def _run_holder(config):
         ensemble = brownian_dyadic_ensemble(n_paths, levels, seed)
         rep = holder_exponent(ensemble)
     else:
-        _check_unkilled(model)
+        if isinstance(model, Compactified):  # a killed path has no increments
+            raise ValueError(f"holder needs paths that are never killed; "
+                             f"compactified:dirichlet:{model.base.length!r} kills them at the walls")
         k = TransitionKernel(model, kind=kind)
-        x0 = _point_option(config, "x0", model, _default_point(model))
+        x0 = _point_option(config, "x0", model, model.default_point())
         ensemble = strided_dyadic_ensemble(k, x0, levels, n_paths, seed)
         rep = holder_exponent(ensemble, model=model)
     payload = {

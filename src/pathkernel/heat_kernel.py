@@ -1,4 +1,5 @@
-"""Substochastic transition densities and their numeric verification.
+"""Substochastic transition densities, their numeric verification, and the
+sampling rules they induce.
 
 Closed forms:
 
@@ -16,6 +17,19 @@ Closed forms:
 Masses integrate to 1 for the complete models and fall short for the
 absorbing interval; the compactified wrapper books the missing mass on
 a cemetery state so the total is exactly 1 again.
+
+Laws
+----
+Every rule that depends on the kernel family lives on one module-private
+law per family, chosen in ``_LAWS`` from the kernel's (model, kind) when
+the kernel is built.  The public functions here and the samplers in
+``path_sampler`` validate their input, then call the law.  A law supplies
+``density(t, x, y, owner=None)`` (with the owner batching of the profiles
+below), ``mass``, ``ck_integral`` (the left side of Chapman-Kolmogorov;
+the right side is ``density``), the samplers ``step`` or ``paths`` and
+``bridges``, and where they exist the moment and delta-family rules; a
+missing rule raises the base law's error.  A new model needs a class in
+``manifold`` with its geometry methods and a law entered in ``_LAWS``.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentIntegralError, PathkernelError
+from .errors import DivergentIntegralError, NonFiniteSampleError, PathkernelError
 from .manifold import (
     Circle,
     Compactified,
@@ -33,10 +47,9 @@ from .manifold import (
     Euclidean,
     FlatTorus,
     Hyperbolic3,
-    Point,
-    distance_arrays,
-    model_dim,
-    periods_of,
+    covering_of,
+    exp_point_arrays,
+    project_arrays,
     validate_point,
 )
 from .quadrature import (
@@ -46,6 +59,9 @@ from .quadrature import (
     integrate_with_expansion,
     maximize_scalar,
 )
+from .rng import box_muller
+
+NEVER_KILLED = -1
 
 
 @dataclass(frozen=True)
@@ -64,7 +80,8 @@ class TruncationPolicy:
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """An evaluable transition density on one model space."""
+    """An evaluable transition density on one model space; its law is
+    built once, here, and is not a field."""
 
     model: object
     kind: str = "heat"
@@ -75,6 +92,7 @@ class TransitionKernel:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "cauchy" and self.model != Euclidean(1):
             raise ValueError("the Cauchy kernel is defined on Euclidean(1) only")
+        object.__setattr__(self, "_law", _law_of(self.model, self.kind, self.truncation))
 
 
 def _check_time(t):
@@ -267,119 +285,8 @@ def dirichlet_kernel_arrays(t, x, y, length, policy, owner=None):
     return _by_key(_each(lambda v: v < switch, t, owner), owner, regime)
 
 
-def evaluate_arrays(kernel, t, x, y):
-    """Kernel density on coordinate arrays of shape (..., dim); broadcasts."""
-    t = _check_time(t)
-    model = kernel.model
-    if isinstance(model, Compactified):
-        model = model.base
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if kernel.kind == "cauchy":
-        return cauchy_profile(t, x[..., 0] - y[..., 0])
-    if isinstance(model, Euclidean):
-        return gauss_profile(t, np.sum((x - y) ** 2, axis=-1), model.dim)
-    if isinstance(model, Hyperbolic3):
-        return h3_profile(t, distance_arrays(model, x, y))
-    if isinstance(model, (Circle, FlatTorus)):
-        out = 1.0
-        for i, L in enumerate(periods_of(model)):
-            out = out * circle_theta_arrays(t, x[..., i] - y[..., i], L, kernel.truncation)
-        return out
-    if isinstance(model, DirichletInterval):
-        return dirichlet_kernel_arrays(t, x[..., 0], y[..., 0], model.length, kernel.truncation)
-    raise TypeError(f"no kernel for model {model!r}")
-
-
-def evaluate(kernel, t, x, y):
-    """Transition density p_t(x, y) between two points.
-
-    Cemetery rows of a compactified kernel live in eval_compactified.
-    """
-    xa = validate_point(kernel.model, x, "x")
-    ya = validate_point(kernel.model, y, "y")
-    if xa is None or ya is None:
-        raise ValueError("evaluate does not accept the cemetery; use eval_compactified")
-    return float(evaluate_arrays(kernel, t, xa, ya))
-
-
-def base_kernel(kernel):
-    """The interior kernel under a compactified model."""
-    if not isinstance(kernel.model, Compactified):
-        raise ValueError("base_kernel expects a kernel over a Compactified model")
-    return TransitionKernel(kernel.model.base, kind=kernel.kind, truncation=kernel.truncation)
-
-
-def eval_compactified(kernel, t, x, y):
-    """The compactified density: interior kernel extended by the cemetery rows.
-
-    Cases (x is the target slot, y the source): interior-interior is the
-    base kernel; x cemetery books the mass the source loses by time t;
-    the cemetery never returns; cemetery-to-cemetery has weight 1.
-    """
-    if not isinstance(kernel.model, Compactified):
-        raise ValueError("eval_compactified expects a Compactified model")
-    t = _check_time(t)
-    if not isinstance(x, Point) or not isinstance(y, Point):
-        raise TypeError("x and y must be Points")
-    if x.cemetery and y.cemetery:
-        return 1.0
-    inner = base_kernel(kernel)
-    if x.cemetery:
-        validate_point(inner.model, y, "y")
-        return 1.0 - total_mass(inner, t, y)
-    if y.cemetery:
-        validate_point(inner.model, x, "x")
-        return 0.0
-    return evaluate(inner, t, x, y)
-
-
 # ---------------------------------------------------------------------------
-# mass
-
-
-def h3_radial_mass(t, tol=1e-10, tail=1e-14):
-    """Radial quadrature of the hyperbolic kernel's total mass."""
-    rmax = 4.0 * t + gaussian_tail_radius(t, tail) + 5.0
-    pref = 4.0 * np.pi * math.exp(-t) * _gauss_norm(t, 3)
-
-    def f(r):
-        # sinh^2(r) * p_t(r) with the r/sinh(r) factor cancelled once
-        return pref * r * np.sinh(r) * np.exp(-r * r / (4.0 * t))
-
-    return adaptive_simpson(f, 0.0, rmax, tol=tol)
-
-
-def total_mass(kernel, t, x, quad_tol=1e-10):
-    """Mass of y -> p_t(x, y) against the volume measure; in [0, 1].
-
-    Gaussian, Cauchy and lattice-sum kernels integrate to 1 in closed
-    form.  The hyperbolic and absorbing-interval masses are computed by
-    quadrature (the interval genuinely loses mass).  A compactified
-    kernel is conservative by construction.
-    """
-    t = _check_time(t)
-    model = kernel.model
-    if isinstance(model, Compactified):
-        if isinstance(x, Point) and x.cemetery:
-            return 1.0
-        validate_point(model.base, x, "x")
-        return 1.0
-    xa = validate_point(model, x, "x")
-    if kernel.kind == "cauchy":
-        return 1.0
-    if isinstance(model, (Euclidean, Circle, FlatTorus)):
-        return 1.0
-    if isinstance(model, Hyperbolic3):
-        return h3_radial_mass(t, tol=quad_tol)
-    if isinstance(model, DirichletInterval):
-        L = model.length
-
-        def f(y):
-            return dirichlet_kernel_arrays(t, np.broadcast_to(xa[0], y.shape), y, L, kernel.truncation)
-
-        return adaptive_simpson(f, 0.0, L, tol=quad_tol)
-    raise TypeError(f"no mass rule for model {model!r}")
+# masses and test functions
 
 
 def dirichlet_mass_arrays(t, x, length, tol=1e-16):
@@ -404,6 +311,635 @@ def dirichlet_mass_series(length, t, x, tol=1e-16):
     return float(dirichlet_mass_arrays(t, np.asarray(float(x)), length, tol=tol))
 
 
+def _sphere_volume(n):
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def smooth_bump(width):
+    """The classic compactly supported mollifier, normalized to 1 at its center."""
+
+    def u(r):
+        s = np.asarray(r, dtype=np.float64) / width
+        inside = np.abs(s) < 1.0
+        out = np.zeros_like(s)
+        with np.errstate(divide="ignore", over="ignore"):
+            val = np.exp(1.0 - 1.0 / np.clip(1.0 - s * s, 1e-300, None))
+        out[inside] = val[inside]
+        return out
+
+    return u
+
+
+# ---------------------------------------------------------------------------
+# laws: one per kernel family
+#
+# Draw protocol (see path_sampler's determinism contract): sample i draws
+# only from its own cursor, in this order per step.
+#
+# * Gaussian / lattice step: ``dim`` normals (2 uniform slots each),
+#   drawn for the whole ensemble at once.
+# * Cauchy step: one uniform.
+# * H3 step: three normals (6 slots) for the radius, then two uniforms for
+#   the sphere direction.
+# * Killed step: one normal proposal (2 slots) plus one acceptance
+#   uniform; killed samples stop drawing.
+# * Gaussian bridge: ``dim`` normals per step before the last.
+# * Lattice bridge: one winding uniform per coordinate, then the Gaussian
+#   bridge steps.
+# * H3 bridge step: three normals (6 slots) for the radius to the
+#   endpoint, then two uniforms for the angle and azimuth.
+
+
+class _Law:
+    """The rules every law shares, and the refusals of the rules a law lacks."""
+
+    def __init__(self, model, truncation):
+        self.model = model
+        self.truncation = truncation
+
+    def value(self, t, xa, ya):
+        """p_t(x, y) at validated coordinates."""
+        return float(self.density(t, xa, ya))
+
+    def mass(self, t, xa, quad_tol):
+        return 1.0
+
+    def integrated_moment(self, a, tau, tol):
+        raise TypeError(f"integrated moment not implemented for {self.model!r}")
+
+    def pointwise_sup(self, a, tau):
+        raise TypeError(f"pointwise moment not implemented for {self.model!r}")
+
+    def delta_integral(self, t, ya, width, tol):
+        """The integral of a bump around y against p_t(., y) on a line."""
+        lo, hi, w = self.delta_window(ya, width)
+        u = smooth_bump(w)
+
+        def f(z):
+            return u(z - ya[0]) * self.density(t, z[..., None], ya[None, :])
+
+        return adaptive_simpson(f, lo, hi, tol=tol)
+
+    def delta_window(self, ya, width):
+        """(lo, hi, bump width) of the delta-family integral around ya[0]."""
+        raise TypeError(f"delta-family check not implemented for {self.model!r}")
+
+    def paths(self, cursor, x0a, steps):
+        """Positions (n, m+1, dim) and kill steps of free paths from x0a."""
+        n = len(cursor)
+        pos = np.empty((n, len(steps) + 1, x0a.shape[0]))
+        pos[:, 0] = x0a
+        for j, dt in enumerate(steps):
+            pos[:, j + 1] = self.step(cursor, pos[:, j], dt)
+        return pos, np.full(n, NEVER_KILLED, dtype=np.int64)
+
+
+def _gaussian_bridge(cursor, x0a, target, times):
+    """Sequential conditional Gaussian steps from x0a to the pinned target rows."""
+    n, d = target.shape
+    m = len(times) - 1
+    horizon = times[-1]
+    pos = np.empty((n, m + 1, d))
+    pos[:, 0] = x0a
+    for j in range(m - 1):
+        dt = times[j + 1] - times[j]
+        rem = horizon - times[j]
+        mean = pos[:, j] + (dt / rem) * (target - pos[:, j])
+        var = 2.0 * dt * (rem - dt) / rem
+        pos[:, j + 1] = mean + math.sqrt(var) * cursor.normals(d)
+    pos[:, m] = target
+    return pos
+
+
+class _GaussianLaw(_Law):
+    """Euclidean(n): the Gaussian kernel, Gaussian steps and bridges."""
+
+    def density(self, t, x, y, owner=None):
+        return gauss_profile(t, np.sum((x - y) ** 2, axis=-1), self.model.dim, owner)
+
+    def ck_integral(self, s, t, xa, za, tol):
+        # the flat kernel factorizes: one line integral per coordinate, each
+        # tail-cut at pad beyond its two points
+        pad = np.array([gaussian_tail_radius(max(u, v), tol * 1e-2) + 1.0
+                        for u, v in zip(s.tolist(), t.tolist())])
+        lhs = np.ones(len(s))
+        for x, z in zip(xa.T, za.T):
+
+            def f(y, o):
+                return gauss_profile(t, (z[o] - y) ** 2, 1, o) * gauss_profile(s, (y - x[o]) ** 2, 1, o)
+
+            lhs *= adaptive_simpson_batch(f, np.minimum(x, z) - pad, np.maximum(x, z) + pad, tol=tol)
+        return lhs
+
+    def integrated_moment(self, a, tau, tol):
+        n = self.model.dim
+        p = a + n - 1.0
+
+        def g(u):
+            return np.where(u > 0.0, u ** p * np.exp(-u * u), 0.0)
+
+        j = adaptive_simpson(g, 0.0, math.sqrt(p / 2.0 if p > 0 else 1.0) + 12.0, tol=1e-13)
+        return _sphere_volume(n) * math.pi ** (-n / 2.0) * (4.0 * tau) ** (a / 2.0) * j
+
+    def pointwise_sup(self, a, tau):
+        n = self.model.dim
+
+        def f(r):
+            return r ** a * gauss_profile(tau, r * r, n)
+
+        _, val = maximize_scalar(f, 0.0, math.sqrt(2.0 * a * tau) * 4.0 + 1.0)
+        return val
+
+    def delta_window(self, ya, width):
+        if self.model.dim != 1:
+            raise TypeError("delta-family check supports 1-d flat models and H3")
+        w = width or 1.0
+        return ya[0] - w, ya[0] + w, w
+
+    def step(self, cursor, current, dt):
+        return current + math.sqrt(2.0 * dt) * cursor.normals(self.model.dim)
+
+    def bridges(self, cursor, x0a, y0a, times):
+        """Positions of bridges from x0a to y0a on the grid times, and their
+        windings (None off the lattice law)."""
+        return _gaussian_bridge(cursor, x0a, np.broadcast_to(y0a, (len(cursor), y0a.shape[0])), times), None
+
+
+class _CauchyLaw(_Law):
+    """The Cauchy jump kernel on Euclidean(1); it has no bridges."""
+
+    def density(self, t, x, y, owner=None):
+        return cauchy_profile(_gather(t, owner), x[..., 0] - y[..., 0])
+
+    def ck_integral(self, s, t, xa, za, tol):
+        x, z = xa[:, 0], za[:, 0]
+
+        # compactify the real line; the substituted integrand vanishes at the ends
+        def f(theta, o):
+            y = np.tan(theta)
+            sec2 = 1.0 + y * y
+            return cauchy_profile(t[o], z[o] - y) * cauchy_profile(s[o], y - x[o]) * sec2
+
+        eps = 1e-9
+        k = len(s)
+        return adaptive_simpson_batch(f, np.full(k, -np.pi / 2 + eps), np.full(k, np.pi / 2 - eps), tol=tol)
+
+    def integrated_moment(self, a, tau, tol):
+        def f(r):
+            return 2.0 * r ** a * cauchy_profile(tau, r)
+
+        return integrate_with_expansion(f, r0=max(10.0 * tau, 1.0), tol=tol)
+
+    def pointwise_sup(self, a, tau):
+        # r^a / (t^2 + r^2) is unbounded for a >= 2
+        if a >= 2.0:
+            raise DivergentIntegralError("pointwise Cauchy moment is unbounded for a >= 2")
+
+        def f(r):
+            return r ** a * cauchy_profile(tau, r)
+
+        _, val = maximize_scalar(f, 0.0, 1e6)
+        return val
+
+    delta_window = _GaussianLaw.delta_window  # the same bump on the line
+
+    def step(self, cursor, current, dt):
+        return current + dt * np.tan(np.pi * (cursor.uniforms(1) - 0.5))
+
+    def bridges(self, cursor, x0a, y0a, times):
+        raise ValueError("bridge sampling is not defined for the Cauchy kernel")
+
+
+class _H3Law(_Law):
+    """Hyperbolic3: the closed-form kernel, exact radial steps and bridges."""
+
+    def density(self, t, x, y, owner=None):
+        return h3_profile(t, self.model.distance_arrays(x, y), owner)
+
+    def mass(self, t, xa, quad_tol):
+        """Radial quadrature of the total mass."""
+        rmax = 4.0 * t + gaussian_tail_radius(t, 1e-14) + 5.0
+        pref = 4.0 * np.pi * math.exp(-t) * _gauss_norm(t, 3)
+
+        def f(r):
+            # sinh^2(r) * p_t(r) with the r/sinh(r) factor cancelled once
+            return pref * r * np.sinh(r) * np.exp(-r * r / (4.0 * t))
+
+        return adaptive_simpson(f, 0.0, rmax, tol=quad_tol)
+
+    def ck_integral(self, s, t, xa, za, tol):
+        """Radial form after integrating out the sphere directions exactly.
+
+        In geodesic polar coordinates around the source, the angular average
+        of the second factor reduces by the hyperbolic law of cosines to a
+        difference of two Gaussian terms; what remains is one smooth radial
+        integral.  A target within 1e-8 of the source keeps the kernel itself.
+        """
+        d = self.model.distance_arrays(xa, za)
+        cs = [math.exp(-v) * (4.0 * np.pi * v) ** -1.5 * v for v in s.tolist()]
+        ct = [math.exp(-v) * (4.0 * np.pi * v) ** -1.5 for v in t.tolist()]
+        near = (d < 1e-8).tolist()
+        pref = np.array([4.0 * np.pi * c if n else 4.0 * np.pi * c * b / math.sinh(e)
+                         for c, b, e, n in zip(ct, cs, d.tolist(), near)])
+
+        def f(r, o):
+            def form(sel, own, at_source):
+                r_, head = r[sel], pref[own] * r[sel]
+                if at_source:
+                    return head * np.sinh(r_) * np.exp(-r_ * r_ / (4.0 * t[own])) * h3_profile(s, r_, own)
+                d_ = d[own]
+                return (head * np.exp(-r_ * r_ / (4.0 * t[own]))
+                        * (np.exp(-((d_ - r_) ** 2) / (4.0 * s[own])) - np.exp(-((d_ + r_) ** 2) / (4.0 * s[own]))))
+
+            return _by_key(near, o, form)
+
+        rmax = np.array([e + 4.0 * max(u, v) + gaussian_tail_radius(max(u, v), tol * 1e-3) + 5.0
+                         for e, u, v in zip(d.tolist(), s.tolist(), t.tolist())])
+        return adaptive_simpson_batch(f, np.zeros(len(s)), rmax, tol=tol)
+
+    def integrated_moment(self, a, tau, tol):
+        rmax = 4.0 * tau + gaussian_tail_radius(tau, 1e-16) + 3.0
+        c = _h3_norm(tau)
+
+        def f(r):
+            return 4.0 * np.pi * c * r ** (a + 1.0) * np.sinh(r) * np.exp(-r * r / (4.0 * tau))
+
+        return adaptive_simpson(f, 0.0, rmax, tol=tol)
+
+    def pointwise_sup(self, a, tau):
+        def f(r):
+            return r ** a * h3_profile(tau, r)
+
+        _, val = maximize_scalar(f, 0.0, math.sqrt(2.0 * a * tau) * 4.0 + 4.0 * tau + 1.0)
+        return val
+
+    def delta_integral(self, t, ya, width, tol):
+        w = width or 1.0
+        u = smooth_bump(w)
+
+        def f(r):
+            return 4.0 * np.pi * u(r) * np.sinh(r) ** 2 * h3_profile(t, r)
+
+        return adaptive_simpson(f, 0.0, w, tol=tol)
+
+    def step(self, cursor, current, dt):
+        return self.free_step(cursor, np.arange(len(current)), current, dt)
+
+    def bridges(self, cursor, x0a, y0a, times):
+        n, m = len(cursor), len(times) - 1
+        pos = np.empty((n, m + 1, 4))
+        pos[:, 0] = x0a
+        rows = np.arange(n)
+        for j in range(1, m):
+            pos[:, j] = self.bridge_step(
+                cursor, rows, pos[:, j - 1], y0a, times[j] - times[j - 1], times[-1] - times[j - 1]
+            )
+        pos[:, m] = y0a
+        return pos, None
+
+    @staticmethod
+    def _direction(cursor, rows):
+        uv = cursor.uniforms_at(rows, 2)
+        c = 1.0 - 2.0 * uv[:, 0]
+        s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+        phi = 2.0 * np.pi * uv[:, 1]
+        return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
+
+    @staticmethod
+    def _exp(base, direction, r, dt):
+        """exp_point_arrays for a step of time dt; overflow is an error."""
+        # overflow is reported once, below, as an error rather than a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = exp_point_arrays(base, direction, r)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteSampleError(
+                f"a hyperbolic step of time {dt} left the float range; shorten the steps or the horizon"
+            )
+        return out
+
+    @staticmethod
+    def _sinh_ratio(x, y):
+        """sinh(x) / sinh(y) for 0 <= x <= y, y > 0, without overflow."""
+        return np.exp(x - y) * np.expm1(-2.0 * x) / np.expm1(-2.0 * y)
+
+    def free_step(self, cursor, rows, current, dt):
+        """One exact H^3 heat-kernel step from each row of ``current``.
+
+        The radial law ~ r sinh(r) exp(-r^2/4t) is the law of |Z| for
+        Z ~ N(2t e_1, 2t I_3) (Rogers & Pitman, 1981), so three normals give
+        the radius; the direction is drawn independently and uniformly.
+        """
+        s = math.sqrt(2.0 * dt)
+        z0, z1, z2 = (cursor.normals_at(rows) for _ in range(3))
+        r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
+        return self._exp(current, self._direction(cursor, rows), r, dt)
+
+    def bridge_step(self, cursor, rows, current, y, dt, tau_before):
+        """One exact step of the H^3 bridge to y, with tau_before time left.
+
+        The distance to y is the norm of a 3-d Euclidean Brownian bridge to 0:
+        the h-transform factors of the radial law cancel in the bridge ratio
+        (Rogers & Pitman, 1981), so three normals give the new radius b.
+        Given b, the distance d to the current point c has density
+        ~ d exp(-d^2/4dt) on [|a-b|, a+b], a = d(c, y); one uniform draws the
+        truncated exponential d^2, the law of cosines at y turns d into the
+        angle from the geodesic y -> c, and a second uniform sets the azimuth.
+        """
+        k = 1.0 - dt / tau_before
+        s = math.sqrt(2.0 * dt * k)
+        z0, z1, z2 = (cursor.normals_at(rows) for _ in range(3))
+        u, v = cursor.uniforms_at(rows, 2).T
+        a = self.model.distance_arrays(current, y)
+        b = np.sqrt((k * a + s * z0) ** 2 + s * s * (z1 * z1 + z2 * z2))
+        lo, gap = np.minimum(a, b), np.abs(a - b)
+        # far rows may overflow; _exp reports them once
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            q = -4.0 * dt * np.log1p(u * np.expm1(-a * b / dt))  # d^2 - (a-b)^2
+            d_plus = np.sqrt(gap * gap + q) + gap
+            d_minus = np.where(d_plus > 0.0, q / d_plus, 0.0)
+            # 1 - cos(theta) = 2 sinh((d-|a-b|)/2) sinh((d+|a-b|)/2) / (sinh a sinh b)
+            w = 2.0 * self._sinh_ratio(0.5 * d_minus, lo) * self._sinh_ratio(0.5 * d_plus, np.maximum(a, b))
+            w = np.where(lo > 0.0, np.clip(w, 0.0, 2.0), 2.0 * u)
+            # log-map direction at y toward c, in _h3_tangent's transported frame
+            e = current[:, 1:] - ((current[:, 0] + np.cosh(a)) / (1.0 + y[0]))[:, None] * y[1:]
+            norm = np.sqrt(np.sum(e * e, axis=-1, keepdims=True))
+            e = np.where(norm > 0.0, e / norm, [1.0, 0.0, 0.0])
+            # f1, f2 complete e to an orthonormal frame (Duff et al., 2017)
+            sign = np.copysign(1.0, e[:, 2])
+            g = -1.0 / (sign + e[:, 2])
+            h = e[:, 0] * e[:, 1] * g
+            f1 = np.stack([1.0 + sign * e[:, 0] ** 2 * g, sign * h, -sign * e[:, 0]], axis=-1)
+            f2 = np.stack([h, sign + e[:, 1] ** 2 * g, -e[:, 1]], axis=-1)
+            rim = np.sqrt(w * (2.0 - w))  # sin(theta)
+            phi = 2.0 * np.pi * v
+            direction = (1.0 - w)[:, None] * e + (rim * np.cos(phi))[:, None] * f1 + (rim * np.sin(phi))[:, None] * f2
+        return self._exp(y, direction, b, dt)
+
+
+class _LatticeLaw(_Law):
+    """Circle and FlatTorus: Gaussian images per coordinate, Gaussian steps
+    projected into the box, and bridges drawn winding by winding."""
+
+    def density(self, t, x, y, owner=None):
+        out = 1.0
+        for i, L in enumerate(self.model.periods):
+            out = out * circle_theta_arrays(t, x[..., i] - y[..., i], L, self.truncation, owner)
+        return out
+
+    def ck_integral(self, s, t, xa, za, tol):
+        tr = self.truncation
+        k = len(s)
+        lhs = np.ones(k)
+        for L, x, z in zip(self.model.periods, xa.T, za.T):
+
+            def f(y, o):
+                return circle_theta_arrays(t, z[o] - y, L, tr, o) * circle_theta_arrays(s, y - x[o], L, tr, o)
+
+            lhs *= adaptive_simpson_batch(f, np.zeros(k), np.full(k, L), tol=tol)
+        return lhs
+
+    def step(self, cursor, current, dt):
+        nxt = current + math.sqrt(2.0 * dt) * cursor.normals(self.model.dim)
+        return project_arrays(covering_of(self.model), nxt)
+
+    def bridges(self, cursor, x0a, y0a, times):
+        """A deck element per coordinate with Gaussian image weights, a
+        Gaussian bridge to the chosen lift, projected."""
+        n, horizon = len(cursor), times[-1]
+        periods = self.model.periods
+        windings = np.empty((n, len(periods)), dtype=np.int64)
+        target = np.empty((n, len(periods)))
+        for i, L in enumerate(periods):
+            gap = y0a[i] - x0a[i]
+            kmax = image_count(gaussian_tail_radius(horizon, 1e-17) + abs(gap), L, self.truncation)
+            ks = np.arange(-kmax, kmax + 1, dtype=np.float64)
+            w = np.exp(-((gap + ks * L) ** 2) / (4.0 * horizon))
+            cum = np.cumsum(w / np.sum(w))
+            idx = np.minimum(np.searchsorted(cum, cursor.uniforms(1)[:, 0]), ks.shape[0] - 1)
+            windings[:, i] = ks[idx].astype(np.int64)
+            target[:, i] = x0a[i] + gap + ks[idx] * L
+        pos = project_arrays(covering_of(self.model), _gaussian_bridge(cursor, x0a, target, times))
+        pos[:, -1] = y0a  # projecting the lift may round away from y0
+        return pos, windings
+
+
+class _CircleLaw(_LatticeLaw):
+    """Circle: the lattice law plus its moment and delta-family rules."""
+
+    def integrated_moment(self, a, tau, tol):
+        L = self.model.circumference
+
+        def f(d):
+            rho = np.minimum(d, L - d)
+            return rho ** a * circle_theta_arrays(tau, d, L, self.truncation)
+
+        return adaptive_simpson(f, 0.0, L / 2.0, tol=tol / 2) + adaptive_simpson(f, L / 2.0, L, tol=tol / 2)
+
+    def pointwise_sup(self, a, tau):
+        L = self.model.circumference
+
+        def f(d):
+            return d ** a * circle_theta_arrays(tau, d, L, self.truncation)
+
+        _, val = maximize_scalar(f, 0.0, L / 2.0)
+        return val
+
+    def delta_window(self, ya, width):
+        # a bump-width window centered on y puts the kernel spike at the
+        # first Simpson midpoint; the theta sum takes any real difference,
+        # and the window covers the support once
+        L = self.model.circumference
+        w = width or 0.4 * L
+        if w >= L / 2.0:
+            raise ValueError("bump width must stay below half the circumference")
+        return ya[0] - w, ya[0] + w, w
+
+
+class _DirichletLaw(_Law):
+    """DirichletInterval: the absorbing kernel, which loses mass.  Its paths
+    are killed at the walls, so they are sampled on the compactified model."""
+
+    def density(self, t, x, y, owner=None):
+        return dirichlet_kernel_arrays(t, x[..., 0], y[..., 0], self.model.length, self.truncation, owner)
+
+    def mass(self, t, xa, quad_tol):
+        L = self.model.length
+
+        def f(y):
+            return dirichlet_kernel_arrays(t, np.broadcast_to(xa[0], y.shape), y, L, self.truncation)
+
+        return adaptive_simpson(f, 0.0, L, tol=quad_tol)
+
+    def ck_integral(self, s, t, xa, za, tol):
+        L, tr = self.model.length, self.truncation
+        x, z = xa[:, 0], za[:, 0]
+
+        def f(y, o):
+            return dirichlet_kernel_arrays(t, z[o], y, L, tr, o) * dirichlet_kernel_arrays(s, y, x[o], L, tr, o)
+
+        k = len(s)
+        return adaptive_simpson_batch(f, np.zeros(k), np.full(k, L), tol=tol)
+
+    def integrated_moment(self, a, tau, tol):
+        L = self.model.length
+        y0 = L / 2.0
+
+        def f(z):
+            return np.abs(z - y0) ** a * dirichlet_kernel_arrays(
+                tau, z, np.broadcast_to(y0, z.shape), L, self.truncation
+            )
+
+        return adaptive_simpson(f, 0.0, L, tol=tol)
+
+    def delta_window(self, ya, width):
+        L = self.model.length
+        w = width or min(ya[0], L - ya[0]) * 0.9
+        return max(0.0, ya[0] - w), min(L, ya[0] + w), w
+
+    def paths(self, cursor, x0a, steps):
+        L = self.model.length
+        raise ValueError(
+            f"paths on dirichlet:{L!r} are killed at the walls; "
+            f"sample compactified:dirichlet:{L!r}, whose cemetery keeps them"
+        )
+
+    def bridges(self, cursor, x0a, y0a, times):
+        raise ValueError("bridges for absorbing models are out of scope")
+
+
+class _KilledLaw(_Law):
+    """Compactified(DirichletInterval): the base law inside, the cemetery
+    rows (validated cemetery coordinates are None), and killed paths."""
+
+    def __init__(self, model, truncation):
+        super().__init__(model, truncation)
+        self.base = _DirichletLaw(model.base, truncation)
+
+    def density(self, t, x, y, owner=None):
+        return self.base.density(t, x, y, owner)
+
+    def value(self, t, xa, ya):
+        """x is the target slot, y the source: the cemetery books the mass
+        the source loses by time t, never returns, and keeps weight 1."""
+        if xa is None and ya is None:
+            return 1.0
+        if xa is None:
+            return 1.0 - self.base.mass(t, ya, 1e-10)
+        if ya is None:
+            return 0.0
+        return self.base.value(t, xa, ya)
+
+    def ck_integral(self, s, t, xa, za, tol):
+        return self.base.ck_integral(s, t, xa, za, tol)
+
+    def ck_cemetery_residual(self, s, t, xa, za, tol):
+        """The Chapman-Kolmogorov residual of a row with a cemetery point."""
+        if xa is None:  # the cemetery row is 1 on both sides; a cemetery source never returns
+            return 0.0
+        # target cemetery: deficit accumulates along the flow
+        L = self.model.base.length
+
+        def f(y):
+            y = np.atleast_1d(y)
+            return (1.0 - dirichlet_mass_arrays(t, y, L)) * dirichlet_kernel_arrays(
+                s, y, np.broadcast_to(xa[0], y.shape), L, self.truncation
+            )
+
+        lhs = adaptive_simpson(f, 0.0, L, tol=tol) + (
+            1.0 - float(dirichlet_mass_arrays(s, np.asarray(xa[0]), L))
+        )
+        rhs = 1.0 - float(dirichlet_mass_arrays(s + t, np.asarray(xa[0]), L))
+        return abs(lhs - rhs)
+
+    def paths(self, cursor, x0a, steps):
+        """Gaussian proposals accepted with probability p_dt / gauss_dt, which
+        is the interval kernel's share of the free one; a rejected step is
+        the kill."""
+        L = self.model.base.length
+        n = len(cursor)
+        pos = np.full((n, len(steps) + 1, 1), np.nan)
+        pos[:, 0, 0] = x0a[0]
+        kill = np.full(n, NEVER_KILLED, dtype=np.int64)
+        alive = np.arange(n)
+        for j, dt in enumerate(steps):
+            if alive.size == 0:
+                break
+            u = cursor.uniforms_at(alive, 3)  # normal proposal, acceptance
+            prop = pos[alive, j, 0] + math.sqrt(2.0 * dt) * box_muller(u[:, :2])[:, 0]
+            inside = (prop > 0.0) & (prop < L)
+            ratio = np.zeros_like(prop)
+            if np.any(inside):
+                prev = pos[alive, j, 0][inside]
+                num = dirichlet_kernel_arrays(dt, prev, prop[inside], L, self.truncation)
+                den = gauss_profile(dt, (prev - prop[inside]) ** 2, 1)
+                ratio[inside] = np.minimum(num / den, 1.0)
+            survive = u[:, 2] < ratio
+            pos[alive[survive], j + 1, 0] = prop[survive]
+            kill[alive[~survive]] = j + 1
+            alive = alive[survive]
+        return pos, kill
+
+    def bridges(self, cursor, x0a, y0a, times):
+        return self.base.bridges(cursor, x0a, y0a, times)
+
+
+_LAWS = {
+    Euclidean: _GaussianLaw,
+    Hyperbolic3: _H3Law,
+    Circle: _CircleLaw,
+    FlatTorus: _LatticeLaw,
+    DirichletInterval: _DirichletLaw,
+    Compactified: _KilledLaw,
+}
+
+
+def _law_of(model, kind, truncation):
+    if kind == "cauchy":
+        return _CauchyLaw(model, truncation)
+    law = _LAWS.get(type(model))
+    if law is None:
+        raise TypeError(f"not a manifold model: {model!r}")
+    return law(model, truncation)
+
+
+# ---------------------------------------------------------------------------
+# evaluation and mass
+
+
+def evaluate_arrays(kernel, t, x, y):
+    """Kernel density on coordinate arrays of shape (..., dim); broadcasts.
+    A compactified kernel gives its interior density."""
+    t = _check_time(t)
+    return kernel._law.density(t, np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+
+
+def evaluate(kernel, t, x, y):
+    """Transition density p_t(x, y) between two points; either may be the
+    cemetery of a compactified kernel (see _KilledLaw.value).  A value
+    that is not finite is a PathkernelError naming t."""
+    xa = validate_point(kernel.model, x, "x")
+    ya = validate_point(kernel.model, y, "y")
+    t = _check_time(t)
+    # a value out of the float range is reported once, below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = kernel._law.value(t, xa, ya)
+    if not math.isfinite(value):
+        raise PathkernelError(f"the kernel value at t = {t!r} is {value}, out of the float range")
+    return value
+
+
+def total_mass(kernel, t, x, quad_tol=1e-10):
+    """Mass of y -> p_t(x, y) against the volume measure; in [0, 1].
+
+    Gaussian, Cauchy and lattice-sum kernels integrate to 1 in closed
+    form.  The hyperbolic and absorbing-interval masses are computed by
+    quadrature (the interval genuinely loses mass).  A compactified
+    kernel is conservative by construction.
+    """
+    t = _check_time(t)
+    return kernel._law.mass(t, validate_point(kernel.model, x, "x"), quad_tol)
+
+
 # ---------------------------------------------------------------------------
 # Chapman-Kolmogorov
 
@@ -411,131 +947,6 @@ def dirichlet_mass_series(length, t, x, tol=1e-16):
 # Tuples are integrated CK_BLOCK at a time: one adaptive-Simpson worklist
 # per block keeps the per-call overhead small and the worklist's memory flat.
 CK_BLOCK = 32
-
-
-def _ck_euclidean(s, t, xa, za, tol):
-    # the flat kernel factorizes: one line integral per coordinate, each
-    # tail-cut at pad beyond its two points
-    pad = np.array([gaussian_tail_radius(max(u, v), tol * 1e-2) + 1.0
-                    for u, v in zip(s.tolist(), t.tolist())])
-    lhs = np.ones(len(s))
-    for x, z in zip(xa.T, za.T):
-
-        def f(y, o):
-            return gauss_profile(t, (z[o] - y) ** 2, 1, o) * gauss_profile(s, (y - x[o]) ** 2, 1, o)
-
-        lhs *= adaptive_simpson_batch(f, np.minimum(x, z) - pad, np.maximum(x, z) + pad, tol=tol)
-    rhs = gauss_profile(s + t, np.sum((za - xa) ** 2, axis=-1), xa.shape[1], np.arange(len(s)))
-    return lhs, rhs
-
-
-def _ck_cauchy(s, t, x, z, tol):
-    # compactify the real line; the substituted integrand vanishes at the ends
-    def f(theta, o):
-        y = np.tan(theta)
-        sec2 = 1.0 + y * y
-        return cauchy_profile(t[o], z[o] - y) * cauchy_profile(s[o], y - x[o]) * sec2
-
-    eps = 1e-9
-    k = len(s)
-    lhs = adaptive_simpson_batch(f, np.full(k, -np.pi / 2 + eps), np.full(k, np.pi / 2 - eps), tol=tol)
-    return lhs, cauchy_profile(s + t, z - x)
-
-
-def _ck_periodic(kernel, s, t, xa, za, tol):
-    tr = kernel.truncation
-    k = len(s)
-    lhs = np.ones(k)
-    rhs = 1.0
-    for L, x, z in zip(periods_of(kernel.model), xa.T, za.T):
-
-        def f(y, o):
-            return circle_theta_arrays(t, z[o] - y, L, tr, o) * circle_theta_arrays(s, y - x[o], L, tr, o)
-
-        lhs *= adaptive_simpson_batch(f, np.zeros(k), np.full(k, L), tol=tol)
-        rhs = rhs * circle_theta_arrays(s + t, z - x, L, tr, np.arange(k))
-    return lhs, rhs
-
-
-def _ck_h3(s, t, d, tol):
-    """Radial form after integrating out the sphere directions exactly.
-
-    In geodesic polar coordinates around the source, the angular average
-    of the second factor reduces by the hyperbolic law of cosines to a
-    difference of two Gaussian terms; what remains is one smooth radial
-    integral.  A target within 1e-8 of the source keeps the kernel itself.
-    """
-    cs = [math.exp(-v) * (4.0 * np.pi * v) ** -1.5 * v for v in s.tolist()]
-    ct = [math.exp(-v) * (4.0 * np.pi * v) ** -1.5 for v in t.tolist()]
-    near = (d < 1e-8).tolist()
-    pref = np.array([4.0 * np.pi * c if n else 4.0 * np.pi * c * b / math.sinh(e)
-                     for c, b, e, n in zip(ct, cs, d.tolist(), near)])
-
-    def f(r, o):
-        def form(sel, own, at_source):
-            r_, head = r[sel], pref[own] * r[sel]
-            if at_source:
-                return head * np.sinh(r_) * np.exp(-r_ * r_ / (4.0 * t[own])) * h3_profile(s, r_, own)
-            d_ = d[own]
-            return (head * np.exp(-r_ * r_ / (4.0 * t[own]))
-                    * (np.exp(-((d_ - r_) ** 2) / (4.0 * s[own])) - np.exp(-((d_ + r_) ** 2) / (4.0 * s[own]))))
-
-        return _by_key(near, o, form)
-
-    rmax = np.array([e + 4.0 * max(u, v) + gaussian_tail_radius(max(u, v), tol * 1e-3) + 5.0
-                     for e, u, v in zip(d.tolist(), s.tolist(), t.tolist())])
-    lhs = adaptive_simpson_batch(f, np.zeros(len(s)), rmax, tol=tol)
-    return lhs, h3_profile(s + t, d, np.arange(len(s)))
-
-
-def _ck_dirichlet(kernel, s, t, x, z, tol):
-    L = kernel.model.length
-    tr = kernel.truncation
-
-    def f(y, o):
-        return dirichlet_kernel_arrays(t, z[o], y, L, tr, o) * dirichlet_kernel_arrays(s, y, x[o], L, tr, o)
-
-    k = len(s)
-    lhs = adaptive_simpson_batch(f, np.zeros(k), np.full(k, L), tol=tol)
-    return lhs, dirichlet_kernel_arrays(s + t, z, x, L, tr, np.arange(k))
-
-
-def _ck_block(kernel, s, t, xa, za, tol):
-    """(lhs, rhs) arrays for a block of interior tuples."""
-    model = kernel.model
-    if kernel.kind == "cauchy":
-        return _ck_cauchy(s, t, xa[:, 0], za[:, 0], tol)
-    if isinstance(model, Euclidean):
-        return _ck_euclidean(s, t, xa, za, tol)
-    if isinstance(model, (Circle, FlatTorus)):
-        return _ck_periodic(kernel, s, t, xa, za, tol)
-    if isinstance(model, Hyperbolic3):
-        return _ck_h3(s, t, distance_arrays(model, xa, za), tol)
-    if isinstance(model, DirichletInterval):
-        return _ck_dirichlet(kernel, s, t, xa[:, 0], za[:, 0], tol)
-    raise TypeError(f"no Chapman-Kolmogorov rule for {model!r}")
-
-
-def _ck_cemetery(kernel, s, t, x, z, xa, za, tol):
-    """The compactified rows with the cemetery as source or target."""
-    if xa is None and za is None:
-        return 0.0  # cemetery row: 1 on both sides
-    if xa is None:  # source at the cemetery never returns
-        return abs(eval_compactified(kernel, s + t, z, x))
-    # target cemetery: deficit accumulates along the flow
-    L = kernel.model.base.length
-
-    def f(y):
-        y = np.atleast_1d(y)
-        return (1.0 - dirichlet_mass_arrays(t, y, L)) * dirichlet_kernel_arrays(
-            s, y, np.broadcast_to(xa[0], y.shape), L, kernel.truncation
-        )
-
-    lhs = adaptive_simpson(f, 0.0, L, tol=tol) + (
-        1.0 - float(dirichlet_mass_arrays(s, np.asarray(xa[0]), L))
-    )
-    rhs = 1.0 - float(dirichlet_mass_arrays(s + t, np.asarray(xa[0]), L))
-    return abs(lhs - rhs)
 
 
 def chapman_kolmogorov_residuals(kernel, s, t, x, z, tol=1e-11):
@@ -553,14 +964,13 @@ def chapman_kolmogorov_residuals(kernel, s, t, x, z, tol=1e-11):
     if not len(s) == len(t) == len(x) == len(z):
         raise ValueError("s, t, x and z must have the same length")
     out = np.zeros(len(s))
-    model = kernel.model
-    inner = base_kernel(kernel) if isinstance(model, Compactified) else kernel
+    law = kernel._law
     rows, xs, zs = [], [], []
     for i in range(len(s)):
-        xa = validate_point(model, x[i], "x")
-        za = validate_point(model, z[i], "z")
+        xa = validate_point(kernel.model, x[i], "x")
+        za = validate_point(kernel.model, z[i], "z")
         if xa is None or za is None:
-            out[i] = _ck_cemetery(kernel, float(s[i]), float(t[i]), x[i], z[i], xa, za, tol)
+            out[i] = law.ck_cemetery_residual(float(s[i]), float(t[i]), xa, za, tol)
         else:
             rows.append(i)
             xs.append(xa)
@@ -569,8 +979,8 @@ def chapman_kolmogorov_residuals(kernel, s, t, x, z, tol=1e-11):
         block = np.array(rows[start:start + CK_BLOCK])
         xa = np.array(xs[start:start + CK_BLOCK])
         za = np.array(zs[start:start + CK_BLOCK])
-        lhs, rhs = _ck_block(inner, s[block], t[block], xa, za, tol)
-        out[block] = np.abs(lhs - rhs)
+        lhs = law.ck_integral(s[block], t[block], xa, za, tol)
+        out[block] = np.abs(lhs - law.density(s[block] + t[block], za, xa, np.arange(len(block))))
     return out
 
 
@@ -617,97 +1027,6 @@ class MomentReport:
         return any(self.divergent)
 
 
-def _sphere_volume(n):
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def _integrated_moment(kernel, a, tau, tol):
-    model = kernel.model
-    if kernel.kind == "cauchy":
-        def f(r):
-            return 2.0 * r ** a * cauchy_profile(tau, r)
-
-        return integrate_with_expansion(f, r0=max(10.0 * tau, 1.0), tol=tol)
-    if isinstance(model, Euclidean):
-        n = model.dim
-        p = a + n - 1.0
-
-        def g(u):
-            return np.where(u > 0.0, u ** p * np.exp(-u * u), 0.0)
-
-        j = adaptive_simpson(g, 0.0, math.sqrt(p / 2.0 if p > 0 else 1.0) + 12.0, tol=1e-13)
-        return _sphere_volume(n) * math.pi ** (-n / 2.0) * (4.0 * tau) ** (a / 2.0) * j
-    if isinstance(model, Hyperbolic3):
-        rmax = 4.0 * tau + gaussian_tail_radius(tau, 1e-16) + 3.0
-        c = _h3_norm(tau)
-
-        def f(r):
-            return 4.0 * np.pi * c * r ** (a + 1.0) * np.sinh(r) * np.exp(-r * r / (4.0 * tau))
-
-        return adaptive_simpson(f, 0.0, rmax, tol=tol)
-    if isinstance(model, Circle):
-        L = model.circumference
-
-        def f(d):
-            rho = np.minimum(d, L - d)
-            return rho ** a * circle_theta_arrays(tau, d, L, kernel.truncation)
-
-        return adaptive_simpson(f, 0.0, L / 2.0, tol=tol / 2) + adaptive_simpson(
-            f, L / 2.0, L, tol=tol / 2
-        )
-    if isinstance(model, DirichletInterval):
-        L = model.length
-        y0 = L / 2.0
-
-        def f(z):
-            return np.abs(z - y0) ** a * dirichlet_kernel_arrays(
-                tau, z, np.broadcast_to(y0, z.shape), L, kernel.truncation
-            )
-
-        return adaptive_simpson(f, 0.0, L, tol=tol)
-    raise TypeError(f"integrated moment not implemented for {model!r}")
-
-
-def _pointwise_sup(kernel, a, tau):
-    model = kernel.model
-    if kernel.kind == "cauchy":
-        # r^a / (t^2 + r^2) is unbounded for a >= 2
-        if a >= 2.0:
-            raise DivergentIntegralError("pointwise Cauchy moment is unbounded for a >= 2")
-
-        def f(r):
-            return r ** a * cauchy_profile(tau, r)
-
-        _, val = maximize_scalar(f, 0.0, 1e6)
-        return val
-    if isinstance(model, Euclidean):
-        n = model.dim
-
-        def f(r):
-            return r ** a * gauss_profile(tau, r * r, n)
-
-        rmax = math.sqrt(2.0 * a * tau) * 4.0 + 1.0
-        _, val = maximize_scalar(f, 0.0, rmax)
-        return val
-    if isinstance(model, Hyperbolic3):
-
-        def f(r):
-            return r ** a * h3_profile(tau, r)
-
-        rmax = math.sqrt(2.0 * a * tau) * 4.0 + 4.0 * tau + 1.0
-        _, val = maximize_scalar(f, 0.0, rmax)
-        return val
-    if isinstance(model, Circle):
-        L = model.circumference
-
-        def f(d):
-            return d ** a * circle_theta_arrays(tau, d, L, kernel.truncation)
-
-        _, val = maximize_scalar(f, 0.0, L / 2.0)
-        return val
-    raise TypeError(f"pointwise moment not implemented for {model!r}")
-
-
 def moment_check(kernel, cfg):
     """Short-time moment ratios against tau^(1+b); see MomentCheckConfig.
 
@@ -715,13 +1034,14 @@ def moment_check(kernel, cfg):
     observed, without asserting any regime beyond the tested grid.
     Divergent integrals (Cauchy with a >= 1) are flagged per tau.
     """
+    law = kernel._law
     ratios, divergent = [], []
     for tau in cfg.tau_grid:
         try:
             if cfg.mode == "integrated":
-                val = _integrated_moment(kernel, cfg.a, tau, cfg.quad_tol)
+                val = law.integrated_moment(cfg.a, tau, cfg.quad_tol)
             else:
-                val = _pointwise_sup(kernel, cfg.a, tau)
+                val = law.pointwise_sup(cfg.a, tau)
             ratios.append(val / tau ** (1.0 + cfg.b))
             divergent.append(False)
         except DivergentIntegralError:
@@ -744,72 +1064,7 @@ def moment_check(kernel, cfg):
 # delta family
 
 
-def smooth_bump(width):
-    """The classic compactly supported mollifier, normalized to 1 at its center."""
-
-    def u(r):
-        s = np.asarray(r, dtype=np.float64) / width
-        inside = np.abs(s) < 1.0
-        out = np.zeros_like(s)
-        with np.errstate(divide="ignore", over="ignore"):
-            val = np.exp(1.0 - 1.0 / np.clip(1.0 - s * s, 1e-300, None))
-        out[inside] = val[inside]
-        return out
-
-    return u
-
-
 def delta_family_residuals(kernel, y, t_seq, width=None, quad_tol=1e-10):
     """|integral u(z) p_t(z, y) dmu(z) - u(y)| for a fixed bump u, per t."""
-    model = kernel.model
-    ya = validate_point(model, y, "y")
-    res = []
-    for t in t_seq:
-        t = _check_time(t)
-        if kernel.kind == "cauchy" or isinstance(model, Euclidean):
-            if model_dim(model) != 1:
-                raise TypeError("delta-family check supports 1-d flat models and H3")
-            w = width or 1.0
-            u = smooth_bump(w)
-
-            def f(z):
-                return u(z - ya[0]) * evaluate_arrays(kernel, t, z[..., None], ya[None, :])
-
-            val = adaptive_simpson(f, ya[0] - w, ya[0] + w, tol=quad_tol)
-        elif isinstance(model, Circle):
-            # integrate a bump-width window centered on y so the kernel spike
-            # sits at the first Simpson midpoint; the theta sum takes any
-            # real difference, and the window covers the support once
-            L = model.circumference
-            w = width or 0.4 * L
-            if w >= L / 2.0:
-                raise ValueError("bump width must stay below half the circumference")
-            u = smooth_bump(w)
-
-            def f(z):
-                return u(z - ya[0]) * circle_theta_arrays(t, z - ya[0], L, kernel.truncation)
-
-            val = adaptive_simpson(f, ya[0] - w, ya[0] + w, tol=quad_tol)
-        elif isinstance(model, Hyperbolic3):
-            w = width or 1.0
-            u = smooth_bump(w)
-
-            def f(r):
-                return 4.0 * np.pi * u(r) * np.sinh(r) ** 2 * h3_profile(t, r)
-
-            val = adaptive_simpson(f, 0.0, w, tol=quad_tol)
-        elif isinstance(model, DirichletInterval):
-            L = model.length
-            w = width or min(ya[0], L - ya[0]) * 0.9
-            u = smooth_bump(w)
-
-            def f(z):
-                return u(z - ya[0]) * dirichlet_kernel_arrays(
-                    t, z, np.broadcast_to(ya[0], z.shape), L, kernel.truncation
-                )
-
-            val = adaptive_simpson(f, max(0.0, ya[0] - w), min(L, ya[0] + w), tol=quad_tol)
-        else:
-            raise TypeError(f"delta-family check not implemented for {model!r}")
-        res.append(abs(val - 1.0))
-    return res
+    ya = validate_point(kernel.model, y, "y")
+    return [abs(kernel._law.delta_integral(_check_time(t), ya, width, quad_tol) - 1.0) for t in t_seq]

@@ -6,6 +6,13 @@ fundamental box), the open interval with absorbing endpoints, and a
 one-point compactification wrapper that adds a cemetery state for the
 mass lost by an absorbing space.
 
+Each model class carries its own geometry: ``dim`` (chart coordinates per
+point), ``check_coords(x, name)`` (ValueError for finite coordinates off
+the model), ``distance_arrays(x, y)`` on (..., dim) arrays, and the command
+line's ``default_point()`` and ``random_interior(gen)``.  A new model
+supplies these and a law in ``heat_kernel``; ``Compactified`` delegates
+them to its base.
+
 Everything here is pure and operates on immutable values, so models and
 points can be shared freely across workers.
 """
@@ -35,14 +42,83 @@ class Euclidean:
         if int(self.dim) < 1:
             raise ValueError("Euclidean dimension must be >= 1")
 
+    def check_coords(self, x, name):
+        """Every finite point lies in Euclidean space."""
+
+    def distance_arrays(self, x, y):
+        return np.sqrt(np.sum((x - y) ** 2, axis=-1))
+
+    def default_point(self):
+        return Point(tuple(0.0 for _ in range(self.dim)))
+
+    def random_interior(self, gen):
+        return Point(tuple(gen.normal(0.0, 1.0, self.dim)))
+
 
 @dataclass(frozen=True)
 class Hyperbolic3:
-    pass
+    dim = 4  # hyperboloid coordinates (x0, x1, x2, x3); not a field
+
+    def check_coords(self, x, name):
+        q = x[0] * x[0] - x[1] * x[1] - x[2] * x[2] - x[3] * x[3]
+        # constraint checked in scaled form; the absolute residual of the
+        # quadratic grows like eps * x0^2 for far points
+        scale = 1.0 + float(np.dot(x, x))
+        if abs(q - 1.0) > HYPERBOLOID_TOL * scale or x[0] < 1.0 - HYPERBOLOID_TOL:
+            raise ValueError(f"{name} is off the hyperboloid (residual {q - 1.0:.3e})")
+
+    def distance_arrays(self, x, y):
+        """Geodesic distance on the hyperboloid, stable near and far.
+
+        cosh(rho) - 1 = (|dx|^2 - dx0^2) / 2 avoids the cancellation of the
+        Minkowski pairing x0 y0 - x.y when the points are close, but itself
+        cancels once |dx|^2 ~ dx0^2 is large.  Each pair takes the form with
+        the smaller rounding bound (about eps dx0^2 against eps x0 y0): the
+        difference form where dx0^2 <= x0 y0, arccosh of the pairing elsewhere.
+        """
+        d = x - y
+        pair = x[..., 0] * y[..., 0]
+        # the squares may overflow for far points, which take the pairing form
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx0sq = d[..., 0] ** 2
+            delta = 0.5 * (np.sum(d[..., 1:] ** 2, axis=-1) - dx0sq)
+        far = dx0sq > pair
+        delta = np.where(far, 0.0, np.maximum(delta, 0.0))
+        near_rho = np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
+        cosh_rho = pair - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+        return np.where(far, np.arccosh(np.maximum(cosh_rho, 1.0)), near_rho)
+
+    def default_point(self):
+        return Point((1.0, 0.0, 0.0, 0.0))
+
+    def random_interior(self, gen):
+        d = gen.normal(size=3)
+        d /= np.linalg.norm(d)
+        r = gen.uniform(0.1, 1.5)
+        return Point(tuple(exp_point_arrays(np.array([1.0, 0, 0, 0]), d, r)))
+
+
+class _Periodic:
+    """Geometry of a flat quotient by the lattice of its ``periods``, in the
+    half-open fundamental box [0, L_i)."""
+
+    def check_coords(self, x, name):
+        per = np.asarray(self.periods)
+        if np.any(x < 0.0) or np.any(x >= per):
+            raise ValueError(f"{name} must lie in the fundamental box [0, L_i)")
+
+    def distance_arrays(self, x, y):
+        return np.sqrt(np.sum(_wrap_abs(x - y, np.asarray(self.periods)) ** 2, axis=-1))
+
+    def default_point(self):
+        return Point(tuple(0.0 for _ in range(self.dim)))
+
+    def random_interior(self, gen):
+        return Point(tuple(gen.uniform(0.0, p) for p in self.periods))
 
 
 @dataclass(frozen=True)
-class FlatTorus:
+class FlatTorus(_Periodic):
     periods: tuple
 
     def __post_init__(self):
@@ -58,16 +134,22 @@ class FlatTorus:
 
 
 @dataclass(frozen=True)
-class Circle:
+class Circle(_Periodic):
     circumference: float
+    dim = 1  # not a field
 
     def __post_init__(self):
         _finite_positive(self.circumference, "circumference")
+
+    @property
+    def periods(self):
+        return (float(self.circumference),)
 
 
 @dataclass(frozen=True)
 class DirichletInterval:
     length: float
+    dim = 1  # not a field
 
     def __post_init__(self):
         L = _finite_positive(self.length, "interval length")
@@ -75,19 +157,46 @@ class DirichletInterval:
         if not (math.isfinite(L * L) and math.isfinite((math.pi / L) * (math.pi / L))):
             raise ValueError(f"interval length {self.length!r} is too extreme: L^2 or (pi/L)^2 overflows")
 
+    def check_coords(self, x, name):
+        if not (0.0 < x[0] < self.length):
+            raise ValueError(f"{name} must lie in the open interval (0, {self.length})")
+
+    def distance_arrays(self, x, y):
+        return np.abs(x[..., 0] - y[..., 0])
+
+    def default_point(self):
+        return Point((self.length / 2.0,))
+
+    def random_interior(self, gen):
+        return Point((gen.uniform(0.1, 0.9) * self.length,))
+
 
 @dataclass(frozen=True)
 class Compactified:
-    """One-point compactification of a mass-losing base space."""
+    """One-point compactification of a mass-losing base space; its
+    interior geometry is the base's."""
 
-    base: "ManifoldModel"
+    base: object
 
     def __post_init__(self):
         if not isinstance(self.base, DirichletInterval):
             raise ValueError("Compactified wraps a substochastic base (DirichletInterval)")
 
+    @property
+    def dim(self):
+        return self.base.dim
 
-ManifoldModel = (Euclidean, Hyperbolic3, FlatTorus, Circle, DirichletInterval, Compactified)
+    def check_coords(self, x, name):
+        self.base.check_coords(x, name)
+
+    def distance_arrays(self, x, y):
+        return self.base.distance_arrays(x, y)
+
+    def default_point(self):
+        return self.base.default_point()
+
+    def random_interior(self, gen):
+        return self.base.random_interior(gen)
 
 
 @dataclass(frozen=True)
@@ -117,61 +226,22 @@ def point(*coords):
     return Point(coords=tuple(coords))
 
 
-def model_dim(model):
-    """Chart dimension (coordinates per point)."""
-    if isinstance(model, Euclidean):
-        return model.dim
-    if isinstance(model, Hyperbolic3):
-        return 4
-    if isinstance(model, FlatTorus):
-        return model.dim
-    if isinstance(model, Circle):
-        return 1
-    if isinstance(model, DirichletInterval):
-        return 1
-    if isinstance(model, Compactified):
-        return model_dim(model.base)
-    raise TypeError(f"not a manifold model: {model!r}")
-
-
-def periods_of(model):
-    if isinstance(model, Circle):
-        return (float(model.circumference),)
-    if isinstance(model, FlatTorus):
-        return model.periods
-    raise TypeError("periods are defined for Circle and FlatTorus only")
-
-
 def validate_point(model, p, name="point"):
-    """Check a point against its model's invariants; returns its coords array."""
+    """Check a point against its model's invariants; returns its coords
+    array, or None for the cemetery of a compactified model."""
     if not isinstance(p, Point):
         raise TypeError(f"{name} must be a Point")
     if p.cemetery:
         if not isinstance(model, Compactified):
             raise ValueError(f"{name} is the cemetery but the model is not compactified")
         return None
-    if isinstance(model, Compactified):
-        return validate_point(model.base, p, name)
     x = p.array()
-    d = model_dim(model)
+    d = model.dim
     if x.shape != (d,):
         raise ValueError(f"{name} has {x.shape[0] if x.ndim == 1 else '?'} coordinates, expected {d}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} has non-finite coordinates")
-    if isinstance(model, Hyperbolic3):
-        q = x[0] * x[0] - x[1] * x[1] - x[2] * x[2] - x[3] * x[3]
-        # constraint checked in scaled form; the absolute residual of the
-        # quadratic grows like eps * x0^2 for far points
-        scale = 1.0 + float(np.dot(x, x))
-        if abs(q - 1.0) > HYPERBOLOID_TOL * scale or x[0] < 1.0 - HYPERBOLOID_TOL:
-            raise ValueError(f"{name} is off the hyperboloid (residual {q - 1.0:.3e})")
-    elif isinstance(model, (Circle, FlatTorus)):
-        per = np.asarray(periods_of(model))
-        if np.any(x < 0.0) or np.any(x >= per):
-            raise ValueError(f"{name} must lie in the fundamental box [0, L_i)")
-    elif isinstance(model, DirichletInterval):
-        if not (0.0 < x[0] < model.length):
-            raise ValueError(f"{name} must lie in the open interval (0, {model.length})")
+    model.check_coords(x, name)
     return x
 
 
@@ -185,46 +255,9 @@ def _wrap_abs(diff, per):
     return np.minimum(r, per - r)
 
 
-def hyperbolic_distance_arrays(x, y):
-    """Geodesic distance on the hyperboloid, stable near and far.
-
-    cosh(rho) - 1 = (|dx|^2 - dx0^2) / 2 avoids the cancellation of the
-    Minkowski pairing x0 y0 - x.y when the points are close, but itself
-    cancels once |dx|^2 ~ dx0^2 is large.  Each pair takes the form with
-    the smaller rounding bound (about eps dx0^2 against eps x0 y0): the
-    difference form where dx0^2 <= x0 y0, arccosh of the pairing elsewhere.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    d = x - y
-    pair = x[..., 0] * y[..., 0]
-    # the squares may overflow for far points, which take the pairing form
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx0sq = d[..., 0] ** 2
-        delta = 0.5 * (np.sum(d[..., 1:] ** 2, axis=-1) - dx0sq)
-    far = dx0sq > pair
-    delta = np.where(far, 0.0, np.maximum(delta, 0.0))
-    near_rho = np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
-    cosh_rho = pair - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
-    return np.where(far, np.arccosh(np.maximum(cosh_rho, 1.0)), near_rho)
-
-
 def distance_arrays(model, x, y):
     """Distance on coordinate arrays of shape (..., dim); broadcasts."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if isinstance(model, Compactified):
-        return distance_arrays(model.base, x, y)
-    if isinstance(model, Euclidean):
-        return np.sqrt(np.sum((x - y) ** 2, axis=-1))
-    if isinstance(model, (Circle, FlatTorus)):
-        per = np.asarray(periods_of(model))
-        return np.sqrt(np.sum(_wrap_abs(x - y, per) ** 2, axis=-1))
-    if isinstance(model, DirichletInterval):
-        return np.abs(x[..., 0] - y[..., 0])
-    if isinstance(model, Hyperbolic3):
-        return hyperbolic_distance_arrays(x, y)
-    raise TypeError(f"not a manifold model: {model!r}")
+    return model.distance_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 
 def distance(model, x, y):
@@ -292,23 +325,23 @@ class CoveringDescriptor:
     periods, acting by translation.
     """
 
-    base: "ManifoldModel"
+    base: object
     total: Euclidean
 
     def __post_init__(self):
         if not isinstance(self.base, (Circle, FlatTorus)):
             raise ValueError("covering base must be a Circle or FlatTorus")
-        if not isinstance(self.total, Euclidean) or self.total.dim != model_dim(self.base):
+        if not isinstance(self.total, Euclidean) or self.total.dim != self.base.dim:
             raise ValueError("total space must be Euclidean of equal dimension")
 
     @property
     def periods(self):
-        return periods_of(self.base)
+        return self.base.periods
 
 
 def covering_of(base):
     """The standard covering of a circle or torus by Euclidean space."""
-    return CoveringDescriptor(base=base, total=Euclidean(model_dim(base)))
+    return CoveringDescriptor(base=base, total=Euclidean(base.dim))
 
 
 def project_arrays(cov, x):

@@ -43,7 +43,6 @@ from pathkernel.heat_kernel import (
     MomentCheckConfig,
     TransitionKernel,
     chapman_kolmogorov_residual,
-    eval_compactified,
     evaluate,
     evaluate_arrays,
     moment_check,
@@ -356,13 +355,13 @@ def test_criterion_8_killing_and_compactification():
     inner = TransitionKernel(DirichletInterval(math.pi))
     x = point(math.pi / 2)
     table_ok = (
-        eval_compactified(comp, 1.0, CEMETERY, CEMETERY) == 1.0
-        and eval_compactified(comp, 1.0, x, CEMETERY) == 0.0
-        and eval_compactified(comp, 1.0, x, x) == evaluate(inner, 1.0, x, x)
+        evaluate(comp, 1.0, CEMETERY, CEMETERY) == 1.0
+        and evaluate(comp, 1.0, x, CEMETERY) == 0.0
+        and evaluate(comp, 1.0, x, x) == evaluate(inner, 1.0, x, x)
     )
     mass_ok = total_mass(comp, 1.0, x) == 1.0
     split_ok = abs(
-        total_mass(inner, 1.0, x) + eval_compactified(comp, 1.0, CEMETERY, x) - 1.0
+        total_mass(inner, 1.0, x) + evaluate(comp, 1.0, CEMETERY, x) - 1.0
     ) < 1e-10
     ok = surv_ok and table_ok and mass_ok and split_ok
     record_acceptance(

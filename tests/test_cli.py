@@ -134,6 +134,14 @@ class TestExitCodes:
         assert record["error"] == "PathkernelError" and "t = 1e-300" in record["message"]
         assert "Traceback" not in res.stderr
 
+    def test_infinite_kernel_value_is_numeric_failure(self):
+        # t * t underflows, so the Cauchy density divides by zero
+        res = run_cli(["kernel", "--model", "cauchy", "--t", "1e-200", "--x", "0", "--y", "0"])
+        assert res.returncode == 1
+        record = json.loads(res.stdout)
+        assert record["error"] == "PathkernelError" and "t = 1e-200" in record["message"]
+        assert "Traceback" not in res.stderr
+
     def test_h3_bridge_beyond_three_steps(self):
         res = run_cli(["bridge", "--model", "hyperbolic3", "--x0", "1,0,0,0",
                        "--y0", "1.3374349463048447,0.888105982187623,0,0", "--T", "1",
@@ -214,9 +222,18 @@ class TestInputErrors:
             (["fk", "expectation", "--model", "euclidean:1", "--potential", "cos", "--t", "1",
               "--steps", "4", "--samples", "100", "--oracle-m", "64"], "spectral oracle"),
             (["verify", "moments", "--model", "torus:1,2"], "not implemented"),
+            (["holder", "--model", "compactified:dirichlet:3.14159265", "--paths", "16", "--levels", "2:4"],
+             "compactified:dirichlet:3.14159265"),
+            (["curve", "--model", "euclidean:1", "--t-grid", "0:1e300:1e-300", "--samples", "2"],
+             "over 10000 points"),
+            (["verify", "moments", "--model", "euclidean:1", "--tau-grid", "0.001:1e300:1e-300"],
+             "over 10000 points"),
+            (["curve", "--model", "euclidean:1", "--t-grid", "0:1:1e-9", "--samples", "2"], "over 10000 points"),
+            (["holder", "--model", "euclidean:2", "--paths", "2", "--levels", "4:70"], "bad level range"),
         ],
         ids=["fk-expectation", "fk-monotonicity", "fk-kernel", "sample", "bridge", "holder", "curve",
-             "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify"],
+             "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify",
+             "holder-killed", "grid-overflow", "tau-grid-overflow", "grid-too-fine", "level-too-deep"],
     )
     def test_exits_2_with_message(self, args, message):
         res = run_cli(args)

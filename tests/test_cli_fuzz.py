@@ -1,9 +1,10 @@
 """Bounded argv fuzzing of the exit contract.
 
-Each example takes one README command, shrinks its sizes, replaces one
-option value with a hostile token and runs ``cli.main`` in-process.  Every
-run must end in exit 0, 1 or 2, never in an escaping exception, and an
-exit 1 must print a JSON record on stdout.
+Each example takes one README command, shrinks its sizes, replaces one or
+two option values with hostile tokens and runs ``cli.main`` in-process.
+Every run must end in exit 0, 1 or 2, never in an escaping exception; an
+exit 1 must print a JSON record on stdout, and the JSON last line of an
+exit 0 must hold only finite numbers.
 """
 
 import contextlib
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from pathkernel.cli import main
 
-TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "", "abc", "1,2"]
+TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "", "abc", "1,2",
+          "0:1e300:1e-300", "0:1:1e-9", "4:70"]
 SIZE_FLAGS = {"--samples", "--steps", "--tuples", "--paths"}
 SIZE_CAP = 64
 
@@ -51,8 +53,9 @@ def value_positions(argv):
 @st.composite
 def fuzzed_argv(draw):
     argv = list(draw(st.sampled_from(COMMANDS)))
-    i = draw(st.sampled_from(value_positions(argv)))
-    argv[i] = draw(st.sampled_from(TOKENS))
+    positions = value_positions(argv)
+    for i in draw(st.lists(st.sampled_from(positions), min_size=1, max_size=2, unique=True)):
+        argv[i] = draw(st.sampled_from(TOKENS))
     return argv
 
 
@@ -72,6 +75,10 @@ def run_main(argv):
     return code, out.getvalue()
 
 
+def reject_constant(name):
+    raise AssertionError(f"non-finite {name} in the output of an exit-0 run")
+
+
 def test_readme_commands_are_fuzzable():
     assert len(COMMANDS) >= 10
     assert all(value_positions(argv) for argv in COMMANDS)
@@ -86,3 +93,7 @@ def test_exit_contract_holds(argv):
     if code == 1:
         record = json.loads(stdout.splitlines()[-1])
         assert isinstance(record, dict) and "error" in record, argv
+    last = stdout.splitlines()[-1] if stdout else ""
+    if code == 0 and last.startswith("{"):
+        # json.loads accepts NaN and Infinity; an exit-0 run must not print them
+        json.loads(last, parse_constant=reject_constant)

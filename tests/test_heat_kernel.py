@@ -15,7 +15,6 @@ from pathkernel.heat_kernel import (
     dirichlet_images_arrays,
     dirichlet_mass_series,
     dirichlet_series_arrays,
-    eval_compactified,
     evaluate,
     moment_check,
     total_mass,
@@ -177,24 +176,24 @@ class TestCompactifiedTable:
     COMP = TransitionKernel(Compactified(DirichletInterval(math.pi)))
 
     def test_cemetery_absorbs(self):
-        assert eval_compactified(self.COMP, 1.0, CEMETERY, CEMETERY) == 1.0
+        assert evaluate(self.COMP, 1.0, CEMETERY, CEMETERY) == 1.0
 
     def test_no_return_from_cemetery(self):
-        assert eval_compactified(self.COMP, 1.0, point(1.0), CEMETERY) == 0.0
+        assert evaluate(self.COMP, 1.0, point(1.0), CEMETERY) == 0.0
 
     def test_lost_mass_row(self):
-        got = eval_compactified(self.COMP, 1.0, CEMETERY, point(math.pi / 2))
+        got = evaluate(self.COMP, 1.0, CEMETERY, point(math.pi / 2))
         assert got == pytest.approx(1.0 - DIRICHLET_MASS_ORACLE, abs=1e-12)
         assert got == pytest.approx(0.5317, abs=5e-4)
 
     def test_interior_matches_base(self):
         x, y = point(1.0), point(2.0)
-        assert eval_compactified(self.COMP, 0.5, x, y) == evaluate(DIRPI, 0.5, x, y)
+        assert evaluate(self.COMP, 0.5, x, y) == evaluate(DIRPI, 0.5, x, y)
 
     def test_interior_plus_deficit_is_one(self):
         x = point(0.8)
         interior = total_mass(DIRPI, 1.3, x)
-        deficit = eval_compactified(self.COMP, 1.3, CEMETERY, x)
+        deficit = evaluate(self.COMP, 1.3, CEMETERY, x)
         assert interior + deficit == pytest.approx(1.0, abs=1e-10)
 
 

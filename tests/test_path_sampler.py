@@ -428,7 +428,7 @@ class TestHyperbolicStep:
     def test_step_consumes_eight_slots(self):
         cursor = StreamCursor(5, np.arange(6, dtype=np.uint64))
         rows = np.array([0, 2, 5])
-        ps._h3_free_step(cursor, rows, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), 0.4)
+        H3K._law.free_step(cursor, rows, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), 0.4)
         assert cursor.pos.tolist() == [8, 0, 8, 0, 0, 8]
 
     def test_bridge_step_consumes_eight_slots(self):
@@ -437,7 +437,7 @@ class TestHyperbolicStep:
         rows = np.array([0, 2, 5])
         y = h3_point(ORIGIN4.coords, [0.0, 1.0, 0.0], 0.8)
         current = np.stack([H3_OFF, y, np.asarray(ORIGIN4.coords)])
-        out = ps._h3_bridge_step(cursor, rows, current, y, 0.25, 0.75)
+        out = H3K._law.bridge_step(cursor, rows, current, y, 0.25, 0.75)
         assert cursor.pos.tolist() == [8, 0, 8, 0, 0, 8]
         assert np.all(np.isfinite(out))
 
