@@ -254,15 +254,25 @@ def _header_line(config):
     return f"# pathkernel {__version__} {config.subcommand} " + " ".join(parts)
 
 
-def _emit(config, payload, out_key="out"):
-    """Print payload as JSON; mirror it under the header line to the file
-    named by option out_key."""
+def _verdict(config, payload, error=None, out_key="out"):
+    """Print payload as JSON, mirror it under the header line to the file
+    named by option out_key, and return the exit code: 1 for a failed
+    check named by error, else 0.  A NaN or infinity in a successful
+    payload, lists included, is a PathkernelError naming its key."""
+    if error is None:
+        for key, val in payload.items():
+            for x in val if isinstance(val, list) else [val]:
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise PathkernelError(f"the result {key!r} is {x}, not a finite number")
+    else:
+        payload = {"error": error, **payload}
     text = _json17(payload) + "\n"
     sys.stdout.write(text)
     if config.options.get(out_key):
         with open(config.options[out_key], "w") as fh:
             fh.write(_header_line(config) + "\n")
             fh.write(text)
+    return 0 if error is None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +445,14 @@ def _run_kernel(config):
     model = k.model
     x = _point_option(config, "x", model)
     y = _point_option(config, "y", model)
-    _emit(config, {"value": evaluate(k, config.options["t"], x, y)})
-    return 0
+    return _verdict(config, {"value": evaluate(k, config.options["t"], x, y)})
 
 
 def _run_mass(config):
     k = _kernel_for(config)
     x = _point_option(config, "x", k.model)
     value = total_mass(k, config.options["t"], x, quad_tol=config.options["quad_tol"])
-    _emit(config, {"value": value})
-    return 0
+    return _verdict(config, {"value": value})
 
 
 def _run_verify(config):
@@ -462,11 +470,8 @@ def _run_verify(config):
         worst = float(np.max(chapman_kolmogorov_residuals(k, *zip(*tuples))))
         payload = {"max_residual": worst, "tuples": config.options["tuples"],
                    "tol": config.options["tol"], "seed": config.options["seed"]}
-        if not worst <= config.options["tol"]:  # a NaN residual fails too
-            _emit(config, {"error": "VerificationFailed", **payload})
-            return 1
-        _emit(config, payload)
-        return 0
+        failed = not worst <= config.options["tol"]  # a NaN residual fails too
+        return _verdict(config, payload, "VerificationFailed" if failed else None)
     if check == "moments":
         taus = _parse_grid_spec(config.options["tau_grid"])
         cfg = MomentCheckConfig(
@@ -480,11 +485,8 @@ def _run_verify(config):
             "worst_constant": report.worst_constant,
         }
         if report.any_divergent:
-            _emit(config, {"error": "DivergentIntegralError",
-                           "message": "moment integral diverges on the tau grid", **payload})
-            return 1
-        _emit(config, payload)
-        return 0
+            payload = {"message": "moment integral diverges on the tau grid", **payload}
+        return _verdict(config, payload, "DivergentIntegralError" if report.any_divergent else None)
     if check == "covering":
         model = k.model
         if not isinstance(model, Circle):
@@ -505,22 +507,16 @@ def _run_verify(config):
         )
         payload = {"kernel_value": exact, "image_sum": image_sum,
                    "residual": abs(exact - image_sum), "tail_bound": tail, "windings": w}
-        if abs(exact - image_sum) > tail + 1e-10:
-            _emit(config, {"error": "VerificationFailed", **payload})
-            return 1
-        _emit(config, payload)
-        return 0
+        failed = abs(exact - image_sum) > tail + 1e-10
+        return _verdict(config, payload, "VerificationFailed" if failed else None)
     # delta-family
     y = _point_option(config, "y", k.model, k.model.default_point())
     t_seq = [0.05 * 2.0 ** -j for j in range(10)]
     residuals = delta_family_residuals(k, y, t_seq)
     payload = {"t": t_seq, "residuals": residuals, "seed": config.options["seed"]}
     decreasing = all(b <= a * 1.1 for a, b in zip(residuals, residuals[1:]))
-    if not decreasing or residuals[-1] > residuals[0] / 50.0:
-        _emit(config, {"error": "VerificationFailed", **payload})
-        return 1
-    _emit(config, payload)
-    return 0
+    failed = not decreasing or residuals[-1] > residuals[0] / 50.0
+    return _verdict(config, payload, "VerificationFailed" if failed else None)
 
 
 def _write_csv(config, text):
@@ -535,8 +531,7 @@ def _write_csv(config, text):
 def _emit_path(config, ens, summary):
     """Dump path --sample-index as CSV, then print the summary and mirror it to --summary-out."""
     _write_csv(config, path_to_csv(ens.path(config.options["sample_index"]), comment=_header_line(config)[2:]))
-    _emit(config, summary, "summary_out")
-    return 0
+    return _verdict(config, summary, out_key="summary_out")
 
 
 def _run_sample(config):
@@ -577,7 +572,7 @@ def _oracle_value(config, task, model, pot, t, g, x0, y0):
     model the oracle does not cover is refused at once, and its matrices
     are freed before the paths take their memory."""
     m = config.options["oracle_m"]
-    if not m or task not in ("expectation", "kernel"):
+    if not m:
         return None
     orc = spectral_oracle(model, m, pot, t)
     if task == "expectation":
@@ -585,8 +580,20 @@ def _oracle_value(config, task, model, pot, t, g, x0, y0):
     return orc.kernel_entry(x0.coords[0], y0.coords[0])
 
 
+# fk options with no default -> the tasks that read them
+_FK_TASK_OPTIONS = {
+    "terminal": ("expectation", "monotonicity"),
+    "potential2": ("monotonicity",),
+    "oracle_m": ("expectation", "kernel"),
+    "y0": ("kernel", "monotonicity", "covering-sum"),
+}
+
+
 def _run_fk(config):
     task = config.options["task"]
+    for key, tasks in _FK_TASK_OPTIONS.items():
+        if config.options[key] is not None and task not in tasks:
+            raise ValueError(f"fk {task} does not read --{key.replace('_', '-')}")
     k = _kernel_for(config)
     model = k.model
     pot = config.options["potential"]
@@ -613,14 +620,14 @@ def _run_fk(config):
                    "n_samples": est.n_samples, "n_steps": steps, "seed": seed}
         if oracle is not None:
             payload["oracle"] = oracle
-        _emit(config, payload)
-        return 0
+        return _verdict(config, payload)
 
     if task == "monotonicity":
         pot2 = config.options["potential2"]
         if pot2 is None:
             raise ValueError("fk monotonicity needs --potential2")
-        rep = fk_monotonicity_check(k, pot, pot2, x0, t, steps, samples, rng, y0=y0)
+        rep = fk_monotonicity_check(k, pot, pot2, x0, t, steps, samples, rng, y0=y0,
+                                    terminal=config.options["terminal"], rule=rule, workers=workers)
         payload = {
             "passed": rep.passed, "n_violations": rep.n_violations,
             "value_low": rep.estimate_low.value, "value_high": rep.estimate_high.value,
@@ -628,11 +635,7 @@ def _run_fk(config):
             "std_error_high": rep.estimate_high.std_error,
             "n_samples": rep.n_samples, "n_steps": steps, "seed": seed,
         }
-        if not rep.passed:
-            _emit(config, {"error": "MonotonicityViolated", **payload})
-            return 1
-        _emit(config, payload)
-        return 0
+        return _verdict(config, payload, None if rep.passed else "MonotonicityViolated")
 
     # covering-sum
     if not isinstance(model, Circle):
@@ -651,11 +654,7 @@ def _run_fk(config):
         "within_tolerance": rep.within_tolerance,
         "n_samples": samples, "n_steps": steps, "seed": seed,
     }
-    if not rep.within_tolerance:
-        _emit(config, {"error": "CoveringSumMismatch", **payload})
-        return 1
-    _emit(config, payload)
-    return 0
+    return _verdict(config, payload, None if rep.within_tolerance else "CoveringSumMismatch")
 
 
 def _run_curve(config):
@@ -696,8 +695,7 @@ def _run_holder(config):
         "paths": n_paths,
         "seed": seed,
     }
-    _emit(config, payload)
-    return 0
+    return _verdict(config, payload)
 
 
 _RUNNERS = {

@@ -173,13 +173,7 @@ def expected_distance_mc(model, x0, t, n_samples, rng, workers=1):
         return (distance_arrays(model, ens.positions[:, -1, :], x0a[None, :]),)
 
     parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers)
-    d = np.concatenate([p[0] for p in parts])
-    return EstimateWithError(
-        float(np.mean(d)),
-        float(np.std(d, ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0,
-        int(n_samples),
-        rng.master_seed,
-    )
+    return EstimateWithError.of(np.concatenate([p[0] for p in parts]), rng.master_seed)
 
 
 def distance_curve(model, x0, t_grid, n_samples, rng, workers=1):

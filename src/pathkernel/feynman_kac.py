@@ -8,6 +8,13 @@ makes the estimator's mean exactly the n-step Trotter product; a
 trapezoid option (symmetrized product, one order better in n) is
 available behind a flag.
 
+Every estimator is a reduction run by one blocked driver,
+``_over_paths``, which samples free paths or bridges block by block
+through ``parallel.run_blocks``.  The reductions share ``_visited`` (V
+along the path, checked against its sup bound, 0 at the cemetery),
+``_weights``, ``_terminal`` and one mean/standard-error rule,
+``EstimateWithError.of``.
+
 A finite-difference spectral oracle on the circle and the absorbing
 interval provides the independent check: second-order central
 differences, exact symmetric eigendecomposition, kernel entries scaled
@@ -55,8 +62,7 @@ class Potential:
     """A bounded potential with its declared sup bound.
 
     The evaluator maps coordinate arrays of shape (..., dim) to values
-    of shape (...); wrap a Point-wise callable with from_point_fn.
-    Evaluations are spot-checked against sup_bound.
+    of shape (...).  Evaluations are spot-checked against sup_bound.
     """
 
     evaluator: object
@@ -69,16 +75,6 @@ class Potential:
 
     def __call__(self, coords):
         return np.asarray(self.evaluator(np.asarray(coords, dtype=np.float64)), dtype=np.float64)
-
-    @staticmethod
-    def from_point_fn(fn, sup_bound, name="custom"):
-        def ev(coords):
-            coords = np.asarray(coords, dtype=np.float64)
-            flat = coords.reshape(-1, coords.shape[-1])
-            vals = np.array([fn(Point(coords=tuple(row))) for row in flat])
-            return vals.reshape(coords.shape[:-1])
-
-        return Potential(evaluator=ev, sup_bound=sup_bound, name=name)
 
 
 def zero_potential():
@@ -128,6 +124,13 @@ class EstimateWithError:
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
 
+    @staticmethod
+    def of(values, seed, scale=1.0):
+        """Sample mean and standard error (sample std over sqrt(n)), both times scale."""
+        n = len(values)
+        se = float(np.std(values, ddof=1) / math.sqrt(n)) * scale if n > 1 else 0.0
+        return EstimateWithError(float(np.mean(values)) * scale, se, n, seed)
+
 
 @dataclass(frozen=True)
 class FKProblem:
@@ -147,47 +150,68 @@ class FKProblem:
             raise ValueError("n_steps and n_samples must be positive")
 
 
-def _riemann_exponent(vvals, t, n_steps, rule):
-    """(t/n) times the chosen Riemann sum of V over the grid values.
+def _over_paths(kernel, x0, y0, t, n_steps, n_samples, rng, workers, reduce):
+    """reduce(positions, killed) over blocks of free paths (y0 None) or of
+    bridges to y0; each of the tuple's per-sample arrays, concatenated."""
+    grid = TimeGrid.uniform(t, n_steps)
+
+    def task(first, count):
+        if y0 is None:
+            ens = sample_paths(kernel, x0, grid, rng.master_seed, count, first_index=first)
+        else:
+            ens = sample_bridges(kernel, x0, y0, grid, rng.master_seed, count, first_index=first)
+        return reduce(ens.positions, ens.kill_step != NEVER_KILLED)
+
+    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _visited(potential, positions):
+    """V at every grid point of every path, checked against its sup bound;
+    0 at the cemetery."""
+    finite = np.isfinite(positions[..., 0])
+    vvals = potential(np.where(finite[..., None], positions, 0.0))
+    vals = vvals[finite]
+    worst = float(np.max(np.abs(vals))) if vals.size else 0.0
+    if worst > potential.sup_bound + BOUND_SLACK * (1.0 + potential.sup_bound):
+        raise PotentialBoundError(
+            f"potential reached |V| = {worst:.6g}, above its declared bound {potential.sup_bound:.6g}"
+        )
+    return np.where(finite, vvals, 0.0)
+
+
+def _weights(vvals, killed, t, n_steps, rule):
+    """exp(-(t/n) times the chosen Riemann sum of V) per path; 0 if killed.
 
     vvals has one column per grid time including time 0; the right rule
     uses columns 1..n, the trapezoid halves the two ends.
     """
     tau = t / n_steps
     if rule == "right":
-        return tau * np.sum(vvals[:, 1:], axis=1)
-    if rule == "trapezoid":
+        expo = tau * np.sum(vvals[:, 1:], axis=1)
+    elif rule == "trapezoid":
         inner = np.sum(vvals[:, 1:-1], axis=1)
-        return tau * (0.5 * vvals[:, 0] + inner + 0.5 * vvals[:, -1])
-    raise ValueError(f"unknown slice rule {rule!r}")
-
-
-def _bound_check(potential, vvals, finite_mask):
-    vals = vvals[finite_mask]
-    if vals.size == 0:
-        return
-    worst = float(np.max(np.abs(vals)))
-    if worst > potential.sup_bound + BOUND_SLACK * (1.0 + potential.sup_bound):
-        raise PotentialBoundError(
-            f"potential reached |V| = {worst:.6g}, above its declared bound {potential.sup_bound:.6g}"
-        )
-
-
-def _path_weights(kernel, potential, x0, t, n_steps, seed, first, count, rule):
-    grid = TimeGrid.uniform(t, n_steps)
-    ens = sample_paths(kernel, x0, grid, seed, count, first_index=first)
-    pos = ens.positions
-    finite = np.isfinite(pos[..., 0])
-    safe = np.where(finite[..., None], pos, 0.0)
-    vvals = potential(safe)
-    _bound_check(potential, vvals, finite)
-    vvals = np.where(finite, vvals, 0.0)
-    expo = _riemann_exponent(vvals, t, n_steps, rule)
+        expo = tau * (0.5 * vvals[:, 0] + inner + 0.5 * vvals[:, -1])
+    else:
+        raise ValueError(f"unknown slice rule {rule!r}")
     weights = np.exp(-expo)
-    killed = ens.kill_step != NEVER_KILLED
     weights[killed] = 0.0
-    end = np.where(killed[:, None], 0.0, pos[:, -1, :])
-    return weights, end, killed
+    return weights
+
+
+def _terminal(g, positions, killed):
+    """g at each path's end; 0 for a killed path."""
+    gv = np.asarray(g(np.where(killed[:, None], 0.0, positions[:, -1, :])), dtype=np.float64)
+    gv[killed] = 0.0
+    return gv
+
+
+def _growth_bound(t, sup_v):
+    """e^(t sup|V|), the most a potential weight can grow; inf if it overflows."""
+    try:
+        return math.exp(t * sup_v)
+    except OverflowError:
+        return math.inf
 
 
 def fk_expectation(problem, rule="right", workers=1):
@@ -209,24 +233,18 @@ def fk_expectation(problem, rule="right", workers=1):
     p = problem
     g = p.terminal if p.terminal is not None else constant_one
 
-    def task(first, count):
-        w, end, killed = _path_weights(
-            p.kernel, p.potential, p.x0, p.t, p.n_steps, p.rng.master_seed, first, count, rule
-        )
-        gv = np.asarray(g(end), dtype=np.float64)
-        gv[killed] = 0.0
+    def reduce(positions, killed):
+        w = _weights(_visited(p.potential, positions), killed, p.t, p.n_steps, rule)
+        gv = _terminal(g, positions, killed)
         return w * gv, gv
 
-    parts = run_blocks(task, p.n_samples, first_index=p.rng.sample_index, workers=workers)
-    vals = np.concatenate([a for a, _ in parts])
-    gv = np.concatenate([b for _, b in parts])
-    value = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    gmax = float(np.max(np.abs(gv))) if gv.size else 0.0
-    cap = math.exp(p.t * p.potential.sup_bound) * gmax
-    if abs(value) > cap * (1.0 + 1e-12) + 1e-300:
-        raise PathkernelError(f"estimate {value:.6g} exceeds its a-priori bound {cap:.6g}")
-    return EstimateWithError(value, se, p.n_samples, p.rng.master_seed)
+    vals, gv = _over_paths(p.kernel, p.x0, None, p.t, p.n_steps, p.n_samples, p.rng, workers, reduce)
+    est = EstimateWithError.of(vals, p.rng.master_seed)
+    # an infinite cap (e^(t sup|V|) overflows) is never exceeded
+    cap = _growth_bound(p.t, p.potential.sup_bound) * float(np.max(np.abs(gv)))
+    if abs(est.value) > cap * (1.0 + 1e-12) + 1e-300:
+        raise PathkernelError(f"estimate {est.value:.6g} exceeds its a-priori bound {cap:.6g}")
+    return est
 
 
 def fk_kernel(kernel, potential, x0, y0, t, n_steps, n_samples, rng, rule="right", workers=1):
@@ -237,19 +255,11 @@ def fk_kernel(kernel, potential, x0, y0, t, n_steps, n_samples, rng, rule="right
     """
     mass = bridge_total_mass(kernel, x0, y0, t)
 
-    def task(first, count):
-        grid = TimeGrid.uniform(t, n_steps)
-        ens = sample_bridges(kernel, x0, y0, grid, rng.master_seed, count, first_index=first)
-        vvals = potential(ens.positions)
-        _bound_check(potential, vvals, np.ones(vvals.shape, dtype=bool))
-        expo = _riemann_exponent(vvals, t, n_steps, rule)
-        return (np.exp(-expo),)
+    def reduce(positions, killed):
+        return (_weights(_visited(potential, positions), killed, t, n_steps, rule),)
 
-    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers)
-    w = np.concatenate([a[0] for a in parts])
-    value = float(np.mean(w)) * mass
-    se = float(np.std(w, ddof=1) / math.sqrt(len(w))) * mass if len(w) > 1 else 0.0
-    return EstimateWithError(value, se, n_samples, rng.master_seed)
+    (w,) = _over_paths(kernel, x0, y0, t, n_steps, n_samples, rng, workers, reduce)
+    return EstimateWithError.of(w, rng.master_seed, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -265,52 +275,37 @@ class MonotonicityReport:
     estimate_high: EstimateWithError
 
 
-def fk_monotonicity_check(kernel, v_low, v_high, x0, t, n_steps, n_samples, rng, y0=None, terminal=None):
+def fk_monotonicity_check(
+    kernel, v_low, v_high, x0, t, n_steps, n_samples, rng, y0=None, terminal=None, rule="right", workers=1
+):
     """Pathwise ordering of two potential weights under common random numbers.
 
     The same sampled paths are reused for both potentials, so V_low <=
     V_high forces exp(-R_low) >= exp(-R_high) sample by sample, and the
     two estimates are ordered deterministically, not just statistically.
+    Free paths carry the nonnegative terminal data g (default 1); bridges
+    to y0 carry none.
     """
-    grid = TimeGrid.uniform(t, n_steps)
-    if y0 is None:
-        ens = sample_paths(kernel, x0, grid, rng.master_seed, n_samples, first_index=rng.sample_index)
-        killed = ens.kill_step != NEVER_KILLED
-        mass = 1.0
-    else:
-        ens = sample_bridges(kernel, x0, y0, grid, rng.master_seed, n_samples, first_index=rng.sample_index)
-        killed = np.zeros(n_samples, dtype=bool)
-        mass = bridge_total_mass(kernel, x0, y0, t)
-    pos = ens.positions
-    finite = np.isfinite(pos[..., 0])
-    safe = np.where(finite[..., None], pos, 0.0)
-    lo_vals = np.where(finite, v_low(safe), 0.0)
-    hi_vals = np.where(finite, v_high(safe), 0.0)
-    if float(np.max((lo_vals - hi_vals)[finite], initial=0.0)) > 0.0:
-        raise ValueError("v_low exceeds v_high at a visited point")
-    w_low = np.exp(-_riemann_exponent(lo_vals, t, n_steps, "right"))
-    w_high = np.exp(-_riemann_exponent(hi_vals, t, n_steps, "right"))
-    w_low[killed] = 0.0
-    w_high[killed] = 0.0
-    if terminal is not None and y0 is None:
-        gv = np.asarray(terminal(np.where(killed[:, None], 0.0, pos[:, -1, :])), dtype=np.float64)
-        gv[killed] = 0.0
+    if y0 is not None and terminal is not None:
+        raise ValueError("the bridge mode of the monotonicity check takes no terminal data")
+    mass = 1.0 if y0 is None else bridge_total_mass(kernel, x0, y0, t)
+    g = terminal if terminal is not None else constant_one
+
+    def reduce(positions, killed):
+        lo_vals = _visited(v_low, positions)
+        hi_vals = _visited(v_high, positions)
+        if float(np.max(lo_vals - hi_vals, initial=0.0)) > 0.0:
+            raise ValueError("v_low exceeds v_high at a visited point")
+        gv = _terminal(g, positions, killed)
         if np.any(gv < 0):
             raise ValueError("the pathwise comparison needs nonnegative terminal data")
-        w_low = w_low * gv
-        w_high = w_high * gv
+        return (_weights(lo_vals, killed, t, n_steps, rule) * gv,
+                _weights(hi_vals, killed, t, n_steps, rule) * gv)
+
+    w_low, w_high = _over_paths(kernel, x0, y0, t, n_steps, n_samples, rng, workers, reduce)
     violations = int(np.sum(w_low < w_high))
-    n = len(w_low)
-
-    def wrap(w):
-        return EstimateWithError(
-            float(np.mean(w)) * mass,
-            float(np.std(w, ddof=1) / math.sqrt(n)) * mass if n > 1 else 0.0,
-            n,
-            rng.master_seed,
-        )
-
-    return MonotonicityReport(violations == 0, n, violations, wrap(w_low), wrap(w_high))
+    estimates = [EstimateWithError.of(w, rng.master_seed, mass) for w in (w_low, w_high)]
+    return MonotonicityReport(violations == 0, len(w_low), violations, *estimates)
 
 
 @dataclass
@@ -337,7 +332,7 @@ def _winding_tail_bound(t, gap, length, w_max, sup_v, extra=400):
             total += float((4.0 * math.pi * t) ** -0.5 * math.exp(-z * z / (4.0 * t)))
         if (k * length - abs(gap)) > gaussian_tail_radius(t, 1e-18):
             break
-    return total * math.exp(t * sup_v)
+    return total * _growth_bound(t, sup_v)
 
 
 def fk_covering_sum_check(

@@ -1047,6 +1047,9 @@ def moment_check(kernel, cfg):
         except DivergentIntegralError:
             ratios.append(float("nan"))
             divergent.append(True)
+        except (OverflowError, ZeroDivisionError):  # tau ** (1 + b) out of the float range
+            raise PathkernelError(
+                f"the moment ratio at tau = {tau!r}, b = {cfg.b!r} is out of the float range") from None
     finite = [r for r in ratios if math.isfinite(r)]
     worst = max(finite) if finite else float("nan")
     return MomentReport(

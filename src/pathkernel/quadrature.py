@@ -25,6 +25,11 @@ import numpy as np
 
 from .errors import DivergentIntegralError, QuadratureError
 
+# The most intervals one worklist may hold: an integral whose size times
+# machine epsilon exceeds its tolerance, or a NaN integrand, splits every
+# interval at every depth.  Converging worklists stay under 4,000.
+MAX_OPEN_INTERVALS = 2 ** 16
+
 
 def adaptive_simpson_batch(f, a, b, tol=1e-10, max_depth=48, min_depth=4):
     """Integrate k integrals at once; integral i runs over [a[i], b[i]].
@@ -37,7 +42,8 @@ def adaptive_simpson_batch(f, a, b, tol=1e-10, max_depth=48, min_depth=4):
     few Simpson nodes while the coarse and fine estimates agree by
     accident.  Returns the k values as a float array.  Raises
     QuadratureError, naming the unconverged integrals, if the worklist
-    still holds open intervals at max_depth.
+    still holds open intervals at max_depth or grows beyond
+    MAX_OPEN_INTERVALS.
     """
     lo = np.atleast_1d(np.asarray(a, dtype=np.float64))
     hi = np.atleast_1d(np.asarray(b, dtype=np.float64))
@@ -78,11 +84,13 @@ def adaptive_simpson_batch(f, a, b, tol=1e-10, max_depth=48, min_depth=4):
         fm = np.concatenate([flm[keep], frm[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
         tols = np.concatenate([0.5 * tols[keep], 0.5 * tols[keep]])
+        if lo.shape[0] > MAX_OPEN_INTERVALS:
+            break
     open_owners = sorted(set(owner.tolist()))
     raise QuadratureError(
-        f"adaptive Simpson did not converge at depth {max_depth} "
-        f"({lo.shape[0]} intervals open in integrals {open_owners}, "
-        f"worst error {float(np.max(np.abs(err))):.3e})",
+        f"adaptive Simpson did not converge at depth {depth + 1} of {max_depth} "
+        f"({lo.shape[0]} intervals open, cap {MAX_OPEN_INTERVALS}, in integrals "
+        f"{open_owners}; worst error {float(np.max(np.abs(err))):.3e})",
         owners=open_owners,
     )
 

@@ -142,6 +142,48 @@ class TestExitCodes:
         assert record["error"] == "PathkernelError" and "t = 1e-200" in record["message"]
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("args, error, message", [
+        (["fk", "kernel", "--model", "circle:1.0", "--potential", "const:-800", "--t", "1", "--steps", "4",
+          "--samples", "16", "--y0", "0.5"], "PathkernelError", "'value' is inf"),
+        (["fk", "kernel", "--model", "circle:1.0", "--potential", "const:-800", "--t", "1", "--steps", "4",
+          "--samples", "16", "--y0", "0.5", "--oracle-m", "16"], "PathkernelError", "'value' is inf"),
+        (["fk", "monotonicity", "--model", "circle:1.0", "--potential", "const:-800", "--potential2", "const:1",
+          "--t", "1", "--steps", "4", "--samples", "16"], "PathkernelError", "'value_low' is inf"),
+        (["fk", "expectation", "--model", "circle:1.0", "--potential", "const:-800", "--t", "1", "--steps", "4",
+          "--samples", "16"], "PathkernelError", "'value' is inf"),
+        (["fk", "covering-sum", "--model", "circle:6.283185307179586", "--potential", "const:1e308", "--y0", "3",
+          "--t", "0.5", "--steps", "4", "--samples", "16"], "PathkernelError", "'tail_bound' is inf"),
+        (["verify", "moments", "--model", "euclidean:1", "--b", "1e308"], "PathkernelError",
+         "at tau = 0.001, b = 1e+308"),
+        (["verify", "moments", "--model", "euclidean:1", "--b", "1e308", "--tau-grid", "2:3:1"],
+         "PathkernelError", "at tau = 2.0, b = 1e+308"),
+        (["verify", "moments", "--model", "hyperbolic3", "--a", "30"], "QuadratureError", "65536"),
+        (["verify", "moments", "--model", "hyperbolic3", "--a", "100"], "QuadratureError", "65536"),
+        (["verify", "moments", "--model", "hyperbolic3", "--a", "1000"], "QuadratureError", "65536"),
+        (["verify", "moments", "--model", "euclidean:1", "--a", "100"], "QuadratureError", "65536"),
+        (["mass", "--model", "hyperbolic3", "--t", "170", "--x", "1,0,0,0"], "QuadratureError", "65536"),
+        (["mass", "--model", "dirichlet:3.14159265", "--t", "1", "--x", "1.5707963", "--quad-tol", "1e-300"],
+         "QuadratureError", "65536"),
+    ], ids=["fk-kernel-inf", "fk-kernel-oracle", "fk-monotonicity-inf", "fk-expectation-inf",
+            "fk-covering-tail-inf", "moments-tau-underflow", "moments-tau-overflow", "moments-h3-a30",
+            "moments-h3-a100", "moments-h3-a1000", "moments-euclidean-a100", "mass-h3-nan", "mass-quad-tol"])
+    def test_numeric_failure_exits_1_with_record(self, tmp_path, args, error, message):
+        out = tmp_path / "out.json"
+        res = run_cli(args + ["--out", str(out)])
+        assert res.returncode == 1
+        record = json.loads(res.stdout)
+        assert record["error"] == error and message in record["message"]
+        assert "Traceback" not in res.stderr and not out.exists()
+
+    def test_underflowing_weight_is_exit_0(self):
+        # e^(t sup|V|) overflows, so the a-priori cap is infinite and never
+        # exceeded; every weight e^(-t 1e308) rounds to 0
+        res = run_cli(["fk", "expectation", "--model", "euclidean:1", "--potential", "const:1e308",
+                       "--t", "1", "--steps", "4", "--samples", "10"])
+        assert res.returncode == 0 and "Traceback" not in res.stderr
+        out = json.loads(res.stdout)
+        assert out["value"] == 0.0 and out["std_error"] == 0.0
+
     def test_h3_bridge_beyond_three_steps(self):
         res = run_cli(["bridge", "--model", "hyperbolic3", "--x0", "1,0,0,0",
                        "--y0", "1.3374349463048447,0.888105982187623,0,0", "--T", "1",
@@ -198,6 +240,7 @@ class TestExitCodes:
 
 DIRICHLET = ["--model", "dirichlet:3.14159265"]
 FK_SHORT = ["--potential", "const:1", "--t", "0.5", "--steps", "8", "--samples", "200"]
+FK_CIRCLE = ["--model", "circle:6.283185307179586", *FK_SHORT]
 
 
 class TestInputErrors:
@@ -230,10 +273,30 @@ class TestInputErrors:
              "over 10000 points"),
             (["curve", "--model", "euclidean:1", "--t-grid", "0:1:1e-9", "--samples", "2"], "over 10000 points"),
             (["holder", "--model", "euclidean:2", "--paths", "2", "--levels", "4:70"], "bad level range"),
+            (["fk", "kernel", *FK_CIRCLE, "--y0", "1", "--terminal", "cos"], "fk kernel does not read --terminal"),
+            (["fk", "covering-sum", *FK_CIRCLE, "--y0", "1", "--terminal", "cos"],
+             "fk covering-sum does not read --terminal"),
+            (["fk", "monotonicity", *FK_CIRCLE, "--potential2", "const:2", "--y0", "1", "--terminal", "cos"],
+             "takes no terminal data"),
+            (["fk", "monotonicity", *FK_CIRCLE, "--potential2", "const:2", "--terminal", "cos"],
+             "nonnegative terminal data"),
+            (["fk", "expectation", *FK_CIRCLE, "--potential2", "const:2"], "fk expectation does not read --potential2"),
+            (["fk", "kernel", *FK_CIRCLE, "--y0", "1", "--potential2", "const:2"],
+             "fk kernel does not read --potential2"),
+            (["fk", "covering-sum", *FK_CIRCLE, "--y0", "1", "--potential2", "const:2"],
+             "fk covering-sum does not read --potential2"),
+            (["fk", "monotonicity", *FK_CIRCLE, "--potential2", "const:2", "--oracle-m", "64"],
+             "fk monotonicity does not read --oracle-m"),
+            (["fk", "covering-sum", *FK_CIRCLE, "--y0", "1", "--oracle-m", "64"],
+             "fk covering-sum does not read --oracle-m"),
+            (["fk", "expectation", *FK_CIRCLE, "--y0", "1"], "fk expectation does not read --y0"),
         ],
         ids=["fk-expectation", "fk-monotonicity", "fk-kernel", "sample", "bridge", "holder", "curve",
              "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify",
-             "holder-killed", "grid-overflow", "tau-grid-overflow", "grid-too-fine", "level-too-deep"],
+             "holder-killed", "grid-overflow", "tau-grid-overflow", "grid-too-fine", "level-too-deep",
+             "fk-kernel-terminal", "fk-covering-terminal", "fk-monotonicity-bridge-terminal",
+             "fk-monotonicity-terminal-cos", "fk-expectation-potential2", "fk-kernel-potential2",
+             "fk-covering-potential2", "fk-monotonicity-oracle", "fk-covering-oracle", "fk-expectation-y0"],
     )
     def test_exits_2_with_message(self, args, message):
         res = run_cli(args)
@@ -317,6 +380,14 @@ class TestOutputs:
         payload = json.loads(read_payload(out))
         assert list(payload) == ["value", "std_error", "n_samples", "n_steps", "seed", "oracle"]
         assert payload["seed"] == 42 and payload["n_steps"] == 8
+
+    def test_fk_monotonicity_honours_rule(self):
+        args = ["fk", "monotonicity", "--model", "circle:6.283185307179586", "--potential", "cos",
+                "--potential2", "const:1", "--t", "0.5", "--steps", "8", "--samples", "256"]
+        right = run_cli(args + ["--rule", "right"])
+        trap = run_cli(args + ["--rule", "trapezoid"])
+        assert right.returncode == trap.returncode == 0
+        assert json.loads(right.stdout)["value_low"] != json.loads(trap.stdout)["value_low"]
 
     def test_holder_runs(self):
         res = run_cli(["holder", "--model", "euclidean:1", "--paths", "32",

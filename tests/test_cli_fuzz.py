@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from pathkernel.cli import main
 
 TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "", "abc", "1,2",
-          "0:1e300:1e-300", "0:1:1e-9", "4:70"]
+          "0:1e300:1e-300", "0:1:1e-9", "4:70", "const:-800", "const:1e308"]
 SIZE_FLAGS = {"--samples", "--steps", "--tuples", "--paths"}
 SIZE_CAP = 64
 

@@ -122,10 +122,16 @@ class TestExpectation:
         assert abs(trap.value - want) < abs(right.value - want)
 
     def test_workers_change_nothing(self):
-        p = problem(potential=cos_potential(), n_samples=70000)
-        serial = fk_expectation(p, workers=1)
-        pool = fk_expectation(p, workers=3)
-        assert serial.value == pool.value and serial.std_error == pool.std_error
+        # 70,000 samples are three blocks; the three estimators share the driver
+        estimators = [
+            lambda w: fk_expectation(problem(potential=cos_potential(), n_samples=70000), workers=w),
+            lambda w: fk_kernel(CIRCLE, cos_potential(), point(0.0), point(1.0), 1.0, 16, 70000,
+                                RngContract(12), workers=w),
+            lambda w: fk_monotonicity_check(CIRCLE, cos_potential(), const_potential(1.0), point(0.0),
+                                            1.0, 16, 70000, RngContract(13), rule="trapezoid", workers=w),
+        ]
+        for estimate in estimators:
+            assert estimate(1) == estimate(3)
 
     def test_sup_bound_violation_caught(self):
         lying = Potential(lambda c: np.cos(c[..., 0]), 0.1, name="lies")
@@ -203,6 +209,31 @@ class TestMonotonicity:
                                     point(0.0), 0.5, 16, 1024, RngContract(8), y0=point(1.0))
         assert rep.passed
         assert rep.estimate_low.value >= rep.estimate_high.value
+
+    def test_trapezoid_rule_changes_both_values_and_keeps_order(self):
+        args = (CIRCLE, cos_potential(), Potential(lambda c: np.cos(c[..., 0]) + 0.5, 1.5, name="cos+0.5"),
+                point(0.0), 1.0, 16, 4096, RngContract(6))
+        right = fk_monotonicity_check(*args)
+        trap = fk_monotonicity_check(*args, rule="trapezoid")
+        assert trap.passed and trap.estimate_low.value >= trap.estimate_high.value
+        assert trap.estimate_low.value != right.estimate_low.value
+        assert trap.estimate_high.value != right.estimate_high.value
+
+    def test_nonnegative_terminal_is_honoured(self):
+        # same paths, same weights: each side is the expectation with that terminal
+        g = step_potential(0.0, 0.5, 1.0)
+        rep = fk_monotonicity_check(CIRCLE, zero_potential(), const_potential(1.0), point(0.0),
+                                    0.5, 16, 4096, RngContract(5), terminal=g)
+        assert rep.passed
+        assert rep.estimate_low == fk_expectation(problem(t=0.5, n_samples=4096, seed=5, terminal=g))
+        assert rep.estimate_high == fk_expectation(problem(potential=const_potential(1.0), t=0.5,
+                                                           n_samples=4096, seed=5, terminal=g))
+        with pytest.raises(ValueError, match="nonnegative"):
+            fk_monotonicity_check(CIRCLE, zero_potential(), const_potential(1.0), point(0.0),
+                                  0.5, 16, 4096, RngContract(5), terminal=cos_potential())
+        with pytest.raises(ValueError, match="bridge"):
+            fk_monotonicity_check(CIRCLE, zero_potential(), const_potential(1.0), point(0.0),
+                                  0.5, 16, 4096, RngContract(5), y0=point(1.0), terminal=g)
 
     def test_violated_order_rejected(self):
         with pytest.raises(ValueError):

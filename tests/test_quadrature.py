@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pathkernel.errors import QuadratureError
-from pathkernel.quadrature import adaptive_simpson, adaptive_simpson_batch
+from pathkernel.quadrature import MAX_OPEN_INTERVALS, adaptive_simpson, adaptive_simpson_batch
 
 
 def cubic(x):
@@ -71,6 +71,16 @@ class TestBatchedSimpson:
             adaptive_simpson_batch(f, [0.0, 0.0, -1.0], [1.0, 1.0, 2.0], tol=1e-13, max_depth=8)
         assert info.value.owners == [1]
         assert "[1]" in str(info.value)
+
+    def test_worklist_cap_names_the_open_owners(self):
+        # a NaN integrand splits every interval at every depth
+        def f(x, owner):
+            return np.where(owner == 1, np.nan, cubic(x))
+
+        with pytest.raises(QuadratureError) as info:
+            adaptive_simpson_batch(f, [0.0, 0.0, -1.0], [1.0, 1.0, 2.0])
+        assert info.value.owners == [1]
+        assert f"cap {MAX_OPEN_INTERVALS}" in str(info.value)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
