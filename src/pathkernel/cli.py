@@ -84,12 +84,6 @@ class RunConfig:
     subcommand: str
     options: dict
 
-    def __getattr__(self, item):
-        try:
-            return self.options[item]
-        except KeyError as exc:
-            raise AttributeError(item) from exc
-
 
 # ---------------------------------------------------------------------------
 # value parsers (argparse types raise ArgumentTypeError -> exit 2)

@@ -30,6 +30,21 @@ the right side is ``density``), the samplers ``step`` or ``paths`` and
 ``bridges``, and where they exist the moment and delta-family rules; a
 missing rule raises the base law's error.  A new model needs a class in
 ``manifold`` with its geometry methods and a law entered in ``_LAWS``.
+
+Moments
+-------
+``integrated_moment(a, tau, tol)`` is the integral of d(x, y)^a p_tau(x, y)
+over y, and ``pointwise_sup(a, tau)`` the sup over r of r^a p_tau(r).  The
+Gaussian and Cauchy laws give both in closed form and ignore tol:
+
+* Gaussian on R^n:  (4 tau)^(a/2) Gamma((a+n)/2) / Gamma(n/2), and the
+  peak at r^2 = 2 a tau.
+* Cauchy:  tau^a / cos(pi a / 2) for a < 1 (divergent for a >= 1), and
+  the peak at r^2 = a tau^2 / (2 - a) for a < 2 (unbounded for a >= 2).
+
+H3 integrates radially to tol times the Gaussian moment, which bounds a
+relative error; the circle and the interval integrate to the absolute tol.
+The peaks of H3 and the circle are searched with ``maximize_scalar``.
 """
 
 from __future__ import annotations
@@ -56,7 +71,6 @@ from .quadrature import (
     adaptive_simpson,
     adaptive_simpson_batch,
     gaussian_tail_radius,
-    integrate_with_expansion,
     maximize_scalar,
 )
 from .rng import box_muller
@@ -311,8 +325,9 @@ def dirichlet_mass_series(length, t, x, tol=1e-16):
     return float(dirichlet_mass_arrays(t, np.asarray(float(x)), length, tol=tol))
 
 
-def _sphere_volume(n):
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+def _gaussian_moment(a, tau, n):
+    """E|Y|^a for Y ~ N(0, 2 tau I_n): (4 tau)^(a/2) Gamma((a+n)/2) / Gamma(n/2)."""
+    return math.exp(0.5 * a * math.log(4.0 * tau) + math.lgamma(0.5 * (a + n)) - math.lgamma(0.5 * n))
 
 
 def smooth_bump(width):
@@ -432,23 +447,12 @@ class _GaussianLaw(_Law):
         return lhs
 
     def integrated_moment(self, a, tau, tol):
-        n = self.model.dim
-        p = a + n - 1.0
-
-        def g(u):
-            return np.where(u > 0.0, u ** p * np.exp(-u * u), 0.0)
-
-        j = adaptive_simpson(g, 0.0, math.sqrt(p / 2.0 if p > 0 else 1.0) + 12.0, tol=1e-13)
-        return _sphere_volume(n) * math.pi ** (-n / 2.0) * (4.0 * tau) ** (a / 2.0) * j
+        return _gaussian_moment(a, tau, self.model.dim)
 
     def pointwise_sup(self, a, tau):
+        # r^a p_tau(r) peaks at r^2 = 2 a tau
         n = self.model.dim
-
-        def f(r):
-            return r ** a * gauss_profile(tau, r * r, n)
-
-        _, val = maximize_scalar(f, 0.0, math.sqrt(2.0 * a * tau) * 4.0 + 1.0)
-        return val
+        return math.exp(0.5 * a * (math.log(2.0 * a * tau) - 1.0) - 0.5 * n * math.log(4.0 * math.pi * tau))
 
     def delta_window(self, ya, width):
         if self.model.dim != 1:
@@ -485,21 +489,16 @@ class _CauchyLaw(_Law):
         return adaptive_simpson_batch(f, np.full(k, -np.pi / 2 + eps), np.full(k, np.pi / 2 - eps), tol=tol)
 
     def integrated_moment(self, a, tau, tol):
-        def f(r):
-            return 2.0 * r ** a * cauchy_profile(tau, r)
-
-        return integrate_with_expansion(f, r0=max(10.0 * tau, 1.0), tol=tol)
+        # |r|^a / (t^2 + r^2) is integrable for a < 1 only
+        if a >= 1.0:
+            raise DivergentIntegralError("integrated Cauchy moment diverges for a >= 1")
+        return tau ** a / math.cos(0.5 * math.pi * a)
 
     def pointwise_sup(self, a, tau):
-        # r^a / (t^2 + r^2) is unbounded for a >= 2
+        # r^a / (t^2 + r^2) is unbounded for a >= 2, and peaks at r^2 = a t^2 / (2 - a)
         if a >= 2.0:
             raise DivergentIntegralError("pointwise Cauchy moment is unbounded for a >= 2")
-
-        def f(r):
-            return r ** a * cauchy_profile(tau, r)
-
-        _, val = maximize_scalar(f, 0.0, 1e6)
-        return val
+        return (a / (2.0 - a)) ** (0.5 * a) * (2.0 - a) / (2.0 * math.pi) * tau ** (a - 1.0)
 
     delta_window = _GaussianLaw.delta_window  # the same bump on the line
 
@@ -558,13 +557,19 @@ class _H3Law(_Law):
         return adaptive_simpson_batch(f, np.zeros(len(s)), rmax, tol=tol)
 
     def integrated_moment(self, a, tau, tol):
-        rmax = 4.0 * tau + gaussian_tail_radius(tau, 1e-16) + 3.0
+        """Radial quadrature to a tolerance relative to the flat moment,
+        which sinh(r)/r >= 1 bounds by e^tau times this one."""
+        # the integrand is log-concave with curvature below -1/(2 tau), and
+        # coth r <= 1 + 1/r puts its peak below `peak`: it is spent a
+        # Gaussian tail radius past the peak, and 3 more are a margin
+        peak = tau + math.sqrt(tau * tau + 2.0 * (a + 2.0) * tau)
+        rmax = peak + gaussian_tail_radius(tau, 1e-16) + 3.0
         c = _h3_norm(tau)
 
         def f(r):
             return 4.0 * np.pi * c * r ** (a + 1.0) * np.sinh(r) * np.exp(-r * r / (4.0 * tau))
 
-        return adaptive_simpson(f, 0.0, rmax, tol=tol)
+        return adaptive_simpson(f, 0.0, rmax, tol=tol * _gaussian_moment(a, tau, 3))
 
     def pointwise_sup(self, a, tau):
         def f(r):
@@ -582,24 +587,20 @@ class _H3Law(_Law):
 
         return adaptive_simpson(f, 0.0, w, tol=tol)
 
-    def step(self, cursor, current, dt):
-        return self.free_step(cursor, np.arange(len(current)), current, dt)
-
     def bridges(self, cursor, x0a, y0a, times):
         n, m = len(cursor), len(times) - 1
         pos = np.empty((n, m + 1, 4))
         pos[:, 0] = x0a
-        rows = np.arange(n)
         for j in range(1, m):
             pos[:, j] = self.bridge_step(
-                cursor, rows, pos[:, j - 1], y0a, times[j] - times[j - 1], times[-1] - times[j - 1]
+                cursor, pos[:, j - 1], y0a, times[j] - times[j - 1], times[-1] - times[j - 1]
             )
         pos[:, m] = y0a
         return pos, None
 
     @staticmethod
-    def _direction(cursor, rows):
-        uv = cursor.uniforms_at(rows, 2)
+    def _direction(cursor):
+        uv = cursor.uniforms(2)
         c = 1.0 - 2.0 * uv[:, 0]
         s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
         phi = 2.0 * np.pi * uv[:, 1]
@@ -622,7 +623,7 @@ class _H3Law(_Law):
         """sinh(x) / sinh(y) for 0 <= x <= y, y > 0, without overflow."""
         return np.exp(x - y) * np.expm1(-2.0 * x) / np.expm1(-2.0 * y)
 
-    def free_step(self, cursor, rows, current, dt):
+    def step(self, cursor, current, dt):
         """One exact H^3 heat-kernel step from each row of ``current``.
 
         The radial law ~ r sinh(r) exp(-r^2/4t) is the law of |Z| for
@@ -630,11 +631,11 @@ class _H3Law(_Law):
         the radius; the direction is drawn independently and uniformly.
         """
         s = math.sqrt(2.0 * dt)
-        z0, z1, z2 = (cursor.normals_at(rows) for _ in range(3))
+        z0, z1, z2 = (cursor.normals()[:, 0] for _ in range(3))
         r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
-        return self._exp(current, self._direction(cursor, rows), r, dt)
+        return self._exp(current, self._direction(cursor), r, dt)
 
-    def bridge_step(self, cursor, rows, current, y, dt, tau_before):
+    def bridge_step(self, cursor, current, y, dt, tau_before):
         """One exact step of the H^3 bridge to y, with tau_before time left.
 
         The distance to y is the norm of a 3-d Euclidean Brownian bridge to 0:
@@ -647,8 +648,8 @@ class _H3Law(_Law):
         """
         k = 1.0 - dt / tau_before
         s = math.sqrt(2.0 * dt * k)
-        z0, z1, z2 = (cursor.normals_at(rows) for _ in range(3))
-        u, v = cursor.uniforms_at(rows, 2).T
+        z0, z1, z2 = (cursor.normals()[:, 0] for _ in range(3))
+        u, v = cursor.uniforms(2).T
         a = self.model.distance_arrays(current, y)
         b = np.sqrt((k * a + s * z0) ** 2 + s * s * (z1 * z1 + z2 * z2))
         lo, gap = np.minimum(a, b), np.abs(a - b)
@@ -824,10 +825,14 @@ class _KilledLaw(_Law):
         if xa is None and ya is None:
             return 1.0
         if xa is None:
-            return 1.0 - self.base.mass(t, ya, 1e-10)
+            return float(self.lost_mass(t, ya[0]))
         if ya is None:
             return 0.0
         return self.base.value(t, xa, ya)
+
+    def lost_mass(self, t, x):
+        """The mass a source at x (an array) loses to the walls by time t."""
+        return 1.0 - dirichlet_mass_arrays(t, x, self.model.base.length)
 
     def ck_integral(self, s, t, xa, za, tol):
         return self.base.ck_integral(s, t, xa, za, tol)
@@ -841,15 +846,12 @@ class _KilledLaw(_Law):
 
         def f(y):
             y = np.atleast_1d(y)
-            return (1.0 - dirichlet_mass_arrays(t, y, L)) * dirichlet_kernel_arrays(
+            return self.lost_mass(t, y) * dirichlet_kernel_arrays(
                 s, y, np.broadcast_to(xa[0], y.shape), L, self.truncation
             )
 
-        lhs = adaptive_simpson(f, 0.0, L, tol=tol) + (
-            1.0 - float(dirichlet_mass_arrays(s, np.asarray(xa[0]), L))
-        )
-        rhs = 1.0 - float(dirichlet_mass_arrays(s + t, np.asarray(xa[0]), L))
-        return abs(lhs - rhs)
+        lhs = adaptive_simpson(f, 0.0, L, tol=tol) + float(self.lost_mass(s, xa[0]))
+        return abs(lhs - float(self.lost_mass(s + t, xa[0])))
 
     def paths(self, cursor, x0a, steps):
         """Gaussian proposals accepted with probability p_dt / gauss_dt, which

@@ -2,9 +2,11 @@
 
 The integrands in this package are smooth with Gaussian-type envelopes,
 so interval-bisecting Simpson with Richardson correction converges
-quickly.  The implementation keeps a flat worklist of intervals and
-evaluates the integrand on arrays, which matters because kernel
-evaluations are themselves vectorized lattice sums.
+quickly.  Every domain is finite: the callers cut an unbounded one where
+its integrand's Gaussian tail is spent (``gaussian_tail_radius``) or map
+it onto a bounded one.  The implementation keeps a flat worklist of
+intervals and evaluates the integrand on arrays, which matters because
+kernel evaluations are themselves vectorized lattice sums.
 
 Every interval is refined on its own (Gander & Gautschi, "Adaptive
 quadrature -- revisited", BIT 2000), so one worklist can carry many
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DivergentIntegralError, QuadratureError
+from .errors import QuadratureError
 
 # The most intervals one worklist may hold: an integral whose size times
 # machine epsilon exceeds its tolerance, or a NaN integrand, splits every
@@ -125,29 +127,6 @@ def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48, min_depth=4):
 def gaussian_tail_radius(t, tail_tolerance):
     """Radius beyond which exp(-r^2/4t) falls below tail_tolerance."""
     return math.sqrt(max(4.0 * t * math.log(1.0 / tail_tolerance), 0.0))
-
-
-def integrate_with_expansion(f, r0, tol=1e-10, max_doublings=24):
-    """Integrate f over (0, inf) by doubling the domain until stable.
-
-    Intended for integrands without a usable analytic tail bound; the
-    per-window tolerance scales with the accumulated magnitude, and
-    DivergentIntegralError is raised when successive doublings keep
-    growing the value instead of settling.
-    """
-    r = float(r0)
-    value = adaptive_simpson(f, 0.0, r, tol=tol)
-    for _ in range(max_doublings):
-        window_tol = max(tol, 1e-12 * abs(value))
-        extra = adaptive_simpson(f, r, 2.0 * r, tol=window_tol)
-        if abs(extra) <= max(tol, 1e-10 * abs(value)):
-            return value + extra
-        value += extra
-        r *= 2.0
-    raise DivergentIntegralError(
-        f"integral still growing after {max_doublings} domain doublings "
-        f"(value {value:.6e} at radius {r:.3e})"
-    )
 
 
 def maximize_scalar(f, lo, hi, grid=512, iters=200):

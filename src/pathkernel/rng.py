@@ -202,9 +202,3 @@ class StreamCursor:
         out = uniforms(self.master_seed, self.samples[rows], self.pos[rows], cols)
         self.pos[rows] += np.uint64(cols)
         return out
-
-    def normals_at(self, rows):
-        """One standard normal per sample in ``rows``; advances those cursors by 2."""
-        out = normals(self.master_seed, self.samples[rows], self.pos[rows])
-        self.pos[rows] += np.uint64(2)
-        return out

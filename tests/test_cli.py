@@ -157,16 +157,13 @@ class TestExitCodes:
          "at tau = 0.001, b = 1e+308"),
         (["verify", "moments", "--model", "euclidean:1", "--b", "1e308", "--tau-grid", "2:3:1"],
          "PathkernelError", "at tau = 2.0, b = 1e+308"),
-        (["verify", "moments", "--model", "hyperbolic3", "--a", "30"], "QuadratureError", "65536"),
-        (["verify", "moments", "--model", "hyperbolic3", "--a", "100"], "QuadratureError", "65536"),
         (["verify", "moments", "--model", "hyperbolic3", "--a", "1000"], "QuadratureError", "65536"),
-        (["verify", "moments", "--model", "euclidean:1", "--a", "100"], "QuadratureError", "65536"),
         (["mass", "--model", "hyperbolic3", "--t", "170", "--x", "1,0,0,0"], "QuadratureError", "65536"),
         (["mass", "--model", "dirichlet:3.14159265", "--t", "1", "--x", "1.5707963", "--quad-tol", "1e-300"],
          "QuadratureError", "65536"),
     ], ids=["fk-kernel-inf", "fk-kernel-oracle", "fk-monotonicity-inf", "fk-expectation-inf",
-            "fk-covering-tail-inf", "moments-tau-underflow", "moments-tau-overflow", "moments-h3-a30",
-            "moments-h3-a100", "moments-h3-a1000", "moments-euclidean-a100", "mass-h3-nan", "mass-quad-tol"])
+            "fk-covering-tail-inf", "moments-tau-underflow", "moments-tau-overflow", "moments-h3-a1000",
+            "mass-h3-nan", "mass-quad-tol"])
     def test_numeric_failure_exits_1_with_record(self, tmp_path, args, error, message):
         out = tmp_path / "out.json"
         res = run_cli(args + ["--out", str(out)])
@@ -174,6 +171,50 @@ class TestExitCodes:
         record = json.loads(res.stdout)
         assert record["error"] == error and message in record["message"]
         assert "Traceback" not in res.stderr and not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--model", "hyperbolic3", "--a", "30"],
+        ["--model", "hyperbolic3", "--a", "100"],
+        ["--model", "euclidean:1", "--a", "100"],
+    ], ids=["moments-h3-a30", "moments-h3-a100", "moments-euclidean-a100"])
+    def test_high_order_moment_is_exit_0(self, args):
+        # finite moments whose integrals once stopped at the quadrature cap
+        res = run_cli(["verify", "moments", *args])
+        assert res.returncode == 0 and res.stderr == ""
+        out = json.loads(res.stdout)
+        assert not any(out["divergent"]) and all(math.isfinite(r) for r in out["ratios"])
+        if args[1] == "euclidean:1":  # E|Y|^100 for Y ~ N(0, 2 tau)
+            for tau, ratio in zip(out["taus"], out["ratios"]):
+                want = math.exp(50.0 * math.log(4.0 * tau) + math.lgamma(50.5) - math.lgamma(0.5)) / tau ** 2
+                assert ratio == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("args, moment", [
+        (["--model", "euclidean:1", "--a", "14"],
+         lambda tau: math.exp(7.0 * math.log(4.0 * tau) + math.lgamma(7.5) - math.lgamma(0.5))),
+        (["--model", "euclidean:2", "--a", "300", "--mode", "pointwise"],
+         lambda tau: math.exp(150.0 * (math.log(600.0 * tau) - 1.0) - math.log(4.0 * math.pi * tau))),
+        (["--model", "cauchy", "--a", "0.5", "--b", "0.1", "--tau-grid", "0.01:0.1:0.09"],
+         lambda tau: tau ** 0.5 / math.cos(0.25 * math.pi)),
+        (["--model", "cauchy", "--a", "0.9", "--b", "0.1", "--tau-grid", "0.01:0.1:0.09"],
+         lambda tau: tau ** 0.9 / math.cos(0.45 * math.pi)),
+    ], ids=["euclidean1-a14", "euclidean2-a300-pointwise", "cauchy-a0.5", "cauchy-a0.9"])
+    def test_closed_form_moments(self, args, moment):
+        res = run_cli(["verify", "moments", *args])
+        assert res.returncode == 0 and res.stderr == ""
+        out = json.loads(res.stdout)
+        assert out["divergent"] == [False] * len(out["taus"])
+        for tau, ratio in zip(out["taus"], out["ratios"]):
+            assert ratio == pytest.approx(moment(tau) / tau ** (1.0 + out["b"]), rel=1e-12)
+
+    @pytest.mark.parametrize("args", [
+        ["--a", "1"],
+        ["--a", "30", "--tau-grid", "0.001:0.1:0.0495"],
+    ], ids=["a1", "a30"])
+    def test_cauchy_moment_from_a_1_diverges(self, args):
+        res = run_cli(["verify", "moments", "--model", "cauchy", *args])
+        assert res.returncode == 1 and res.stderr == ""
+        out = json.loads(res.stdout)
+        assert out["error"] == "DivergentIntegralError" and all(out["divergent"])
 
     def test_underflowing_weight_is_exit_0(self):
         # e^(t sup|V|) overflows, so the a-priori cap is infinite and never

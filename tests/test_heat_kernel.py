@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from pathkernel.errors import PathkernelError
 from pathkernel.heat_kernel import (
@@ -9,6 +11,7 @@ from pathkernel.heat_kernel import (
     MomentCheckConfig,
     TransitionKernel,
     TruncationPolicy,
+    cauchy_profile,
     chapman_kolmogorov_residual,
     chapman_kolmogorov_residuals,
     delta_family_residuals,
@@ -16,6 +19,8 @@ from pathkernel.heat_kernel import (
     dirichlet_mass_series,
     dirichlet_series_arrays,
     evaluate,
+    gauss_profile,
+    h3_profile,
     moment_check,
     total_mass,
 )
@@ -190,6 +195,12 @@ class TestCompactifiedTable:
         x, y = point(1.0), point(2.0)
         assert evaluate(self.COMP, 0.5, x, y) == evaluate(DIRPI, 0.5, x, y)
 
+    @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("x", [0.3, 1.57, 3.0])
+    def test_lost_mass_row_is_the_sine_series(self, t, x):
+        got = evaluate(self.COMP, t, CEMETERY, point(x))
+        assert got == 1.0 - dirichlet_mass_series(math.pi, t, x)
+
     def test_interior_plus_deficit_is_one(self):
         x = point(0.8)
         interior = total_mass(DIRPI, 1.3, x)
@@ -335,6 +346,61 @@ class TestMoments:
         assert not rep.any_divergent
         assert rep.ratios[0] == pytest.approx(60.0, rel=0.01)
         assert rep.worst_constant < 100.0
+
+
+def _radial_quad(f, peak, end):
+    """scipy's integral of f over (0, end), split at the peak of f."""
+    return sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0] for lo, hi in ((0.0, peak), (peak, end)))
+
+
+def _sphere_area(n):
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def _sup(f, hi):
+    """scipy's maximum of f on (0, hi)."""
+    res = minimize_scalar(lambda r: -f(r), bounds=(0.0, hi), method="bounded", options={"xatol": 1e-12})
+    return -res.fun
+
+
+class TestClosedFormMoments:
+    """The Gaussian and Cauchy moment rules against scipy on the profiles."""
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.1])
+    @pytest.mark.parametrize("a", [0.5, 0.9, 4.0, 14.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gaussian(self, n, a, tau):
+        law = TransitionKernel(Euclidean(n))._law
+        peak = math.sqrt(2.0 * (a + n - 1.0) * tau)
+        want = _radial_quad(lambda r: r ** a * gauss_profile(tau, r * r, n) * _sphere_area(n) * r ** (n - 1),
+                            peak, peak + 40.0 * math.sqrt(tau))
+        assert law.integrated_moment(a, tau, 1e-10) == pytest.approx(want, rel=1e-10)
+        want = _sup(lambda r: r ** a * gauss_profile(tau, r * r, n), 10.0 * math.sqrt(a * tau))
+        assert law.pointwise_sup(a, tau) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.1])
+    @pytest.mark.parametrize("a", [0.5, 0.9, 1.5])
+    def test_cauchy(self, a, tau):
+        law = CAUCHY._law
+        if a < 1.0:
+            want = _radial_quad(lambda r: 2.0 * r ** a * cauchy_profile(tau, r), tau, np.inf)
+            assert law.integrated_moment(a, tau, 1e-10) == pytest.approx(want, rel=1e-10)
+        want = _sup(lambda r: r ** a * cauchy_profile(tau, r), 10.0 * tau)
+        assert law.pointwise_sup(a, tau) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [1.0, 14.0])
+    def test_cauchy_diverges_from_a_1(self, a):
+        rep = moment_check(CAUCHY, MomentCheckConfig(a=a, b=1.0, tau_grid=(1e-2, 1e-1)))
+        assert rep.divergent == [True, True]
+
+    @pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.1, 1.0])
+    @pytest.mark.parametrize("a", [4.0, 30.0, 100.0])
+    def test_hyperbolic_against_scipy(self, a, tau):
+        # radial integral of r^a p_tau(r) against the volume 4 pi sinh^2 r
+        peak = tau + math.sqrt(tau * tau + 2.0 * (a + 2.0) * tau)
+        want = _radial_quad(lambda r: 4.0 * math.pi * r ** a * math.sinh(r) ** 2 * float(h3_profile(tau, r)),
+                            peak, peak + 40.0 * math.sqrt(tau))
+        assert H3K._law.integrated_moment(a, tau, 1e-10) == pytest.approx(want, rel=1e-9)
 
 
 class TestDeltaFamilyAndBounds:

@@ -426,19 +426,17 @@ class TestCoveringPaths:
 
 class TestHyperbolicStep:
     def test_step_consumes_eight_slots(self):
-        cursor = StreamCursor(5, np.arange(6, dtype=np.uint64))
-        rows = np.array([0, 2, 5])
-        H3K._law.free_step(cursor, rows, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), 0.4)
-        assert cursor.pos.tolist() == [8, 0, 8, 0, 0, 8]
+        cursor = StreamCursor(5, np.arange(3, dtype=np.uint64))
+        H3K._law.step(cursor, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), 0.4)
+        assert cursor.pos.tolist() == [8, 8, 8]
 
     def test_bridge_step_consumes_eight_slots(self):
-        # row 2 sits on the endpoint, where the angle has no reference direction
-        cursor = StreamCursor(5, np.arange(6, dtype=np.uint64))
-        rows = np.array([0, 2, 5])
+        # row 1 sits on the endpoint, where the angle has no reference direction
+        cursor = StreamCursor(5, np.arange(3, dtype=np.uint64))
         y = h3_point(ORIGIN4.coords, [0.0, 1.0, 0.0], 0.8)
         current = np.stack([H3_OFF, y, np.asarray(ORIGIN4.coords)])
-        out = H3K._law.bridge_step(cursor, rows, current, y, 0.25, 0.75)
-        assert cursor.pos.tolist() == [8, 0, 8, 0, 0, 8]
+        out = H3K._law.bridge_step(cursor, current, y, 0.25, 0.75)
+        assert cursor.pos.tolist() == [8, 8, 8]
         assert np.all(np.isfinite(out))
 
     def test_far_one_step_mean_distance(self):

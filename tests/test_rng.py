@@ -95,8 +95,6 @@ class TestStreams:
         cur = StreamCursor(1, np.arange(4))
         cur.uniforms_at(np.array([1, 3]))
         assert list(cur.pos) == [0, 1, 0, 1]
-        cur.normals_at(np.array([0]))
-        assert list(cur.pos) == [2, 1, 0, 1]
 
     def test_interleaving_matches_straight_line(self):
         # a sample's draws depend on its own cursor history only
@@ -171,8 +169,6 @@ class TestFusedDraws:
                 got = cur.uniforms_at(rows, cols)
                 assert_same_bits(got, reference_uniforms(2024, samples[rows], before[rows], cols))
                 assert np.array_equal(cur.pos - before, np.isin(np.arange(n), rows) * np.uint64(cols))
-            before = cur.pos.copy()
-            assert_same_bits(cur.normals_at(rows), reference_normals(2024, samples[rows], before[rows]))
             for cols in (1, 2):
                 before = cur.pos.copy()
                 assert_same_bits(cur.uniforms(cols), reference_uniforms(2024, samples, before, cols))

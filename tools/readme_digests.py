@@ -60,6 +60,7 @@ MATRIX = {
     "verify_ck": "verify chapman-kolmogorov --tuples 3",
     "verify_moments_integrated": "verify moments --mode integrated --tau-grid 0.01:0.05:0.02",
     "verify_moments_pointwise": "verify moments --mode pointwise --tau-grid 0.01:0.05:0.02",
+    "verify_moments_a30": "verify moments --a 30 --tau-grid 0.001:0.1:0.0495",
     "verify_delta": "verify delta-family --y {x}",
     "verify_covering": "verify covering --t 0.5 --x {x} --y {y}",
     "sample": "sample --x0 {x} --T 1 --steps 4 --samples 64",
