@@ -16,7 +16,9 @@ Closed forms:
 
 Masses integrate to 1 for the complete models and fall short for the
 absorbing interval; the compactified wrapper books the missing mass on
-a cemetery state so the total is exactly 1 again.
+a cemetery state so the total is exactly 1 again.  That lost mass is a
+closed form switched like the kernel: erfc images below t = L^2/pi^2, the
+sine series above.
 
 Laws
 ----
@@ -43,13 +45,15 @@ Gaussian and Cauchy laws give both in closed form and ignore tol:
   the peak at r^2 = a tau^2 / (2 - a) for a < 2 (unbounded for a >= 2).
 
 H3 integrates radially to tol times the Gaussian moment, which bounds a
-relative error; the circle and the interval integrate to the absolute tol.
+relative error, over a range fitted to the integrand's peak; the circle
+and the interval integrate to the absolute tol.
 The peaks of H3 and the circle are searched with ``maximize_scalar``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,10 +307,27 @@ def dirichlet_kernel_arrays(t, x, y, length, policy, owner=None):
 # masses and test functions
 
 
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+
+
 def dirichlet_mass_arrays(t, x, length, tol=1e-16):
-    """Sine-series survival mass of the absorbing interval, vectorized in x."""
+    """Survival mass of the absorbing interval, vectorized in x: one minus
+    the reflection-image sum of the mass lost to the walls below the switch
+    time t = L^2/pi^2, the sine series above; each stops after a few terms
+    in its regime."""
     L = float(length)
     x = np.asarray(x, dtype=np.float64)
+    if t < L * L / math.pi ** 2:
+        # term j is (-1)^j [erfc((jL + x)/h) + erfc(((j+1)L - x)/h)]; the terms
+        # alternate and shrink, so the omitted tail is below 2 erfc(jL/h)
+        h = 2.0 * math.sqrt(t)
+        lost = np.zeros_like(x)
+        j = 0
+        while True:
+            lost = lost + (-1.0) ** j * (_erfc((j * L + x) / h) + _erfc(((j + 1) * L - x) / h))
+            j += 1
+            if 2.0 * math.erfc(j * L / h) <= tol:
+                return 1.0 - lost
     total = np.zeros_like(x)
     m = 1
     while True:
@@ -315,13 +336,13 @@ def dirichlet_mass_arrays(t, x, length, tol=1e-16):
         total = total + (2.0 / L) * weight * np.sin(m * math.pi * x / L) * (L / (m * math.pi)) * (
             1.0 - math.cos(m * math.pi)
         )
-        if weight < tol and m > 4:
+        if weight <= tol and m > 4:
             return total
         m += 1
 
 
 def dirichlet_mass_series(length, t, x, tol=1e-16):
-    """Scalar sine-series survival mass for the absorbing interval."""
+    """Scalar survival mass for the absorbing interval."""
     return float(dirichlet_mass_arrays(t, np.asarray(float(x)), length, tol=tol))
 
 
@@ -561,15 +582,24 @@ class _H3Law(_Law):
         which sinh(r)/r >= 1 bounds by e^tau times this one."""
         # the integrand is log-concave with curvature below -1/(2 tau), and
         # coth r <= 1 + 1/r puts its peak below `peak`: it is spent a
-        # Gaussian tail radius past the peak, and 3 more are a margin
+        # Gaussian tail radius past the peak.  A wider interval lets the
+        # first Simpson panels step over a peak of width sqrt(tau).
         peak = tau + math.sqrt(tau * tau + 2.0 * (a + 2.0) * tau)
-        rmax = peak + gaussian_tail_radius(tau, 1e-16) + 3.0
-        c = _h3_norm(tau)
+        rmax = peak + gaussian_tail_radius(tau, 1e-16)
+        # r^(a+1) exp(-r^2/4 tau) is taken relative to its value at `peak`,
+        # a scalar: the rest is one exponential whose exponent is small where
+        # the integrand is not, so nothing under- or overflows before the
+        # integrand itself does
+        scale = 4.0 * np.pi * math.exp(
+            (a + 1.0) * math.log(peak) - peak * peak / (4.0 * tau) - tau - 1.5 * math.log(4.0 * math.pi * tau))
 
         def f(r):
-            return 4.0 * np.pi * c * r ** (a + 1.0) * np.sinh(r) * np.exp(-r * r / (4.0 * tau))
+            with np.errstate(divide="ignore"):  # log 0 = -inf at r = 0, where f is 0
+                shape = (a + 1.0) * np.log(r / peak) - (r - peak) * (r + peak) / (4.0 * tau)
+            return scale * np.sinh(r) * np.exp(shape)
 
-        return adaptive_simpson(f, 0.0, rmax, tol=tol * _gaussian_moment(a, tau, 3))
+        # the floor keeps the tolerance positive where the moment is no normal float
+        return adaptive_simpson(f, 0.0, rmax, tol=tol * max(_gaussian_moment(a, tau, 3), sys.float_info.min))
 
     def pointwise_sup(self, a, tau):
         def f(r):

@@ -162,11 +162,6 @@ def box_muller(u):
     return np.sqrt(-2.0 * np.log(radius)) * np.cos(2.0 * np.pi * u[..., 1::2])
 
 
-def normals(master_seed, sample_index, draw_index):
-    """Standard normals; draw ``d`` consumes uniform slots ``d`` and ``d+1``."""
-    return box_muller(uniforms(master_seed, sample_index, draw_index, 2))[..., 0]
-
-
 class StreamCursor:
     """Per-sample draw positions for an ensemble of substreams.
 

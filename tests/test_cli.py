@@ -157,7 +157,8 @@ class TestExitCodes:
          "at tau = 0.001, b = 1e+308"),
         (["verify", "moments", "--model", "euclidean:1", "--b", "1e308", "--tau-grid", "2:3:1"],
          "PathkernelError", "at tau = 2.0, b = 1e+308"),
-        (["verify", "moments", "--model", "hyperbolic3", "--a", "1000"], "QuadratureError", "65536"),
+        (["verify", "moments", "--model", "hyperbolic3", "--a", "1000"], "PathkernelError",
+         "at tau = 0.0109, b = 1.0 is out of the float range"),
         (["mass", "--model", "hyperbolic3", "--t", "170", "--x", "1,0,0,0"], "QuadratureError", "65536"),
         (["mass", "--model", "dirichlet:3.14159265", "--t", "1", "--x", "1.5707963", "--quad-tol", "1e-300"],
          "QuadratureError", "65536"),
@@ -215,6 +216,13 @@ class TestExitCodes:
         assert res.returncode == 1 and res.stderr == ""
         out = json.loads(res.stdout)
         assert out["error"] == "DivergentIntegralError" and all(out["divergent"])
+
+    @pytest.mark.parametrize("t", ["1e-300", "1e-12"])
+    def test_cemetery_row_at_tiny_t_is_exit_0(self, t):
+        # the source at 2 has lost no mass to the walls of (0, pi) yet
+        res = run_cli(["kernel", "--model", "compactified:dirichlet:3.14159265", "--t", t, "--x", "inf", "--y", "2"])
+        assert res.returncode == 0 and res.stderr == ""
+        assert json.loads(res.stdout)["value"] == 0.0
 
     def test_underflowing_weight_is_exit_0(self):
         # e^(t sup|V|) overflows, so the a-priori cap is infinite and never

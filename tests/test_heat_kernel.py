@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from pathkernel.heat_kernel import (
     MomentCheckConfig,
     TransitionKernel,
     TruncationPolicy,
+    _gaussian_moment,
     cauchy_profile,
     chapman_kolmogorov_residual,
     chapman_kolmogorov_residuals,
     delta_family_residuals,
     dirichlet_images_arrays,
+    dirichlet_mass_arrays,
     dirichlet_mass_series,
     dirichlet_series_arrays,
     evaluate,
@@ -197,9 +200,24 @@ class TestCompactifiedTable:
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
     @pytest.mark.parametrize("x", [0.3, 1.57, 3.0])
-    def test_lost_mass_row_is_the_sine_series(self, t, x):
+    def test_lost_mass_row_is_one_minus_the_survival_mass(self, t, x):
         got = evaluate(self.COMP, t, CEMETERY, point(x))
         assert got == 1.0 - dirichlet_mass_series(math.pi, t, x)
+
+    @pytest.mark.parametrize("length", [math.pi, 1.0, 7.0])
+    def test_survival_mass_forms_agree_at_the_switch(self, length):
+        # reflection images below t = L^2/pi^2, the sine series above
+        switch = length * length / math.pi ** 2
+        xs = np.linspace(0.0, length, 33)
+        below = dirichlet_mass_arrays(np.nextafter(switch, 0.0), xs, length)
+        above = dirichlet_mass_arrays(switch, xs, length)
+        assert np.max(np.abs(below - above)) < 1e-14
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-12])
+    def test_survival_mass_at_tiny_t(self, t):
+        mass = dirichlet_mass_arrays(t, np.array([0.0, 1e-3, 1.0, math.pi / 2, math.pi - 1e-3, math.pi]), math.pi)
+        assert mass.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+        assert evaluate(self.COMP, t, CEMETERY, point(2.0)) == 0.0
 
     def test_interior_plus_deficit_is_one(self):
         x = point(0.8)
@@ -401,6 +419,25 @@ class TestClosedFormMoments:
         want = _radial_quad(lambda r: 4.0 * math.pi * r ** a * math.sinh(r) ** 2 * float(h3_profile(tau, r)),
                             peak, peak + 40.0 * math.sqrt(tau))
         assert H3K._law.integrated_moment(a, tau, 1e-10) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("a, tau", [(4, 1e-150), (4, 1e-6), (4, 0.1), (4, 1.0), (30, 1e-20), (30, 1e-3), (30, 1.0)])
+    def test_hyperbolic_even_moment_is_exact(self, a, tau):
+        # for even a, r^(a+1) sinh r is even in r, so the radial integral is
+        # E[X^(a+1)] / (2 tau) for X ~ N(2 tau, 2 tau): a sum of Gaussian moments
+        n = a + 1
+        want = sum(math.comb(n, 2 * k) * math.prod(range(1, 2 * k, 2)) * (2.0 * tau) ** (n - k - 1)
+                   for k in range(n // 2 + 1))
+        assert H3K._law.integrated_moment(float(a), tau, 1e-10) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("a, tau", [(0.5, 1e-300), (4.5, 1e-100)])
+    def test_hyperbolic_small_tau_is_the_flat_moment(self, a, tau):
+        # sinh(r)/r = 1 + O(r^2) puts the moment within O(a tau) of the flat one
+        want = _gaussian_moment(a, tau, 3)
+        assert H3K._law.integrated_moment(a, tau, 1e-10) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_hyperbolic_moment_below_the_normal_range_ends(self):
+        # the flat moment, 6e-319, is subnormal; the tolerance keeps a floor
+        assert 0.0 <= H3K._law.integrated_moment(4.0, 1e-160, 1e-10) < sys.float_info.min
 
 
 class TestDeltaFamilyAndBounds:

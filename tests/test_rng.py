@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathkernel.rng import RngContract, StreamCursor, normals, philox_words, uniforms
+from pathkernel.rng import RngContract, StreamCursor, philox_words, uniforms
 
 U64_MAX = 2 ** 64 - 1
 
@@ -31,6 +31,13 @@ def reference_uniforms(seed, sample, draw, width):
 def reference_normals(seed, sample, draw):
     u = reference_uniforms(seed, sample, draw, 2)
     return np.sqrt(-2.0 * np.log(u[..., 0])) * np.cos(2.0 * np.pi * u[..., 1])
+
+
+def cursor_normals(seed, sample, draw):
+    """One normal per sample from a cursor placed at the given draw slots."""
+    cur = StreamCursor(seed, sample)
+    cur.pos[:] = draw
+    return cur.normals(1)[:, 0]
 
 
 def assert_same_bits(got, ref):
@@ -71,7 +78,7 @@ class TestStreams:
         assert abs(u.mean() - 0.5) < 0.01
 
     def test_normals_moments(self):
-        z = normals(7, np.arange(200000), 0)
+        z = StreamCursor(7, np.arange(200000)).normals(1)[:, 0]
         assert abs(z.mean()) < 0.01
         assert abs(z.var() - 1.0) < 0.02
 
@@ -151,7 +158,7 @@ class TestFusedDraws:
         draw = _draws(parity, seed=1)
         sample = np.arange(draw.size, dtype=np.uint64)
         for seed in SEEDS:
-            assert_same_bits(normals(seed, sample, draw), reference_normals(seed, sample, draw))
+            assert_same_bits(cursor_normals(seed, sample, draw), reference_normals(seed, sample, draw))
 
     def test_cursor_methods_match_per_slot_reference(self):
         n = 257
@@ -187,18 +194,15 @@ class TestFusedDraws:
         sample = np.array([3, 3], dtype=np.uint64)
         for width in (1, 2, 3, 4):
             assert_same_bits(uniforms(11, sample, draw, width), reference_uniforms(11, sample, draw, width))
-        assert_same_bits(normals(11, sample, draw), reference_normals(11, sample, draw))
+        assert_same_bits(cursor_normals(11, sample, draw), reference_normals(11, sample, draw))
 
     def test_last_slot_wraps_to_slot_zero(self):
         draw = np.array([U64_MAX, U64_MAX - 1], dtype=np.uint64)
         sample = np.array([8, 8], dtype=np.uint64)
         for width in (1, 2, 3, 4):
             assert_same_bits(uniforms(11, sample, draw, width), reference_uniforms(11, sample, draw, width))
-        assert_same_bits(normals(11, sample, draw), reference_normals(11, sample, draw))
+        assert_same_bits(cursor_normals(11, sample, draw), reference_normals(11, sample, draw))
         assert uniforms(11, 8, U64_MAX, 2)[1] == uniforms(11, 8, 0)[0]
-        cur = StreamCursor(11, sample)
-        cur.pos[:] = draw
-        assert_same_bits(cur.normals(1)[:, 0], reference_normals(11, sample, draw))
 
     @settings(max_examples=200, deadline=None)
     @given(
