@@ -75,18 +75,25 @@ class Hyperbolic3:
         cancels once |dx|^2 ~ dx0^2 is large.  Each pair takes the form with
         the smaller rounding bound (about eps dx0^2 against eps x0 y0): the
         difference form where dx0^2 <= x0 y0, arccosh of the pairing elsewhere.
+        Both overflow for points some 300 or more from the origin, whose
+        distance is finite; only those pairs are measured again in scaled form.
         """
-        d = x - y
-        pair = x[..., 0] * y[..., 0]
         # the squares may overflow for far points, which take the pairing form
         with np.errstate(over="ignore", invalid="ignore"):
+            d = x - y
+            pair = x[..., 0] * y[..., 0]
             dx0sq = d[..., 0] ** 2
             delta = 0.5 * (np.sum(d[..., 1:] ** 2, axis=-1) - dx0sq)
-        far = dx0sq > pair
-        delta = np.where(far, 0.0, np.maximum(delta, 0.0))
-        near_rho = np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
-        cosh_rho = pair - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
-        return np.where(far, np.arccosh(np.maximum(cosh_rho, 1.0)), near_rho)
+            far = dx0sq > pair
+            delta = np.where(far, 0.0, np.maximum(delta, 0.0))
+            near_rho = np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
+            cosh_rho = pair - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+            rho = np.where(far, np.arccosh(np.maximum(cosh_rho, 1.0)), near_rho)
+        huge = ~np.isfinite(rho) & np.all(np.isfinite(d), axis=-1)
+        if np.any(huge):
+            x, y = np.broadcast_arrays(x, y)
+            rho[huge] = _scaled_h3_distance(x[huge], y[huge])
+        return rho
 
     def default_point(self):
         return Point((1.0, 0.0, 0.0, 0.0))
@@ -287,6 +294,28 @@ def _h3_tangent(base, direction):
     return np.concatenate([u0[..., None], uv], axis=-1)
 
 
+def _scaled_h3_distance(x, y):
+    """Distance of hyperboloid pairs (rows) whose unscaled forms overflow.
+
+    With s the largest coordinate magnitude of a pair, the forms of
+    ``Hyperbolic3.distance_arrays`` on x / s and y / s give q with
+    cosh(rho) = 1 + q s^2, and arccosh(1 + t) = log(2 q) + 2 log s to
+    rounding once t = q s^2 is too large to square.
+    """
+    s = np.maximum(np.max(np.abs(x), axis=-1), np.max(np.abs(y), axis=-1))
+    x = x / s[:, None]
+    y = y / s[:, None]
+    d = x - y
+    pair = x[:, 0] * y[:, 0]
+    dx0sq = d[:, 0] ** 2
+    far_q = pair - np.sum(x[:, 1:] * y[:, 1:], axis=-1) - (1.0 / s) ** 2
+    q = np.maximum(np.where(dx0sq > pair, far_q, 0.5 * (np.sum(d[:, 1:] ** 2, axis=-1) - dx0sq)), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = q * s * s
+        rho = np.log1p(t + np.sqrt(t * (2.0 + t)))
+    return np.where(np.isfinite(rho), rho, np.log(2.0 * q) + 2.0 * np.log(s))
+
+
 def exp_point_arrays(base, direction, r):
     base = np.asarray(base, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
@@ -294,7 +323,15 @@ def exp_point_arrays(base, direction, r):
     u = _h3_tangent(base, direction)
     out = np.cosh(r)[..., None] * base + np.sinh(r)[..., None] * u
     # re-project onto the hyperboloid to stop constraint drift
-    out[..., 0] = np.sqrt(1.0 + np.sum(out[..., 1:] ** 2, axis=-1))
+    with np.errstate(over="ignore"):
+        out[..., 0] = np.sqrt(1.0 + np.sum(out[..., 1:] ** 2, axis=-1))
+    # past r ~ 355 the squares overflow though cosh r is finite to 710;
+    # there 1 is below rounding and x0 is the scaled norm of out[1:]
+    huge = np.isinf(out[..., 0]) & np.all(np.isfinite(out[..., 1:]), axis=-1)
+    if np.any(huge):
+        v = out[huge, 1:]
+        m = np.max(np.abs(v), axis=-1)
+        out[huge, 0] = m * np.sqrt(np.sum((v / m[:, None]) ** 2, axis=-1))
     return out
 
 

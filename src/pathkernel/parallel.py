@@ -29,7 +29,9 @@ def run_blocks(task, n_total, first_index=0, workers=1, block_size=BLOCK_SIZE):
         count = min(block_size, n_total - start)
         blocks.append((first_index + start, count))
         start += count
-    if workers is None or workers <= 1 or len(blocks) == 1:
+    # more processes than usable CPUs only add forks; blocks and bits stay the same
+    workers = min(workers or 1, len(blocks), _usable_cpus())
+    if workers <= 1:
         return [task(a, c) for a, c in blocks]
     try:
         ctx = multiprocessing.get_context("fork")
@@ -38,10 +40,18 @@ def run_blocks(task, n_total, first_index=0, workers=1, block_size=BLOCK_SIZE):
     global _TASK
     _TASK = task
     try:
-        with ctx.Pool(processes=min(workers, len(blocks))) as pool:
+        with ctx.Pool(processes=workers) as pool:
             return pool.map(_call, blocks)
     finally:
         _TASK = None
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def worker_count(requested=None):

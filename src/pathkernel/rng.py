@@ -6,11 +6,10 @@ function of those three integers, so an ensemble can be evaluated
 serially, in blocks, or across a process pool and always produce
 bit-identical per-sample results.
 
-The generator is Philox4x32-10, evaluated vectorized in numpy.  The
-128-bit counter is laid out as ``(block_index, sample_index)`` and the
-64-bit key is the master seed, which makes substreams disjoint by
-construction.  Known-answer vectors from the reference implementation
-are pinned in the test suite.
+The generator is Philox4x32-10.  The 128-bit counter is laid out as
+``(block_index, sample_index)`` and the 64-bit key is the master seed,
+which makes substreams disjoint by construction.  Known-answer vectors
+from the reference implementation are pinned in the test suite.
 
 Draw indices count *uniform* slots.  One Philox block yields four
 32-bit words and so two 53-bit slots: slot ``2b`` is built from words
@@ -26,12 +25,35 @@ A standard normal consumes two consecutive uniform slots (Box-Muller,
 cosine branch), so a normal drawn at an even slot shares one block and
 a normal drawn at an odd slot straddles two.  Callers that mix draw
 kinds keep a single per-sample cursor in uniform units.
+
+``uniforms`` runs in a small C kernel where one can be built: the
+Philox block, the lane choice, the odd-start and wrap slot logic and the
+53-bit float.  That is integer arithmetic plus one IEEE add and a
+power-of-two scale, so the kernel's output is bit-identical to the numpy
+body (``_numpy_uniforms`` on ``philox_words``), which stays as its
+reference and as the fallback.  The library lives in ``__pycache__/``
+next to this file, under a name that carries a hash of the C source, the
+compiler flags and the machine type.  The first draw in a process loads
+it; if it is missing, that draw compiles it with ``cc`` into a temporary
+file, checks it against known answers of the numpy body and renames it
+into place.  With no ``cc`` on ``PATH``, a failed compile or check, an
+unwritable ``__pycache__`` or a library that does not load, draws run in
+numpy silently, with the same bits.  Box-Muller stays in numpy: libm's
+``log`` and ``cos`` do not round like numpy's SIMD loops, so normals
+computed in C would differ in the last bits.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib.util
+import os
+import platform
+import shutil
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -135,6 +157,21 @@ def uniforms(master_seed, sample_index, draw_index, width=1):
     samp = np.asarray(sample_index, dtype=np.uint64)
     draw = np.asarray(draw_index, dtype=np.uint64)
     samp, draw = np.broadcast_arrays(samp, draw)
+    kernel = _kernel()
+    if kernel is None:
+        return _numpy_uniforms(master_seed, samp, draw, width)
+    out = np.empty(draw.shape + (width,))
+    if out.size:
+        # the kernel reads flat contiguous addresses; broadcast views are copied
+        samp = np.ascontiguousarray(samp)
+        draw = np.ascontiguousarray(draw)
+        kernel(int(master_seed) & _SEED_MASK, samp.ctypes.data, draw.ctypes.data, draw.size, int(width),
+               out.ctypes.data)
+    return out
+
+
+def _numpy_uniforms(master_seed, samp, draw, width):
+    """The numpy body of ``uniforms`` on broadcast uint64 addresses: the kernel's reference."""
     odd = (draw & _ONE).astype(bool)
     pairs = (width + 1) // 2
     # first slot of every block the addresses touch, wrapping modulo 2**64
@@ -148,6 +185,132 @@ def uniforms(master_seed, sample_index, draw_index, width=1):
         tail = _block_u53(master_seed, samp[odd], last)[:, 0]
         u53[odd] = np.concatenate([u53[odd][:, 1:], tail[:, None]], axis=1)
     return (u53.astype(np.float64) + 0.5) * _TWO_NEG53
+
+
+# The C form of ``_numpy_uniforms``: one Philox4x32-10 block per pair of
+# slots, the same lane choice and 2**64 slot wrap, the same 53-bit float.
+_KERNEL_SOURCE = r"""
+#include <stddef.h>
+#include <stdint.h>
+
+static void philox(uint64_t seed, uint64_t sample, uint64_t block, uint32_t w[4])
+{
+    uint32_t c0 = (uint32_t)block, c1 = (uint32_t)(block >> 32);
+    uint32_t c2 = (uint32_t)sample, c3 = (uint32_t)(sample >> 32);
+    uint32_t k0 = (uint32_t)seed, k1 = (uint32_t)(seed >> 32);
+    for (int r = 0; r < 10; r++) {
+        uint64_t p0 = (uint64_t)c0 * 0xD2511F53u, p1 = (uint64_t)c2 * 0xCD9E8D57u;
+        c0 = (uint32_t)(p1 >> 32) ^ c1 ^ k0;
+        c1 = (uint32_t)p1;
+        c2 = (uint32_t)(p0 >> 32) ^ c3 ^ k1;
+        c3 = (uint32_t)p0;
+        k0 += 0x9E3779B9u;
+        k1 += 0xBB67AE85u;
+    }
+    w[0] = c0, w[1] = c1, w[2] = c2, w[3] = c3;
+}
+
+static double u53(uint32_t a, uint32_t b)
+{
+    return ((double)(((uint64_t)a << 21) | (b >> 11)) + 0.5) * 0x1p-53;
+}
+
+void pathkernel_uniforms(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
+                         size_t n, size_t width, double *out)
+{
+    for (size_t i = 0; i < n; i++, out += width) {
+        uint64_t slot = draw[i];
+        uint32_t w[4];
+        size_t k = 0;
+        if (slot & 1) { /* an odd start is the second lane of its block */
+            philox(seed, sample[i], slot >> 1, w);
+            out[k++] = u53(w[2], w[3]);
+            slot++; /* unsigned: wraps modulo 2**64 */
+        }
+        for (; k < width; slot += 2) {
+            philox(seed, sample[i], slot >> 1, w);
+            out[k++] = u53(w[0], w[1]);
+            if (k < width)
+                out[k++] = u53(w[2], w[3]);
+        }
+    }
+}
+"""
+_KERNEL_FLAGS = ("-O3", "-shared", "-fPIC")
+_SEED_MASK = 2 ** 64 - 1
+
+
+def _kernel_path():
+    """The cached library: a hash of the C source, the flags and the machine type names it.
+
+    The hash is importlib's source hash, the one hash-based ``.pyc`` files
+    carry; ``hashlib.sha256`` would load OpenSSL, which costs 3.5 MB and
+    5 ms in every process that draws, pool workers included.
+    """
+    tag = importlib.util.source_hash("\0".join((_KERNEL_SOURCE, *_KERNEL_FLAGS, platform.machine())).encode())
+    return Path(__file__).with_name("__pycache__") / f"philox-{tag.hex()}.so"
+
+
+def _load(path):
+    fn = ctypes.CDLL(str(path)).pathkernel_uniforms
+    fn.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+                   ctypes.c_void_p]
+    fn.restype = None
+    return fn
+
+
+def _matches_numpy(fn):
+    """Known answers from the numpy body: both lanes, both parities, the 2**33 carry and the 2**64 wrap."""
+    samp = np.array([0, 3, 2 ** 63 + 5, _SEED_MASK], dtype=np.uint64)
+    draw = np.array([0, 2 ** 33 - 1, 6, _SEED_MASK], dtype=np.uint64)
+    seed = 0x299F31D0A4093822
+    want = _numpy_uniforms(seed, samp, draw, 3)
+    got = np.empty_like(want)
+    fn(seed, samp.ctypes.data, draw.ctypes.data, draw.size, 3, got.ctypes.data)
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _build(path):
+    """Compile the kernel to ``path`` if a ``cc`` on PATH builds one that matches the numpy body."""
+    import subprocess  # 4 ms to import; only a build needs it
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return False
+    path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run([cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp], input=_KERNEL_SOURCE.encode(),
+                                  capture_output=True, timeout=120, check=False)
+        except subprocess.SubprocessError:
+            return False
+        if done.returncode != 0 or not _matches_numpy(_load(tmp)):
+            return False
+        os.chmod(tmp, 0o755)  # mkstemp's 0o600 would hide the library from other users
+        # processes compiling at once each write their own file; the last rename wins whole
+        os.replace(tmp, path)
+        return True
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel():
+    """The compiled ``pathkernel_uniforms``, or None where it cannot be had.
+
+    A cached library passed its known-answer check when it was built and
+    is trusted from then on, as ``.pyc`` files next to it are.
+    """
+    path = _kernel_path()
+    try:
+        if path.exists() or _build(path):
+            return _load(path)
+    except OSError:
+        pass
+    return None
 
 
 def box_muller(u):

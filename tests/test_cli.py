@@ -1,11 +1,14 @@
 import argparse
 import json
 import math
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pathkernel
 from pathkernel.cli import (
     DEFAULT_SEED,
     main,
@@ -116,7 +119,7 @@ class TestExitCodes:
 
     def test_hyperbolic_overflow_is_numeric_failure(self, tmp_path):
         out = tmp_path / "path.csv"
-        res = run_cli(["sample", "--model", "hyperbolic3", "--x0", "1,0,0,0", "--T", "200",
+        res = run_cli(["sample", "--model", "hyperbolic3", "--x0", "1,0,0,0", "--T", "400",
                        "--steps", "2", "--samples", "4", "--out", str(out)])
         assert res.returncode == 1
         assert json.loads(res.stdout)["error"] == "NonFiniteSampleError"
@@ -483,3 +486,35 @@ class TestDeterminismAcrossWorkers:
         assert run_cli(args + ["--workers", "1", "--out", str(a)]).returncode == 0
         assert run_cli(args + ["--workers", "4", "--out", str(b)]).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestNumpyRngFallback:
+    """The compiled draw kernel and the numpy body give byte-identical runs."""
+
+    COMMANDS = {
+        "fk": ["fk", "expectation", "--model", "circle:6.283185307179586", "--potential", "cos",
+               "--t", "0.5", "--steps", "8", "--samples", "40000", "--seed", "5"],
+        "curve": ["curve", "--model", "hyperbolic3", "--t-grid", "0.5:1.0:0.5", "--samples", "40000",
+                  "--seed", "6"],
+        "sample": ["sample", "--model", "compactified:dirichlet:3.14159265", "--x0", "1", "--T", "1",
+                   "--steps", "8", "--samples", "4000", "--seed", "7"],
+    }
+
+    @pytest.fixture(scope="class")
+    def numpy_src(self, tmp_path_factory):
+        """A copy of the package with no cached kernel; run with an empty PATH, no compiler is found."""
+        src = tmp_path_factory.mktemp("numpy-rng") / "src"
+        shutil.copytree(Path(pathkernel.__file__).parent, src / "pathkernel",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return src
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_outputs_identical_without_the_kernel(self, tmp_path, numpy_src, command, workers):
+        runs = []
+        for name, env in (("kernel", None), ("numpy", {"PYTHONPATH": str(numpy_src), "PATH": ""})):
+            out = tmp_path / f"{name}.out"
+            res = run_cli(self.COMMANDS[command] + ["--workers", workers, "--out", str(out)], env=env)
+            assert res.returncode == 0 and res.stderr == ""
+            runs.append((res.stdout, out.read_bytes()))
+        assert runs[0] == runs[1]

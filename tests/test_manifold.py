@@ -105,6 +105,23 @@ class TestDistance:
         y = point(math.sqrt(1.0 + s * s + a * a), s, a, 0.0)
         assert distance(H3, x, y) == pytest.approx(5.0, rel=1e-14)
 
+    @pytest.mark.parametrize("r", [300.0, 354.0])
+    def test_opposite_points_far_out(self, r):
+        # delta (2 + delta) with delta = 2 sinh^2 r overflows, though the distance 2r is finite
+        x = exp_point(H3, ORIGIN4, (1.0, 0.0, 0.0), r)
+        y = exp_point(H3, ORIGIN4, (-1.0, 0.0, 0.0), r)
+        assert distance(H3, x, y) == pytest.approx(2.0 * r, rel=1e-13)
+
+    def test_overflowing_rows_leave_the_others_alone(self):
+        o = np.array([1.0, 0.0, 0.0, 0.0])
+        x = [exp_point_arrays(o, np.array(u), r) for u, r in (([1.0, 0, 0], 700), ([-1.0, 0, 0], 700),
+                                                               ([0.6, 0.8, 0], 3))]
+        y = [exp_point_arrays(o, np.array([0.0, 0.8, 0.6]), r) for r in (700.0, 700.0, 2.0)]
+        rho = H3.distance_arrays(np.array(x), np.array(y))
+        assert rho[0] == pytest.approx(1400.0 - math.log(2.0), rel=1e-14)
+        assert rho[1] == pytest.approx(1400.0 - math.log(2.0), rel=1e-14)
+        assert rho[2] == H3.distance_arrays(x[2], y[2])
+
 
 class TestExpPoint:
     def test_zero_radius(self):
@@ -133,6 +150,13 @@ class TestExpPoint:
             c = out.array()
             q = c[0] ** 2 - c[1] ** 2 - c[2] ** 2 - c[3] ** 2
             assert abs(q - 1.0) <= 1e-10 * (1.0 + float(np.dot(c, c)))
+
+    @pytest.mark.parametrize("r", [400.0, 700.0])
+    def test_far_radius_keeps_cosh(self, r):
+        # the re-projection's squares overflow past r ~ 355; cosh r does not until 710
+        c = exp_point(H3, ORIGIN4, (0.0, 0.6, 0.8), r).coords
+        assert c[0] == pytest.approx(math.cosh(r), rel=1e-12)
+        assert list(c[2:]) == pytest.approx([0.6 * math.sinh(r), 0.8 * math.sinh(r)], rel=1e-12)
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):

@@ -449,12 +449,20 @@ class TestHyperbolicStep:
         assert abs(float(np.mean(rho)) - expected_distance_analytic(Hyperbolic3(), 20.0)) < 4.0 * se
 
     def test_path_overflow_is_an_error(self):
+        # steps of 200 reach a radius near 800; cosh r leaves the float range at 710
         with pytest.raises(NonFiniteSampleError):
-            sample_paths(H3K, ORIGIN4, TimeGrid.uniform(200.0, 2), 0, 4)
+            sample_paths(H3K, ORIGIN4, TimeGrid.uniform(400.0, 2), 0, 4)
 
     def test_bridge_overflow_is_an_error(self):
         with pytest.raises(NonFiniteSampleError):
-            sample_bridges(H3K, ORIGIN4, ORIGIN4, TimeGrid.uniform(1e5, 3), 0, 4)
+            sample_bridges(H3K, ORIGIN4, ORIGIN4, TimeGrid.uniform(1e6, 3), 0, 4)
+
+    def test_far_paths_inside_the_float_range_are_finite(self):
+        # radii of 400 to 450: past where the hyperboloid re-projection used to overflow
+        for ens in (sample_paths(H3K, ORIGIN4, TimeGrid.uniform(200.0, 2), 0, 4),
+                    sample_bridges(H3K, ORIGIN4, ORIGIN4, TimeGrid.uniform(1e5, 3), 0, 4)):
+            x0 = ens.positions[..., 0]
+            assert np.all(np.isfinite(ens.positions)) and np.log(2.0 * x0).max() > 400.0
 
 
 class TestCsv:

@@ -1,8 +1,15 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathkernel import rng
 from pathkernel.rng import RngContract, StreamCursor, philox_words, uniforms
 
 U64_MAX = 2 ** 64 - 1
@@ -215,3 +222,137 @@ class TestFusedDraws:
         samp = np.array([sample], dtype=np.uint64)
         d = np.array([draw], dtype=np.uint64)
         assert_same_bits(uniforms(seed, samp, d, width), reference_uniforms(seed, samp, d, width))
+
+
+def kernel_and_numpy(monkeypatch, draw):
+    """draw() once on the compiled kernel (where one loads) and once on the numpy body."""
+    got = draw()
+    with monkeypatch.context() as m:
+        m.setattr(rng, "_kernel", lambda: None)
+        ref = draw()
+    return got, ref
+
+
+class TestKernel:
+    """The compiled draw kernel against the numpy body of ``uniforms``, bit for bit."""
+
+    def test_kernel_loads_where_cc_exists(self):
+        assert shutil.which("cc") is None or rng._kernel() is not None
+
+    @pytest.mark.parametrize("parity", ["even", "odd", "mixed"])
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_widths_and_parities(self, monkeypatch, width, parity):
+        draw = _draws(parity, n=2000, seed=width)
+        sample = np.random.default_rng(width).integers(0, 2 ** 64, draw.size, dtype=np.uint64)
+        for seed in SEEDS:
+            got, ref = kernel_and_numpy(monkeypatch, lambda: uniforms(seed, sample, draw, width))
+            assert got.shape == (draw.size, width)
+            assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_carry_and_wrap_slots(self, monkeypatch, width):
+        # starts about slot 2**33 - 1 (block 2**32 - 1 carries into the high
+        # counter word) and about slot 2**64 - 1 (which is followed by slot 0)
+        draw = np.array([2 ** 33 - 3, 2 ** 33 - 2, 2 ** 33 - 1, 2 ** 33,
+                         U64_MAX - 2, U64_MAX - 1, U64_MAX, 0], dtype=np.uint64)
+        sample = np.array([3, U64_MAX], dtype=np.uint64)[:, None]
+        got, ref = kernel_and_numpy(monkeypatch, lambda: uniforms(11, sample, draw, width))
+        assert got.shape == (2, draw.size, width)
+        assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_shapes_and_layouts(self, monkeypatch, width):
+        wide = np.arange(60, dtype=np.uint64).reshape(6, 10) * np.uint64(2 ** 40 + 1)
+        cases = [  # 0-d, broadcast, empty, empty 2-d, transposed and reversed, strided
+            (7, 13),
+            (np.array([[4], [9]], np.uint64), np.arange(5, dtype=np.uint64)),
+            (np.array([], np.uint64), np.array([], np.uint64)),
+            (np.zeros((3, 0), np.uint64), 5),
+            (wide.T, wide[::-1, ::-1].T + np.uint64(1)),
+            (wide[:, ::3], 2 ** 64 - 3),
+        ]
+        for sample, draw in cases:
+            got, ref = kernel_and_numpy(monkeypatch, lambda: uniforms(0x299F31D0A4093822, sample, draw, width))
+            assert got.shape == np.broadcast(np.asarray(sample), np.asarray(draw)).shape + (width,)
+            assert_same_bits(got, ref)
+
+    def test_uniforms_at_random_rows(self, monkeypatch):
+        samples = np.arange(500, 1500, dtype=np.uint64)
+
+        def walk():
+            cur = StreamCursor(77, samples)
+            g = np.random.default_rng(3)
+            out = []
+            for cols in (1, 2, 3, 1, 4, 1, 2, 9):
+                rows = np.flatnonzero(g.integers(0, 2, samples.size))
+                out.append(cur.uniforms_at(rows, cols))
+                out.append(cur.normals(1))
+            return np.concatenate([a.ravel() for a in out]), cur.pos
+
+        (got, got_pos), (ref, ref_pos) = kernel_and_numpy(monkeypatch, walk)
+        assert_same_bits(got, ref)
+        assert np.array_equal(got_pos, ref_pos)
+        assert len(set(int(p) % 2 for p in got_pos)) == 2
+
+
+# A fresh interpreter reports whether its kernel loaded and the bits of one draw.
+_PROBE = (
+    "from pathkernel import rng\n"
+    "import numpy as np\n"
+    "print(rng._kernel() is not None)\n"
+    "print(rng.uniforms(5, np.arange(64), np.arange(64) * 3, 5).tobytes().hex())\n"
+)
+
+
+@pytest.fixture
+def package_copy(tmp_path):
+    """A copy of the pathkernel package with no cached kernel; returns its src directory."""
+    src = tmp_path / "src"
+    shutil.copytree(Path(rng.__file__).parent, src / "pathkernel", ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def probe(src, path=None):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    if path is not None:
+        env["PATH"] = path
+    proc = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and proc.stderr == ""
+    loaded, bits = proc.stdout.split()
+    return loaded == "True", bits
+
+
+def numpy_bits(monkeypatch):
+    monkeypatch.setattr(rng, "_kernel", lambda: None)
+    return uniforms(5, np.arange(64), np.arange(64) * 3, 5).tobytes().hex()
+
+
+def cached_kernels(src):
+    return sorted((src / "pathkernel" / "__pycache__").glob("philox-*.so"))
+
+
+class TestKernelCache:
+    def test_no_compiler_falls_back_to_numpy(self, package_copy, monkeypatch):
+        assert probe(package_copy, path="") == (False, numpy_bits(monkeypatch))
+        assert cached_kernels(package_copy) == []
+
+    def test_unwritable_cache_falls_back_to_numpy(self, package_copy, monkeypatch):
+        # a file where the cache directory belongs: no library can be written there
+        (package_copy / "pathkernel" / "__pycache__").write_text("")
+        assert probe(package_copy) == (False, numpy_bits(monkeypatch))
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="building the kernel needs cc")
+    def test_second_process_loads_the_cache_without_a_compiler(self, package_copy, monkeypatch):
+        assert probe(package_copy) == (True, numpy_bits(monkeypatch))
+        (lib,) = cached_kernels(package_copy)
+        built = lib.stat().st_mtime_ns
+        # no compiler on PATH: the kernel can only come from the cache
+        assert probe(package_copy, path="") == (True, numpy_bits(monkeypatch))
+        assert cached_kernels(package_copy) == [lib] and lib.stat().st_mtime_ns == built
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="building the kernel needs cc")
+    def test_corrupt_cache_falls_back_to_numpy(self, package_copy, monkeypatch):
+        probe(package_copy)
+        (lib,) = cached_kernels(package_copy)
+        lib.write_bytes(b"not a shared library")
+        assert probe(package_copy) == (False, numpy_bits(monkeypatch))

@@ -21,6 +21,15 @@ the results; byte-identical outputs give identical lines:
     python tools/readme_digests.py > after.txt
     python tools/readme_digests.py --root ../parent > before.txt
     diff before.txt after.txt
+
+`--numpy-rng` runs every command on a copy of the checkout's `src/` with
+no `__pycache__` and an empty PATH, so that no C compiler is found and
+every draw takes the numpy body of `rng.uniforms`; a diff against the
+plain output checks the compiled draw kernel on every command:
+
+    python tools/readme_digests.py > kernel.txt
+    python tools/readme_digests.py --numpy-rng > numpy.txt
+    diff kernel.txt numpy.txt
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import argparse
 import hashlib
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -128,10 +138,13 @@ def run_digest(env, name, argv, outs):
     return lines
 
 
-def digests(root):
+def digests(root, src=None, path=None):
+    """Digest lines of every run with ``src`` (default: the checkout's) on PYTHONPATH; ``path`` replaces PATH."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = str((root / "src").resolve())
+    env["PYTHONPATH"] = str((src or root / "src").resolve())
     env.pop("PATHKERNEL_WORKERS", None)
+    if path is not None:
+        env["PATH"] = path
     lines = []
     seen = {}
     for argv in readme_commands(root / "README.md"):
@@ -149,9 +162,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose README and src/ to use (default: this one)")
+    parser.add_argument("--numpy-rng", action="store_true",
+                        help="run on a copy of src/ without __pycache__ and with an empty PATH, "
+                             "so that no C draw kernel is built or loaded")
     args = parser.parse_args(argv)
-    for line in digests(args.root):
-        print(line, flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = None
+        if args.numpy_rng:
+            src = Path(tmp) / "src"
+            shutil.copytree(args.root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        for line in digests(args.root, src, "" if args.numpy_rng else None):
+            print(line, flush=True)
     return 0
 
 
