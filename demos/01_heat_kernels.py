@@ -11,7 +11,7 @@ from pathkernel import (
     Euclidean,
     Hyperbolic3,
     TransitionKernel,
-    chapman_kolmogorov_residual,
+    chapman_kolmogorov_residuals,
     evaluate,
     point,
     total_mass,
@@ -59,5 +59,5 @@ cases = [
     ("hyperbolic ", h3, origin4, point(math.cosh(1.0), math.sinh(1.0), 0.0, 0.0)),
 ]
 for name, k, a, b in cases:
-    r = chapman_kolmogorov_residual(k, 0.3, 0.7, a, b)
+    r = chapman_kolmogorov_residuals(k, [0.3], [0.7], [a], [b])[0]
     print(f"{name} |p_0.3 * p_0.7 - p_1.0| = {r:.2e}")

@@ -10,13 +10,11 @@ from pathkernel import (
     DirichletInterval,
     Euclidean,
     Hyperbolic3,
-    RngContract,
     TimeGrid,
     TransitionKernel,
-    dirichlet_mass_series,
+    dirichlet_mass_arrays,
     path_to_csv,
     point,
-    sample_path,
     sample_paths,
 )
 from pathkernel.manifold import distance_arrays
@@ -28,7 +26,7 @@ print(f"sample variance at T=1: {np.var(ens.positions[:, -1, 0], ddof=1):.4f}  (
 
 print("\n== the same sample index always gives the same path ==")
 grid = TimeGrid.uniform(0.5, 4)
-solo = sample_path(gauss, point(0.0), grid, RngContract(7, 3))
+solo = sample_paths(gauss, point(0.0), grid, master_seed=7, n_samples=1, first_index=3).path(0)
 batch = sample_paths(gauss, point(0.0), grid, master_seed=7, n_samples=10)
 match = all(a == b for a, b in zip(solo.points, batch.path(3).points))
 print(f"sample 3 alone == sample 3 of a batch of ten: {match}")
@@ -44,7 +42,7 @@ print(f"mean displacement after t=1: {rho.mean():.5f} +- {rho.std()/math.sqrt(le
 print("\n== killed paths on the absorbing interval ==")
 killed = TransitionKernel(Compactified(DirichletInterval(math.pi)))
 ensk = sample_paths(killed, point(math.pi / 2), TimeGrid.uniform(1.0, 32), master_seed=11, n_samples=100000)
-mass = dirichlet_mass_series(math.pi, 1.0, math.pi / 2)
+mass = dirichlet_mass_arrays(1.0, math.pi / 2, math.pi)
 print(f"survival fraction at t=1: {ensk.survival_fraction():.5f}  (series mass {mass:.5f})")
 
 dead = int(np.nonzero(ensk.kill_step > 0)[0][0])

@@ -9,10 +9,8 @@ addressed by (seed, sample index), independent of worker partitioning.
 """
 
 from .diagnostics import (
-    CompletenessReport,
     HolderReport,
     brownian_dyadic_ensemble,
-    completeness_check,
     curve_to_csv,
     distance_curve,
     expected_distance_analytic,
@@ -54,9 +52,9 @@ from .heat_kernel import (
     MomentReport,
     TransitionKernel,
     TruncationPolicy,
-    chapman_kolmogorov_residual,
+    chapman_kolmogorov_residuals,
     delta_family_residuals,
-    dirichlet_mass_series,
+    dirichlet_mass_arrays,
     evaluate,
     moment_check,
     total_mass,
@@ -72,11 +70,11 @@ from .manifold import (
     Hyperbolic3,
     Point,
     covering_of,
-    distance,
-    exp_point,
-    lift_point_near,
+    distance_arrays,
+    exp_point_arrays,
+    lift_arrays,
     point,
-    project_point,
+    project_arrays,
 )
 from .path_sampler import (
     Path,
@@ -86,9 +84,7 @@ from .path_sampler import (
     lift_path,
     path_to_csv,
     project_path,
-    sample_bridge,
     sample_bridges,
-    sample_path,
     sample_paths,
 )
 from .rng import RngContract

@@ -110,6 +110,13 @@ def _positive_int(text):
     return v
 
 
+def _windings(text):
+    v = _positive_int(text)
+    if v > MAX_WINDINGS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_WINDINGS}, got {text}")
+    return v
+
+
 def parse_model(text):
     """euclidean:N | hyperbolic3 | circle:L | torus:L1,L2,... |
     dirichlet:L | compactified:dirichlet:L | cauchy"""
@@ -174,10 +181,12 @@ def _point_option(config, key, model, default=None):
     return p
 
 
-# the largest grid and the finest dyadic level a run may ask for; the
-# README's grids have 11 and 28 points and its finest level is 12
+# the largest grid, the finest dyadic level and the most windings a run may
+# ask for; the README's grids have 11 and 28 points, its finest level is 12
+# and it asks for 3 windings
 MAX_GRID_POINTS = 10 ** 4
 MAX_LEVEL = 20
+MAX_WINDINGS = 10 ** 4
 
 
 def _parse_grid_spec(text):
@@ -318,7 +327,7 @@ def build_parser():
     p.add_argument("--t", type=_positive_float, default=0.5)
     p.add_argument("--x", default=None)
     p.add_argument("--y", default=None)
-    p.add_argument("--windings", type=_positive_int, default=6)
+    p.add_argument("--windings", type=_windings, default=6)
     _add_common(p)
 
     p = subs.add_parser("sample", help="sample paths; dump one as CSV, summarize the ensemble")
@@ -356,7 +365,7 @@ def build_parser():
     p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--rule", choices=["right", "trapezoid"], default="right")
     p.add_argument("--oracle-m", dest="oracle_m", type=_positive_int, default=None)
-    p.add_argument("--windings", type=_positive_int, default=3)
+    p.add_argument("--windings", type=_windings, default=3)
     _add_common(p)
 
     p = subs.add_parser("curve", help="expected-distance curve, analytic vs Monte Carlo")
@@ -377,13 +386,17 @@ def build_parser():
 
 
 def _merge_config_file(argv, parser):
-    """Inject key=value pairs from --config FILE under the explicit flags."""
-    if "--config" not in argv:
+    """Inject key=value pairs from --config FILE under the explicit flags.
+    The file is found as argparse finds it: --config FILE, --config=FILE
+    or an abbreviation, the last one winning."""
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # no FILE: the full parser says so
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    if path is None:
         return argv
-    path = argv[i + 1]
     injected = []
     try:
         with open(path) as fh:
@@ -707,17 +720,21 @@ _RUNNERS = {
 def run(config):
     """Execute a parsed configuration; returns the process exit code.
 
-    Numeric failures (PathkernelError) exit 1 with a JSON record on
-    stdout; input the run cannot use (ValueError, TypeError, OSError)
-    exits 2 with a message on stderr, as argparse does for bad flags.
+    Numeric failures (PathkernelError) and a run too large for memory
+    (MemoryError) exit 1 with a JSON record on stdout; input the run
+    cannot use (ValueError, TypeError, OSError) exits 2 with a message on
+    stderr, as argparse does for bad flags.
     """
     try:
         return _RUNNERS[config.subcommand](config)
     except (ValueError, TypeError, OSError) as exc:
         sys.stderr.write(f"pathkernel {config.subcommand}: error: {exc}\n")
         return 2
-    except PathkernelError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
+    except (PathkernelError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # numpy raises a private subclass
+            record = {"error": "MemoryError", "message": str(exc) or "out of memory"}
+        else:
+            record = {"error": type(exc).__name__, "message": str(exc)}
         if "seed" in config.options:
             record["seed"] = config.options["seed"]
         sys.stdout.write(_json17(record) + "\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feynman_kac import EstimateWithError
-from .heat_kernel import TransitionKernel, total_mass
+from .heat_kernel import TransitionKernel
 from .manifold import (
     Circle,
     Euclidean,
@@ -37,7 +37,6 @@ from .rng import RngContract, StreamCursor
 @dataclass
 class HolderReport:
     levels: list
-    scales: list
     median_max_increments: list
     fitted_exponent: float
     r_squared: float
@@ -77,7 +76,6 @@ def holder_exponent(level_positions, model=None):
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return HolderReport(
         levels=list(levels),
-        scales=[2.0 ** -n for n in levels],
         median_max_increments=medians,
         fitted_exponent=float(-slope),
         r_squared=r2,
@@ -173,7 +171,7 @@ def expected_distance_mc(model, x0, t, n_samples, rng, workers=1):
         return (distance_arrays(model, ens.positions[:, -1, :], x0a[None, :]),)
 
     parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers)
-    return EstimateWithError.of(np.concatenate([p[0] for p in parts]), rng.master_seed)
+    return EstimateWithError.of(np.concatenate([p[0] for p in parts]))
 
 
 def distance_curve(model, x0, t_grid, n_samples, rng, workers=1):
@@ -198,31 +196,3 @@ def curve_to_csv(rows, comment=None):
     for t, ana, mc, se in rows:
         lines.append(f"{t:.17g},{ana:.17g},{mc:.17g},{se:.17g}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# conservation
-
-
-@dataclass
-class CompletenessReport:
-    model: object
-    rows: list  # (t, mass, deficit)
-    tolerance: float
-
-    @property
-    def complete(self):
-        return all(abs(deficit) <= self.tolerance for _, _, deficit in self.rows)
-
-    @property
-    def worst_deficit(self):
-        return max(abs(d) for _, _, d in self.rows)
-
-
-def completeness_check(kernel, t_list, x0, tolerance=1e-8):
-    """Total mass across times; a mass deficit marks an incomplete model."""
-    rows = []
-    for t in t_list:
-        mass = total_mass(kernel, float(t), x0)
-        rows.append((float(t), mass, 1.0 - mass))
-    return CompletenessReport(model=kernel.model, rows=rows, tolerance=tolerance)

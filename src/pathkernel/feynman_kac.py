@@ -118,18 +118,17 @@ class EstimateWithError:
     value: float
     std_error: float
     n_samples: int
-    seed: int
 
     def __post_init__(self):
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
 
     @staticmethod
-    def of(values, seed, scale=1.0):
+    def of(values, scale=1.0):
         """Sample mean and standard error (sample std over sqrt(n)), both times scale."""
         n = len(values)
         se = float(np.std(values, ddof=1) / math.sqrt(n)) * scale if n > 1 else 0.0
-        return EstimateWithError(float(np.mean(values)) * scale, se, n, seed)
+        return EstimateWithError(float(np.mean(values)) * scale, se, n)
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def fk_expectation(problem, rule="right", workers=1):
         return w * gv, gv
 
     vals, gv = _over_paths(p.kernel, p.x0, None, p.t, p.n_steps, p.n_samples, p.rng, workers, reduce)
-    est = EstimateWithError.of(vals, p.rng.master_seed)
+    est = EstimateWithError.of(vals)
     # an infinite cap (e^(t sup|V|) overflows) is never exceeded
     cap = _growth_bound(p.t, p.potential.sup_bound) * float(np.max(np.abs(gv)))
     if abs(est.value) > cap * (1.0 + 1e-12) + 1e-300:
@@ -259,7 +258,7 @@ def fk_kernel(kernel, potential, x0, y0, t, n_steps, n_samples, rng, rule="right
         return (_weights(_visited(potential, positions), killed, t, n_steps, rule),)
 
     (w,) = _over_paths(kernel, x0, y0, t, n_steps, n_samples, rng, workers, reduce)
-    return EstimateWithError.of(w, rng.master_seed, mass)
+    return EstimateWithError.of(w, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +303,13 @@ def fk_monotonicity_check(
 
     w_low, w_high = _over_paths(kernel, x0, y0, t, n_steps, n_samples, rng, workers, reduce)
     violations = int(np.sum(w_low < w_high))
-    estimates = [EstimateWithError.of(w, rng.master_seed, mass) for w in (w_low, w_high)]
+    estimates = [EstimateWithError.of(w, mass) for w in (w_low, w_high)]
     return MonotonicityReport(violations == 0, len(w_low), violations, *estimates)
 
 
 @dataclass
 class CoveringSumReport:
     base_estimate: EstimateWithError
-    winding_estimates: list
-    winding_shifts: list
     line_sum: float
     combined_std_error: float
     tail_bound: float
@@ -361,34 +358,17 @@ def fk_covering_sum_check(
     )
     w_max = int(windings)
     gap = float(y0a[0] - x0a[0])
-    winding_estimates = []
-    shifts = list(range(-w_max, w_max + 1))
-    for pos_in_list, k in enumerate(shifts):
-        sub = RngContract(rng.master_seed, rng.sample_index + (pos_in_list + 1) * n_samples)
+    terms = []
+    for j, k in enumerate(range(-w_max, w_max + 1), 1):
+        sub = RngContract(rng.master_seed, rng.sample_index + j * n_samples)
         yk = Point((float(x0a[0] + gap + k * length),))
-        winding_estimates.append(
-            fk_kernel(
-                kernel_line,
-                v_line,
-                Point((float(x0a[0]),)),
-                yk,
-                t,
-                n_steps,
-                n_samples,
-                sub,
-                rule=rule,
-                workers=workers,
-            )
-        )
-    line_sum = float(sum(e.value for e in winding_estimates))
-    combined = math.sqrt(
-        est_base.std_error ** 2 + sum(e.std_error ** 2 for e in winding_estimates)
-    )
+        terms.append(fk_kernel(kernel_line, v_line, Point((float(x0a[0]),)), yk, t, n_steps, n_samples, sub,
+                               rule=rule, workers=workers))
+    line_sum = float(sum(e.value for e in terms))
+    combined = math.sqrt(est_base.std_error ** 2 + sum(e.std_error ** 2 for e in terms))
     tail = _winding_tail_bound(t, gap, length, w_max, v_base.sup_bound)
     return CoveringSumReport(
         base_estimate=est_base,
-        winding_estimates=winding_estimates,
-        winding_shifts=shifts,
         line_sum=line_sum,
         combined_std_error=combined,
         tail_bound=tail,
@@ -409,14 +389,9 @@ class SpectralOracle:
     q_t(x_i, .).
     """
 
-    model: object
-    t: float
     grid: np.ndarray
     mesh: float
     semigroup: np.ndarray
-
-    def kernel_matrix(self):
-        return self.semigroup / self.mesh
 
     def index_of(self, x):
         i = int(np.argmin(np.abs(self.grid - x)))
@@ -471,4 +446,4 @@ def spectral_oracle(model, m_points, potential, t):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric input
         raise PathkernelError(f"oracle eigendecomposition failed: {exc}") from exc
     semigroup = (u * np.exp(t * w)) @ u.T
-    return SpectralOracle(model=model, t=t, grid=x, mesh=h, semigroup=semigroup)
+    return SpectralOracle(grid=x, mesh=h, semigroup=semigroup)

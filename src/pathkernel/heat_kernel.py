@@ -341,11 +341,6 @@ def dirichlet_mass_arrays(t, x, length, tol=1e-16):
         m += 1
 
 
-def dirichlet_mass_series(length, t, x, tol=1e-16):
-    """Scalar survival mass for the absorbing interval."""
-    return float(dirichlet_mass_arrays(t, np.asarray(float(x)), length, tol=tol))
-
-
 def _gaussian_moment(a, tau, n):
     """E|Y|^a for Y ~ N(0, 2 tau I_n): (4 tau)^(a/2) Gamma((a+n)/2) / Gamma(n/2)."""
     return math.exp(0.5 * a * math.log(4.0 * tau) + math.lgamma(0.5 * (a + n)) - math.lgamma(0.5 * n))
@@ -938,13 +933,6 @@ def _law_of(model, kind, truncation):
 # evaluation and mass
 
 
-def evaluate_arrays(kernel, t, x, y):
-    """Kernel density on coordinate arrays of shape (..., dim); broadcasts.
-    A compactified kernel gives its interior density."""
-    t = _check_time(t)
-    return kernel._law.density(t, np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-
-
 def evaluate(kernel, t, x, y):
     """Transition density p_t(x, y) between two points; either may be the
     cemetery of a compactified kernel (see _KilledLaw.value).  A value
@@ -1014,12 +1002,6 @@ def chapman_kolmogorov_residuals(kernel, s, t, x, z, tol=1e-11):
         lhs = law.ck_integral(s[block], t[block], xa, za, tol)
         out[block] = np.abs(lhs - law.density(s[block] + t[block], za, xa, np.arange(len(block))))
     return out
-
-
-def chapman_kolmogorov_residual(kernel, s, t, x, z, tol=1e-11):
-    """| integral p_t(z,y) p_s(y,x) dmu(y)  -  p_(t+s)(z,x) |; the one-tuple
-    call of chapman_kolmogorov_residuals."""
-    return float(chapman_kolmogorov_residuals(kernel, [s], [t], [x], [z], tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,17 @@ class Hyperbolic3:
     dim = 4  # hyperboloid coordinates (x0, x1, x2, x3); not a field
 
     def check_coords(self, x, name):
-        q = x[0] * x[0] - x[1] * x[1] - x[2] * x[2] - x[3] * x[3]
-        # constraint checked in scaled form; the absolute residual of the
-        # quadratic grows like eps * x0^2 for far points
-        scale = 1.0 + float(np.dot(x, x))
-        if abs(q - 1.0) > HYPERBOLOID_TOL * scale or x[0] < 1.0 - HYPERBOLOID_TOL:
-            raise ValueError(f"{name} is off the hyperboloid (residual {q - 1.0:.3e})")
+        # |q - 1| <= tol (1 + |x|^2), q the Minkowski square: the absolute
+        # residual grows like eps x0^2 for far points.  Both sides are divided
+        # by s^2, s >= 1 the power of two at the largest coordinate: exact, so
+        # far points no longer overflow and the others keep their verdict
+        e = max(math.frexp(float(np.max(np.abs(x))))[1], 0)
+        y = np.ldexp(x, -e)
+        inv = math.ldexp(1.0, -2 * e)
+        q = y[0] * y[0] - y[1] * y[1] - y[2] * y[2] - y[3] * y[3]
+        scale = inv + float(np.dot(y, y))
+        if abs(q - inv) > HYPERBOLOID_TOL * scale or x[0] < 1.0 - HYPERBOLOID_TOL:
+            raise ValueError(f"{name} is off the hyperboloid (relative residual {(q - inv) / scale:.3e})")
 
     def distance_arrays(self, x, y):
         """Geodesic distance on the hyperboloid, stable near and far.
@@ -267,15 +272,6 @@ def distance_arrays(model, x, y):
     return model.distance_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 
-def distance(model, x, y):
-    """Geodesic distance between two points of the model."""
-    xa = validate_point(model, x, "x")
-    ya = validate_point(model, y, "y")
-    if xa is None or ya is None:
-        raise ValueError("distance is undefined for the cemetery state")
-    return float(distance_arrays(model, xa, ya))
-
-
 # ---------------------------------------------------------------------------
 # hyperboloid exponential map
 
@@ -317,6 +313,8 @@ def _scaled_h3_distance(x, y):
 
 
 def exp_point_arrays(base, direction, r):
+    """Geodesic from base along a unit 3-vector direction in the origin
+    frame, of length r (H^3 only); broadcasts."""
     base = np.asarray(base, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
@@ -333,21 +331,6 @@ def exp_point_arrays(base, direction, r):
         m = np.max(np.abs(v), axis=-1)
         out[huge, 0] = m * np.sqrt(np.sum((v / m[:, None]) ** 2, axis=-1))
     return out
-
-
-def exp_point(model, base, direction, r):
-    """Geodesic from base with given unit direction and length r (H^3 only)."""
-    if not isinstance(model, Hyperbolic3):
-        raise ValueError("exp_point is implemented for Hyperbolic3")
-    b = validate_point(model, base, "base")
-    d = np.asarray(direction, dtype=np.float64)
-    if d.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    if abs(float(np.dot(d, d)) - 1.0) > 1e-12:
-        raise ValueError("direction must have unit norm")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return Point(coords=tuple(exp_point_arrays(b, d, float(r))))
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +373,6 @@ def project_arrays(cov, x):
     return np.where(out >= per, out - per, out)
 
 
-def project_point(cov, x_tilde):
-    x = validate_point(cov.total, x_tilde, "x_tilde")
-    return Point(coords=tuple(project_arrays(cov, x)))
-
-
 def lift_arrays(cov, x, anchor):
     """Nearest preimage of base coords x to anchor; ties to the smaller coefficient."""
     x = np.asarray(x, dtype=np.float64)
@@ -410,11 +388,3 @@ def lift_arrays(cov, x, anchor):
         best = np.where(take, cand, best)
         k = np.where(take, cand_k, k)
     return best, k.astype(np.int64)
-
-
-def lift_point_near(cov, x, anchor):
-    """The preimage of x on the total space nearest to anchor."""
-    xa = validate_point(cov.base, x, "x")
-    aa = validate_point(cov.total, anchor, "anchor")
-    lifted, _ = lift_arrays(cov, xa, aa)
-    return Point(coords=tuple(lifted))

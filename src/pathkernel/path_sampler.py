@@ -33,7 +33,7 @@ from .manifold import (
     project_arrays,
     validate_point,
 )
-from .rng import RngContract, StreamCursor
+from .rng import StreamCursor
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,6 @@ class Path:
         elif any(p.cemetery for p in self.points):
             raise ValueError("cemetery point without kill_index")
 
-    @property
-    def killed(self):
-        return self.kill_index is not None
-
 
 @dataclass
 class PathEnsemble:
@@ -108,20 +104,13 @@ class PathEnsemble:
     populated by covering-decomposition bridges.
     """
 
-    model: object
     grid: TimeGrid
     positions: np.ndarray
     kill_step: np.ndarray
-    first_index: int = 0
-    master_seed: int = 0
     windings: np.ndarray | None = None
     rejection_attempts: int = 0  # no sampler rejects; kept for the benchmark tracer, which reads it
 
     def __len__(self):
-        return self.positions.shape[0]
-
-    @property
-    def n_samples(self):
         return self.positions.shape[0]
 
     def survival_fraction(self):
@@ -159,15 +148,7 @@ def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
     """Ensemble of Markov paths started at x0, stepped by the kernel's law."""
     (x0a,), cursor = _ensemble_input(kernel, {"x0": x0}, grid, master_seed, n_samples, first_index)
     pos, kill = kernel._law.paths(cursor, x0a, grid.steps())
-    return PathEnsemble(kernel.model, grid, pos, kill, first_index, int(master_seed))
-
-
-def sample_path(kernel, x0, grid, rng):
-    """One path on substream (rng.master_seed, rng.sample_index)."""
-    if not isinstance(rng, RngContract):
-        raise TypeError("rng must be an RngContract")
-    ens = sample_paths(kernel, x0, grid, rng.master_seed, 1, first_index=rng.sample_index)
-    return ens.path(0)
+    return PathEnsemble(grid, pos, kill)
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +166,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
     (x0a, y0a), cursor = _ensemble_input(kernel, {"x0": x0, "y0": y0}, grid, master_seed, n_samples, first_index)
     pos, windings = kernel._law.bridges(cursor, x0a, y0a, np.asarray(grid.times))
     kill = np.full(len(cursor), NEVER_KILLED, dtype=np.int64)
-    return PathEnsemble(kernel.model, grid, pos, kill, first_index, int(master_seed), windings=windings)
-
-
-def sample_bridge(kernel, x0, y0, grid, rng):
-    if not isinstance(rng, RngContract):
-        raise TypeError("rng must be an RngContract")
-    ens = sample_bridges(kernel, x0, y0, grid, rng.master_seed, 1, first_index=rng.sample_index)
-    return ens.path(0)
+    return PathEnsemble(grid, pos, kill, windings=windings)
 
 
 # ---------------------------------------------------------------------------

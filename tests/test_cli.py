@@ -11,10 +11,12 @@ import pytest
 import pathkernel
 from pathkernel.cli import (
     DEFAULT_SEED,
+    MAX_WINDINGS,
     main,
     parse_args,
     parse_model,
     parse_potential,
+    run,
 )
 from pathkernel.manifold import Circle, Compactified, DirichletInterval, Euclidean
 
@@ -30,6 +32,10 @@ def run_cli(args, env=None):
         [sys.executable, "-m", "pathkernel.cli", *args],
         capture_output=True, text=True, env=full_env,
     )
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private MemoryError subclass; range() raises a bare MemoryError."""
 
 
 def read_payload(path):
@@ -82,6 +88,27 @@ class TestParsing:
         assert cfg.options["seed"] == 7       # from the file
         assert cfg.options["steps"] == 32     # explicit flag wins
 
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_config_file_found_in_either_form(self, tmp_path, form):
+        f = tmp_path / "run.cfg"
+        flag = ["--config", str(f)] if form == "separate" else [f"--config={f}"]
+        f.write_text("samples = 5\n")
+        cfg = parse_args(["fk", "expectation", "--model", "circle:1.0", "--t", "1", "--steps", "2", *flag])
+        assert cfg.options["samples"] == 5
+        f.write_text("t = 2\n")  # a required flag may come from the file
+        cfg = parse_args(["kernel", "--model", "euclidean:1", "--x", "0", "--y", "0", *flag])
+        assert cfg.options["t"] == 2.0
+
+    @pytest.mark.parametrize("command", [["verify", "covering", "--model", "circle:1.0"],
+                                         ["fk", "covering-sum", "--model", "circle:1.0", "--t", "1"]],
+                             ids=["verify", "fk"])
+    def test_windings_are_capped(self, command, capsys):
+        assert parse_args(command + ["--windings", str(MAX_WINDINGS)]).options["windings"] == MAX_WINDINGS
+        with pytest.raises(SystemExit) as exc:
+            parse_args(command + ["--windings", str(MAX_WINDINGS + 1)])
+        assert exc.value.code == 2
+        assert f"--windings: must be at most {MAX_WINDINGS}" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_negative_time_is_usage_error(self):
@@ -124,6 +151,26 @@ class TestExitCodes:
         assert res.returncode == 1
         assert json.loads(res.stdout)["error"] == "NonFiniteSampleError"
         assert "Traceback" not in res.stderr and not out.exists()
+
+    @pytest.mark.parametrize("exc", [MemoryError(), _ArrayMemoryError("Unable to allocate 24.6 GiB")],
+                             ids=["bare", "numpy"])
+    def test_out_of_memory_is_numeric_failure(self, monkeypatch, capsys, exc):
+        def runner(config):
+            raise exc
+
+        monkeypatch.setitem(pathkernel.cli._RUNNERS, "sample", runner)
+        cfg = parse_args(["sample", "--model", "euclidean:1", "--x0", "0", "--T", "1"])
+        assert run(cfg) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record == {"error": "MemoryError", "message": str(exc) or "out of memory", "seed": DEFAULT_SEED}
+
+    def test_far_hyperboloid_points_checked_without_overflow(self):
+        res = run_cli(["kernel", "--model", "hyperbolic3", "--t", "1", "--x", "1e200,0,0,0", "--y", "1,0,0,0"])
+        assert res.returncode == 2
+        assert "--x is off the hyperboloid" in res.stderr and "Warning" not in res.stderr
+        far = f"{math.cosh(400.0)!r},{math.sinh(400.0)!r},0,0"
+        res = run_cli(["kernel", "--model", "hyperbolic3", "--t", "1", "--x", far, "--y", "1,0,0,0"])
+        assert res.returncode == 0 and res.stderr == ""
 
     @pytest.mark.parametrize("args", [
         ["kernel", "--model", "hyperbolic3", "--t", "1e-300", "--x", "1,0,0,0", "--y", "1,0,0,0"],

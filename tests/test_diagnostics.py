@@ -7,7 +7,6 @@ import pytest
 
 from pathkernel.diagnostics import (
     brownian_dyadic_ensemble,
-    completeness_check,
     curve_to_csv,
     distance_curve,
     expected_distance_analytic,
@@ -17,7 +16,7 @@ from pathkernel.diagnostics import (
     max_increment_stat,
     strided_dyadic_ensemble,
 )
-from pathkernel.heat_kernel import TransitionKernel
+from pathkernel.heat_kernel import TransitionKernel, total_mass
 from pathkernel.manifold import (
     Circle,
     DirichletInterval,
@@ -143,17 +142,19 @@ class TestHolder:
 
 
 class TestCompleteness:
+    """The mass deficit 1 - total_mass: 0 to 1e-8 on a complete model."""
+
     def test_flat_space_complete(self):
-        rep = completeness_check(TransitionKernel(Euclidean(2)), [0.1, 1.0, 10.0], point(0.0, 0.0))
-        assert rep.complete and rep.worst_deficit < 1e-10
+        k = TransitionKernel(Euclidean(2))
+        worst = max(abs(1.0 - total_mass(k, t, point(0.0, 0.0))) for t in (0.1, 1.0, 10.0))
+        assert worst < 1e-10
 
     def test_hyperbolic_complete_by_quadrature(self):
-        rep = completeness_check(TransitionKernel(Hyperbolic3()), [0.1, 1.0, 10.0], ORIGIN4)
-        assert rep.complete and rep.worst_deficit < 1e-8
+        k = TransitionKernel(Hyperbolic3())
+        worst = max(abs(1.0 - total_mass(k, t, ORIGIN4)) for t in (0.1, 1.0, 10.0))
+        assert worst < 1e-8
 
     def test_interval_incomplete_with_deficit(self):
-        rep = completeness_check(
-            TransitionKernel(DirichletInterval(math.pi)), [1.0], point(math.pi / 2)
-        )
-        assert not rep.complete
-        assert rep.rows[0][2] == pytest.approx(0.5317, abs=5e-4)
+        deficit = 1.0 - total_mass(TransitionKernel(DirichletInterval(math.pi)), 1.0, point(math.pi / 2))
+        assert deficit > 1e-8
+        assert deficit == pytest.approx(0.5317, abs=5e-4)

@@ -14,12 +14,10 @@ from pathkernel.heat_kernel import (
     TruncationPolicy,
     _gaussian_moment,
     cauchy_profile,
-    chapman_kolmogorov_residual,
     chapman_kolmogorov_residuals,
     delta_family_residuals,
     dirichlet_images_arrays,
     dirichlet_mass_arrays,
-    dirichlet_mass_series,
     dirichlet_series_arrays,
     evaluate,
     gauss_profile,
@@ -167,7 +165,7 @@ class TestMass:
     def test_dirichlet_mass_against_series_oracle(self):
         got = total_mass(DIRPI, 1.0, point(math.pi / 2))
         assert got == pytest.approx(DIRICHLET_MASS_ORACLE, abs=1e-12)
-        assert got == pytest.approx(dirichlet_mass_series(math.pi, 1.0, math.pi / 2), abs=1e-12)
+        assert got == pytest.approx(dirichlet_mass_arrays(1.0, math.pi / 2, math.pi), abs=1e-12)
         assert got == pytest.approx(0.4683, abs=5e-4)
 
     def test_dirichlet_mass_monotone_in_time(self):
@@ -202,7 +200,7 @@ class TestCompactifiedTable:
     @pytest.mark.parametrize("x", [0.3, 1.57, 3.0])
     def test_lost_mass_row_is_one_minus_the_survival_mass(self, t, x):
         got = evaluate(self.COMP, t, CEMETERY, point(x))
-        assert got == 1.0 - dirichlet_mass_series(math.pi, t, x)
+        assert got == 1.0 - dirichlet_mass_arrays(t, x, math.pi)
 
     @pytest.mark.parametrize("length", [math.pi, 1.0, 7.0])
     def test_survival_mass_forms_agree_at_the_switch(self, length):
@@ -228,24 +226,24 @@ class TestCompactifiedTable:
 
 class TestChapmanKolmogorov:
     def test_gaussian_convolution(self):
-        r = chapman_kolmogorov_residual(GAUSS1, 0.5, 0.5, point(0.0), point(1.0))
+        r = chapman_kolmogorov_residuals(GAUSS1, [0.5], [0.5], [point(0.0)], [point(1.0)])[0]
         assert r < 1e-10
 
     def test_cauchy_closure(self):
-        r = chapman_kolmogorov_residual(CAUCHY, 0.3, 0.7, point(0.0), point(2.0))
+        r = chapman_kolmogorov_residuals(CAUCHY, [0.3], [0.7], [point(0.0)], [point(2.0)])[0]
         assert r < 1e-8
 
     def test_circle_theta(self):
-        r = chapman_kolmogorov_residual(CIRC1, 0.1, 0.2, point(0.0), point(0.3))
+        r = chapman_kolmogorov_residuals(CIRC1, [0.1], [0.2], [point(0.0)], [point(0.3)])[0]
         assert r < 1e-9
 
     def test_hyperbolic(self):
         z = point(math.cosh(1.2), math.sinh(1.2), 0.0, 0.0)
-        r = chapman_kolmogorov_residual(H3K, 0.4, 0.6, ORIGIN4, z)
+        r = chapman_kolmogorov_residuals(H3K, [0.4], [0.6], [ORIGIN4], [z])[0]
         assert r < 1e-10
 
     def test_dirichlet(self):
-        r = chapman_kolmogorov_residual(DIRPI, 0.3, 0.5, point(1.0), point(2.0))
+        r = chapman_kolmogorov_residuals(DIRPI, [0.3], [0.5], [point(1.0)], [point(2.0)])[0]
         assert r < 1e-9
 
     @pytest.mark.parametrize(
@@ -259,18 +257,18 @@ class TestChapmanKolmogorov:
         # tuples of `verify chapman-kolmogorov --model dirichlet:3.14159265`
         # at seeds 90 and 403, where Simpson once stopped about 5e-9 short
         k = TransitionKernel(DirichletInterval(3.14159265))
-        assert chapman_kolmogorov_residual(k, s, t, point(x), point(z)) <= 1e-10
+        assert chapman_kolmogorov_residuals(k, [s], [t], [point(x)], [point(z)])[0] <= 1e-10
 
     def test_euclidean_3d_factorized(self):
         k3 = TransitionKernel(Euclidean(3))
-        r = chapman_kolmogorov_residual(k3, 0.4, 0.3, point(0.0, 0.5, -1.0), point(1.0, 0.0, 0.2))
+        r = chapman_kolmogorov_residuals(k3, [0.4], [0.3], [point(0.0, 0.5, -1.0)], [point(1.0, 0.0, 0.2)])[0]
         assert r < 1e-9
 
     def test_compactified_cemetery_row(self):
         comp = TransitionKernel(Compactified(DirichletInterval(math.pi)))
-        r = chapman_kolmogorov_residual(comp, 0.4, 0.6, point(1.2), CEMETERY)
+        r = chapman_kolmogorov_residuals(comp, [0.4], [0.6], [point(1.2)], [CEMETERY])[0]
         assert r < 1e-7
-        assert chapman_kolmogorov_residual(comp, 0.4, 0.6, CEMETERY, point(1.2)) == 0.0
+        assert chapman_kolmogorov_residuals(comp, [0.4], [0.6], [CEMETERY], [point(1.2)])[0] == 0.0
 
 
 def ck_tuples(model, n, seed, times=(0.2, 0.8)):
@@ -304,7 +302,7 @@ class TestBatchedChapmanKolmogorov:
         if isinstance(kernel.model, Hyperbolic3):
             z[0] = x[0]  # a target at the source takes the kernel-itself form
         batch = chapman_kolmogorov_residuals(kernel, s, t, x, z)
-        alone = [chapman_kolmogorov_residual(kernel, *row) for row in zip(s, t, x, z)]
+        alone = [chapman_kolmogorov_residuals(kernel, *([v] for v in row))[0] for row in zip(s, t, x, z)]
         assert batch.tolist() == alone
         assert max(alone) < 1e-8
 
@@ -313,7 +311,7 @@ class TestBatchedChapmanKolmogorov:
         k = TransitionKernel(DirichletInterval(1.0))
         s, t, x, z = ck_tuples(k.model, 8, seed=12, times=(0.02, 0.3))
         batch = chapman_kolmogorov_residuals(k, s, t, x, z)
-        alone = [chapman_kolmogorov_residual(k, *row) for row in zip(s, t, x, z)]
+        alone = [chapman_kolmogorov_residuals(k, *([v] for v in row))[0] for row in zip(s, t, x, z)]
         assert batch.tolist() == alone
         assert max(alone) < 1e-9
 
@@ -322,7 +320,7 @@ class TestBatchedChapmanKolmogorov:
         s, t, x, z = ck_tuples(comp.model, 5, seed=13)
         x[1], z[2], x[3], z[3] = CEMETERY, CEMETERY, CEMETERY, CEMETERY
         batch = chapman_kolmogorov_residuals(comp, s, t, x, z)
-        alone = [chapman_kolmogorov_residual(comp, *row) for row in zip(s, t, x, z)]
+        alone = [chapman_kolmogorov_residuals(comp, *([v] for v in row))[0] for row in zip(s, t, x, z)]
         assert batch.tolist() == alone
         assert batch[3] == 0.0
 

@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 import pathkernel.path_sampler as ps
 from pathkernel.diagnostics import expected_distance_analytic
 from pathkernel.errors import NonFiniteSampleError, PathkernelError, StepTooLargeError
-from pathkernel.heat_kernel import TransitionKernel, dirichlet_mass_series, evaluate, h3_profile
+from pathkernel.heat_kernel import TransitionKernel, dirichlet_mass_arrays, evaluate, h3_profile
 from pathkernel.manifold import (
     Circle,
     Compactified,
@@ -28,12 +28,10 @@ from pathkernel.path_sampler import (
     lift_path,
     path_to_csv,
     project_path,
-    sample_bridge,
     sample_bridges,
-    sample_path,
     sample_paths,
 )
-from pathkernel.rng import RngContract, StreamCursor
+from pathkernel.rng import StreamCursor
 
 from stat_helpers import (
     bin_counts,
@@ -92,7 +90,7 @@ class TestFreePaths:
         (KILLED, point(1.5)),
     ], ids=["gauss", "circle", "h3", "cauchy", "killed"])
     def test_starts_at_x0(self, kernel, x0):
-        p = sample_path(kernel, x0, TimeGrid.uniform(0.5, 4), RngContract(11, 3))
+        p = sample_paths(kernel, x0, TimeGrid.uniform(0.5, 4), 11, 1, first_index=3).path(0)
         assert p.points[0] == x0
 
     @pytest.mark.parametrize("kernel,x0", [
@@ -105,7 +103,7 @@ class TestFreePaths:
         grid = TimeGrid.uniform(0.8, 5)
         ens = sample_paths(kernel, x0, grid, 123, 16)
         for i in (0, 7, 15):
-            solo = sample_path(kernel, x0, grid, RngContract(123, i))
+            solo = sample_paths(kernel, x0, grid, 123, 1, first_index=i).path(0)
             assert solo.kill_index == (None if ens.kill_step[i] == NEVER_KILLED else ens.kill_step[i])
             for a, b in zip(solo.points, ens.path(i).points):
                 assert a == b
@@ -126,7 +124,7 @@ class TestFreePaths:
     def test_survival_matches_mass(self):
         n = 100000
         ens = sample_paths(KILLED, point(math.pi / 2), TimeGrid.uniform(1.0, 32), 31, n)
-        mass = dirichlet_mass_series(math.pi, 1.0, math.pi / 2)
+        mass = float(dirichlet_mass_arrays(1.0, math.pi / 2, math.pi))
         got = ens.survival_fraction()
         assert abs(got - mass) < 3.0 * math.sqrt(mass * (1.0 - mass) / n)
 
@@ -136,7 +134,7 @@ class TestFreePaths:
         ens = sample_paths(KILLED, point(1.0), grid, 17, n)
         # survival by grid time 0.4 (step index 4)
         alive = float(np.mean((ens.kill_step == NEVER_KILLED) | (ens.kill_step > 4)))
-        mass = dirichlet_mass_series(math.pi, 0.4, 1.0)
+        mass = float(dirichlet_mass_arrays(0.4, 1.0, math.pi))
         assert abs(alive - mass) < 3.0 * math.sqrt(mass * (1.0 - mass) / n)
 
     def test_killed_positions_are_nan_and_cemetery(self):
@@ -254,7 +252,7 @@ class TestBridges:
     def test_single_bridge_is_ensemble_row(self):
         grid = TimeGrid.uniform(0.5, 6)
         ens = sample_bridges(CIRC1, point(0.2), point(0.9), grid, 77, 8)
-        solo = sample_bridge(CIRC1, point(0.2), point(0.9), grid, RngContract(77, 5))
+        solo = sample_bridges(CIRC1, point(0.2), point(0.9), grid, 77, 1, first_index=5).path(0)
         for a, b in zip(solo.points, ens.path(5).points):
             assert a == b
 
@@ -478,7 +476,7 @@ class TestCsv:
         assert "1" in flags and flags[0] == "0"
 
     def test_values_round_trip(self):
-        p = sample_path(GAUSS1, point(0.125), TimeGrid.uniform(1.0, 3), RngContract(5, 0))
+        p = sample_paths(GAUSS1, point(0.125), TimeGrid.uniform(1.0, 3), 5, 1).path(0)
         lines = path_to_csv(p).strip().split("\n")[1:]
         for row, pt in zip(lines, p.points):
             t, c, flag = row.split(",")
