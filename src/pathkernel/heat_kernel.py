@@ -44,10 +44,12 @@ Gaussian and Cauchy laws give both in closed form and ignore tol:
 * Cauchy:  tau^a / cos(pi a / 2) for a < 1 (divergent for a >= 1), and
   the peak at r^2 = a tau^2 / (2 - a) for a < 2 (unbounded for a >= 2).
 
-H3 integrates radially to tol times the Gaussian moment, which bounds a
-relative error, over a range fitted to the integrand's peak; the circle
-and the interval integrate to the absolute tol.
-The peaks of H3 and the circle are searched with ``maximize_scalar``.
+H3 (radially, over a range fitted to the integrand's peak), the circle
+and the interval integrate by adaptive Simpson to tol times the
+integrand's peak value times its width, which bounds the error relative
+to the moment itself.  The peaks of H3's and the circle's pointwise
+moments, and of the circle's and the interval's integrands, are searched
+with ``maximize_scalar``.
 """
 
 from __future__ import annotations
@@ -303,6 +305,43 @@ def dirichlet_kernel_arrays(t, x, y, length, policy, owner=None):
     return _by_key(_each(lambda v: v < switch, t, owner), owner, regime)
 
 
+def dirichlet_survival_ratio(t, x, y, length, policy):
+    """p^D_t(x, y) / g_t(x - y) for x, y in [0, L], capped at 1: the
+    probability that the Brownian bridge from x to y over time t stays
+    inside (0, L) (Gobet 2000).
+
+    Below the switch time t = L^2/pi^2 the image sum is divided by the
+    Gaussian term by term.  With d = x - y,
+
+        r = sum_k [exp(-kL(kL + d)/t) - exp(-(x + kL)(y + kL)/t)],
+
+    whose k = 0 direct term is 1 and whose wall terms are exp(-xy/t) and
+    exp(-(L - x)(L - y)/t).  The |k| >= 1 terms are added while the least
+    of their exponents, kL(kL - max|d|)/t, is within the image sum's tail.
+    An exponent that overflows stands for exp(-inf) = 0.  At and above the
+    switch the ratio is the quotient of the eigen-series and the Gaussian.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    L = float(length)
+    if not t < L * L / math.pi ** 2:
+        return np.minimum(dirichlet_kernel_arrays(t, x, y, L, policy) / gauss_profile(t, (x - y) ** 2, 1), 1.0)
+    reach = float(np.max(np.abs(x - y))) if x.size else 0.0
+    cut = math.log(1.0 / (policy.tail_tolerance * 1e-3)) * t
+    with np.errstate(over="ignore"):
+        r = 1.0 - np.exp(-(x * y) / t) - np.exp(-((L - x) * (L - y)) / t)
+        k = 1
+        while k * L * (k * L - reach) < cut:
+            # the direct images k and -k, the mirror images k and -(k + 1);
+            # s + d is summed as (s - y) + x, whose first difference is exact
+            # near the wall, so that d's rounding is not multiplied by s/t
+            s = k * L
+            r = r + (np.exp(-s * ((s - y) + x) / t) + np.exp(-s * ((s - x) + y) / t))
+            r = r - (np.exp(-((x + s) * (y + s)) / t) + np.exp(-(((s + L) - x) * ((s + L) - y)) / t))
+            k += 1
+    return np.clip(r, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # masses and test functions
 
@@ -344,6 +383,24 @@ def dirichlet_mass_arrays(t, x, length, tol=1e-16):
 def _gaussian_moment(a, tau, n):
     """E|Y|^a for Y ~ N(0, 2 tau I_n): (4 tau)^(a/2) Gamma((a+n)/2) / Gamma(n/2)."""
     return math.exp(0.5 * a * math.log(4.0 * tau) + math.lgamma(0.5 * (a + n)) - math.lgamma(0.5 * n))
+
+
+def _peak_tolerance(tol, peak, width):
+    """tol times an integrand's peak value times its width: an absolute
+    tolerance that bounds an error relative to the integral itself.  The
+    floor keeps it positive where that product is no normal float."""
+    return tol * max(peak * width, sys.float_info.min)
+
+
+def _lobe_tolerance(tol, f, a, tau, half):
+    """_peak_tolerance of an integrand with two mirrored lobes, r -> f(r)
+    on [0, half] and its mirror image, each at most sqrt(4 pi tau) wide.
+
+    f is r^a times a kernel whose tail is a few Gaussians at most, so its
+    peak is searched only within a Gaussian tail radius of the flat peak
+    r^2 = 2 a tau, beyond which f is below 1e-16 of it."""
+    _, peak = maximize_scalar(f, 0.0, min(half, math.sqrt(2.0 * a * tau) + gaussian_tail_radius(tau, 1e-16)))
+    return _peak_tolerance(tol, peak, 2.0 * min(half, math.sqrt(4.0 * math.pi * tau)))
 
 
 def smooth_bump(width):
@@ -573,8 +630,9 @@ class _H3Law(_Law):
         return adaptive_simpson_batch(f, np.zeros(len(s)), rmax, tol=tol)
 
     def integrated_moment(self, a, tau, tol):
-        """Radial quadrature to a tolerance relative to the flat moment,
-        which sinh(r)/r >= 1 bounds by e^tau times this one."""
+        """Radial quadrature to tol times the integrand's value at `peak`
+        times sqrt(4 pi tau), which bounds the integral of a log-concave
+        integrand whose curvature is below -1/(2 tau)."""
         # the integrand is log-concave with curvature below -1/(2 tau), and
         # coth r <= 1 + 1/r puts its peak below `peak`: it is spent a
         # Gaussian tail radius past the peak.  A wider interval lets the
@@ -593,8 +651,8 @@ class _H3Law(_Law):
                 shape = (a + 1.0) * np.log(r / peak) - (r - peak) * (r + peak) / (4.0 * tau)
             return scale * np.sinh(r) * np.exp(shape)
 
-        # the floor keeps the tolerance positive where the moment is no normal float
-        return adaptive_simpson(f, 0.0, rmax, tol=tol * max(_gaussian_moment(a, tau, 3), sys.float_info.min))
+        width = math.sqrt(4.0 * math.pi * tau)
+        return adaptive_simpson(f, 0.0, rmax, tol=_peak_tolerance(tol, float(f(np.array([peak]))[0]), width))
 
     def pointwise_sup(self, a, tau):
         def f(r):
@@ -759,6 +817,7 @@ class _CircleLaw(_LatticeLaw):
             rho = np.minimum(d, L - d)
             return rho ** a * circle_theta_arrays(tau, d, L, self.truncation)
 
+        tol = _lobe_tolerance(tol, f, a, tau, L / 2.0)
         return adaptive_simpson(f, 0.0, L / 2.0, tol=tol / 2) + adaptive_simpson(f, L / 2.0, L, tol=tol / 2)
 
     def pointwise_sup(self, a, tau):
@@ -815,7 +874,7 @@ class _DirichletLaw(_Law):
                 tau, z, np.broadcast_to(y0, z.shape), L, self.truncation
             )
 
-        return adaptive_simpson(f, 0.0, L, tol=tol)
+        return adaptive_simpson(f, 0.0, L, tol=_lobe_tolerance(tol, lambda r: f(y0 - r), a, tau, y0))
 
     def delta_window(self, ya, width):
         L = self.model.length
@@ -879,9 +938,13 @@ class _KilledLaw(_Law):
         return abs(lhs - float(self.lost_mass(s + t, xa[0])))
 
     def paths(self, cursor, x0a, steps):
-        """Gaussian proposals accepted with probability p_dt / gauss_dt, which
-        is the interval kernel's share of the free one; a rejected step is
-        the kill."""
+        """Gaussian proposals accepted with probability p_dt / gauss_dt, the
+        interval kernel's share of the free one; a rejected step is the kill.
+
+        That share is the probability that the Brownian bridge between the
+        two points stays inside: below the switch time it is the closed
+        form of ``dirichlet_survival_ratio``, above it the quotient of the
+        eigen-series and the Gaussian."""
         L = self.model.base.length
         n = len(cursor)
         pos = np.full((n, len(steps) + 1, 1), np.nan)
@@ -892,14 +955,12 @@ class _KilledLaw(_Law):
             if alive.size == 0:
                 break
             u = cursor.uniforms_at(alive, 3)  # normal proposal, acceptance
-            prop = pos[alive, j, 0] + math.sqrt(2.0 * dt) * box_muller(u[:, :2])[:, 0]
+            current = pos[alive, j, 0]
+            prop = current + math.sqrt(2.0 * dt) * box_muller(u[:, :2])[:, 0]
             inside = (prop > 0.0) & (prop < L)
             ratio = np.zeros_like(prop)
             if np.any(inside):
-                prev = pos[alive, j, 0][inside]
-                num = dirichlet_kernel_arrays(dt, prev, prop[inside], L, self.truncation)
-                den = gauss_profile(dt, (prev - prop[inside]) ** 2, 1)
-                ratio[inside] = np.minimum(num / den, 1.0)
+                ratio[inside] = dirichlet_survival_ratio(dt, current[inside], prop[inside], L, self.truncation)
             survive = u[:, 2] < ratio
             pos[alive[survive], j + 1, 0] = prop[survive]
             kill[alive[~survive]] = j + 1

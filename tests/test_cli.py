@@ -226,8 +226,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["--model", "hyperbolic3", "--a", "30"],
         ["--model", "hyperbolic3", "--a", "100"],
+        ["--model", "hyperbolic3", "--a", "100", "--tau-grid", "2:2:1"],
         ["--model", "euclidean:1", "--a", "100"],
-    ], ids=["moments-h3-a30", "moments-h3-a100", "moments-euclidean-a100"])
+    ], ids=["moments-h3-a30", "moments-h3-a100", "moments-h3-a100-tau2", "moments-euclidean-a100"])
     def test_high_order_moment_is_exit_0(self, args):
         # finite moments whose integrals once stopped at the quadrature cap
         res = run_cli(["verify", "moments", *args])
@@ -266,6 +267,15 @@ class TestExitCodes:
         assert res.returncode == 1 and res.stderr == ""
         out = json.loads(res.stdout)
         assert out["error"] == "DivergentIntegralError" and all(out["divergent"])
+
+    @pytest.mark.parametrize("args", [
+        ["--x0", "5e149", "--T", "1e-300", "--steps", "2"],
+        ["--x0", "1", "--T", "1e-30", "--steps", "4"],
+    ], ids=["mid", "near-wall"])
+    def test_killed_steps_at_extreme_lengths_are_quiet(self, args):
+        # the survival ratio's exponents overflow to inf, which is exp(-inf) = 0
+        res = run_cli(["sample", "--model", "compactified:dirichlet:1e150", *args, "--samples", "500"])
+        assert res.returncode == 0 and res.stderr == ""
 
     @pytest.mark.parametrize("t", ["1e-300", "1e-12"])
     def test_cemetery_row_at_tiny_t_is_exit_0(self, t):

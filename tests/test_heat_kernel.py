@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 
@@ -15,10 +16,13 @@ from pathkernel.heat_kernel import (
     _gaussian_moment,
     cauchy_profile,
     chapman_kolmogorov_residuals,
+    circle_theta_arrays,
     delta_family_residuals,
     dirichlet_images_arrays,
+    dirichlet_kernel_arrays,
     dirichlet_mass_arrays,
     dirichlet_series_arrays,
+    dirichlet_survival_ratio,
     evaluate,
     gauss_profile,
     h3_profile,
@@ -149,6 +153,68 @@ class TestEvaluate:
         tiny = TransitionKernel(Circle(1.0), truncation=TruncationPolicy(max_terms=3))
         with pytest.raises(PathkernelError):
             evaluate(tiny, 5.0, point(0.0), point(0.5))
+
+
+def _decimal_quotient(t, x, y, length, images=8):
+    """min(p^D_t(x, y) / g_t(x - y), 1) from the reflection images, in
+    40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x, y, t, L = (decimal.Decimal(float(v)) for v in (x, y, t, length))
+
+        def g(z):
+            return (-(z * z) / (4 * t)).exp()
+
+        num = sum(g(x - y + 2 * k * L) - g(x + y + 2 * k * L) for k in range(-images, images + 1))
+        return float(min(num / g(x - y), 1))
+
+
+class TestDirichletSurvivalRatio:
+    """The closed-form bridge survival ratio against the image-sum quotient."""
+
+    L = math.pi
+    SWITCH = L * L / math.pi ** 2
+    TIMES = [1e-4, 1.0 / 32.0, 0.25, 0.9, math.nextafter(SWITCH, 0.0), SWITCH, 4.0]
+    # interior points plus points within 1e-3 of both walls
+    GRID = np.concatenate([[1e-4, 5e-4, 1e-3], np.linspace(0.05, L - 0.05, 15), [L - 1e-3, L - 5e-4, L - 1e-4]])
+    GRID = L - (L - GRID)  # so that x -> L - x is exact on the grid
+    X, Y = (v.ravel() for v in np.meshgrid(GRID, GRID))
+
+    def ratio(self, t, x, y):
+        return dirichlet_survival_ratio(t, x, y, self.L, TruncationPolicy())
+
+    def quotient(self, t, x, y):
+        pol = TruncationPolicy()
+        with np.errstate(all="ignore"):  # both profiles underflow for far pairs at small t
+            return np.minimum(dirichlet_kernel_arrays(t, x, y, self.L, pol) / gauss_profile(t, (x - y) ** 2, 1), 1.0)
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_against_the_exact_quotient(self, t):
+        want = np.array([_decimal_quotient(t, x, y, self.L) for x, y in zip(self.X, self.Y)])
+        assert np.max(np.abs(self.ratio(t, self.X, self.Y) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_against_the_float_quotient(self, t):
+        # the float quotient rounds (x + y - 2L)^2 / 4t, which costs it up
+        # to ~7e-13 near the walls at t = 1e-4; where its Gaussian is no
+        # normal float it is not compared
+        got = self.ratio(t, self.X, self.Y)
+        want = self.quotient(t, self.X, self.Y)
+        if t >= self.SWITCH:
+            np.testing.assert_array_equal(got, want)  # the quotient itself
+        normal = gauss_profile(t, (self.X - self.Y) ** 2, 1) >= sys.float_info.min
+        assert np.max(np.abs(got - want)[normal]) <= (1e-14 if t >= 0.25 else 1e-12)
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_range_and_symmetries(self, t):
+        r = self.ratio(t, self.X, self.Y)
+        assert np.all((r >= 0.0) & (r <= 1.0))
+        np.testing.assert_allclose(self.ratio(t, self.Y, self.X), r, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(self.ratio(t, self.L - self.X, self.L - self.Y), r, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("t", [1.0 / 32.0, 4.0])
+    def test_empty_input(self, t):
+        assert self.ratio(t, np.array([]), np.array([])).shape == (0,)
 
 
 class TestMass:
@@ -409,14 +475,46 @@ class TestClosedFormMoments:
         rep = moment_check(CAUCHY, MomentCheckConfig(a=a, b=1.0, tau_grid=(1e-2, 1e-1)))
         assert rep.divergent == [True, True]
 
-    @pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.1, 1.0])
+    @pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.1, 1.0, 2.0])
     @pytest.mark.parametrize("a", [4.0, 30.0, 100.0])
     def test_hyperbolic_against_scipy(self, a, tau):
-        # radial integral of r^a p_tau(r) against the volume 4 pi sinh^2 r
+        # radial integral of r^a p_tau(r) against the volume 4 pi sinh^2 r;
+        # at a = 100, tau = 2 the moment is 1e7 times the flat one
         peak = tau + math.sqrt(tau * tau + 2.0 * (a + 2.0) * tau)
         want = _radial_quad(lambda r: 4.0 * math.pi * r ** a * math.sinh(r) ** 2 * float(h3_profile(tau, r)),
                             peak, peak + 40.0 * math.sqrt(tau))
         assert H3K._law.integrated_moment(a, tau, 1e-10) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("model, a, tau", [
+        (DirichletInterval(3.14159265), 12.0, 1e-3),
+        (DirichletInterval(3.14159265), 4.0, 1e-2),
+        (DirichletInterval(3.14159265), 30.0, 0.1),
+        (DirichletInterval(3.14159265), 4.0, 2.0),
+        (Circle(1.0), 4.0, 1e-3),
+        (Circle(1.0), 30.0, 1e-2),
+        (Circle(1.0), 4.0, 0.5),
+    ])
+    def test_compact_against_scipy(self, model, a, tau):
+        # tiny moments too are relative to themselves: the dirichlet moment
+        # at a = 12, tau = 1e-3 is 6.7e-13, below the tolerance 1e-10
+        pol = TruncationPolicy()
+        if isinstance(model, Circle):
+            L, centre = model.circumference, 0.0
+
+            def f(z):
+                return min(z, L - z) ** a * float(circle_theta_arrays(tau, np.array([z]), L, pol)[0])
+        else:
+            L, centre = model.length, model.length / 2.0
+
+            def f(z):
+                p = dirichlet_kernel_arrays(tau, np.array([z]), np.array([centre]), L, pol)
+                return abs(z - centre) ** a * float(p[0])
+
+        # split at the centre and at the flat peaks sqrt(2 a tau) around it
+        r = math.sqrt(2.0 * a * tau)
+        cuts = sorted({0.0, L, L / 2.0, *(v % L for v in (centre - r, centre + r))})
+        want = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0] for lo, hi in zip(cuts, cuts[1:]))
+        assert TransitionKernel(model)._law.integrated_moment(a, tau, 1e-10) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("a, tau", [(4, 1e-150), (4, 1e-6), (4, 0.1), (4, 1.0), (30, 1e-20), (30, 1e-3), (30, 1.0)])
     def test_hyperbolic_even_moment_is_exact(self, a, tau):

@@ -128,6 +128,14 @@ class TestFreePaths:
         got = ens.survival_fraction()
         assert abs(got - mass) < 3.0 * math.sqrt(mass * (1.0 - mass) / n)
 
+    def test_survival_matches_mass_above_the_switch(self):
+        # steps of length 2 > L^2/pi^2 = 1 take the eigen-series quotient
+        n = 100000
+        ens = sample_paths(KILLED, point(1.0), TimeGrid.uniform(4.0, 2), 41, n)
+        mass = float(dirichlet_mass_arrays(4.0, 1.0, math.pi))
+        got = ens.survival_fraction()
+        assert abs(got - mass) < 3.0 * math.sqrt(mass * (1.0 - mass) / n)
+
     def test_kill_accounting_at_interior_time(self):
         n = 50000
         grid = TimeGrid.uniform(1.0, 10)

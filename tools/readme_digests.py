@@ -74,6 +74,8 @@ MATRIX = {
     "verify_delta": "verify delta-family --y {x}",
     "verify_covering": "verify covering --t 0.5 --x {x} --y {y}",
     "sample": "sample --x0 {x} --T 1 --steps 4 --samples 64",
+    # steps of length 2, past the interval's switch time L^2/pi^2 = 1
+    "sample_long": "sample --x0 {x} --T 4 --steps 2 --samples 64",
     "bridge": "bridge --x0 {x} --y0 {y} --T 1 --steps 4 --samples 64",
     "fk_expectation": "fk expectation --potential cos " + _FK,
     "fk_kernel": "fk kernel --potential cos --y0 {y} " + _FK,
