@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    CURVE_MODELS,
     brownian_dyadic_ensemble,
     curve_to_csv,
     distance_curve,
@@ -63,8 +64,9 @@ from .manifold import (
     covering_of,
     validate_point,
 )
-from .parallel import worker_count
+from .parallel import run_blocks, worker_count
 from .path_sampler import (
+    NEVER_KILLED,
     TimeGrid,
     path_to_csv,
     sample_bridges,
@@ -535,9 +537,24 @@ def _write_csv(config, text):
         sys.stdout.write(text)
 
 
-def _emit_path(config, ens, summary):
-    """Dump path --sample-index as CSV, then print the summary and mirror it to --summary-out."""
-    _write_csv(config, path_to_csv(ens.path(config.options["sample_index"]), comment=_header_line(config)[2:]))
+def _blocked_ensemble(config, draw, keep):
+    """Draw the ensemble block by block, draw(first_index, count), through
+    one ``run_blocks`` call.  Each block returns keep(ensemble) and, if it
+    holds sample --sample-index, that path; so a run holds one block at a
+    time, not the whole ensemble.  Returns the kept values and the path."""
+    index = config.options["sample_index"]
+
+    def task(first, count):
+        ens = draw(first, count)
+        return keep(ens), (ens.path(index - first) if 0 <= index - first < count else None)
+
+    parts = run_blocks(task, config.options["samples"], workers=worker_count(config.options["workers"]))
+    return [kept for kept, _ in parts], next(path for _, path in parts if path is not None)
+
+
+def _emit_path(config, path, summary):
+    """Dump the path as CSV, then print the summary and mirror it to --summary-out."""
+    _write_csv(config, path_to_csv(path, comment=_header_line(config)[2:]))
     return _verdict(config, summary, out_key="summary_out")
 
 
@@ -545,11 +562,14 @@ def _run_sample(config):
     k = _kernel_for(config)
     x0 = _point_option(config, "x0", k.model)
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
-    ens = sample_paths(k, x0, grid, config.options["seed"], config.options["samples"])
-    return _emit_path(config, ens, {
-        "n_samples": len(ens),
-        "survival_fraction": ens.survival_fraction(),
-        "seed": config.options["seed"],
+    seed, n = config.options["seed"], config.options["samples"]
+    survivors, path = _blocked_ensemble(
+        config, lambda first, count: sample_paths(k, x0, grid, seed, count, first_index=first),
+        lambda ens: int(np.count_nonzero(ens.kill_step == NEVER_KILLED)))
+    return _emit_path(config, path, {
+        "n_samples": n,
+        "survival_fraction": sum(survivors) / n,  # the mean of the alive flags, bit for bit
+        "seed": seed,
         "horizon": grid.horizon,
         "n_steps": grid.n_steps,
     })
@@ -560,17 +580,20 @@ def _run_bridge(config):
     x0 = _point_option(config, "x0", k.model)
     y0 = _point_option(config, "y0", k.model)
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
-    ens = sample_bridges(k, x0, y0, grid, config.options["seed"], config.options["samples"])
+    seed = config.options["seed"]
+    windings, path = _blocked_ensemble(
+        config, lambda first, count: sample_bridges(k, x0, y0, grid, seed, count, first_index=first),
+        lambda ens: None if ens.windings is None else ens.windings[:, 0])
     summary = {
-        "n_samples": len(ens),
-        "seed": config.options["seed"],
+        "n_samples": config.options["samples"],
+        "seed": seed,
         "horizon": grid.horizon,
         "n_steps": grid.n_steps,
     }
-    if ens.windings is not None:
-        vals, counts = np.unique(ens.windings[:, 0], return_counts=True)
+    if windings[0] is not None:
+        vals, counts = np.unique(np.concatenate(windings), return_counts=True)
         summary["winding_histogram"] = {str(int(v)): int(c) for v, c in zip(vals, counts)}
-    return _emit_path(config, ens, summary)
+    return _emit_path(config, path, summary)
 
 
 def _oracle_value(config, task, model, pot, t, g, x0, y0):
@@ -666,8 +689,9 @@ def _run_fk(config):
 
 def _run_curve(config):
     model, kind = config.options["model"]
-    if kind != "heat":
-        raise ValueError("curve runs on heat kernels")
+    if kind != "heat" or not isinstance(model, CURVE_MODELS):
+        raise ValueError("curve runs on the heat kernels of euclidean:N, hyperbolic3, circle:L and "
+                         f"torus:L1,L2,..., not {_format_option(config.options['model'])}")
     x0 = _point_option(config, "x0", model, model.default_point())
     t_grid = _parse_grid_spec(config.options["t_grid"])
     rows = distance_curve(

@@ -25,9 +25,9 @@ from .manifold import (
     distance_arrays,
     validate_point,
 )
-from .parallel import run_blocks
+from .parallel import per_job, run_blocks
 from .path_sampler import TimeGrid, sample_paths
-from .rng import RngContract, StreamCursor
+from .rng import StreamCursor
 
 
 # ---------------------------------------------------------------------------
@@ -158,32 +158,43 @@ def expected_distance_analytic(model, t):
     raise ValueError(f"no closed-form distance curve for {model!r}")
 
 
-def expected_distance_mc(model, x0, t, n_samples, rng, workers=1):
-    """One-step Monte Carlo mean of the displacement after time t."""
-    if not isinstance(model, (Euclidean, Hyperbolic3, FlatTorus, Circle)):
-        raise ValueError(f"expected_distance_mc does not support {model!r}")
+# models whose paths are never killed, so every one-step displacement has a distance
+CURVE_MODELS = (Euclidean, Hyperbolic3, FlatTorus, Circle)
+
+
+def _distance_estimates(model, x0, t_grid, n_samples, rng, workers):
+    """One-step Monte Carlo means of the displacement after each time in
+    t_grid, all in one ``run_blocks`` pass; time j runs on substreams
+    rng.sample_index + j * n_samples onward."""
+    if not isinstance(model, CURVE_MODELS):
+        raise ValueError(f"distance curves run on Euclidean, Hyperbolic3, FlatTorus and Circle "
+                         f"models, not {model!r}")
     x0a = validate_point(model, x0, "x0")
     kernel = TransitionKernel(model)
-    grid = TimeGrid.uniform(t, 1)
+    grids = [TimeGrid.uniform(t, 1) for t in t_grid]
 
     def task(first, count):
+        grid = grids[(first - rng.sample_index) // n_samples]
         ens = sample_paths(kernel, x0, grid, rng.master_seed, count, first_index=first)
-        return (distance_arrays(model, ens.positions[:, -1, :], x0a[None, :]),)
+        return distance_arrays(model, ens.positions[:, -1, :], x0a[None, :])
 
-    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers)
-    return EstimateWithError.of(np.concatenate([p[0] for p in parts]))
+    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers, jobs=len(grids))
+    return [EstimateWithError.of(np.concatenate(p)) for p in per_job(parts, len(grids))]
+
+
+def expected_distance_mc(model, x0, t, n_samples, rng, workers=1):
+    """One-step Monte Carlo mean of the displacement after time t."""
+    return _distance_estimates(model, x0, [t], n_samples, rng, workers)[0]
 
 
 def distance_curve(model, x0, t_grid, n_samples, rng, workers=1):
     """Rows (t, analytic, mc, mc_stderr); analytic is NaN off the closed forms."""
     rows = []
-    for j, t in enumerate(t_grid):
+    for t, est in zip(t_grid, _distance_estimates(model, x0, t_grid, n_samples, rng, workers)):
         try:
             ana = expected_distance_analytic(model, t)
         except ValueError:
             ana = float("nan")
-        sub = RngContract(rng.master_seed, rng.sample_index + j * n_samples)
-        est = expected_distance_mc(model, x0, t, n_samples, sub, workers=workers)
         rows.append((float(t), ana, est.value, est.std_error))
     return rows
 

@@ -10,10 +10,11 @@ available behind a flag.
 
 Every estimator is a reduction run by one blocked driver,
 ``_over_paths``, which samples free paths or bridges block by block
-through ``parallel.run_blocks``.  The reductions share ``_visited`` (V
-along the path, checked against its sup bound, 0 at the cemetery),
-``_weights``, ``_terminal`` and one mean/standard-error rule,
-``EstimateWithError.of``.
+through ``parallel.run_blocks``; the covering sum's terms are the jobs
+of one such pass, so an estimator forks at most one pool.  The
+reductions share ``_visited`` (V along the path, checked against its
+sup bound, 0 at the cemetery), ``_weights``, ``_terminal`` and one
+mean/standard-error rule, ``EstimateWithError.of``.
 
 A finite-difference spectral oracle on the circle and the absorbing
 interval provides the independent check: second-order central
@@ -43,7 +44,7 @@ from .manifold import (
     project_arrays,
     validate_point,
 )
-from .parallel import run_blocks
+from .parallel import per_job, run_blocks
 from .path_sampler import (
     NEVER_KILLED,
     TimeGrid,
@@ -149,34 +150,41 @@ class FKProblem:
             raise ValueError("n_steps and n_samples must be positive")
 
 
-def _over_paths(kernel, x0, y0, t, n_steps, n_samples, rng, workers, reduce):
-    """reduce(positions, killed) over blocks of free paths (y0 None) or of
-    bridges to y0; each of the tuple's per-sample arrays, concatenated."""
+def _over_paths(jobs, t, n_steps, n_samples, rng, workers):
+    """Per job (kernel, x0, y0, reduce): reduce(positions, killed) over
+    blocks of free paths (y0 None) or of bridges to y0, each of the
+    tuple's per-sample arrays concatenated.  Job j runs on substreams
+    rng.sample_index + j * n_samples onward, and all jobs share one
+    ``run_blocks`` pass."""
     grid = TimeGrid.uniform(t, n_steps)
 
     def task(first, count):
+        kernel, x0, y0, reduce = jobs[(first - rng.sample_index) // n_samples]
         if y0 is None:
             ens = sample_paths(kernel, x0, grid, rng.master_seed, count, first_index=first)
         else:
             ens = sample_bridges(kernel, x0, y0, grid, rng.master_seed, count, first_index=first)
         return reduce(ens.positions, ens.kill_step != NEVER_KILLED)
 
-    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers)
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers, jobs=len(jobs))
+    return [tuple(np.concatenate(arrays) for arrays in zip(*p)) for p in per_job(parts, len(jobs))]
 
 
 def _visited(potential, positions):
     """V at every grid point of every path, checked against its sup bound;
     0 at the cemetery."""
     finite = np.isfinite(positions[..., 0])
-    vvals = potential(np.where(finite[..., None], positions, 0.0))
-    vals = vvals[finite]
+    if finite.all():  # no cemetery: V on the positions as they are
+        vvals = vals = potential(positions)
+    else:
+        vvals = np.where(finite, potential(np.where(finite[..., None], positions, 0.0)), 0.0)
+        vals = vvals[finite]
     worst = float(np.max(np.abs(vals))) if vals.size else 0.0
     if worst > potential.sup_bound + BOUND_SLACK * (1.0 + potential.sup_bound):
         raise PotentialBoundError(
             f"potential reached |V| = {worst:.6g}, above its declared bound {potential.sup_bound:.6g}"
         )
-    return np.where(finite, vvals, 0.0)
+    return vvals
 
 
 def _weights(vvals, killed, t, n_steps, rule):
@@ -237,7 +245,7 @@ def fk_expectation(problem, rule="right", workers=1):
         gv = _terminal(g, positions, killed)
         return w * gv, gv
 
-    vals, gv = _over_paths(p.kernel, p.x0, None, p.t, p.n_steps, p.n_samples, p.rng, workers, reduce)
+    [(vals, gv)] = _over_paths([(p.kernel, p.x0, None, reduce)], p.t, p.n_steps, p.n_samples, p.rng, workers)
     est = EstimateWithError.of(vals)
     # an infinite cap (e^(t sup|V|) overflows) is never exceeded
     cap = _growth_bound(p.t, p.potential.sup_bound) * float(np.max(np.abs(gv)))
@@ -246,18 +254,23 @@ def fk_expectation(problem, rule="right", workers=1):
     return est
 
 
+def _kernel_job(kernel, potential, x0, y0, t, n_steps, rule):
+    """The bridge mass p_t(y0, x0) and the ``_over_paths`` job of the
+    normalized-bridge potential weights."""
+    def reduce(positions, killed):
+        return (_weights(_visited(potential, positions), killed, t, n_steps, rule),)
+
+    return bridge_total_mass(kernel, x0, y0, t), (kernel, x0, y0, reduce)
+
+
 def fk_kernel(kernel, potential, x0, y0, t, n_steps, n_samples, rng, rule="right", workers=1):
     """Monte Carlo value of the semigroup's integral kernel at (x0, y0).
 
     Normalized-bridge average of the potential weight, scaled by the
     bridge mass p_t(y0, x0).
     """
-    mass = bridge_total_mass(kernel, x0, y0, t)
-
-    def reduce(positions, killed):
-        return (_weights(_visited(potential, positions), killed, t, n_steps, rule),)
-
-    (w,) = _over_paths(kernel, x0, y0, t, n_steps, n_samples, rng, workers, reduce)
+    mass, job = _kernel_job(kernel, potential, x0, y0, t, n_steps, rule)
+    [(w,)] = _over_paths([job], t, n_steps, n_samples, rng, workers)
     return EstimateWithError.of(w, mass)
 
 
@@ -301,7 +314,7 @@ def fk_monotonicity_check(
         return (_weights(lo_vals, killed, t, n_steps, rule) * gv,
                 _weights(hi_vals, killed, t, n_steps, rule) * gv)
 
-    w_low, w_high = _over_paths(kernel, x0, y0, t, n_steps, n_samples, rng, workers, reduce)
+    [(w_low, w_high)] = _over_paths([(kernel, x0, y0, reduce)], t, n_steps, n_samples, rng, workers)
     violations = int(np.sum(w_low < w_high))
     estimates = [EstimateWithError.of(w, mass) for w in (w_low, w_high)]
     return MonotonicityReport(violations == 0, len(w_low), violations, *estimates)
@@ -352,18 +365,15 @@ def fk_covering_sum_check(
     kernel_base = TransitionKernel(base)
     kernel_line = TransitionKernel(cov.total)
     v_line = lifted_potential(cov, v_base)
-
-    est_base = fk_kernel(
-        kernel_base, v_base, x0, y0, t, n_steps, n_samples, rng, rule=rule, workers=workers
-    )
     w_max = int(windings)
     gap = float(y0a[0] - x0a[0])
-    terms = []
-    for j, k in enumerate(range(-w_max, w_max + 1), 1):
-        sub = RngContract(rng.master_seed, rng.sample_index + j * n_samples)
-        yk = Point((float(x0a[0] + gap + k * length),))
-        terms.append(fk_kernel(kernel_line, v_line, Point((float(x0a[0]),)), yk, t, n_steps, n_samples, sub,
-                               rule=rule, workers=workers))
+    x_line = Point((float(x0a[0]),))
+    # the base kernel, then the line kernel at each deck shift k, on consecutive substream ranges
+    jobs = [_kernel_job(kernel_base, v_base, x0, y0, t, n_steps, rule)]
+    jobs += [_kernel_job(kernel_line, v_line, x_line, Point((float(x0a[0] + gap + k * length),)),
+                         t, n_steps, rule) for k in range(-w_max, w_max + 1)]
+    runs = _over_paths([job for _, job in jobs], t, n_steps, n_samples, rng, workers)
+    est_base, *terms = [EstimateWithError.of(w, mass) for (mass, _), (w,) in zip(jobs, runs)]
     line_sum = float(sum(e.value for e in terms))
     combined = math.sqrt(est_base.std_error ** 2 + sum(e.std_error ** 2 for e in terms))
     tail = _winding_tail_bound(t, gap, length, w_max, v_base.sup_bound)

@@ -2,9 +2,13 @@
 
 Samples are split into fixed-size blocks by sample index and each block
 is computed on its own substreams, so the assembled per-sample arrays
-are identical for any worker count (including serial).  Workers are
-forked, which lets tasks close over arbitrary callables without
-pickling them.
+are identical for any worker count (including serial).  Every
+sampling command forks at most one pool: one that makes several
+estimates (a curve's t values, a covering sum's terms) lays them on one
+contiguous sample range and runs all their blocks through one
+``run_blocks`` call, and ``sample`` and ``bridge`` draw their ensembles
+through it too.  Workers are forked, which lets tasks close over
+arbitrary callables without pickling them.
 """
 
 from __future__ import annotations
@@ -21,14 +25,17 @@ def _call(args):
     return _TASK(*args)
 
 
-def run_blocks(task, n_total, first_index=0, workers=1, block_size=BLOCK_SIZE):
-    """Evaluate task(start_index, count) over fixed blocks; results in block order."""
-    blocks = []
-    start = 0
-    while start < n_total:
-        count = min(block_size, n_total - start)
-        blocks.append((first_index + start, count))
-        start += count
+def run_blocks(task, n_total, first_index=0, workers=1, block_size=BLOCK_SIZE, jobs=1):
+    """Evaluate task(start_index, count) over fixed blocks; results in block order.
+
+    The range holds ``jobs`` estimates of n_total samples each, estimate j
+    starting at first_index + j * n_total, so a task finds its estimate
+    as (start_index - first_index) // n_total.  Each estimate is cut into
+    blocks on its own, so no block straddles two, and all blocks share
+    one pool.
+    """
+    blocks = [(first_index + j * n_total + start, min(block_size, n_total - start))
+              for j in range(jobs) for start in range(0, n_total, block_size)]
     # more processes than usable CPUs only add forks; blocks and bits stay the same
     workers = min(workers or 1, len(blocks), _usable_cpus())
     if workers <= 1:
@@ -44,6 +51,12 @@ def run_blocks(task, n_total, first_index=0, workers=1, block_size=BLOCK_SIZE):
             return pool.map(_call, blocks)
     finally:
         _TASK = None
+
+
+def per_job(parts, jobs):
+    """``run_blocks`` results split into one list per estimate, in block order."""
+    n = len(parts) // max(jobs, 1)
+    return [parts[j * n:(j + 1) * n] for j in range(jobs)]
 
 
 def _usable_cpus():

@@ -399,13 +399,19 @@ class TestInputErrors:
             (["fk", "covering-sum", *FK_CIRCLE, "--y0", "1", "--oracle-m", "64"],
              "fk covering-sum does not read --oracle-m"),
             (["fk", "expectation", *FK_CIRCLE, "--y0", "1"], "fk expectation does not read --y0"),
+            (["curve", "--model", "compactified:dirichlet:3", "--t-grid", "0.5:1:0.5", "--samples", "10"],
+             "curve runs on the heat kernels of euclidean:N, hyperbolic3, circle:L and torus:L1,L2,..., "
+             "not Compactified("),
+            (["curve", "--model", "cauchy", "--t-grid", "0.5:1:0.5", "--samples", "10"],
+             "curve runs on the heat kernels of euclidean:N"),
         ],
         ids=["fk-expectation", "fk-monotonicity", "fk-kernel", "sample", "bridge", "holder", "curve",
              "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify",
              "holder-killed", "grid-overflow", "tau-grid-overflow", "grid-too-fine", "level-too-deep",
              "fk-kernel-terminal", "fk-covering-terminal", "fk-monotonicity-bridge-terminal",
              "fk-monotonicity-terminal-cos", "fk-expectation-potential2", "fk-kernel-potential2",
-             "fk-covering-potential2", "fk-monotonicity-oracle", "fk-covering-oracle", "fk-expectation-y0"],
+             "fk-covering-potential2", "fk-monotonicity-oracle", "fk-covering-oracle", "fk-expectation-y0",
+             "curve-compactified", "curve-cauchy"],
     )
     def test_exits_2_with_message(self, args, message):
         res = run_cli(args)
@@ -543,6 +549,26 @@ class TestDeterminismAcrossWorkers:
         assert run_cli(args + ["--workers", "1", "--out", str(a)]).returncode == 0
         assert run_cli(args + ["--workers", "4", "--out", str(b)]).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    # each command makes at least two pool tasks, so --workers 2 really forks
+    @pytest.mark.parametrize("args", [
+        ["curve", "--model", "hyperbolic3", "--t-grid", "0.5:1.0:0.5", "--samples", "5000"],
+        ["fk", "covering-sum", "--model", "circle:6.283185307179586", "--potential", "cos",
+         "--y0", "3.14159265", "--t", "0.5", "--steps", "8", "--samples", "2000", "--windings", "1"],
+        ["sample", "--model", "compactified:dirichlet:3.14159265", "--x0", "1", "--T", "1", "--steps", "4",
+         "--samples", "40000", "--sample-index", "39000"],
+        ["bridge", "--model", "circle:1.0", "--x0", "0", "--y0", "0.5", "--T", "0.5", "--steps", "4",
+         "--samples", "40000"],
+    ], ids=["curve", "covering-sum", "sample", "bridge"])
+    def test_stdout_and_out_identical_at_two_workers(self, tmp_path, args):
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.out"
+            res = run_cli(args + ["--seed", "21", "--workers", workers, "--out", str(out)])
+            assert res.returncode == 0 and res.stderr == ""
+            runs.append((res.stdout, out.read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestNumpyRngFallback:

@@ -1,6 +1,9 @@
 import os
 
+import pytest
+
 from pathkernel import parallel
+from pathkernel.cli import main
 
 
 class RecordingContext:
@@ -8,6 +11,7 @@ class RecordingContext:
 
     def __init__(self):
         self.processes = []
+        self.tasks = []
 
     def Pool(self, processes):
         self.processes.append(processes)
@@ -20,6 +24,7 @@ class RecordingContext:
         return False
 
     def map(self, fn, items):
+        self.tasks.append(len(items))
         return [fn(item) for item in items]
 
 
@@ -65,3 +70,48 @@ def test_one_usable_cpu_runs_serially(monkeypatch):
 def test_usable_cpus_is_the_affinity_set():
     want = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert parallel._usable_cpus() == want
+
+
+def test_jobs_share_one_pool_and_keep_task_order(monkeypatch):
+    ctx = fake_pool(monkeypatch, 2)
+    out = parallel.run_blocks(lambda a, c: (a, c), 10, first_index=3, workers=2, block_size=4, jobs=3)
+    # each estimate is cut on its own: no block straddles two of them
+    assert out == blocks_of(10, 3, 4) + blocks_of(10, 13, 4) + blocks_of(10, 23, 4)
+    assert ctx.processes == [2] and ctx.tasks == [9]
+    assert parallel.per_job(out, 3) == [blocks_of(10, 3 + 10 * j, 4) for j in range(3)]
+
+
+CURVE = ["curve", "--model", "euclidean:1", "--t-grid", "0.25:1:0.25", "--samples", "40000"]
+COVERING = ["fk", "covering-sum", "--model", "circle:6.283185307179586", "--potential", "cos",
+            "--y0", "3.14159265", "--t", "0.5", "--steps", "4", "--samples", "100", "--windings", "2"]
+SAMPLE = ["sample", "--model", "compactified:dirichlet:3.14159265", "--x0", "1", "--T", "1",
+          "--steps", "2", "--samples", "40000", "--sample-index", "39999"]
+BRIDGE = ["bridge", "--model", "circle:1.0", "--x0", "0", "--y0", "0.5", "--T", "0.5",
+          "--steps", "2", "--samples", "40000"]
+
+
+@pytest.mark.parametrize("argv, tasks", [
+    (CURVE, 8),  # 4 t values of 2 blocks each
+    (COVERING, 6),  # the base kernel and 2 * 2 + 1 line kernels, one block each
+    (SAMPLE, 2),
+    (BRIDGE, 2),
+], ids=["curve", "covering-sum", "sample", "bridge"])
+def test_a_command_forks_one_pool(monkeypatch, capsys, argv, tasks):
+    monkeypatch.delenv("PATHKERNEL_WORKERS", raising=False)
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    ctx = fake_pool(monkeypatch, 2)
+    assert main(argv + ["--workers", "2"]) == 0
+    assert ctx.processes == [2] and ctx.tasks == [tasks]
+    assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "euclidean:1", "--x0", "0", "--T", "1", "--steps", "2", "--samples", "100"],
+    ["curve", "--model", "euclidean:1", "--t-grid", "0.5:0.5:1", "--samples", "100"],
+], ids=["sample", "curve"])
+def test_a_one_block_command_forks_none(monkeypatch, argv, capsys):
+    monkeypatch.delenv("PATHKERNEL_WORKERS", raising=False)
+    ctx = fake_pool(monkeypatch, 2)
+    assert main(argv + ["--workers", "2"]) == 0
+    assert ctx.processes == []

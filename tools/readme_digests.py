@@ -30,6 +30,13 @@ plain output checks the compiled draw kernel on every command:
     python tools/readme_digests.py > kernel.txt
     python tools/readme_digests.py --numpy-rng > numpy.txt
     diff kernel.txt numpy.txt
+
+`--workers N` runs every command with PATHKERNEL_WORKERS=N (by default the
+variable is removed); output files must not depend on the worker count, so
+a diff against the plain output checks that on every command:
+
+    python tools/readme_digests.py --workers 2 > workers2.txt
+    diff kernel.txt workers2.txt
 """
 
 from __future__ import annotations
@@ -140,11 +147,14 @@ def run_digest(env, name, argv, outs):
     return lines
 
 
-def digests(root, src=None, path=None):
-    """Digest lines of every run with ``src`` (default: the checkout's) on PYTHONPATH; ``path`` replaces PATH."""
+def digests(root, src=None, path=None, workers=None):
+    """Digest lines of every run with ``src`` (default: the checkout's) on PYTHONPATH; ``path``
+    replaces PATH and ``workers``, if given, is PATHKERNEL_WORKERS."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str((src or root / "src").resolve())
     env.pop("PATHKERNEL_WORKERS", None)
+    if workers is not None:
+        env["PATHKERNEL_WORKERS"] = str(workers)
     if path is not None:
         env["PATH"] = path
     lines = []
@@ -167,13 +177,15 @@ def main(argv=None):
     parser.add_argument("--numpy-rng", action="store_true",
                         help="run on a copy of src/ without __pycache__ and with an empty PATH, "
                              "so that no C draw kernel is built or loaded")
+    parser.add_argument("--workers", type=int, default=None, metavar="N",
+                        help="run every command with PATHKERNEL_WORKERS=N")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         src = None
         if args.numpy_rng:
             src = Path(tmp) / "src"
             shutil.copytree(args.root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        for line in digests(args.root, src, "" if args.numpy_rng else None):
+        for line in digests(args.root, src, "" if args.numpy_rng else None, args.workers):
             print(line, flush=True)
     return 0
 
