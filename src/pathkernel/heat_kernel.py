@@ -9,16 +9,17 @@ Closed forms:
 * Circle / FlatTorus:  lattice sum of Gaussian images, truncated by the
   policy's tail tolerance (per-coordinate factorization for rectangular
   tori).
-* DirichletInterval:  alternating reflection sum for small times, sine
-  eigen-series for large times, switched at t = L^2/pi^2 where both
-  representations agree to machine tail.
+* DirichletInterval:  the Gaussian times the bridge survival ratio below
+  t = L^2/pi^2, one reflection-image sum shared with the killed sampler
+  that keeps its digits at both walls; the sine eigen-series above.  Both
+  agree to machine tail at the switch.
 * Cauchy (Euclidean(1) only):  t / (pi (t^2 + dx^2)).
 
 Masses integrate to 1 for the complete models and fall short for the
 absorbing interval; the compactified wrapper books the missing mass on
 a cemetery state so the total is exactly 1 again.  That lost mass is a
-closed form switched like the kernel: erfc images below t = L^2/pi^2, the
-sine series above.
+closed form switched like the kernel: erfc images (the cemetery row keeps
+their digits) below t = L^2/pi^2, one minus the sine series above.
 
 Laws
 ----
@@ -221,12 +222,6 @@ def image_count(radius, period, policy):
     return kmax
 
 
-def _gauss_images(t, diff, shifts, owner):
-    """sum_k of the 1-d Gaussian at diff + shifts[k], per point."""
-    z = diff[..., None] + shifts
-    return np.sum(gauss_profile(t, z * z, 1, None if owner is None else owner[:, None]), axis=-1)
-
-
 def circle_theta_arrays(t, dx, length, policy, owner=None):
     """Heat kernel on a circle as a sum of Gaussian images of the difference dx.
 
@@ -238,24 +233,12 @@ def circle_theta_arrays(t, dx, length, policy, owner=None):
         spans = np.zeros(len(t))
         np.maximum.at(spans, owner, np.abs(dx))
         kmax = [_image_range(v, w, length, policy) for v, w in zip(np.asarray(t).tolist(), spans.tolist())]
-    return _by_key(kmax, owner, lambda sel, own, k: _gauss_images(
-        t, dx[sel], np.arange(-k, k + 1, dtype=np.float64) * length, own))
 
+    def images(sel, own, k):  # sum_k of the 1-d Gaussian at dx + kL, per point
+        z = dx[sel][..., None] + np.arange(-k, k + 1, dtype=np.float64) * length
+        return np.sum(gauss_profile(t, z * z, 1, None if own is None else own[:, None]), axis=-1)
 
-def dirichlet_images_arrays(t, x, y, length, policy, owner=None):
-    """Absorbing-interval kernel as the alternating reflection-image sum
-    (the group generated by reflections at 0 and L)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    L = float(length)
-
-    def images(sel, own, kmax):
-        ks = np.arange(-kmax, kmax + 1, dtype=np.float64) * (2.0 * L)
-        direct = _gauss_images(t, x[sel] - y[sel], ks, own)
-        mirror = _gauss_images(t, x[sel] + y[sel], ks, own)
-        return np.maximum(direct - mirror, 0.0)
-
-    return _by_key(_each(_image_range, t, owner, L, 2.0 * L, policy), owner, images)
+    return _by_key(kmax, owner, images)
 
 
 def _eigen_terms(t, L, policy):
@@ -275,9 +258,7 @@ def _eigen_weights(t, L, m_max):
 
 
 def dirichlet_series_arrays(t, x, y, length, policy, owner=None):
-    """Absorbing-interval kernel as the sine eigen-series."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Absorbing-interval kernel as the sine eigen-series, on arrays x, y."""
     L = float(length)
 
     def series(sel, own, m_max):
@@ -291,55 +272,82 @@ def dirichlet_series_arrays(t, x, y, length, policy, owner=None):
 
 
 def dirichlet_kernel_arrays(t, x, y, length, policy, owner=None):
-    """Reflection images below the switch time t = L^2/pi^2, eigen-series
-    above; each representation converges fast in its regime and they
-    agree to machine tail at the switch."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    switch = float(length) ** 2 / math.pi ** 2
+    """The Gaussian times the bridge survival ratio below the switch time
+    t = L^2/pi^2, the eigen-series above; they agree to machine tail at the
+    switch.  Both run on (x, y) mirrored to (L - x, L - y) where x + y > L,
+    so that the nearer wall is 0, and ordered so that y <= x: p(y, x) and
+    p(L - x, L - y) are the bits of p(x, y) wherever L - (L - x) = x."""
+    L = float(length)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    flip = x + y > L
+    x, y = np.where(flip, L - x, x), np.where(flip, L - y, y)
+    x, y = np.maximum(x, y), np.minimum(x, y)
 
     def regime(sel, own, images):
-        form = dirichlet_images_arrays if images else dirichlet_series_arrays
-        return form(t, x[sel], y[sel], length, policy, own)
+        if images:
+            ratio = dirichlet_survival_ratio(t, x[sel], y[sel], L, policy, own)
+            return gauss_profile(t, (x[sel] - y[sel]) ** 2, 1, own) * ratio
+        return dirichlet_series_arrays(t, x[sel], y[sel], L, policy, own)
 
-    return _by_key(_each(lambda v: v < switch, t, owner), owner, regime)
+    return _by_key(_each(lambda v: v < L * L / math.pi ** 2, t, owner), owner, regime)
 
 
-def dirichlet_survival_ratio(t, x, y, length, policy):
+def dirichlet_survival_ratio(t, x, y, length, policy, owner=None):
     """p^D_t(x, y) / g_t(x - y) for x, y in [0, L], capped at 1: the
     probability that the Brownian bridge from x to y over time t stays
-    inside (0, L) (Gobet 2000).
+    inside (0, L) (Gobet 2000).  From the switch time t = L^2/pi^2 on it is
+    the eigen-series over the Gaussian.  Below it (and with an owner) it is
 
-    Below the switch time t = L^2/pi^2 the image sum is divided by the
-    Gaussian term by term.  With d = x - y,
+        r = sum_k [exp(-kL(kL + x - y)/t) - exp(-(x + kL)(y + kL)/t)],
 
-        r = sum_k [exp(-kL(kL + d)/t) - exp(-(x + kL)(y + kL)/t)],
-
-    whose k = 0 direct term is 1 and whose wall terms are exp(-xy/t) and
-    exp(-(L - x)(L - y)/t).  The |k| >= 1 terms are added while the least
-    of their exponents, kL(kL - max|d|)/t, is within the image sum's tail.
-    An exponent that overflows stands for exp(-inf) = 0.  At and above the
-    switch the ratio is the quotient of the eigen-series and the Gaussian.
+    with (x, y) mirrored to (L - x, L - y) where that makes xy the smaller
+    of xy and (L - x)(L - y), and ordered so that y <= x.  Direct and
+    mirror image k differ by the factor exp(-y(x + 2kL)/t), so each k is
+    one term: a sign, times the larger exponential, times
+    -expm1(-y|x + 2kL|/t).  The k = 0 term is -expm1(-xy/t); the terms k
+    and -k are added as one pair, factored so that nothing cancels.  Each
+    point adds the pairs k = 1, 2, ... while they exceed tail_tolerance *
+    1e-3 times its own k = 0 term; a bound over the array picks the points
+    (usually none) whose pair 1 may.  An overflowing exponent is -inf.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     L = float(length)
-    if not t < L * L / math.pi ** 2:
-        return np.minimum(dirichlet_kernel_arrays(t, x, y, L, policy) / gauss_profile(t, (x - y) ** 2, 1), 1.0)
-    reach = float(np.max(np.abs(x - y))) if x.size else 0.0
-    cut = math.log(1.0 / (policy.tail_tolerance * 1e-3)) * t
-    with np.errstate(over="ignore"):
-        r = 1.0 - np.exp(-(x * y) / t) - np.exp(-((L - x) * (L - y)) / t)
-        k = 1
-        while k * L * (k * L - reach) < cut:
-            # the direct images k and -k, the mirror images k and -(k + 1);
-            # s + d is summed as (s - y) + x, whose first difference is exact
-            # near the wall, so that d's rounding is not multiplied by s/t
-            s = k * L
-            r = r + (np.exp(-s * ((s - y) + x) / t) + np.exp(-s * ((s - x) + y) / t))
-            r = r - (np.exp(-((x + s) * (y + s)) / t) + np.exp(-(((s + L) - x) * ((s + L) - y)) / t))
-            k += 1
-    return np.clip(r, 0.0, 1.0)
+    if owner is None and not t < L * L / math.pi ** 2:
+        pd = dirichlet_kernel_arrays(t, x, y, L, policy)
+        return np.minimum(pd / gauss_profile(t, np.subtract(x, y) ** 2, 1), 1.0)
+    shape = np.shape(x)
+    x, y, t = np.ravel(x), np.ravel(y), (t if owner is None else np.ravel(_gather(t, owner)))
+    tail = policy.tail_tolerance * 1e-3
+    with np.errstate(over="ignore", divide="ignore"):
+        # In place, as this is the whole of a killed step.  Pair 1 is below
+        # 2 exp(-E) min(1, 3Ly/t), E = max(near, far)/t, and the k = 0 term
+        # above (1 - 1/e) min(1, xy/t); as x >= sqrt(xy), pair 1 is below
+        # tail * r where E >= cut.  A point on a wall makes all candidates.
+        near, far = x * y, L - x
+        far *= L - y
+        r = np.minimum(near, far)
+        cut = math.log(10.0 * L / tail) - 0.5 * np.log(np.min(r, initial=math.inf))
+        np.divide(r, -t, out=r)
+        np.negative(np.expm1(r, out=r), out=r)
+        sel = np.maximum(near, far, out=near) < t * cut
+        if np.any(sel):
+            xs, ys, ts, lead = x[sel], y[sel], np.broadcast_to(t, x.shape)[sel], r[sel]
+            flip = xs * ys > (L - xs) * (L - ys)
+            xs, ys = np.where(flip, L - xs, xs), np.where(flip, L - ys, ys)
+            hi, lo, total = np.maximum(xs, ys), np.minimum(xs, ys), lead.copy()
+            live, k = np.flatnonzero(lead > 0.0), 1
+            while live.size:
+                # up - down, with up = exp(-s(s + h - w)/t) (1 - exp(-w(h + 2s)/t))
+                # and down = exp(-(s - h)(s - w)/t) (1 - exp(-w(2s - h)/t)); its
+                # two parts are of order hw/t and (s^2/t) hw/t, s^2/t > pi^2
+                s, tl, h, w = k * L, ts[live], hi[live], lo[live]
+                pair = np.exp(-((s - h) * (s - w)) / tl) * (
+                    np.exp(-w * (2.0 * s - h) / tl) * -np.expm1(-2.0 * h * w / tl)
+                    + np.expm1(-h * (2.0 * s - w) / tl) * -np.expm1(-w * (h + 2.0 * s) / tl))
+                more = np.abs(pair) > tail * lead[live]
+                live, k = live[more], k + 1
+                total[live] += pair[more]
+            r[sel] = np.clip(total, 0.0, 1.0)
+    return r.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -349,35 +357,36 @@ def dirichlet_survival_ratio(t, x, y, length, policy):
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 
-def dirichlet_mass_arrays(t, x, length, tol=1e-16):
-    """Survival mass of the absorbing interval, vectorized in x: one minus
-    the reflection-image sum of the mass lost to the walls below the switch
-    time t = L^2/pi^2, the sine series above; each stops after a few terms
-    in its regime."""
+def _wall_masses(t, x, length, tol=1e-16):
+    """(survival, lost) masses of the absorbing interval from x (an array) by
+    time t: below the switch time t = L^2/pi^2 the lost mass is an image sum
+    of erfc terms, above it the survival mass a sine series, each stopped
+    after a few terms; the other mass is one minus it."""
     L = float(length)
     x = np.asarray(x, dtype=np.float64)
     if t < L * L / math.pi ** 2:
         # term j is (-1)^j [erfc((jL + x)/h) + erfc(((j+1)L - x)/h)]; the terms
         # alternate and shrink, so the omitted tail is below 2 erfc(jL/h)
-        h = 2.0 * math.sqrt(t)
-        lost = np.zeros_like(x)
-        j = 0
+        h, lost, j = 2.0 * math.sqrt(t), np.zeros_like(x), 0
         while True:
             lost = lost + (-1.0) ** j * (_erfc((j * L + x) / h) + _erfc(((j + 1) * L - x) / h))
             j += 1
             if 2.0 * math.erfc(j * L / h) <= tol:
-                return 1.0 - lost
-    total = np.zeros_like(x)
-    m = 1
+                return 1.0 - lost, lost
+    x = np.minimum(x, L - x)  # the masses are symmetric; no sine is taken near m pi
+    total, m = np.zeros_like(x), 1
     while True:
-        lam = (m * math.pi / L) ** 2
-        weight = math.exp(-lam * t)
+        weight = math.exp(-((m * math.pi / L) ** 2) * t)
         total = total + (2.0 / L) * weight * np.sin(m * math.pi * x / L) * (L / (m * math.pi)) * (
-            1.0 - math.cos(m * math.pi)
-        )
+            1.0 - math.cos(m * math.pi))
         if weight <= tol and m > 4:
-            return total
+            return total, 1.0 - total
         m += 1
+
+
+def dirichlet_mass_arrays(t, x, length, tol=1e-16):
+    """Survival mass of the absorbing interval, vectorized in x (see _wall_masses)."""
+    return _wall_masses(t, x, length, tol)[0]
 
 
 def _gaussian_moment(a, tau, n):
@@ -849,11 +858,8 @@ class _DirichletLaw(_Law):
 
     def mass(self, t, xa, quad_tol):
         L = self.model.length
-
-        def f(y):
-            return dirichlet_kernel_arrays(t, np.broadcast_to(xa[0], y.shape), y, L, self.truncation)
-
-        return adaptive_simpson(f, 0.0, L, tol=quad_tol)
+        return adaptive_simpson(lambda y: dirichlet_kernel_arrays(t, xa[0], y, L, self.truncation), 0.0, L,
+                                tol=quad_tol)
 
     def ck_integral(self, s, t, xa, za, tol):
         L, tr = self.model.length, self.truncation
@@ -870,9 +876,7 @@ class _DirichletLaw(_Law):
         y0 = L / 2.0
 
         def f(z):
-            return np.abs(z - y0) ** a * dirichlet_kernel_arrays(
-                tau, z, np.broadcast_to(y0, z.shape), L, self.truncation
-            )
+            return np.abs(z - y0) ** a * dirichlet_kernel_arrays(tau, z, y0, L, self.truncation)
 
         return adaptive_simpson(f, 0.0, L, tol=_lobe_tolerance(tol, lambda r: f(y0 - r), a, tau, y0))
 
@@ -916,7 +920,7 @@ class _KilledLaw(_Law):
 
     def lost_mass(self, t, x):
         """The mass a source at x (an array) loses to the walls by time t."""
-        return 1.0 - dirichlet_mass_arrays(t, x, self.model.base.length)
+        return _wall_masses(t, x, self.model.base.length)[1]
 
     def ck_integral(self, s, t, xa, za, tol):
         return self.base.ck_integral(s, t, xa, za, tol)
@@ -930,21 +934,16 @@ class _KilledLaw(_Law):
 
         def f(y):
             y = np.atleast_1d(y)
-            return self.lost_mass(t, y) * dirichlet_kernel_arrays(
-                s, y, np.broadcast_to(xa[0], y.shape), L, self.truncation
-            )
+            return self.lost_mass(t, y) * dirichlet_kernel_arrays(s, y, xa[0], L, self.truncation)
 
         lhs = adaptive_simpson(f, 0.0, L, tol=tol) + float(self.lost_mass(s, xa[0]))
         return abs(lhs - float(self.lost_mass(s + t, xa[0])))
 
     def paths(self, cursor, x0a, steps):
         """Gaussian proposals accepted with probability p_dt / gauss_dt, the
-        interval kernel's share of the free one; a rejected step is the kill.
-
-        That share is the probability that the Brownian bridge between the
-        two points stays inside: below the switch time it is the closed
-        form of ``dirichlet_survival_ratio``, above it the quotient of the
-        eigen-series and the Gaussian."""
+        interval kernel's share of the free one, which is the probability
+        that the Brownian bridge between the two points stays inside
+        (``dirichlet_survival_ratio``); a rejected step is the kill."""
         L = self.model.base.length
         n = len(cursor)
         pos = np.full((n, len(steps) + 1, 1), np.nan)

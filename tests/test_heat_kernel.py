@@ -14,11 +14,11 @@ from pathkernel.heat_kernel import (
     TransitionKernel,
     TruncationPolicy,
     _gaussian_moment,
+    _wall_masses,
     cauchy_profile,
     chapman_kolmogorov_residuals,
     circle_theta_arrays,
     delta_family_residuals,
-    dirichlet_images_arrays,
     dirichlet_kernel_arrays,
     dirichlet_mass_arrays,
     dirichlet_series_arrays,
@@ -135,7 +135,7 @@ class TestEvaluate:
         gen = np.random.default_rng(3)
         x = gen.uniform(0.05, 0.95, 50) * L
         y = gen.uniform(0.05, 0.95, 50) * L
-        a = dirichlet_images_arrays(t_switch, x, y, L, pol)
+        a = dirichlet_kernel_arrays(np.nextafter(t_switch, 0.0), x, y, L, pol)  # the images
         b = dirichlet_series_arrays(t_switch, x, y, L, pol)
         assert np.max(np.abs(a - b)) < 1e-12
 
@@ -155,18 +155,94 @@ class TestEvaluate:
             evaluate(tiny, 5.0, point(0.0), point(0.5))
 
 
-def _decimal_quotient(t, x, y, length, images=8):
-    """min(p^D_t(x, y) / g_t(x - y), 1) from the reflection images, in
-    40-digit decimal arithmetic."""
+_PI_40 = decimal.Decimal("3.141592653589793238462643383279502884197")
+
+
+def _decimal_images(t, x, y, length, images=8):
+    """(p^D_t(x, y), g_t(x - y)) from the reflection images, in 40-digit
+    decimal arithmetic."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         x, y, t, L = (decimal.Decimal(float(v)) for v in (x, y, t, length))
+        norm = 1 / (4 * _PI_40 * t).sqrt()
 
         def g(z):
-            return (-(z * z) / (4 * t)).exp()
+            return norm * (-(z * z) / (4 * t)).exp()
 
-        num = sum(g(x - y + 2 * k * L) - g(x + y + 2 * k * L) for k in range(-images, images + 1))
-        return float(min(num / g(x - y), 1))
+        return sum(g(x - y + 2 * k * L) - g(x + y + 2 * k * L) for k in range(-images, images + 1)), g(x - y)
+
+
+def _decimal_quotient(t, x, y, length):
+    """min(p^D_t(x, y) / g_t(x - y), 1) in 40-digit decimal arithmetic."""
+    p, g = _decimal_images(t, x, y, length)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return float(min(p / g, 1))
+
+
+def _decimal_kernel(t, x, y, length):
+    """p^D_t(x, y) in 40-digit decimal arithmetic."""
+    return float(_decimal_images(t, x, y, length)[0])
+
+
+class TestDirichletKernelDigits:
+    """p^D against the 40-digit image sum, relative to its own size."""
+
+    L = math.pi
+    SWITCH = L * L / math.pi ** 2
+    # t <= L^2/(2 pi^2), up to the switch, and from it on
+    TIMES = [1e-4, 1e-2, 0.25, 0.5 * SWITCH, 0.6, 0.75, 0.9, math.nextafter(SWITCH, 0.0), SWITCH, 2.0, 4.0]
+    INTERIOR = np.linspace(0.05, L - 0.05, 15)
+
+    def kernel(self, t, x, y, owner=None):
+        return dirichlet_kernel_arrays(t, x, y, self.L, TruncationPolicy(), owner)
+
+    def relative_errors(self, t, x, y):
+        got = self.kernel(t, x, y)
+        want = np.array([_decimal_kernel(t, u, v, self.L) for u, v in zip(x, y)])
+        normal = want >= sys.float_info.min  # where the kernel is a normal float
+        return np.abs(got - want)[normal] / want[normal]
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_near_each_wall(self, t):
+        # x at 1e-9 ... 1e-2 from a wall; y three times as far from it, or mid-way
+        d = np.array([1e-9, 1e-6, 1e-4, 1e-2])
+        x = np.concatenate([d, d, self.L - d, self.L - d])
+        y = np.concatenate([3.0 * d, np.full(4, self.L / 2.0), self.L - 3.0 * d, np.full(4, self.L / 2.0)])
+        err = self.relative_errors(t, x, y)
+        assert err.size >= 8
+        assert np.max(err) <= (1e-13 if t < self.SWITCH else 1e-14)
+
+    @pytest.mark.parametrize("t", [1.0 / 32.0, 0.25, 0.9, math.nextafter(SWITCH, 0.0), SWITCH, 4.0])
+    def test_interior(self, t):
+        x, y = (v.ravel() for v in np.meshgrid(self.INTERIOR, self.INTERIOR))
+        assert np.max(self.relative_errors(t, x, y)) <= 1e-14
+
+    def test_batched_points_equal_points_alone(self):
+        # at the walls, inside and far apart; one time per owner, in both regimes
+        L = self.L
+        x = np.array([0.0, 1e-9, 1e-4, 0.5, 1.5, L / 2, 2.9, L - 1e-6, L - 1e-9, L, 0.02, 3.0, 1e-300, 2.0])
+        y = np.array([3e-9, 2e-9, L - 1e-4, 2.5, 1.4, L / 2, 0.1, L - 3e-6, L - 3e-9, 1.0, 3.1, 3.1, 1e-300, 1e-12])
+        t = np.array([1e-3, 0.2, 0.9, math.nextafter(self.SWITCH, 0.0), self.SWITCH, 3.0])
+        owner = np.arange(len(x)) % len(t)
+        batch = self.kernel(t, x, y, owner)
+        alone = [float(self.kernel(float(t[o]), x[i:i + 1], y[i:i + 1])[0]) for i, o in enumerate(owner)]
+        assert batch.tolist() == alone
+        # the killed sampler's ratio takes one time for all its points
+        for v in (1e-3, 0.2, 0.9):
+            batch = dirichlet_survival_ratio(v, x, y, L, TruncationPolicy())
+            alone = [float(dirichlet_survival_ratio(v, x[i:i + 1], y[i:i + 1], L, TruncationPolicy())[0])
+                     for i in range(len(x))]
+            assert batch.tolist() == alone
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_mirror_and_swap_are_exact(self, t):
+        grid = np.concatenate([[1e-9, 1e-4, 1e-2], self.INTERIOR, self.L - np.array([1e-2, 1e-4, 1e-9])])
+        grid = self.L - (self.L - grid)  # so that L - (L - x) = x on the grid
+        x, y = (v.ravel() for v in np.meshgrid(grid, grid))
+        p = self.kernel(t, x, y)
+        np.testing.assert_array_equal(self.kernel(t, self.L - x, self.L - y), p)
+        np.testing.assert_array_equal(self.kernel(t, y, x), p)
 
 
 class TestDirichletSurvivalRatio:
@@ -266,7 +342,14 @@ class TestCompactifiedTable:
     @pytest.mark.parametrize("x", [0.3, 1.57, 3.0])
     def test_lost_mass_row_is_one_minus_the_survival_mass(self, t, x):
         got = evaluate(self.COMP, t, CEMETERY, point(x))
-        assert got == 1.0 - dirichlet_mass_arrays(t, x, math.pi)
+        assert got == _wall_masses(t, x, math.pi)[1]
+        assert abs(got - (1.0 - dirichlet_mass_arrays(t, x, math.pi))) <= 2.0 ** -52
+
+    def test_lost_mass_row_keeps_its_digits(self):
+        # the erfc image sum at 50 digits; one minus the survival mass reads 0
+        comp = TransitionKernel(Compactified(DirichletInterval(3.14159265)))
+        got = evaluate(comp, 0.01, CEMETERY, point(1.5707963))
+        assert got == pytest.approx(2.3144433534296861e-28, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("length", [math.pi, 1.0, 7.0])
     def test_survival_mass_forms_agree_at_the_switch(self, length):
@@ -276,6 +359,11 @@ class TestCompactifiedTable:
         below = dirichlet_mass_arrays(np.nextafter(switch, 0.0), xs, length)
         above = dirichlet_mass_arrays(switch, xs, length)
         assert np.max(np.abs(below - above)) < 1e-14
+
+    def test_series_survival_mass_near_each_wall(self):
+        # L = 1 runs the sine series at t = 0.5; the 40-digit series value
+        for x, want in ((1e-9, 2.8767533423305464e-11), (0.999999999, 2.8767532609704054e-11)):
+            assert dirichlet_mass_arrays(0.5, x, 1.0) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("t", [1e-300, 1e-12])
     def test_survival_mass_at_tiny_t(self, t):

@@ -65,6 +65,9 @@ MODELS = {
     "torus:1,2": ("0.2,0.5", "0.7,1.5"),
     "dirichlet:3.14159265": ("1", "2"),
     "compactified:dirichlet:3.14159265": ("1", "2"),
+    # two points 1e-9 and 3e-9 from the wall at L: the kernel at t = 0.5 runs
+    # the sine series (the switch is 1/pi^2), the moment grid the images
+    "dirichlet:1.0": ("0.999999999", "0.999999997"),
     "cauchy": ("0.3", "-0.4"),
 }
 _CEMETERY_SOURCE = {"compactified:dirichlet:3.14159265"}
