@@ -6,6 +6,7 @@ from pathkernel import (
     Euclidean,
     Hyperbolic3,
     RngContract,
+    TransitionKernel,
     curve_to_csv,
     distance_curve,
     expected_distance_analytic,
@@ -24,8 +25,8 @@ for t in (0.1, 0.01, 0.001):
 
 print("\nMonte Carlo curve on a coarse grid (N = 50000 per point):")
 grid = [0.25, 0.5, 1.0, 2.0, 4.0, 7.0]
-rows_r3 = distance_curve(Euclidean(3), point(0, 0, 0), grid, 50000, RngContract(1))
-rows_h3 = distance_curve(Hyperbolic3(), point(1, 0, 0, 0), grid, 50000, RngContract(2))
+rows_r3 = distance_curve(TransitionKernel(Euclidean(3)), point(0, 0, 0), grid, 50000, RngContract(1))
+rows_h3 = distance_curve(TransitionKernel(Hyperbolic3()), point(1, 0, 0, 0), grid, 50000, RngContract(2))
 
 print("\nR^3  " + curve_to_csv(rows_r3).replace("\n", "\nR^3  ").strip().rstrip("R^3").strip())
 print("\nH^3  " + curve_to_csv(rows_h3).replace("\n", "\nH^3  ").strip().rstrip("H^3").strip())

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
-    CURVE_MODELS,
     brownian_dyadic_ensemble,
     curve_to_csv,
     distance_curve,
@@ -521,7 +520,7 @@ def _run_verify(config):
     # delta-family
     y = _point_option(config, "y", k.model, k.model.default_point())
     t_seq = [0.05 * 2.0 ** -j for j in range(10)]
-    residuals = delta_family_residuals(k, y, t_seq)
+    residuals = delta_family_residuals(k, y, t_seq, quad_tol=config.options["quad_tol"])
     payload = {"t": t_seq, "residuals": residuals, "seed": config.options["seed"]}
     decreasing = all(b <= a * 1.1 for a, b in zip(residuals, residuals[1:]))
     failed = not decreasing or residuals[-1] > residuals[0] / 50.0
@@ -604,6 +603,8 @@ def _oracle_value(config, task, model, pot, t, g, x0, y0):
     m = config.options["oracle_m"]
     if not m:
         return None
+    if CEMETERY in (x0, y0):
+        raise ValueError("the spectral oracle has no cemetery row; --x0 and --y0 must lie inside the interval")
     orc = spectral_oracle(model, m, pot, t)
     if task == "expectation":
         return orc.value_at(g, x0.coords[0])
@@ -668,8 +669,6 @@ def _run_fk(config):
         return _verdict(config, payload, None if rep.passed else "MonotonicityViolated")
 
     # covering-sum
-    if not isinstance(model, Circle):
-        raise ValueError("fk covering-sum runs on circle models")
     rep = fk_covering_sum_check(
         covering_of(model), pot, x0, y0, t, config.options["windings"],
         steps, samples, rng, rule=rule, workers=workers,
@@ -688,14 +687,11 @@ def _run_fk(config):
 
 
 def _run_curve(config):
-    model, kind = config.options["model"]
-    if kind != "heat" or not isinstance(model, CURVE_MODELS):
-        raise ValueError("curve runs on the heat kernels of euclidean:N, hyperbolic3, circle:L and "
-                         f"torus:L1,L2,..., not {_format_option(config.options['model'])}")
-    x0 = _point_option(config, "x0", model, model.default_point())
+    k = _kernel_for(config)
+    x0 = _point_option(config, "x0", k.model, k.model.default_point())
     t_grid = _parse_grid_spec(config.options["t_grid"])
     rows = distance_curve(
-        model, x0, t_grid, config.options["samples"], RngContract(config.options["seed"]),
+        k, x0, t_grid, config.options["samples"], RngContract(config.options["seed"]),
         workers=worker_count(config.options["workers"]),
     )
     _write_csv(config, curve_to_csv(rows, comment=_header_line(config)[2:]))

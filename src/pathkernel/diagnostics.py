@@ -17,14 +17,7 @@ import numpy as np
 
 from .feynman_kac import EstimateWithError
 from .heat_kernel import TransitionKernel
-from .manifold import (
-    Circle,
-    Euclidean,
-    FlatTorus,
-    Hyperbolic3,
-    distance_arrays,
-    validate_point,
-)
+from .manifold import Euclidean, distance_arrays, validate_point
 from .parallel import per_job, run_blocks
 from .path_sampler import TimeGrid, sample_paths
 from .rng import StreamCursor
@@ -147,31 +140,20 @@ def expected_distance_analytic(model, t):
     """Closed-form mean displacement after time t (flat space and H^3)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if isinstance(model, Euclidean):
-        n = model.dim
-        coef = 2.0 * math.gamma((n + 1) / 2.0) / math.gamma(n / 2.0)
-        return coef * math.sqrt(t)
-    if isinstance(model, Hyperbolic3):
-        return math.exp(-t) * 2.0 / math.sqrt(math.pi) * math.sqrt(t) + math.erf(math.sqrt(t)) * (
-            1.0 + 2.0 * t
-        )
-    raise ValueError(f"no closed-form distance curve for {model!r}")
+    mean = TransitionKernel(model)._law.mean_distance(t)
+    if math.isnan(mean):
+        raise ValueError(f"no closed-form distance curve for {model!r}")
+    return mean
 
 
-# models whose paths are never killed, so every one-step displacement has a distance
-CURVE_MODELS = (Euclidean, Hyperbolic3, FlatTorus, Circle)
-
-
-def _distance_estimates(model, x0, t_grid, n_samples, rng, workers):
-    """One-step Monte Carlo means of the displacement after each time in
-    t_grid, all in one ``run_blocks`` pass; time j runs on substreams
-    rng.sample_index + j * n_samples onward."""
-    if not isinstance(model, CURVE_MODELS):
-        raise ValueError(f"distance curves run on Euclidean, Hyperbolic3, FlatTorus and Circle "
-                         f"models, not {model!r}")
+def _distance_estimates(kernel, x0, t_grid, n_samples, rng, workers):
+    """Per time in t_grid, the law's closed-form mean displacement, asked
+    before any draw, and a one-step Monte Carlo mean, all in one
+    ``run_blocks`` pass; time j draws substreams rng.sample_index + j * n_samples on."""
+    model = kernel.model
     x0a = validate_point(model, x0, "x0")
-    kernel = TransitionKernel(model)
     grids = [TimeGrid.uniform(t, 1) for t in t_grid]
+    analytic = [kernel._law.mean_distance(t) for t in t_grid]
 
     def task(first, count):
         grid = grids[(first - rng.sample_index) // n_samples]
@@ -179,24 +161,18 @@ def _distance_estimates(model, x0, t_grid, n_samples, rng, workers):
         return distance_arrays(model, ens.positions[:, -1, :], x0a[None, :])
 
     parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers, jobs=len(grids))
-    return [EstimateWithError.of(np.concatenate(p)) for p in per_job(parts, len(grids))]
+    return analytic, [EstimateWithError.of(np.concatenate(p)) for p in per_job(parts, len(grids))]
 
 
 def expected_distance_mc(model, x0, t, n_samples, rng, workers=1):
     """One-step Monte Carlo mean of the displacement after time t."""
-    return _distance_estimates(model, x0, [t], n_samples, rng, workers)[0]
+    return _distance_estimates(TransitionKernel(model), x0, [t], n_samples, rng, workers)[1][0]
 
 
-def distance_curve(model, x0, t_grid, n_samples, rng, workers=1):
-    """Rows (t, analytic, mc, mc_stderr); analytic is NaN off the closed forms."""
-    rows = []
-    for t, est in zip(t_grid, _distance_estimates(model, x0, t_grid, n_samples, rng, workers)):
-        try:
-            ana = expected_distance_analytic(model, t)
-        except ValueError:
-            ana = float("nan")
-        rows.append((float(t), ana, est.value, est.std_error))
-    return rows
+def distance_curve(kernel, x0, t_grid, n_samples, rng, workers=1):
+    """Rows (t, analytic, mc, mc_stderr) of the kernel's paths; analytic is NaN off the closed forms."""
+    analytic, estimates = _distance_estimates(kernel, x0, t_grid, n_samples, rng, workers)
+    return [(float(t), ana, est.value, est.std_error) for t, ana, est in zip(t_grid, analytic, estimates)]
 
 
 def curve_to_csv(rows, comment=None):

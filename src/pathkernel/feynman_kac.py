@@ -16,10 +16,10 @@ reductions share ``_visited`` (V along the path, checked against its
 sup bound, 0 at the cemetery), ``_weights``, ``_terminal`` and one
 mean/standard-error rule, ``EstimateWithError.of``.
 
-A finite-difference spectral oracle on the circle and the absorbing
-interval provides the independent check: second-order central
-differences, exact symmetric eigendecomposition, kernel entries scaled
-by the mesh weight.
+A finite-difference spectral oracle on the circle, the absorbing interval
+and its compactification provides the independent check: second-order
+central differences on the grid of the model's law, exact symmetric
+eigendecomposition, kernel entries scaled by the mesh weight.
 
 Killed paths contribute zero (the terminal data vanishes at the
 cemetery), so estimates over compactified models are sub-Markov
@@ -39,7 +39,6 @@ from .errors import PathkernelError, PotentialBoundError
 from .heat_kernel import TransitionKernel
 from .manifold import (
     Circle,
-    DirichletInterval,
     Point,
     project_arrays,
     validate_point,
@@ -422,33 +421,19 @@ class SpectralOracle:
 
 def spectral_oracle(model, m_points, potential, t):
     """e^(t(Laplacian - V)) by symmetric eigendecomposition of the
-    second-order finite-difference operator (periodic wrap on the
-    circle, zero boundary rows on the interval)."""
+    second-order finite-difference operator on the grid of the model's law
+    (periodic wrap on the circle, zero boundary rows on the interval)."""
     m = int(m_points)
     if m < 16:
         raise ValueError("need at least 16 grid points")
     if t <= 0:
         raise ValueError("t must be positive")
-    if isinstance(model, Circle):
-        length = model.circumference
-        h = length / m
-        x = np.arange(m) * h
-        a = np.zeros((m, m))
-        idx = np.arange(m)
-        a[idx, idx] = -2.0
-        a[idx, (idx + 1) % m] = 1.0
-        a[idx, (idx - 1) % m] = 1.0
-    elif isinstance(model, DirichletInterval):
-        length = model.length
-        h = length / (m + 1)
-        x = (np.arange(m) + 1) * h
-        a = np.zeros((m, m))
-        idx = np.arange(m)
-        a[idx, idx] = -2.0
-        a[idx[:-1], idx[:-1] + 1] = 1.0
-        a[idx[1:], idx[1:] - 1] = 1.0
-    else:
-        raise ValueError("the spectral oracle runs on Circle or DirichletInterval")
+    x, h, wrap = TransitionKernel(model)._law.oracle_grid(m)
+    a = np.zeros((m, m))
+    idx = np.arange(m)
+    a[idx, idx] = -2.0
+    a[idx[:-1], idx[1:]] = a[idx[1:], idx[:-1]] = 1.0
+    a[0, -1] = a[-1, 0] = wrap
     a /= h * h
     a[np.arange(m), np.arange(m)] -= potential(x[:, None])
     try:

@@ -30,9 +30,11 @@ the kernel is built.  The public functions here and the samplers in
 ``density(t, x, y, owner=None)`` (with the owner batching of the profiles
 below), ``mass``, ``ck_integral`` (the left side of Chapman-Kolmogorov;
 the right side is ``density``), the samplers ``step`` or ``paths`` and
-``bridges``, and where they exist the moment and delta-family rules; a
-missing rule raises the base law's error.  A new model needs a class in
-``manifold`` with its geometry methods and a law entered in ``_LAWS``.
+``bridges``, and where they exist the moment and delta-family rules, the
+distance curve's ``mean_distance(t)`` (NaN on the lattice laws) and the
+spectral oracle's ``oracle_grid(m)``; a missing rule raises the base
+law's error.  A new model needs a class in ``manifold`` with its
+geometry methods and a law entered in ``_LAWS``.
 
 Moments
 -------
@@ -83,6 +85,7 @@ from .quadrature import (
 from .rng import box_muller
 
 NEVER_KILLED = -1
+MAX_TERMS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -90,13 +93,10 @@ class TruncationPolicy:
     """Controls lattice-sum and eigen-series truncation."""
 
     tail_tolerance: float = 1e-12
-    max_terms: int = 10 ** 6
 
     def __post_init__(self):
         if not 0.0 < self.tail_tolerance < 1.0:
             raise ValueError("tail_tolerance must lie in (0, 1)")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,18 +206,18 @@ def cauchy_profile(t, dx):
 
 def _image_range(t, span, period, policy):
     """Number of one-sided images needed so the omitted Gaussian tail < tolerance."""
-    return image_count(gaussian_tail_radius(t, policy.tail_tolerance * 1e-3) + span, period, policy)
+    return image_count(gaussian_tail_radius(t, policy.tail_tolerance * 1e-3) + span, period)
 
 
-def image_count(radius, period, policy):
-    """One-sided count of period translates covering radius, within policy.max_terms."""
+def image_count(radius, period):
+    """One-sided count of period translates covering radius, within MAX_TERMS."""
     reach = radius / period
-    if not reach < policy.max_terms:  # an infinite radius too
-        raise PathkernelError(f"a lattice sum over radius {radius:.3g} needs over {policy.max_terms} terms")
+    if not reach < MAX_TERMS:  # an infinite radius too
+        raise PathkernelError(f"a lattice sum over radius {radius:.3g} needs over {MAX_TERMS} terms")
     kmax = int(math.ceil(reach)) + 1
-    if 2 * kmax + 1 > policy.max_terms:
+    if 2 * kmax + 1 > MAX_TERMS:
         raise PathkernelError(
-            f"lattice sum needs {2 * kmax + 1} terms, over the budget of {policy.max_terms}"
+            f"lattice sum needs {2 * kmax + 1} terms, over the budget of {MAX_TERMS}"
         )
     return kmax
 
@@ -246,7 +246,7 @@ def _eigen_terms(t, L, policy):
     m_max = 1
     while math.exp(-lam1 * m_max * m_max * t) > policy.tail_tolerance * 1e-3 * L / 2.0:
         m_max += 1
-        if 2 * m_max > policy.max_terms:
+        if 2 * m_max > MAX_TERMS:
             raise PathkernelError("eigen-series truncation budget exceeded")
     return m_max
 
@@ -450,6 +450,8 @@ def smooth_bump(width):
 class _Law:
     """The rules every law shares, and the refusals of the rules a law lacks."""
 
+    kind = "heat"
+
     def __init__(self, model, truncation):
         self.model = model
         self.truncation = truncation
@@ -480,6 +482,15 @@ class _Law:
     def delta_window(self, ya, width):
         """(lo, hi, bump width) of the delta-family integral around ya[0]."""
         raise TypeError(f"delta-family check not implemented for {self.model!r}")
+
+    def mean_distance(self, t):
+        """E d(x, X_t) in closed form, NaN if none; laws without a curve refuse."""
+        raise ValueError("curve runs on the heat kernels of euclidean:N, hyperbolic3, circle:L and "
+                         f"torus:L1,L2,..., not {self.model}/{self.kind}")
+
+    def oracle_grid(self, m):
+        """The spectral oracle's m grid points, mesh and end-to-end coupling."""
+        raise ValueError("the spectral oracle runs on Circle or DirichletInterval")
 
     def paths(self, cursor, x0a, steps):
         """Positions (n, m+1, dim) and kill steps of free paths from x0a."""
@@ -531,6 +542,9 @@ class _GaussianLaw(_Law):
     def integrated_moment(self, a, tau, tol):
         return _gaussian_moment(a, tau, self.model.dim)
 
+    def mean_distance(self, t):
+        return 2.0 * math.gamma((self.model.dim + 1) / 2.0) / math.gamma(self.model.dim / 2.0) * math.sqrt(t)
+
     def pointwise_sup(self, a, tau):
         # r^a p_tau(r) peaks at r^2 = 2 a tau
         n = self.model.dim
@@ -553,6 +567,8 @@ class _GaussianLaw(_Law):
 
 class _CauchyLaw(_Law):
     """The Cauchy jump kernel on Euclidean(1); it has no bridges."""
+
+    kind = "cauchy"
 
     def density(self, t, x, y, owner=None):
         return cauchy_profile(_gather(t, owner), x[..., 0] - y[..., 0])
@@ -662,6 +678,9 @@ class _H3Law(_Law):
 
         width = math.sqrt(4.0 * math.pi * tau)
         return adaptive_simpson(f, 0.0, rmax, tol=_peak_tolerance(tol, float(f(np.array([peak]))[0]), width))
+
+    def mean_distance(self, t):
+        return math.exp(-t) * 2.0 / math.sqrt(math.pi) * math.sqrt(t) + math.erf(math.sqrt(t)) * (1.0 + 2.0 * t)
 
     def pointwise_sup(self, a, tau):
         def f(r):
@@ -791,6 +810,9 @@ class _LatticeLaw(_Law):
             lhs *= adaptive_simpson_batch(f, np.zeros(k), np.full(k, L), tol=tol)
         return lhs
 
+    def mean_distance(self, t):
+        return math.nan
+
     def step(self, cursor, current, dt):
         nxt = current + math.sqrt(2.0 * dt) * cursor.normals(self.model.dim)
         return project_arrays(covering_of(self.model), nxt)
@@ -804,7 +826,7 @@ class _LatticeLaw(_Law):
         target = np.empty((n, len(periods)))
         for i, L in enumerate(periods):
             gap = y0a[i] - x0a[i]
-            kmax = image_count(gaussian_tail_radius(horizon, 1e-17) + abs(gap), L, self.truncation)
+            kmax = image_count(gaussian_tail_radius(horizon, 1e-17) + abs(gap), L)
             ks = np.arange(-kmax, kmax + 1, dtype=np.float64)
             w = np.exp(-((gap + ks * L) ** 2) / (4.0 * horizon))
             cum = np.cumsum(w / np.sum(w))
@@ -848,6 +870,10 @@ class _CircleLaw(_LatticeLaw):
             raise ValueError("bump width must stay below half the circumference")
         return ya[0] - w, ya[0] + w, w
 
+    def oracle_grid(self, m):
+        h = self.model.circumference / m
+        return np.arange(m) * h, h, 1.0  # periodic
+
 
 class _DirichletLaw(_Law):
     """DirichletInterval: the absorbing kernel, which loses mass.  Its paths
@@ -884,6 +910,10 @@ class _DirichletLaw(_Law):
         L = self.model.length
         w = width or min(ya[0], L - ya[0]) * 0.9
         return max(0.0, ya[0] - w), min(L, ya[0] + w), w
+
+    def oracle_grid(self, m):
+        h = self.model.length / (m + 1)
+        return (np.arange(m) + 1) * h, h, 0.0  # the walls' zero values
 
     def paths(self, cursor, x0a, steps):
         L = self.model.length
@@ -924,6 +954,9 @@ class _KilledLaw(_Law):
 
     def ck_integral(self, s, t, xa, za, tol):
         return self.base.ck_integral(s, t, xa, za, tol)
+
+    def oracle_grid(self, m):
+        return self.base.oracle_grid(m)
 
     def ck_cemetery_residual(self, s, t, xa, za, tol):
         """The Chapman-Kolmogorov residual of a row with a cemetery point."""

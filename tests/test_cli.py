@@ -18,7 +18,8 @@ from pathkernel.cli import (
     parse_potential,
     run,
 )
-from pathkernel.manifold import Circle, Compactified, DirichletInterval, Euclidean
+from pathkernel.heat_kernel import TransitionKernel, delta_family_residuals
+from pathkernel.manifold import Circle, Compactified, DirichletInterval, Euclidean, point
 
 
 def run_cli(args, env=None):
@@ -340,6 +341,13 @@ class TestExitCodes:
         out = json.loads(res.stdout)
         assert out["residuals"][-1] < out["residuals"][0]
 
+    def test_verify_delta_family_reads_quad_tol(self):
+        res = run_cli(["verify", "delta-family", "--model", "euclidean:1", "--quad-tol", "1e-3"])
+        assert res.returncode == 0
+        out = json.loads(res.stdout)
+        want = delta_family_residuals(TransitionKernel(Euclidean(1)), point(0.0), out["t"], quad_tol=1e-3)
+        assert out["residuals"] == want
+
     def test_cemetery_kernel_row(self):
         res = run_cli(["kernel", "--model", "compactified:dirichlet:3.141592653589793",
                        "--t", "1", "--x", "inf", "--y", "1.5707963267948966"])
@@ -348,6 +356,7 @@ class TestExitCodes:
 
 
 DIRICHLET = ["--model", "dirichlet:3.14159265"]
+KILLED = ["--model", "compactified:dirichlet:3.14159265"]
 FK_SHORT = ["--potential", "const:1", "--t", "0.5", "--steps", "8", "--samples", "200"]
 FK_CIRCLE = ["--model", "circle:6.283185307179586", *FK_SHORT]
 
@@ -404,6 +413,10 @@ class TestInputErrors:
              "not Compactified("),
             (["curve", "--model", "cauchy", "--t-grid", "0.5:1:0.5", "--samples", "10"],
              "curve runs on the heat kernels of euclidean:N"),
+            (["fk", "expectation", *KILLED, "--t", "0.5", "--oracle-m", "63", "--x0", "inf"],
+             "the spectral oracle has no cemetery row"),
+            (["fk", "kernel", *KILLED, "--t", "0.5", "--x0", "1.570796325", "--y0", "inf", "--oracle-m", "63"],
+             "the spectral oracle has no cemetery row"),
         ],
         ids=["fk-expectation", "fk-monotonicity", "fk-kernel", "sample", "bridge", "holder", "curve",
              "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify",
@@ -411,7 +424,7 @@ class TestInputErrors:
              "fk-kernel-terminal", "fk-covering-terminal", "fk-monotonicity-bridge-terminal",
              "fk-monotonicity-terminal-cos", "fk-expectation-potential2", "fk-kernel-potential2",
              "fk-covering-potential2", "fk-monotonicity-oracle", "fk-covering-oracle", "fk-expectation-y0",
-             "curve-compactified", "curve-cauchy"],
+             "curve-compactified", "curve-cauchy", "fk-oracle-cemetery-x0", "fk-oracle-cemetery-y0"],
     )
     def test_exits_2_with_message(self, args, message):
         res = run_cli(args)
@@ -495,6 +508,14 @@ class TestOutputs:
         payload = json.loads(read_payload(out))
         assert list(payload) == ["value", "std_error", "n_samples", "n_steps", "seed", "oracle"]
         assert payload["seed"] == 42 and payload["n_steps"] == 8
+
+    def test_fk_oracle_on_the_compactified_interval(self):
+        res = run_cli(["fk", "expectation", *KILLED, "--potential", "cos", "--t", "0.5",
+                       "--rule", "trapezoid", "--samples", "65536", "--oracle-m", "63",
+                       "--x0", "1.570796325", "--seed", "7"])
+        assert res.returncode == 0
+        out = json.loads(res.stdout)
+        assert abs(out["value"] - out["oracle"]) <= 3.0 * out["std_error"]
 
     def test_fk_monotonicity_honours_rule(self):
         args = ["fk", "monotonicity", "--model", "circle:6.283185307179586", "--potential", "cos",

@@ -88,7 +88,7 @@ class TestMcDistance:
         assert abs(est.value - flat) < 4.0 * est.std_error
 
     def test_curve_rows_and_csv(self):
-        rows = distance_curve(Euclidean(1), point(0.0), [0.25, 1.0], 2000, RngContract(4))
+        rows = distance_curve(TransitionKernel(Euclidean(1)), point(0.0), [0.25, 1.0], 2000, RngContract(4))
         text = curve_to_csv(rows, comment="header")
         lines = text.strip().split("\n")
         assert lines[0] == "# header"

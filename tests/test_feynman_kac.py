@@ -314,6 +314,12 @@ class TestSpectralOracle:
         assert got == pytest.approx(want, abs=1e-4)
         assert got < 1.0
 
+    def test_compactified_oracle_is_the_interval_oracle(self):
+        interval = spectral_oracle(DirichletInterval(math.pi), 256, cos_potential(), 1.0)
+        killed = spectral_oracle(Compactified(DirichletInterval(math.pi)), 256, cos_potential(), 1.0)
+        assert np.array_equal(killed.semigroup, interval.semigroup)
+        assert np.array_equal(killed.grid, interval.grid) and killed.mesh == interval.mesh
+
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             spectral_oracle(Circle(1.0), 8, zero_potential(), 1.0)

@@ -150,9 +150,8 @@ class TestEvaluate:
             TransitionKernel(Euclidean(2), kind="cauchy")
 
     def test_truncation_budget_error(self):
-        tiny = TransitionKernel(Circle(1.0), truncation=TruncationPolicy(max_terms=3))
-        with pytest.raises(PathkernelError):
-            evaluate(tiny, 5.0, point(0.0), point(0.5))
+        with pytest.raises(PathkernelError, match=r"radius 1.18e\+07 needs over 1000000 terms"):
+            evaluate(TransitionKernel(Circle(1.0)), 1e12, point(0.0), point(0.5))
 
 
 _PI_40 = decimal.Decimal("3.141592653589793238462643383279502884197")

@@ -89,6 +89,9 @@ MATRIX = {
     "bridge": "bridge --x0 {x} --y0 {y} --T 1 --steps 4 --samples 64",
     "fk_expectation": "fk expectation --potential cos " + _FK,
     "fk_kernel": "fk kernel --potential cos --y0 {y} " + _FK,
+    "fk_trapezoid": "fk expectation --potential cos --rule trapezoid " + _FK,
+    # with m = 20, circle:1.0's points 0.2 and 0.7 lie on the oracle's grid
+    "fk_kernel_oracle": "fk kernel --potential cos --y0 {y} --oracle-m 20 " + _FK,
     "fk_monotonicity": "fk monotonicity --potential const:0.5 --potential2 const:1 " + _FK,
     "fk_covering": "fk covering-sum --potential cos --y0 {y} --windings 2 " + _FK,
     "curve": "curve --x0 {x} --t-grid 0.5:1.0:0.5 --samples 64",
