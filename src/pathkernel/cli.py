@@ -67,6 +67,7 @@ from .parallel import run_blocks, worker_count
 from .path_sampler import (
     NEVER_KILLED,
     TimeGrid,
+    check_sampler,
     path_to_csv,
     sample_bridges,
     sample_paths,
@@ -603,8 +604,6 @@ def _oracle_value(config, task, model, pot, t, g, x0, y0):
     m = config.options["oracle_m"]
     if not m:
         return None
-    if CEMETERY in (x0, y0):
-        raise ValueError("the spectral oracle has no cemetery row; --x0 and --y0 must lie inside the interval")
     orc = spectral_oracle(model, m, pot, t)
     if task == "expectation":
         return orc.value_at(g, x0.coords[0])
@@ -640,9 +639,12 @@ def _run_fk(config):
     y0 = _point_option(config, "y0", model)
     if task in ("kernel", "covering-sum") and y0 is None:
         raise ValueError(f"fk {task} needs --y0")
-    oracle = _oracle_value(config, task, model, pot, t, g, x0, y0)
-
     if task in ("expectation", "kernel"):
+        # refused runs build no oracle: a cemetery point, or a law that draws no paths or bridges
+        if config.options["oracle_m"] and CEMETERY in (x0, y0):
+            raise ValueError("the spectral oracle has no cemetery row; --x0 and --y0 must lie inside the interval")
+        check_sampler(k, bridges=task == "kernel")
+        oracle = _oracle_value(config, task, model, pot, t, g, x0, y0)
         if task == "expectation":
             est = fk_expectation(FKProblem(k, pot, g, x0, t, steps, samples, rng), rule=rule, workers=workers)
         else:

@@ -19,7 +19,9 @@ Masses integrate to 1 for the complete models and fall short for the
 absorbing interval; the compactified wrapper books the missing mass on
 a cemetery state so the total is exactly 1 again.  That lost mass is a
 closed form switched like the kernel: erfc images (the cemetery row keeps
-their digits) below t = L^2/pi^2, one minus the sine series above.
+their digits) below t = L^2/pi^2, one minus the sine series above.  The
+survival mass is the sine series above and, below, an erf image sum of
+its own on the distance to the nearer wall, which keeps its digits there.
 
 Laws
 ----
@@ -33,8 +35,10 @@ the right side is ``density``), the samplers ``step`` or ``paths`` and
 ``bridges``, and where they exist the moment and delta-family rules, the
 distance curve's ``mean_distance(t)`` (NaN on the lattice laws) and the
 spectral oracle's ``oracle_grid(m)``; a missing rule raises the base
-law's error.  A new model needs a class in ``manifold`` with its
-geometry methods and a law entered in ``_LAWS``.
+law's error, which names the models (each law's ``spec``) that have it.
+A law that draws no paths or no bridges says why in ``refusal``, which
+the samplers and the CLI ask before any work.  A new model needs a class
+in ``manifold`` with its geometry methods and a law entered in ``_LAWS``.
 
 Moments
 -------
@@ -86,6 +90,7 @@ from .rng import box_muller
 
 NEVER_KILLED = -1
 MAX_TERMS = 10 ** 6
+_STEP_ROWS = 16  # steps per step-major buffer of _Law.paths
 
 
 @dataclass(frozen=True)
@@ -354,39 +359,55 @@ def dirichlet_survival_ratio(t, x, y, length, policy, owner=None):
 # masses and test functions
 
 
+_erf = np.vectorize(math.erf, otypes=[np.float64])
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 
-def _wall_masses(t, x, length, tol=1e-16):
-    """(survival, lost) masses of the absorbing interval from x (an array) by
-    time t: below the switch time t = L^2/pi^2 the lost mass is an image sum
-    of erfc terms, above it the survival mass a sine series, each stopped
-    after a few terms; the other mass is one minus it."""
+def dirichlet_mass_arrays(t, x, length, tol=1e-16):
+    """Survival mass of the absorbing interval from x (an array) by time t.
+    It depends on y = min(x, L - x) alone.  Below the switch time
+    t = L^2/pi^2 it is erf(y/h), h = 2 sqrt(t), plus an image sum, so it
+    keeps its digits near either wall; from the switch on it is the sine
+    series.  Each sum is stopped after a few terms."""
     L = float(length)
     x = np.asarray(x, dtype=np.float64)
+    y = np.minimum(x, L - x)  # no sine is taken near m pi
     if t < L * L / math.pi ** 2:
-        # term j is (-1)^j [erfc((jL + x)/h) + erfc(((j+1)L - x)/h)]; the terms
-        # alternate and shrink, so the omitted tail is below 2 erfc(jL/h)
-        h, lost, j = 2.0 * math.sqrt(t), np.zeros_like(x), 0
-        while True:
-            lost = lost + (-1.0) ** j * (_erfc((j * L + x) / h) + _erfc(((j + 1) * L - x) / h))
-            j += 1
-            if 2.0 * math.erfc(j * L / h) <= tol:
-                return 1.0 - lost, lost
-    x = np.minimum(x, L - x)  # the masses are symmetric; no sine is taken near m pi
-    total, m = np.zeros_like(x), 1
+        # term k is (-1)^k [erfc((kL - y)/h) - erfc((kL + y)/h)]; the terms
+        # alternate and shrink, so the omitted tail is below erfc((k - 1/2)L/h)
+        h = 2.0 * math.sqrt(t)
+        survival, k = _erf(y / h), 1
+        while math.erfc((k - 0.5) * L / h) > tol:
+            survival = survival + (-1.0) ** k * (_erfc((k * L - y) / h) - _erfc((k * L + y) / h))
+            k += 1
+        return survival
+    total, m = np.zeros_like(y), 1
     while True:
         weight = math.exp(-((m * math.pi / L) ** 2) * t)
-        total = total + (2.0 / L) * weight * np.sin(m * math.pi * x / L) * (L / (m * math.pi)) * (
+        total = total + (2.0 / L) * weight * np.sin(m * math.pi * y / L) * (L / (m * math.pi)) * (
             1.0 - math.cos(m * math.pi))
         if weight <= tol and m > 4:
-            return total, 1.0 - total
+            return total
         m += 1
 
 
-def dirichlet_mass_arrays(t, x, length, tol=1e-16):
-    """Survival mass of the absorbing interval, vectorized in x (see _wall_masses)."""
-    return _wall_masses(t, x, length, tol)[0]
+def _lost_mass(t, x, length, tol=1e-16):
+    """The mass the absorbing interval loses to its walls from x (an array)
+    by time t: below the switch time an image sum of erfc terms, which keeps
+    its digits where little is lost, from the switch on one minus the
+    survival mass."""
+    L = float(length)
+    if not t < L * L / math.pi ** 2:
+        return 1.0 - dirichlet_mass_arrays(t, x, L, tol)
+    x = np.asarray(x, dtype=np.float64)
+    # term j is (-1)^j [erfc((jL + x)/h) + erfc(((j+1)L - x)/h)]; the terms
+    # alternate and shrink, so the omitted tail is below 2 erfc(jL/h)
+    h, lost, j = 2.0 * math.sqrt(t), np.zeros_like(x), 0
+    while True:
+        lost = lost + (-1.0) ** j * (_erfc((j * L + x) / h) + _erfc(((j + 1) * L - x) / h))
+        j += 1
+        if 2.0 * math.erfc(j * L / h) <= tol:
+            return lost
 
 
 def _gaussian_moment(a, tau, n):
@@ -451,6 +472,7 @@ class _Law:
     """The rules every law shares, and the refusals of the rules a law lacks."""
 
     kind = "heat"
+    spec = None  # the CLI's model spec, named in the refusals
 
     def __init__(self, model, truncation):
         self.model = model
@@ -485,20 +507,33 @@ class _Law:
 
     def mean_distance(self, t):
         """E d(x, X_t) in closed form, NaN if none; laws without a curve refuse."""
-        raise ValueError("curve runs on the heat kernels of euclidean:N, hyperbolic3, circle:L and "
-                         f"torus:L1,L2,..., not {self.model}/{self.kind}")
+        raise ValueError(f"curve runs on the heat kernels of {_specs_with('mean_distance')}, "
+                         f"not {self.model}/{self.kind}")
 
     def oracle_grid(self, m):
         """The spectral oracle's m grid points, mesh and end-to-end coupling."""
-        raise ValueError("the spectral oracle runs on Circle or DirichletInterval")
+        raise ValueError(f"the spectral oracle runs on {_specs_with('oracle_grid')}, not {self.model}/{self.kind}")
+
+    def refusal(self, sampler):
+        """Why this law draws no "paths" or no "bridges", or None if it draws them."""
+        return None
 
     def paths(self, cursor, x0a, steps):
         """Positions (n, m+1, dim) and kill steps of free paths from x0a."""
-        n = len(cursor)
-        pos = np.empty((n, len(steps) + 1, x0a.shape[0]))
+        n, m = len(cursor), len(steps)
+        pos = np.empty((n, m + 1, x0a.shape[0]))
         pos[:, 0] = x0a
-        for j, dt in enumerate(steps):
-            pos[:, j + 1] = self.step(cursor, pos[:, j], dt)
+        # Steps fill the contiguous rows of a small step-major buffer, copied
+        # out _STEP_ROWS at a time: a step down a strided column of pos cycles
+        # the whole tensor through the cache, and a step-major copy of all of
+        # it would double its memory.
+        rows = np.empty((min(_STEP_ROWS, m), n, x0a.shape[0]))
+        current = pos[:, 0]
+        for j0 in range(0, m, _STEP_ROWS):
+            k = min(_STEP_ROWS, m - j0)
+            for i in range(k):
+                current = rows[i] = self.step(cursor, current, steps[j0 + i])
+            pos[:, j0 + 1:j0 + 1 + k] = rows[:k].transpose(1, 0, 2)
         return pos, np.full(n, NEVER_KILLED, dtype=np.int64)
 
 
@@ -521,6 +556,8 @@ def _gaussian_bridge(cursor, x0a, target, times):
 
 class _GaussianLaw(_Law):
     """Euclidean(n): the Gaussian kernel, Gaussian steps and bridges."""
+
+    spec = "euclidean:N"
 
     def density(self, t, x, y, owner=None):
         return gauss_profile(t, np.sum((x - y) ** 2, axis=-1), self.model.dim, owner)
@@ -609,6 +646,8 @@ class _CauchyLaw(_Law):
 
 class _H3Law(_Law):
     """Hyperbolic3: the closed-form kernel, exact radial steps and bridges."""
+
+    spec = "hyperbolic3"
 
     def density(self, t, x, y, owner=None):
         return h3_profile(t, self.model.distance_arrays(x, y), owner)
@@ -792,6 +831,8 @@ class _LatticeLaw(_Law):
     """Circle and FlatTorus: Gaussian images per coordinate, Gaussian steps
     projected into the box, and bridges drawn winding by winding."""
 
+    spec = "torus:L1,L2,..."
+
     def density(self, t, x, y, owner=None):
         out = 1.0
         for i, L in enumerate(self.model.periods):
@@ -841,6 +882,8 @@ class _LatticeLaw(_Law):
 class _CircleLaw(_LatticeLaw):
     """Circle: the lattice law plus its moment and delta-family rules."""
 
+    spec = "circle:L"
+
     def integrated_moment(self, a, tau, tol):
         L = self.model.circumference
 
@@ -879,6 +922,8 @@ class _DirichletLaw(_Law):
     """DirichletInterval: the absorbing kernel, which loses mass.  Its paths
     are killed at the walls, so they are sampled on the compactified model."""
 
+    spec = "dirichlet:L"
+
     def density(self, t, x, y, owner=None):
         return dirichlet_kernel_arrays(t, x[..., 0], y[..., 0], self.model.length, self.truncation, owner)
 
@@ -915,20 +960,19 @@ class _DirichletLaw(_Law):
         h = self.model.length / (m + 1)
         return (np.arange(m) + 1) * h, h, 0.0  # the walls' zero values
 
-    def paths(self, cursor, x0a, steps):
+    def refusal(self, sampler):
+        if sampler == "bridges":
+            return "bridges for absorbing models are out of scope"
         L = self.model.length
-        raise ValueError(
-            f"paths on dirichlet:{L!r} are killed at the walls; "
-            f"sample compactified:dirichlet:{L!r}, whose cemetery keeps them"
-        )
-
-    def bridges(self, cursor, x0a, y0a, times):
-        raise ValueError("bridges for absorbing models are out of scope")
+        return (f"paths on dirichlet:{L!r} are killed at the walls; "
+                f"sample compactified:dirichlet:{L!r}, whose cemetery keeps them")
 
 
 class _KilledLaw(_Law):
     """Compactified(DirichletInterval): the base law inside, the cemetery
     rows (validated cemetery coordinates are None), and killed paths."""
+
+    spec = "compactified:dirichlet:L"
 
     def __init__(self, model, truncation):
         super().__init__(model, truncation)
@@ -950,7 +994,7 @@ class _KilledLaw(_Law):
 
     def lost_mass(self, t, x):
         """The mass a source at x (an array) loses to the walls by time t."""
-        return _wall_masses(t, x, self.model.base.length)[1]
+        return _lost_mass(t, x, self.model.base.length)
 
     def ck_integral(self, s, t, xa, za, tol):
         return self.base.ck_integral(s, t, xa, za, tol)
@@ -999,8 +1043,8 @@ class _KilledLaw(_Law):
             alive = alive[survive]
         return pos, kill
 
-    def bridges(self, cursor, x0a, y0a, times):
-        return self.base.bridges(cursor, x0a, y0a, times)
+    def refusal(self, sampler):
+        return self.base.refusal(sampler) if sampler == "bridges" else None
 
 
 _LAWS = {
@@ -1011,6 +1055,12 @@ _LAWS = {
     DirichletInterval: _DirichletLaw,
     Compactified: _KilledLaw,
 }
+
+
+def _specs_with(rule):
+    """The model specs whose law has its own rule, as a list in words."""
+    specs = [law.spec for law in _LAWS.values() if getattr(law, rule) is not getattr(_Law, rule)]
+    return ", ".join(specs[:-1]) + " and " + specs[-1]
 
 
 def _law_of(model, kind, truncation):

@@ -8,7 +8,10 @@ estimates (a curve's t values, a covering sum's terms) lays them on one
 contiguous sample range and runs all their blocks through one
 ``run_blocks`` call, and ``sample`` and ``bridge`` draw their ensembles
 through it too.  Workers are forked, which lets tasks close over
-arbitrary callables without pickling them.
+arbitrary callables without pickling them.  Each worker starts on its
+own CPU of the parent's affinity set and is then handed the whole set
+back, so two workers do not begin on one CPU while another idles, yet
+the scheduler may still move them under outside load.
 """
 
 from __future__ import annotations
@@ -47,10 +50,29 @@ def run_blocks(task, n_total, first_index=0, workers=1, block_size=BLOCK_SIZE, j
     global _TASK
     _TASK = task
     try:
-        with ctx.Pool(processes=workers) as pool:
+        with ctx.Pool(processes=workers, **_placement(ctx)) as pool:
             return pool.map(_call, blocks)
     finally:
         _TASK = None
+
+
+def _placement(ctx):
+    """Pool arguments whose initializer starts worker k on the k-th usable CPU."""
+    if not hasattr(os, "sched_setaffinity"):
+        return {}
+    return {"initializer": _place, "initargs": (ctx.Value("i", 0), sorted(os.sched_getaffinity(0)))}
+
+
+def _place(counter, cpus):
+    """Move this worker onto its own CPU, then release it to the whole set."""
+    with counter.get_lock():
+        k = counter.value
+        counter.value += 1
+    try:
+        os.sched_setaffinity(0, [cpus[k % len(cpus)]])
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # placement is only a hint; an initializer that raised would respawn forever
+        pass
 
 
 def per_job(parts, jobs):

@@ -5,8 +5,9 @@ drawn from the model's transition density (sequentially for free paths,
 conditioned on the pinned endpoint for bridges).  Nothing is claimed
 about behavior between grid points.
 
-``sample_paths`` and ``sample_bridges`` check their input, then call the
-kernel's law in ``heat_kernel``, which holds every model's samplers.
+``sample_paths`` and ``sample_bridges`` check their input and, with
+``check_sampler``, that the kernel's law draws what is asked, then call
+the law in ``heat_kernel``, which holds every model's samplers.
 
 Determinism contract
 --------------------
@@ -144,9 +145,17 @@ def _ensemble_input(kernel, points, grid, master_seed, n_samples, first_index):
     return coords, StreamCursor(master_seed, first_index + np.arange(n, dtype=np.uint64))
 
 
+def check_sampler(kernel, bridges=False):
+    """Refuse a kernel whose law draws no free paths (or, with bridges, no bridges)."""
+    why = kernel._law.refusal("bridges" if bridges else "paths")
+    if why is not None:
+        raise ValueError(why)
+
+
 def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
     """Ensemble of Markov paths started at x0, stepped by the kernel's law."""
     (x0a,), cursor = _ensemble_input(kernel, {"x0": x0}, grid, master_seed, n_samples, first_index)
+    check_sampler(kernel)
     pos, kill = kernel._law.paths(cursor, x0a, grid.steps())
     return PathEnsemble(grid, pos, kill)
 
@@ -164,6 +173,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
     """Ensemble from the normalized bridge law, drawn by the kernel's law;
     the last point is y0 exactly."""
     (x0a, y0a), cursor = _ensemble_input(kernel, {"x0": x0, "y0": y0}, grid, master_seed, n_samples, first_index)
+    check_sampler(kernel, bridges=True)
     pos, windings = kernel._law.bridges(cursor, x0a, y0a, np.asarray(grid.times))
     kill = np.full(len(cursor), NEVER_KILLED, dtype=np.int64)
     return PathEnsemble(grid, pos, kill, windings=windings)

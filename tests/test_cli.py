@@ -417,6 +417,8 @@ class TestInputErrors:
              "the spectral oracle has no cemetery row"),
             (["fk", "kernel", *KILLED, "--t", "0.5", "--x0", "1.570796325", "--y0", "inf", "--oracle-m", "63"],
              "the spectral oracle has no cemetery row"),
+            (["fk", "expectation", "--model", "hyperbolic3", "--t", "0.5", "--oracle-m", "64"],
+             "the spectral oracle runs on circle:L, dirichlet:L and compactified:dirichlet:L, not Hyperbolic3()"),
         ],
         ids=["fk-expectation", "fk-monotonicity", "fk-kernel", "sample", "bridge", "holder", "curve",
              "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify",
@@ -424,13 +426,35 @@ class TestInputErrors:
              "fk-kernel-terminal", "fk-covering-terminal", "fk-monotonicity-bridge-terminal",
              "fk-monotonicity-terminal-cos", "fk-expectation-potential2", "fk-kernel-potential2",
              "fk-covering-potential2", "fk-monotonicity-oracle", "fk-covering-oracle", "fk-expectation-y0",
-             "curve-compactified", "curve-cauchy", "fk-oracle-cemetery-x0", "fk-oracle-cemetery-y0"],
+             "curve-compactified", "curve-cauchy", "fk-oracle-cemetery-x0", "fk-oracle-cemetery-y0",
+             "fk-oracle-models"],
     )
     def test_exits_2_with_message(self, args, message):
         res = run_cli(args)
         assert res.returncode == 2
         assert message in res.stderr
         assert "Traceback" not in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["fk", "kernel", *KILLED, "--y0", "1.570796325"], 2, "bridges for absorbing models are out of scope"),
+        (["fk", "expectation", *DIRICHLET], 2, "paths on dirichlet:3.14159265 are killed at the walls"),
+        (["fk", "expectation", *KILLED], 0, ""),
+    ], ids=["kernel-killed", "expectation-dirichlet", "expectation-killed"])
+    def test_a_refused_run_builds_no_oracle(self, monkeypatch, capsys, args, code, message):
+        import pathkernel.cli as cli
+
+        built = []
+        real = cli.spectral_oracle
+
+        def spy(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "spectral_oracle", spy)
+        argv = args + ["--t", "0.5", "--x0", "1.570796325", "--steps", "4", "--samples", "100", "--oracle-m", "63"]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert len(built) == (code == 0)  # the accepted run shows the spy is in place
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read"),

@@ -14,7 +14,7 @@ from pathkernel.heat_kernel import (
     TransitionKernel,
     TruncationPolicy,
     _gaussian_moment,
-    _wall_masses,
+    _lost_mass,
     cauchy_profile,
     chapman_kolmogorov_residuals,
     circle_theta_arrays,
@@ -341,7 +341,7 @@ class TestCompactifiedTable:
     @pytest.mark.parametrize("x", [0.3, 1.57, 3.0])
     def test_lost_mass_row_is_one_minus_the_survival_mass(self, t, x):
         got = evaluate(self.COMP, t, CEMETERY, point(x))
-        assert got == _wall_masses(t, x, math.pi)[1]
+        assert got == _lost_mass(t, x, math.pi)
         assert abs(got - (1.0 - dirichlet_mass_arrays(t, x, math.pi))) <= 2.0 ** -52
 
     def test_lost_mass_row_keeps_its_digits(self):
@@ -349,6 +349,21 @@ class TestCompactifiedTable:
         comp = TransitionKernel(Compactified(DirichletInterval(3.14159265)))
         got = evaluate(comp, 0.01, CEMETERY, point(1.5707963))
         assert got == pytest.approx(2.3144433534296861e-28, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("t, x, want", [
+        (0.01, 1e-9, 5.6418958354775631e-09),
+        (0.01, math.pi - 1e-9, 5.6418963022901173e-09),
+        (0.01, 1e-6, 5.6418958354305468e-06),
+        (0.01, math.pi - 1e-6, 5.6418958362191597e-06),
+        (0.1, 1e-9, 1.7841241160841168e-09),
+        (0.1, math.pi - 1e-9, 1.7841242637032080e-09),
+        (0.1, 1e-6, 1.7841241160826298e-06),
+        (0.1, math.pi - 1e-6, 1.7841241163320112e-06),
+    ])
+    def test_survival_mass_near_each_wall_below_the_switch(self, t, x, want):
+        # one minus the erfc image sum at 50 digits (mpmath), at the float x;
+        # one minus the lost mass is off by up to 7e-10 here
+        assert dirichlet_mass_arrays(t, x, math.pi) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("length", [math.pi, 1.0, 7.0])
     def test_survival_mass_forms_agree_at_the_switch(self, length):
