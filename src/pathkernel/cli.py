@@ -498,13 +498,13 @@ def _run_verify(config):
         return _verdict(config, payload, "DivergentIntegralError" if report.any_divergent else None)
     if check == "covering":
         model = k.model
-        if not isinstance(model, Circle):
+        length, *more = covering_of(model).periods
+        if more:
             raise ValueError("verify covering runs on circle models")
         t = config.options["t"]
         x = _point_option(config, "x", model, model.default_point())
-        y = _point_option(config, "y", model, Point((model.circumference / 3.0,)))
+        y = _point_option(config, "y", model, Point((length / 3.0,)))
         w = config.options["windings"]
-        length = model.circumference
         gap = y.coords[0] - x.coords[0]
         ks = np.arange(-w, w + 1, dtype=np.float64)
         image_sum = float(np.sum((4.0 * np.pi * t) ** -0.5 * np.exp(-((gap + ks * length) ** 2) / (4.0 * t))))
@@ -561,6 +561,7 @@ def _emit_path(config, path, summary):
 def _run_sample(config):
     k = _kernel_for(config)
     x0 = _point_option(config, "x0", k.model)
+    check_sampler(k, "paths")
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     seed, n = config.options["seed"], config.options["samples"]
     survivors, path = _blocked_ensemble(
@@ -579,6 +580,7 @@ def _run_bridge(config):
     k = _kernel_for(config)
     x0 = _point_option(config, "x0", k.model)
     y0 = _point_option(config, "y0", k.model)
+    check_sampler(k, "bridges")
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     seed = config.options["seed"]
     windings, path = _blocked_ensemble(
@@ -643,7 +645,7 @@ def _run_fk(config):
         # refused runs build no oracle: a cemetery point, or a law that draws no paths or bridges
         if config.options["oracle_m"] and CEMETERY in (x0, y0):
             raise ValueError("the spectral oracle has no cemetery row; --x0 and --y0 must lie inside the interval")
-        check_sampler(k, bridges=task == "kernel")
+        check_sampler(k, "bridges" if task == "kernel" else "paths")
         oracle = _oracle_value(config, task, model, pot, t, g, x0, y0)
         if task == "expectation":
             est = fk_expectation(FKProblem(k, pot, g, x0, t, steps, samples, rng), rule=rule, workers=workers)
@@ -656,6 +658,7 @@ def _run_fk(config):
         return _verdict(config, payload)
 
     if task == "monotonicity":
+        check_sampler(k, "paths" if y0 is None else "bridges")
         pot2 = config.options["potential2"]
         if pot2 is None:
             raise ValueError("fk monotonicity needs --potential2")
@@ -705,14 +708,12 @@ def _run_holder(config):
     levels = _parse_level_range(config.options["levels"])
     n_paths = config.options["paths"]
     seed = config.options["seed"]
+    k = TransitionKernel(model, kind=kind)
+    check_sampler(k, "increments")
     if kind == "heat" and isinstance(model, Euclidean) and model.dim == 1:
         ensemble = brownian_dyadic_ensemble(n_paths, levels, seed)
         rep = holder_exponent(ensemble)
     else:
-        if isinstance(model, Compactified):  # a killed path has no increments
-            raise ValueError(f"holder needs paths that are never killed; "
-                             f"compactified:dirichlet:{model.base.length!r} kills them at the walls")
-        k = TransitionKernel(model, kind=kind)
         x0 = _point_option(config, "x0", model, model.default_point())
         ensemble = strided_dyadic_ensemble(k, x0, levels, n_paths, seed)
         rep = holder_exponent(ensemble, model=model)

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import PathkernelError, PotentialBoundError
 from .heat_kernel import TransitionKernel
 from .manifold import (
-    Circle,
     Point,
     project_arrays,
     validate_point,
@@ -332,10 +331,11 @@ class CoveringSumReport:
         return self.residual <= 3.0 * self.combined_std_error + self.tail_bound
 
 
-def _winding_tail_bound(t, gap, length, w_max, sup_v, extra=400):
-    """Mass of the omitted image terms, amplified by the potential bound."""
+def _winding_tail_bound(t, gap, length, w_max, sup_v):
+    """Mass of the omitted image terms (at most 400 of them), amplified by
+    the potential bound."""
     total = 0.0
-    for k in range(w_max + 1, w_max + extra + 1):
+    for k in range(w_max + 1, w_max + 401):
         for sgn in (1.0, -1.0):
             z = gap + sgn * k * length
             total += float((4.0 * math.pi * t) ** -0.5 * math.exp(-z * z / (4.0 * t)))
@@ -349,16 +349,16 @@ def fk_covering_sum_check(
 ):
     """Base-space Schrodinger kernel against its covering-space image sum.
 
-    Estimates q_t(x0, y0) on the circle and the sum over deck shifts
-    |k| <= windings of the line-space kernel with the lifted potential;
-    every term runs on a disjoint substream range.  The report carries
-    the residual, the combined Monte Carlo error and the analytic bound
-    on the omitted winding tail.
+    Estimates q_t(x0, y0) on a base of one period (a circle) and the sum
+    over deck shifts |k| <= windings of the line-space kernel with the
+    lifted potential; every term runs on a disjoint substream range.  The
+    report carries the residual, the combined Monte Carlo error and the
+    analytic bound on the omitted winding tail.
     """
     base = cov.base
-    if not isinstance(base, Circle):
+    length, *more = cov.periods
+    if more:
         raise ValueError("the covering-sum check runs on circle coverings")
-    length = base.circumference
     x0a = validate_point(base, x0, "x0")
     y0a = validate_point(base, y0, "y0")
     kernel_base = TransitionKernel(base)

@@ -31,12 +31,14 @@ the kernel is built.  The public functions here and the samplers in
 ``path_sampler`` validate their input, then call the law.  A law supplies
 ``density(t, x, y, owner=None)`` (with the owner batching of the profiles
 below), ``mass``, ``ck_integral`` (the left side of Chapman-Kolmogorov;
-the right side is ``density``), the samplers ``step`` or ``paths`` and
-``bridges``, and where they exist the moment and delta-family rules, the
+the right side is ``density``), the moves ``step`` and ``bridge_step``,
+which one walk turns into paths and bridges (the killed law walks a move
+of its own), and where they exist the moment and delta-family rules, the
 distance curve's ``mean_distance(t)`` (NaN on the lattice laws) and the
 spectral oracle's ``oracle_grid(m)``; a missing rule raises the base
 law's error, which names the models (each law's ``spec``) that have it.
-A law that draws no paths or no bridges says why in ``refusal``, which
+A law that draws no paths, no bridges (the interval's, Cauchy's) or no
+never-killed increments (for holder) says why in ``refusal(task)``, which
 the samplers and the CLI ask before any work.  A new model needs a class
 in ``manifold`` with its geometry methods and a law entered in ``_LAWS``.
 
@@ -90,7 +92,7 @@ from .rng import box_muller
 
 NEVER_KILLED = -1
 MAX_TERMS = 10 ** 6
-_STEP_ROWS = 16  # steps per step-major buffer of _Law.paths
+_STEP_ROWS = 16  # rows of the step-major buffer of _walk
 
 
 @dataclass(frozen=True)
@@ -514,43 +516,42 @@ class _Law:
         """The spectral oracle's m grid points, mesh and end-to-end coupling."""
         raise ValueError(f"the spectral oracle runs on {_specs_with('oracle_grid')}, not {self.model}/{self.kind}")
 
-    def refusal(self, sampler):
-        """Why this law draws no "paths" or no "bridges", or None if it draws them."""
+    def refusal(self, task):
+        """Why this law does not draw what task names ("paths", "bridges", or
+        never-killed "increments" for holder), or None if it draws them."""
         return None
 
     def paths(self, cursor, x0a, steps):
         """Positions (n, m+1, dim) and kill steps of free paths from x0a."""
-        n, m = len(cursor), len(steps)
-        pos = np.empty((n, m + 1, x0a.shape[0]))
-        pos[:, 0] = x0a
-        # Steps fill the contiguous rows of a small step-major buffer, copied
-        # out _STEP_ROWS at a time: a step down a strided column of pos cycles
-        # the whole tensor through the cache, and a step-major copy of all of
-        # it would double its memory.
-        rows = np.empty((min(_STEP_ROWS, m), n, x0a.shape[0]))
-        current = pos[:, 0]
-        for j0 in range(0, m, _STEP_ROWS):
-            k = min(_STEP_ROWS, m - j0)
-            for i in range(k):
-                current = rows[i] = self.step(cursor, current, steps[j0 + i])
-            pos[:, j0 + 1:j0 + 1 + k] = rows[:k].transpose(1, 0, 2)
-        return pos, np.full(n, NEVER_KILLED, dtype=np.int64)
+        pos = _walk(x0a, len(cursor), len(steps), lambda j, current: self.step(cursor, current, steps[j]))
+        return pos, np.full(len(cursor), NEVER_KILLED, dtype=np.int64)
+
+    def bridges(self, cursor, x0a, y0a, times):
+        """Bridges from x0a to y0a (a row, or one per sample) on the grid
+        times, and their windings (None off the lattice law)."""
+        return _walk(x0a, len(cursor), len(times) - 1, lambda j, current: self.bridge_step(
+            cursor, current, y0a, times[j + 1] - times[j], times[-1] - times[j]), end=y0a), None
 
 
-def _gaussian_bridge(cursor, x0a, target, times):
-    """Sequential conditional Gaussian steps from x0a to the pinned target rows."""
-    n, d = target.shape
-    m = len(times) - 1
-    horizon = times[-1]
-    pos = np.empty((n, m + 1, d))
+def _walk(x0a, n, m, move, end=None):
+    """Positions (n, m+1, d) of n chains from x0a: row j + 1 is move(j, row
+    j), and an end row, if given, pins row m (move makes rows 1..m-1).
+    Moves fill a small step-major buffer, copied out _STEP_ROWS rows at a
+    time: a move down a strided column of the positions cycles the whole
+    tensor through the cache, and a step-major copy of it all would double
+    its memory."""
+    pos = np.empty((n, m + 1, x0a.shape[0]))
     pos[:, 0] = x0a
-    for j in range(m - 1):
-        dt = times[j + 1] - times[j]
-        rem = horizon - times[j]
-        mean = pos[:, j] + (dt / rem) * (target - pos[:, j])
-        var = 2.0 * dt * (rem - dt) / rem
-        pos[:, j + 1] = mean + math.sqrt(var) * cursor.normals(d)
-    pos[:, m] = target
+    moves = m if end is None else m - 1
+    rows = np.empty((min(_STEP_ROWS, moves), n, x0a.shape[0]))
+    current = pos[:, 0]
+    for j0 in range(0, moves, _STEP_ROWS):
+        k = min(_STEP_ROWS, moves - j0)
+        for i in range(k):
+            current = rows[i] = move(j0 + i, current)
+        pos[:, j0 + 1:j0 + 1 + k] = rows[:k].transpose(1, 0, 2)
+    if end is not None:
+        pos[:, m] = end
     return pos
 
 
@@ -596,10 +597,11 @@ class _GaussianLaw(_Law):
     def step(self, cursor, current, dt):
         return current + math.sqrt(2.0 * dt) * cursor.normals(self.model.dim)
 
-    def bridges(self, cursor, x0a, y0a, times):
-        """Positions of bridges from x0a to y0a on the grid times, and their
-        windings (None off the lattice law)."""
-        return _gaussian_bridge(cursor, x0a, np.broadcast_to(y0a, (len(cursor), y0a.shape[0])), times), None
+    def bridge_step(self, cursor, current, y, dt, rem):
+        """One conditional Gaussian step toward y, with rem time left."""
+        mean = current + (dt / rem) * (y - current)
+        var = 2.0 * dt * (rem - dt) / rem
+        return mean + math.sqrt(var) * cursor.normals(self.model.dim)
 
 
 class _CauchyLaw(_Law):
@@ -640,8 +642,8 @@ class _CauchyLaw(_Law):
     def step(self, cursor, current, dt):
         return current + dt * np.tan(np.pi * (cursor.uniforms(1) - 0.5))
 
-    def bridges(self, cursor, x0a, y0a, times):
-        raise ValueError("bridge sampling is not defined for the Cauchy kernel")
+    def refusal(self, task):
+        return "bridge sampling is not defined for the Cauchy kernel" if task == "bridges" else None
 
 
 class _H3Law(_Law):
@@ -737,17 +739,6 @@ class _H3Law(_Law):
 
         return adaptive_simpson(f, 0.0, w, tol=tol)
 
-    def bridges(self, cursor, x0a, y0a, times):
-        n, m = len(cursor), len(times) - 1
-        pos = np.empty((n, m + 1, 4))
-        pos[:, 0] = x0a
-        for j in range(1, m):
-            pos[:, j] = self.bridge_step(
-                cursor, pos[:, j - 1], y0a, times[j] - times[j - 1], times[-1] - times[j - 1]
-            )
-        pos[:, m] = y0a
-        return pos, None
-
     @staticmethod
     def _direction(cursor):
         uv = cursor.uniforms(2)
@@ -832,6 +823,7 @@ class _LatticeLaw(_Law):
     projected into the box, and bridges drawn winding by winding."""
 
     spec = "torus:L1,L2,..."
+    bridge_step = _GaussianLaw.bridge_step  # toward each sample's lift
 
     def density(self, t, x, y, owner=None):
         out = 1.0
@@ -874,7 +866,7 @@ class _LatticeLaw(_Law):
             idx = np.minimum(np.searchsorted(cum, cursor.uniforms(1)[:, 0]), ks.shape[0] - 1)
             windings[:, i] = ks[idx].astype(np.int64)
             target[:, i] = x0a[i] + gap + ks[idx] * L
-        pos = project_arrays(covering_of(self.model), _gaussian_bridge(cursor, x0a, target, times))
+        pos = project_arrays(covering_of(self.model), super().bridges(cursor, x0a, target, times)[0])
         pos[:, -1] = y0a  # projecting the lift may round away from y0
         return pos, windings
 
@@ -960,8 +952,8 @@ class _DirichletLaw(_Law):
         h = self.model.length / (m + 1)
         return (np.arange(m) + 1) * h, h, 0.0  # the walls' zero values
 
-    def refusal(self, sampler):
-        if sampler == "bridges":
+    def refusal(self, task):
+        if task == "bridges":
             return "bridges for absorbing models are out of scope"
         L = self.model.length
         return (f"paths on dirichlet:{L!r} are killed at the walls; "
@@ -1020,31 +1012,35 @@ class _KilledLaw(_Law):
         """Gaussian proposals accepted with probability p_dt / gauss_dt, the
         interval kernel's share of the free one, which is the probability
         that the Brownian bridge between the two points stays inside
-        (``dirichlet_survival_ratio``); a rejected step is the kill."""
+        (``dirichlet_survival_ratio``); a rejected step is the kill.  Only
+        unkilled rows draw; killed rows stay NaN."""
         L = self.model.base.length
-        n = len(cursor)
-        pos = np.full((n, len(steps) + 1, 1), np.nan)
-        pos[:, 0, 0] = x0a[0]
-        kill = np.full(n, NEVER_KILLED, dtype=np.int64)
-        alive = np.arange(n)
-        for j, dt in enumerate(steps):
-            if alive.size == 0:
-                break
+        kill = np.full(len(cursor), NEVER_KILLED, dtype=np.int64)
+
+        def move(j, current):
+            alive = np.flatnonzero(kill == NEVER_KILLED)
             u = cursor.uniforms_at(alive, 3)  # normal proposal, acceptance
-            current = pos[alive, j, 0]
-            prop = current + math.sqrt(2.0 * dt) * box_muller(u[:, :2])[:, 0]
+            here = current[alive, 0]
+            prop = here + math.sqrt(2.0 * steps[j]) * box_muller(u[:, :2])[:, 0]
             inside = (prop > 0.0) & (prop < L)
             ratio = np.zeros_like(prop)
             if np.any(inside):
-                ratio[inside] = dirichlet_survival_ratio(dt, current[inside], prop[inside], L, self.truncation)
+                ratio[inside] = dirichlet_survival_ratio(steps[j], here[inside], prop[inside], L, self.truncation)
             survive = u[:, 2] < ratio
-            pos[alive[survive], j + 1, 0] = prop[survive]
             kill[alive[~survive]] = j + 1
-            alive = alive[survive]
-        return pos, kill
+            # allocated last, above the step's temporaries: freed below it, their
+            # heap pages are reused, not returned to the system and faulted in again
+            nxt = np.full_like(current, np.nan)
+            nxt[alive[survive], 0] = prop[survive]
+            return nxt
 
-    def refusal(self, sampler):
-        return self.base.refusal(sampler) if sampler == "bridges" else None
+        return _walk(x0a, len(cursor), len(steps), move), kill
+
+    def refusal(self, task):
+        if task == "increments":
+            return (f"holder needs paths that are never killed; "
+                    f"compactified:dirichlet:{self.model.base.length!r} kills them at the walls")
+        return self.base.refusal(task) if task == "bridges" else None
 
 
 _LAWS = {

@@ -6,8 +6,9 @@ conditioned on the pinned endpoint for bridges).  Nothing is claimed
 about behavior between grid points.
 
 ``sample_paths`` and ``sample_bridges`` check their input and, with
-``check_sampler``, that the kernel's law draws what is asked, then call
-the law in ``heat_kernel``, which holds every model's samplers.
+``check_sampler(kernel, task)``, that the kernel's law draws what is
+asked, then call the law in ``heat_kernel``, whose one walk turns each
+law's steps into paths and bridges.
 
 Determinism contract
 --------------------
@@ -145,9 +146,10 @@ def _ensemble_input(kernel, points, grid, master_seed, n_samples, first_index):
     return coords, StreamCursor(master_seed, first_index + np.arange(n, dtype=np.uint64))
 
 
-def check_sampler(kernel, bridges=False):
-    """Refuse a kernel whose law draws no free paths (or, with bridges, no bridges)."""
-    why = kernel._law.refusal("bridges" if bridges else "paths")
+def check_sampler(kernel, task):
+    """Refuse a kernel whose law does not draw what task names: "paths",
+    "bridges" or "increments" (paths that are never killed)."""
+    why = kernel._law.refusal(task)
     if why is not None:
         raise ValueError(why)
 
@@ -155,7 +157,7 @@ def check_sampler(kernel, bridges=False):
 def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
     """Ensemble of Markov paths started at x0, stepped by the kernel's law."""
     (x0a,), cursor = _ensemble_input(kernel, {"x0": x0}, grid, master_seed, n_samples, first_index)
-    check_sampler(kernel)
+    check_sampler(kernel, "paths")
     pos, kill = kernel._law.paths(cursor, x0a, grid.steps())
     return PathEnsemble(grid, pos, kill)
 
@@ -173,7 +175,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
     """Ensemble from the normalized bridge law, drawn by the kernel's law;
     the last point is y0 exactly."""
     (x0a, y0a), cursor = _ensemble_input(kernel, {"x0": x0, "y0": y0}, grid, master_seed, n_samples, first_index)
-    check_sampler(kernel, bridges=True)
+    check_sampler(kernel, "bridges")
     pos, windings = kernel._law.bridges(cursor, x0a, y0a, np.asarray(grid.times))
     kill = np.full(len(cursor), NEVER_KILLED, dtype=np.int64)
     return PathEnsemble(grid, pos, kill, windings=windings)

@@ -335,6 +335,18 @@ class TestExitCodes:
         assert out["residual"] < 1e-10
         assert out["residual"] <= out["tail_bound"] + 1e-10
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "covering", "--t", "0.5", "--x", "0.2", "--y", "0.7", "--windings", "8"],
+        ["fk", "covering-sum", "--potential", "cos", "--t", "0.5", "--steps", "4", "--samples", "64",
+         "--x0", "0.2", "--y0", "0.7", "--windings", "2"],
+    ], ids=["verify", "fk"])
+    def test_one_period_torus_covers_as_the_circle(self, capsys, command):
+        outputs = []
+        for spec in ("circle:1.0", "torus:1.0"):
+            assert main(command[:2] + ["--model", spec] + command[2:]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_verify_delta_family(self):
         res = run_cli(["verify", "delta-family", "--model", "euclidean:1"])
         assert res.returncode == 0
@@ -419,6 +431,10 @@ class TestInputErrors:
              "the spectral oracle has no cemetery row"),
             (["fk", "expectation", "--model", "hyperbolic3", "--t", "0.5", "--oracle-m", "64"],
              "the spectral oracle runs on circle:L, dirichlet:L and compactified:dirichlet:L, not Hyperbolic3()"),
+            (["verify", "covering", "--model", "torus:1,2"], "verify covering runs on circle models"),
+            (["fk", "covering-sum", "--model", "torus:1,2", *FK_SHORT, "--y0", "0.5,0.5"],
+             "the covering-sum check runs on circle coverings"),
+            (["verify", "covering", "--model", "euclidean:1"], "covering base must be a Circle or FlatTorus"),
         ],
         ids=["fk-expectation", "fk-monotonicity", "fk-kernel", "sample", "bridge", "holder", "curve",
              "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify",
@@ -427,7 +443,7 @@ class TestInputErrors:
              "fk-monotonicity-terminal-cos", "fk-expectation-potential2", "fk-kernel-potential2",
              "fk-covering-potential2", "fk-monotonicity-oracle", "fk-covering-oracle", "fk-expectation-y0",
              "curve-compactified", "curve-cauchy", "fk-oracle-cemetery-x0", "fk-oracle-cemetery-y0",
-             "fk-oracle-models"],
+             "fk-oracle-models", "verify-covering-torus", "fk-covering-torus", "verify-covering-line"],
     )
     def test_exits_2_with_message(self, args, message):
         res = run_cli(args)
@@ -455,6 +471,43 @@ class TestInputErrors:
         assert main(argv) == code
         assert message in capsys.readouterr().err
         assert len(built) == (code == 0)  # the accepted run shows the spy is in place
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["bridge", "--model", "cauchy", "--x0", "0", "--y0", "1", "--T", "1", "--steps", "4"], 2,
+         "bridge sampling is not defined for the Cauchy kernel"),
+        (["fk", "kernel", "--model", "cauchy", *FK_SHORT, "--y0", "1"], 2,
+         "bridge sampling is not defined for the Cauchy kernel"),
+        (["bridge", *DIRICHLET, "--x0", "1", "--y0", "2", "--T", "1", "--steps", "4"], 2,
+         "bridges for absorbing models are out of scope"),
+        (["sample", *DIRICHLET, "--x0", "1", "--T", "1", "--steps", "4"], 2,
+         "paths on dirichlet:3.14159265 are killed at the walls"),
+        (["fk", "monotonicity", *DIRICHLET, *FK_SHORT, "--potential2", "const:2"], 2,
+         "paths on dirichlet:3.14159265 are killed at the walls"),
+        (["fk", "monotonicity", *KILLED, *FK_SHORT, "--potential2", "const:2", "--y0", "1"], 2,
+         "bridges for absorbing models are out of scope"),
+        (["sample", *KILLED, "--x0", "1", "--T", "1", "--steps", "4"], 0, ""),
+        (["fk", "monotonicity", *FK_CIRCLE, "--potential2", "const:2", "--y0", "1"], 0, ""),
+    ], ids=["bridge-cauchy", "fk-kernel-cauchy", "bridge-dirichlet", "sample-dirichlet",
+            "fk-monotonicity-dirichlet", "fk-monotonicity-bridge-killed", "sample-killed",
+            "fk-monotonicity-bridge-circle"])
+    def test_a_refused_run_draws_no_block(self, monkeypatch, capsys, args, code, message):
+        import pathkernel.cli as cli
+        import pathkernel.diagnostics as diagnostics
+        import pathkernel.feynman_kac as feynman_kac
+
+        calls = []
+        real = cli.run_blocks
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (cli, feynman_kac, diagnostics):
+            monkeypatch.setattr(module, "run_blocks", spy)
+        argv = args if "--samples" in args else args + ["--samples", "100"]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert len(calls) == (code == 0)  # the accepted runs show the spy is in place
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read"),

@@ -7,12 +7,19 @@ from scipy.stats import ks_2samp
 import pathkernel.path_sampler as ps
 from pathkernel.diagnostics import expected_distance_analytic
 from pathkernel.errors import NonFiniteSampleError, PathkernelError, StepTooLargeError
-from pathkernel.heat_kernel import TransitionKernel, dirichlet_mass_arrays, evaluate, h3_profile
+from pathkernel.heat_kernel import (
+    TransitionKernel,
+    dirichlet_mass_arrays,
+    dirichlet_survival_ratio,
+    evaluate,
+    h3_profile,
+)
 from pathkernel.manifold import (
     Circle,
     Compactified,
     DirichletInterval,
     Euclidean,
+    FlatTorus,
     Hyperbolic3,
     covering_of,
     distance_arrays,
@@ -31,7 +38,7 @@ from pathkernel.path_sampler import (
     sample_bridges,
     sample_paths,
 )
-from pathkernel.rng import StreamCursor
+from pathkernel.rng import StreamCursor, box_muller
 
 from stat_helpers import (
     bin_counts,
@@ -469,6 +476,104 @@ class TestHyperbolicStep:
                     sample_bridges(H3K, ORIGIN4, ORIGIN4, TimeGrid.uniform(1e5, 3), 0, 4)):
             x0 = ens.positions[..., 0]
             assert np.all(np.isfinite(ens.positions)) and np.log(2.0 * x0).max() > 400.0
+
+
+def killed_column_loop(law, cursor, x0a, steps):
+    """Killed paths one grid column at a time, the sampler's loop before
+    the walk: only the unkilled rows draw, and the loop stops once all are
+    killed."""
+    L = law.model.base.length
+    n = len(cursor)
+    pos = np.full((n, len(steps) + 1, 1), np.nan)
+    pos[:, 0, 0] = x0a[0]
+    kill = np.full(n, NEVER_KILLED, dtype=np.int64)
+    alive = np.arange(n)
+    for j, dt in enumerate(steps):
+        if alive.size == 0:
+            break
+        u = cursor.uniforms_at(alive, 3)
+        current = pos[alive, j, 0]
+        prop = current + math.sqrt(2.0 * dt) * box_muller(u[:, :2])[:, 0]
+        inside = (prop > 0.0) & (prop < L)
+        ratio = np.zeros_like(prop)
+        if np.any(inside):
+            ratio[inside] = dirichlet_survival_ratio(dt, current[inside], prop[inside], L, law.truncation)
+        survive = u[:, 2] < ratio
+        pos[alive[survive], j + 1, 0] = prop[survive]
+        kill[alive[~survive]] = j + 1
+        alive = alive[survive]
+    return pos, kill
+
+
+class TestWalk:
+    """Every sampler runs through one step-major walk.  Its positions, kill
+    steps and draws equal a column-by-column loop over the law's own moves.
+    m = 1, 2, 16, 17 and 33 give no bridge move, one buffer, one buffer
+    plus one and two buffers plus one."""
+
+    N = 64
+    STEPS = [1, 2, 16, 17, 33]
+    MODELS = {
+        "euclidean:2": (Euclidean(2), np.array([0.3, 0.1]), np.array([-0.4, 0.2])),
+        "circle": (Circle(1.0), np.array([0.2]), np.array([0.7])),
+        "torus:1,2": (FlatTorus((1.0, 2.0)), np.array([0.2, 0.5]), np.array([0.7, 1.5])),
+        "hyperbolic3": (Hyperbolic3(), np.asarray(ORIGIN4.coords), H3_OFF),
+    }
+
+    def cursors(self):
+        return (StreamCursor(11, np.arange(self.N, dtype=np.uint64)) for _ in range(2))
+
+    @pytest.mark.parametrize("m", STEPS)
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_free_paths(self, name, m):
+        model, x0a, _ = self.MODELS[name]
+        law = TransitionKernel(model)._law
+        steps = TimeGrid.uniform(1.0, m).steps()
+        walked, looped = self.cursors()
+        pos, kill = law.paths(walked, x0a, steps)
+        cols = [np.tile(x0a, (self.N, 1))]
+        for dt in steps:
+            cols.append(law.step(looped, cols[-1], dt))
+        np.testing.assert_array_equal(pos, np.stack(cols, axis=1))
+        assert np.all(kill == NEVER_KILLED)
+        np.testing.assert_array_equal(walked.pos, looped.pos)
+
+    @pytest.mark.parametrize("m", STEPS)
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_bridges(self, name, m):
+        model, x0a, y0a = self.MODELS[name]
+        law = TransitionKernel(model)._law
+        times = np.asarray(TimeGrid.uniform(1.0, m).times)
+        walked, looped = self.cursors()
+        pos, windings = law.bridges(walked, x0a, y0a, times)
+        target = y0a
+        if windings is not None:  # one winding uniform per coordinate, then a bridge to the lift
+            looped.uniforms(len(y0a))
+            target = x0a + (y0a - x0a) + windings * np.asarray(model.periods)
+        cols = [np.tile(x0a, (self.N, 1))]
+        for j in range(m - 1):
+            cols.append(law.bridge_step(looped, cols[-1], target, times[j + 1] - times[j], times[-1] - times[j]))
+        expect = np.stack(cols + [np.broadcast_to(target, cols[0].shape)], axis=1)
+        if windings is not None:
+            expect = project_arrays(covering_of(model), expect)
+            expect[:, -1] = y0a
+        np.testing.assert_array_equal(pos, expect)
+        np.testing.assert_array_equal(walked.pos, looped.pos)
+
+    @pytest.mark.parametrize("horizon", [1.0, 16.0], ids=["some-killed", "all-killed"])
+    @pytest.mark.parametrize("m", STEPS)
+    def test_killed_paths(self, m, horizon):
+        law = KILLED._law
+        x0a = np.array([1.0])
+        steps = TimeGrid.uniform(horizon, m).steps()
+        walked, looped = self.cursors()
+        pos, kill = law.paths(walked, x0a, steps)
+        ref_pos, ref_kill = killed_column_loop(law, looped, x0a, steps)
+        np.testing.assert_array_equal(pos, ref_pos)
+        np.testing.assert_array_equal(kill, ref_kill)
+        np.testing.assert_array_equal(walked.pos, looped.pos)
+        if horizon > 1.0 and m > 1:  # survival to t = 16 is below 1e-6 of the start
+            assert np.all(kill != NEVER_KILLED)
 
 
 class TestCsv:

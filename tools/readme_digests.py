@@ -73,27 +73,32 @@ MODELS = {
 _CEMETERY_SOURCE = {"compactified:dirichlet:3.14159265"}
 
 _FK = "--t 0.5 --steps 4 --samples 64 --x0 {x}"
-# command name -> arguments after `--model <spec>`; {x}, {y} are the points
+# command name -> arguments after `--model <spec>`; {x}, {y} are the points.
+# A point is joined to its flag by "=", as argparse would read a point that
+# starts with "-" (euclidean:2's y) as a flag.
 MATRIX = {
-    "kernel": "kernel --t 0.5 --x {kx} --y {y}",
+    "kernel": "kernel --t 0.5 --x {kx} --y={y}",
     "mass": "mass --t 0.5 --x {x}",
     "verify_ck": "verify chapman-kolmogorov --tuples 3",
     "verify_moments_integrated": "verify moments --mode integrated --tau-grid 0.01:0.05:0.02",
     "verify_moments_pointwise": "verify moments --mode pointwise --tau-grid 0.01:0.05:0.02",
     "verify_moments_a30": "verify moments --a 30 --tau-grid 0.001:0.1:0.0495",
     "verify_delta": "verify delta-family --y {x}",
-    "verify_covering": "verify covering --t 0.5 --x {x} --y {y}",
+    "verify_covering": "verify covering --t 0.5 --x {x} --y={y}",
     "sample": "sample --x0 {x} --T 1 --steps 4 --samples 64",
     # steps of length 2, past the interval's switch time L^2/pi^2 = 1
     "sample_long": "sample --x0 {x} --T 4 --steps 2 --samples 64",
-    "bridge": "bridge --x0 {x} --y0 {y} --T 1 --steps 4 --samples 64",
+    "bridge": "bridge --x0 {x} --y0={y} --T 1 --steps 4 --samples 64",
+    # 17 moves: one past a 16-row buffer of the sampler's walk
+    "bridge_long": "bridge --x0 {x} --y0={y} --T 1 --steps 18 --samples 64",
     "fk_expectation": "fk expectation --potential cos " + _FK,
-    "fk_kernel": "fk kernel --potential cos --y0 {y} " + _FK,
+    "fk_kernel": "fk kernel --potential cos --y0={y} " + _FK,
     "fk_trapezoid": "fk expectation --potential cos --rule trapezoid " + _FK,
     # with m = 20, circle:1.0's points 0.2 and 0.7 lie on the oracle's grid
-    "fk_kernel_oracle": "fk kernel --potential cos --y0 {y} --oracle-m 20 " + _FK,
+    "fk_kernel_oracle": "fk kernel --potential cos --y0={y} --oracle-m 20 " + _FK,
     "fk_monotonicity": "fk monotonicity --potential const:0.5 --potential2 const:1 " + _FK,
-    "fk_covering": "fk covering-sum --potential cos --y0 {y} --windings 2 " + _FK,
+    "fk_monotonicity_bridge": "fk monotonicity --potential const:0.5 --potential2 const:1 --y0={y} " + _FK,
+    "fk_covering": "fk covering-sum --potential cos --y0={y} --windings 2 " + _FK,
     "curve": "curve --x0 {x} --t-grid 0.5:1.0:0.5 --samples 64",
     "holder": "holder --x0 {x} --paths 64 --levels 2:4",
 }
