@@ -46,6 +46,7 @@ from .heat_kernel import (
     TransitionKernel,
     TruncationPolicy,
     chapman_kolmogorov_residuals,
+    check_task,
     delta_family_residuals,
     evaluate,
     moment_check,
@@ -67,7 +68,6 @@ from .parallel import run_blocks, worker_count
 from .path_sampler import (
     NEVER_KILLED,
     TimeGrid,
-    check_sampler,
     path_to_csv,
     sample_bridges,
     sample_paths,
@@ -497,10 +497,9 @@ def _run_verify(config):
             payload = {"message": "moment integral diverges on the tau grid", **payload}
         return _verdict(config, payload, "DivergentIntegralError" if report.any_divergent else None)
     if check == "covering":
+        check_task(k, "covering")
         model = k.model
-        length, *more = covering_of(model).periods
-        if more:
-            raise ValueError("verify covering runs on circle models")
+        (length,) = covering_of(model).periods
         t = config.options["t"]
         x = _point_option(config, "x", model, model.default_point())
         y = _point_option(config, "y", model, Point((length / 3.0,)))
@@ -561,7 +560,7 @@ def _emit_path(config, path, summary):
 def _run_sample(config):
     k = _kernel_for(config)
     x0 = _point_option(config, "x0", k.model)
-    check_sampler(k, "paths")
+    check_task(k, "paths")
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     seed, n = config.options["seed"], config.options["samples"]
     survivors, path = _blocked_ensemble(
@@ -580,7 +579,7 @@ def _run_bridge(config):
     k = _kernel_for(config)
     x0 = _point_option(config, "x0", k.model)
     y0 = _point_option(config, "y0", k.model)
-    check_sampler(k, "bridges")
+    check_task(k, "bridges")
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     seed = config.options["seed"]
     windings, path = _blocked_ensemble(
@@ -598,15 +597,14 @@ def _run_bridge(config):
     return _emit_path(config, path, summary)
 
 
-def _oracle_value(config, task, model, pot, t, g, x0, y0):
+def _oracle_value(config, task, kernel, pot, t, g, x0, y0):
     """The spectral oracle's value for `fk expectation` or `fk kernel`, if
-    --oracle-m asks for it.  It is computed before any path is drawn, so a
-    model the oracle does not cover is refused at once, and its matrices
-    are freed before the paths take their memory."""
+    --oracle-m asks for it.  It is computed before any path is drawn, so
+    its matrices are freed before the paths take their memory."""
     m = config.options["oracle_m"]
     if not m:
         return None
-    orc = spectral_oracle(model, m, pot, t)
+    orc = spectral_oracle(kernel, m, pot, t)
     if task == "expectation":
         return orc.value_at(g, x0.coords[0])
     return orc.kernel_entry(x0.coords[0], y0.coords[0])
@@ -642,11 +640,13 @@ def _run_fk(config):
     if task in ("kernel", "covering-sum") and y0 is None:
         raise ValueError(f"fk {task} needs --y0")
     if task in ("expectation", "kernel"):
-        # refused runs build no oracle: a cemetery point, or a law that draws no paths or bridges
+        # refused runs build no oracle: a cemetery point, or a law without the oracle, paths or bridges
         if config.options["oracle_m"] and CEMETERY in (x0, y0):
             raise ValueError("the spectral oracle has no cemetery row; --x0 and --y0 must lie inside the interval")
-        check_sampler(k, "bridges" if task == "kernel" else "paths")
-        oracle = _oracle_value(config, task, model, pot, t, g, x0, y0)
+        if config.options["oracle_m"]:
+            check_task(k, "oracle")
+        check_task(k, "bridges" if task == "kernel" else "paths")
+        oracle = _oracle_value(config, task, k, pot, t, g, x0, y0)
         if task == "expectation":
             est = fk_expectation(FKProblem(k, pot, g, x0, t, steps, samples, rng), rule=rule, workers=workers)
         else:
@@ -658,7 +658,7 @@ def _run_fk(config):
         return _verdict(config, payload)
 
     if task == "monotonicity":
-        check_sampler(k, "paths" if y0 is None else "bridges")
+        check_task(k, "paths" if y0 is None else "bridges")
         pot2 = config.options["potential2"]
         if pot2 is None:
             raise ValueError("fk monotonicity needs --potential2")
@@ -674,6 +674,7 @@ def _run_fk(config):
         return _verdict(config, payload, None if rep.passed else "MonotonicityViolated")
 
     # covering-sum
+    check_task(k, "covering")
     rep = fk_covering_sum_check(
         covering_of(model), pot, x0, y0, t, config.options["windings"],
         steps, samples, rng, rule=rule, workers=workers,
@@ -709,7 +710,7 @@ def _run_holder(config):
     n_paths = config.options["paths"]
     seed = config.options["seed"]
     k = TransitionKernel(model, kind=kind)
-    check_sampler(k, "increments")
+    check_task(k, "increments")
     if kind == "heat" and isinstance(model, Euclidean) and model.dim == 1:
         ensemble = brownian_dyadic_ensemble(n_paths, levels, seed)
         rep = holder_exponent(ensemble)

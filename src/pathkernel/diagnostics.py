@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feynman_kac import EstimateWithError
-from .heat_kernel import TransitionKernel
+from .heat_kernel import TransitionKernel, check_task
 from .manifold import Euclidean, distance_arrays, validate_point
 from .parallel import per_job, run_blocks
 from .path_sampler import TimeGrid, sample_paths
@@ -140,7 +140,9 @@ def expected_distance_analytic(model, t):
     """Closed-form mean displacement after time t (flat space and H^3)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    mean = TransitionKernel(model)._law.mean_distance(t)
+    kernel = TransitionKernel(model)
+    check_task(kernel, "curve")
+    mean = kernel._law.mean_distance(t)
     if math.isnan(mean):
         raise ValueError(f"no closed-form distance curve for {model!r}")
     return mean
@@ -152,6 +154,7 @@ def _distance_estimates(kernel, x0, t_grid, n_samples, rng, workers):
     ``run_blocks`` pass; time j draws substreams rng.sample_index + j * n_samples on."""
     model = kernel.model
     x0a = validate_point(model, x0, "x0")
+    check_task(kernel, "curve")
     grids = [TimeGrid.uniform(t, 1) for t in t_grid]
     analytic = [kernel._law.mean_distance(t) for t in t_grid]
 

@@ -31,12 +31,13 @@ pointwise evaluation, which we accept as a scope note.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PathkernelError, PotentialBoundError
-from .heat_kernel import TransitionKernel
+from .heat_kernel import TransitionKernel, check_task, image_count
 from .manifold import (
     Point,
     project_arrays,
@@ -54,6 +55,7 @@ from .quadrature import gaussian_tail_radius
 from .rng import RngContract
 
 BOUND_SLACK = 1e-9
+ROUNDING_ULPS = 16  # the covering-sum check's allowance for one rounded product
 
 
 @dataclass(frozen=True)
@@ -325,23 +327,26 @@ class CoveringSumReport:
     combined_std_error: float
     tail_bound: float
     residual: float
+    rounding: float  # how far rounding alone may move the residual
 
     @property
     def within_tolerance(self):
-        return self.residual <= 3.0 * self.combined_std_error + self.tail_bound
+        return self.residual <= 3.0 * self.combined_std_error + self.tail_bound + self.rounding
 
 
 def _winding_tail_bound(t, gap, length, w_max, sup_v):
-    """Mass of the omitted image terms (at most 400 of them), amplified by
-    the potential bound."""
+    """Mass of the omitted image terms, summed until they are spent (within
+    image_count's budget), amplified by the potential bound; and the
+    number of terms summed."""
+    radius = gaussian_tail_radius(t, 1e-18)
     total = 0.0
-    for k in range(w_max + 1, w_max + 401):
+    for k in range(w_max + 1, max(w_max + 1, image_count(radius + abs(gap), length)) + 1):
         for sgn in (1.0, -1.0):
             z = gap + sgn * k * length
             total += float((4.0 * math.pi * t) ** -0.5 * math.exp(-z * z / (4.0 * t)))
-        if (k * length - abs(gap)) > gaussian_tail_radius(t, 1e-18):
+        if (k * length - abs(gap)) > radius:
             break
-    return total * _growth_bound(t, sup_v)
+    return total * _growth_bound(t, sup_v), 2 * (k - w_max)
 
 
 def fk_covering_sum_check(
@@ -352,16 +357,15 @@ def fk_covering_sum_check(
     Estimates q_t(x0, y0) on a base of one period (a circle) and the sum
     over deck shifts |k| <= windings of the line-space kernel with the
     lifted potential; every term runs on a disjoint substream range.  The
-    report carries the residual, the combined Monte Carlo error and the
-    analytic bound on the omitted winding tail.
+    report carries the residual, the combined Monte Carlo error, the
+    analytic bound on the omitted winding tail and the rounding allowance.
     """
     base = cov.base
-    length, *more = cov.periods
-    if more:
-        raise ValueError("the covering-sum check runs on circle coverings")
+    kernel_base = TransitionKernel(base)
+    check_task(kernel_base, "covering")
+    (length,) = cov.periods
     x0a = validate_point(base, x0, "x0")
     y0a = validate_point(base, y0, "y0")
-    kernel_base = TransitionKernel(base)
     kernel_line = TransitionKernel(cov.total)
     v_line = lifted_potential(cov, v_base)
     w_max = int(windings)
@@ -375,13 +379,21 @@ def fk_covering_sum_check(
     est_base, *terms = [EstimateWithError.of(w, mass) for (mass, _), (w,) in zip(jobs, runs)]
     line_sum = float(sum(e.value for e in terms))
     combined = math.sqrt(est_base.std_error ** 2 + sum(e.std_error ** 2 for e in terms))
-    tail = _winding_tail_bound(t, gap, length, w_max, v_base.sup_bound)
+    tail, tail_terms = _winding_tail_bound(t, gap, length, w_max, v_base.sup_bound)
+    # With the same weight on every path (a constant potential) sigma is 0,
+    # or rounding itself, and the identity value = line_sum + tail is missed
+    # by rounding alone.  Every number here is positive: each kernel value
+    # and mean of weights, and each of their products, rounds by a few ulps,
+    # and a sum of n such numbers by at most n/2 ulps of its total more.
+    # ROUNDING_ULPS covers the first; the line sum and the tail add the rest.
+    scale = sys.float_info.epsilon * (abs(est_base.value) + line_sum)
     return CoveringSumReport(
         base_estimate=est_base,
         line_sum=line_sum,
         combined_std_error=combined,
         tail_bound=tail,
         residual=abs(est_base.value - line_sum),
+        rounding=(ROUNDING_ULPS + 0.5 * (len(terms) + tail_terms)) * scale,
     )
 
 
@@ -419,16 +431,19 @@ class SpectralOracle:
         return float(self.semigroup[self.index_of(x0), self.index_of(y0)] / self.mesh)
 
 
-def spectral_oracle(model, m_points, potential, t):
+def spectral_oracle(kernel, m_points, potential, t):
     """e^(t(Laplacian - V)) by symmetric eigendecomposition of the
-    second-order finite-difference operator on the grid of the model's law
-    (periodic wrap on the circle, zero boundary rows on the interval)."""
+    second-order finite-difference operator on the grid of the kernel's law
+    (periodic wrap on the circle, zero boundary rows on the interval).  A
+    model stands for its heat kernel."""
+    kernel = kernel if isinstance(kernel, TransitionKernel) else TransitionKernel(kernel)
+    check_task(kernel, "oracle")
     m = int(m_points)
     if m < 16:
         raise ValueError("need at least 16 grid points")
     if t <= 0:
         raise ValueError("t must be positive")
-    x, h, wrap = TransitionKernel(model)._law.oracle_grid(m)
+    x, h, wrap = kernel._law.oracle_grid(m)
     a = np.zeros((m, m))
     idx = np.arange(m)
     a[idx, idx] = -2.0

@@ -31,16 +31,17 @@ the kernel is built.  The public functions here and the samplers in
 ``path_sampler`` validate their input, then call the law.  A law supplies
 ``density(t, x, y, owner=None)`` (with the owner batching of the profiles
 below), ``mass``, ``ck_integral`` (the left side of Chapman-Kolmogorov;
-the right side is ``density``), the moves ``step`` and ``bridge_step``,
-which one walk turns into paths and bridges (the killed law walks a move
-of its own), and where they exist the moment and delta-family rules, the
-distance curve's ``mean_distance(t)`` (NaN on the lattice laws) and the
-spectral oracle's ``oracle_grid(m)``; a missing rule raises the base
-law's error, which names the models (each law's ``spec``) that have it.
-A law that draws no paths, no bridges (the interval's, Cauchy's) or no
-never-killed increments (for holder) says why in ``refusal(task)``, which
-the samplers and the CLI ask before any work.  A new model needs a class
-in ``manifold`` with its geometry methods and a law entered in ``_LAWS``.
+the right side is ``density``), and where they exist the moves ``step``
+and ``bridge_step``, which one walk turns into paths and bridges (a
+killed step writes NaN), the moment and delta-family rules, the distance
+curve's ``mean_distance(t)`` (NaN on the lattice laws), the spectral
+oracle's ``oracle_grid(m)`` and the lattice law's ``covering()``.
+``TASKS`` maps each task to the rule it needs, and a law runs a task
+exactly when it has that rule, apart from three refusals that depend on
+the model.  Every entry point asks ``check_task(kernel, task)`` before
+any work; a refusal names the models (each law's ``spec``) that run the
+task.  A new model needs a class in ``manifold`` with its geometry
+methods and a law entered in ``_LAWS``.
 
 Moments
 -------
@@ -116,8 +117,6 @@ class TransitionKernel:
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self):
-        if self.kind not in ("heat", "cauchy"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "cauchy" and self.model != Euclidean(1):
             raise ValueError("the Cauchy kernel is defined on Euclidean(1) only")
         object.__setattr__(self, "_law", _law_of(self.model, self.kind, self.truncation))
@@ -471,10 +470,11 @@ def smooth_bump(width):
 
 
 class _Law:
-    """The rules every law shares, and the refusals of the rules a law lacks."""
+    """The rules every law shares, and the refusal of the tasks it lacks the rules for."""
 
     kind = "heat"
     spec = None  # the CLI's model spec, named in the refusals
+    only = {}  # task -> (spec, test): the law runs it only on the models that pass test
 
     def __init__(self, model, truncation):
         self.model = model
@@ -487,39 +487,13 @@ class _Law:
     def mass(self, t, xa, quad_tol):
         return 1.0
 
-    def integrated_moment(self, a, tau, tol):
-        raise TypeError(f"integrated moment not implemented for {self.model!r}")
-
-    def pointwise_sup(self, a, tau):
-        raise TypeError(f"pointwise moment not implemented for {self.model!r}")
-
-    def delta_integral(self, t, ya, width, tol):
-        """The integral of a bump around y against p_t(., y) on a line."""
-        lo, hi, w = self.delta_window(ya, width)
-        u = smooth_bump(w)
-
-        def f(z):
-            return u(z - ya[0]) * self.density(t, z[..., None], ya[None, :])
-
-        return adaptive_simpson(f, lo, hi, tol=tol)
-
-    def delta_window(self, ya, width):
-        """(lo, hi, bump width) of the delta-family integral around ya[0]."""
-        raise TypeError(f"delta-family check not implemented for {self.model!r}")
-
-    def mean_distance(self, t):
-        """E d(x, X_t) in closed form, NaN if none; laws without a curve refuse."""
-        raise ValueError(f"curve runs on the heat kernels of {_specs_with('mean_distance')}, "
-                         f"not {self.model}/{self.kind}")
-
-    def oracle_grid(self, m):
-        """The spectral oracle's m grid points, mesh and end-to-end coupling."""
-        raise ValueError(f"the spectral oracle runs on {_specs_with('oracle_grid')}, not {self.model}/{self.kind}")
-
     def refusal(self, task):
-        """Why this law does not draw what task names ("paths", "bridges", or
-        never-killed "increments" for holder), or None if it draws them."""
-        return None
+        """Why this law does not run task (a key of TASKS), or None: it runs a
+        task exactly when it has the task's rule and the model passes its ``only`` test."""
+        test = self.only.get(task, (None, None))[1]
+        if hasattr(self, TASKS[task][0]) and (test is None or test(self.model)):
+            return None
+        return f"{TASKS[task][1]} {_runners(task)}, not {self.model}/{self.kind}"
 
     def paths(self, cursor, x0a, steps):
         """Positions (n, m+1, dim) and kill steps of free paths from x0a."""
@@ -555,10 +529,35 @@ def _walk(x0a, n, m, move, end=None):
     return pos
 
 
-class _GaussianLaw(_Law):
+def _left_range(dt, what="a step"):
+    return NonFiniteSampleError(f"{what} of time {dt} left the float range; shorten the steps or the horizon")
+
+
+def _scale(var, dt):
+    """sqrt(var), the scale of a step of time dt; out of the float range it is an error."""
+    if not var < math.inf:
+        raise _left_range(dt)
+    return math.sqrt(var)
+
+
+class _Line:
+    """The delta-family rule of the laws on a line: a bump around y in their ``delta_window``."""
+
+    def delta_integral(self, t, ya, width, tol):
+        lo, hi, w = self.delta_window(ya, width)
+        u = smooth_bump(w)
+
+        def f(z):
+            return u(z - ya[0]) * self.density(t, z[..., None], ya[None, :])
+
+        return adaptive_simpson(f, lo, hi, tol=tol)
+
+
+class _GaussianLaw(_Line, _Law):
     """Euclidean(n): the Gaussian kernel, Gaussian steps and bridges."""
 
     spec = "euclidean:N"
+    only = {"delta-family": ("euclidean:1", lambda model: model.dim == 1)}  # the delta window is a line's
 
     def density(self, t, x, y, owner=None):
         return gauss_profile(t, np.sum((x - y) ** 2, axis=-1), self.model.dim, owner)
@@ -589,25 +588,24 @@ class _GaussianLaw(_Law):
         return math.exp(0.5 * a * (math.log(2.0 * a * tau) - 1.0) - 0.5 * n * math.log(4.0 * math.pi * tau))
 
     def delta_window(self, ya, width):
-        if self.model.dim != 1:
-            raise TypeError("delta-family check supports 1-d flat models and H3")
         w = width or 1.0
         return ya[0] - w, ya[0] + w, w
 
     def step(self, cursor, current, dt):
-        return current + math.sqrt(2.0 * dt) * cursor.normals(self.model.dim)
+        return current + _scale(2.0 * dt, dt) * cursor.normals(self.model.dim)
 
     def bridge_step(self, cursor, current, y, dt, rem):
         """One conditional Gaussian step toward y, with rem time left."""
         mean = current + (dt / rem) * (y - current)
         var = 2.0 * dt * (rem - dt) / rem
-        return mean + math.sqrt(var) * cursor.normals(self.model.dim)
+        return mean + _scale(var, dt) * cursor.normals(self.model.dim)
 
 
-class _CauchyLaw(_Law):
+class _CauchyLaw(_Line, _Law):
     """The Cauchy jump kernel on Euclidean(1); it has no bridges."""
 
     kind = "cauchy"
+    spec = "cauchy"
 
     def density(self, t, x, y, owner=None):
         return cauchy_profile(_gather(t, owner), x[..., 0] - y[..., 0])
@@ -640,10 +638,11 @@ class _CauchyLaw(_Law):
     delta_window = _GaussianLaw.delta_window  # the same bump on the line
 
     def step(self, cursor, current, dt):
-        return current + dt * np.tan(np.pi * (cursor.uniforms(1) - 0.5))
-
-    def refusal(self, task):
-        return "bridge sampling is not defined for the Cauchy kernel" if task == "bridges" else None
+        with np.errstate(over="ignore"):  # reported once, below
+            nxt = current + dt * np.tan(np.pi * (cursor.uniforms(1) - 0.5))
+        if not np.all(np.isfinite(nxt)):
+            raise _left_range(dt)
+        return nxt
 
 
 class _H3Law(_Law):
@@ -754,9 +753,7 @@ class _H3Law(_Law):
         with np.errstate(over="ignore", invalid="ignore"):
             out = exp_point_arrays(base, direction, r)
         if not np.all(np.isfinite(out)):
-            raise NonFiniteSampleError(
-                f"a hyperbolic step of time {dt} left the float range; shorten the steps or the horizon"
-            )
+            raise _left_range(dt, "a hyperbolic step")
         return out
 
     @staticmethod
@@ -771,7 +768,7 @@ class _H3Law(_Law):
         Z ~ N(2t e_1, 2t I_3) (Rogers & Pitman, 1981), so three normals give
         the radius; the direction is drawn independently and uniformly.
         """
-        s = math.sqrt(2.0 * dt)
+        s = _scale(2.0 * dt, dt)
         z0, z1, z2 = (cursor.normals()[:, 0] for _ in range(3))
         r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
         return self._exp(current, self._direction(cursor), r, dt)
@@ -788,7 +785,7 @@ class _H3Law(_Law):
         angle from the geodesic y -> c, and a second uniform sets the azimuth.
         """
         k = 1.0 - dt / tau_before
-        s = math.sqrt(2.0 * dt * k)
+        s = _scale(2.0 * dt * k, dt)
         z0, z1, z2 = (cursor.normals()[:, 0] for _ in range(3))
         u, v = cursor.uniforms(2).T
         a = self.model.distance_arrays(current, y)
@@ -823,6 +820,7 @@ class _LatticeLaw(_Law):
     projected into the box, and bridges drawn winding by winding."""
 
     spec = "torus:L1,L2,..."
+    only = {"covering": ("torus:L", lambda model: len(model.periods) == 1)}  # sums the images of one period
     bridge_step = _GaussianLaw.bridge_step  # toward each sample's lift
 
     def density(self, t, x, y, owner=None):
@@ -846,9 +844,13 @@ class _LatticeLaw(_Law):
     def mean_distance(self, t):
         return math.nan
 
+    def covering(self):
+        """The covering by Euclidean space, whose deck group the covering checks sum over."""
+        return covering_of(self.model)
+
     def step(self, cursor, current, dt):
-        nxt = current + math.sqrt(2.0 * dt) * cursor.normals(self.model.dim)
-        return project_arrays(covering_of(self.model), nxt)
+        nxt = current + _scale(2.0 * dt, dt) * cursor.normals(self.model.dim)
+        return project_arrays(self.covering(), nxt)
 
     def bridges(self, cursor, x0a, y0a, times):
         """A deck element per coordinate with Gaussian image weights, a
@@ -866,15 +868,16 @@ class _LatticeLaw(_Law):
             idx = np.minimum(np.searchsorted(cum, cursor.uniforms(1)[:, 0]), ks.shape[0] - 1)
             windings[:, i] = ks[idx].astype(np.int64)
             target[:, i] = x0a[i] + gap + ks[idx] * L
-        pos = project_arrays(covering_of(self.model), super().bridges(cursor, x0a, target, times)[0])
+        pos = project_arrays(self.covering(), super().bridges(cursor, x0a, target, times)[0])
         pos[:, -1] = y0a  # projecting the lift may round away from y0
         return pos, windings
 
 
-class _CircleLaw(_LatticeLaw):
+class _CircleLaw(_Line, _LatticeLaw):
     """Circle: the lattice law plus its moment and delta-family rules."""
 
     spec = "circle:L"
+    only = {}  # one period: every lattice task
 
     def integrated_moment(self, a, tau, tol):
         L = self.model.circumference
@@ -910,7 +913,7 @@ class _CircleLaw(_LatticeLaw):
         return np.arange(m) * h, h, 1.0  # periodic
 
 
-class _DirichletLaw(_Law):
+class _DirichletLaw(_Line, _Law):
     """DirichletInterval: the absorbing kernel, which loses mass.  Its paths
     are killed at the walls, so they are sampled on the compactified model."""
 
@@ -952,19 +955,13 @@ class _DirichletLaw(_Law):
         h = self.model.length / (m + 1)
         return (np.arange(m) + 1) * h, h, 0.0  # the walls' zero values
 
-    def refusal(self, task):
-        if task == "bridges":
-            return "bridges for absorbing models are out of scope"
-        L = self.model.length
-        return (f"paths on dirichlet:{L!r} are killed at the walls; "
-                f"sample compactified:dirichlet:{L!r}, whose cemetery keeps them")
-
 
 class _KilledLaw(_Law):
     """Compactified(DirichletInterval): the base law inside, the cemetery
     rows (validated cemetery coordinates are None), and killed paths."""
 
     spec = "compactified:dirichlet:L"
+    only = {"increments": (None, lambda model: False)}  # holder needs paths that are never killed
 
     def __init__(self, model, truncation):
         super().__init__(model, truncation)
@@ -1008,63 +1005,78 @@ class _KilledLaw(_Law):
         lhs = adaptive_simpson(f, 0.0, L, tol=tol) + float(self.lost_mass(s, xa[0]))
         return abs(lhs - float(self.lost_mass(s + t, xa[0])))
 
-    def paths(self, cursor, x0a, steps):
-        """Gaussian proposals accepted with probability p_dt / gauss_dt, the
+    def step(self, cursor, current, dt):
+        """A Gaussian proposal accepted with probability p_dt / gauss_dt, the
         interval kernel's share of the free one, which is the probability
         that the Brownian bridge between the two points stays inside
-        (``dirichlet_survival_ratio``); a rejected step is the kill.  Only
-        unkilled rows draw; killed rows stay NaN."""
+        (``dirichlet_survival_ratio``); a rejected step is the kill, which
+        writes NaN.  Only the rows alive (not NaN) draw."""
         L = self.model.base.length
-        kill = np.full(len(cursor), NEVER_KILLED, dtype=np.int64)
+        alive = np.flatnonzero(~np.isnan(current[:, 0]))
+        u = cursor.uniforms_at(alive, 3)  # normal proposal, acceptance
+        here = current[alive, 0]
+        prop = here + math.sqrt(2.0 * dt) * box_muller(u[:, :2])[:, 0]
+        inside = (prop > 0.0) & (prop < L)
+        ratio = np.zeros_like(prop)
+        if np.any(inside):
+            ratio[inside] = dirichlet_survival_ratio(dt, here[inside], prop[inside], L, self.truncation)
+        survive = u[:, 2] < ratio
+        # allocated last, above the step's temporaries: freed below it, their
+        # heap pages are reused, not returned to the system and faulted in again
+        nxt = np.full_like(current, np.nan)
+        nxt[alive[survive], 0] = prop[survive]
+        return nxt
 
-        def move(j, current):
-            alive = np.flatnonzero(kill == NEVER_KILLED)
-            u = cursor.uniforms_at(alive, 3)  # normal proposal, acceptance
-            here = current[alive, 0]
-            prop = here + math.sqrt(2.0 * steps[j]) * box_muller(u[:, :2])[:, 0]
-            inside = (prop > 0.0) & (prop < L)
-            ratio = np.zeros_like(prop)
-            if np.any(inside):
-                ratio[inside] = dirichlet_survival_ratio(steps[j], here[inside], prop[inside], L, self.truncation)
-            survive = u[:, 2] < ratio
-            kill[alive[~survive]] = j + 1
-            # allocated last, above the step's temporaries: freed below it, their
-            # heap pages are reused, not returned to the system and faulted in again
-            nxt = np.full_like(current, np.nan)
-            nxt[alive[survive], 0] = prop[survive]
-            return nxt
-
-        return _walk(x0a, len(cursor), len(steps), move), kill
-
-    def refusal(self, task):
-        if task == "increments":
-            return (f"holder needs paths that are never killed; "
-                    f"compactified:dirichlet:{self.model.base.length!r} kills them at the walls")
-        return self.base.refusal(task) if task == "bridges" else None
+    def paths(self, cursor, x0a, steps):
+        """Free paths of the step, each killed at its first NaN row."""
+        pos, _ = super().paths(cursor, x0a, steps)
+        dead = np.isnan(pos[:, :, 0])
+        return pos, np.where(dead[:, -1], np.argmax(dead, axis=1), NEVER_KILLED)
 
 
 _LAWS = {
-    Euclidean: _GaussianLaw,
-    Hyperbolic3: _H3Law,
-    Circle: _CircleLaw,
-    FlatTorus: _LatticeLaw,
-    DirichletInterval: _DirichletLaw,
-    Compactified: _KilledLaw,
+    (Euclidean, "heat"): _GaussianLaw,
+    (Euclidean, "cauchy"): _CauchyLaw,
+    (Hyperbolic3, "heat"): _H3Law,
+    (Circle, "heat"): _CircleLaw,
+    (FlatTorus, "heat"): _LatticeLaw,
+    (DirichletInterval, "heat"): _DirichletLaw,
+    (Compactified, "heat"): _KilledLaw,
+}
+
+# task -> (the law rule it needs, the refusal's words).  A law runs a task
+# exactly when it has the rule, apart from the three refusals in ``only``.
+TASKS = {
+    "paths": ("step", "paths are drawn on"),
+    "bridges": ("bridge_step", "bridges are drawn on"),
+    "increments": ("step", "holder runs on"),  # paths that are never killed
+    "oracle": ("oracle_grid", "the spectral oracle runs on"),
+    "curve": ("mean_distance", "curve runs on the heat kernels of"),
+    "integrated moments": ("integrated_moment", "the integrated moment check runs on"),
+    "pointwise moments": ("pointwise_sup", "the pointwise moment check runs on"),
+    "delta-family": ("delta_integral", "the delta-family check runs on"),
+    "covering": ("covering", "the covering check runs on"),
 }
 
 
-def _specs_with(rule):
-    """The model specs whose law has its own rule, as a list in words."""
-    specs = [law.spec for law in _LAWS.values() if getattr(law, rule) is not getattr(_Law, rule)]
+def _runners(task):
+    """The specs of the models whose law runs task, as a list in words."""
+    specs = [law.only.get(task, (law.spec,))[0] for law in _LAWS.values() if hasattr(law, TASKS[task][0])]
+    specs = [spec for spec in specs if spec is not None]
     return ", ".join(specs[:-1]) + " and " + specs[-1]
 
 
+def check_task(kernel, task):
+    """Refuse, as a ValueError, a kernel whose law does not run task (a key of TASKS)."""
+    why = kernel._law.refusal(task)
+    if why is not None:
+        raise ValueError(why)
+
+
 def _law_of(model, kind, truncation):
-    if kind == "cauchy":
-        return _CauchyLaw(model, truncation)
-    law = _LAWS.get(type(model))
+    law = _LAWS.get((type(model), kind))
     if law is None:
-        raise TypeError(f"not a manifold model: {model!r}")
+        raise ValueError(f"no {kind!r} kernel on {model!r}")
     return law(model, truncation)
 
 
@@ -1187,6 +1199,7 @@ def moment_check(kernel, cfg):
     observed, without asserting any regime beyond the tested grid.
     Divergent integrals (Cauchy with a >= 1) are flagged per tau.
     """
+    check_task(kernel, f"{cfg.mode} moments")
     law = kernel._law
     ratios, divergent = [], []
     for tau in cfg.tau_grid:
@@ -1223,4 +1236,5 @@ def moment_check(kernel, cfg):
 def delta_family_residuals(kernel, y, t_seq, width=None, quad_tol=1e-10):
     """|integral u(z) p_t(z, y) dmu(z) - u(y)| for a fixed bump u, per t."""
     ya = validate_point(kernel.model, y, "y")
+    check_task(kernel, "delta-family")
     return [abs(kernel._law.delta_integral(_check_time(t), ya, width, quad_tol) - 1.0) for t in t_seq]

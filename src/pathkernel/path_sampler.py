@@ -6,9 +6,9 @@ conditioned on the pinned endpoint for bridges).  Nothing is claimed
 about behavior between grid points.
 
 ``sample_paths`` and ``sample_bridges`` check their input and, with
-``check_sampler(kernel, task)``, that the kernel's law draws what is
-asked, then call the law in ``heat_kernel``, whose one walk turns each
-law's steps into paths and bridges.
+``heat_kernel.check_task``, that the kernel's law draws what is asked,
+then call the law in ``heat_kernel``, whose one walk turns each law's
+steps into paths and bridges.
 
 Determinism contract
 --------------------
@@ -21,12 +21,13 @@ across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepTooLargeError
-from .heat_kernel import NEVER_KILLED, evaluate
+from .heat_kernel import NEVER_KILLED, check_task, evaluate
 from .manifold import (
     CEMETERY,
     Point,
@@ -40,7 +41,7 @@ from .rng import StreamCursor
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times starting at 0."""
+    """Strictly increasing finite times starting at 0."""
 
     times: tuple
 
@@ -53,6 +54,8 @@ class TimeGrid:
             raise ValueError("grids start at time 0")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("grid times must be strictly increasing")
+        if not all(math.isfinite(v) for v in ts):
+            raise ValueError("grid times must be finite; shorten the horizon")
 
     @staticmethod
     def uniform(horizon, n_steps):
@@ -146,19 +149,11 @@ def _ensemble_input(kernel, points, grid, master_seed, n_samples, first_index):
     return coords, StreamCursor(master_seed, first_index + np.arange(n, dtype=np.uint64))
 
 
-def check_sampler(kernel, task):
-    """Refuse a kernel whose law does not draw what task names: "paths",
-    "bridges" or "increments" (paths that are never killed)."""
-    why = kernel._law.refusal(task)
-    if why is not None:
-        raise ValueError(why)
-
-
 def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
     """Ensemble of Markov paths started at x0, stepped by the kernel's law."""
     (x0a,), cursor = _ensemble_input(kernel, {"x0": x0}, grid, master_seed, n_samples, first_index)
-    check_sampler(kernel, "paths")
-    pos, kill = kernel._law.paths(cursor, x0a, grid.steps())
+    check_task(kernel, "paths")
+    pos, kill = kernel._law.paths(cursor, x0a, grid.steps().tolist())
     return PathEnsemble(grid, pos, kill)
 
 
@@ -175,8 +170,8 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
     """Ensemble from the normalized bridge law, drawn by the kernel's law;
     the last point is y0 exactly."""
     (x0a, y0a), cursor = _ensemble_input(kernel, {"x0": x0, "y0": y0}, grid, master_seed, n_samples, first_index)
-    check_sampler(kernel, "bridges")
-    pos, windings = kernel._law.bridges(cursor, x0a, y0a, np.asarray(grid.times))
+    check_task(kernel, "bridges")
+    pos, windings = kernel._law.bridges(cursor, x0a, y0a, grid.times)
     kill = np.full(len(cursor), NEVER_KILLED, dtype=np.int64)
     return PathEnsemble(grid, pos, kill, windings=windings)
 

@@ -145,6 +145,42 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "--sample-index" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("args, code", [
+        (["sample", "--model", "euclidean:1", "--x0", "0", "--T", "1e308", "--steps", "1"], 1),
+        (["sample", "--model", "circle:1", "--x0", "0", "--T", "1e308", "--steps", "1"], 1),
+        (["sample", "--model", "hyperbolic3", "--x0", "1,0,0,0", "--T", "1e308", "--steps", "1"], 1),
+        (["bridge", "--model", "euclidean:1", "--x0", "0", "--y0", "1", "--T", "1e200", "--steps", "2"], 1),
+        (["curve", "--model", "euclidean:1", "--t-grid", "1e308:1e308:1"], 1),
+        (["sample", "--model", "cauchy", "--x0", "0", "--T", "1e305", "--steps", "1", "--samples", "20000"], 1),
+        (["bridge", "--model", "euclidean:1", "--x0", "0", "--y0", "1", "--T", "1e308", "--steps", "2"], 2),
+    ], ids=["euclidean", "circle", "h3", "bridge-variance", "curve", "cauchy", "bridge-grid"])
+    def test_overflowing_step_writes_nothing(self, tmp_path, args, code):
+        out = tmp_path / "out.csv"
+        res = run_cli(args + ["--out", str(out)])
+        assert res.returncode == code and not out.exists()
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+        if code == 1:
+            assert json.loads(res.stdout)["error"] == "NonFiniteSampleError"
+        else:
+            assert "grid times must be finite" in res.stderr and res.stdout == ""
+
+    def test_killed_paths_at_an_overflowing_step_are_all_killed(self, tmp_path):
+        res = run_cli(["sample", "--model", "compactified:dirichlet:3", "--x0", "1", "--T", "1e308", "--steps", "1",
+                       "--samples", "100", "--out", str(tmp_path / "out.csv")])
+        assert res.returncode == 0 and res.stderr == ""
+        assert json.loads(res.stdout)["survival_fraction"] == 0
+
+    @pytest.mark.parametrize("args", [
+        ["--potential", "zero", "--t", "2"], ["--potential", "const:0.7", "--t", "2"],
+        ["--potential", "zero", "--t", "1000"], ["--potential", "zero", "--t", "1e5"],
+        ["--potential", "zero", "--t", "1e6"],
+    ], ids=["zero-t2", "const-t2", "zero-t1000", "zero-t1e5", "zero-t1e6"])
+    def test_covering_sum_with_constant_weights_is_exit_0(self, args):
+        res = run_cli(["fk", "covering-sum", "--model", "circle:6.283185307179586", "--y0", "3.14159265",
+                       "--windings", "3", "--steps", "4", "--samples", "2000", *args])
+        assert res.returncode == 0 and res.stderr == ""
+        assert json.loads(res.stdout)["within_tolerance"] is True
+
     def test_hyperbolic_overflow_is_numeric_failure(self, tmp_path):
         out = tmp_path / "path.csv"
         res = run_cli(["sample", "--model", "hyperbolic3", "--x0", "1,0,0,0", "--T", "400",
@@ -379,24 +415,26 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["fk", "expectation", *DIRICHLET, *FK_SHORT], "compactified:dirichlet:3.14159265"),
+            (["fk", "expectation", *DIRICHLET, *FK_SHORT], "and compactified:dirichlet:L, not DirichletInterval("),
             (["fk", "monotonicity", *DIRICHLET, *FK_SHORT, "--potential2", "const:2"],
-             "compactified:dirichlet:3.14159265"),
+             "and compactified:dirichlet:L, not DirichletInterval("),
             (["fk", "kernel", *DIRICHLET, *FK_SHORT, "--y0", "1"], "bridges"),
             (["sample", *DIRICHLET, "--x0", "1", "--T", "1", "--steps", "4"],
-             "compactified:dirichlet:3.14159265"),
+             "and compactified:dirichlet:L, not DirichletInterval("),
             (["bridge", *DIRICHLET, "--x0", "1", "--y0", "1", "--T", "1", "--steps", "4"], "bridges"),
             (["holder", *DIRICHLET, "--paths", "10", "--levels", "2:4"],
-             "compactified:dirichlet:3.14159265"),
+             "holder runs on euclidean:N, cauchy, hyperbolic3, circle:L and torus:L1,L2,..., not DirichletInterval("),
             (["curve", *DIRICHLET, "--t-grid", "0.1:0.2:0.1", "--samples", "100"], "DirichletInterval"),
             (["kernel", *DIRICHLET, "--t", "1", "--x", "5", "--y", "1"], "--x must lie in"),
             (["kernel", "--model", "euclidean:1", "--t", "1", "--x", "abc", "--y", "0"], "--x 'abc'"),
             (["mass", "--model", "euclidean:2", "--t", "1", "--x", "0"], "--x has 1 coordinates, expected 2"),
             (["fk", "expectation", "--model", "euclidean:1", "--potential", "cos", "--t", "1",
               "--steps", "4", "--samples", "100", "--oracle-m", "64"], "spectral oracle"),
-            (["verify", "moments", "--model", "torus:1,2"], "not implemented"),
+            (["verify", "moments", "--model", "torus:1,2"],
+             "the integrated moment check runs on euclidean:N, cauchy, hyperbolic3, circle:L and dirichlet:L, "
+             "not FlatTorus("),
             (["holder", "--model", "compactified:dirichlet:3.14159265", "--paths", "16", "--levels", "2:4"],
-             "compactified:dirichlet:3.14159265"),
+             "holder runs on euclidean:N, cauchy, hyperbolic3, circle:L and torus:L1,L2,..., not Compactified("),
             (["curve", "--model", "euclidean:1", "--t-grid", "0:1e300:1e-300", "--samples", "2"],
              "over 10000 points"),
             (["verify", "moments", "--model", "euclidean:1", "--tau-grid", "0.001:1e300:1e-300"],
@@ -431,10 +469,12 @@ class TestInputErrors:
              "the spectral oracle has no cemetery row"),
             (["fk", "expectation", "--model", "hyperbolic3", "--t", "0.5", "--oracle-m", "64"],
              "the spectral oracle runs on circle:L, dirichlet:L and compactified:dirichlet:L, not Hyperbolic3()"),
-            (["verify", "covering", "--model", "torus:1,2"], "verify covering runs on circle models"),
+            (["verify", "covering", "--model", "torus:1,2"],
+             "the covering check runs on circle:L and torus:L, not FlatTorus(periods=(1.0, 2.0))"),
             (["fk", "covering-sum", "--model", "torus:1,2", *FK_SHORT, "--y0", "0.5,0.5"],
-             "the covering-sum check runs on circle coverings"),
-            (["verify", "covering", "--model", "euclidean:1"], "covering base must be a Circle or FlatTorus"),
+             "the covering check runs on circle:L and torus:L, not FlatTorus(periods=(1.0, 2.0))"),
+            (["verify", "covering", "--model", "euclidean:1"],
+             "the covering check runs on circle:L and torus:L, not Euclidean(dim=1)/heat"),
         ],
         ids=["fk-expectation", "fk-monotonicity", "fk-kernel", "sample", "bridge", "holder", "curve",
              "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify",
@@ -452,8 +492,9 @@ class TestInputErrors:
         assert "Traceback" not in res.stderr and res.stdout == ""
 
     @pytest.mark.parametrize("args, code, message", [
-        (["fk", "kernel", *KILLED, "--y0", "1.570796325"], 2, "bridges for absorbing models are out of scope"),
-        (["fk", "expectation", *DIRICHLET], 2, "paths on dirichlet:3.14159265 are killed at the walls"),
+        (["fk", "kernel", *KILLED, "--y0", "1.570796325"], 2,
+         "bridges are drawn on euclidean:N, hyperbolic3, circle:L and torus:L1,L2,..., not Compactified("),
+        (["fk", "expectation", *DIRICHLET], 2, "and compactified:dirichlet:L, not DirichletInterval("),
         (["fk", "expectation", *KILLED], 0, ""),
     ], ids=["kernel-killed", "expectation-dirichlet", "expectation-killed"])
     def test_a_refused_run_builds_no_oracle(self, monkeypatch, capsys, args, code, message):
@@ -474,17 +515,17 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("args, code, message", [
         (["bridge", "--model", "cauchy", "--x0", "0", "--y0", "1", "--T", "1", "--steps", "4"], 2,
-         "bridge sampling is not defined for the Cauchy kernel"),
+         "bridges are drawn on euclidean:N, hyperbolic3, circle:L and torus:L1,L2,..., not Euclidean(dim=1)/cauchy"),
         (["fk", "kernel", "--model", "cauchy", *FK_SHORT, "--y0", "1"], 2,
-         "bridge sampling is not defined for the Cauchy kernel"),
+         "bridges are drawn on euclidean:N, hyperbolic3, circle:L and torus:L1,L2,..., not Euclidean(dim=1)/cauchy"),
         (["bridge", *DIRICHLET, "--x0", "1", "--y0", "2", "--T", "1", "--steps", "4"], 2,
-         "bridges for absorbing models are out of scope"),
+         "bridges are drawn on euclidean:N, hyperbolic3, circle:L and torus:L1,L2,..., not DirichletInterval("),
         (["sample", *DIRICHLET, "--x0", "1", "--T", "1", "--steps", "4"], 2,
-         "paths on dirichlet:3.14159265 are killed at the walls"),
+         "and compactified:dirichlet:L, not DirichletInterval("),
         (["fk", "monotonicity", *DIRICHLET, *FK_SHORT, "--potential2", "const:2"], 2,
-         "paths on dirichlet:3.14159265 are killed at the walls"),
+         "and compactified:dirichlet:L, not DirichletInterval("),
         (["fk", "monotonicity", *KILLED, *FK_SHORT, "--potential2", "const:2", "--y0", "1"], 2,
-         "bridges for absorbing models are out of scope"),
+         "bridges are drawn on euclidean:N, hyperbolic3, circle:L and torus:L1,L2,..., not Compactified("),
         (["sample", *KILLED, "--x0", "1", "--T", "1", "--steps", "4"], 0, ""),
         (["fk", "monotonicity", *FK_CIRCLE, "--potential2", "const:2", "--y0", "1"], 0, ""),
     ], ids=["bridge-cauchy", "fk-kernel-cauchy", "bridge-dirichlet", "sample-dirichlet",
@@ -508,6 +549,51 @@ class TestInputErrors:
         assert main(argv) == code
         assert message in capsys.readouterr().err
         assert len(calls) == (code == 0)  # the accepted runs show the spy is in place
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["verify", "moments", *KILLED], 2, "the integrated moment check runs on euclidean:N, cauchy, hyperbolic3, "
+         "circle:L and dirichlet:L, not Compactified("),
+        (["verify", "moments", *DIRICHLET, "--mode", "pointwise"], 2,
+         "the pointwise moment check runs on euclidean:N, cauchy, hyperbolic3 and circle:L, not DirichletInterval("),
+        (["verify", "delta-family", "--model", "euclidean:2"], 2, "the delta-family check runs on euclidean:1, "
+         "cauchy, hyperbolic3, circle:L and dirichlet:L, not Euclidean(dim=2)/heat"),
+        (["verify", "delta-family", *KILLED], 2, "the delta-family check runs on euclidean:1, cauchy, hyperbolic3, "
+         "circle:L and dirichlet:L, not Compactified("),
+        (["verify", "covering", "--model", "hyperbolic3"], 2,
+         "the covering check runs on circle:L and torus:L, not Hyperbolic3()/heat"),
+        (["fk", "covering-sum", "--model", "cauchy", *FK_SHORT, "--y0", "1"], 2,
+         "the covering check runs on circle:L and torus:L, not Euclidean(dim=1)/cauchy"),
+        (["fk", "expectation", "--model", "cauchy", *FK_SHORT, "--oracle-m", "64"], 2,
+         "the spectral oracle runs on circle:L, dirichlet:L and compactified:dirichlet:L, not Euclidean(dim=1)/cauchy"),
+        (["fk", "kernel", "--model", "cauchy", *FK_SHORT, "--y0", "1", "--oracle-m", "64"], 2,
+         "the spectral oracle runs on circle:L, dirichlet:L and compactified:dirichlet:L, not Euclidean(dim=1)/cauchy"),
+        (["fk", "expectation", *FK_CIRCLE, "--oracle-m", "16"], 0, ""),
+        (["fk", "covering-sum", *FK_CIRCLE, "--y0", "1", "--windings", "1"], 0, ""),
+    ], ids=["moments-killed", "pointwise-dirichlet", "delta-euclidean2", "delta-killed", "covering-h3",
+            "covering-sum-cauchy", "oracle-cauchy", "kernel-oracle-cauchy", "oracle-circle", "covering-sum-circle"])
+    def test_a_refused_task_builds_no_oracle_and_draws_no_block(self, monkeypatch, capsys, args, code, message):
+        import pathkernel.cli as cli
+        import pathkernel.diagnostics as diagnostics
+        import pathkernel.feynman_kac as feynman_kac
+
+        built, calls = [], []
+        real_oracle, real_blocks = cli.spectral_oracle, cli.run_blocks
+
+        def oracle_spy(*args):
+            built.append(args)
+            return real_oracle(*args)
+
+        def blocks_spy(*args, **kwargs):
+            calls.append(args)
+            return real_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "spectral_oracle", oracle_spy)
+        for module in (cli, feynman_kac, diagnostics):
+            monkeypatch.setattr(module, "run_blocks", blocks_spy)
+        assert main(args) == code
+        assert message in capsys.readouterr().err
+        # the accepted runs show the spies are in place
+        assert len(built) == ("--oracle-m" in args and code == 0) and len(calls) == (code == 0)
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read"),

@@ -4,12 +4,15 @@ Each example takes one README command, shrinks its sizes, replaces one or
 two option values with hostile tokens and runs ``cli.main`` in-process.
 Every run must end in exit 0, 1 or 2, never in an escaping exception; an
 exit 1 must print a JSON record on stdout, and the JSON last line of an
-exit 0 must hold only finite numbers.
+exit 0 must hold only finite numbers.  Every path or curve CSV a run prints
+or writes must parse, with NaN only in a killed row's coordinates and in
+the curve's ``analytic`` column (a missing closed form).
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import tempfile
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from pathkernel.cli import main
 
-TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "", "abc", "1,2",
+TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e200", "1e308", "", "abc", "1,2",
           "0:1e300:1e-300", "0:1:1e-9", "4:70", "const:-800", "const:1e308"]
 SIZE_FLAGS = {"--samples", "--steps", "--tuples", "--paths"}
 SIZE_CAP = 64
@@ -60,6 +63,7 @@ def fuzzed_argv(draw):
 
 
 def run_main(argv):
+    """The exit code, the stdout and the text of every file the run wrote."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -72,7 +76,35 @@ def run_main(argv):
                     code = exc.code
         finally:
             os.chdir(cwd)
-    return code, out.getvalue()
+        files = [(Path(tmp) / name).read_text() for name in sorted(os.listdir(tmp))]
+    return code, out.getvalue(), files
+
+
+def csv_tables(text):
+    """(header, rows) of each path or curve CSV in text: a header line that
+    starts with "t," and the rows up to the next comment or JSON line."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("t,"):
+            rows = []
+            for row in lines[i + 1:]:
+                if not row or row.startswith(("#", "{")):
+                    break
+                rows.append(row.split(","))
+            yield line.split(","), rows
+
+
+def check_csv(header, rows, argv):
+    """Each row has one number per column; NaN only in a killed row's
+    coordinates and in the analytic column; no infinity anywhere."""
+    assert header[-1] == "killed" or header == ["t", "analytic", "mc", "mc_stderr"], (argv, header)
+    for row in rows:
+        assert len(row) == len(header), (argv, row)
+        killed = header[-1] == "killed" and row[-1] == "1"
+        for key, text in zip(header, row):
+            value = float(text)
+            nan_allowed = key == "analytic" or (killed and key.startswith("coord"))
+            assert math.isfinite(value) or (math.isnan(value) and nan_allowed), (argv, key, row)
 
 
 def reject_constant(name):
@@ -88,7 +120,7 @@ def test_readme_commands_are_fuzzable():
           suppress_health_check=[HealthCheck.too_slow])
 @given(fuzzed_argv())
 def test_exit_contract_holds(argv):
-    code, stdout = run_main(argv)
+    code, stdout, files = run_main(argv)
     assert code in (0, 1, 2), argv
     if code == 1:
         record = json.loads(stdout.splitlines()[-1])
@@ -97,3 +129,6 @@ def test_exit_contract_holds(argv):
     if code == 0 and last.startswith("{"):
         # json.loads accepts NaN and Infinity; an exit-0 run must not print them
         json.loads(last, parse_constant=reject_constant)
+    for text in [stdout, *files]:
+        for header, rows in csv_tables(text):
+            check_csv(header, rows, argv)

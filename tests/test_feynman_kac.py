@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -273,6 +274,26 @@ class TestCoveringSum:
         scale = math.exp(-0.7 * 0.4)
         assert rc.base_estimate.value == pytest.approx(scale * r0.base_estimate.value, rel=1e-13)
         assert rc.line_sum == pytest.approx(scale * r0.line_sum, rel=1e-13)
+
+    @pytest.mark.parametrize("potential, t", [
+        (zero_potential(), 2.0), (const_potential(0.7), 2.0), (zero_potential(), 1000.0),
+        (zero_potential(), 1e5), (zero_potential(), 1e6),
+    ], ids=["zero-t2", "const-t2", "zero-t1000", "zero-t1e5", "zero-t1e6"])
+    def test_constant_weights_pass_up_to_rounding(self, potential, t):
+        # every path carries one weight, so the sides differ by rounding and
+        # by the tail, which at long t spans thousands of images
+        rep = fk_covering_sum_check(
+            covering_of(Circle(TWO_PI)), potential, point(0.0), point(3.14159265),
+            t, windings=3, n_steps=4, n_samples=2000, rng=RngContract(1729),
+        )
+        assert rep.within_tolerance, (rep.residual, rep.combined_std_error, rep.tail_bound, rep.rounding)
+        assert rep.rounding < 1e-12 * (rep.base_estimate.value + rep.line_sum)
+        # a line sum that lacks its k = 0 term fails
+        term = evaluate(TransitionKernel(Euclidean(1)), t, point(3.14159265), point(0.0)) * math.exp(
+            -potential.sup_bound * t)
+        short = dataclasses.replace(rep, line_sum=rep.line_sum - term,
+                                    residual=abs(rep.base_estimate.value - rep.line_sum + term))
+        assert not short.within_tolerance
 
     def test_lifted_potential_wraps(self):
         cov = covering_of(Circle(TWO_PI))

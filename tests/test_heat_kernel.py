@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import sys
 
 import numpy as np
@@ -10,13 +11,16 @@ from scipy.optimize import minimize_scalar
 from pathkernel.errors import PathkernelError
 from pathkernel.heat_kernel import (
     CK_BLOCK,
+    TASKS,
     MomentCheckConfig,
     TransitionKernel,
     TruncationPolicy,
+    _LAWS,
     _gaussian_moment,
     _lost_mass,
     cauchy_profile,
     chapman_kolmogorov_residuals,
+    check_task,
     circle_theta_arrays,
     delta_family_residuals,
     dirichlet_kernel_arrays,
@@ -680,3 +684,71 @@ class TestDeltaFamilyAndBounds:
         x = point(0.2, 0.7)
         v = (4.0 * math.pi * 1e-3) ** 1.0 * evaluate(torus, 1e-3, x, x)
         assert v == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLawTable:
+    """A law runs a task exactly when it has the rule TASKS names for it,
+    apart from the three refusals in its ``only``; a refusal names only
+    models whose law runs the task."""
+
+    # every _LAWS entry with models on both sides of each model-dependent refusal
+    EXAMPLES = {
+        (Euclidean, "heat"): [Euclidean(1), Euclidean(2), Euclidean(3)],
+        (Euclidean, "cauchy"): [Euclidean(1)],
+        (Hyperbolic3, "heat"): [Hyperbolic3()],
+        (Circle, "heat"): [Circle(1.0), Circle(2.0 * math.pi)],
+        (FlatTorus, "heat"): [FlatTorus((1.0,)), FlatTorus((1.0, 2.0))],
+        (DirichletInterval, "heat"): [DirichletInterval(math.pi)],
+        (Compactified, "heat"): [Compactified(DirichletInterval(math.pi))],
+    }
+    EXPLICIT = {
+        ("increments", Compactified(DirichletInterval(math.pi))),
+        ("covering", FlatTorus((1.0, 2.0))),
+        ("delta-family", Euclidean(2)),
+        ("delta-family", Euclidean(3)),
+    }
+    # values that stand in for the letters of a spec
+    FILLS = {"N": ["1", "2", "3"], "L": ["1.0", "2.0"], "L1,L2,...": ["1.0", "1.0,2.0"]}
+
+    def kernels(self):
+        return [TransitionKernel(model, kind=kind) for (_, kind), models in self.EXAMPLES.items()
+                for model in models]
+
+    def models_of(self, spec):
+        """The kernels a spec of a refusal stands for, parsed as the CLI does."""
+        from pathkernel.cli import parse_model
+
+        name, _, letters = spec.rpartition(":")
+        specs = [f"{name}:{v}" for v in self.FILLS.get(letters, [letters])] if name else [spec]
+        return [TransitionKernel(*parse_model(s)) for s in specs]
+
+    def test_examples_cover_the_table(self):
+        assert set(self.EXAMPLES) == set(_LAWS)
+
+    @pytest.mark.parametrize("task", list(TASKS))
+    def test_refuses_exactly_without_the_rule(self, task):
+        rule = TASKS[task][0]
+        for kernel in self.kernels():
+            why = kernel._law.refusal(task)
+            runs = hasattr(kernel._law, rule) and (task, kernel.model) not in self.EXPLICIT
+            assert (why is None) == runs, (task, kernel)
+            if why is None:
+                check_task(kernel, task)
+            else:
+                with pytest.raises(ValueError, match=re.escape(why)):
+                    check_task(kernel, task)
+
+    @pytest.mark.parametrize("task", list(TASKS))
+    def test_refusals_name_exactly_the_models_that_run(self, task):
+        refusals = {kernel._law.refusal(task) for kernel in self.kernels()} - {None}
+        runners = {(type(k.model), k.kind) for k in self.kernels() if k._law.refusal(task) is None}
+        for why in refusals:
+            words = TASKS[task][1]
+            assert why.startswith(words + " ") and ", not " in why, why
+            listed = why[len(words) + 1:why.index(", not ")].replace(" and ", ", ").split(", ")
+            named = set()
+            for spec in listed:
+                for kernel in self.models_of(spec):
+                    assert kernel._law.refusal(task) is None, (why, kernel)
+                    named.add((type(kernel.model), kernel.kind))
+            assert named == runners, why

@@ -96,6 +96,8 @@ MATRIX = {
     "fk_trapezoid": "fk expectation --potential cos --rule trapezoid " + _FK,
     # with m = 20, circle:1.0's points 0.2 and 0.7 lie on the oracle's grid
     "fk_kernel_oracle": "fk kernel --potential cos --y0={y} --oracle-m 20 " + _FK,
+    # free paths reach the oracle's refusal on every model that draws them
+    "fk_expectation_oracle": "fk expectation --potential cos --oracle-m 20 " + _FK,
     "fk_monotonicity": "fk monotonicity --potential const:0.5 --potential2 const:1 " + _FK,
     "fk_monotonicity_bridge": "fk monotonicity --potential const:0.5 --potential2 const:1 --y0={y} " + _FK,
     "fk_covering": "fk covering-sum --potential cos --y0={y} --windings 2 " + _FK,
