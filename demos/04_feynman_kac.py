@@ -12,7 +12,6 @@ from pathkernel import (
     TransitionKernel,
     constant_one,
     cos_potential,
-    covering_of,
     fk_covering_sum_check,
     fk_expectation,
     fk_kernel,
@@ -54,7 +53,7 @@ print(f"violations among {rep.n_samples} samples: {rep.n_violations}")
 print(f"estimates ordered: {rep.estimate_low.value:.6f} >= {rep.estimate_high.value:.6f}")
 
 print("\n== the potential-weighted kernel is a sum over winding images ==")
-report = fk_covering_sum_check(covering_of(Circle(TWO_PI)), cos_potential(),
+report = fk_covering_sum_check(circle, cos_potential(),
                                point(0.0), point(math.pi), 0.5, windings=3,
                                n_steps=32, n_samples=20000, rng=RngContract(21))
 print(f"circle kernel estimate:  {report.base_estimate.value:.6e}")

@@ -6,6 +6,10 @@ line recording the tool version, subcommand and effective configuration
 (execution-resource knobs like the worker count are excluded so that
 runs differing only in parallelism stay byte-identical).  The
 PATHKERNEL_WORKERS environment variable overrides --workers.
+
+Model specs are read by the law table (``heat_kernel.model_of``), and
+every model rule lives on the laws, so a new model needs no edit here.
+``verify covering`` is ``fk covering-sum`` without a potential.
 """
 
 from __future__ import annotations
@@ -49,21 +53,11 @@ from .heat_kernel import (
     check_task,
     delta_family_residuals,
     evaluate,
+    model_of,
     moment_check,
     total_mass,
 )
-from .manifold import (
-    CEMETERY,
-    Circle,
-    Compactified,
-    DirichletInterval,
-    Euclidean,
-    FlatTorus,
-    Hyperbolic3,
-    Point,
-    covering_of,
-    validate_point,
-)
+from .manifold import CEMETERY, Euclidean, Point, validate_point
 from .parallel import run_blocks, worker_count
 from .path_sampler import (
     NEVER_KILLED,
@@ -120,31 +114,11 @@ def _windings(text):
 
 
 def parse_model(text):
-    """euclidean:N | hyperbolic3 | circle:L | torus:L1,L2,... |
-    dirichlet:L | compactified:dirichlet:L | cauchy"""
-    name, _, rest = text.partition(":")
-    name = name.strip().lower()
+    """(model, kind) of a spec of the law table, such as circle:L (heat_kernel.model_of)."""
     try:
-        if name == "euclidean":
-            return Euclidean(int(rest)), "heat"
-        if name == "hyperbolic3":
-            return Hyperbolic3(), "heat"
-        if name == "circle":
-            return Circle(float(rest)), "heat"
-        if name == "torus":
-            return FlatTorus(tuple(float(p) for p in rest.split(","))), "heat"
-        if name == "dirichlet":
-            return DirichletInterval(float(rest)), "heat"
-        if name == "compactified":
-            inner, _, val = rest.partition(":")
-            if inner.strip().lower() != "dirichlet":
-                raise ValueError("compactified wraps dirichlet:L")
-            return Compactified(DirichletInterval(float(val))), "heat"
-        if name == "cauchy":
-            return Euclidean(1), "cauchy"
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad model spec {text!r}: {exc}")
-    raise argparse.ArgumentTypeError(f"unknown model {text!r}")
+        return model_of(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_potential(text):
@@ -497,26 +471,18 @@ def _run_verify(config):
             payload = {"message": "moment integral diverges on the tau grid", **payload}
         return _verdict(config, payload, "DivergentIntegralError" if report.any_divergent else None)
     if check == "covering":
+        # the covering sum without a potential: every weight is 1, so one
+        # 1-step bridge per term reads the kernels themselves, draws nothing
+        # that reaches the result and forks no pool
         check_task(k, "covering")
-        model = k.model
-        (length,) = covering_of(model).periods
-        t = config.options["t"]
-        x = _point_option(config, "x", model, model.default_point())
-        y = _point_option(config, "y", model, Point((length / 3.0,)))
+        (length,) = k.model.periods
+        x = _point_option(config, "x", k.model, k.model.default_point())
+        y = _point_option(config, "y", k.model, Point((length / 3.0,)))
         w = config.options["windings"]
-        gap = y.coords[0] - x.coords[0]
-        ks = np.arange(-w, w + 1, dtype=np.float64)
-        image_sum = float(np.sum((4.0 * np.pi * t) ** -0.5 * np.exp(-((gap + ks * length) ** 2) / (4.0 * t))))
-        exact = evaluate(k, t, x, y)
-        tail = float(
-            2.0 * (4.0 * np.pi * t) ** -0.5
-            * np.exp(-((w + 1) * length - abs(gap)) ** 2 / (4.0 * t))
-            / max(1.0 - np.exp(-length * length / (4.0 * t)), 1e-16)
-        )
-        payload = {"kernel_value": exact, "image_sum": image_sum,
-                   "residual": abs(exact - image_sum), "tail_bound": tail, "windings": w}
-        failed = abs(exact - image_sum) > tail + 1e-10
-        return _verdict(config, payload, "VerificationFailed" if failed else None)
+        rep = fk_covering_sum_check(k, zero_potential(), x, y, config.options["t"], w, 1, 1, RngContract(0))
+        payload = {"kernel_value": rep.base_estimate.value, "image_sum": rep.line_sum,
+                   "residual": rep.residual, "tail_bound": rep.tail_bound, "windings": w}
+        return _verdict(config, payload, None if rep.within_tolerance else "VerificationFailed")
     # delta-family
     y = _point_option(config, "y", k.model, k.model.default_point())
     t_seq = [0.05 * 2.0 ** -j for j in range(10)]
@@ -674,11 +640,8 @@ def _run_fk(config):
         return _verdict(config, payload, None if rep.passed else "MonotonicityViolated")
 
     # covering-sum
-    check_task(k, "covering")
-    rep = fk_covering_sum_check(
-        covering_of(model), pot, x0, y0, t, config.options["windings"],
-        steps, samples, rng, rule=rule, workers=workers,
-    )
+    rep = fk_covering_sum_check(k, pot, x0, y0, t, config.options["windings"], steps, samples, rng,
+                                rule=rule, workers=workers)
     payload = {
         "value": rep.base_estimate.value,
         "std_error": rep.base_estimate.std_error,
@@ -705,19 +668,18 @@ def _run_curve(config):
 
 
 def _run_holder(config):
-    model, kind = config.options["model"]
     levels = _parse_level_range(config.options["levels"])
     n_paths = config.options["paths"]
     seed = config.options["seed"]
-    k = TransitionKernel(model, kind=kind)
+    k = _kernel_for(config)
     check_task(k, "increments")
-    if kind == "heat" and isinstance(model, Euclidean) and model.dim == 1:
+    if k.kind == "heat" and k.model == Euclidean(1):
         ensemble = brownian_dyadic_ensemble(n_paths, levels, seed)
         rep = holder_exponent(ensemble)
     else:
-        x0 = _point_option(config, "x0", model, model.default_point())
+        x0 = _point_option(config, "x0", k.model, k.model.default_point())
         ensemble = strided_dyadic_ensemble(k, x0, levels, n_paths, seed)
-        rep = holder_exponent(ensemble, model=model)
+        rep = holder_exponent(ensemble, model=k.model)
     payload = {
         "levels": rep.levels,
         "median_max_increments": rep.median_max_increments,

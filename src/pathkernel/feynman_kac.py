@@ -16,6 +16,11 @@ reductions share ``_visited`` (V along the path, checked against its
 sup bound, 0 at the cemetery), ``_weights``, ``_terminal`` and one
 mean/standard-error rule, ``EstimateWithError.of``.
 
+The covering sum takes the run's kernel: its law gives the deck group,
+the line kernel is built at its truncation, and the omitted winding tail
+is summed exactly.  With the zero potential it is the command line's
+``verify covering``.
+
 A finite-difference spectral oracle on the circle, the absorbing interval
 and its compactification provides the independent check: second-order
 central differences on the grid of the model's law, exact symmetric
@@ -335,57 +340,60 @@ class CoveringSumReport:
 
 
 def _winding_tail_bound(t, gap, length, w_max, sup_v):
-    """Mass of the omitted image terms, summed until they are spent (within
-    image_count's budget), amplified by the potential bound; and the
-    number of terms summed."""
+    """Mass of the omitted image terms, taken until they are spent (within
+    image_count's budget) and summed exactly, amplified by the potential
+    bound."""
     radius = gaussian_tail_radius(t, 1e-18)
-    total = 0.0
+    terms = []
     for k in range(w_max + 1, max(w_max + 1, image_count(radius + abs(gap), length)) + 1):
         for sgn in (1.0, -1.0):
             z = gap + sgn * k * length
-            total += float((4.0 * math.pi * t) ** -0.5 * math.exp(-z * z / (4.0 * t)))
+            terms.append((4.0 * math.pi * t) ** -0.5 * math.exp(-z * z / (4.0 * t)))
         if (k * length - abs(gap)) > radius:
             break
-    return total * _growth_bound(t, sup_v), 2 * (k - w_max)
+    return math.fsum(terms) * _growth_bound(t, sup_v)
 
 
 def fk_covering_sum_check(
-    cov, v_base, x0, y0, t, windings, n_steps, n_samples, rng, rule="right", workers=1
+    kernel, v_base, x0, y0, t, windings, n_steps, n_samples, rng, rule="right", workers=1
 ):
     """Base-space Schrodinger kernel against its covering-space image sum.
 
-    Estimates q_t(x0, y0) on a base of one period (a circle) and the sum
-    over deck shifts |k| <= windings of the line-space kernel with the
-    lifted potential; every term runs on a disjoint substream range.  The
-    report carries the residual, the combined Monte Carlo error, the
-    analytic bound on the omitted winding tail and the rounding allowance.
+    Estimates q_t(x0, y0) with the kernel of a base of one period (a
+    circle) and the sum over deck shifts |k| <= windings of the line-space
+    kernel, at the same truncation, with the lifted potential; every term
+    runs on a disjoint substream range.  The report carries the residual,
+    the combined Monte Carlo error, the analytic bound on the omitted
+    winding tail and the rounding allowance.  With the zero potential
+    every weight is 1, and one 1-step bridge per term gives the kernels
+    themselves (``verify covering``).
     """
-    base = cov.base
-    kernel_base = TransitionKernel(base)
-    check_task(kernel_base, "covering")
+    check_task(kernel, "covering")
+    cov = kernel._law.covering()
     (length,) = cov.periods
-    x0a = validate_point(base, x0, "x0")
-    y0a = validate_point(base, y0, "y0")
-    kernel_line = TransitionKernel(cov.total)
+    x0a = validate_point(kernel.model, x0, "x0")
+    y0a = validate_point(kernel.model, y0, "y0")
+    kernel_line = TransitionKernel(cov.total, truncation=kernel.truncation)
     v_line = lifted_potential(cov, v_base)
     w_max = int(windings)
     gap = float(y0a[0] - x0a[0])
     x_line = Point((float(x0a[0]),))
     # the base kernel, then the line kernel at each deck shift k, on consecutive substream ranges
-    jobs = [_kernel_job(kernel_base, v_base, x0, y0, t, n_steps, rule)]
+    jobs = [_kernel_job(kernel, v_base, x0, y0, t, n_steps, rule)]
     jobs += [_kernel_job(kernel_line, v_line, x_line, Point((float(x0a[0] + gap + k * length),)),
                          t, n_steps, rule) for k in range(-w_max, w_max + 1)]
     runs = _over_paths([job for _, job in jobs], t, n_steps, n_samples, rng, workers)
     est_base, *terms = [EstimateWithError.of(w, mass) for (mass, _), (w,) in zip(jobs, runs)]
     line_sum = float(sum(e.value for e in terms))
     combined = math.sqrt(est_base.std_error ** 2 + sum(e.std_error ** 2 for e in terms))
-    tail, tail_terms = _winding_tail_bound(t, gap, length, w_max, v_base.sup_bound)
+    tail = _winding_tail_bound(t, gap, length, w_max, v_base.sup_bound)
     # With the same weight on every path (a constant potential) sigma is 0,
     # or rounding itself, and the identity value = line_sum + tail is missed
     # by rounding alone.  Every number here is positive: each kernel value
     # and mean of weights, and each of their products, rounds by a few ulps,
     # and a sum of n such numbers by at most n/2 ulps of its total more.
-    # ROUNDING_ULPS covers the first; the line sum and the tail add the rest.
+    # ROUNDING_ULPS covers the first and the line sum adds the rest; the
+    # tail, far below the total and summed exactly, adds no whole ulp.
     scale = sys.float_info.epsilon * (abs(est_base.value) + line_sum)
     return CoveringSumReport(
         base_estimate=est_base,
@@ -393,7 +401,7 @@ def fk_covering_sum_check(
         combined_std_error=combined,
         tail_bound=tail,
         residual=abs(est_base.value - line_sum),
-        rounding=(ROUNDING_ULPS + 0.5 * (len(terms) + tail_terms)) * scale,
+        rounding=(ROUNDING_ULPS + 0.5 * len(terms)) * scale,
     )
 
 

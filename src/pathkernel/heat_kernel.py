@@ -8,7 +8,8 @@ Closed forms:
 * Hyperbolic3:   e^(-t) (4 pi t)^(-3/2) (rho/sinh rho) exp(-rho^2 / 4t).
 * Circle / FlatTorus:  lattice sum of Gaussian images, truncated by the
   policy's tail tolerance (per-coordinate factorization for rectangular
-  tori).
+  tori); where the images would number over MAX_TERMS, the dual (Fourier)
+  series, to the same tolerance.
 * DirichletInterval:  the Gaussian times the bridge survival ratio below
   t = L^2/pi^2, one reflection-image sum shared with the killed sampler
   that keeps its digits at both walls; the sine eigen-series above.  Both
@@ -35,13 +36,17 @@ the right side is ``density``), and where they exist the moves ``step``
 and ``bridge_step``, which one walk turns into paths and bridges (a
 killed step writes NaN), the moment and delta-family rules, the distance
 curve's ``mean_distance(t)`` (NaN on the lattice laws), the spectral
-oracle's ``oracle_grid(m)`` and the lattice law's ``covering()``.
+oracle's ``oracle_grid(m)`` and the lattice law's ``covering()``, whose
+deck group the covering sum reads.
 ``TASKS`` maps each task to the rule it needs, and a law runs a task
 exactly when it has that rule, apart from three refusals that depend on
 the model.  Every entry point asks ``check_task(kernel, task)`` before
 any work; a refusal names the models (each law's ``spec``) that run the
-task.  A new model needs a class in ``manifold`` with its geometry
-methods and a law entered in ``_LAWS``.
+task.  A law's ``spec`` is also its model's name on the command line, and
+its ``parse(rest)`` builds the model from the text after the name;
+``model_of(spec)`` finds the law.  So a new model is a class in
+``manifold`` with its geometry methods, a law with ``spec``, ``parse``
+and its rules, and one ``_LAWS`` entry; the command line needs no edit.
 
 Moments
 -------
@@ -210,28 +215,36 @@ def cauchy_profile(t, dx):
     return t / (np.pi * (t * t + dx * dx))
 
 
-def _image_range(t, span, period, policy):
-    """Number of one-sided images needed so the omitted Gaussian tail < tolerance."""
-    return image_count(gaussian_tail_radius(t, policy.tail_tolerance * 1e-3) + span, period)
+def _image_reach(radius, period):
+    """One-sided count of period translates covering radius, or None if
+    its 2k + 1 terms would exceed MAX_TERMS."""
+    reach = radius / period
+    if not reach < MAX_TERMS:  # an infinite radius too
+        return None
+    kmax = int(math.ceil(reach)) + 1
+    return kmax if 2 * kmax + 1 <= MAX_TERMS else None
 
 
 def image_count(radius, period):
     """One-sided count of period translates covering radius, within MAX_TERMS."""
-    reach = radius / period
-    if not reach < MAX_TERMS:  # an infinite radius too
+    kmax = _image_reach(radius, period)
+    if kmax is None:
         raise PathkernelError(f"a lattice sum over radius {radius:.3g} needs over {MAX_TERMS} terms")
-    kmax = int(math.ceil(reach)) + 1
-    if 2 * kmax + 1 > MAX_TERMS:
-        raise PathkernelError(
-            f"lattice sum needs {2 * kmax + 1} terms, over the budget of {MAX_TERMS}"
-        )
     return kmax
+
+
+def _image_range(t, span, period, policy):
+    """Number of one-sided images needed so the omitted Gaussian tail <
+    tolerance; 0 where they would exceed MAX_TERMS."""
+    return _image_reach(gaussian_tail_radius(t, policy.tail_tolerance * 1e-3) + span, period) or 0
 
 
 def circle_theta_arrays(t, dx, length, policy, owner=None):
     """Heat kernel on a circle as a sum of Gaussian images of the difference dx.
 
-    The image count covers the largest |dx| among the points (per owner)."""
+    The image count covers the largest |dx| among the points (per owner).
+    Where it would exceed MAX_TERMS, at a time of order (10^6 L)^2, the
+    dual series sums instead (``circle_dual_arrays``)."""
     dx = np.asarray(dx, dtype=np.float64)
     if owner is None:
         kmax = _image_range(t, float(np.max(np.abs(dx))) if dx.size else 0.0, length, policy)
@@ -241,10 +254,43 @@ def circle_theta_arrays(t, dx, length, policy, owner=None):
         kmax = [_image_range(v, w, length, policy) for v, w in zip(np.asarray(t).tolist(), spans.tolist())]
 
     def images(sel, own, k):  # sum_k of the 1-d Gaussian at dx + kL, per point
+        if k == 0:
+            return circle_dual_arrays(t, dx[sel], length, policy, own)
         z = dx[sel][..., None] + np.arange(-k, k + 1, dtype=np.float64) * length
         return np.sum(gauss_profile(t, z * z, 1, None if own is None else own[:, None]), axis=-1)
 
     return _by_key(kmax, owner, images)
+
+
+def _dual_terms(t, L, policy):
+    """Frequencies n >= 1 of the dual series whose weight e^(-(2 pi n/L)^2 t)
+    exceeds the tail tolerance."""
+    lam = (2.0 * math.pi / L) ** 2
+    n = 0
+    while math.exp(-lam * (n + 1) ** 2 * t) > policy.tail_tolerance * 1e-3:
+        n += 1
+        if 2 * n > MAX_TERMS:
+            raise PathkernelError("dual-series truncation budget exceeded")
+    return n
+
+
+def _dual_weights(t, L, n_max):
+    ns = np.arange(1, n_max + 1, dtype=np.float64)
+    return np.exp(-((2.0 * math.pi / L) ** 2) * ns * ns * t) * (2.0 / L)
+
+
+def circle_dual_arrays(t, dx, length, policy, owner=None):
+    """Heat kernel on a circle as its dual (Fourier) series,
+    (1/L) sum_n e^(-(2 pi n/L)^2 t) cos(2 pi n dx/L) over all integers n."""
+    L = float(length)
+    dx = np.asarray(dx, dtype=np.float64)
+
+    def series(sel, own, n_max):
+        ns = np.arange(1, n_max + 1, dtype=np.float64)
+        w = _per_owner(_dual_weights, t, own, L, n_max)
+        return 1.0 / L + np.sum(w * np.cos(2.0 * np.pi * ns * dx[sel][..., None] / L), axis=-1)
+
+    return _by_key(_each(_dual_terms, t, owner, L, policy), owner, series)
 
 
 def _eigen_terms(t, L, policy):
@@ -474,6 +520,7 @@ class _Law:
 
     kind = "heat"
     spec = None  # the CLI's model spec, named in the refusals
+    parse = None  # rest -> the model, built from the text after the spec's name (model_of)
     only = {}  # task -> (spec, test): the law runs it only on the models that pass test
 
     def __init__(self, model, truncation):
@@ -557,6 +604,7 @@ class _GaussianLaw(_Line, _Law):
     """Euclidean(n): the Gaussian kernel, Gaussian steps and bridges."""
 
     spec = "euclidean:N"
+    parse = staticmethod(lambda rest: Euclidean(int(rest)))
     only = {"delta-family": ("euclidean:1", lambda model: model.dim == 1)}  # the delta window is a line's
 
     def density(self, t, x, y, owner=None):
@@ -606,6 +654,7 @@ class _CauchyLaw(_Line, _Law):
 
     kind = "cauchy"
     spec = "cauchy"
+    parse = staticmethod(lambda rest: Euclidean(1))
 
     def density(self, t, x, y, owner=None):
         return cauchy_profile(_gather(t, owner), x[..., 0] - y[..., 0])
@@ -649,6 +698,7 @@ class _H3Law(_Law):
     """Hyperbolic3: the closed-form kernel, exact radial steps and bridges."""
 
     spec = "hyperbolic3"
+    parse = staticmethod(lambda rest: Hyperbolic3())
 
     def density(self, t, x, y, owner=None):
         return h3_profile(t, self.model.distance_arrays(x, y), owner)
@@ -820,6 +870,7 @@ class _LatticeLaw(_Law):
     projected into the box, and bridges drawn winding by winding."""
 
     spec = "torus:L1,L2,..."
+    parse = staticmethod(lambda rest: FlatTorus(tuple(float(p) for p in rest.split(","))))
     only = {"covering": ("torus:L", lambda model: len(model.periods) == 1)}  # sums the images of one period
     bridge_step = _GaussianLaw.bridge_step  # toward each sample's lift
 
@@ -877,6 +928,7 @@ class _CircleLaw(_Line, _LatticeLaw):
     """Circle: the lattice law plus its moment and delta-family rules."""
 
     spec = "circle:L"
+    parse = staticmethod(lambda rest: Circle(float(rest)))
     only = {}  # one period: every lattice task
 
     def integrated_moment(self, a, tau, tol):
@@ -918,6 +970,7 @@ class _DirichletLaw(_Line, _Law):
     are killed at the walls, so they are sampled on the compactified model."""
 
     spec = "dirichlet:L"
+    parse = staticmethod(lambda rest: DirichletInterval(float(rest)))
 
     def density(self, t, x, y, owner=None):
         return dirichlet_kernel_arrays(t, x[..., 0], y[..., 0], self.model.length, self.truncation, owner)
@@ -961,6 +1014,7 @@ class _KilledLaw(_Law):
     rows (validated cemetery coordinates are None), and killed paths."""
 
     spec = "compactified:dirichlet:L"
+    parse = staticmethod(lambda rest: Compactified(model_of(rest)[0]))  # the spec of the base
     only = {"increments": (None, lambda model: False)}  # holder needs paths that are never killed
 
     def __init__(self, model, truncation):
@@ -1078,6 +1132,20 @@ def _law_of(model, kind, truncation):
     if law is None:
         raise ValueError(f"no {kind!r} kernel on {model!r}")
     return law(model, truncation)
+
+
+def model_of(spec):
+    """The (model, kind) of a model spec such as ``circle:1.0``, which the
+    law whose ``spec`` has the same name builds from the text after the
+    name; a ValueError if no law has the name or the law cannot build it."""
+    name, _, rest = spec.partition(":")
+    law = next((law for law in _LAWS.values() if law.spec.partition(":")[0] == name.strip().lower()), None)
+    if law is None:
+        raise ValueError(f"unknown model {spec!r}")
+    try:
+        return law.parse(rest), law.kind
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"bad model spec {spec!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def test_criterion_7_fk_structure_theorems():
     crn_ok = rep.passed and rep.estimate_low.value >= rep.estimate_high.value
 
     cover = fk_covering_sum_check(
-        covering_of(Circle(TWO_PI)), cos_potential(), point(0.0), point(math.pi),
+        TransitionKernel(Circle(TWO_PI)), cos_potential(), point(0.0), point(math.pi),
         0.5, windings=3, n_steps=32, n_samples=20000, rng=RngContract(20254),
     )
     cover_ok = cover.within_tolerance

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import shutil
@@ -6,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pathkernel
+from pathkernel import heat_kernel
 from pathkernel.cli import (
     DEFAULT_SEED,
     MAX_WINDINGS,
@@ -18,7 +21,7 @@ from pathkernel.cli import (
     parse_potential,
     run,
 )
-from pathkernel.heat_kernel import TransitionKernel, delta_family_residuals
+from pathkernel.heat_kernel import TransitionKernel, delta_family_residuals, evaluate
 from pathkernel.manifold import Circle, Compactified, DirichletInterval, Euclidean, point
 
 
@@ -382,6 +385,41 @@ class TestExitCodes:
             assert main(command[:2] + ["--model", spec] + command[2:]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("spec, x, y", [("circle:1.0", "0.2", "0.7"), ("circle:6.283185307179586", "0", "3")],
+                             ids=["circle-1", "circle-2pi"])
+    def test_verify_covering_is_the_potential_free_covering_sum(self, capsys, spec, x, y):
+        assert main(["verify", "covering", "--model", spec, "--t", "0.5", "--x", x, f"--y={y}",
+                     "--windings", "6"]) == 0
+        check = json.loads(capsys.readouterr().out)
+        assert main(["fk", "covering-sum", "--model", spec, "--potential", "zero", "--t", "0.5", "--x0", x,
+                     f"--y0={y}", "--windings", "6", "--steps", "4", "--samples", "64"]) == 0
+        fk = json.loads(capsys.readouterr().out)
+        pairs = [("kernel_value", "value"), ("image_sum", "line_sum"), ("tail_bound", "tail_bound"),
+                 ("residual", "residual")]
+        assert [check[a] for a, _ in pairs] == [fk[b] for _, b in pairs]
+
+    def test_verify_covering_forks_no_pool_and_ignores_the_seed(self, capsys, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("verify covering forked a pool")
+
+        monkeypatch.setattr(pathkernel.parallel.multiprocessing, "get_context", no_pool)
+        monkeypatch.setenv("PATHKERNEL_WORKERS", "2")
+        outputs = []
+        for seed in ("1", "2"):
+            assert main(["verify", "covering", "--model", "circle:1.0", "--t", "0.5", "--seed", seed]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_covering_sum_reads_tail_tol(self, capsys):
+        command = ["fk", "covering-sum", "--model", "circle:1.0", "--potential", "cos", "--t", "0.5",
+                   "--x0", "0.2", "--y0=0.7", "--windings", "2", "--steps", "4", "--samples", "64"]
+        values = []
+        for extra in ([], ["--tail-tol", "1e-3"]):
+            assert main(command + extra) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        # the default truncation keeps the value it had when the check built its own kernel
+        assert values == [0.66125878647609815, 0.66125878647593705]
 
     def test_verify_delta_family(self):
         res = run_cli(["verify", "delta-family", "--model", "euclidean:1"])
@@ -785,3 +823,67 @@ class TestNumpyRngFallback:
             assert res.returncode == 0 and res.stderr == ""
             runs.append((res.stdout, out.read_bytes()))
         assert runs[0] == runs[1]
+
+
+@dataclasses.dataclass(frozen=True)
+class Fast:
+    """A toy model: a line whose heat flows `rate` times as fast."""
+
+    rate: float
+    dim = 1  # not a field
+
+    def check_coords(self, x, name):
+        """Every finite point lies on the line."""
+
+    def distance_arrays(self, x, y):
+        return np.abs(x[..., 0] - y[..., 0])
+
+    def default_point(self):
+        return point(0.0)
+
+    def random_interior(self, gen):
+        return point(gen.normal())
+
+
+class _FastLaw(heat_kernel._Law):
+    spec = "fast:R"
+    parse = staticmethod(lambda rest: Fast(float(rest)))
+
+    def density(self, t, x, y, owner=None):
+        return heat_kernel.gauss_profile(self.model.rate * t, np.sum((x - y) ** 2, axis=-1), 1)
+
+    def step(self, cursor, current, dt):
+        return current + math.sqrt(2.0 * self.model.rate * dt) * cursor.normals(1)
+
+
+class TestOneDispatch:
+    """A model class, a law and one _LAWS entry make a model of the command line."""
+
+    @pytest.fixture(autouse=True)
+    def fast_law(self, monkeypatch):
+        monkeypatch.setitem(heat_kernel._LAWS, (Fast, "heat"), _FastLaw)
+
+    def test_kernel_and_sample_run_on_the_new_model(self, capsys, tmp_path):
+        assert parse_model("fast:2") == (Fast(2.0), "heat")
+        assert main(["kernel", "--model", "fast:2", "--t", "0.25", "--x", "0", "--y", "1"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert value == evaluate(TransitionKernel(Euclidean(1)), 0.5, point(0.0), point(1.0))
+        out = tmp_path / "path.csv"
+        assert main(["sample", "--model", "fast:2", "--x0", "0", "--T", "1", "--steps", "4",
+                     "--samples", "8", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "model=Fast(rate=2.0)/heat" in lines[0] and lines[1] == "t,coord0,killed" and len(lines) == 7
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 8
+
+    def test_refusals_name_the_new_spec(self, capsys):
+        assert main(["bridge", "--model", "fast:2", "--x0", "0", "--y0", "1", "--T", "1"]) == 2
+        assert "bridges are drawn on" in capsys.readouterr().err
+        assert main(["sample", "--model", "dirichlet:1", "--x0", "0.5", "--T", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "paths are drawn on" in err and "fast:R" in err
+
+    def test_specs_outside_the_table_stay_unknown(self, capsys):
+        with pytest.raises(argparse.ArgumentTypeError, match="unknown model 'slow:2'"):
+            parse_model("slow:2")
+        with pytest.raises(argparse.ArgumentTypeError, match="bad model spec 'fast:x'"):
+            parse_model("fast:x")

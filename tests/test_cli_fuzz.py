@@ -1,7 +1,9 @@
 """Bounded argv fuzzing of the exit contract.
 
 Each example takes one README command, shrinks its sizes, replaces one or
-two option values with hostile tokens and runs ``cli.main`` in-process.
+two option values and runs ``cli.main`` in-process.  A replacement is a
+hostile token or, as often, a plausible number in place of a number, so
+that many runs get far enough to print or write their CSV.
 Every run must end in exit 0, 1 or 2, never in an escaping exception; an
 exit 1 must print a JSON record on stdout, and the JSON last line of an
 exit 0 must hold only finite numbers.  Every path or curve CSV a run prints
@@ -25,6 +27,7 @@ from pathkernel.cli import main
 
 TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e200", "1e308", "", "abc", "1,2",
           "0:1e300:1e-300", "0:1:1e-9", "4:70", "const:-800", "const:1e308"]
+PLAUSIBLE = ["0.5", "2", "1e-3"]
 SIZE_FLAGS = {"--samples", "--steps", "--tuples", "--paths"}
 SIZE_CAP = 64
 
@@ -53,12 +56,21 @@ def value_positions(argv):
     return [i + 1 for i, arg in enumerate(argv[:-1]) if arg.startswith("--") and not argv[i + 1].startswith("--")]
 
 
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 @st.composite
 def fuzzed_argv(draw):
     argv = list(draw(st.sampled_from(COMMANDS)))
-    positions = value_positions(argv)
-    for i in draw(st.lists(st.sampled_from(positions), min_size=1, max_size=2, unique=True)):
-        argv[i] = draw(st.sampled_from(TOKENS))
+    for i in draw(st.lists(st.sampled_from(value_positions(argv)), min_size=1, max_size=2, unique=True)):
+        pool = draw(st.sampled_from([TOKENS, PLAUSIBLE]))
+        if pool is TOKENS or is_number(argv[i]):  # a plausible value replaces only a number
+            argv[i] = draw(st.sampled_from(pool))
     return argv
 
 

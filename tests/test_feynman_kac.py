@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from pathkernel.errors import PotentialBoundError
 from pathkernel.feynman_kac import (
+    ROUNDING_ULPS,
     FKProblem,
     Potential,
     const_potential,
@@ -256,7 +258,7 @@ class TestCoveringSum:
 
     def test_monte_carlo_sides_agree(self):
         rep = fk_covering_sum_check(
-            covering_of(Circle(TWO_PI)), cos_potential(), point(0.0), point(math.pi),
+            CIRCLE, cos_potential(), point(0.0), point(math.pi),
             0.5, windings=3, n_steps=32, n_samples=20000, rng=RngContract(10),
         )
         assert rep.within_tolerance, (rep.residual, rep.combined_std_error, rep.tail_bound)
@@ -264,32 +266,37 @@ class TestCoveringSum:
 
     def test_constant_potential_scales_both_sides(self):
         r0 = fk_covering_sum_check(
-            covering_of(Circle(TWO_PI)), zero_potential(), point(0.0), point(2.0),
+            CIRCLE, zero_potential(), point(0.0), point(2.0),
             0.4, windings=2, n_steps=8, n_samples=2000, rng=RngContract(11),
         )
         rc = fk_covering_sum_check(
-            covering_of(Circle(TWO_PI)), const_potential(0.7), point(0.0), point(2.0),
+            CIRCLE, const_potential(0.7), point(0.0), point(2.0),
             0.4, windings=2, n_steps=8, n_samples=2000, rng=RngContract(11),
         )
         scale = math.exp(-0.7 * 0.4)
         assert rc.base_estimate.value == pytest.approx(scale * r0.base_estimate.value, rel=1e-13)
         assert rc.line_sum == pytest.approx(scale * r0.line_sum, rel=1e-13)
 
-    @pytest.mark.parametrize("potential, t", [
-        (zero_potential(), 2.0), (const_potential(0.7), 2.0), (zero_potential(), 1000.0),
-        (zero_potential(), 1e5), (zero_potential(), 1e6),
-    ], ids=["zero-t2", "const-t2", "zero-t1000", "zero-t1e5", "zero-t1e6"])
-    def test_constant_weights_pass_up_to_rounding(self, potential, t):
+    @pytest.mark.parametrize("potential, t, length, y", [
+        (zero_potential(), 2.0, TWO_PI, 3.14159265), (const_potential(0.7), 2.0, TWO_PI, 3.14159265),
+        (zero_potential(), 1000.0, TWO_PI, 3.14159265), (zero_potential(), 1e5, TWO_PI, 3.14159265),
+        (zero_potential(), 1e6, TWO_PI, 3.14159265), (zero_potential(), 1e6, 0.3, 0.1),
+        (zero_potential(), 1e7, 1.0, 0.5),
+    ], ids=["zero-t2", "const-t2", "zero-t1000", "zero-t1e5", "zero-t1e6", "zero-t1e6-L0.3", "zero-t1e7-L1"])
+    def test_constant_weights_pass_up_to_rounding(self, potential, t, length, y):
         # every path carries one weight, so the sides differ by rounding and
-        # by the tail, which at long t spans thousands of images
+        # by the tail, which at long t spans thousands of images; the tail is
+        # summed exactly, so the allowance is a few ulps and half an ulp per
+        # line term
         rep = fk_covering_sum_check(
-            covering_of(Circle(TWO_PI)), potential, point(0.0), point(3.14159265),
+            TransitionKernel(Circle(length)), potential, point(0.0), point(y),
             t, windings=3, n_steps=4, n_samples=2000, rng=RngContract(1729),
         )
         assert rep.within_tolerance, (rep.residual, rep.combined_std_error, rep.tail_bound, rep.rounding)
-        assert rep.rounding < 1e-12 * (rep.base_estimate.value + rep.line_sum)
+        scale = sys.float_info.epsilon * (rep.base_estimate.value + rep.line_sum)
+        assert rep.rounding == (ROUNDING_ULPS + 0.5 * 7) * scale
         # a line sum that lacks its k = 0 term fails
-        term = evaluate(TransitionKernel(Euclidean(1)), t, point(3.14159265), point(0.0)) * math.exp(
+        term = evaluate(TransitionKernel(Euclidean(1)), t, point(y), point(0.0)) * math.exp(
             -potential.sup_bound * t)
         short = dataclasses.replace(rep, line_sum=rep.line_sum - term,
                                     residual=abs(rep.base_estimate.value - rep.line_sum + term))

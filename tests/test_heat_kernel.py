@@ -21,6 +21,7 @@ from pathkernel.heat_kernel import (
     cauchy_profile,
     chapman_kolmogorov_residuals,
     check_task,
+    circle_dual_arrays,
     circle_theta_arrays,
     delta_family_residuals,
     dirichlet_kernel_arrays,
@@ -30,6 +31,7 @@ from pathkernel.heat_kernel import (
     evaluate,
     gauss_profile,
     h3_profile,
+    model_of,
     moment_check,
     total_mass,
 )
@@ -43,6 +45,7 @@ from pathkernel.manifold import (
     Hyperbolic3,
     point,
 )
+from pathkernel.path_sampler import TimeGrid, sample_bridges
 
 from test_manifold import random_point
 
@@ -154,8 +157,36 @@ class TestEvaluate:
             TransitionKernel(Euclidean(2), kind="cauchy")
 
     def test_truncation_budget_error(self):
-        with pytest.raises(PathkernelError, match=r"radius 1.18e\+07 needs over 1000000 terms"):
-            evaluate(TransitionKernel(Circle(1.0)), 1e12, point(0.0), point(0.5))
+        # a lattice bridge's winding draw still needs every image of its horizon
+        with pytest.raises(PathkernelError, match=r"radius 1.25e\+07 needs over 1000000 terms"):
+            sample_bridges(CIRC1, point(0.0), point(0.5), TimeGrid.uniform(1e12, 2), 1, 4)
+
+    @pytest.mark.parametrize("model, x, y", [
+        (Circle(1.0), (0.0,), (0.5,)), (FlatTorus((1.0, 2.0)), (0.0, 0.0), (0.5, 0.5)),
+    ], ids=["circle", "torus"])
+    def test_lattice_kernel_past_the_image_budget_is_the_dual_series(self, model, x, y):
+        # over 10^6 images at t = 1e12; every dual weight e^(-(2 pi n/L)^2 t)
+        # underflows, which leaves one over the box's volume
+        value = evaluate(TransitionKernel(model), 1e12, point(*x), point(*y))
+        assert value == 1.0 / math.prod(model.periods)
+
+    @pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
+    def test_dual_series_matches_the_images(self, t):
+        dx = np.linspace(-1.0, 1.0, 21)
+        pol = TruncationPolicy()
+        dual = circle_dual_arrays(t, dx, 1.0, pol)
+        assert np.max(np.abs(dual / circle_theta_arrays(t, dx, 1.0, pol) - 1.0)) < 1e-14
+        assert dual[3] == pytest.approx(circle_spectral_oracle(t, dx[3], 1.0), rel=1e-14)
+
+    def test_batched_lattice_values_keep_their_bits_past_the_budget(self):
+        # owners on both sides of the switch, each value as computed alone
+        times, owner = np.array([0.5, 1e12, 0.05]), np.array([0, 0, 1, 1, 2])
+        dx = np.array([0.1, -0.4, 0.3, 0.9, -0.2])
+        pol = TruncationPolicy()
+        batched = circle_theta_arrays(times, dx, 1.0, pol, owner)
+        alone = [float(circle_theta_arrays(times[o], dx[i:i + 1], 1.0, pol)[0]) for i, o in enumerate(owner)]
+        assert batched.tolist() == alone
+        assert batched[2] == batched[3] == 1.0
 
 
 _PI_40 = decimal.Decimal("3.141592653589793238462643383279502884197")
@@ -715,15 +746,18 @@ class TestLawTable:
                 for model in models]
 
     def models_of(self, spec):
-        """The kernels a spec of a refusal stands for, parsed as the CLI does."""
-        from pathkernel.cli import parse_model
-
+        """The kernels a spec of a refusal stands for, parsed by the law table."""
         name, _, letters = spec.rpartition(":")
         specs = [f"{name}:{v}" for v in self.FILLS.get(letters, [letters])] if name else [spec]
-        return [TransitionKernel(*parse_model(s)) for s in specs]
+        return [TransitionKernel(*model_of(s)) for s in specs]
 
     def test_examples_cover_the_table(self):
         assert set(self.EXAMPLES) == set(_LAWS)
+
+    def test_every_spec_builds_a_model_of_its_own_law(self):
+        for key, law in _LAWS.items():
+            for kernel in self.models_of(law.spec):
+                assert (type(kernel.model), kernel.kind) == key and type(kernel._law) is law
 
     @pytest.mark.parametrize("task", list(TASKS))
     def test_refuses_exactly_without_the_rule(self, task):

@@ -78,6 +78,8 @@ _FK = "--t 0.5 --steps 4 --samples 64 --x0 {x}"
 # starts with "-" (euclidean:2's y) as a flag.
 MATRIX = {
     "kernel": "kernel --t 0.5 --x {kx} --y={y}",
+    # past the lattice laws' image budget, where they sum the dual series
+    "kernel_long": "kernel --t 1e12 --x {kx} --y={y}",
     "mass": "mass --t 0.5 --x {x}",
     "verify_ck": "verify chapman-kolmogorov --tuples 3",
     "verify_moments_integrated": "verify moments --mode integrated --tau-grid 0.01:0.05:0.02",
