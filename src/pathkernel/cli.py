@@ -652,7 +652,9 @@ def _run_fk(config):
         "within_tolerance": rep.within_tolerance,
         "n_samples": samples, "n_steps": steps, "seed": seed,
     }
-    return _verdict(config, payload, None if rep.within_tolerance else "CoveringSumMismatch")
+    # a non-finite estimate is the numeric failure every fk command reports, not a mismatch
+    mismatch = not rep.within_tolerance and math.isfinite(rep.residual)
+    return _verdict(config, payload, "CoveringSumMismatch" if mismatch else None)
 
 
 def _run_curve(config):

@@ -16,6 +16,14 @@ reductions share ``_visited`` (V along the path, checked against its
 sup bound, 0 at the cemetery), ``_weights``, ``_terminal`` and one
 mean/standard-error rule, ``EstimateWithError.of``.
 
+The driver's memory does not grow with the slice count.  A cell is one
+coordinate of one grid point of one path.  A block holds at most
+``BLOCK_CELLS`` of them (32 MiB of positions; ``BLOCK_SIZE`` rows up to
+128 grid times on a line), and its reduction runs on row slices of at
+most ``REDUCE_CELLS``, so V and its temporaries stay a few MB.  Each
+weight reads only its own row and each sample draws from its own
+substream, so neither cap moves an output bit.
+
 The covering sum takes the run's kernel: its law gives the deck group,
 the line kernel is built at its truncation, and the omitted winding tail
 is summed exactly.  With the zero potential it is the command line's
@@ -48,7 +56,7 @@ from .manifold import (
     project_arrays,
     validate_point,
 )
-from .parallel import per_job, run_blocks
+from .parallel import BLOCK_SIZE, per_job, run_blocks
 from .path_sampler import (
     NEVER_KILLED,
     TimeGrid,
@@ -60,6 +68,8 @@ from .quadrature import gaussian_tail_radius
 from .rng import RngContract
 
 BOUND_SLACK = 1e-9
+BLOCK_CELLS = 1 << 22  # cells of one block's path tensor
+REDUCE_CELLS = 1 << 18  # cells of the rows handed to one reduce call
 ROUNDING_ULPS = 16  # the covering-sum check's allowance for one rounded product
 
 
@@ -133,8 +143,10 @@ class EstimateWithError:
     def of(values, scale=1.0):
         """Sample mean and standard error (sample std over sqrt(n)), both times scale."""
         n = len(values)
-        se = float(np.std(values, ddof=1) / math.sqrt(n)) * scale if n > 1 else 0.0
-        return EstimateWithError(float(np.mean(values)) * scale, se, n)
+        # infinite weights give a non-finite mean and spread, reported downstream
+        with np.errstate(over="ignore", invalid="ignore"):
+            se = float(np.std(values, ddof=1) / math.sqrt(n)) * scale if n > 1 else 0.0
+            return EstimateWithError(float(np.mean(values)) * scale, se, n)
 
 
 @dataclass(frozen=True)
@@ -160,8 +172,11 @@ def _over_paths(jobs, t, n_steps, n_samples, rng, workers):
     blocks of free paths (y0 None) or of bridges to y0, each of the
     tuple's per-sample arrays concatenated.  Job j runs on substreams
     rng.sample_index + j * n_samples onward, and all jobs share one
-    ``run_blocks`` pass."""
+    ``run_blocks`` pass.  Blocks hold at most BLOCK_CELLS cells and each
+    reduce call at most REDUCE_CELLS (one row at least)."""
     grid = TimeGrid.uniform(t, n_steps)
+    row_cells = (n_steps + 1) * max(job[0].model.dim for job in jobs)
+    rows = max(1, REDUCE_CELLS // row_cells)
 
     def task(first, count):
         kernel, x0, y0, reduce = jobs[(first - rng.sample_index) // n_samples]
@@ -169,10 +184,18 @@ def _over_paths(jobs, t, n_steps, n_samples, rng, workers):
             ens = sample_paths(kernel, x0, grid, rng.master_seed, count, first_index=first)
         else:
             ens = sample_bridges(kernel, x0, y0, grid, rng.master_seed, count, first_index=first)
-        return reduce(ens.positions, ens.kill_step != NEVER_KILLED)
+        killed = ens.kill_step != NEVER_KILLED
+        return _joined([reduce(ens.positions[a:a + rows], killed[a:a + rows]) for a in range(0, count, rows)])
 
-    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers, jobs=len(jobs))
-    return [tuple(np.concatenate(arrays) for arrays in zip(*p)) for p in per_job(parts, len(jobs))]
+    block = max(1, min(BLOCK_SIZE, BLOCK_CELLS // row_cells))
+    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers,
+                       block_size=block, jobs=len(jobs))
+    return [_joined(p) for p in per_job(parts, len(jobs))]
+
+
+def _joined(parts):
+    """Tuples of per-sample arrays joined into one tuple, element by element."""
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _visited(potential, positions):
@@ -192,23 +215,26 @@ def _visited(potential, positions):
     return vvals
 
 
-def _weights(vvals, killed, t, n_steps, rule):
-    """exp(-(t/n) times the chosen Riemann sum of V) per path; 0 if killed.
+def _weights(vvals, killed, t, n_steps, rule, gv=None):
+    """exp(-(t/n) times the chosen Riemann sum of V) per path, times the
+    terminal values gv if given; 0 if killed.
 
     vvals has one column per grid time including time 0; the right rule
     uses columns 1..n, the trapezoid halves the two ends.
     """
     tau = t / n_steps
-    if rule == "right":
-        expo = tau * np.sum(vvals[:, 1:], axis=1)
-    elif rule == "trapezoid":
-        inner = np.sum(vvals[:, 1:-1], axis=1)
-        expo = tau * (0.5 * vvals[:, 0] + inner + 0.5 * vvals[:, -1])
-    else:
-        raise ValueError(f"unknown slice rule {rule!r}")
-    weights = np.exp(-expo)
-    weights[killed] = 0.0
-    return weights
+    # a sum or weight past the float range is infinite, and NaN times g = 0; the estimate reports either
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rule == "right":
+            expo = tau * np.sum(vvals[:, 1:], axis=1)
+        elif rule == "trapezoid":
+            inner = np.sum(vvals[:, 1:-1], axis=1)
+            expo = tau * (0.5 * vvals[:, 0] + inner + 0.5 * vvals[:, -1])
+        else:
+            raise ValueError(f"unknown slice rule {rule!r}")
+        weights = np.exp(-expo)
+        weights[killed] = 0.0
+        return weights if gv is None else weights * gv
 
 
 def _terminal(g, positions, killed):
@@ -246,9 +272,8 @@ def fk_expectation(problem, rule="right", workers=1):
     g = p.terminal if p.terminal is not None else constant_one
 
     def reduce(positions, killed):
-        w = _weights(_visited(p.potential, positions), killed, p.t, p.n_steps, rule)
         gv = _terminal(g, positions, killed)
-        return w * gv, gv
+        return _weights(_visited(p.potential, positions), killed, p.t, p.n_steps, rule, gv), gv
 
     [(vals, gv)] = _over_paths([(p.kernel, p.x0, None, reduce)], p.t, p.n_steps, p.n_samples, p.rng, workers)
     est = EstimateWithError.of(vals)
@@ -316,8 +341,8 @@ def fk_monotonicity_check(
         gv = _terminal(g, positions, killed)
         if np.any(gv < 0):
             raise ValueError("the pathwise comparison needs nonnegative terminal data")
-        return (_weights(lo_vals, killed, t, n_steps, rule) * gv,
-                _weights(hi_vals, killed, t, n_steps, rule) * gv)
+        return (_weights(lo_vals, killed, t, n_steps, rule, gv),
+                _weights(hi_vals, killed, t, n_steps, rule, gv))
 
     [(w_low, w_high)] = _over_paths([(kernel, x0, y0, reduce)], t, n_steps, n_samples, rng, workers)
     violations = int(np.sum(w_low < w_high))

@@ -365,12 +365,21 @@ def covering_of(base):
 
 
 def project_arrays(cov, x):
-    """Reduce total-space coordinates into the fundamental box [0, L_i)."""
+    """Reduce total-space coordinates into the fundamental box [0, L_i).
+
+    x - floor(x / L) L is computed in one new array, step by step in
+    place, so a whole path tensor costs one copy of itself and a boolean
+    mask; x itself is never written.
+    """
     x = np.asarray(x, dtype=np.float64)
     per = np.asarray(cov.periods)
-    out = x - np.floor(x / per) * per
+    out = np.divide(x, per)
+    np.floor(out, out=out)
+    np.multiply(out, per, out=out)
+    np.subtract(x, out, out=out)
     # floor rounding can land exactly on the period for tiny negatives
-    return np.where(out >= per, out - per, out)
+    np.subtract(out, per, out=out, where=out >= per)
+    return out
 
 
 def lift_arrays(cov, x, anchor):

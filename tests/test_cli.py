@@ -324,6 +324,31 @@ class TestExitCodes:
         assert res.returncode == 0 and res.stderr == ""
         assert json.loads(res.stdout)["value"] == 0.0
 
+    @pytest.mark.parametrize("task, extra, message", [
+        ("expectation", [], "'value' is inf"),
+        ("expectation", ["--terminal", "step:0,1,1", "--x0", "2"], "'value' is nan"),
+        ("kernel", ["--y0", "1"], "'value' is inf"),
+        ("monotonicity", ["--potential2", "const:-700"], "'value_low' is inf"),
+        ("covering-sum", ["--y0", "1"], "'value' is inf"),
+    ], ids=["expectation", "expectation-g-zero", "kernel", "monotonicity", "covering-sum"])
+    def test_overflowing_weights_are_one_quiet_numeric_failure(self, task, extra, message):
+        # e^800 overflows (times g = 0 it is NaN): no RuntimeWarning, and the
+        # covering sum reports the infinite estimate as the other fk commands do
+        res = run_cli(["fk", task, "--model", "circle:6.283185307179586", "--potential", "const:-800",
+                       "--t", "1", "--steps", "2", "--samples", "4", *extra])
+        assert res.returncode == 1 and res.stderr == ""
+        record = json.loads(res.stdout)
+        assert record["error"] == "PathkernelError" and message in record["message"]
+
+    @pytest.mark.parametrize("rule", ["right", "trapezoid"])
+    def test_overflowing_exponent_is_a_quiet_zero(self, rule):
+        # the Riemann sum of 1e308 overflows to inf, whose weight e^-inf is the limit 0
+        res = run_cli(["fk", "expectation", "--model", "circle:6.283185307179586", "--potential", "const:1e308",
+                       "--t", "10", "--steps", "2", "--samples", "4", "--rule", rule])
+        assert res.returncode == 0 and res.stderr == ""
+        out = json.loads(res.stdout)
+        assert out["value"] == 0.0 and out["std_error"] == 0.0
+
     def test_underflowing_weight_is_exit_0(self):
         # e^(t sup|V|) overflows, so the a-priori cap is infinite and never
         # exceeded; every weight e^(-t 1e308) rounds to 0

@@ -1,10 +1,12 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pathkernel import feynman_kac
 from pathkernel.errors import PotentialBoundError
 from pathkernel.feynman_kac import (
     ROUNDING_ULPS,
@@ -140,6 +142,57 @@ class TestExpectation:
         lying = Potential(lambda c: np.cos(c[..., 0]), 0.1, name="lies")
         with pytest.raises(PotentialBoundError):
             fk_expectation(problem(potential=lying, n_samples=500))
+
+
+class TestMemoryCaps:
+    """The block and reduce caps bound memory and move no bit."""
+
+    ESTIMATORS = {
+        "expectation-circle": lambda w: fk_expectation(
+            problem(potential=cos_potential(), n_samples=41, seed=21), rule="trapezoid", workers=w),
+        # killed rows carry NaN positions, and a slice may hold only those
+        "expectation-killed": lambda w: fk_expectation(
+            problem(kernel=TransitionKernel(Compactified(DirichletInterval(math.pi))), potential=cos_potential(),
+                    x0=point(0.4), t=0.5, n_samples=41, seed=22), workers=w),
+        # lattice bridges with windings, projected in one buffer
+        "kernel-circle": lambda w: fk_kernel(
+            TransitionKernel(Circle(1.0)), cos_potential(), point(0.2), point(0.7), 1.0, 16, 41,
+            RngContract(23), workers=w),
+        "monotonicity-paths": lambda w: fk_monotonicity_check(
+            CIRCLE, cos_potential(), const_potential(1.0), point(0.0), 1.0, 16, 41, RngContract(24), workers=w),
+        "monotonicity-bridges": lambda w: fk_monotonicity_check(
+            CIRCLE, cos_potential(), const_potential(1.0), point(0.0), 1.0, 16, 41, RngContract(25),
+            y0=point(2.0), rule="trapezoid", workers=w),
+        "covering-sum": lambda w: fk_covering_sum_check(
+            CIRCLE, cos_potential(), point(0.0), point(math.pi), 0.5, windings=2, n_steps=16, n_samples=41,
+            rng=RngContract(26), workers=w),
+    }
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_tiny_caps_keep_every_bit(self, monkeypatch, name):
+        # 17 cells a row: one block and one slice at the default caps, blocks
+        # of 5 rows reduced in slices of 2 at the tiny ones
+        estimate = self.ESTIMATORS[name]
+        want = estimate(1)
+        monkeypatch.setattr(feynman_kac, "BLOCK_CELLS", 5 * 17)
+        monkeypatch.setattr(feynman_kac, "REDUCE_CELLS", 2 * 17 + 16)
+        for workers in (1, 2):
+            assert estimate(workers) == want
+
+    @pytest.mark.parametrize("n_steps, n_samples, bound", [
+        (64, 32768, 1.5 * 32768 * 65 * 8),  # the position tensor, one block
+        (512, 16384, 1.5 * feynman_kac.BLOCK_CELLS * 8),  # two blocks of 8,176 rows
+    ], ids=["64-slices", "512-slices"])
+    def test_traced_peak_is_bounded(self, n_steps, n_samples, bound):
+        p = problem(potential=cos_potential(), n_steps=n_steps, n_samples=n_samples, seed=3)
+        fk_expectation(p, rule="trapezoid")  # first-call allocations are not the estimator's
+        tracemalloc.start()
+        try:
+            fk_expectation(p, rule="trapezoid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestKernelEstimator:

@@ -100,6 +100,10 @@ MATRIX = {
     "fk_kernel_oracle": "fk kernel --potential cos --y0={y} --oracle-m 20 " + _FK,
     # free paths reach the oracle's refusal on every model that draws them
     "fk_expectation_oracle": "fk expectation --potential cos --oracle-m 20 " + _FK,
+    # 512 and 256 slices: each block holds at most 2^22 cells (8,176 and
+    # 16,320 rows on a line) and is reduced in row slices of at most 2^18
+    "fk_expectation_fine": "fk expectation --potential cos --t 0.5 --steps 512 --samples 20000 --x0 {x}",
+    "fk_kernel_fine": "fk kernel --potential cos --y0={y} --t 0.5 --steps 256 --samples 20000 --x0 {x}",
     "fk_monotonicity": "fk monotonicity --potential const:0.5 --potential2 const:1 " + _FK,
     "fk_monotonicity_bridge": "fk monotonicity --potential const:0.5 --potential2 const:1 --y0={y} " + _FK,
     "fk_covering": "fk covering-sum --potential cos --y0={y} --windings 2 " + _FK,
