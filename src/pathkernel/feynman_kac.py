@@ -22,7 +22,8 @@ coordinate of one grid point of one path.  A block holds at most
 128 grid times on a line), and its reduction runs on row slices of at
 most ``REDUCE_CELLS``, so V and its temporaries stay a few MB.  Each
 weight reads only its own row and each sample draws from its own
-substream, so neither cap moves an output bit.
+substream, so neither cap moves an output bit.  The walk is step-major
+in memory, so each reduce sums a row-major copy of V on its slice.
 
 The covering sum takes the run's kernel: its law gives the deck group,
 the line kernel is built at its truncation, and the omitted winding tail
@@ -208,9 +209,9 @@ def _visited(potential, positions):
         vvals = np.where(finite, potential(np.where(finite[..., None], positions, 0.0)), 0.0)
         vals = vvals[finite]
     worst = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if worst > potential.sup_bound + BOUND_SLACK * (1.0 + potential.sup_bound):
+    if not worst <= potential.sup_bound + BOUND_SLACK * (1.0 + potential.sup_bound):  # NaN fails it too
         raise PotentialBoundError(
-            f"potential reached |V| = {worst:.6g}, above its declared bound {potential.sup_bound:.6g}"
+            f"potential reached |V| = {worst:.6g}, not within its declared bound {potential.sup_bound:.6g}"
         )
     return vvals
 
@@ -222,6 +223,7 @@ def _weights(vvals, killed, t, n_steps, rule, gv=None):
     vvals has one column per grid time including time 0; the right rule
     uses columns 1..n, the trapezoid halves the two ends.
     """
+    vvals = np.ascontiguousarray(vvals)  # each row sum keeps one pairwise order, whatever the walk's layout
     tau = t / n_steps
     # a sum or weight past the float range is infinite, and NaN times g = 0; the estimate reports either
     with np.errstate(over="ignore", invalid="ignore"):

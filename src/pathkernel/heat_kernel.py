@@ -33,11 +33,11 @@ the kernel is built.  The public functions here and the samplers in
 ``density(t, x, y, owner=None)`` (with the owner batching of the profiles
 below), ``mass``, ``ck_integral`` (the left side of Chapman-Kolmogorov;
 the right side is ``density``), and where they exist the moves ``step``
-and ``bridge_step``, which one walk turns into paths and bridges (a
-killed step writes NaN), the moment and delta-family rules, the distance
-curve's ``mean_distance(t)`` (NaN on the lattice laws), the spectral
-oracle's ``oracle_grid(m)`` and the lattice law's ``covering()``, whose
-deck group the covering sum reads.
+and ``bridge_step``, which one step-major walk turns into paths and
+bridges (a killed step writes NaN), the moment and delta-family rules,
+the distance curve's ``mean_distance(t)`` (NaN on the lattice laws), the
+spectral oracle's ``oracle_grid(m)`` and the lattice law's
+``covering()``, whose deck group the covering sum reads.
 ``TASKS`` maps each task to the rule it needs, and a law runs a task
 exactly when it has that rule, apart from three refusals that depend on
 the model.  Every entry point asks ``check_task(kernel, task)`` before
@@ -98,7 +98,6 @@ from .rng import box_muller
 
 NEVER_KILLED = -1
 MAX_TERMS = 10 ** 6
-_STEP_ROWS = 16  # rows of the step-major buffer of _walk
 
 
 @dataclass(frozen=True)
@@ -557,23 +556,18 @@ class _Law:
 def _walk(x0a, n, m, move, end=None):
     """Positions (n, m+1, d) of n chains from x0a: row j + 1 is move(j, row
     j), and an end row, if given, pins row m (move makes rows 1..m-1).
-    Moves fill a small step-major buffer, copied out _STEP_ROWS rows at a
-    time: a move down a strided column of the positions cycles the whole
-    tensor through the cache, and a step-major copy of it all would double
-    its memory."""
-    pos = np.empty((n, m + 1, x0a.shape[0]))
-    pos[:, 0] = x0a
-    moves = m if end is None else m - 1
-    rows = np.empty((min(_STEP_ROWS, moves), n, x0a.shape[0]))
-    current = pos[:, 0]
-    for j0 in range(0, moves, _STEP_ROWS):
-        k = min(_STEP_ROWS, moves - j0)
-        for i in range(k):
-            current = rows[i] = move(j0 + i, current)
-        pos[:, j0 + 1:j0 + 1 + k] = rows[:k].transpose(1, 0, 2)
+    Each move's output fills its row of one step-major (m+1, n, d) array,
+    whose transposed view is the positions, and is the next move's input:
+    kept alive through that move, it lets the killed step reuse its heap
+    pages rather than return them and fault them in again."""
+    walk = np.empty((m + 1, n, x0a.shape[0]))
+    walk[0] = x0a
+    current = walk[0]
+    for j in range(m if end is None else m - 1):
+        current = walk[j + 1] = move(j, current)
     if end is not None:
-        pos[:, m] = end
-    return pos
+        walk[m] = end
+    return walk.transpose(1, 0, 2)
 
 
 def _left_range(dt, what="a step"):

@@ -105,8 +105,10 @@ class PathEnsemble:
     """Vectorized sample of paths sharing one grid.
 
     ``positions[i, j]`` are the coordinates of sample i at grid time j;
-    rows at and after a sample's kill step hold NaN.  ``windings`` is
-    populated by covering-decomposition bridges.
+    rows at and after a sample's kill step hold NaN.  ``positions`` is a
+    transposed view of the sampler's step-major walk: a reader whose sums
+    depend on memory order copies its slice.  ``windings`` is populated by
+    covering-decomposition bridges.
     """
 
     grid: TimeGrid

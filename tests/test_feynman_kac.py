@@ -143,6 +143,19 @@ class TestExpectation:
         with pytest.raises(PotentialBoundError):
             fk_expectation(problem(potential=lying, n_samples=500))
 
+    def test_nan_potential_fails_its_sup_bound(self):
+        # NaN compares False with any bound, so the check must ask |V| <= bound
+        nan_past_3 = Potential(lambda c: np.where(c[..., 0] > 3.0, np.nan, 0.0), 1.0, name="nan")
+        estimators = [
+            lambda: fk_expectation(problem(potential=nan_past_3, x0=point(3.0), n_steps=8, n_samples=100)),
+            lambda: fk_kernel(CIRCLE, nan_past_3, point(3.0), point(3.5), 1.0, 8, 100, RngContract(11)),
+            lambda: fk_monotonicity_check(CIRCLE, zero_potential(), nan_past_3, point(3.0),
+                                          1.0, 8, 100, RngContract(11)),
+        ]
+        for estimate in estimators:
+            with pytest.raises(PotentialBoundError, match="nan"):
+                estimate()
+
 
 class TestMemoryCaps:
     """The block and reduce caps bound memory and move no bit."""

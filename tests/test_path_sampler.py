@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,16 +509,18 @@ def killed_column_loop(law, cursor, x0a, steps):
 class TestWalk:
     """Every sampler runs through one step-major walk.  Its positions, kill
     steps and draws equal a column-by-column loop over the law's own moves.
-    m = 1, 2, 16, 17 and 33 give no bridge move, one buffer, one buffer
-    plus one and two buffers plus one."""
+    m = 1 gives a bridge no move and m = 2 one; 16, 17 and 33 are longer
+    walks, of even and odd lengths."""
 
     N = 64
     STEPS = [1, 2, 16, 17, 33]
     MODELS = {
-        "euclidean:2": (Euclidean(2), np.array([0.3, 0.1]), np.array([-0.4, 0.2])),
-        "circle": (Circle(1.0), np.array([0.2]), np.array([0.7])),
-        "torus:1,2": (FlatTorus((1.0, 2.0)), np.array([0.2, 0.5]), np.array([0.7, 1.5])),
-        "hyperbolic3": (Hyperbolic3(), np.asarray(ORIGIN4.coords), H3_OFF),
+        "euclidean:1": (GAUSS1, np.array([0.3]), np.array([-0.4])),
+        "euclidean:2": (TransitionKernel(Euclidean(2)), np.array([0.3, 0.1]), np.array([-0.4, 0.2])),
+        "circle": (CIRC1, np.array([0.2]), np.array([0.7])),
+        "torus:1,2": (TransitionKernel(FlatTorus((1.0, 2.0))), np.array([0.2, 0.5]), np.array([0.7, 1.5])),
+        "hyperbolic3": (H3K, np.asarray(ORIGIN4.coords), H3_OFF),
+        "cauchy": (CAUCHY, np.array([0.3]), None),  # no bridges
     }
 
     def cursors(self):
@@ -526,8 +529,8 @@ class TestWalk:
     @pytest.mark.parametrize("m", STEPS)
     @pytest.mark.parametrize("name", list(MODELS))
     def test_free_paths(self, name, m):
-        model, x0a, _ = self.MODELS[name]
-        law = TransitionKernel(model)._law
+        kernel, x0a, _ = self.MODELS[name]
+        law = kernel._law
         steps = TimeGrid.uniform(1.0, m).steps()
         walked, looped = self.cursors()
         pos, kill = law.paths(walked, x0a, steps)
@@ -539,10 +542,10 @@ class TestWalk:
         np.testing.assert_array_equal(walked.pos, looped.pos)
 
     @pytest.mark.parametrize("m", STEPS)
-    @pytest.mark.parametrize("name", list(MODELS))
+    @pytest.mark.parametrize("name", [name for name, (_, _, y0a) in MODELS.items() if y0a is not None])
     def test_bridges(self, name, m):
-        model, x0a, y0a = self.MODELS[name]
-        law = TransitionKernel(model)._law
+        kernel, x0a, y0a = self.MODELS[name]
+        law, model = kernel._law, kernel.model
         times = np.asarray(TimeGrid.uniform(1.0, m).times)
         walked, looped = self.cursors()
         pos, windings = law.bridges(walked, x0a, y0a, times)
@@ -574,6 +577,26 @@ class TestWalk:
         np.testing.assert_array_equal(walked.pos, looped.pos)
         if horizon > 1.0 and m > 1:  # survival to t = 16 is below 1e-6 of the start
             assert np.all(kill != NEVER_KILLED)
+
+    # bounds in position tensors (n, m+1, d): the walk writes its rows in
+    # place, so a block holds little past its positions and one step's
+    # draws; the compiled and the numpy draws both stay under them
+    @pytest.mark.parametrize("draw, size", [
+        (lambda: sample_paths(KILLED, point(1.5707963), TimeGrid.uniform(1.0, 32), 1, 32768), 1.85),
+        (lambda: sample_bridges(H3K, ORIGIN4, point(1.3374349463048447, 0.888105982187623, 0.0, 0.0),
+                                TimeGrid.uniform(1.0, 16), 1, 20000), 2.0),
+    ], ids=["killed-paths", "h3-bridges"])
+    def test_traced_peak_is_bounded(self, draw, size):
+        ens = draw()  # first-call allocations are not the walk's
+        bound = size * ens.positions.nbytes
+        del ens
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestCsv:

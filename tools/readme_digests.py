@@ -90,8 +90,11 @@ MATRIX = {
     "sample": "sample --x0 {x} --T 1 --steps 4 --samples 64",
     # steps of length 2, past the interval's switch time L^2/pi^2 = 1
     "sample_long": "sample --x0 {x} --T 4 --steps 2 --samples 64",
+    # a long dumped path, read from the walk's transposed rows; on the
+    # compactified interval it ends in the cemetery
+    "sample_fine": "sample --x0 {x} --T 1 --steps 300 --samples 64 --sample-index 63",
     "bridge": "bridge --x0 {x} --y0={y} --T 1 --steps 4 --samples 64",
-    # 17 moves: one past a 16-row buffer of the sampler's walk
+    # 17 moves, an odd-length walk
     "bridge_long": "bridge --x0 {x} --y0={y} --T 1 --steps 18 --samples 64",
     "fk_expectation": "fk expectation --potential cos " + _FK,
     "fk_kernel": "fk kernel --potential cos --y0={y} " + _FK,
@@ -109,6 +112,8 @@ MATRIX = {
     "fk_covering": "fk covering-sum --potential cos --y0={y} --windings 2 " + _FK,
     "curve": "curve --x0 {x} --t-grid 0.5:1.0:0.5 --samples 64",
     "holder": "holder --x0 {x} --paths 64 --levels 2:4",
+    # levels as strided views of 512-step walks
+    "holder_fine": "holder --x0 {x} --paths 64 --levels 2:9",
 }
 
 
