@@ -9,7 +9,9 @@ PATHKERNEL_WORKERS environment variable overrides --workers.
 
 Model specs are read by the law table (``heat_kernel.model_of``), and
 every model rule lives on the laws, so a new model needs no edit here.
-``verify covering`` is ``fk covering-sum`` without a potential.
+``verify covering`` is ``fk covering-sum`` without a potential.  ``sample`` and
+``bridge`` keep the kill flags or windings of ``feynman_kac.over_paths``
+and draw the dumped sample again on its own substream, the same bits.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .feynman_kac import (
     fk_expectation,
     fk_kernel,
     fk_monotonicity_check,
+    over_paths,
     spectral_oracle,
     step_potential,
     zero_potential,
@@ -58,9 +61,8 @@ from .heat_kernel import (
     total_mass,
 )
 from .manifold import CEMETERY, Euclidean, Point, validate_point
-from .parallel import run_blocks, worker_count
+from .parallel import worker_count
 from .path_sampler import (
-    NEVER_KILLED,
     TimeGrid,
     path_to_csv,
     sample_bridges,
@@ -502,21 +504,6 @@ def _write_csv(config, text):
         sys.stdout.write(text)
 
 
-def _blocked_ensemble(config, draw, keep):
-    """Draw the ensemble block by block, draw(first_index, count), through
-    one ``run_blocks`` call.  Each block returns keep(ensemble) and, if it
-    holds sample --sample-index, that path; so a run holds one block at a
-    time, not the whole ensemble.  Returns the kept values and the path."""
-    index = config.options["sample_index"]
-
-    def task(first, count):
-        ens = draw(first, count)
-        return keep(ens), (ens.path(index - first) if 0 <= index - first < count else None)
-
-    parts = run_blocks(task, config.options["samples"], workers=worker_count(config.options["workers"]))
-    return [kept for kept, _ in parts], next(path for _, path in parts if path is not None)
-
-
 def _emit_path(config, path, summary):
     """Dump the path as CSV, then print the summary and mirror it to --summary-out."""
     _write_csv(config, path_to_csv(path, comment=_header_line(config)[2:]))
@@ -529,12 +516,12 @@ def _run_sample(config):
     check_task(k, "paths")
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     seed, n = config.options["seed"], config.options["samples"]
-    survivors, path = _blocked_ensemble(
-        config, lambda first, count: sample_paths(k, x0, grid, seed, count, first_index=first),
-        lambda ens: int(np.count_nonzero(ens.kill_step == NEVER_KILLED)))
+    [(killed,)] = over_paths([(k, x0, None, grid, lambda ens: (ens.killed,))], n, RngContract(seed),
+                             worker_count(config.options["workers"]))
+    path = sample_paths(k, x0, grid, seed, 1, first_index=config.options["sample_index"]).path(0)
     return _emit_path(config, path, {
         "n_samples": n,
-        "survival_fraction": sum(survivors) / n,  # the mean of the alive flags, bit for bit
+        "survival_fraction": (n - int(np.count_nonzero(killed))) / n,
         "seed": seed,
         "horizon": grid.horizon,
         "n_steps": grid.n_steps,
@@ -548,17 +535,17 @@ def _run_bridge(config):
     check_task(k, "bridges")
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     seed = config.options["seed"]
-    windings, path = _blocked_ensemble(
-        config, lambda first, count: sample_bridges(k, x0, y0, grid, seed, count, first_index=first),
-        lambda ens: None if ens.windings is None else ens.windings[:, 0])
+    [kept] = over_paths([(k, x0, y0, grid, lambda ens: () if ens.windings is None else (ens.windings[:, 0],))],
+                        config.options["samples"], RngContract(seed), worker_count(config.options["workers"]))
+    path = sample_bridges(k, x0, y0, grid, seed, 1, first_index=config.options["sample_index"]).path(0)
     summary = {
         "n_samples": config.options["samples"],
         "seed": seed,
         "horizon": grid.horizon,
         "n_steps": grid.n_steps,
     }
-    if windings[0] is not None:
-        vals, counts = np.unique(np.concatenate(windings), return_counts=True)
+    if kept:
+        vals, counts = np.unique(kept[0], return_counts=True)
         summary["winding_histogram"] = {str(int(v)): int(c) for v, c in zip(vals, counts)}
     return _emit_path(config, path, summary)
 

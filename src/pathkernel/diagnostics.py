@@ -2,7 +2,8 @@
 
 The expected-distance curves compare closed forms (square-root growth
 in flat space, the erf curve in hyperbolic 3-space) against one-step
-Monte Carlo.  The regularity estimator fits the dyadic scaling exponent
+Monte Carlo, whose t values are the jobs of one ``feynman_kac.over_paths``
+pass.  The regularity estimator fits the dyadic scaling exponent
 of maximal path increments, the empirical counterpart of Holder
 continuity: Brownian ensembles land just under 1/2, Lipschitz paths at
 1, and the jump process refuses to decay at all.
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feynman_kac import EstimateWithError
+from .feynman_kac import EstimateWithError, over_paths
 from .heat_kernel import TransitionKernel, check_task
 from .manifold import Euclidean, distance_arrays, validate_point
-from .parallel import per_job, run_blocks
 from .path_sampler import TimeGrid, sample_paths
 from .rng import StreamCursor
 
@@ -150,21 +150,17 @@ def expected_distance_analytic(model, t):
 
 def _distance_estimates(kernel, x0, t_grid, n_samples, rng, workers):
     """Per time in t_grid, the law's closed-form mean displacement, asked
-    before any draw, and a one-step Monte Carlo mean, all in one
-    ``run_blocks`` pass; time j draws substreams rng.sample_index + j * n_samples on."""
-    model = kernel.model
-    x0a = validate_point(model, x0, "x0")
+    before any draw, and a one-step Monte Carlo mean, each a job of one
+    ``over_paths`` pass; time j draws substreams rng.sample_index + j * n_samples on."""
+    x0a = validate_point(kernel.model, x0, "x0")
     check_task(kernel, "curve")
-    grids = [TimeGrid.uniform(t, 1) for t in t_grid]
+
+    def reduce(ens):
+        return (distance_arrays(kernel.model, ens.positions[:, -1, :], x0a[None, :]),)
+
+    jobs = [(kernel, x0, None, TimeGrid.uniform(t, 1), reduce) for t in t_grid]
     analytic = [kernel._law.mean_distance(t) for t in t_grid]
-
-    def task(first, count):
-        grid = grids[(first - rng.sample_index) // n_samples]
-        ens = sample_paths(kernel, x0, grid, rng.master_seed, count, first_index=first)
-        return distance_arrays(model, ens.positions[:, -1, :], x0a[None, :])
-
-    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers, jobs=len(grids))
-    return analytic, [EstimateWithError.of(np.concatenate(p)) for p in per_job(parts, len(grids))]
+    return analytic, [EstimateWithError.of(d) for (d,) in over_paths(jobs, n_samples, rng, workers)]
 
 
 def expected_distance_mc(model, x0, t, n_samples, rng, workers=1):

@@ -8,15 +8,16 @@ makes the estimator's mean exactly the n-step Trotter product; a
 trapezoid option (symmetrized product, one order better in n) is
 available behind a flag.
 
-Every estimator is a reduction run by one blocked driver,
-``_over_paths``, which samples free paths or bridges block by block
-through ``parallel.run_blocks``; the covering sum's terms are the jobs
-of one such pass, so an estimator forks at most one pool.  The
-reductions share ``_visited`` (V along the path, checked against its
-sup bound, 0 at the cemetery), ``_weights``, ``_terminal`` and one
+Every ensemble drawn in blocks is reduced by one driver, ``over_paths``:
+the estimators here, the distance curve and the command line's ``sample``
+and ``bridge``.  It is the one caller of ``parallel.run_blocks``, and a
+job carries its own grid, so a covering sum's terms or a curve's t values
+are the jobs of one pass and a command forks at most one pool.  The
+estimators share ``_visited`` (V along the path, checked against its sup
+bound, 0 at the cemetery), ``_weights``, ``_terminal`` and one
 mean/standard-error rule, ``EstimateWithError.of``.
 
-The driver's memory does not grow with the slice count.  A cell is one
+The driver's memory does not grow with the step count.  A cell is one
 coordinate of one grid point of one path.  A block holds at most
 ``BLOCK_CELLS`` of them (32 MiB of positions; ``BLOCK_SIZE`` rows up to
 128 grid times on a line), and its reduction runs on row slices of at
@@ -57,9 +58,8 @@ from .manifold import (
     project_arrays,
     validate_point,
 )
-from .parallel import BLOCK_SIZE, per_job, run_blocks
+from .parallel import per_job, run_blocks
 from .path_sampler import (
-    NEVER_KILLED,
     TimeGrid,
     bridge_total_mass,
     sample_bridges,
@@ -69,6 +69,7 @@ from .quadrature import gaussian_tail_radius
 from .rng import RngContract
 
 BOUND_SLACK = 1e-9
+BLOCK_SIZE = 32768  # samples of one block, at most
 BLOCK_CELLS = 1 << 22  # cells of one block's path tensor
 REDUCE_CELLS = 1 << 18  # cells of the rows handed to one reduce call
 ROUNDING_ULPS = 16  # the covering-sum check's allowance for one rounded product
@@ -168,30 +169,30 @@ class FKProblem:
             raise ValueError("n_steps and n_samples must be positive")
 
 
-def _over_paths(jobs, t, n_steps, n_samples, rng, workers):
-    """Per job (kernel, x0, y0, reduce): reduce(positions, killed) over
-    blocks of free paths (y0 None) or of bridges to y0, each of the
-    tuple's per-sample arrays concatenated.  Job j runs on substreams
-    rng.sample_index + j * n_samples onward, and all jobs share one
-    ``run_blocks`` pass.  Blocks hold at most BLOCK_CELLS cells and each
-    reduce call at most REDUCE_CELLS (one row at least)."""
-    grid = TimeGrid.uniform(t, n_steps)
-    row_cells = (n_steps + 1) * max(job[0].model.dim for job in jobs)
+def over_paths(jobs, n_samples, rng, workers):
+    """Per job (kernel, x0, y0, grid, reduce), lazily in job order: reduce(ensemble)
+    over row slices of blocks of free paths (y0 None) or of bridges to y0, each of
+    the tuple's per-sample arrays joined, and its blocks freed, when the job is
+    reached.  Job j runs on substreams rng.sample_index + j * n_samples on, all
+    jobs in one ``run_blocks`` pass.  Blocks hold at most BLOCK_SIZE rows and
+    BLOCK_CELLS cells, and each reduce call at most REDUCE_CELLS (one row at least)."""
+    row_cells = max(len(grid.times) * kernel.model.dim for kernel, _, _, grid, _ in jobs)
     rows = max(1, REDUCE_CELLS // row_cells)
 
     def task(first, count):
-        kernel, x0, y0, reduce = jobs[(first - rng.sample_index) // n_samples]
+        kernel, x0, y0, grid, reduce = jobs[(first - rng.sample_index) // n_samples]
         if y0 is None:
             ens = sample_paths(kernel, x0, grid, rng.master_seed, count, first_index=first)
         else:
             ens = sample_bridges(kernel, x0, y0, grid, rng.master_seed, count, first_index=first)
-        killed = ens.kill_step != NEVER_KILLED
-        return _joined([reduce(ens.positions[a:a + rows], killed[a:a + rows]) for a in range(0, count, rows)])
+        if count <= rows:  # reduced whole: slicing it raised the H3 curve's resident peak by 0.4 MB
+            return reduce(ens)
+        return _joined([reduce(ens[a:a + rows]) for a in range(0, count, rows)])
 
     block = max(1, min(BLOCK_SIZE, BLOCK_CELLS // row_cells))
-    parts = run_blocks(task, n_samples, first_index=rng.sample_index, workers=workers,
-                       block_size=block, jobs=len(jobs))
-    return [_joined(p) for p in per_job(parts, len(jobs))]
+    parts = per_job(run_blocks(task, n_samples, block, first_index=rng.sample_index, workers=workers,
+                               jobs=len(jobs)), len(jobs))
+    return (_joined(parts.pop(0)) for _ in jobs)
 
 
 def _joined(parts):
@@ -273,11 +274,12 @@ def fk_expectation(problem, rule="right", workers=1):
     p = problem
     g = p.terminal if p.terminal is not None else constant_one
 
-    def reduce(positions, killed):
-        gv = _terminal(g, positions, killed)
-        return _weights(_visited(p.potential, positions), killed, p.t, p.n_steps, rule, gv), gv
+    def reduce(ens):
+        gv = _terminal(g, ens.positions, ens.killed)
+        return _weights(_visited(p.potential, ens.positions), ens.killed, p.t, p.n_steps, rule, gv), gv
 
-    [(vals, gv)] = _over_paths([(p.kernel, p.x0, None, reduce)], p.t, p.n_steps, p.n_samples, p.rng, workers)
+    grid = TimeGrid.uniform(p.t, p.n_steps)
+    [(vals, gv)] = over_paths([(p.kernel, p.x0, None, grid, reduce)], p.n_samples, p.rng, workers)
     est = EstimateWithError.of(vals)
     # an infinite cap (e^(t sup|V|) overflows) is never exceeded
     cap = _growth_bound(p.t, p.potential.sup_bound) * float(np.max(np.abs(gv)))
@@ -287,12 +289,12 @@ def fk_expectation(problem, rule="right", workers=1):
 
 
 def _kernel_job(kernel, potential, x0, y0, t, n_steps, rule):
-    """The bridge mass p_t(y0, x0) and the ``_over_paths`` job of the
+    """The bridge mass p_t(y0, x0) and the ``over_paths`` job of the
     normalized-bridge potential weights."""
-    def reduce(positions, killed):
-        return (_weights(_visited(potential, positions), killed, t, n_steps, rule),)
+    def reduce(ens):
+        return (_weights(_visited(potential, ens.positions), ens.killed, t, n_steps, rule),)
 
-    return bridge_total_mass(kernel, x0, y0, t), (kernel, x0, y0, reduce)
+    return bridge_total_mass(kernel, x0, y0, t), (kernel, x0, y0, TimeGrid.uniform(t, n_steps), reduce)
 
 
 def fk_kernel(kernel, potential, x0, y0, t, n_steps, n_samples, rng, rule="right", workers=1):
@@ -302,7 +304,7 @@ def fk_kernel(kernel, potential, x0, y0, t, n_steps, n_samples, rng, rule="right
     bridge mass p_t(y0, x0).
     """
     mass, job = _kernel_job(kernel, potential, x0, y0, t, n_steps, rule)
-    [(w,)] = _over_paths([job], t, n_steps, n_samples, rng, workers)
+    [(w,)] = over_paths([job], n_samples, rng, workers)
     return EstimateWithError.of(w, mass)
 
 
@@ -335,18 +337,19 @@ def fk_monotonicity_check(
     mass = 1.0 if y0 is None else bridge_total_mass(kernel, x0, y0, t)
     g = terminal if terminal is not None else constant_one
 
-    def reduce(positions, killed):
-        lo_vals = _visited(v_low, positions)
-        hi_vals = _visited(v_high, positions)
+    def reduce(ens):
+        lo_vals = _visited(v_low, ens.positions)
+        hi_vals = _visited(v_high, ens.positions)
         if float(np.max(lo_vals - hi_vals, initial=0.0)) > 0.0:
             raise ValueError("v_low exceeds v_high at a visited point")
-        gv = _terminal(g, positions, killed)
+        gv = _terminal(g, ens.positions, ens.killed)
         if np.any(gv < 0):
             raise ValueError("the pathwise comparison needs nonnegative terminal data")
-        return (_weights(lo_vals, killed, t, n_steps, rule, gv),
-                _weights(hi_vals, killed, t, n_steps, rule, gv))
+        return (_weights(lo_vals, ens.killed, t, n_steps, rule, gv),
+                _weights(hi_vals, ens.killed, t, n_steps, rule, gv))
 
-    [(w_low, w_high)] = _over_paths([(kernel, x0, y0, reduce)], t, n_steps, n_samples, rng, workers)
+    grid = TimeGrid.uniform(t, n_steps)
+    [(w_low, w_high)] = over_paths([(kernel, x0, y0, grid, reduce)], n_samples, rng, workers)
     violations = int(np.sum(w_low < w_high))
     estimates = [EstimateWithError.of(w, mass) for w in (w_low, w_high)]
     return MonotonicityReport(violations == 0, len(w_low), violations, *estimates)
@@ -409,7 +412,7 @@ def fk_covering_sum_check(
     jobs = [_kernel_job(kernel, v_base, x0, y0, t, n_steps, rule)]
     jobs += [_kernel_job(kernel_line, v_line, x_line, Point((float(x0a[0] + gap + k * length),)),
                          t, n_steps, rule) for k in range(-w_max, w_max + 1)]
-    runs = _over_paths([job for _, job in jobs], t, n_steps, n_samples, rng, workers)
+    runs = over_paths([job for _, job in jobs], n_samples, rng, workers)
     est_base, *terms = [EstimateWithError.of(w, mass) for (mass, _), (w,) in zip(jobs, runs)]
     line_sum = float(sum(e.value for e in terms))
     combined = math.sqrt(est_base.std_error ** 2 + sum(e.std_error ** 2 for e in terms))

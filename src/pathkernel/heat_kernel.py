@@ -508,8 +508,8 @@ def smooth_bump(width):
 # * Killed step: one normal proposal (2 slots) plus one acceptance
 #   uniform; killed samples stop drawing.
 # * Gaussian bridge: ``dim`` normals per step before the last.
-# * Lattice bridge: one winding uniform per coordinate, then the Gaussian
-#   bridge steps.
+# * Lattice bridge: one winding uniform per coordinate (past the image
+#   budget, one winding normal, 2 slots), then the Gaussian bridge steps.
 # * H3 bridge step: three normals (6 slots) for the radius to the
 #   endpoint, then two uniforms for the angle and azimuth.
 
@@ -906,13 +906,20 @@ class _LatticeLaw(_Law):
         target = np.empty((n, len(periods)))
         for i, L in enumerate(periods):
             gap = y0a[i] - x0a[i]
-            kmax = image_count(gaussian_tail_radius(horizon, 1e-17) + abs(gap), L)
-            ks = np.arange(-kmax, kmax + 1, dtype=np.float64)
-            w = np.exp(-((gap + ks * L) ** 2) / (4.0 * horizon))
-            cum = np.cumsum(w / np.sum(w))
-            idx = np.minimum(np.searchsorted(cum, cursor.uniforms(1)[:, 0]), ks.shape[0] - 1)
-            windings[:, i] = ks[idx].astype(np.int64)
-            target[:, i] = x0a[i] + gap + ks[idx] * L
+            kmax = _image_reach(gaussian_tail_radius(horizon, 1e-17) + abs(gap), L)
+            if kmax is None:
+                # the weights are a Gaussian in k of variance s2 = 2T/L^2 > 3e9 here; rounding adds
+                # 1/12, and a normal of s2 - 1/12 rounds to them within O(s2^-2 / 2880), 0 in doubles
+                k = np.rint(-gap / L + math.sqrt(2.0 * horizon / (L * L) - 1.0 / 12.0) * cursor.normals(1)[:, 0])
+                if not np.all(np.abs(k) < 2.0 ** 63):
+                    raise NonFiniteSampleError(f"a winding at horizon {horizon:g} is past 2^63; shorten the horizon")
+            else:
+                ks = np.arange(-kmax, kmax + 1, dtype=np.float64)
+                w = np.exp(-((gap + ks * L) ** 2) / (4.0 * horizon))
+                cum = np.cumsum(w / np.sum(w))
+                k = ks[np.minimum(np.searchsorted(cum, cursor.uniforms(1)[:, 0]), ks.shape[0] - 1)]
+            windings[:, i] = k.astype(np.int64)
+            target[:, i] = x0a[i] + gap + k * L
         pos = project_arrays(self.covering(), super().bridges(cursor, x0a, target, times)[0])
         pos[:, -1] = y0a  # projecting the lift may round away from y0
         return pos, windings

@@ -2,24 +2,21 @@
 
 Samples are split into fixed-size blocks by sample index and each block
 is computed on its own substreams, so the assembled per-sample arrays
-are identical for any worker count (including serial).  Every
-sampling command forks at most one pool: one that makes several
-estimates (a curve's t values, a covering sum's terms) lays them on one
-contiguous sample range and runs all their blocks through one
-``run_blocks`` call, and ``sample`` and ``bridge`` draw their ensembles
-through it too.  Workers are forked, which lets tasks close over
-arbitrary callables without pickling them.  Each worker starts on its
-own CPU of the parent's affinity set and is then handed the whole set
-back, so two workers do not begin on one CPU while another idles, yet
-the scheduler may still move them under outside load.
+are identical for any worker count (including serial).  The one caller,
+``feynman_kac.over_paths``, sizes the blocks; every sampling command
+draws through it and so forks at most one pool, whose blocks may belong
+to several estimates (a curve's t values, a covering sum's terms) laid
+on one contiguous sample range.  Workers are forked, which lets tasks
+close over arbitrary callables without pickling them.  Each worker
+starts on its own CPU of the parent's affinity set and is then handed
+the whole set back, so two workers do not begin on one CPU while
+another idles, yet the scheduler may still move them under outside load.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-
-BLOCK_SIZE = 32768
 
 _TASK = None
 
@@ -28,7 +25,7 @@ def _call(args):
     return _TASK(*args)
 
 
-def run_blocks(task, n_total, first_index=0, workers=1, block_size=BLOCK_SIZE, jobs=1):
+def run_blocks(task, n_total, block_size, first_index=0, workers=1, jobs=1):
     """Evaluate task(start_index, count) over fixed blocks; results in block order.
 
     The range holds ``jobs`` estimates of n_total samples each, estimate j

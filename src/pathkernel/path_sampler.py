@@ -120,6 +120,16 @@ class PathEnsemble:
     def __len__(self):
         return self.positions.shape[0]
 
+    def __getitem__(self, rows):
+        """The ensemble of the samples in ``rows`` (a slice), as views."""
+        windings = None if self.windings is None else self.windings[rows]
+        return PathEnsemble(self.grid, self.positions[rows], self.kill_step[rows], windings)
+
+    @property
+    def killed(self):
+        """Per sample, whether it was killed."""
+        return self.kill_step != NEVER_KILLED
+
     def survival_fraction(self):
         return float(np.mean(self.kill_step == NEVER_KILLED))
 

@@ -21,8 +21,10 @@ from pathkernel.cli import (
     parse_potential,
     run,
 )
-from pathkernel.heat_kernel import TransitionKernel, delta_family_residuals, evaluate
+from pathkernel.feynman_kac import cos_potential, fk_covering_sum_check
+from pathkernel.heat_kernel import TransitionKernel, TruncationPolicy, delta_family_residuals, evaluate
 from pathkernel.manifold import Circle, Compactified, DirichletInterval, Euclidean, point
+from pathkernel.rng import RngContract
 
 
 def run_cli(args, env=None):
@@ -156,7 +158,9 @@ class TestExitCodes:
         (["curve", "--model", "euclidean:1", "--t-grid", "1e308:1e308:1"], 1),
         (["sample", "--model", "cauchy", "--x0", "0", "--T", "1e305", "--steps", "1", "--samples", "20000"], 1),
         (["bridge", "--model", "euclidean:1", "--x0", "0", "--y0", "1", "--T", "1e308", "--steps", "2"], 2),
-    ], ids=["euclidean", "circle", "h3", "bridge-variance", "curve", "cauchy", "bridge-grid"])
+        # past the image budget a winding is a rounded normal, here of deviation 1.4e20
+        (["bridge", "--model", "circle:1", "--x0", "0", "--y0", "0.5", "--T", "1e40", "--steps", "2"], 1),
+    ], ids=["euclidean", "circle", "h3", "bridge-variance", "curve", "cauchy", "bridge-grid", "bridge-winding"])
     def test_overflowing_step_writes_nothing(self, tmp_path, args, code):
         out = tmp_path / "out.csv"
         res = run_cli(args + ["--out", str(out)])
@@ -440,11 +444,15 @@ class TestExitCodes:
         command = ["fk", "covering-sum", "--model", "circle:1.0", "--potential", "cos", "--t", "0.5",
                    "--x0", "0.2", "--y0=0.7", "--windings", "2", "--steps", "4", "--samples", "64"]
         values = []
-        for extra in ([], ["--tail-tol", "1e-3"]):
+        for extra, tol in (([], 1e-12), (["--tail-tol", "1e-3"], 1e-3)):  # the default, then a loose one
             assert main(command + extra) == 0
-            values.append(json.loads(capsys.readouterr().out)["value"])
-        # the default truncation keeps the value it had when the check built its own kernel
-        assert values == [0.66125878647609815, 0.66125878647593705]
+            value = json.loads(capsys.readouterr().out)["value"]
+            kernel = TransitionKernel(Circle(1.0), truncation=TruncationPolicy(tail_tolerance=tol))
+            rep = fk_covering_sum_check(kernel, cos_potential(), point(0.2), point(0.7), 0.5, 2, 4, 64,
+                                        RngContract(DEFAULT_SEED))
+            assert value == rep.base_estimate.value
+            values.append(value)
+        assert values[0] != values[1]  # the tolerance reaches the check's kernel
 
     def test_verify_delta_family(self):
         res = run_cli(["verify", "delta-family", "--model", "euclidean:1"])
@@ -595,19 +603,16 @@ class TestInputErrors:
             "fk-monotonicity-dirichlet", "fk-monotonicity-bridge-killed", "sample-killed",
             "fk-monotonicity-bridge-circle"])
     def test_a_refused_run_draws_no_block(self, monkeypatch, capsys, args, code, message):
-        import pathkernel.cli as cli
-        import pathkernel.diagnostics as diagnostics
         import pathkernel.feynman_kac as feynman_kac
 
         calls = []
-        real = cli.run_blocks
+        real = feynman_kac.run_blocks
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        for module in (cli, feynman_kac, diagnostics):
-            monkeypatch.setattr(module, "run_blocks", spy)
+        monkeypatch.setattr(feynman_kac, "run_blocks", spy)  # the one caller of run_blocks
         argv = args if "--samples" in args else args + ["--samples", "100"]
         assert main(argv) == code
         assert message in capsys.readouterr().err
@@ -636,11 +641,10 @@ class TestInputErrors:
             "covering-sum-cauchy", "oracle-cauchy", "kernel-oracle-cauchy", "oracle-circle", "covering-sum-circle"])
     def test_a_refused_task_builds_no_oracle_and_draws_no_block(self, monkeypatch, capsys, args, code, message):
         import pathkernel.cli as cli
-        import pathkernel.diagnostics as diagnostics
         import pathkernel.feynman_kac as feynman_kac
 
         built, calls = [], []
-        real_oracle, real_blocks = cli.spectral_oracle, cli.run_blocks
+        real_oracle, real_blocks = cli.spectral_oracle, feynman_kac.run_blocks
 
         def oracle_spy(*args):
             built.append(args)
@@ -651,8 +655,7 @@ class TestInputErrors:
             return real_blocks(*args, **kwargs)
 
         monkeypatch.setattr(cli, "spectral_oracle", oracle_spy)
-        for module in (cli, feynman_kac, diagnostics):
-            monkeypatch.setattr(module, "run_blocks", blocks_spy)
+        monkeypatch.setattr(feynman_kac, "run_blocks", blocks_spy)  # the one caller of run_blocks
         assert main(args) == code
         assert message in capsys.readouterr().err
         # the accepted runs show the spies are in place
@@ -713,6 +716,21 @@ class TestOutputs:
         body = res.stdout.splitlines()
         summary = json.loads(body[-1])
         assert "winding_histogram" in summary
+
+    def test_lattice_bridge_past_the_image_budget(self, tmp_path, capsys):
+        # past 10^6 images the winding is a rounded normal, whose mean -gap/L
+        # and variance 2T/L^2 are those of the image weights
+        out = tmp_path / "path.csv"
+        n, horizon, length, gap = 4096, 1e12, 1.0, 0.5
+        assert main(["bridge", "--model", "circle:1.0", "--x0", "0", "--y0", "0.5", "--T", "1e12",
+                     "--steps", "2", "--samples", str(n), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == "1000000000000,0.5,0"
+        hist = json.loads(capsys.readouterr().out)["winding_histogram"]
+        k = np.repeat([float(v) for v in hist], list(hist.values()))
+        mean, var = -gap / length, 2.0 * horizon / length ** 2
+        assert len(k) == n
+        assert abs(np.mean(k) - mean) < 4.0 * math.sqrt(var / n)
+        assert abs(np.var(k, ddof=1) - var) < 4.0 * var * math.sqrt(2.0 / (n - 1))
 
     def test_curve_csv(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -1,12 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import math
+import os
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from pathkernel import feynman_kac
+from pathkernel.cli import main
+from pathkernel.diagnostics import distance_curve
 from pathkernel.errors import PotentialBoundError
 from pathkernel.feynman_kac import (
     ROUNDING_ULPS,
@@ -41,6 +47,16 @@ CIRCLE = TransitionKernel(Circle(TWO_PI))
 GAUSS1 = TransitionKernel(Euclidean(1))
 H3K = TransitionKernel(Hyperbolic3())
 ORIGIN4 = point(1.0, 0.0, 0.0, 0.0)
+
+
+def cli_outputs(args):
+    """The stdout and the --out file of one in-process CLI run that exits 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(args + ["--out", out]) == 0
+        with open(out) as fh:
+            return stdout.getvalue(), fh.read()
 
 
 def problem(kernel=CIRCLE, potential=None, x0=point(0.0), t=1.0, n_steps=16,
@@ -179,12 +195,22 @@ class TestMemoryCaps:
         "covering-sum": lambda w: fk_covering_sum_check(
             CIRCLE, cos_potential(), point(0.0), point(math.pi), 0.5, windings=2, n_steps=16, n_samples=41,
             rng=RngContract(26), workers=w),
+        # the dumped path (sample 37, in the last block) is drawn on its own
+        "sample-killed": lambda w: cli_outputs(
+            ["sample", "--model", "compactified:dirichlet:3.141592653589793", "--x0", "0.4", "--T", "0.5",
+             "--steps", "16", "--samples", "41", "--sample-index", "37", "--seed", "27", "--workers", str(w)]),
+        # 34 cells a row: blocks of 2 rows reduced one row at a time
+        "bridge-torus": lambda w: cli_outputs(
+            ["bridge", "--model", "torus:1,2", "--x0", "0.2,0.5", "--y0", "0.7,1.5", "--T", "2",
+             "--steps", "16", "--samples", "41", "--sample-index", "23", "--seed", "28", "--workers", str(w)]),
+        # 8 cells a row: blocks of 10 rows reduced in slices of 6
+        "curve-h3": lambda w: distance_curve(H3K, ORIGIN4, [0.5, 2.0], 41, RngContract(29), workers=w),
     }
 
     @pytest.mark.parametrize("name", list(ESTIMATORS))
     def test_tiny_caps_keep_every_bit(self, monkeypatch, name):
-        # 17 cells a row: one block and one slice at the default caps, blocks
-        # of 5 rows reduced in slices of 2 at the tiny ones
+        # 17 cells a row on a line at 16 steps: one block and one slice at the
+        # default caps, blocks of 5 rows reduced in slices of 2 at the tiny ones
         estimate = self.ESTIMATORS[name]
         want = estimate(1)
         monkeypatch.setattr(feynman_kac, "BLOCK_CELLS", 5 * 17)
@@ -192,16 +218,22 @@ class TestMemoryCaps:
         for workers in (1, 2):
             assert estimate(workers) == want
 
-    @pytest.mark.parametrize("n_steps, n_samples, bound", [
-        (64, 32768, 1.5 * 32768 * 65 * 8),  # the position tensor, one block
-        (512, 16384, 1.5 * feynman_kac.BLOCK_CELLS * 8),  # two blocks of 8,176 rows
-    ], ids=["64-slices", "512-slices"])
-    def test_traced_peak_is_bounded(self, n_steps, n_samples, bound):
-        p = problem(potential=cos_potential(), n_steps=n_steps, n_samples=n_samples, seed=3)
-        fk_expectation(p, rule="trapezoid")  # first-call allocations are not the estimator's
+    @pytest.mark.parametrize("run, bound", [
+        (lambda: fk_expectation(problem(potential=cos_potential(), n_steps=64, n_samples=32768, seed=3),
+                                rule="trapezoid"),
+         1.5 * 32768 * 65 * 8),  # the position tensor, one block
+        (lambda: fk_expectation(problem(potential=cos_potential(), n_steps=512, n_samples=16384, seed=3),
+                                rule="trapezoid"),
+         1.5 * feynman_kac.BLOCK_CELLS * 8),  # two blocks of 8,176 rows
+        (lambda: cli_outputs(["sample", "--model", "circle:1.0", "--x0", "0", "--T", "1", "--steps", "4096",
+                              "--samples", "2048", "--seed", "3"]),
+         1.5 * feynman_kac.BLOCK_CELLS * 8),  # three blocks, of 1,023 rows and 2
+    ], ids=["64-slices", "512-slices", "long-sample"])
+    def test_traced_peak_is_bounded(self, run, bound):
+        run()  # first-call allocations are not the run's
         tracemalloc.start()
         try:
-            fk_expectation(p, rule="trapezoid")
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -31,6 +31,7 @@ from pathkernel.heat_kernel import (
     evaluate,
     gauss_profile,
     h3_profile,
+    image_count,
     model_of,
     moment_check,
     total_mass,
@@ -45,7 +46,7 @@ from pathkernel.manifold import (
     Hyperbolic3,
     point,
 )
-from pathkernel.path_sampler import TimeGrid, sample_bridges
+from pathkernel.quadrature import gaussian_tail_radius
 
 from test_manifold import random_point
 
@@ -157,9 +158,9 @@ class TestEvaluate:
             TransitionKernel(Euclidean(2), kind="cauchy")
 
     def test_truncation_budget_error(self):
-        # a lattice bridge's winding draw still needs every image of its horizon
+        # the covering sum's winding tail still takes every image of its horizon
         with pytest.raises(PathkernelError, match=r"radius 1.25e\+07 needs over 1000000 terms"):
-            sample_bridges(CIRC1, point(0.0), point(0.5), TimeGrid.uniform(1e12, 2), 1, 4)
+            image_count(gaussian_tail_radius(1e12, 1e-17) + 0.5, 1.0)
 
     @pytest.mark.parametrize("model, x, y", [
         (Circle(1.0), (0.0,), (0.5,)), (FlatTorus((1.0, 2.0)), (0.0, 0.0), (0.5, 0.5)),

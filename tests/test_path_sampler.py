@@ -354,10 +354,16 @@ class TestBridges:
         z = (np.mean(got, axis=0) - want) / np.hypot(se_got, se_want)
         assert np.all(np.abs(z) < 4.0), z
 
-    def test_circle_bridge_winding_count_is_budgeted(self):
-        # at T = 1e12 the winding weights would span 2.5e7 images
-        with pytest.raises(PathkernelError, match="lattice sum"):
-            sample_bridges(CIRC1, point(0.0), point(0.0), TimeGrid.uniform(1e12, 2), 0, 2)
+    def test_circle_bridge_past_the_image_budget_draws_one_normal_winding(self):
+        # at T = 1e12 the winding weights would span 2.5e7 images; the winding
+        # is rint(-gap/L + sqrt(2T/L^2 - 1/12) z) of one normal z (2 slots) instead
+        n = 64
+        cursor = StreamCursor(0, np.arange(n, dtype=np.uint64))
+        pos, windings = CIRC1._law.bridges(cursor, np.array([0.0]), np.array([0.25]), (0.0, 1e12))
+        assert cursor.pos.tolist() == [2] * n
+        z = StreamCursor(0, np.arange(n, dtype=np.uint64)).normals(1)[:, 0]
+        assert windings[:, 0].tolist() == np.rint(-0.25 + math.sqrt(2e12 - 1.0 / 12.0) * z).astype(np.int64).tolist()
+        assert np.all(pos[:, -1, 0] == 0.25)
 
     def test_unsupported_bridges(self):
         g = TimeGrid.uniform(1.0, 2)

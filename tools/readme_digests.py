@@ -3,7 +3,8 @@ and of a fixed model-by-command matrix.
 
 Each `pathkernel ...` line in the README's "Command line" block runs once,
 then each run of the matrix (every model spec in MODELS under every
-command in MATRIX, at small sizes), in a fresh temporary directory, as
+command in MATRIX, at small sizes) and each command of one model in
+SINGLE, in a fresh temporary directory, as
 `python -m pathkernel.cli` with `src/` of the chosen checkout on
 PYTHONPATH.  The script prints one line per captured stream and per
 `--out` file:
@@ -13,8 +14,8 @@ PYTHONPATH.  The script prints one line per captured stream and per
     <file> <sha256>
 
 where <name> is the subcommand, joined with the task for `verify` and
-`fk` and numbered from its second use on; a matrix run's name is
-`<model spec>/<command>` and its `--out` file is `<name>/out`.  Stderr is
+`fk` and numbered from its second use on; a matrix or SINGLE run's name
+is `<model spec>/<command>` and its `--out` file is `<name>/out`.  Stderr is
 not digested, so messages may change.  Run it on two checkouts and diff
 the results; byte-identical outputs give identical lines:
 
@@ -116,6 +117,19 @@ MATRIX = {
     "holder_fine": "holder --x0 {x} --paths 64 --levels 2:9",
 }
 
+# name -> a command of one model at a size the matrix does not reach
+SINGLE = {
+    # 1,024 grid rows of 4 cells: blocks of 1,024 samples under the 2^22-cell
+    # cap, so three blocks, and the dumped sample lies in the last
+    "hyperbolic3/sample_blocks":
+        "sample --model hyperbolic3 --x0 1,0,0,0 --T 1 --steps 1023 --samples 3000 --sample-index 2500",
+    # 2,048 cells a row: three blocks of at most 2,048 bridges, windings kept
+    "torus:1,2/bridge_blocks":
+        "bridge --model torus:1,2 --x0 0.2,0.5 --y0=0.7,1.5 --T 1 --steps 1023 --samples 5000 --sample-index 4999",
+    # past the image budget, where the winding is drawn as a rounded normal
+    "circle:1.0/bridge_past_budget": "bridge --model circle:1.0 --x0 0 --y0 0.5 --T 1e12 --steps 2 --samples 64",
+}
+
 
 def readme_commands(readme):
     """The `pathkernel ...` lines of the README's "Command line" code block."""
@@ -143,7 +157,7 @@ def sha256(data):
 
 
 def matrix_commands():
-    """(name, argv) of every matrix run; each writes its --out file to `out`."""
+    """(name, argv) of every matrix and SINGLE run; each writes its --out file to `out`."""
     runs = []
     for spec, (x, y) in MODELS.items():
         kx = "inf" if spec in _CEMETERY_SOURCE else x
@@ -153,6 +167,8 @@ def matrix_commands():
             head = 2 if words[0] in ("verify", "fk") else 1
             argv = ["pathkernel", *words[:head], "--model", spec, *words[head:], "--out", "out"]
             runs.append((f"{spec}/{name}", argv))
+    for name, args in SINGLE.items():
+        runs.append((name, ["pathkernel", *args.split(), "--out", "out"]))
     return runs
 
 
