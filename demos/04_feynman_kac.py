@@ -28,7 +28,7 @@ circle = TransitionKernel(Circle(TWO_PI))
 print("== semigroup applied to g = 1 with V = cos on the circle ==")
 oracle = spectral_oracle(Circle(TWO_PI), 512, cos_potential(), 1.0)
 want = oracle.value_at(constant_one, 0.0)
-print(f"spectral oracle (512 grid points):    {want:.6f}")
+print(f"spectral oracle (at most 512 modes):  {want:.6f}")
 for n_steps in (16, 64, 256):
     prob = FKProblem(circle, cos_potential(), constant_one, point(0.0), 1.0,
                      n_steps, 100000, RngContract(42))

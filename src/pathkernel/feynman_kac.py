@@ -31,10 +31,12 @@ the line kernel is built at its truncation, and the omitted winding tail
 is summed exactly.  With the zero potential it is the command line's
 ``verify covering``.
 
-A finite-difference spectral oracle on the circle, the absorbing interval
-and its compactification provides the independent check: second-order
-central differences on the grid of the model's law, exact symmetric
-eigendecomposition, kernel entries scaled by the mesh weight.
+A Galerkin spectral oracle on the circle, the absorbing interval and its
+compactification provides the independent check: the law's own Laplace
+eigenbasis (Fourier modes on the circle, sines on the interval), V's
+matrix in it from closed-form transforms of the library's potentials, one
+symmetric eigendecomposition per mode count, and the mode count doubled
+until the value settles.  It is evaluated at any point of the domain.
 
 Killed paths contribute zero (the terminal data vanishes at the
 cemetery), so estimates over compactified models are sub-Markov
@@ -81,11 +83,16 @@ class Potential:
 
     The evaluator maps coordinate arrays of shape (..., dim) to values
     of shape (...).  Evaluations are spot-checked against sup_bound.
+    The library's potentials also give their ``pieces``: terms
+    (lo, hi, value, freq), each value cos(freq x) on lo <= x < hi of the
+    first coordinate, whose sum is V; the spectral oracle integrates
+    those exactly.  A potential without them is sampled.
     """
 
     evaluator: object
     sup_bound: float
     name: str = "custom"
+    pieces: tuple = None
 
     def __post_init__(self):
         if self.sup_bound < 0:
@@ -96,16 +103,17 @@ class Potential:
 
 
 def zero_potential():
-    return Potential(lambda c: np.zeros(c.shape[:-1]), 0.0, name="zero")
+    return Potential(lambda c: np.zeros(c.shape[:-1]), 0.0, name="zero", pieces=())
 
 
 def const_potential(value):
     v = float(value)
-    return Potential(lambda c: np.full(c.shape[:-1], v), abs(v), name=f"const:{v:g}")
+    return Potential(lambda c: np.full(c.shape[:-1], v), abs(v), name=f"const:{v:g}",
+                     pieces=((-math.inf, math.inf, v, 0.0),))
 
 
 def cos_potential():
-    return Potential(lambda c: np.cos(c[..., 0]), 1.0, name="cos")
+    return Potential(lambda c: np.cos(c[..., 0]), 1.0, name="cos", pieces=((-math.inf, math.inf, 1.0, 1.0),))
 
 
 def step_potential(a, b, value):
@@ -115,7 +123,7 @@ def step_potential(a, b, value):
         x = c[..., 0]
         return np.where((x >= a) & (x < b), v, 0.0)
 
-    return Potential(ev, abs(v), name=f"step:{a:g},{b:g},{v:g}")
+    return Potential(ev, abs(v), name=f"step:{a:g},{b:g},{v:g}", pieces=((a, b, v, 0.0),))
 
 
 def lifted_potential(cov, potential):
@@ -127,8 +135,7 @@ def lifted_potential(cov, potential):
     return Potential(ev, potential.sup_bound, name=f"{potential.name}-lifted")
 
 
-def constant_one(coords):
-    return np.ones(np.asarray(coords).shape[:-1])
+constant_one = const_potential(1.0)  # the default terminal data g = 1
 
 
 @dataclass(frozen=True)
@@ -439,59 +446,87 @@ def fk_covering_sum_check(
 # spectral oracle
 
 
-@dataclass
+def _transform(f, basis, m):
+    """The integral of f(x) e^(-i p w x) over [0, L] at p = 0..P, the
+    frequencies of the basis: exact from a potential's pieces; otherwise
+    the midpoint rule on m points, one FFT."""
+    omega, L = basis.frequencies, basis.length
+    pieces = getattr(f, "pieces", None)
+    if pieces is None:
+        h = L / m
+        vals = np.asarray(f(((np.arange(m) + 0.5) * h)[:, None]), dtype=np.float64)
+        size = round(2.0 * math.pi / (basis.step * h))  # m on the circle, 2m on the interval
+        p = np.arange(len(omega))
+        return h * np.exp(-0.5j * h * omega) * np.fft.fft(vals, size)[p % size]
+    out = np.zeros(len(omega), dtype=np.complex128)
+    for lo, hi, value, freq in pieces:
+        a, b = max(lo, 0.0), min(hi, L)
+        if a < b:
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            for mu in (omega - freq, omega + freq):  # cos(freq x) is half e^(i freq x) plus half e^(-i freq x)
+                out += value * half * np.exp(-1j * mu * mid) * np.sinc(mu * half / math.pi)
+    return out
+
+
+@dataclass(frozen=True)
 class SpectralOracle:
-    """Dense semigroup matrix of the discretized operator.
+    """e^(t(Laplacian - V)) by Galerkin in the Laplacian's eigenbasis on the
+    kernel's law: the diagonal of -lambda_j minus V's matrix, decomposed by
+    a symmetric ``eigh``.  Each value is taken at n = 16, 32, ... modes,
+    capped at ``max_modes``, until it moves by at most the kernel's tail
+    tolerance times max(1, |value|); at the cap it is returned as it is.
 
-    ``semigroup`` maps function samples on ``grid`` to function samples;
-    dividing a row by the mesh weight approximates the kernel row
-    q_t(x_i, .).
-    """
+    V's and g's transforms are exact for the library's potentials (their
+    ``pieces``: closed forms, split at a step's jumps).  A callable without
+    pieces is sampled at the midpoints of ``max_modes`` cells, so its
+    coefficients carry that rule's error: none for a trigonometric
+    polynomial of degree below max_modes on the circle, O(max_modes^-2)
+    for a smooth function on the interval and O(1/max_modes) at a jump.
+    Points may lie anywhere in the model's domain."""
 
-    grid: np.ndarray
-    mesh: float
-    semigroup: np.ndarray
+    kernel: TransitionKernel
+    potential: Potential
+    t: float
+    max_modes: int
 
-    def index_of(self, x):
-        i = int(np.argmin(np.abs(self.grid - x)))
-        if abs(self.grid[i] - x) > 1e-9 * max(1.0, abs(x)):
-            raise ValueError(f"{x} is not a grid point of the oracle")
-        return i
-
-    def apply(self, g):
-        samples = np.asarray(g(self.grid[:, None]), dtype=np.float64)
-        return self.semigroup @ samples
+    def _series(self, x0, right):
+        """phi(x0) U e^(tW) U^T right(basis), with U e^(tW) U^T the n-mode
+        semigroup, as n doubles from 16 until it settles or reaches the cap."""
+        x0 = float(validate_point(self.kernel.model, Point((float(x0),)), "x0")[0])
+        tol = self.kernel.truncation.tail_tolerance
+        n, last = 16, None
+        while True:
+            basis = self.kernel._law.oracle_basis(n)
+            op = -basis.matrix(_transform(self.potential, basis, self.max_modes))
+            op[np.diag_indices(n)] -= basis.eigenvalues
+            try:
+                w, u = np.linalg.eigh(op)
+            except np.linalg.LinAlgError as exc:  # a potential that returned NaN
+                raise PathkernelError(f"oracle eigendecomposition failed: {exc}") from exc
+            with np.errstate(over="ignore", invalid="ignore"):  # an infinite growth is reported downstream
+                got = float((basis.values(x0) @ u) @ (np.exp(self.t * w) * (right(basis) @ u)))
+            if n == self.max_modes or (last is not None and abs(got - last) <= tol * max(1.0, abs(got))):
+                return got
+            n, last = min(2 * n, self.max_modes), got
 
     def value_at(self, g, x0):
-        return float(self.apply(g)[self.index_of(x0)])
+        """(e^(t(Laplacian - V)) g)(x0)."""
+        return self._series(x0, lambda basis: basis.coefficients(_transform(g, basis, self.max_modes)))
 
     def kernel_entry(self, x0, y0):
-        return float(self.semigroup[self.index_of(x0), self.index_of(y0)] / self.mesh)
+        """The semigroup's integral kernel q_t(x0, y0)."""
+        y0 = float(validate_point(self.kernel.model, Point((float(y0),)), "y0")[0])
+        return self._series(x0, lambda basis: basis.values(y0))
 
 
 def spectral_oracle(kernel, m_points, potential, t):
-    """e^(t(Laplacian - V)) by symmetric eigendecomposition of the
-    second-order finite-difference operator on the grid of the kernel's law
-    (periodic wrap on the circle, zero boundary rows on the interval).  A
-    model stands for its heat kernel."""
+    """The Galerkin semigroup e^(t(Laplacian - V)) of the kernel's law, at
+    most m_points modes (at least 16).  A model stands for its heat kernel."""
     kernel = kernel if isinstance(kernel, TransitionKernel) else TransitionKernel(kernel)
     check_task(kernel, "oracle")
     m = int(m_points)
     if m < 16:
-        raise ValueError("need at least 16 grid points")
+        raise ValueError("need at least 16 modes")
     if t <= 0:
         raise ValueError("t must be positive")
-    x, h, wrap = kernel._law.oracle_grid(m)
-    a = np.zeros((m, m))
-    idx = np.arange(m)
-    a[idx, idx] = -2.0
-    a[idx[:-1], idx[1:]] = a[idx[1:], idx[:-1]] = 1.0
-    a[0, -1] = a[-1, 0] = wrap
-    a /= h * h
-    a[np.arange(m), np.arange(m)] -= potential(x[:, None])
-    try:
-        w, u = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric input
-        raise PathkernelError(f"oracle eigendecomposition failed: {exc}") from exc
-    semigroup = (u * np.exp(t * w)) @ u.T
-    return SpectralOracle(grid=x, mesh=h, semigroup=semigroup)
+    return SpectralOracle(kernel, potential, float(t), m)

@@ -36,7 +36,8 @@ the right side is ``density``), and where they exist the moves ``step``
 and ``bridge_step``, which one step-major walk turns into paths and
 bridges (a killed step writes NaN), the moment and delta-family rules,
 the distance curve's ``mean_distance(t)`` (NaN on the lattice laws), the
-spectral oracle's ``oracle_grid(m)`` and the lattice law's
+spectral oracle's ``oracle_basis(n)`` (its first n Laplace eigenfunctions,
+Fourier modes on the circle and sines on the interval) and the lattice law's
 ``covering()``, whose deck group the covering sum reads.
 ``TASKS`` maps each task to the rule it needs, and a law runs a task
 exactly when it has that rule, apart from three refusals that depend on
@@ -409,6 +410,29 @@ _erf = np.vectorize(math.erf, otypes=[np.float64])
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 
+def _erfc_pair(a, e):
+    """erfc(a - e) - erfc(a + e) for a > 0 and an array e >= 0.  Where
+    4ae < 1 the difference would cancel, so there it is the Taylor series
+    (4/sqrt(pi)) e^(-a^2) sum_j H_2j(a) e^(2j+1) / (2j+1)!, with the Hermite
+    polynomials H, whose terms fall by (2ae)^2 / ((2j+2)(2j+3)) < 1/24 or so."""
+    e = np.asarray(e)
+    out = np.array(_erfc(a - e) - _erfc(a + e))
+    near = 4.0 * a * e < 1.0
+    if np.any(near):
+        z = e[near]
+        h_prev, h, power, total = 0.0, 1.0, z, np.zeros_like(z)  # H_-1, H_0 and z^1 / 1!
+        for n in range(60):  # term n is H_n(a) z^(n+1) / (n+1)!, odd powers only
+            if n % 2 == 0:
+                term = h * power
+                total += term
+                if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+                    break
+            h_prev, h = h, 2.0 * a * h - 2.0 * n * h_prev
+            power = power * z / (n + 2)
+        out[near] = 4.0 / math.sqrt(math.pi) * math.exp(-a * a) * total
+    return out
+
+
 def dirichlet_mass_arrays(t, x, length, tol=1e-16):
     """Survival mass of the absorbing interval from x (an array) by time t.
     It depends on y = min(x, L - x) alone.  Below the switch time
@@ -424,7 +448,7 @@ def dirichlet_mass_arrays(t, x, length, tol=1e-16):
         h = 2.0 * math.sqrt(t)
         survival, k = _erf(y / h), 1
         while math.erfc((k - 0.5) * L / h) > tol:
-            survival = survival + (-1.0) ** k * (_erfc((k * L - y) / h) - _erfc((k * L + y) / h))
+            survival = survival + (-1.0) ** k * _erfc_pair(k * L / h, y / h)
             k += 1
         return survival
     total, m = np.zeros_like(y), 1
@@ -492,6 +516,66 @@ def smooth_bump(width):
         return out
 
     return u
+
+
+def _hankel(v, first, rows, cols):
+    """The rows x cols matrix v[first + i + j]."""
+    return np.lib.stride_tricks.sliding_window_view(v[first:first + rows + cols - 1], cols)
+
+
+def _toeplitz(v, first, rows, cols):
+    """The rows x cols matrix v[first + i - j]."""
+    return np.lib.stride_tricks.sliding_window_view(v[first - cols + 1:first + rows], cols)[:, ::-1]
+
+
+class _TrigBasis:
+    """The first n orthonormal eigenfunctions of the Laplacian on [0, L], the
+    spectral oracle's basis: the cosines of wave numbers k = 0..n_cos-1,
+    then the sines of k = 1..n - n_cos, each a_k cos(k w x) or
+    a_k sin(k w x) with eigenvalue -(k w)^2 and a_k = sqrt(2/L), sqrt(1/L)
+    for the constant.
+
+    A function f enters through its transform F[p], the integral of
+    f(x) e^(-i p w x) over [0, L] at p = 0..2 max k (``frequencies``).  Its
+    coefficient on a mode is a_k times Re F[k] (cos) or -Im F[k] (sin).
+    With C = Re F and S = -Im F, extended even and odd to negative p, the
+    product-to-sum formulas give <phi_i, f phi_j> as a_i a_j / 2 times
+    C[k_i - k_j] + C[k_i + k_j] (cos, cos), C[k_i - k_j] - C[k_i + k_j]
+    (sin, sin) and S[k_i + k_j] - S[k_i - k_j] (cos, sin): each block a
+    Toeplitz plus a Hankel matrix."""
+
+    def __init__(self, length, step, n, n_cos):
+        self.length, self.step, self.n_cos = length, step, n_cos
+        self.k = np.concatenate([np.arange(n_cos), np.arange(1, n - n_cos + 1)])
+        self.sine = np.arange(n) >= n_cos
+        self.amplitude = np.where(self.k == 0, math.sqrt(1.0 / length), math.sqrt(2.0 / length))
+        self.eigenvalues = (self.k * step) ** 2
+        self.frequencies = np.arange(2 * int(self.k.max()) + 1) * step
+
+    def values(self, x):
+        """Every mode at the point x."""
+        phase = self.k * self.step * x
+        return self.amplitude * np.where(self.sine, np.sin(phase), np.cos(phase))
+
+    def coefficients(self, f_hat):
+        """<phi_j, f> of every mode."""
+        return self.amplitude * np.where(self.sine, -f_hat.imag[self.k], f_hat.real[self.k])
+
+    def matrix(self, f_hat):
+        """The symmetric matrix of multiplication by f."""
+        q = len(f_hat) - 1  # p = 0 sits at index q of the extended C and S
+        c = np.concatenate([f_hat.real[:0:-1], f_hat.real])
+        s = np.concatenate([f_hat.imag[:0:-1], -f_hat.imag])
+        nc, ns = self.n_cos, len(self.k) - self.n_cos
+        out = np.empty((nc + ns, nc + ns))
+        np.subtract(_toeplitz(c, q, ns, ns), _hankel(c, q + 2, ns, ns), out=out[nc:, nc:])
+        if nc:
+            np.add(_toeplitz(c, q, nc, nc), _hankel(c, q, nc, nc), out=out[:nc, :nc])
+            np.subtract(_hankel(s, q + 1, nc, ns), _toeplitz(s, q - 1, nc, ns), out=out[:nc, nc:])
+            out[nc:, :nc] = out[:nc, nc:].T
+        out *= 0.5 * self.amplitude[:, None]
+        out *= self.amplitude
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -961,9 +1045,10 @@ class _CircleLaw(_Line, _LatticeLaw):
             raise ValueError("bump width must stay below half the circumference")
         return ya[0] - w, ya[0] + w, w
 
-    def oracle_grid(self, m):
-        h = self.model.circumference / m
-        return np.arange(m) * h, h, 1.0  # periodic
+    def oracle_basis(self, n):
+        """The Fourier modes: cosines of wave numbers 0..n/2, sines of 1..(n-1)/2."""
+        L = self.model.circumference
+        return _TrigBasis(L, 2.0 * math.pi / L, n, n // 2 + 1)
 
 
 class _DirichletLaw(_Line, _Law):
@@ -1005,9 +1090,10 @@ class _DirichletLaw(_Line, _Law):
         w = width or min(ya[0], L - ya[0]) * 0.9
         return max(0.0, ya[0] - w), min(L, ya[0] + w), w
 
-    def oracle_grid(self, m):
-        h = self.model.length / (m + 1)
-        return (np.arange(m) + 1) * h, h, 0.0  # the walls' zero values
+    def oracle_basis(self, n):
+        """The sines of wave numbers 1..n, which vanish at both walls."""
+        L = self.model.length
+        return _TrigBasis(L, math.pi / L, n, 0)
 
 
 class _KilledLaw(_Law):
@@ -1043,8 +1129,8 @@ class _KilledLaw(_Law):
     def ck_integral(self, s, t, xa, za, tol):
         return self.base.ck_integral(s, t, xa, za, tol)
 
-    def oracle_grid(self, m):
-        return self.base.oracle_grid(m)
+    def oracle_basis(self, n):
+        return self.base.oracle_basis(n)
 
     def ck_cemetery_residual(self, s, t, xa, za, tol):
         """The Chapman-Kolmogorov residual of a row with a cemetery point."""
@@ -1105,7 +1191,7 @@ TASKS = {
     "paths": ("step", "paths are drawn on"),
     "bridges": ("bridge_step", "bridges are drawn on"),
     "increments": ("step", "holder runs on"),  # paths that are never killed
-    "oracle": ("oracle_grid", "the spectral oracle runs on"),
+    "oracle": ("oracle_basis", "the spectral oracle runs on"),
     "curve": ("mean_distance", "curve runs on the heat kernels of"),
     "integrated moments": ("integrated_moment", "the integrated moment check runs on"),
     "pointwise moments": ("pointwise_sup", "the pointwise moment check runs on"),

@@ -134,16 +134,6 @@ def philox_words(master_seed, sample_index, block_index):
     return c0, c1, c2, c3
 
 
-def _to_u53(word_a, word_b):
-    return (word_a << np.uint64(21)) | (word_b >> np.uint64(11))
-
-
-def _block_u53(master_seed, sample_index, block_index):
-    """53-bit integers of both slots of each block, shape ``block.shape + (2,)``."""
-    w0, w1, w2, w3 = philox_words(master_seed, sample_index, block_index)
-    return np.stack([_to_u53(w0, w1), _to_u53(w2, w3)], axis=-1)
-
-
 def uniforms(master_seed, sample_index, draw_index, width=1):
     """Uniform variates in the open interval (0, 1).
 
@@ -171,20 +161,36 @@ def uniforms(master_seed, sample_index, draw_index, width=1):
 
 
 def _numpy_uniforms(master_seed, samp, draw, width):
-    """The numpy body of ``uniforms`` on broadcast uint64 addresses: the kernel's reference."""
+    """The numpy body of ``uniforms`` on broadcast uint64 addresses: the kernel's reference.
+
+    Every address computes the blocks from its even slot ``d & ~1`` on (one
+    more where an odd start and an even width end on a first lane) and reads
+    its slots from offset ``d & 1``.  The 53-bit integers are written into
+    one float buffer, which is offset and scaled in place."""
     odd = (draw & _ONE).astype(bool)
-    pairs = (width + 1) // 2
-    # first slot of every block the addresses touch, wrapping modulo 2**64
-    first = (draw & _EVEN)[..., None] + np.arange(0, 2 * pairs, 2, dtype=np.uint64)
-    u53 = _block_u53(master_seed, samp[..., None], first >> _ONE).reshape(draw.shape + (2 * pairs,))
-    if width % 2:
-        u53 = np.where(odd[..., None], u53[..., 1:], u53[..., :-1])
-    elif np.any(odd):
-        # an odd start ends on the first lane of one more block
-        last = (draw[odd] + np.uint64(width - 1)) >> _ONE
-        tail = _block_u53(master_seed, samp[odd], last)[:, 0]
-        u53[odd] = np.concatenate([u53[odd][:, 1:], tail[:, None]], axis=1)
-    return (u53.astype(np.float64) + 0.5) * _TWO_NEG53
+    blocks = (width + 1) // 2 + (width % 2 == 0 and bool(np.any(odd)))
+    # first slot of every block the addresses touch, wrapping modulo 2**64, halved in place to the block
+    block = (draw & _EVEN)[..., None] + np.arange(0, 2 * blocks, 2, dtype=np.uint64)
+    block >>= _ONE
+    words = philox_words(master_seed, samp[..., None], block)
+    del block
+    slots = np.empty(draw.shape + (blocks, 2))
+    for lane, (high, low) in enumerate((words[:2], words[2:])):
+        high <<= np.uint64(21)
+        low >>= np.uint64(11)
+        high |= low
+        slots[..., lane] = high  # below 2**53, so the float is exact
+    del words, high, low
+    slots = slots.reshape(draw.shape + (2 * blocks,))
+    if not np.any(odd):
+        u = slots[..., :width]
+    elif np.all(odd):
+        u = slots[..., 1:width + 1]
+    else:
+        u = np.where(odd[..., None], slots[..., 1:width + 1], slots[..., :width])
+    u += 0.5
+    u *= _TWO_NEG53
+    return u
 
 
 # The C form of ``_numpy_uniforms``: one Philox4x32-10 block per pair of

@@ -274,8 +274,9 @@ def test_criterion_6_fk_within_three_std_errors():
     the oracle's 3-standard-error band.  The default right-endpoint
     rule's mean is the 64-step Trotter product, first order in t/n and
     +3.5e-3 from the oracle (about 7-8 standard errors); it is held to
-    the same band around that product, built independently on the
-    oracle's grid, and its distance from the oracle is only reported.
+    the same band around that product, built independently from the
+    circle's kernel on a grid, and its distance from the oracle is only
+    reported.
     """
     orc = spectral_oracle(Circle(TWO_PI), 512, cos_potential(), 1.0)
     want = orc.value_at(constant_one, 0.0)
@@ -283,13 +284,16 @@ def test_criterion_6_fk_within_three_std_errors():
     trap64 = fk_expectation(problem, rule="trapezoid", workers=4)
     right64 = fk_expectation(problem, workers=4)
 
-    # the right rule's mean: heat step after each potential step, applied to 1
-    heat_step = spectral_oracle(Circle(TWO_PI), 512, zero_potential(), 1.0 / 64).semigroup
-    v_step = np.exp(-np.cos(orc.grid) / 64)
-    vec = np.ones(len(orc.grid))
+    # the right rule's mean: heat step after each potential step, applied to 1,
+    # on a 512-point periodic grid with the exact circle kernel and trapezoid weights
+    grid = np.arange(512) * (TWO_PI / 512)
+    density = TransitionKernel(Circle(TWO_PI))._law.density
+    heat_step = density(1.0 / 64, grid[:, None, None], grid[None, :, None]) * (TWO_PI / 512)
+    v_step = np.exp(-np.cos(grid) / 64)
+    vec = np.ones(len(grid))
     for _ in range(64):
         vec = heat_step @ (v_step * vec)
-    trotter64 = float(vec[orc.index_of(0.0)])
+    trotter64 = float(vec[0])
 
     gap_se = abs(trap64.value - want) / trap64.std_error
     right_gap_se = abs(right64.value - trotter64) / right64.std_error

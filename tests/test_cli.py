@@ -761,6 +761,21 @@ class TestOutputs:
         out = json.loads(res.stdout)
         assert abs(out["value"] - out["oracle"]) <= 3.0 * out["std_error"]
 
+    @pytest.mark.parametrize("args", [
+        ["fk", "expectation", "--model", "circle:6.283185307179586", "--potential", "cos", "--t", "1",
+         "--steps", "4", "--samples", "100", "--oracle-m", "512", "--x0", "0.05"],
+        ["fk", "kernel", "--model", "circle:6.283185307179586", "--potential", "cos", "--t", "1",
+         "--steps", "4", "--samples", "100", "--oracle-m", "512", "--x0", "0.05", "--y0", "1"],
+        ["fk", "expectation", *KILLED, "--potential", "cos", "--t", "0.5", "--steps", "4",
+         "--samples", "100", "--oracle-m", "63", "--x0", "1.0"],
+    ], ids=["circle-expectation", "circle-kernel", "compactified-expectation"])
+    def test_fk_oracle_at_any_point(self, args):
+        # the Galerkin oracle has no grid: points that no finite-difference grid held run
+        res = run_cli(args)
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert math.isfinite(out["oracle"])
+
     def test_fk_monotonicity_honours_rule(self):
         args = ["fk", "monotonicity", "--model", "circle:6.283185307179586", "--potential", "cos",
                 "--potential2", "const:1", "--t", "0.5", "--steps", "8", "--samples", "256"]

@@ -410,50 +410,111 @@ class TestCoveringSum:
 
 
 class TestSpectralOracle:
-    def test_row_sums_conserve_without_potential(self):
+    # the finite-difference oracle this one replaced, on the same problem
+    # (circle 2 pi, cos, t = 1, x0 = 0): second order in the mesh
+    FD_COS = {512: 0.5617919342534312, 2048: 0.5617927325900447}
+
+    def test_circle_conserves_without_potential(self):
         orc = spectral_oracle(Circle(TWO_PI), 128, zero_potential(), 1.0)
-        sums = orc.semigroup @ np.ones(128)
-        assert np.max(np.abs(sums - 1.0)) < 1e-10
+        for x0 in (0.0, 0.05, 2.5):
+            assert orc.value_at(constant_one, x0) == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
-    def test_kernel_converges_at_second_order(self):
-        errs = []
-        for m in (64, 128, 256):
-            orc = spectral_oracle(Circle(TWO_PI), m, zero_potential(), 1.0)
-            want = np.array([
-                [evaluate(CIRCLE, 1.0, point(xi), point(xj)) for xj in orc.grid]
-                for xi in orc.grid[:8]
-            ])
-            errs.append(float(np.max(np.abs(orc.semigroup[:8] / orc.mesh - want))))
-        assert 3.0 < errs[0] / errs[1] < 5.0
-        assert 3.0 < errs[1] / errs[2] < 5.0
+    @pytest.mark.parametrize("model", [Circle(TWO_PI), DirichletInterval(math.pi)], ids=["circle", "interval"])
+    def test_constant_potential_factors_out(self, model):
+        base = spectral_oracle(model, 64, zero_potential(), 0.8)
+        shifted = spectral_oracle(model, 64, const_potential(0.9), 0.8)
+        factor = math.exp(-0.9 * 0.8)
+        for x0, y0 in ((0.3, 1.7), (2.0, 2.9)):
+            want = factor * base.value_at(cos_potential(), x0)
+            assert shifted.value_at(cos_potential(), x0) == pytest.approx(want, rel=0.0, abs=1e-12)
+            want = factor * base.kernel_entry(x0, y0)
+            assert shifted.kernel_entry(x0, y0) == pytest.approx(want, rel=0.0, abs=1e-12)
 
-    def test_constant_potential_commutes(self):
-        base = spectral_oracle(Circle(TWO_PI), 64, zero_potential(), 0.8)
-        shifted = spectral_oracle(Circle(TWO_PI), 64, const_potential(0.9), 0.8)
-        assert np.max(np.abs(shifted.semigroup - math.exp(-0.9 * 0.8) * base.semigroup)) < 1e-10
+    @pytest.mark.parametrize("model", [Circle(TWO_PI), DirichletInterval(math.pi)], ids=["circle", "interval"])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
+    def test_free_kernel_entries_are_the_density(self, model, t):
+        kernel = TransitionKernel(model)
+        orc = spectral_oracle(model, 512, zero_potential(), t)
+        for x0, y0 in ((0.05, 0.05), (0.3, 1.234), (1.0, 3.0), (3.1, 0.01)):
+            want = evaluate(kernel, t, point(x0), point(y0))
+            assert orc.kernel_entry(x0, y0) == pytest.approx(want, rel=0.0, abs=1e-12)
 
-    def test_dirichlet_oracle_loses_mass(self):
-        orc = spectral_oracle(DirichletInterval(math.pi), 256, zero_potential(), 1.0)
-        mid = orc.index_of(orc.grid[len(orc.grid) // 2])
-        got = float((orc.semigroup @ np.ones(256))[mid])
-        want = dirichlet_mass_arrays(1.0, orc.grid[mid], math.pi)
-        assert got == pytest.approx(want, abs=1e-4)
-        assert got < 1.0
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.99, 2.0])
+    @pytest.mark.parametrize("x0", [1e-9, 0.3, math.pi / 2, math.pi - 1e-6])
+    def test_interval_survival_mass(self, t, x0):
+        orc = spectral_oracle(DirichletInterval(math.pi), 512, zero_potential(), t)
+        want = float(dirichlet_mass_arrays(t, x0, math.pi))
+        assert orc.value_at(constant_one, x0) == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_compactified_oracle_is_the_interval_oracle(self):
         interval = spectral_oracle(DirichletInterval(math.pi), 256, cos_potential(), 1.0)
         killed = spectral_oracle(Compactified(DirichletInterval(math.pi)), 256, cos_potential(), 1.0)
-        assert np.array_equal(killed.semigroup, interval.semigroup)
-        assert np.array_equal(killed.grid, interval.grid) and killed.mesh == interval.mesh
+        assert killed.value_at(cos_potential(), 1.0) == interval.value_at(cos_potential(), 1.0)
+        assert killed.kernel_entry(0.5, 2.0) == interval.kernel_entry(0.5, 2.0)
 
-    def test_too_coarse_grid_rejected(self):
-        with pytest.raises(ValueError):
+    def test_too_few_modes_rejected(self):
+        with pytest.raises(ValueError, match="at least 16"):
             spectral_oracle(Circle(1.0), 8, zero_potential(), 1.0)
+        spectral_oracle(Circle(1.0), 16, zero_potential(), 1.0)
 
-    def test_off_grid_point_rejected(self):
+    def test_off_grid_point_is_evaluated(self):
+        # no grid: with V = 0 the semigroup damps cos by e^(-t) at any point
         orc = spectral_oracle(Circle(TWO_PI), 64, zero_potential(), 1.0)
-        with pytest.raises(ValueError):
-            orc.index_of(0.05)
+        assert orc.value_at(cos_potential(), 0.05) == pytest.approx(math.exp(-1.0) * math.cos(0.05), abs=1e-12)
+
+    def test_point_off_the_domain_rejected(self):
+        orc = spectral_oracle(DirichletInterval(math.pi), 64, zero_potential(), 1.0)
+        with pytest.raises(ValueError, match="open interval"):
+            orc.value_at(constant_one, 4.0)
+        with pytest.raises(ValueError, match="open interval"):
+            orc.kernel_entry(1.0, 0.0)
+
+    def test_cos_settles_by_64_modes_and_matches_the_extrapolated_fd_values(self, monkeypatch):
+        law = type(CIRCLE._law)
+        modes, basis = [], law.oracle_basis
+        monkeypatch.setattr(law, "oracle_basis", lambda self, n: modes.append(n) or basis(self, n))
+        got = spectral_oracle(Circle(TWO_PI), 512, cos_potential(), 1.0).value_at(constant_one, 0.0)
+        assert modes[-1] <= 64 and modes == sorted(modes)
+        fd_error = self.FD_COS[2048] - got
+        # the FD values sit 16 times farther off at 4 times the mesh, as O(h^2) has it
+        assert (self.FD_COS[512] - got) / fd_error == pytest.approx(16.0, rel=1e-3)
+        assert abs(fd_error) < 6e-8
+
+    def test_step_converges_to_its_cap(self):
+        values = [spectral_oracle(Circle(TWO_PI), m, step_potential(1.0, 2.0, 1.0), 1.0).value_at(constant_one, 0.0)
+                  for m in (128, 256, 512)]
+        assert abs(values[2] - values[1]) < abs(values[1] - values[0]) < 1e-6
+
+    @pytest.mark.parametrize("model", [Circle(TWO_PI), Circle(1.3), DirichletInterval(2.0)],
+                             ids=["circle", "short-circle", "interval"])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_matrix_and_coefficients_match_quadrature(self, model, n):
+        # a smooth V that is symmetric about no point of [0, L], so every block
+        # of the cos/sin matrix is nonzero; the midpoint rule errs by O(h^2)
+        pot = Potential(lambda c: 2.0 * np.cos(1.7 * c[..., 0]) + 0.5, 2.5,
+                        pieces=((-math.inf, math.inf, 2.0, 1.7), (-math.inf, math.inf, 0.5, 0.0)))
+        basis = TransitionKernel(model)._law.oracle_basis(n)
+        f_hat = feynman_kac._transform(pot, basis, 64)
+        x = (np.arange(20000) + 0.5) * (basis.length / 20000)
+        phi = np.array([basis.values(xi) for xi in x]) * math.sqrt(basis.length / 20000)
+        np.testing.assert_allclose(basis.matrix(f_hat), phi.T @ (pot(x[:, None])[:, None] * phi), rtol=0.0, atol=1e-7)
+        want = phi.T @ (pot(x[:, None]) * math.sqrt(basis.length / 20000))
+        np.testing.assert_allclose(basis.coefficients(f_hat), want, rtol=0.0, atol=1e-7)
+
+    def test_pieces_are_the_evaluators(self):
+        x = np.linspace(-1.0, 8.0, 901)
+        for pot in (zero_potential(), const_potential(-0.7), cos_potential(), step_potential(1.0, 2.0, 1.5)):
+            total = sum(value * np.cos(freq * x) * ((x >= lo) & (x < hi)) for lo, hi, value, freq in pot.pieces)
+            np.testing.assert_allclose(pot(x[:, None]), total + 0.0 * x, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("model, tol", [(Circle(TWO_PI), 1e-13), (DirichletInterval(math.pi), 1e-5)],
+                             ids=["circle", "interval"])
+    def test_a_callable_without_pieces_is_sampled(self, model, tol):
+        # the midpoint rule is exact for cos on the circle, O(m^-2) on the interval
+        sampled = Potential(lambda c: np.cos(c[..., 0]), 1.0)
+        want = spectral_oracle(model, 128, cos_potential(), 1.0).value_at(constant_one, 1.0)
+        got = spectral_oracle(model, 128, sampled, 1.0).value_at(lambda c: np.ones(c.shape[:-1]), 1.0)
+        assert got == pytest.approx(want, rel=0.0, abs=tol)
 
 
 class TestStepPotential:

@@ -401,6 +401,20 @@ class TestCompactifiedTable:
         # one minus the lost mass is off by up to 7e-10 here
         assert dirichlet_mass_arrays(t, x, math.pi) == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("x", [1e-12, 1e-9, 1e-6, 1e-3, math.pi - 1e-9])
+    def test_survival_mass_near_a_wall_up_to_the_switch(self, t, x):
+        # where 4kLy/h^2 < 1 the erfc pairs of the image sum cancel; the image
+        # sum at 60 digits (mpmath), at the float x
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            L = mpmath.mpf(math.pi)
+            y, h = min(mpmath.mpf(x), L - mpmath.mpf(x)), 2 * mpmath.sqrt(mpmath.mpf(t))
+            want = mpmath.erf(y / h) + mpmath.fsum(
+                (-1) ** k * (mpmath.erfc((k * L - y) / h) - mpmath.erfc((k * L + y) / h)) for k in range(1, 20))
+            want = float(want)
+        assert dirichlet_mass_arrays(t, x, math.pi) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("length", [math.pi, 1.0, 7.0])
     def test_survival_mass_forms_agree_at_the_switch(self, length):
         # reflection images below t = L^2/pi^2, the sine series above

@@ -100,7 +100,7 @@ MATRIX = {
     "fk_expectation": "fk expectation --potential cos " + _FK,
     "fk_kernel": "fk kernel --potential cos --y0={y} " + _FK,
     "fk_trapezoid": "fk expectation --potential cos --rule trapezoid " + _FK,
-    # with m = 20, circle:1.0's points 0.2 and 0.7 lie on the oracle's grid
+    # the oracle at a cap of 20 modes: it doubles from 16 and stops at 20
     "fk_kernel_oracle": "fk kernel --potential cos --y0={y} --oracle-m 20 " + _FK,
     # free paths reach the oracle's refusal on every model that draws them
     "fk_expectation_oracle": "fk expectation --potential cos --oracle-m 20 " + _FK,
@@ -128,6 +128,13 @@ SINGLE = {
         "bridge --model torus:1,2 --x0 0.2,0.5 --y0=0.7,1.5 --T 1 --steps 1023 --samples 5000 --sample-index 4999",
     # past the image budget, where the winding is drawn as a rounded normal
     "circle:1.0/bridge_past_budget": "bridge --model circle:1.0 --x0 0 --y0 0.5 --T 1e12 --steps 2 --samples 64",
+    # the oracle at points that lie on no grid of its mode counts
+    "circle:6.283185307179586/fk_oracle_off_grid":
+        "fk kernel --model circle:6.283185307179586 --potential cos --t 1 --steps 4 --samples 100 --oracle-m 512 "
+        "--x0 0.05 --y0 1",
+    "compactified:dirichlet:3.14159265/fk_oracle_off_grid":
+        "fk expectation --model compactified:dirichlet:3.14159265 --potential step:1,2,1 --t 0.5 --steps 4 "
+        "--samples 100 --oracle-m 63 --x0 1.0",
 }
 
 
