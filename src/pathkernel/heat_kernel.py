@@ -867,8 +867,8 @@ class _H3Law(_Law):
         return adaptive_simpson(f, 0.0, w, tol=tol)
 
     @staticmethod
-    def _direction(cursor):
-        uv = cursor.uniforms(2)
+    def _direction(uv):
+        """Uniform unit vectors in R^3 from the uniform pairs in the rows of ``uv``."""
         c = 1.0 - 2.0 * uv[:, 0]
         s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
         phi = 2.0 * np.pi * uv[:, 1]
@@ -894,12 +894,19 @@ class _H3Law(_Law):
 
         The radial law ~ r sinh(r) exp(-r^2/4t) is the law of |Z| for
         Z ~ N(2t e_1, 2t I_3) (Rogers & Pitman, 1981), so three normals give
-        the radius; the direction is drawn independently and uniformly.
+        the radius; the direction is drawn independently and uniformly.  One
+        draw of 8 slots per row: the normals from slots 0-5, the direction
+        from slots 6-7.
         """
         s = _scale(2.0 * dt, dt)
-        z0, z1, z2 = (cursor.normals()[:, 0] for _ in range(3))
+        u = cursor.uniforms(8)
+        # one normal per slot pair, each a contiguous column: (n, 3) normals
+        # would leave the radius arithmetic on strided columns, 1.8x slower
+        z0, z1, z2 = (box_muller(u[:, j:j + 2])[:, 0] for j in (0, 2, 4))
+        direction = self._direction(u[:, 6:])
+        del u  # 64 bytes a row, not to be held through the exp map
         r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
-        return self._exp(current, self._direction(cursor), r, dt)
+        return self._exp(current, direction, r, dt)
 
     def bridge_step(self, cursor, current, y, dt, tau_before):
         """One exact step of the H^3 bridge to y, with tau_before time left.
@@ -911,11 +918,15 @@ class _H3Law(_Law):
         ~ d exp(-d^2/4dt) on [|a-b|, a+b], a = d(c, y); one uniform draws the
         truncated exponential d^2, the law of cosines at y turns d into the
         angle from the geodesic y -> c, and a second uniform sets the azimuth.
+        As in ``step``, one draw of 8 slots: the normals from slots 0-5, the
+        two uniforms from slots 6-7.
         """
         k = 1.0 - dt / tau_before
         s = _scale(2.0 * dt * k, dt)
-        z0, z1, z2 = (cursor.normals()[:, 0] for _ in range(3))
-        u, v = cursor.uniforms(2).T
+        draw = cursor.uniforms(8)
+        z0, z1, z2 = (box_muller(draw[:, j:j + 2])[:, 0] for j in (0, 2, 4))
+        u, v = draw[:, 6:].T.copy()
+        del draw  # 64 bytes a row, not to be held through the exp map
         a = self.model.distance_arrays(current, y)
         b = np.sqrt((k * a + s * z0) ** 2 + s * s * (z1 * z1 + z2 * z2))
         lo, gap = np.minimum(a, b), np.abs(a - b)

@@ -31,16 +31,25 @@ Philox block, the lane choice, the odd-start and wrap slot logic and the
 53-bit float.  That is integer arithmetic plus one IEEE add and a
 power-of-two scale, so the kernel's output is bit-identical to the numpy
 body (``_numpy_uniforms`` on ``philox_words``), which stays as its
-reference and as the fallback.  The library lives in ``__pycache__/``
-next to this file, under a name that carries a hash of the C source, the
-compiler flags and the machine type.  The first draw in a process loads
-it; if it is missing, that draw compiles it with ``cc`` into a temporary
-file, checks it against known answers of the numpy body and renames it
-into place.  With no ``cc`` on ``PATH``, a failed compile or check, an
-unwritable ``__pycache__`` or a library that does not load, draws run in
-numpy silently, with the same bits.  Box-Muller stays in numpy: libm's
-``log`` and ``cos`` do not round like numpy's SIMD loops, so normals
-computed in C would differ in the last bits.
+reference and as the fallback.  The kernel has two bodies.  The scalar
+loop computes one address at a time.  On x86-64 CPUs with AVX-512F and
+AVX-512DQ, found at run time, a vector body computes eight addresses at
+once wherever 8 consecutive addresses start at slots of one parity; mixed
+groups and the tail of fewer than 8 take the scalar loop.  Its products
+are the same 32x32->64-bit products and its float conversion is exact
+below 2**53, so both bodies give the same bits.  One library serves every
+x86-64 host; it lives in ``__pycache__/`` next to this file, under a name
+that carries a hash of the C source, the compiler flags and the machine
+type.  The first draw in a process loads it; if it is missing, that draw
+compiles it with ``cc`` into a temporary file and renames it into place.
+Every load checks both bodies, on this CPU, against known answers of the
+numpy body (kept as a CRC-32 that the tests recompute), so a library
+built where the vector body could not run is checked where it does.
+With no ``cc`` on ``PATH``, a failed compile or check, an unwritable
+``__pycache__`` or a library that does not load, draws run in numpy
+silently, with the same bits.  Box-Muller stays in numpy: libm's ``log``
+and ``cos`` do not round like numpy's SIMD loops, so normals computed in
+C would differ in the last bits.
 """
 
 from __future__ import annotations
@@ -51,7 +60,9 @@ import importlib.util
 import os
 import platform
 import shutil
+import struct
 import tempfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,6 +206,8 @@ def _numpy_uniforms(master_seed, samp, draw, width):
 
 # The C form of ``_numpy_uniforms``: one Philox4x32-10 block per pair of
 # slots, the same lane choice and 2**64 slot wrap, the same 53-bit float.
+# ``pathkernel_uniforms_scalar`` computes one address at a time;
+# ``pathkernel_uniforms`` runs the AVX-512 body where the CPU has it.
 _KERNEL_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
@@ -221,8 +234,8 @@ static double u53(uint32_t a, uint32_t b)
     return ((double)(((uint64_t)a << 21) | (b >> 11)) + 0.5) * 0x1p-53;
 }
 
-void pathkernel_uniforms(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
-                         size_t n, size_t width, double *out)
+void pathkernel_uniforms_scalar(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
+                                size_t n, size_t width, double *out)
 {
     for (size_t i = 0; i < n; i++, out += width) {
         uint64_t slot = draw[i];
@@ -241,6 +254,87 @@ void pathkernel_uniforms(uint64_t seed, const uint64_t *sample, const uint64_t *
         }
     }
 }
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
+
+/* philox() on eight counters, one per 64-bit lane; every word stays below 2**32 */
+static inline AVX512 void philox8(const __m512i key[10][2], __m512i block, __m512i sample, __m512i w[4])
+{
+    const __m512i low = _mm512_set1_epi64(0xFFFFFFFF);
+    const __m512i m0 = _mm512_set1_epi64(0xD2511F53), m1 = _mm512_set1_epi64(0xCD9E8D57);
+    __m512i c0 = _mm512_and_si512(block, low), c1 = _mm512_srli_epi64(block, 32);
+    __m512i c2 = _mm512_and_si512(sample, low), c3 = _mm512_srli_epi64(sample, 32);
+    for (int r = 0; r < 10; r++) {
+        /* the products of the low 32 bits of each lane */
+        __m512i p0 = _mm512_mul_epu32(c0, m0), p1 = _mm512_mul_epu32(c2, m1);
+        c0 = _mm512_xor_si512(_mm512_xor_si512(_mm512_srli_epi64(p1, 32), c1), key[r][0]);
+        c1 = _mm512_and_si512(p1, low);
+        c2 = _mm512_xor_si512(_mm512_xor_si512(_mm512_srli_epi64(p0, 32), c3), key[r][1]);
+        c3 = _mm512_and_si512(p0, low);
+    }
+    w[0] = c0, w[1] = c1, w[2] = c2, w[3] = c3;
+}
+
+static inline AVX512 __m512d u53x8(__m512i a, __m512i b)
+{
+    __m512i bits = _mm512_or_si512(_mm512_slli_epi64(a, 21), _mm512_srli_epi64(b, 11));
+    /* below 2**53, so the conversion is exact and the float is u53()'s */
+    return _mm512_mul_pd(_mm512_add_pd(_mm512_cvtepi64_pd(bits), _mm512_set1_pd(0.5)), _mm512_set1_pd(0x1p-53));
+}
+
+/* Eight addresses at once where their start slots share one parity; mixed
+   groups and the n % 8 tail take the scalar loop. */
+static AVX512 void uniforms_avx512(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
+                                   size_t n, size_t width, double *out)
+{
+    const __m512i one = _mm512_set1_epi64(1), blocks = _mm512_set1_epi64(INT64_MAX);
+    /* lane j writes row j of the group, width doubles apart */
+    const __m512i rows = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                                            _mm512_set1_epi64((long long)width));
+    __m512i key[10][2], w[4];
+    uint32_t k0 = (uint32_t)seed, k1 = (uint32_t)(seed >> 32);
+    for (int r = 0; r < 10; r++, k0 += 0x9E3779B9u, k1 += 0xBB67AE85u)
+        key[r][0] = _mm512_set1_epi64(k0), key[r][1] = _mm512_set1_epi64(k1);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        double *o = out + i * width;
+        __m512i d = _mm512_loadu_si512(draw + i), s = _mm512_loadu_si512(sample + i);
+        __mmask8 odd = _mm512_test_epi64_mask(d, one);
+        if (odd != 0 && odd != 0xFF) {
+            pathkernel_uniforms_scalar(seed, sample + i, draw + i, 8, width, o);
+            continue;
+        }
+        __m512i block = _mm512_srli_epi64(d, 1);
+        size_t k = 0;
+        /* an odd start is the second lane of its first block */
+        for (int skip = odd != 0; k < width; skip = 0) {
+            philox8(key, block, s, w);
+            if (!skip)
+                _mm512_i64scatter_pd(o + k++, rows, u53x8(w[0], w[1]), 8);
+            if (k < width)
+                _mm512_i64scatter_pd(o + k++, rows, u53x8(w[2], w[3]), 8);
+            /* the next block, modulo 2**63 as the scalar slot wraps modulo 2**64 */
+            block = _mm512_and_si512(_mm512_add_epi64(block, one), blocks);
+        }
+    }
+    pathkernel_uniforms_scalar(seed, sample + i, draw + i, n - i, width, out + i * width);
+}
+#endif
+
+void pathkernel_uniforms(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
+                         size_t n, size_t width, double *out)
+{
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
+        uniforms_avx512(seed, sample, draw, n, width, out);
+        return;
+    }
+#endif
+    pathkernel_uniforms_scalar(seed, sample, draw, n, width, out);
+}
 """
 _KERNEL_FLAGS = ("-O3", "-shared", "-fPIC")
 _SEED_MASK = 2 ** 64 - 1
@@ -258,26 +352,61 @@ def _kernel_path():
 
 
 def _load(path):
-    fn = ctypes.CDLL(str(path)).pathkernel_uniforms
-    fn.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
-                   ctypes.c_void_p]
-    fn.restype = None
-    return fn
+    """The library's two bodies: ``pathkernel_uniforms`` (vector where the CPU runs it) and the scalar loop."""
+    lib = ctypes.CDLL(str(path))
+    bodies = lib.pathkernel_uniforms, lib.pathkernel_uniforms_scalar
+    for fn in bodies:
+        fn.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+                       ctypes.c_void_p]
+        fn.restype = None
+    return bodies
 
 
-def _matches_numpy(fn):
-    """Known answers from the numpy body: both lanes, both parities, the 2**33 carry and the 2**64 wrap."""
-    samp = np.array([0, 3, 2 ** 63 + 5, _SEED_MASK], dtype=np.uint64)
-    draw = np.array([0, 2 ** 33 - 1, 6, _SEED_MASK], dtype=np.uint64)
-    seed = 0x299F31D0A4093822
-    want = _numpy_uniforms(seed, samp, draw, 3)
-    got = np.empty_like(want)
-    fn(seed, samp.ctypes.data, draw.ctypes.data, draw.size, 3, got.ctypes.data)
-    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+def _check_addresses():
+    """Sample and draw indices of the known-answer check, at width ``_CHECK_WIDTH``.
+
+    Two 8-address groups of even starts, two of odd starts, one mixed group
+    and a 3-address tail.  Each group holds the 2**33 carry into the block's
+    high counter word and starts whose blocks wrap from 2**63 - 1 to 0 at
+    their first or second step.
+    """
+    even = [0, 6, 2 ** 33 - 4, 2 ** 33 - 2, 2 ** 63, 2 ** 64 - 6, 2 ** 64 - 4, 2 ** 64 - 2]
+    draw = [*even, *even[::-1], *(d + 1 for d in even), *(d + 1 for d in even[::-1]),
+            *(d + i % 2 for i, d in enumerate(even)), 2 ** 64 - 1, 3, 2 ** 33 - 2]
+    sample = [i * 0x9E3779B97F4A7C15 % 2 ** 64 for i in range(len(draw))]
+    return sample, draw
+
+
+def _crc(variates):
+    """CRC-32 of float64 variates packed little-endian."""
+    return zlib.crc32(struct.pack(f"<{len(variates)}d", *variates))
+
+
+# The numpy body's variates at the check addresses, as their CRC-32; the
+# test suite recomputes it from ``_numpy_uniforms``.  Running the numpy body
+# in every process instead would cost about 1 ms and 0.66 MB of resident
+# memory, mostly numpy's uint64 loops paged in for the check alone.
+_CHECK_SEED = 0x299F31D0A4093822
+_CHECK_WIDTH = 5
+_CHECK_CRC = 0x6BCAFAFE
+
+
+def _passes_check(bodies):
+    """True if every kernel body in ``bodies`` gives the numpy body's variates at the check addresses."""
+    sample, draw = _check_addresses()
+    n = len(draw)
+    samp, draw = (ctypes.c_uint64 * n)(*sample), (ctypes.c_uint64 * n)(*draw)
+    out = (ctypes.c_double * (n * _CHECK_WIDTH))()
+    for fn in bodies:
+        ctypes.memset(out, 0, ctypes.sizeof(out))  # no variate is 0, so a slot left unwritten fails
+        fn(_CHECK_SEED, samp, draw, n, _CHECK_WIDTH, out)
+        if _crc(out) != _CHECK_CRC:
+            return False
+    return True
 
 
 def _build(path):
-    """Compile the kernel to ``path`` if a ``cc`` on PATH builds one that matches the numpy body."""
+    """Compile the kernel to ``path`` if a ``cc`` on PATH builds one."""
     import subprocess  # 4 ms to import; only a build needs it
 
     cc = shutil.which("cc")
@@ -292,7 +421,7 @@ def _build(path):
                                   capture_output=True, timeout=120, check=False)
         except subprocess.SubprocessError:
             return False
-        if done.returncode != 0 or not _matches_numpy(_load(tmp)):
+        if done.returncode != 0:
             return False
         os.chmod(tmp, 0o755)  # mkstemp's 0o600 would hide the library from other users
         # processes compiling at once each write their own file; the last rename wins whole
@@ -307,13 +436,16 @@ def _build(path):
 def _kernel():
     """The compiled ``pathkernel_uniforms``, or None where it cannot be had.
 
-    A cached library passed its known-answer check when it was built and
-    is trusted from then on, as ``.pyc`` files next to it are.
+    Every load checks both bodies against known answers of the numpy body:
+    a library built on a host without AVX-512 has a vector body that only
+    a host with it runs, so a check at build time would not cover it.
     """
     path = _kernel_path()
     try:
         if path.exists() or _build(path):
-            return _load(path)
+            bodies = _load(path)
+            if _passes_check(bodies):
+                return bodies[0]
     except OSError:
         pass
     return None
@@ -352,13 +484,13 @@ class StreamCursor:
     def uniforms(self, cols=1):
         """(n, cols) uniforms for every sample; advances cursors by cols."""
         out = uniforms(self.master_seed, self.samples, self.pos, cols)
-        self.pos = self.pos + np.uint64(cols)
+        self.pos += np.uint64(cols)
         return out
 
     def normals(self, cols=1):
         """(n, cols) standard normals; advances cursors by 2*cols."""
         out = box_muller(uniforms(self.master_seed, self.samples, self.pos, 2 * cols))
-        self.pos = self.pos + np.uint64(2 * cols)
+        self.pos += np.uint64(2 * cols)
         return out
 
     def uniforms_at(self, rows, cols=1):

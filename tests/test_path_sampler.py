@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import pathkernel.path_sampler as ps
+from pathkernel import rng
 from pathkernel.diagnostics import expected_distance_analytic
 from pathkernel.errors import NonFiniteSampleError, PathkernelError, StepTooLargeError
 from pathkernel.heat_kernel import (
@@ -444,20 +445,38 @@ class TestCoveringPaths:
             lift_path(self.COV, base, point(0.35))
 
 
+def draw_shapes(monkeypatch):
+    """The shape of every ``rng.uniforms`` result from here on, in call order."""
+    shapes = []
+    draw = rng.uniforms
+
+    def spy(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(rng, "uniforms", spy)
+    return shapes
+
+
 class TestHyperbolicStep:
-    def test_step_consumes_eight_slots(self):
+    def test_step_consumes_eight_slots(self, monkeypatch):
+        shapes = draw_shapes(monkeypatch)
         cursor = StreamCursor(5, np.arange(3, dtype=np.uint64))
         H3K._law.step(cursor, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), 0.4)
         assert cursor.pos.tolist() == [8, 8, 8]
+        assert shapes == [(3, 8)]  # one draw call per move
 
-    def test_bridge_step_consumes_eight_slots(self):
+    def test_bridge_step_consumes_eight_slots(self, monkeypatch):
         # row 1 sits on the endpoint, where the angle has no reference direction
+        shapes = draw_shapes(monkeypatch)
         cursor = StreamCursor(5, np.arange(3, dtype=np.uint64))
         y = h3_point(ORIGIN4.coords, [0.0, 1.0, 0.0], 0.8)
         current = np.stack([H3_OFF, y, np.asarray(ORIGIN4.coords)])
         out = H3K._law.bridge_step(cursor, current, y, 0.25, 0.75)
         assert cursor.pos.tolist() == [8, 8, 8]
         assert np.all(np.isfinite(out))
+        assert shapes == [(3, 8)]  # one draw call per move
 
     def test_far_one_step_mean_distance(self):
         # at t = 20 the step radius is about 40, where the coordinates

@@ -233,11 +233,45 @@ def kernel_and_numpy(monkeypatch, draw):
     return got, ref
 
 
+@pytest.fixture(scope="module")
+def kernel_bodies():
+    """The compiled library's two bodies: the one ``uniforms`` calls (vector where the CPU runs it) and the scalar loop."""
+    if rng._kernel() is None:
+        pytest.skip("no compiled draw kernel")
+    return rng._load(rng._kernel_path())
+
+
+def assert_bodies_match_numpy(bodies, seed, sample, draw, width):
+    want = rng._numpy_uniforms(seed, sample, draw, width)
+    for fn in bodies:
+        got = np.full_like(want, np.nan)
+        fn(seed, sample.ctypes.data, draw.ctypes.data, draw.size, width, got.ctypes.data)
+        assert_same_bits(got, want)
+
+
+def _group_draws(parity, n, seed):
+    """Draw slots whose 8-row groups all start even, all odd, or mixed (one odd row per group, at rotating places)."""
+    draw = _draws("even", n, seed)
+    rows = np.arange(n)
+    if parity == "odd":
+        draw |= np.uint64(1)
+    elif parity == "mixed":
+        draw |= (rows % 8 == rows // 8 % 8).astype(np.uint64)
+    return draw
+
+
 class TestKernel:
     """The compiled draw kernel against the numpy body of ``uniforms``, bit for bit."""
 
     def test_kernel_loads_where_cc_exists(self):
         assert shutil.which("cc") is None or rng._kernel() is not None
+
+    def test_load_check_holds_the_numpy_bodys_answers(self):
+        sample, draw = rng._check_addresses()
+        want = rng._numpy_uniforms(rng._CHECK_SEED, np.array(sample, np.uint64), np.array(draw, np.uint64),
+                                   rng._CHECK_WIDTH)
+        assert rng._crc(want.ravel().tolist()) == rng._CHECK_CRC
+        assert rng._crc(np.nextafter(want, 1.0).ravel().tolist()) != rng._CHECK_CRC
 
     @pytest.mark.parametrize("parity", ["even", "odd", "mixed"])
     @pytest.mark.parametrize("width", range(1, 10))
@@ -275,6 +309,34 @@ class TestKernel:
             got, ref = kernel_and_numpy(monkeypatch, lambda: uniforms(0x299F31D0A4093822, sample, draw, width))
             assert got.shape == np.broadcast(np.asarray(sample), np.asarray(draw)).shape + (width,)
             assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("parity", ["even", "odd", "mixed"])
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_both_bodies_on_groups_of_eight(self, kernel_bodies, width, parity):
+        draw = _group_draws(parity, 64, width)
+        sample = np.random.default_rng(width).integers(0, 2 ** 64, draw.size, dtype=np.uint64)
+        for seed in SEEDS:
+            assert_bodies_match_numpy(kernel_bodies, seed, sample, draw, width)
+
+    @pytest.mark.parametrize("tail", range(1, 8))
+    def test_both_bodies_on_tails(self, kernel_bodies, tail):
+        # 8k + tail rows: the last rows of a vector-body call take the scalar loop
+        for parity in ("even", "odd", "mixed"):
+            for n in (tail, 16 + tail):
+                draw = _group_draws(parity, n, tail)
+                sample = np.arange(n, dtype=np.uint64) * np.uint64(7919)
+                for width in range(1, 10):
+                    assert_bodies_match_numpy(kernel_bodies, 0x299F31D0A4093822, sample, draw, width)
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_both_bodies_wrap_inside_a_group(self, kernel_bodies, width):
+        # full groups of starts at and below slot 2**64 - 1: row j's blocks step
+        # from 2**63 - 1 to block 0 after j + 1 blocks, not on to block 2**63
+        sample = np.arange(8, dtype=np.uint64) + np.uint64(2 ** 63)
+        for last in (U64_MAX, U64_MAX - 1):
+            draw = np.uint64(last) - np.arange(0, 16, 2, dtype=np.uint64)
+            for seed in SEEDS:
+                assert_bodies_match_numpy(kernel_bodies, seed, sample, draw, width)
 
     def test_uniforms_at_random_rows(self, monkeypatch):
         samples = np.arange(500, 1500, dtype=np.uint64)
@@ -355,4 +417,21 @@ class TestKernelCache:
         probe(package_copy)
         (lib,) = cached_kernels(package_copy)
         lib.write_bytes(b"not a shared library")
+        assert probe(package_copy) == (False, numpy_bits(monkeypatch))
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="building the kernel needs cc")
+    def test_wrong_vector_body_falls_back_to_numpy(self, package_copy, monkeypatch):
+        # the cached library rebuilt from a source whose vector body steps its
+        # blocks by a plain + 1, so block 2**63 - 1 is followed by 2**63, not 0
+        probe(package_copy)
+        (lib,) = cached_kernels(package_copy)
+        wrap = "_mm512_and_si512(_mm512_add_epi64(block, one), blocks)"
+        assert rng._KERNEL_SOURCE.count(wrap) == 1
+        source = rng._KERNEL_SOURCE.replace(wrap, "_mm512_add_epi64(block, one)")
+        subprocess.run(["cc", *rng._KERNEL_FLAGS, "-x", "c", "-", "-o", str(lib)], input=source.encode(),
+                       capture_output=True, timeout=600, check=True)
+        vector, scalar = rng._load(lib)
+        if rng._passes_check([vector]):
+            pytest.skip("this CPU does not run the vector body")
+        assert rng._passes_check([scalar])
         assert probe(package_copy) == (False, numpy_bits(monkeypatch))

@@ -135,6 +135,15 @@ SINGLE = {
     "compactified:dirichlet:3.14159265/fk_oracle_off_grid":
         "fk expectation --model compactified:dirichlet:3.14159265 --potential step:1,2,1 --t 0.5 --steps 4 "
         "--samples 100 --oracle-m 63 --x0 1.0",
+    # the draw kernel's vector body takes 8 rows whose start slots share a
+    # parity: the killed step draws 3 slots per alive row, so every other
+    # step starts odd, and 1,003 rows leave a 3-row tail
+    "compactified:dirichlet:3.14159265/sample_odd_tail":
+        "sample --model compactified:dirichlet:3.14159265 --x0 1 --T 1 --steps 8 --samples 1003",
+    # one 8-slot draw per H3 bridge move, 1,001 rows: a 1-row tail
+    "hyperbolic3/bridge_tail":
+        "bridge --model hyperbolic3 --x0 1,0,0,0 --y0=1.3374349463048447,0.888105982187623,0,0 --T 1 --steps 4 "
+        "--samples 1001",
 }
 
 
