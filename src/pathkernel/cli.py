@@ -68,7 +68,7 @@ from .path_sampler import (
     sample_bridges,
     sample_paths,
 )
-from .rng import RngContract
+from .rng import RngContract, StreamCursor
 
 DEFAULT_SEED = 1729
 
@@ -444,15 +444,12 @@ def _run_verify(config):
     check = config.options["check"]
     k = _kernel_for(config)
     if check == "chapman-kolmogorov":
-        gen = np.random.default_rng(config.options["seed"])
-        tuples = []
-        for _ in range(config.options["tuples"]):  # s, t, x, z per tuple
-            s = float(gen.uniform(0.2, 0.8))
-            t = float(gen.uniform(0.2, 0.8))
-            x = k.model.random_interior(gen)
-            z = k.model.random_interior(gen)
-            tuples.append((s, t, x, z))
-        worst = float(np.max(chapman_kolmogorov_residuals(k, *zip(*tuples))))
+        # tuple i draws s, t, x and z, in this order, from substream i of the seed
+        cursor = StreamCursor(config.options["seed"], np.arange(config.options["tuples"], dtype=np.uint64))
+        s, t = (0.2 + 0.6 * cursor.uniforms(2)).T.tolist()
+        x = k.model.random_interior(cursor)
+        z = k.model.random_interior(cursor)
+        worst = float(np.max(chapman_kolmogorov_residuals(k, s, t, x, z)))
         payload = {"max_residual": worst, "tuples": config.options["tuples"],
                    "tol": config.options["tol"], "seed": config.options["seed"]}
         failed = not worst <= config.options["tol"]  # a NaN residual fails too

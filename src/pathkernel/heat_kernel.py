@@ -87,6 +87,7 @@ from .manifold import (
     covering_of,
     exp_point_arrays,
     project_arrays,
+    sphere_directions,
     validate_point,
 )
 from .quadrature import (
@@ -97,7 +98,6 @@ from .quadrature import (
 )
 from .rng import box_muller
 
-NEVER_KILLED = -1
 MAX_TERMS = 10 ** 6
 
 
@@ -110,6 +110,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0.0 < self.tail_tolerance < 1.0:
             raise ValueError("tail_tolerance must lie in (0, 1)")
+        if self.tail_tolerance * 1e-3 == 0.0:  # the series are cut at a thousandth of it
+            raise ValueError(f"tail_tolerance {self.tail_tolerance!r} is too small: its thousandth underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -626,9 +628,8 @@ class _Law:
         return f"{TASKS[task][1]} {_runners(task)}, not {self.model}/{self.kind}"
 
     def paths(self, cursor, x0a, steps):
-        """Positions (n, m+1, dim) and kill steps of free paths from x0a."""
-        pos = _walk(x0a, len(cursor), len(steps), lambda j, current: self.step(cursor, current, steps[j]))
-        return pos, np.full(len(cursor), NEVER_KILLED, dtype=np.int64)
+        """Positions (n, m+1, dim) of free paths from x0a; a killed path's rows from its kill on are NaN."""
+        return _walk(x0a, len(cursor), len(steps), lambda j, current: self.step(cursor, current, steps[j]))
 
     def bridges(self, cursor, x0a, y0a, times):
         """Bridges from x0a to y0a (a row, or one per sample) on the grid
@@ -867,14 +868,6 @@ class _H3Law(_Law):
         return adaptive_simpson(f, 0.0, w, tol=tol)
 
     @staticmethod
-    def _direction(uv):
-        """Uniform unit vectors in R^3 from the uniform pairs in the rows of ``uv``."""
-        c = 1.0 - 2.0 * uv[:, 0]
-        s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-        phi = 2.0 * np.pi * uv[:, 1]
-        return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
-
-    @staticmethod
     def _exp(base, direction, r, dt):
         """exp_point_arrays for a step of time dt; overflow is an error."""
         # overflow is reported once, below, as an error rather than a warning
@@ -903,7 +896,7 @@ class _H3Law(_Law):
         # one normal per slot pair, each a contiguous column: (n, 3) normals
         # would leave the radius arithmetic on strided columns, 1.8x slower
         z0, z1, z2 = (box_muller(u[:, j:j + 2])[:, 0] for j in (0, 2, 4))
-        direction = self._direction(u[:, 6:])
+        direction = sphere_directions(u[:, 6:])
         del u  # 64 bytes a row, not to be held through the exp map
         r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
         return self._exp(current, direction, r, dt)
@@ -1178,12 +1171,6 @@ class _KilledLaw(_Law):
         nxt = np.full_like(current, np.nan)
         nxt[alive[survive], 0] = prop[survive]
         return nxt
-
-    def paths(self, cursor, x0a, steps):
-        """Free paths of the step, each killed at its first NaN row."""
-        pos, _ = super().paths(cursor, x0a, steps)
-        dead = np.isnan(pos[:, :, 0])
-        return pos, np.where(dead[:, -1], np.argmax(dead, axis=1), NEVER_KILLED)
 
 
 _LAWS = {

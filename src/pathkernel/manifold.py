@@ -9,9 +9,16 @@ mass lost by an absorbing space.
 Each model class carries its own geometry: ``dim`` (chart coordinates per
 point), ``check_coords(x, name)`` (ValueError for finite coordinates off
 the model), ``distance_arrays(x, y)`` on (..., dim) arrays, and the command
-line's ``default_point()`` and ``random_interior(gen)``.  A new model
+line's ``default_point()`` and ``random_interior(cursor)``.  A new model
 supplies these and a law in ``heat_kernel``; ``Compactified`` delegates
 them to its base.
+
+``random_interior(cursor)`` draws one interior point per row of an
+``rng.StreamCursor`` from that row's substream, in a fixed number of
+uniform slots: N(0, I) on Euclidean(n) (n normals, 2n slots); on
+Hyperbolic3 a uniform direction (slots 0-1) at a radius from U(0.1, 1.5)
+(slot 2); U[0, L_i) per circle or torus coordinate and U(0.1 L, 0.9 L) on
+the interval, one slot each.
 
 Everything here is pure and operates on immutable values, so models and
 points can be shared freely across workers.
@@ -51,8 +58,8 @@ class Euclidean:
     def default_point(self):
         return Point(tuple(0.0 for _ in range(self.dim)))
 
-    def random_interior(self, gen):
-        return Point(tuple(gen.normal(0.0, 1.0, self.dim)))
+    def random_interior(self, cursor):
+        return _points(cursor.normals(self.dim))
 
 
 @dataclass(frozen=True)
@@ -103,11 +110,10 @@ class Hyperbolic3:
     def default_point(self):
         return Point((1.0, 0.0, 0.0, 0.0))
 
-    def random_interior(self, gen):
-        d = gen.normal(size=3)
-        d /= np.linalg.norm(d)
-        r = gen.uniform(0.1, 1.5)
-        return Point(tuple(exp_point_arrays(np.array([1.0, 0, 0, 0]), d, r)))
+    def random_interior(self, cursor):
+        u = cursor.uniforms(3)
+        origin = self.default_point().array()
+        return _points(exp_point_arrays(origin, sphere_directions(u[:, :2]), 0.1 + 1.4 * u[:, 2]))
 
 
 class _Periodic:
@@ -125,8 +131,10 @@ class _Periodic:
     def default_point(self):
         return Point(tuple(0.0 for _ in range(self.dim)))
 
-    def random_interior(self, gen):
-        return Point(tuple(gen.uniform(0.0, p) for p in self.periods))
+    def random_interior(self, cursor):
+        per = np.asarray(self.periods)
+        # a uniform may be exactly 1.0; its point L is 0 in the box [0, L)
+        return _points(np.mod(cursor.uniforms(self.dim) * per, per))
 
 
 @dataclass(frozen=True)
@@ -179,8 +187,8 @@ class DirichletInterval:
     def default_point(self):
         return Point((self.length / 2.0,))
 
-    def random_interior(self, gen):
-        return Point((gen.uniform(0.1, 0.9) * self.length,))
+    def random_interior(self, cursor):
+        return _points((0.1 + 0.8 * cursor.uniforms(1)) * self.length)
 
 
 @dataclass(frozen=True)
@@ -207,8 +215,8 @@ class Compactified:
     def default_point(self):
         return self.base.default_point()
 
-    def random_interior(self, gen):
-        return self.base.random_interior(gen)
+    def random_interior(self, cursor):
+        return self.base.random_interior(cursor)
 
 
 @dataclass(frozen=True)
@@ -236,6 +244,11 @@ CEMETERY = Point(coords=(), cemetery=True)
 
 def point(*coords):
     return Point(coords=tuple(coords))
+
+
+def _points(rows):
+    """One Point per row of a (n, dim) coordinate array."""
+    return [Point(tuple(row)) for row in rows.tolist()]
 
 
 def validate_point(model, p, name="point"):
@@ -310,6 +323,14 @@ def _scaled_h3_distance(x, y):
         t = q * s * s
         rho = np.log1p(t + np.sqrt(t * (2.0 + t)))
     return np.where(np.isfinite(rho), rho, np.log(2.0 * q) + 2.0 * np.log(s))
+
+
+def sphere_directions(uv):
+    """Uniform unit vectors in R^3 from the uniform pairs in the rows of ``uv``."""
+    c = 1.0 - 2.0 * uv[:, 0]
+    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    phi = 2.0 * np.pi * uv[:, 1]
+    return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
 
 
 def exp_point_arrays(base, direction, r):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepTooLargeError
-from .heat_kernel import NEVER_KILLED, check_task, evaluate
+from .heat_kernel import check_task, evaluate
 from .manifold import (
     CEMETERY,
     Point,
@@ -37,6 +37,8 @@ from .manifold import (
     validate_point,
 )
 from .rng import StreamCursor
+
+NEVER_KILLED = -1
 
 
 @dataclass(frozen=True)
@@ -105,15 +107,14 @@ class PathEnsemble:
     """Vectorized sample of paths sharing one grid.
 
     ``positions[i, j]`` are the coordinates of sample i at grid time j;
-    rows at and after a sample's kill step hold NaN.  ``positions`` is a
-    transposed view of the sampler's step-major walk: a reader whose sums
-    depend on memory order copies its slice.  ``windings`` is populated by
-    covering-decomposition bridges.
+    rows at and after a sample's kill step hold NaN, and no others.
+    ``positions`` is a transposed view of the sampler's step-major walk: a
+    reader whose sums depend on memory order copies its slice.
+    ``windings`` is populated by covering-decomposition bridges.
     """
 
     grid: TimeGrid
     positions: np.ndarray
-    kill_step: np.ndarray
     windings: np.ndarray | None = None
     rejection_attempts: int = 0  # no sampler rejects; kept for the benchmark tracer, which reads it
 
@@ -123,15 +124,21 @@ class PathEnsemble:
     def __getitem__(self, rows):
         """The ensemble of the samples in ``rows`` (a slice), as views."""
         windings = None if self.windings is None else self.windings[rows]
-        return PathEnsemble(self.grid, self.positions[rows], self.kill_step[rows], windings)
+        return PathEnsemble(self.grid, self.positions[rows], windings)
 
     @property
     def killed(self):
-        """Per sample, whether it was killed."""
-        return self.kill_step != NEVER_KILLED
+        """Per sample, whether it was killed: a kill is final, so its last row is NaN."""
+        return np.isnan(self.positions[:, -1, 0])
+
+    @property
+    def kill_step(self):
+        """Per sample, the grid index of its first NaN row, or NEVER_KILLED."""
+        dead = np.isnan(self.positions[:, :, 0])
+        return np.where(dead[:, -1], np.argmax(dead, axis=1), NEVER_KILLED)
 
     def survival_fraction(self):
-        return float(np.mean(self.kill_step == NEVER_KILLED))
+        return float(np.mean(~self.killed))
 
     def path(self, i):
         pts = []
@@ -165,8 +172,7 @@ def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
     """Ensemble of Markov paths started at x0, stepped by the kernel's law."""
     (x0a,), cursor = _ensemble_input(kernel, {"x0": x0}, grid, master_seed, n_samples, first_index)
     check_task(kernel, "paths")
-    pos, kill = kernel._law.paths(cursor, x0a, grid.steps().tolist())
-    return PathEnsemble(grid, pos, kill)
+    return PathEnsemble(grid, kernel._law.paths(cursor, x0a, grid.steps().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +190,7 @@ def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
     (x0a, y0a), cursor = _ensemble_input(kernel, {"x0": x0, "y0": y0}, grid, master_seed, n_samples, first_index)
     check_task(kernel, "bridges")
     pos, windings = kernel._law.bridges(cursor, x0a, y0a, grid.times)
-    kill = np.full(len(cursor), NEVER_KILLED, dtype=np.int64)
-    return PathEnsemble(grid, pos, kill, windings=windings)
+    return PathEnsemble(grid, pos, windings)
 
 
 # ---------------------------------------------------------------------------

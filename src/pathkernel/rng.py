@@ -146,12 +146,13 @@ def philox_words(master_seed, sample_index, block_index):
 
 
 def uniforms(master_seed, sample_index, draw_index, width=1):
-    """Uniform variates in the open interval (0, 1).
+    """Uniform variates in the half-open interval (0, 1].
 
     ``sample_index`` and ``draw_index`` broadcast to a shape ``S``; the
     result has shape ``S + (width,)`` and holds slots ``d, d+1, ...,
     d+width-1`` of each address.  Each variate carries 53 random bits and
-    is offset by half an ulp so 0.0 and 1.0 never occur (safe under log).
+    is offset by half an ulp, so 0.0 never occurs (safe under log).  The
+    largest slot value, 2**53 - 1, rounds up to exactly 1.0.
     """
     if width < 1:
         raise ValueError("width must be at least 1")

@@ -24,7 +24,7 @@ from pathkernel.cli import (
 from pathkernel.feynman_kac import cos_potential, fk_covering_sum_check
 from pathkernel.heat_kernel import TransitionKernel, TruncationPolicy, delta_family_residuals, evaluate
 from pathkernel.manifold import Circle, Compactified, DirichletInterval, Euclidean, point
-from pathkernel.rng import RngContract
+from pathkernel.rng import RngContract, StreamCursor
 
 
 def run_cli(args, env=None):
@@ -478,6 +478,14 @@ DIRICHLET = ["--model", "dirichlet:3.14159265"]
 KILLED = ["--model", "compactified:dirichlet:3.14159265"]
 FK_SHORT = ["--potential", "const:1", "--t", "0.5", "--steps", "8", "--samples", "200"]
 FK_CIRCLE = ["--model", "circle:6.283185307179586", *FK_SHORT]
+# runs whose series are cut at a thousandth of --tail-tol
+TAIL_TOL_RUNS = {
+    "kernel-circle": ["kernel", "--model", "circle:1.0", "--t", "0.5", "--x", "0.2", "--y", "0.7"],
+    "kernel-torus": ["kernel", "--model", "torus:1,2", "--t", "0.5", "--x", "0.2,0.5", "--y", "0.7,1.5"],
+    "kernel-dirichlet": ["kernel", *DIRICHLET, "--t", "0.5", "--x", "1", "--y", "2"],
+    "sample-killed": ["sample", *KILLED, "--x0", "1", "--T", "1", "--steps", "4", "--samples", "64"],
+    "verify-ck-circle": ["verify", "chapman-kolmogorov", "--model", "circle:1.0"],
+}
 
 
 class TestInputErrors:
@@ -546,6 +554,7 @@ class TestInputErrors:
              "the covering check runs on circle:L and torus:L, not FlatTorus(periods=(1.0, 2.0))"),
             (["verify", "covering", "--model", "euclidean:1"],
              "the covering check runs on circle:L and torus:L, not Euclidean(dim=1)/heat"),
+            *[(args + ["--tail-tol", "1e-322"], "its thousandth underflows to 0") for args in TAIL_TOL_RUNS.values()],
         ],
         ids=["fk-expectation", "fk-monotonicity", "fk-kernel", "sample", "bridge", "holder", "curve",
              "kernel-off-interval", "kernel-unparsable", "mass-wrong-dim", "fk-oracle", "verify",
@@ -554,13 +563,20 @@ class TestInputErrors:
              "fk-monotonicity-terminal-cos", "fk-expectation-potential2", "fk-kernel-potential2",
              "fk-covering-potential2", "fk-monotonicity-oracle", "fk-covering-oracle", "fk-expectation-y0",
              "curve-compactified", "curve-cauchy", "fk-oracle-cemetery-x0", "fk-oracle-cemetery-y0",
-             "fk-oracle-models", "verify-covering-torus", "fk-covering-torus", "verify-covering-line"],
+             "fk-oracle-models", "verify-covering-torus", "fk-covering-torus", "verify-covering-line",
+             *[f"tail-tol-{name}" for name in TAIL_TOL_RUNS]],
     )
     def test_exits_2_with_message(self, args, message):
         res = run_cli(args)
         assert res.returncode == 2
         assert message in res.stderr
         assert "Traceback" not in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("name", list(TAIL_TOL_RUNS))
+    def test_the_smallest_tail_tol_still_runs(self, capsys, name):
+        """4e-321 is about the smallest tolerance whose thousandth is not 0."""
+        assert main(TAIL_TOL_RUNS[name] + ["--tail-tol", "4e-321"]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("args, code, message", [
         (["fk", "kernel", *KILLED, "--y0", "1.570796325"], 2,
@@ -851,6 +867,39 @@ class TestDeterminismAcrossWorkers:
         assert runs[0] == runs[1]
 
 
+class TestOneRandomSource:
+    """verify chapman-kolmogorov draws its tuples from the Philox substreams."""
+
+    def test_verify_ck_leaves_numpy_random_unloaded(self):
+        code = ("import sys; from pathkernel.cli import main; "
+                "code = main(['verify', 'chapman-kolmogorov', '--model', 'hyperbolic3', '--tuples', '3']); "
+                "print(code, 'numpy.random' in sys.modules)")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.stdout.splitlines()[-1] == "0 False"
+
+    def test_tuple_i_depends_only_on_the_seed_and_i(self, monkeypatch, capsys):
+        """Tuple i is s, t, x and z drawn in that order from substream i of the seed, whatever the count."""
+        import pathkernel.cli as cli
+
+        drawn = []
+        real = cli.chapman_kolmogorov_residuals
+
+        def spy(kernel, s, t, x, z):
+            drawn.append(list(zip(s, t, x, z)))
+            return real(kernel, s, t, x, z)
+
+        monkeypatch.setattr(cli, "chapman_kolmogorov_residuals", spy)
+        for n in (6, 2):
+            assert main(["verify", "chapman-kolmogorov", "--model", "torus:1,2", "--seed", "3", "--tuples", str(n)]) == 0
+        capsys.readouterr()
+        model = parse_model("torus:1,2")[0]
+        for i, tup in enumerate(drawn[0]):
+            cursor = StreamCursor(3, np.array([i], dtype=np.uint64))
+            (s, t), = (0.2 + 0.6 * cursor.uniforms(2)).tolist()
+            assert tup == (s, t, *model.random_interior(cursor), *model.random_interior(cursor))
+        assert drawn[1] == drawn[0][:2]
+
+
 class TestNumpyRngFallback:
     """The compiled draw kernel and the numpy body give byte-identical runs."""
 
@@ -899,8 +948,8 @@ class Fast:
     def default_point(self):
         return point(0.0)
 
-    def random_interior(self, gen):
-        return point(gen.normal())
+    def random_interior(self, cursor):
+        return [point(z) for z in cursor.normals(1)[:, 0].tolist()]
 
 
 class _FastLaw(heat_kernel._Law):

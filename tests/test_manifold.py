@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pathkernel.heat_kernel import _LAWS, TransitionKernel, model_of
 from pathkernel.manifold import (
     CEMETERY,
     Circle,
@@ -20,6 +21,7 @@ from pathkernel.manifold import (
     project_arrays,
     validate_point,
 )
+from pathkernel.rng import StreamCursor
 
 H3 = Hyperbolic3()
 ORIGIN4 = point(1.0, 0.0, 0.0, 0.0)
@@ -247,3 +249,56 @@ class TestValidation:
     def test_extreme_but_computable_interval_allowed(self):
         assert DirichletInterval(1e150).length == 1e150
         assert DirichletInterval(1e-150).length == 1e-150
+
+
+class _Ones:
+    """A cursor stand-in whose every uniform is exactly 1.0, the largest value a slot gives."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def uniforms(self, cols=1):
+        return np.ones((self.n, cols))
+
+
+class TestRandomInterior:
+    """``random_interior(cursor)``: one interior point per cursor row, from
+    that row's substream alone, at each rule's documented slot count."""
+
+    # one spec per _LAWS entry -> the uniform slots one point takes
+    SLOTS = {
+        "euclidean:3": 6,
+        "cauchy": 2,
+        "hyperbolic3": 3,
+        "circle:1.0": 1,
+        "torus:1,2": 2,
+        "dirichlet:3.14159265": 1,
+        "compactified:dirichlet:3.14159265": 1,
+    }
+    N = 37
+
+    def test_every_law_is_covered(self):
+        laws = {type(TransitionKernel(*model_of(spec))._law) for spec in self.SLOTS}
+        assert laws == set(_LAWS.values())
+
+    @pytest.mark.parametrize("spec", list(SLOTS))
+    def test_rows_are_their_own_substreams(self, spec):
+        model, _ = model_of(spec)
+        rows = np.arange(self.N, dtype=np.uint64)
+        cursor = StreamCursor(5, rows)
+        cursor.uniforms(2)  # start past slot 0, as verify's points do
+        points = model.random_interior(cursor)
+        assert len(points) == self.N
+        assert np.all(cursor.pos == 2 + self.SLOTS[spec])
+        for i in range(self.N):
+            one = StreamCursor(5, rows[i:i + 1])
+            one.uniforms(2)
+            assert model.random_interior(one) == [points[i]]
+            validate_point(model, points[i])
+            assert not points[i].cemetery
+
+    @pytest.mark.parametrize("spec", [spec for spec in SLOTS if not spec.startswith(("euclidean", "cauchy"))])
+    def test_a_uniform_of_one_stays_inside(self, spec):
+        model, _ = model_of(spec)
+        for p in model.random_interior(_Ones(3)):
+            validate_point(model, p)

@@ -32,6 +32,7 @@ from pathkernel.manifold import (
 from pathkernel.path_sampler import (
     NEVER_KILLED,
     Path,
+    PathEnsemble,
     TimeGrid,
     bridge_total_mass,
     lift_path,
@@ -556,14 +557,15 @@ class TestWalk:
     def test_free_paths(self, name, m):
         kernel, x0a, _ = self.MODELS[name]
         law = kernel._law
-        steps = TimeGrid.uniform(1.0, m).steps()
+        grid = TimeGrid.uniform(1.0, m)
+        steps = grid.steps()
         walked, looped = self.cursors()
-        pos, kill = law.paths(walked, x0a, steps)
+        pos = law.paths(walked, x0a, steps)
         cols = [np.tile(x0a, (self.N, 1))]
         for dt in steps:
             cols.append(law.step(looped, cols[-1], dt))
         np.testing.assert_array_equal(pos, np.stack(cols, axis=1))
-        assert np.all(kill == NEVER_KILLED)
+        assert np.all(PathEnsemble(grid, pos).kill_step == NEVER_KILLED)
         np.testing.assert_array_equal(walked.pos, looped.pos)
 
     @pytest.mark.parametrize("m", STEPS)
@@ -593,9 +595,11 @@ class TestWalk:
     def test_killed_paths(self, m, horizon):
         law = KILLED._law
         x0a = np.array([1.0])
-        steps = TimeGrid.uniform(horizon, m).steps()
+        grid = TimeGrid.uniform(horizon, m)
+        steps = grid.steps()
         walked, looped = self.cursors()
-        pos, kill = law.paths(walked, x0a, steps)
+        pos = law.paths(walked, x0a, steps)
+        kill = PathEnsemble(grid, pos).kill_step
         ref_pos, ref_kill = killed_column_loop(law, looped, x0a, steps)
         np.testing.assert_array_equal(pos, ref_pos)
         np.testing.assert_array_equal(kill, ref_kill)

@@ -204,8 +204,8 @@ def run_digest(env, name, argv, outs):
 
 
 def digests(root, src=None, path=None, workers=None):
-    """Digest lines of every run with ``src`` (default: the checkout's) on PYTHONPATH; ``path``
-    replaces PATH and ``workers``, if given, is PATHKERNEL_WORKERS."""
+    """Digest lines of every run, yielded as each run ends, with ``src`` (default: the checkout's)
+    on PYTHONPATH; ``path`` replaces PATH and ``workers``, if given, is PATHKERNEL_WORKERS."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str((src or root / "src").resolve())
     env.pop("PATHKERNEL_WORKERS", None)
@@ -213,17 +213,15 @@ def digests(root, src=None, path=None, workers=None):
         env["PATHKERNEL_WORKERS"] = str(workers)
     if path is not None:
         env["PATH"] = path
-    lines = []
     seen = {}
     for argv in readme_commands(root / "README.md"):
         name = command_name(argv)
         seen[name] = seen.get(name, 0) + 1
         if seen[name] > 1:  # a repeated command gets its own key
             name = f"{name}_{seen[name]}"
-        lines += run_digest(env, name, argv, [(out, out) for out in out_files(argv)])
+        yield from run_digest(env, name, argv, [(out, out) for out in out_files(argv)])
     for name, argv in matrix_commands():
-        lines += run_digest(env, name, argv, [(f"{name}/out", "out")])
-    return lines
+        yield from run_digest(env, name, argv, [(f"{name}/out", "out")])
 
 
 def main(argv=None):
