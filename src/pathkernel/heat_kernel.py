@@ -187,7 +187,10 @@ def _by_key(keys, owner, fn):
 
 def _gauss_norm(t, n):
     try:
-        return (4.0 * np.pi * t) ** (-0.5 * n)
+        scale = 4.0 * np.pi * t
+        if scale == math.inf:  # t past about 1.4e307: the power does not overflow
+            return (4.0 * np.pi) ** (-0.5 * n) * t ** (-0.5 * n)
+        return scale ** (-0.5 * n)
     except OverflowError:
         raise PathkernelError(
             f"the kernel prefactor (4 pi t)^(-{0.5 * n:g}) overflows at t = {t!r}; t is too small"
@@ -200,6 +203,10 @@ def _h3_norm(t):
 
 def gauss_profile(t, rho2, n, owner=None):
     pref = _per_owner(_gauss_norm, t, owner, n)
+    if owner is None and 4.0 * t == math.inf:
+        # one t past about 4.5e307: rho2 / t / 4 does not overflow, and a
+        # rho2 that did (an image some 1e154 away) weighs 0
+        return pref * np.exp(-np.asarray(rho2) / t / 4.0)
     return pref * np.exp(-np.asarray(rho2) / (4.0 * _gather(t, owner)))
 
 
@@ -931,19 +938,25 @@ class _H3Law(_Law):
             # 1 - cos(theta) = 2 sinh((d-|a-b|)/2) sinh((d+|a-b|)/2) / (sinh a sinh b)
             w = 2.0 * self._sinh_ratio(0.5 * d_minus, lo) * self._sinh_ratio(0.5 * d_plus, np.maximum(a, b))
             w = np.where(lo > 0.0, np.clip(w, 0.0, 2.0), 2.0 * u)
-            # log-map direction at y toward c, in _h3_tangent's transported frame
-            e = current[:, 1:] - ((current[:, 0] + np.cosh(a)) / (1.0 + y[0]))[:, None] * y[1:]
-            norm = np.sqrt(np.sum(e * e, axis=-1, keepdims=True))
-            e = np.where(norm > 0.0, e / norm, [1.0, 0.0, 0.0])
-            # f1, f2 complete e to an orthonormal frame (Duff et al., 2017)
-            sign = np.copysign(1.0, e[:, 2])
-            g = -1.0 / (sign + e[:, 2])
-            h = e[:, 0] * e[:, 1] * g
-            f1 = np.stack([1.0 + sign * e[:, 0] ** 2 * g, sign * h, -sign * e[:, 0]], axis=-1)
-            f2 = np.stack([h, sign + e[:, 1] ** 2 * g, -e[:, 1]], axis=-1)
+            # log-map direction at y toward c, in exp_point_arrays' frame at y
+            # (the origin frame parallel-transported to y), one column a coordinate
+            ratio = (current[:, 0] + np.cosh(a)) / (1.0 + y[0])
+            e1, e2, e3 = (current[:, k] - ratio * y[k] for k in (1, 2, 3))
+            norm = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
+            unit = norm > 0.0
+            e1, e2, e3 = (np.where(unit, ek / norm, fallback) for ek, fallback in ((e1, 1.0), (e2, 0.0), (e3, 0.0)))
+            # f1, f2 complete e to an orthonormal frame (Duff et al., 2017):
+            # f1 = (1 + sign e1^2 g, sign h, -sign e1), f2 = (h, sign + e2^2 g, -e2)
+            sign = np.copysign(1.0, e3)
+            g = -1.0 / (sign + e3)
+            h = e1 * e2 * g
             rim = np.sqrt(w * (2.0 - w))  # sin(theta)
             phi = 2.0 * np.pi * v
-            direction = (1.0 - w)[:, None] * e + (rim * np.cos(phi))[:, None] * f1 + (rim * np.sin(phi))[:, None] * f2
+            along, rc, rs = 1.0 - w, rim * np.cos(phi), rim * np.sin(phi)
+            direction = np.empty((len(a), 3))
+            direction[:, 0] = along * e1 + rc * (1.0 + sign * (e1 * e1) * g) + rs * h
+            direction[:, 1] = along * e2 + rc * (sign * h) + rs * (sign + e2 * e2 * g)
+            direction[:, 2] = along * e3 + rc * (-sign * e1) + rs * -e2
         return self._exp(y, direction, b, dt)
 
 

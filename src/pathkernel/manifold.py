@@ -87,23 +87,30 @@ class Hyperbolic3:
         cancels once |dx|^2 ~ dx0^2 is large.  Each pair takes the form with
         the smaller rounding bound (about eps dx0^2 against eps x0 y0): the
         difference form where dx0^2 <= x0 y0, arccosh of the pairing elsewhere.
-        Both overflow for points some 300 or more from the origin, whose
-        distance is finite; only those pairs are measured again in scaled form.
+        Both are written per coordinate, with their sums in the fixed order
+        x1 y1 + x2 y2 + x3 y3 and e1^2 + e2^2 + e3^2 (e = x - y), each left to
+        right.  Both overflow for points some 300 or more from the origin,
+        whose distance is finite; only those pairs are measured again in
+        scaled form.
         """
+        x0, x1, x2, x3 = (x[..., k] for k in range(4))
+        y0, y1, y2, y3 = (y[..., k] for k in range(4))
         # the squares may overflow for far points, which take the pairing form
         with np.errstate(over="ignore", invalid="ignore"):
-            d = x - y
-            pair = x[..., 0] * y[..., 0]
-            dx0sq = d[..., 0] ** 2
-            delta = 0.5 * (np.sum(d[..., 1:] ** 2, axis=-1) - dx0sq)
+            pair = x0 * y0
+            dx0sq = (x0 - y0) ** 2
+            e1, e2, e3 = x1 - y1, x2 - y2, x3 - y3
+            delta = 0.5 * ((e1 * e1 + e2 * e2 + e3 * e3) - dx0sq)
             far = dx0sq > pair
             delta = np.where(far, 0.0, np.maximum(delta, 0.0))
             near_rho = np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
-            cosh_rho = pair - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+            cosh_rho = pair - (x1 * y1 + x2 * y2 + x3 * y3)
             rho = np.where(far, np.arccosh(np.maximum(cosh_rho, 1.0)), near_rho)
-        huge = ~np.isfinite(rho) & np.all(np.isfinite(d), axis=-1)
-        if np.any(huge):
+        bad = ~np.isfinite(rho)
+        if np.any(bad):
             x, y = np.broadcast_arrays(x, y)
+            huge = np.array(bad)
+            huge[bad] = np.all(np.isfinite(x[bad] - y[bad]), axis=-1)
             rho[huge] = _scaled_h3_distance(x[huge], y[huge])
         return rho
 
@@ -289,20 +296,6 @@ def distance_arrays(model, x, y):
 # hyperboloid exponential map
 
 
-def _h3_tangent(base, direction):
-    """Tangent 4-vector at base matching a unit 3-vector in the origin frame.
-
-    The chart is the orthonormal frame at (1,0,0,0) parallel-transported
-    along the geodesic to base.
-    """
-    p0 = base[..., 0]
-    pv = base[..., 1:]
-    pd = np.sum(pv * direction, axis=-1)
-    u0 = pd
-    uv = direction + (pd / (1.0 + p0))[..., None] * pv
-    return np.concatenate([u0[..., None], uv], axis=-1)
-
-
 def _scaled_h3_distance(x, y):
     """Distance of hyperboloid pairs (rows) whose unscaled forms overflow.
 
@@ -330,24 +323,43 @@ def sphere_directions(uv):
     c = 1.0 - 2.0 * uv[:, 0]
     s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
     phi = 2.0 * np.pi * uv[:, 1]
-    return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
+    out = np.empty((len(c), 3))
+    out[:, 0] = s * np.cos(phi)
+    out[:, 1] = s * np.sin(phi)
+    out[:, 2] = c
+    return out
 
 
 def exp_point_arrays(base, direction, r):
     """Geodesic from base along a unit 3-vector direction in the origin
-    frame, of length r (H^3 only); broadcasts."""
+    frame, of length r (H^3 only); broadcasts.
+
+    The origin frame is the orthonormal frame at (1,0,0,0) parallel-transported
+    along the geodesic to base p.  In it, d is the tangent vector
+    (pd, d + c pv) at p, with pd = p1 d1 + p2 d2 + p3 d3 and c = pd / (1 + p0).
+    So out_k = cosh(r) p_k + sinh(r) (d_k + c p_k) for k = 1..3, and out_0 is
+    re-projected onto the hyperboloid as sqrt(1 + (o1^2 + o2^2 + o3^2)).
+    Each sum runs left to right in the order written here.
+    """
     base = np.asarray(base, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
-    u = _h3_tangent(base, direction)
-    out = np.cosh(r)[..., None] * base + np.sinh(r)[..., None] * u
+    p = [base[..., k] for k in range(4)]
+    d = [direction[..., k] for k in range(3)]
+    c = (p[1] * d[0] + p[2] * d[1] + p[3] * d[2]) / (1.0 + p[0])
+    ch, sh = np.cosh(r), np.sinh(r)
+    out = np.empty(np.broadcast_shapes(c.shape, r.shape) + (4,))
+    for k in (1, 2, 3):
+        out[..., k] = ch * p[k] + sh * (d[k - 1] + c * p[k])
+    o1, o2, o3 = out[..., 1], out[..., 2], out[..., 3]
     # re-project onto the hyperboloid to stop constraint drift
     with np.errstate(over="ignore"):
-        out[..., 0] = np.sqrt(1.0 + np.sum(out[..., 1:] ** 2, axis=-1))
+        out[..., 0] = np.sqrt(1.0 + (o1 * o1 + o2 * o2 + o3 * o3))
     # past r ~ 355 the squares overflow though cosh r is finite to 710;
     # there 1 is below rounding and x0 is the scaled norm of out[1:]
-    huge = np.isinf(out[..., 0]) & np.all(np.isfinite(out[..., 1:]), axis=-1)
-    if np.any(huge):
+    inf = np.isinf(out[..., 0])
+    if np.any(inf):
+        huge = inf & np.all(np.isfinite(out[..., 1:]), axis=-1)
         v = out[huge, 1:]
         m = np.max(np.abs(v), axis=-1)
         out[huge, 0] = m * np.sqrt(np.sum((v / m[:, None]) ** 2, axis=-1))

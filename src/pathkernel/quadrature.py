@@ -125,8 +125,15 @@ def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48, min_depth=4):
 
 
 def gaussian_tail_radius(t, tail_tolerance):
-    """Radius beyond which exp(-r^2/4t) falls below tail_tolerance."""
-    return math.sqrt(max(4.0 * t * math.log(1.0 / tail_tolerance), 0.0))
+    """Radius beyond which exp(-r^2/4t) falls below tail_tolerance.
+
+    Where 4 t log(1/tol) overflows (t near the float maximum) the radius is
+    2 sqrt(t) sqrt(log(1/tol)), which does not.
+    """
+    square = 4.0 * t * math.log(1.0 / tail_tolerance)
+    if square == math.inf:
+        return 2.0 * math.sqrt(t) * math.sqrt(math.log(1.0 / tail_tolerance))
+    return math.sqrt(max(square, 0.0))
 
 
 def maximize_scalar(f, lo, hi, grid=512, iters=200):

@@ -362,6 +362,15 @@ class TestExitCodes:
         out = json.loads(res.stdout)
         assert out["value"] == 0.0 and out["std_error"] == 0.0
 
+    @pytest.mark.parametrize("model", ["circle:1e300", "euclidean:1"])
+    def test_kernel_at_the_largest_times_is_one_gaussian(self, model):
+        # 4 t log(1/tol) and 4 pi t overflow at t = 1e308, though the Gaussian
+        # is narrow against the period (t / L^2 = 1e-292): one image, no dual series
+        res = run_cli(["kernel", "--model", model, "--t", "1e308", "--x", "0", "--y", "0"])
+        assert res.returncode == 0 and res.stderr == ""
+        value = json.loads(res.stdout)["value"]
+        assert value == pytest.approx((4.0 * math.pi) ** -0.5 * 1e-154, rel=1e-15)
+
     def test_h3_bridge_beyond_three_steps(self):
         res = run_cli(["bridge", "--model", "hyperbolic3", "--x0", "1,0,0,0",
                        "--y0", "1.3374349463048447,0.888105982187623,0,0", "--T", "1",

@@ -13,12 +13,14 @@ from pathkernel.manifold import (
     FlatTorus,
     Hyperbolic3,
     Point,
+    _scaled_h3_distance,
     covering_of,
     distance_arrays,
     exp_point_arrays,
     lift_arrays,
     point,
     project_arrays,
+    sphere_directions,
     validate_point,
 )
 from pathkernel.rng import StreamCursor
@@ -152,6 +154,110 @@ class TestExpPoint:
         c = exp_point_arrays(ORIGIN4.array(), np.array([0.0, 0.6, 0.8]), r)
         assert c[0] == pytest.approx(math.cosh(r), rel=1e-12)
         assert list(c[2:]) == pytest.approx([0.6 * math.sinh(r), 0.8 * math.sinh(r)], rel=1e-12)
+
+
+def rowwise_exp(base, direction, r):
+    """The exp map in row form (np.sum, np.concatenate, the whole cosh-sinh
+    4-vector): the reference that the column arithmetic matches bit for bit."""
+    base, direction, r = (np.asarray(a, dtype=np.float64) for a in (base, direction, r))
+    p0, pv = base[..., 0], base[..., 1:]
+    pd = np.sum(pv * direction, axis=-1)
+    uv = direction + (pd / (1.0 + p0))[..., None] * pv
+    u = np.concatenate([pd[..., None], uv], axis=-1)
+    out = np.cosh(r)[..., None] * base + np.sinh(r)[..., None] * u
+    with np.errstate(over="ignore"):
+        out[..., 0] = np.sqrt(1.0 + np.sum(out[..., 1:] ** 2, axis=-1))
+    huge = np.isinf(out[..., 0]) & np.all(np.isfinite(out[..., 1:]), axis=-1)
+    if np.any(huge):
+        v = out[huge, 1:]
+        m = np.max(np.abs(v), axis=-1)
+        out[huge, 0] = m * np.sqrt(np.sum((v / m[:, None]) ** 2, axis=-1))
+    return out
+
+
+def rowwise_distance(x, y):
+    """The H^3 distance in row form (np.sum over d = x - y), the reference of the column form."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x - y
+        pair = x[..., 0] * y[..., 0]
+        dx0sq = d[..., 0] ** 2
+        delta = 0.5 * (np.sum(d[..., 1:] ** 2, axis=-1) - dx0sq)
+        far = dx0sq > pair
+        delta = np.where(far, 0.0, np.maximum(delta, 0.0))
+        near_rho = np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
+        cosh_rho = pair - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+        rho = np.where(far, np.arccosh(np.maximum(cosh_rho, 1.0)), near_rho)
+    huge = ~np.isfinite(rho) & np.all(np.isfinite(d), axis=-1)
+    if np.any(huge):
+        x, y = np.broadcast_arrays(x, y)
+        rho[huge] = _scaled_h3_distance(x[huge], y[huge])
+    return rho
+
+
+def rowwise_sphere_directions(uv):
+    c = 1.0 - 2.0 * uv[:, 0]
+    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    phi = 2.0 * np.pi * uv[:, 1]
+    return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestColumnForms:
+    """The H^3 geometry is written per coordinate, with every sum in the
+    row form's order, so its bits equal the row form's everywhere."""
+
+    N = 4096
+
+    @staticmethod
+    def directions(gen, n):
+        d = gen.normal(size=(n, 3))
+        return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+    def bases(self, gen, rmax):
+        return rowwise_exp(ORIGIN4.array(), self.directions(gen, self.N), gen.uniform(0.0, rmax, self.N))
+
+    # radii about 1e-9, ordinary, and past 355, where the squares of the
+    # re-projection overflow and x0 is taken in scaled form
+    @pytest.mark.parametrize("lo, hi", [(0.5e-9, 2e-9), (0.0, 6.0), (355.0, 700.0)])
+    def test_exp_map_matches_the_row_form(self, lo, hi):
+        gen = np.random.default_rng(11)
+        d = self.directions(gen, self.N)
+        r = gen.uniform(lo, hi, self.N)
+        base = self.bases(gen, 2.0)
+        for args in ((base, d, r), (ORIGIN4.array(), d, r), (base, d, 0.5 * (lo + hi)),
+                     (base[7], d[7], r[7]), (ORIGIN4.array(), d[3], 0.5 * (lo + hi))):
+            assert_same_bits(exp_point_arrays(*args), rowwise_exp(*args))
+        if lo > 300.0:  # most rows take the rescaling branch
+            with np.errstate(over="ignore"):
+                assert np.mean(np.isinf(np.sum(rowwise_exp(base, d, r)[:, 1:] ** 2, axis=1))) > 0.5
+
+    # near pairs (difference form), far pairs (pairing form) and pairs some
+    # 700 from the origin, whose forms overflow and are measured scaled
+    @pytest.mark.parametrize("case", ["near", "far", "huge"])
+    def test_distance_matches_the_row_form(self, case):
+        gen = np.random.default_rng(12)
+        x = self.bases(gen, 3.0 if case != "huge" else 1.0)
+        if case == "near":
+            y = rowwise_exp(x, self.directions(gen, self.N), gen.uniform(0.0, 1e-3, self.N))
+        elif case == "far":
+            y = self.bases(gen, 40.0)
+        else:
+            x = rowwise_exp(ORIGIN4.array(), self.directions(gen, self.N), gen.uniform(600.0, 700.0, self.N))
+            y = rowwise_exp(ORIGIN4.array(), self.directions(gen, self.N), gen.uniform(600.0, 700.0, self.N))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.all(~np.isfinite(np.sum(x * y, axis=-1)))
+        for a, b in ((x, y), (x, ORIGIN4.array()), (ORIGIN4.array(), y), (x[5], y[5])):
+            assert_same_bits(H3.distance_arrays(a, b), rowwise_distance(a, b))
+
+    def test_sphere_directions_match_the_row_form(self):
+        uv = np.random.default_rng(13).uniform(size=(self.N, 2))
+        uv[:4] = [[1.0, 0.3], [0.5, 1.0], [1e-17, 0.7], [0.25, 0.0]]  # poles, the equator, a full turn
+        assert_same_bits(sphere_directions(uv), rowwise_sphere_directions(uv))
 
 
 class TestCovering:

@@ -460,6 +460,37 @@ def draw_shapes(monkeypatch):
     return shapes
 
 
+def rowwise_bridge_step(law, cursor, current, y, dt, tau_before):
+    """The H^3 bridge move with its direction and frame in row form (np.sum,
+    np.stack, broadcast products): the reference of the column arithmetic."""
+    k = 1.0 - dt / tau_before
+    s = math.sqrt(2.0 * dt * k)
+    draw = cursor.uniforms(8)
+    z0, z1, z2 = (box_muller(draw[:, j:j + 2])[:, 0] for j in (0, 2, 4))
+    u, v = draw[:, 6:].T.copy()
+    a = law.model.distance_arrays(current, y)
+    b = np.sqrt((k * a + s * z0) ** 2 + s * s * (z1 * z1 + z2 * z2))
+    lo, gap = np.minimum(a, b), np.abs(a - b)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = -4.0 * dt * np.log1p(u * np.expm1(-a * b / dt))
+        d_plus = np.sqrt(gap * gap + q) + gap
+        d_minus = np.where(d_plus > 0.0, q / d_plus, 0.0)
+        w = 2.0 * law._sinh_ratio(0.5 * d_minus, lo) * law._sinh_ratio(0.5 * d_plus, np.maximum(a, b))
+        w = np.where(lo > 0.0, np.clip(w, 0.0, 2.0), 2.0 * u)
+        e = current[:, 1:] - ((current[:, 0] + np.cosh(a)) / (1.0 + y[0]))[:, None] * y[1:]
+        norm = np.sqrt(np.sum(e * e, axis=-1, keepdims=True))
+        e = np.where(norm > 0.0, e / norm, [1.0, 0.0, 0.0])
+        sign = np.copysign(1.0, e[:, 2])
+        g = -1.0 / (sign + e[:, 2])
+        h = e[:, 0] * e[:, 1] * g
+        f1 = np.stack([1.0 + sign * e[:, 0] ** 2 * g, sign * h, -sign * e[:, 0]], axis=-1)
+        f2 = np.stack([h, sign + e[:, 1] ** 2 * g, -e[:, 1]], axis=-1)
+        rim = np.sqrt(w * (2.0 - w))
+        phi = 2.0 * np.pi * v
+        direction = (1.0 - w)[:, None] * e + (rim * np.cos(phi))[:, None] * f1 + (rim * np.sin(phi))[:, None] * f2
+    return law._exp(y, direction, b, dt)
+
+
 class TestHyperbolicStep:
     def test_step_consumes_eight_slots(self, monkeypatch):
         shapes = draw_shapes(monkeypatch)
@@ -478,6 +509,21 @@ class TestHyperbolicStep:
         assert cursor.pos.tolist() == [8, 8, 8]
         assert np.all(np.isfinite(out))
         assert shapes == [(3, 8)]  # one draw call per move
+
+    def test_bridge_step_matches_the_row_form(self):
+        # rows off the axes, at the endpoint, and far from it, at three scales
+        gen = np.random.default_rng(21)
+        n = 2048
+        d = gen.normal(size=(n, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        for scale in (1e-6, 1.0, 30.0):
+            y = h3_point(H3_OFF, [0.2, -0.9, 0.4], 0.6 * scale)
+            current = exp_point_arrays(H3_OFF, d, gen.uniform(0.0, 2.0, n) * scale)
+            current[:3] = y
+            cols, rows = (StreamCursor(8, np.arange(n, dtype=np.uint64)) for _ in range(2))
+            out = H3K._law.bridge_step(cols, current, y, 0.1, 0.4)
+            ref = rowwise_bridge_step(H3K._law, rows, current, y, 0.1, 0.4)
+            assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
     def test_far_one_step_mean_distance(self):
         # at t = 20 the step radius is about 40, where the coordinates

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pathkernel.errors import QuadratureError
-from pathkernel.quadrature import MAX_OPEN_INTERVALS, adaptive_simpson, adaptive_simpson_batch
+from pathkernel.quadrature import MAX_OPEN_INTERVALS, adaptive_simpson, adaptive_simpson_batch, gaussian_tail_radius
 
 
 def cubic(x):
@@ -85,3 +85,18 @@ class TestBatchedSimpson:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             adaptive_simpson_batch(lambda x, o: x, [0.0, 1.0], [1.0, 1.0])
+
+
+class TestGaussianTailRadius:
+    @pytest.mark.parametrize("t", [1e-300, 0.5, 1e12, 1e306])
+    def test_finite_products_keep_their_square_root(self, t):
+        # the radius feeds image counts and quadrature pads: its bits must not move
+        assert gaussian_tail_radius(t, 1e-17) == math.sqrt(4.0 * t * math.log(1e17))
+
+    def test_overflowing_product_takes_the_root_of_each_factor(self):
+        r = gaussian_tail_radius(1e308, 1e-17)
+        assert math.isfinite(r) and r == 2.0 * math.sqrt(1e308) * math.sqrt(math.log(1e17))
+        assert math.exp(-r * r / 4.0 / 1e308) == pytest.approx(1e-17, rel=1e-12)
+
+    def test_tolerance_above_one_is_radius_zero(self):
+        assert gaussian_tail_radius(1e308, 2.0) == 0.0

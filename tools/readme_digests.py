@@ -140,6 +140,9 @@ SINGLE = {
     # step starts odd, and 1,003 rows leave a 3-row tail
     "compactified:dirichlet:3.14159265/sample_odd_tail":
         "sample --model compactified:dirichlet:3.14159265 --x0 1 --T 1 --steps 8 --samples 1003",
+    # steps of 100: the dumped path reaches coordinates near 3e176, whose
+    # squares overflow, so the exp map's rescaled x0 reaches the output
+    "hyperbolic3/far_sample": "sample --model hyperbolic3 --x0 1,0,0,0 --T 200 --steps 2 --samples 1000",
     # one 8-slot draw per H3 bridge move, 1,001 rows: a 1-row tail
     "hyperbolic3/bridge_tail":
         "bridge --model hyperbolic3 --x0 1,0,0,0 --y0=1.3374349463048447,0.888105982187623,0,0 --T 1 --steps 4 "
