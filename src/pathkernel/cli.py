@@ -43,6 +43,7 @@ from .feynman_kac import (
     fk_expectation,
     fk_kernel,
     fk_monotonicity_check,
+    last_row,
     over_paths,
     spectral_oracle,
     step_potential,
@@ -513,8 +514,8 @@ def _run_sample(config):
     check_task(k, "paths")
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     seed, n = config.options["seed"], config.options["samples"]
-    [(killed,)] = over_paths([(k, x0, None, grid, lambda ens: (ens.killed,))], n, RngContract(seed),
-                             worker_count(config.options["workers"]))
+    [(killed,)] = over_paths([(k, x0, None, grid, lambda rows, _: (np.isnan(last_row(rows)[:, 0]),))], n,
+                             RngContract(seed), worker_count(config.options["workers"]))
     path = sample_paths(k, x0, grid, seed, 1, first_index=config.options["sample_index"]).path(0)
     return _emit_path(config, path, {
         "n_samples": n,
@@ -532,8 +533,13 @@ def _run_bridge(config):
     check_task(k, "bridges")
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     seed = config.options["seed"]
-    [kept] = over_paths([(k, x0, y0, grid, lambda ens: () if ens.windings is None else (ens.windings[:, 0],))],
-                        config.options["samples"], RngContract(seed), worker_count(config.options["workers"]))
+
+    def reduce(rows, windings):
+        last_row(rows)  # every step is drawn: one that leaves the float range raises
+        return () if windings is None else (windings[:, 0],)
+
+    [kept] = over_paths([(k, x0, y0, grid, reduce)], config.options["samples"], RngContract(seed),
+                        worker_count(config.options["workers"]))
     path = sample_bridges(k, x0, y0, grid, seed, 1, first_index=config.options["sample_index"]).path(0)
     summary = {
         "n_samples": config.options["samples"],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feynman_kac import EstimateWithError, over_paths
+from .feynman_kac import EstimateWithError, last_row, over_paths
 from .heat_kernel import TransitionKernel, check_task
 from .manifold import Euclidean, distance_arrays, validate_point
 from .path_sampler import TimeGrid, sample_paths
@@ -155,8 +155,8 @@ def _distance_estimates(kernel, x0, t_grid, n_samples, rng, workers):
     x0a = validate_point(kernel.model, x0, "x0")
     check_task(kernel, "curve")
 
-    def reduce(ens):
-        return (distance_arrays(kernel.model, ens.positions[:, -1, :], x0a[None, :]),)
+    def reduce(rows, windings):
+        return (distance_arrays(kernel.model, last_row(rows), x0a[None, :]),)
 
     jobs = [(kernel, x0, None, TimeGrid.uniform(t, 1), reduce) for t in t_grid]
     analytic = [kernel._law.mean_distance(t) for t in t_grid]

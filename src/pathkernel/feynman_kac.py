@@ -14,17 +14,11 @@ and ``bridge``.  It is the one caller of ``parallel.run_blocks``, and a
 job carries its own grid, so a covering sum's terms or a curve's t values
 are the jobs of one pass and a command forks at most one pool.  The
 estimators share ``_visited`` (V along the path, checked against its sup
-bound, 0 at the cemetery), ``_weights``, ``_terminal`` and one
-mean/standard-error rule, ``EstimateWithError.of``.
-
-The driver's memory does not grow with the step count.  A cell is one
-coordinate of one grid point of one path.  A block holds at most
-``BLOCK_CELLS`` of them (32 MiB of positions; ``BLOCK_SIZE`` rows up to
-128 grid times on a line), and its reduction runs on row slices of at
-most ``REDUCE_CELLS``, so V and its temporaries stay a few MB.  Each
-weight reads only its own row and each sample draws from its own
-substream, so neither cap moves an output bit.  The walk is step-major
-in memory, so each reduce sums a row-major copy of V on its slice.
+bound, 0 at the cemetery), ``_Exponent``, ``_terminal`` and one
+mean/standard-error rule, ``EstimateWithError.of``.  A block is at most
+``BLOCK_SIZE`` samples at any step count, and its readers fold its rows
+one grid time at a time, so it holds a few rows; each sample has its own
+substream, so the block size moves no output bit.
 
 The covering sum takes the run's kernel: its law gives the deck group,
 the line kernel is built at its truncation, and the omitted winding tail
@@ -61,19 +55,12 @@ from .manifold import (
     validate_point,
 )
 from .parallel import per_job, run_blocks
-from .path_sampler import (
-    TimeGrid,
-    bridge_total_mass,
-    sample_bridges,
-    sample_paths,
-)
+from .path_sampler import TimeGrid, bridge_total_mass, sample_rows
 from .quadrature import gaussian_tail_radius
 from .rng import RngContract
 
 BOUND_SLACK = 1e-9
 BLOCK_SIZE = 32768  # samples of one block, at most
-BLOCK_CELLS = 1 << 22  # cells of one block's path tensor
-REDUCE_CELLS = 1 << 18  # cells of the rows handed to one reduce call
 ROUNDING_ULPS = 16  # the covering-sum check's allowance for one rounded product
 
 
@@ -177,27 +164,16 @@ class FKProblem:
 
 
 def over_paths(jobs, n_samples, rng, workers):
-    """Per job (kernel, x0, y0, grid, reduce), lazily in job order: reduce(ensemble)
-    over row slices of blocks of free paths (y0 None) or of bridges to y0, each of
-    the tuple's per-sample arrays joined, and its blocks freed, when the job is
-    reached.  Job j runs on substreams rng.sample_index + j * n_samples on, all
-    jobs in one ``run_blocks`` pass.  Blocks hold at most BLOCK_SIZE rows and
-    BLOCK_CELLS cells, and each reduce call at most REDUCE_CELLS (one row at least)."""
-    row_cells = max(len(grid.times) * kernel.model.dim for kernel, _, _, grid, _ in jobs)
-    rows = max(1, REDUCE_CELLS // row_cells)
-
+    """Per job (kernel, x0, y0, grid, reduce), lazily in job order: the per-sample
+    arrays of reduce(*sample_rows(...)) on blocks of at most BLOCK_SIZE free paths
+    (y0 None) or bridges to y0, joined, and the blocks freed, when the job is reached.
+    Job j runs on substreams rng.sample_index + j * n_samples on, all jobs in one
+    ``run_blocks`` pass."""
     def task(first, count):
         kernel, x0, y0, grid, reduce = jobs[(first - rng.sample_index) // n_samples]
-        if y0 is None:
-            ens = sample_paths(kernel, x0, grid, rng.master_seed, count, first_index=first)
-        else:
-            ens = sample_bridges(kernel, x0, y0, grid, rng.master_seed, count, first_index=first)
-        if count <= rows:  # reduced whole: slicing it raised the H3 curve's resident peak by 0.4 MB
-            return reduce(ens)
-        return _joined([reduce(ens[a:a + rows]) for a in range(0, count, rows)])
+        return reduce(*sample_rows(kernel, x0, y0, grid, rng.master_seed, count, first_index=first))
 
-    block = max(1, min(BLOCK_SIZE, BLOCK_CELLS // row_cells))
-    parts = per_job(run_blocks(task, n_samples, block, first_index=rng.sample_index, workers=workers,
+    parts = per_job(run_blocks(task, n_samples, BLOCK_SIZE, first_index=rng.sample_index, workers=workers,
                                jobs=len(jobs)), len(jobs))
     return (_joined(parts.pop(0)) for _ in jobs)
 
@@ -207,14 +183,21 @@ def _joined(parts):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _visited(potential, positions):
-    """V at every grid point of every path, checked against its sup bound;
+def last_row(rows):
+    """The last of the rows, every one of them drawn."""
+    for row in rows:
+        pass
+    return row
+
+
+def _visited(potential, row):
+    """V at one grid time of every path, checked against its sup bound;
     0 at the cemetery."""
-    finite = np.isfinite(positions[..., 0])
+    finite = np.isfinite(row[..., 0])
     if finite.all():  # no cemetery: V on the positions as they are
-        vvals = vals = potential(positions)
+        vvals = vals = potential(row)
     else:
-        vvals = np.where(finite, potential(np.where(finite[..., None], positions, 0.0)), 0.0)
+        vvals = np.where(finite, potential(np.where(finite[..., None], row, 0.0)), 0.0)
         vals = vvals[finite]
     worst = float(np.max(np.abs(vals))) if vals.size else 0.0
     if not worst <= potential.sup_bound + BOUND_SLACK * (1.0 + potential.sup_bound):  # NaN fails it too
@@ -224,32 +207,45 @@ def _visited(potential, positions):
     return vvals
 
 
-def _weights(vvals, killed, t, n_steps, rule, gv=None):
-    """exp(-(t/n) times the chosen Riemann sum of V) per path, times the
-    terminal values gv if given; 0 if killed.
+class _Exponent:
+    """t/n times the slice rule's Riemann sum of V along each path, summed as
+    the rows are added, in the order ``fk_expectation`` states."""
 
-    vvals has one column per grid time including time 0; the right rule
-    uses columns 1..n, the trapezoid halves the two ends.
-    """
-    vvals = np.ascontiguousarray(vvals)  # each row sum keeps one pairwise order, whatever the walk's layout
-    tau = t / n_steps
-    # a sum or weight past the float range is infinite, and NaN times g = 0; the estimate reports either
-    with np.errstate(over="ignore", invalid="ignore"):
-        if rule == "right":
-            expo = tau * np.sum(vvals[:, 1:], axis=1)
-        elif rule == "trapezoid":
-            inner = np.sum(vvals[:, 1:-1], axis=1)
-            expo = tau * (0.5 * vvals[:, 0] + inner + 0.5 * vvals[:, -1])
-        else:
+    def __init__(self, potential, rule, tau):
+        if rule not in ("right", "trapezoid"):
             raise ValueError(f"unknown slice rule {rule!r}")
-        weights = np.exp(-expo)
-        weights[killed] = 0.0
-        return weights if gv is None else weights * gv
+        self.potential, self.rule, self.tau = potential, rule, tau
+        self.first = self.last = None
+
+    def add(self, row):
+        """Fold in V at the row (``_visited``), which is returned."""
+        vvals = _visited(self.potential, row)
+        if self.first is None:
+            self.first, self.inner = vvals, np.zeros_like(vvals)  # inner: v_1 + ... + v_{j-1} while v_j is the last
+        else:
+            if self.last is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is reported with the estimate
+                    self.inner += self.last
+            self.last = vvals
+        return vvals
+
+    def weights(self, end, gv=None):
+        """exp(-exponent) per path, times the terminal values gv if given; 0 if the end row is NaN."""
+        # a sum or weight past the float range is infinite, and NaN times g = 0; the estimate reports either
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.rule == "right":
+                expo = self.tau * (self.inner + self.last)
+            else:
+                expo = self.tau * (0.5 * self.first + self.inner + 0.5 * self.last)
+            weights = np.exp(-expo)
+            weights[np.isnan(end[:, 0])] = 0.0
+            return weights if gv is None else weights * gv
 
 
-def _terminal(g, positions, killed):
-    """g at each path's end; 0 for a killed path."""
-    gv = np.asarray(g(np.where(killed[:, None], 0.0, positions[:, -1, :])), dtype=np.float64)
+def _terminal(g, end):
+    """g at each path's end row; 0 for a killed path, whose end row is NaN."""
+    killed = np.isnan(end[:, 0])
+    gv = np.asarray(g(np.where(killed[:, None], 0.0, end)), dtype=np.float64)
     gv[killed] = 0.0
     return gv
 
@@ -277,13 +273,20 @@ def fk_expectation(problem, rule="right", workers=1):
       2 pi at t = 1, n = 64.
     - ``rule="trapezoid"``: the symmetrized product, with an O((t/n)^2)
       bias; about -4e-6 on the same problem.
+
+    Each path's sum is taken in time order, left to right: tau (v_1 + ... + v_n)
+    for the right rule, tau (0.5 v_0 + (v_1 + ... + v_{n-1}) + 0.5 v_n) for the
+    trapezoid, with tau = t/n and v_j = V(w(j tau)).
     """
     p = problem
     g = p.terminal if p.terminal is not None else constant_one
 
-    def reduce(ens):
-        gv = _terminal(g, ens.positions, ens.killed)
-        return _weights(_visited(p.potential, ens.positions), ens.killed, p.t, p.n_steps, rule, gv), gv
+    def reduce(rows, windings):
+        expo = _Exponent(p.potential, rule, p.t / p.n_steps)
+        for row in rows:
+            expo.add(row)
+        gv = _terminal(g, row)
+        return expo.weights(row, gv), gv
 
     grid = TimeGrid.uniform(p.t, p.n_steps)
     [(vals, gv)] = over_paths([(p.kernel, p.x0, None, grid, reduce)], p.n_samples, p.rng, workers)
@@ -298,8 +301,11 @@ def fk_expectation(problem, rule="right", workers=1):
 def _kernel_job(kernel, potential, x0, y0, t, n_steps, rule):
     """The bridge mass p_t(y0, x0) and the ``over_paths`` job of the
     normalized-bridge potential weights."""
-    def reduce(ens):
-        return (_weights(_visited(potential, ens.positions), ens.killed, t, n_steps, rule),)
+    def reduce(rows, windings):
+        expo = _Exponent(potential, rule, t / n_steps)
+        for row in rows:
+            expo.add(row)
+        return (expo.weights(row),)
 
     return bridge_total_mass(kernel, x0, y0, t), (kernel, x0, y0, TimeGrid.uniform(t, n_steps), reduce)
 
@@ -344,16 +350,15 @@ def fk_monotonicity_check(
     mass = 1.0 if y0 is None else bridge_total_mass(kernel, x0, y0, t)
     g = terminal if terminal is not None else constant_one
 
-    def reduce(ens):
-        lo_vals = _visited(v_low, ens.positions)
-        hi_vals = _visited(v_high, ens.positions)
-        if float(np.max(lo_vals - hi_vals, initial=0.0)) > 0.0:
-            raise ValueError("v_low exceeds v_high at a visited point")
-        gv = _terminal(g, ens.positions, ens.killed)
+    def reduce(rows, windings):
+        lo, hi = _Exponent(v_low, rule, t / n_steps), _Exponent(v_high, rule, t / n_steps)
+        for row in rows:
+            if float(np.max(lo.add(row) - hi.add(row), initial=0.0)) > 0.0:
+                raise ValueError("v_low exceeds v_high at a visited point")
+        gv = _terminal(g, row)
         if np.any(gv < 0):
             raise ValueError("the pathwise comparison needs nonnegative terminal data")
-        return (_weights(lo_vals, ens.killed, t, n_steps, rule, gv),
-                _weights(hi_vals, ens.killed, t, n_steps, rule, gv))
+        return lo.weights(row, gv), hi.weights(row, gv)
 
     grid = TimeGrid.uniform(t, n_steps)
     [(w_low, w_high)] = over_paths([(kernel, x0, y0, grid, reduce)], n_samples, rng, workers)

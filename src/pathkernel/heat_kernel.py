@@ -33,7 +33,7 @@ the kernel is built.  The public functions here and the samplers in
 ``density(t, x, y, owner=None)`` (with the owner batching of the profiles
 below), ``mass``, ``ck_integral`` (the left side of Chapman-Kolmogorov;
 the right side is ``density``), and where they exist the moves ``step``
-and ``bridge_step``, which one step-major walk turns into paths and
+and ``bridge_step``, which one walk turns into the rows of paths and
 bridges (a killed step writes NaN), the moment and delta-family rules,
 the distance curve's ``mean_distance(t)`` (NaN on the lattice laws), the
 spectral oracle's ``oracle_basis(n)`` (its first n Laplace eigenfunctions,
@@ -635,31 +635,27 @@ class _Law:
         return f"{TASKS[task][1]} {_runners(task)}, not {self.model}/{self.kind}"
 
     def paths(self, cursor, x0a, steps):
-        """Positions (n, m+1, dim) of free paths from x0a; a killed path's rows from its kill on are NaN."""
+        """The rows of free paths from x0a (see ``_walk``); a killed path's rows from its kill on are NaN."""
         return _walk(x0a, len(cursor), len(steps), lambda j, current: self.step(cursor, current, steps[j]))
 
     def bridges(self, cursor, x0a, y0a, times):
-        """Bridges from x0a to y0a (a row, or one per sample) on the grid
-        times, and their windings (None off the lattice law)."""
+        """The rows of bridges from x0a to y0a (a row, or one per sample) on
+        the grid times, and their windings (None off the lattice law)."""
         return _walk(x0a, len(cursor), len(times) - 1, lambda j, current: self.bridge_step(
             cursor, current, y0a, times[j + 1] - times[j], times[-1] - times[j]), end=y0a), None
 
 
 def _walk(x0a, n, m, move, end=None):
-    """Positions (n, m+1, d) of n chains from x0a: row j + 1 is move(j, row
-    j), and an end row, if given, pins row m (move makes rows 1..m-1).
-    Each move's output fills its row of one step-major (m+1, n, d) array,
-    whose transposed view is the positions, and is the next move's input:
-    kept alive through that move, it lets the killed step reuse its heap
-    pages rather than return them and fault them in again."""
-    walk = np.empty((m + 1, n, x0a.shape[0]))
-    walk[0] = x0a
-    current = walk[0]
+    """Rows 0..m of n chains from x0a, each an (n, d) array, made one at a
+    time as they are read: row j + 1 is move(j, row j), and an end row, if
+    given, is row m (move makes rows 1..m-1).  Only the current row is kept."""
+    current = np.full((n, x0a.shape[0]), x0a)
+    yield current
     for j in range(m if end is None else m - 1):
-        current = walk[j + 1] = move(j, current)
+        current = move(j, current)
+        yield current
     if end is not None:
-        walk[m] = end
-    return walk.transpose(1, 0, 2)
+        yield np.broadcast_to(end, current.shape)
 
 
 def _left_range(dt, what="a step"):
@@ -1021,9 +1017,10 @@ class _LatticeLaw(_Law):
                 k = ks[np.minimum(np.searchsorted(cum, cursor.uniforms(1)[:, 0]), ks.shape[0] - 1)]
             windings[:, i] = k.astype(np.int64)
             target[:, i] = x0a[i] + gap + k * L
-        pos = project_arrays(self.covering(), super().bridges(cursor, x0a, target, times)[0])
-        pos[:, -1] = y0a  # projecting the lift may round away from y0
-        return pos, windings
+        rows, _ = super().bridges(cursor, x0a, target, times)
+        end, m = np.broadcast_to(y0a, target.shape), len(times) - 1
+        # projecting the lift may round away from y0, so the end row is y0 itself
+        return (project_arrays(self.covering(), row) if j < m else end for j, row in enumerate(rows)), windings
 
 
 class _CircleLaw(_Line, _LatticeLaw):

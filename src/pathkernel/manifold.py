@@ -400,9 +400,8 @@ def covering_of(base):
 def project_arrays(cov, x):
     """Reduce total-space coordinates into the fundamental box [0, L_i).
 
-    x - floor(x / L) L is computed in one new array, step by step in
-    place, so a whole path tensor costs one copy of itself and a boolean
-    mask; x itself is never written.
+    x - floor(x / L) L is computed in place in one new array, so a call
+    costs that array and a boolean mask; x itself is never written.
     """
     x = np.asarray(x, dtype=np.float64)
     per = np.asarray(cov.periods)

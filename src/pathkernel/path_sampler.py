@@ -5,10 +5,10 @@ drawn from the model's transition density (sequentially for free paths,
 conditioned on the pinned endpoint for bridges).  Nothing is claimed
 about behavior between grid points.
 
-``sample_paths`` and ``sample_bridges`` check their input and, with
-``heat_kernel.check_task``, that the kernel's law draws what is asked,
-then call the law in ``heat_kernel``, whose one walk turns each law's
-steps into paths and bridges.
+``sample_rows`` checks its input and, with ``heat_kernel.check_task``,
+that the kernel's law draws what is asked, then calls the law, whose one
+walk yields each grid time's row; ``sample_paths`` and ``sample_bridges``
+store the rows as a ``PathEnsemble``.
 
 Determinism contract
 --------------------
@@ -108,8 +108,7 @@ class PathEnsemble:
 
     ``positions[i, j]`` are the coordinates of sample i at grid time j;
     rows at and after a sample's kill step hold NaN, and no others.
-    ``positions`` is a transposed view of the sampler's step-major walk: a
-    reader whose sums depend on memory order copies its slice.
+    ``positions`` is a transposed view of a step-major array, and
     ``windings`` is populated by covering-decomposition bridges.
     """
 
@@ -121,16 +120,6 @@ class PathEnsemble:
     def __len__(self):
         return self.positions.shape[0]
 
-    def __getitem__(self, rows):
-        """The ensemble of the samples in ``rows`` (a slice), as views."""
-        windings = None if self.windings is None else self.windings[rows]
-        return PathEnsemble(self.grid, self.positions[rows], windings)
-
-    @property
-    def killed(self):
-        """Per sample, whether it was killed: a kill is final, so its last row is NaN."""
-        return np.isnan(self.positions[:, -1, 0])
-
     @property
     def kill_step(self):
         """Per sample, the grid index of its first NaN row, or NEVER_KILLED."""
@@ -138,7 +127,7 @@ class PathEnsemble:
         return np.where(dead[:, -1], np.argmax(dead, axis=1), NEVER_KILLED)
 
     def survival_fraction(self):
-        return float(np.mean(~self.killed))
+        return float(np.mean(~np.isnan(self.positions[:, -1, 0])))  # a kill is final
 
     def path(self, i):
         pts = []
@@ -155,9 +144,11 @@ class PathEnsemble:
 # free path sampling
 
 
-def _ensemble_input(kernel, points, grid, master_seed, n_samples, first_index):
-    """Both samplers' input check: the points' coordinates and the cursor."""
-    coords = [validate_point(kernel.model, p, name) for name, p in points.items()]
+def sample_rows(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
+    """The rows of free paths from x0 (y0 None) or of bridges to y0, and the
+    bridges' windings (None off the lattice law).  Row j, every sample's
+    position at grid time j, is drawn as it is read; windings are drawn first."""
+    coords = [validate_point(kernel.model, p, name) for name, p in (("x0", x0), ("y0", y0)) if p is not None]
     if any(c is None for c in coords):
         raise ValueError("paths and bridges cannot start or end at the cemetery")
     if not isinstance(grid, TimeGrid):
@@ -165,14 +156,25 @@ def _ensemble_input(kernel, points, grid, master_seed, n_samples, first_index):
     n = int(n_samples)
     if n < 1:
         raise ValueError("need at least one sample")
-    return coords, StreamCursor(master_seed, first_index + np.arange(n, dtype=np.uint64))
+    cursor = StreamCursor(master_seed, first_index + np.arange(n, dtype=np.uint64))
+    check_task(kernel, "paths" if y0 is None else "bridges")
+    if y0 is None:
+        return kernel._law.paths(cursor, coords[0], grid.steps().tolist()), None
+    return kernel._law.bridges(cursor, *coords, grid.times)
+
+
+def _stored(grid, rows, windings):
+    """The ensemble of the rows, stored in one step-major array."""
+    for j, row in enumerate(rows):
+        if j == 0:
+            walk = np.empty((len(grid.times),) + row.shape)
+        walk[j] = row
+    return PathEnsemble(grid, walk.transpose(1, 0, 2), windings)
 
 
 def sample_paths(kernel, x0, grid, master_seed, n_samples, first_index=0):
     """Ensemble of Markov paths started at x0, stepped by the kernel's law."""
-    (x0a,), cursor = _ensemble_input(kernel, {"x0": x0}, grid, master_seed, n_samples, first_index)
-    check_task(kernel, "paths")
-    return PathEnsemble(grid, kernel._law.paths(cursor, x0a, grid.steps().tolist()))
+    return _stored(grid, *sample_rows(kernel, x0, None, grid, master_seed, n_samples, first_index))
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +189,7 @@ def bridge_total_mass(kernel, x0, y0, horizon):
 def sample_bridges(kernel, x0, y0, grid, master_seed, n_samples, first_index=0):
     """Ensemble from the normalized bridge law, drawn by the kernel's law;
     the last point is y0 exactly."""
-    (x0a, y0a), cursor = _ensemble_input(kernel, {"x0": x0, "y0": y0}, grid, master_seed, n_samples, first_index)
-    check_task(kernel, "bridges")
-    pos, windings = kernel._law.bridges(cursor, x0a, y0a, grid.times)
-    return PathEnsemble(grid, pos, windings)
+    return _stored(grid, *sample_rows(kernel, x0, y0, grid, master_seed, n_samples, first_index))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathkernel.diagnostics import distance_curve
 from pathkernel.errors import PotentialBoundError
 from pathkernel.feynman_kac import (
     ROUNDING_ULPS,
+    EstimateWithError,
     FKProblem,
     Potential,
     const_potential,
@@ -40,6 +41,8 @@ from pathkernel.manifold import (
     covering_of,
     point,
 )
+from pathkernel.parallel import run_blocks
+from pathkernel.path_sampler import TimeGrid, sample_paths
 from pathkernel.rng import RngContract
 
 TWO_PI = 2.0 * math.pi
@@ -173,17 +176,18 @@ class TestExpectation:
                 estimate()
 
 
-class TestMemoryCaps:
-    """The block and reduce caps bound memory and move no bit."""
+class TestBlocks:
+    """The block size moves no bit, and a block's pass holds a few rows of
+    the block at any step count."""
 
     ESTIMATORS = {
         "expectation-circle": lambda w: fk_expectation(
             problem(potential=cos_potential(), n_samples=41, seed=21), rule="trapezoid", workers=w),
-        # killed rows carry NaN positions, and a slice may hold only those
+        # killed rows carry NaN positions, and a block may hold only those
         "expectation-killed": lambda w: fk_expectation(
             problem(kernel=TransitionKernel(Compactified(DirichletInterval(math.pi))), potential=cos_potential(),
                     x0=point(0.4), t=0.5, n_samples=41, seed=22), workers=w),
-        # lattice bridges with windings, projected in one buffer
+        # lattice bridges with windings, projected row by row
         "kernel-circle": lambda w: fk_kernel(
             TransitionKernel(Circle(1.0)), cos_potential(), point(0.2), point(0.7), 1.0, 16, 41,
             RngContract(23), workers=w),
@@ -199,45 +203,91 @@ class TestMemoryCaps:
         "sample-killed": lambda w: cli_outputs(
             ["sample", "--model", "compactified:dirichlet:3.141592653589793", "--x0", "0.4", "--T", "0.5",
              "--steps", "16", "--samples", "41", "--sample-index", "37", "--seed", "27", "--workers", str(w)]),
-        # 34 cells a row: blocks of 2 rows reduced one row at a time
+        # windings drawn per block, before its first step
         "bridge-torus": lambda w: cli_outputs(
             ["bridge", "--model", "torus:1,2", "--x0", "0.2,0.5", "--y0", "0.7,1.5", "--T", "2",
              "--steps", "16", "--samples", "41", "--sample-index", "23", "--seed", "28", "--workers", str(w)]),
-        # 8 cells a row: blocks of 10 rows reduced in slices of 6
+        # two t values, the jobs of one pass
         "curve-h3": lambda w: distance_curve(H3K, ORIGIN4, [0.5, 2.0], 41, RngContract(29), workers=w),
     }
 
     @pytest.mark.parametrize("name", list(ESTIMATORS))
-    def test_tiny_caps_keep_every_bit(self, monkeypatch, name):
-        # 17 cells a row on a line at 16 steps: one block and one slice at the
-        # default caps, blocks of 5 rows reduced in slices of 2 at the tiny ones
+    def test_tiny_blocks_keep_every_bit(self, monkeypatch, name):
+        # 41 samples: one block at the default size, nine blocks of at most 5 at the tiny one
         estimate = self.ESTIMATORS[name]
         want = estimate(1)
-        monkeypatch.setattr(feynman_kac, "BLOCK_CELLS", 5 * 17)
-        monkeypatch.setattr(feynman_kac, "REDUCE_CELLS", 2 * 17 + 16)
+        monkeypatch.setattr(feynman_kac, "BLOCK_SIZE", 5)
         for workers in (1, 2):
             assert estimate(workers) == want
 
-    @pytest.mark.parametrize("run, bound", [
+    ROWS = 24  # the most rows of its block (block samples x 8 bytes on a line) a pass may hold
+
+    @pytest.mark.parametrize("run, block", [
         (lambda: fk_expectation(problem(potential=cos_potential(), n_steps=64, n_samples=32768, seed=3),
-                                rule="trapezoid"),
-         1.5 * 32768 * 65 * 8),  # the position tensor, one block
+                                rule="trapezoid"), 32768),
         (lambda: fk_expectation(problem(potential=cos_potential(), n_steps=512, n_samples=16384, seed=3),
-                                rule="trapezoid"),
-         1.5 * feynman_kac.BLOCK_CELLS * 8),  # two blocks of 8,176 rows
+                                rule="trapezoid"), 16384),
         (lambda: cli_outputs(["sample", "--model", "circle:1.0", "--x0", "0", "--T", "1", "--steps", "4096",
-                              "--samples", "2048", "--seed", "3"]),
-         1.5 * feynman_kac.BLOCK_CELLS * 8),  # three blocks, of 1,023 rows and 2
+                              "--samples", "2048", "--seed", "3"]), 2048),
     ], ids=["64-slices", "512-slices", "long-sample"])
-    def test_traced_peak_is_bounded(self, run, bound):
+    def test_traced_peak_is_bounded(self, monkeypatch, run, block):
+        # the traced peak of the blocks' pass over what was live before it; the
+        # dumped path of ``sample`` is one sample's whole path, drawn after the pass
+        grown = []
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            parts = run_blocks(*args, **kwargs)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+            return parts
+
         run()  # first-call allocations are not the run's
+        monkeypatch.setattr(feynman_kac, "run_blocks", traced)
         tracemalloc.start()
         try:
             run()
-            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound
+        assert len(grown) == 1
+        assert grown[0] < self.ROWS * block * 8
+
+
+def sequential_weights(positions, potential, t, rule):
+    """exp(-Riemann sum) per path from the whole path tensor, summed in time order."""
+    v = potential(positions)
+    tau = t / (v.shape[1] - 1)
+    inner = v[:, 1]
+    for j in range(2, v.shape[1] - 1):
+        inner = inner + v[:, j]
+    if rule == "right":
+        return np.exp(-(tau * (inner + v[:, -1])))
+    return np.exp(-(tau * (0.5 * v[:, 0] + inner + 0.5 * v[:, -1])))
+
+
+class TestSumOrder:
+    """Each path's Riemann sum is taken in time order, as ``fk_expectation`` documents."""
+
+    N, SEED = 1000, 34  # a seed at which numpy's pairwise row sum gives other bits under both rules
+    GRID = TimeGrid.uniform(1.0, 64)
+
+    def paths(self):
+        return sample_paths(CIRCLE, point(0.0), self.GRID, self.SEED, self.N).positions
+
+    @pytest.mark.parametrize("rule", ["right", "trapezoid"])
+    def test_expectation_sums_in_time_order(self, rule):
+        weights = sequential_weights(self.paths(), cos_potential(), 1.0, rule)
+        got = fk_expectation(problem(potential=cos_potential(), n_steps=64, n_samples=self.N, seed=self.SEED),
+                             rule=rule)
+        assert got == EstimateWithError.of(weights)
+
+    def test_monotonicity_sums_in_time_order(self):
+        rep = fk_monotonicity_check(CIRCLE, cos_potential(), const_potential(1.0), point(0.0), 1.0, 64, self.N,
+                                    RngContract(self.SEED), rule="trapezoid")
+        pos = self.paths()
+        assert rep.estimate_low == EstimateWithError.of(sequential_weights(pos, cos_potential(), 1.0, "trapezoid"))
+        assert rep.estimate_high == EstimateWithError.of(
+            sequential_weights(pos, const_potential(1.0), 1.0, "trapezoid"))
 
 
 class TestKernelEstimator:

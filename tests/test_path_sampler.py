@@ -71,6 +71,11 @@ def h3_point(base, direction, r):
 H3_OFF = h3_point(ORIGIN4.coords, [0.3, -0.5, 0.8], 0.7)
 
 
+def stacked(rows):
+    """A law's rows as one (n, m+1, d) position array."""
+    return np.stack(list(rows), axis=1)
+
+
 class TestTimeGridAndPath:
     def test_uniform_grid(self):
         g = TimeGrid.uniform(2.0, 4)
@@ -361,11 +366,11 @@ class TestBridges:
         # is rint(-gap/L + sqrt(2T/L^2 - 1/12) z) of one normal z (2 slots) instead
         n = 64
         cursor = StreamCursor(0, np.arange(n, dtype=np.uint64))
-        pos, windings = CIRC1._law.bridges(cursor, np.array([0.0]), np.array([0.25]), (0.0, 1e12))
+        rows, windings = CIRC1._law.bridges(cursor, np.array([0.0]), np.array([0.25]), (0.0, 1e12))
         assert cursor.pos.tolist() == [2] * n
         z = StreamCursor(0, np.arange(n, dtype=np.uint64)).normals(1)[:, 0]
         assert windings[:, 0].tolist() == np.rint(-0.25 + math.sqrt(2e12 - 1.0 / 12.0) * z).astype(np.int64).tolist()
-        assert np.all(pos[:, -1, 0] == 0.25)
+        assert np.all(stacked(rows)[:, -1, 0] == 0.25)
 
     def test_unsupported_bridges(self):
         g = TimeGrid.uniform(1.0, 2)
@@ -606,7 +611,7 @@ class TestWalk:
         grid = TimeGrid.uniform(1.0, m)
         steps = grid.steps()
         walked, looped = self.cursors()
-        pos = law.paths(walked, x0a, steps)
+        pos = stacked(law.paths(walked, x0a, steps))
         cols = [np.tile(x0a, (self.N, 1))]
         for dt in steps:
             cols.append(law.step(looped, cols[-1], dt))
@@ -621,7 +626,8 @@ class TestWalk:
         law, model = kernel._law, kernel.model
         times = np.asarray(TimeGrid.uniform(1.0, m).times)
         walked, looped = self.cursors()
-        pos, windings = law.bridges(walked, x0a, y0a, times)
+        rows, windings = law.bridges(walked, x0a, y0a, times)
+        pos = stacked(rows)
         target = y0a
         if windings is not None:  # one winding uniform per coordinate, then a bridge to the lift
             looped.uniforms(len(y0a))
@@ -644,7 +650,7 @@ class TestWalk:
         grid = TimeGrid.uniform(horizon, m)
         steps = grid.steps()
         walked, looped = self.cursors()
-        pos = law.paths(walked, x0a, steps)
+        pos = stacked(law.paths(walked, x0a, steps))
         kill = PathEnsemble(grid, pos).kill_step
         ref_pos, ref_kill = killed_column_loop(law, looped, x0a, steps)
         np.testing.assert_array_equal(pos, ref_pos)
