@@ -96,7 +96,7 @@ from .quadrature import (
     gaussian_tail_radius,
     maximize_scalar,
 )
-from .rng import box_muller
+from .rng import box_muller, cos_sin_2pi
 
 MAX_TERMS = 10 ** 6
 
@@ -896,10 +896,11 @@ class _H3Law(_Law):
         """
         s = _scale(2.0 * dt, dt)
         u = cursor.uniforms(8)
+        # the direction first: its temporaries then meet the draw alone, not the normals too
+        direction = sphere_directions(u[:, 6:])
         # one normal per slot pair, each a contiguous column: (n, 3) normals
         # would leave the radius arithmetic on strided columns, 1.8x slower
         z0, z1, z2 = (box_muller(u[:, j:j + 2])[:, 0] for j in (0, 2, 4))
-        direction = sphere_directions(u[:, 6:])
         del u  # 64 bytes a row, not to be held through the exp map
         r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
         return self._exp(current, direction, r, dt)
@@ -947,8 +948,10 @@ class _H3Law(_Law):
             g = -1.0 / (sign + e3)
             h = e1 * e2 * g
             rim = np.sqrt(w * (2.0 - w))  # sin(theta)
-            phi = 2.0 * np.pi * v
-            along, rc, rs = 1.0 - w, rim * np.cos(phi), rim * np.sin(phi)
+            rc, rs = cos_sin_2pi(v)
+            rc *= rim
+            rs *= rim
+            along = 1.0 - w
             direction = np.empty((len(a), 3))
             direction[:, 0] = along * e1 + rc * (1.0 + sign * (e1 * e1) * g) + rs * h
             direction[:, 1] = along * e2 + rc * (sign * h) + rs * (sign + e2 * e2 * g)

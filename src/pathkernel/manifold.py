@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import cos_sin_2pi
+
 HYPERBOLOID_TOL = 1e-12
 
 
@@ -322,10 +324,10 @@ def sphere_directions(uv):
     """Uniform unit vectors in R^3 from the uniform pairs in the rows of ``uv``."""
     c = 1.0 - 2.0 * uv[:, 0]
     s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    phi = 2.0 * np.pi * uv[:, 1]
+    cos, sin = cos_sin_2pi(uv[:, 1])
     out = np.empty((len(c), 3))
-    out[:, 0] = s * np.cos(phi)
-    out[:, 1] = s * np.sin(phi)
+    np.multiply(s, cos, out=out[:, 0])
+    np.multiply(s, sin, out=out[:, 1])
     out[:, 2] = c
     return out
 

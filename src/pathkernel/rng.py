@@ -26,7 +26,31 @@ cosine branch), so a normal drawn at an even slot shares one block and
 a normal drawn at an odd slot straddles two.  Callers that mix draw
 kinds keep a single per-sample cursor in uniform units.
 
-``uniforms`` runs in a small C kernel where one can be built: the
+Box-Muller is computed from IEEE basic operations only (add, subtract,
+multiply, divide, sqrt, and exact bit and exponent operations), in a
+fixed order, so its bits do not depend on the host's libm or SIMD level.
+The normal of the pair (u0, u1) is sqrt(log(u0) * -2) * cos(2 pi u1):
+
+- cos(2 pi u1): x = 4 u1, t = x + 1.5 * 2**52, k = t - 1.5 * 2**52 and
+  f = x - k, all exact; q = k mod 4 is the two low bits of t.  With
+  z = f * f, C = Horner(cos coefficients, z) and S = Horner(sin
+  coefficients, z) * f, where Horner(c, z) is c[n-1], then acc * z + c[k]
+  for k = n-2 down to 0; cos(2 pi u) is C, -S, -C, S and sin(2 pi u) is
+  S, C, -S, -C for q = 0, 1, 2, 3 (a negation flips the sign bit).
+- log u0: u0 = 2**e m with m in [1/2, 1) from the exponent bits; where
+  m < sqrt(1/2), m = m * 2 and e = e - 1.  Then f = m - 1,
+  s = f / (f + 2), z = s * s, h = (f * f) * 0.5, r = Horner(log
+  coefficients, z) * z, and log u0 = e ln2_hi + (e ln2_lo + (f - (h -
+  (h + r) * s))).
+
+The coefficients are printed by ``tools/box_muller_coefficients.py``.
+The largest errors on 10**5 draws are under 2**-52 for cos and sin and
+1.2 ulp for log.  The same cos and sin serve every angle drawn from a
+uniform (``cos_sin_2pi``: the H^3 directions and the H^3 bridge's
+azimuth).
+
+``uniforms``, ``box_muller`` and ``cos_sin_2pi`` run in a small C kernel
+where one can be built.  For ``uniforms`` it computes the
 Philox block, the lane choice, the odd-start and wrap slot logic and the
 53-bit float.  That is integer arithmetic plus one IEEE add and a
 power-of-two scale, so the kernel's output is bit-identical to the numpy
@@ -37,7 +61,11 @@ AVX-512DQ, found at run time, a vector body computes eight addresses at
 once wherever 8 consecutive addresses start at slots of one parity; mixed
 groups and the tail of fewer than 8 take the scalar loop.  Its products
 are the same 32x32->64-bit products and its float conversion is exact
-below 2**53, so both bodies give the same bits.  One library serves every
+below 2**53, so both bodies give the same bits.  The Box-Muller bodies
+are the numpy bodies (``_numpy_box_muller``, ``_numpy_cos_sin_2pi``)
+written in C, operation for operation, compiled with ``-ffp-contract=off``
+so that no multiply and add fuse into an FMA; the vector body takes eight
+values at once and the tail of fewer than 8 the scalar loop.  One library serves every
 x86-64 host; it lives in ``__pycache__/`` next to this file, under a name
 that carries a hash of the C source, the compiler flags and the machine
 type.  The first draw in a process loads it; if it is missing, that draw
@@ -46,10 +74,8 @@ Every load checks both bodies, on this CPU, against known answers of the
 numpy body (kept as a CRC-32 that the tests recompute), so a library
 built where the vector body could not run is checked where it does.
 With no ``cc`` on ``PATH``, a failed compile or check, an unwritable
-``__pycache__`` or a library that does not load, draws run in numpy
-silently, with the same bits.  Box-Muller stays in numpy: libm's ``log``
-and ``cos`` do not round like numpy's SIMD loops, so normals computed in
-C would differ in the last bits.
+``__pycache__`` or a library that does not load, draws and normals run
+in numpy silently, with the same bits; normals are then several times slower.
 """
 
 from __future__ import annotations
@@ -57,6 +83,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import importlib.util
+import math
 import os
 import platform
 import shutil
@@ -80,6 +107,32 @@ _U64 = np.uint64
 _ONE = np.uint64(1)
 _EVEN = np.uint64(0xFFFFFFFFFFFFFFFE)
 _TWO_NEG53 = 2.0 ** -53
+
+# The Box-Muller polynomials, printed by tools/box_muller_coefficients.py
+# (mpmath, rounded once): cos(pi f / 2) and sin(pi f / 2) / f in f**2,
+# (log((1 + s) / (1 - s)) - 2 s) / s**3 in s**2, and log 2 split so that
+# e * _LN2_HI is exact.
+_COS_COEFFS = tuple(map(float.fromhex, (
+    "0x1.0000000000000p+0", "-0x1.3bd3cc9be45dep+0", "0x1.03c1f081b5ac4p-2", "-0x1.55d3c7e3cbffap-6",
+    "0x1.e1f506891babbp-11", "-0x1.a6d1f2a204a8cp-16", "0x1.f9d38a3763cc3p-22", "-0x1.b6e24f44b128fp-28",
+    "0x1.20c62c2f2d7f5p-34", "-0x1.2a0c591af8314p-41", "0x1.ef6e308d6d1c4p-49",
+)))
+_SIN_COEFFS = tuple(map(float.fromhex, (
+    "0x1.921fb54442d18p+0", "-0x1.4abbce625be53p-1", "0x1.466bc6775aae2p-4", "-0x1.32d2cce62bd86p-8",
+    "0x1.50783487ee782p-13", "-0x1.e3074fde8871fp-19", "0x1.e8f434d018d63p-25", "-0x1.6fadb9f155744p-31",
+    "0x1.aaec32af93359p-38", "-0x1.8a404211f9547p-45", "0x1.2877020d52cf0p-52",
+)))
+_LOG_COEFFS = tuple(map(float.fromhex, (
+    "0x1.5555555555555p-1", "0x1.999999999999ap-2", "0x1.2492492492492p-2", "0x1.c71c71c71c71cp-3",
+    "0x1.745d1745d1746p-3", "0x1.3b13b13b13b14p-3", "0x1.1111111111111p-3", "0x1.e1e1e1e1e1e1ep-4",
+    "0x1.af286bca1af28p-4", "0x1.8618618618618p-4", "0x1.642c8590b2164p-4", "0x1.47ae147ae147bp-4",
+    "0x1.2f684bda12f68p-4", "0x1.1a7b9611a7b96p-4",
+)))
+_LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+
+_SQRT_HALF = float.fromhex("0x1.6a09e667f3bcdp-1")
+_ROUND = float.fromhex("0x1.8p52")  # x + _ROUND - _ROUND is x rounded to an integer, for |x| < 2**51
 
 
 @dataclass(frozen=True)
@@ -324,20 +377,200 @@ static AVX512 void uniforms_avx512(uint64_t seed, const uint64_t *sample, const 
     pathkernel_uniforms_scalar(seed, sample + i, draw + i, n - i, width, out + i * width);
 }
 #endif
+"""
+
+
+def _c_constants():
+    """The Box-Muller constants as C definitions, as hex literals: the numpy body's doubles exactly."""
+    arrays = "".join(f"static const double {name}[{len(values)}] = {{{', '.join(v.hex() for v in values)}}};\n"
+                     for name, values in (("COS_COEFFS", _COS_COEFFS), ("SIN_COEFFS", _SIN_COEFFS),
+                                          ("LOG_COEFFS", _LOG_COEFFS)))
+    scalars = "".join(f"#define {name} {value.hex()}\n" for name, value in (
+        ("LN2_HI", _LN2_HI), ("LN2_LO", _LN2_LO), ("SQRT_HALF", _SQRT_HALF), ("ROUND", _ROUND)))
+    return arrays + scalars
+
+
+# The C form of ``_numpy_box_muller`` and ``_numpy_cos_sin_2pi``: the same
+# IEEE operations in the same order, so the same bits.  Every body reads
+# element i of ``u`` at ``u[i * stride]`` (a pair's angle one further on).
+_KERNEL_SOURCE += _c_constants() + r"""
+#include <math.h>
+#include <string.h>
+
+static inline double horner(const double *c, int n, double z)
+{
+    double acc = c[n - 1];
+    for (int k = n - 2; k >= 0; k--)
+        acc = acc * z + c[k];
+    return acc;
+}
+
+/* cos(2 pi u) and sin(2 pi u): 4u = k + f with k an integer and |f| <= 1/2,
+   both exact; the quarter turn k mod 4 is the low bits of the rounding sum */
+static inline void turn(double u, double *c, double *s)
+{
+    double x = 4.0 * u, t = x + ROUND, f = x - (t - ROUND), z = f * f;
+    uint64_t q;
+    memcpy(&q, &t, sizeof q);
+    double cf = horner(COS_COEFFS, 11, z), sf = horner(SIN_COEFFS, 11, z) * f;
+    double cq = q & 1 ? sf : cf, sq = q & 1 ? cf : sf;
+    *c = (q + 1) & 2 ? -cq : cq;
+    *s = q & 2 ? -sq : sq;
+}
+
+/* log u for u in [2**-1022, 1]: u = 2**e m with m in [sqrt(1/2), sqrt(2)) and f = m - 1 */
+static inline double log_unit(double u)
+{
+    uint64_t bits;
+    double m;
+    memcpy(&bits, &u, sizeof bits);
+    double e = (double)((int64_t)(bits >> 52) - 1022);
+    bits = (bits & 0x000FFFFFFFFFFFFFu) | 0x3FE0000000000000u;
+    memcpy(&m, &bits, sizeof m);
+    if (m < SQRT_HALF)
+        m = m * 2.0, e = e - 1.0;
+    double f = m - 1.0, s = f / (f + 2.0), z = s * s, h = f * f * 0.5;
+    double r = horner(LOG_COEFFS, 14, z) * z;
+    return e * LN2_HI + (e * LN2_LO + (f - (h - (h + r) * s)));
+}
+
+void pathkernel_normals_scalar(const double *u, size_t n, ptrdiff_t stride, double *out)
+{
+    for (size_t i = 0; i < n; i++, u += stride) {
+        double c, s;
+        turn(u[1], &c, &s);
+        out[i] = sqrt(log_unit(u[0]) * -2.0) * c;
+    }
+}
+
+void pathkernel_angles_scalar(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
+{
+    for (size_t i = 0; i < n; i++, u += stride)
+        turn(*u, cos + i, sin + i);
+}
+
+#if defined(__x86_64__)
+static inline AVX512 __m512d horner8(const double *c, int n, __m512d z)
+{
+    __m512d acc = _mm512_set1_pd(c[n - 1]);
+    for (int k = n - 2; k >= 0; k--)
+        acc = _mm512_add_pd(_mm512_mul_pd(acc, z), _mm512_set1_pd(c[k]));
+    return acc;
+}
+
+/* turn() on eight values; a negation flips the sign bit, as - does */
+static inline AVX512 void turn8(__m512d u, __m512d *c, __m512d *s)
+{
+    const __m512d round = _mm512_set1_pd(ROUND), sign = _mm512_set1_pd(-0.0);
+    const __m512i one = _mm512_set1_epi64(1), two = _mm512_set1_epi64(2);
+    __m512d x = _mm512_mul_pd(u, _mm512_set1_pd(4.0)), t = _mm512_add_pd(x, round);
+    __m512d f = _mm512_sub_pd(x, _mm512_sub_pd(t, round)), z = _mm512_mul_pd(f, f);
+    __m512i q = _mm512_castpd_si512(t);
+    __m512d cf = horner8(COS_COEFFS, 11, z), sf = _mm512_mul_pd(horner8(SIN_COEFFS, 11, z), f);
+    __mmask8 odd = _mm512_test_epi64_mask(q, one);
+    __m512d cq = _mm512_mask_blend_pd(odd, cf, sf), sq = _mm512_mask_blend_pd(odd, sf, cf);
+    *c = _mm512_mask_xor_pd(cq, _mm512_test_epi64_mask(_mm512_add_epi64(q, one), two), cq, sign);
+    *s = _mm512_mask_xor_pd(sq, _mm512_test_epi64_mask(q, two), sq, sign);
+}
+
+/* log_unit() on eight values */
+static inline AVX512 __m512d log8(__m512d u)
+{
+    const __m512d one = _mm512_set1_pd(1.0);
+    __m512i bits = _mm512_castpd_si512(u);
+    __m512d e = _mm512_cvtepi64_pd(_mm512_sub_epi64(_mm512_srli_epi64(bits, 52), _mm512_set1_epi64(1022)));
+    __m512d m = _mm512_castsi512_pd(_mm512_or_si512(_mm512_and_si512(bits, _mm512_set1_epi64(0x000FFFFFFFFFFFFF)),
+                                                    _mm512_set1_epi64(0x3FE0000000000000)));
+    __mmask8 low = _mm512_cmp_pd_mask(m, _mm512_set1_pd(SQRT_HALF), _CMP_LT_OQ);
+    m = _mm512_mask_mul_pd(m, low, m, _mm512_set1_pd(2.0));
+    e = _mm512_mask_sub_pd(e, low, e, one);
+    __m512d f = _mm512_sub_pd(m, one), s = _mm512_div_pd(f, _mm512_add_pd(f, _mm512_set1_pd(2.0)));
+    __m512d z = _mm512_mul_pd(s, s), h = _mm512_mul_pd(_mm512_mul_pd(f, f), _mm512_set1_pd(0.5));
+    __m512d r = _mm512_mul_pd(horner8(LOG_COEFFS, 14, z), z);
+    __m512d logm = _mm512_sub_pd(f, _mm512_sub_pd(h, _mm512_mul_pd(_mm512_add_pd(h, r), s)));
+    return _mm512_add_pd(_mm512_mul_pd(e, _mm512_set1_pd(LN2_HI)),
+                         _mm512_add_pd(_mm512_mul_pd(e, _mm512_set1_pd(LN2_LO)), logm));
+}
+
+/* Eight elements at once, gathered stride apart; the n % 8 tail takes the scalar loop. */
+static AVX512 void normals_avx512(const double *u, size_t n, ptrdiff_t stride, double *out)
+{
+    const __m512i lanes = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0), _mm512_set1_epi64(stride));
+    const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+    const __m512i odd = _mm512_add_epi64(even, _mm512_set1_epi64(1));
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8, u += 8 * stride) {
+        __m512d c, s, r, a;
+        if (stride == 2) { /* adjacent pairs: two loads, split into radii and angles */
+            __m512d lo = _mm512_loadu_pd(u), hi = _mm512_loadu_pd(u + 8);
+            r = _mm512_permutex2var_pd(lo, even, hi), a = _mm512_permutex2var_pd(lo, odd, hi);
+        } else {
+            r = _mm512_i64gather_pd(lanes, u, 8), a = _mm512_i64gather_pd(lanes, u + 1, 8);
+        }
+        turn8(a, &c, &s);
+        __m512d radius = _mm512_sqrt_pd(_mm512_mul_pd(log8(r), _mm512_set1_pd(-2.0)));
+        _mm512_storeu_pd(out + i, _mm512_mul_pd(radius, c));
+    }
+    pathkernel_normals_scalar(u, n - i, stride, out + i);
+}
+
+static AVX512 void angles_avx512(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
+{
+    const __m512i lanes = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0), _mm512_set1_epi64(stride));
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8, u += 8 * stride) {
+        __m512d c, s;
+        turn8(_mm512_i64gather_pd(lanes, u, 8), &c, &s);
+        _mm512_storeu_pd(cos + i, c);
+        _mm512_storeu_pd(sin + i, s);
+    }
+    pathkernel_angles_scalar(u, n - i, stride, cos + i, sin + i);
+}
+
+static int vector_body(void)
+{
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+}
+#endif
 
 void pathkernel_uniforms(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
                          size_t n, size_t width, double *out)
 {
 #if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
+    if (vector_body()) {
         uniforms_avx512(seed, sample, draw, n, width, out);
         return;
     }
 #endif
     pathkernel_uniforms_scalar(seed, sample, draw, n, width, out);
 }
+
+void pathkernel_normals(const double *u, size_t n, ptrdiff_t stride, double *out)
+{
+#if defined(__x86_64__)
+    if (vector_body()) {
+        normals_avx512(u, n, stride, out);
+        return;
+    }
+#endif
+    pathkernel_normals_scalar(u, n, stride, out);
+}
+
+void pathkernel_angles(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
+{
+#if defined(__x86_64__)
+    if (vector_body()) {
+        angles_avx512(u, n, stride, cos, sin);
+        return;
+    }
+#endif
+    pathkernel_angles_scalar(u, n, stride, cos, sin);
+}
 """
-_KERNEL_FLAGS = ("-O3", "-shared", "-fPIC")
+# -ffp-contract=off: GNU C would fuse a * b + c into one FMA under the avx512f
+# target, which rounds once where the numpy body rounds twice.
+# -fno-math-errno: sqrt is the IEEE instruction alone, with no libm call
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _SEED_MASK = 2 ** 64 - 1
 
 
@@ -353,14 +586,24 @@ def _kernel_path():
 
 
 def _load(path):
-    """The library's two bodies: ``pathkernel_uniforms`` (vector where the CPU runs it) and the scalar loop."""
+    """The library's two bodies: ``pathkernel_uniforms`` (vector where the CPU runs it) and the scalar loop.
+
+    Each carries the Box-Muller functions of the same body as its ``normals``
+    and ``angles`` attributes."""
     lib = ctypes.CDLL(str(path))
-    bodies = lib.pathkernel_uniforms, lib.pathkernel_uniforms_scalar
-    for fn in bodies:
-        fn.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
-                       ctypes.c_void_p]
-        fn.restype = None
-    return bodies
+    bodies = []
+    for body in ("", "_scalar"):
+        uniforms, normals, angles = (getattr(lib, f"pathkernel_{name}{body}")
+                                     for name in ("uniforms", "normals", "angles"))
+        uniforms.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+                             ctypes.c_void_p]
+        normals.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p]
+        angles.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
+        for fn in (uniforms, normals, angles):
+            fn.restype = None
+        uniforms.normals, uniforms.angles = normals, angles
+        bodies.append(uniforms)
+    return tuple(bodies)
 
 
 def _check_addresses():
@@ -392,16 +635,52 @@ _CHECK_WIDTH = 5
 _CHECK_CRC = 0x6BCAFAFE
 
 
+def _box_muller_check_inputs():
+    """Uniform pairs (radius, angle), flattened, of the Box-Muller known-answer check.
+
+    Nine pairs of edge points, then 28 pairs of 53-bit slot values from a
+    Weyl sequence: four groups of 8 and a 5-pair tail.  The radii are 1.0,
+    the smallest slot value 2**-54, 1 - 2**-53, 1/2, and mantissas at and on
+    either side of sqrt(1/2) at two exponents; the angles are the quarter
+    turns 1/4, 1/2, 3/4, 1, and 1 - 2**-53, 2**-54 and three odd eighths.
+    """
+    below, above = math.nextafter(_SQRT_HALF, 0.0), math.nextafter(_SQRT_HALF, 1.0)
+    radii = [1.0, 2.0 ** -54, _SQRT_HALF, below, above, below / 2, above / 2, 0.5, 1.0 - 2.0 ** -53]
+    angles = [0.25, 0.5, 0.75, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -54, 0.125, 0.375, 0.875]
+    weyl = [((i * 0x9E3779B97F4A7C15 % 2 ** 64 >> 11) + 0.5) * _TWO_NEG53 for i in range(1, 57)]
+    return [u for pair in zip(radii, angles) for u in pair] + weyl
+
+
+# The numpy body's normals at the check pairs, then at every other pair (read
+# 4 doubles apart, which the vector body gathers), then its cosines and sines
+# of every check input (``_numpy_box_muller`` and ``_numpy_cos_sin_2pi``),
+# as their CRC-32; the tests recompute it.
+_BOX_MULLER_CRC = 0x40AFB197
+
+
 def _passes_check(bodies):
-    """True if every kernel body in ``bodies`` gives the numpy body's variates at the check addresses."""
+    """True if every kernel body in ``bodies`` gives the numpy body's variates at the check addresses,
+    and its normals, cosines and sines at the Box-Muller check inputs."""
     sample, draw = _check_addresses()
     n = len(draw)
     samp, draw = (ctypes.c_uint64 * n)(*sample), (ctypes.c_uint64 * n)(*draw)
     out = (ctypes.c_double * (n * _CHECK_WIDTH))()
+    inputs = _box_muller_check_inputs()
+    m = len(inputs)
+    u = (ctypes.c_double * m)(*inputs)
+    every, other = m // 2, len(inputs[::4])
+    normals, cos, sin = (ctypes.c_double * (every + other))(), (ctypes.c_double * m)(), (ctypes.c_double * m)()
     for fn in bodies:
         ctypes.memset(out, 0, ctypes.sizeof(out))  # no variate is 0, so a slot left unwritten fails
         fn(_CHECK_SEED, samp, draw, n, _CHECK_WIDTH, out)
         if _crc(out) != _CHECK_CRC:
+            return False
+        for buf in (normals, cos, sin):  # NaNs, which no body writes
+            ctypes.memset(buf, 0xFF, ctypes.sizeof(buf))
+        fn.normals(u, every, 2, normals)
+        fn.normals(u, other, 4, ctypes.byref(normals, 8 * every))
+        fn.angles(u, m, 1, cos, sin)
+        if _crc([*normals, *cos, *sin]) != _BOX_MULLER_CRC:
             return False
     return True
 
@@ -435,7 +714,7 @@ def _build(path):
 
 @functools.lru_cache(maxsize=None)
 def _kernel():
-    """The compiled ``pathkernel_uniforms``, or None where it cannot be had.
+    """The compiled ``pathkernel_uniforms`` with its ``normals`` and ``angles``, or None where it cannot be had.
 
     Every load checks both bodies against known answers of the numpy body:
     a library built on a host without AVX-512 has a vector body that only
@@ -452,16 +731,140 @@ def _kernel():
     return None
 
 
+def _strided(a, width):
+    """``a`` as rows of ``width`` adjacent doubles a fixed positive number of doubles apart: (rows, stride).
+
+    Copies only where the layout of ``a`` has no such form."""
+    rows = np.asarray(a, dtype=np.float64).reshape(-1, width)
+    step, item = rows.strides
+    if (item != 8 and width > 1) or step <= 0 or step % 8:
+        rows = np.ascontiguousarray(rows)
+    return rows, rows.strides[0] // 8
+
+
 def box_muller(u):
     """Standard normals from uniform slot pairs along the last axis.
 
-    ``(..., 2k)`` uniforms give ``(..., k)`` normals; slot ``2i`` sets the
-    radius and slot ``2i + 1`` the angle (cosine branch).
+    ``(..., 2k)`` uniforms in (0, 1] give ``(..., k)`` normals
+    sqrt(-2 log u0) cos(2 pi u1); slot ``2i`` is u0, the radius, and slot
+    ``2i + 1`` is u1, the angle (cosine branch).
     """
-    # np.log may round differently on strided input; contiguous radius
-    # slots keep the bits independent of how the draw was laid out
-    radius = np.ascontiguousarray(u[..., 0::2])
-    return np.sqrt(-2.0 * np.log(radius)) * np.cos(2.0 * np.pi * u[..., 1::2])
+    if np.shape(u)[-1] % 2:
+        raise ValueError("box_muller takes slot pairs: the last axis must have even length")
+    kernel = _kernel()
+    if kernel is None:
+        return _numpy_box_muller(u)
+    pairs, stride = _strided(u, 2)
+    out = np.empty(pairs.shape[0])
+    if out.size:
+        kernel.normals(pairs.ctypes.data, out.size, stride, out.ctypes.data)
+    return out.reshape(np.shape(u)[:-1] + (np.shape(u)[-1] // 2,))
+
+
+def cos_sin_2pi(u):
+    """(cos 2 pi u, sin 2 pi u) for u in [0, 1], each of u's shape: the angle arithmetic of ``box_muller``."""
+    kernel = _kernel()
+    if kernel is None:
+        return _numpy_cos_sin_2pi(u)
+    flat, stride = _strided(u, 1)
+    cos, sin = np.empty(flat.shape[0]), np.empty(flat.shape[0])
+    if cos.size:
+        kernel.angles(flat.ctypes.data, cos.size, stride, cos.ctypes.data, sin.ctypes.data)
+    return cos.reshape(np.shape(u)), sin.reshape(np.shape(u))
+
+
+def _horner(coeffs, z):
+    """coeffs[0] + z (coeffs[1] + z (... + z coeffs[-1])), in a new array written in place."""
+    acc = np.multiply(z, coeffs[-1])
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= z
+    acc += coeffs[0]
+    return acc
+
+
+def _numpy_cos_sin_2pi(u):
+    """The numpy body of ``cos_sin_2pi``: the kernel's reference.
+
+    4u = k + f with k = rint(4u), written (4u + 1.5 * 2**52) - 1.5 * 2**52,
+    and |f| <= 1/2; both are exact.  The quarter turn q = k mod 4 is the two
+    low bits of the rounding sum.  C(f) = cos(pi f / 2) and S(f) =
+    sin(pi f / 2) are Horner polynomials in f**2 (times f for S), and
+    cos(2 pi u) is C, -S, -C, S and sin(2 pi u) is S, C, -S, -C for
+    q = 0, 1, 2, 3.  The choice and the negations are bit operations on
+    the float buffers, which numpy runs far faster than masked copies."""
+    f = np.multiply(u, 4.0, out=np.empty(np.shape(u)))
+    z = f + _ROUND
+    q = np.empty(z.shape, np.uint8)
+    np.bitwise_and(z.view(np.uint64), np.uint64(3), out=q, casting="unsafe")
+    z -= _ROUND
+    f -= z
+    np.multiply(f, f, out=z)
+    cos = _horner(_COS_COEFFS, z)
+    sin = _horner(_SIN_COEFFS, z)
+    sin *= f
+    # f and z are free: a mask of all ones where q is odd, and the bits
+    # in which cos and sin differ there, swap the two
+    mask, swap = f.view(np.uint64), z.view(np.uint64)
+    cos_bits, sin_bits = cos.view(np.uint64), sin.view(np.uint64)
+    np.bitwise_and(q, np.uint8(1), out=mask)
+    np.negative(mask, out=mask)
+    np.bitwise_xor(cos_bits, sin_bits, out=swap)
+    swap &= mask
+    cos_bits ^= swap
+    sin_bits ^= swap
+    # the sign bit, set where q is 1 or 2 for cos and 2 or 3 for sin
+    for bits, shift in ((cos_bits, np.uint8(1)), (sin_bits, np.uint8(0))):
+        np.bitwise_and(q + shift, np.uint8(2), out=mask)
+        mask <<= np.uint64(62)
+        bits ^= mask
+    return cos, sin
+
+
+def _numpy_log(u):
+    """log u for u in [2**-1022, 1], from IEEE basic operations: the reference of the kernel's.
+
+    u = 2**e m with m in [sqrt(1/2), sqrt(2)) (np.frexp's mantissa, doubled
+    where it is below sqrt(1/2), as m + m) and f = m - 1, exact.  With
+    s = f / (f + 2), h = f**2 / 2 and r = s**2 Q(s**2),
+    log m = f - (h - s (h + r)), and log u = e ln2_hi + (e ln2_lo + log m)."""
+    f = np.empty(np.shape(u))
+    e = np.empty(f.shape, np.intc)
+    np.frexp(u, f, e)
+    low = f < _SQRT_HALF
+    s = np.multiply(f, low)  # m or 0: a masked multiply would run far slower
+    f += s
+    e -= low
+    del low
+    f -= 1.0
+    np.add(f, 2.0, out=s)
+    np.divide(f, s, out=s)
+    z = s * s
+    r = _horner(_LOG_COEFFS, z)
+    r *= z
+    h = np.multiply(f, f, out=z)
+    h *= 0.5
+    r += h
+    r *= s
+    np.subtract(h, r, out=h)
+    np.subtract(f, h, out=f)
+    del h, r
+    np.multiply(e, _LN2_LO, out=s)
+    s += f
+    np.multiply(e, _LN2_HI, out=f)
+    f += s
+    return f
+
+
+def _numpy_box_muller(u):
+    """The numpy body of ``box_muller``: the kernel's reference, on IEEE basic operations only."""
+    u = np.asarray(u, dtype=np.float64)
+    out, _ = _numpy_cos_sin_2pi(u[..., 1::2])
+    radius = _numpy_log(u[..., 0::2])
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    out *= radius
+    return out
 
 
 class StreamCursor:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pathkernel import feynman_kac
+from pathkernel import feynman_kac, rng
 from pathkernel.cli import main
 from pathkernel.diagnostics import distance_curve
 from pathkernel.errors import PotentialBoundError
@@ -251,6 +251,13 @@ class TestBlocks:
             tracemalloc.stop()
         assert len(grown) == 1
         assert grown[0] < self.ROWS * block * 8
+
+    def test_traced_peak_is_bounded_without_the_kernel(self, monkeypatch):
+        # a host without cc draws its uniforms and normals in numpy: the 64-slice pass, under the same bound
+        monkeypatch.setattr(rng, "_kernel", lambda: None)
+        self.test_traced_peak_is_bounded(
+            monkeypatch, lambda: fk_expectation(problem(potential=cos_potential(), n_steps=64, n_samples=32768, seed=3),
+                                                rule="trapezoid"), 32768)
 
 
 def sequential_weights(positions, potential, t, rule):

@@ -23,7 +23,7 @@ from pathkernel.manifold import (
     sphere_directions,
     validate_point,
 )
-from pathkernel.rng import StreamCursor
+from pathkernel.rng import StreamCursor, cos_sin_2pi
 
 H3 = Hyperbolic3()
 ORIGIN4 = point(1.0, 0.0, 0.0, 0.0)
@@ -197,8 +197,8 @@ def rowwise_distance(x, y):
 def rowwise_sphere_directions(uv):
     c = 1.0 - 2.0 * uv[:, 0]
     s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    phi = 2.0 * np.pi * uv[:, 1]
-    return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
+    cos, sin = cos_sin_2pi(uv[:, 1])
+    return np.stack([s * cos, s * sin, c], axis=-1)
 
 
 def assert_same_bits(a, b):

@@ -41,7 +41,7 @@ from pathkernel.path_sampler import (
     sample_bridges,
     sample_paths,
 )
-from pathkernel.rng import StreamCursor, box_muller
+from pathkernel.rng import StreamCursor, box_muller, cos_sin_2pi
 
 from stat_helpers import (
     bin_counts,
@@ -491,8 +491,8 @@ def rowwise_bridge_step(law, cursor, current, y, dt, tau_before):
         f1 = np.stack([1.0 + sign * e[:, 0] ** 2 * g, sign * h, -sign * e[:, 0]], axis=-1)
         f2 = np.stack([h, sign + e[:, 1] ** 2 * g, -e[:, 1]], axis=-1)
         rim = np.sqrt(w * (2.0 - w))
-        phi = 2.0 * np.pi * v
-        direction = (1.0 - w)[:, None] * e + (rim * np.cos(phi))[:, None] * f1 + (rim * np.sin(phi))[:, None] * f2
+        cos, sin = cos_sin_2pi(v)
+        direction = (1.0 - w)[:, None] * e + (rim * cos)[:, None] * f1 + (rim * sin)[:, None] * f2
     return law._exp(y, direction, b, dt)
 
 

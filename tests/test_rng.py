@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -36,8 +37,8 @@ def reference_uniforms(seed, sample, draw, width):
 
 
 def reference_normals(seed, sample, draw):
-    u = reference_uniforms(seed, sample, draw, 2)
-    return np.sqrt(-2.0 * np.log(u[..., 0])) * np.cos(2.0 * np.pi * u[..., 1])
+    """One normal per address: the numpy Box-Muller body on the per-slot uniforms."""
+    return rng._numpy_box_muller(reference_uniforms(seed, sample, draw, 2))[..., 0]
 
 
 def cursor_normals(seed, sample, draw):
@@ -357,6 +358,132 @@ class TestKernel:
         assert len(set(int(p) % 2 for p in got_pos)) == 2
 
 
+def box_muller_edges():
+    """The load check's inputs: edge radii and angles, then 53-bit slot values."""
+    return np.array(rng._box_muller_check_inputs())
+
+
+def million_pairs():
+    """10**6 uniform slot pairs, one row a pair, then the edge pairs."""
+    u = uniforms(0x299F31D0A4093822, np.arange(10 ** 6, dtype=np.uint64), 0, 2)
+    return np.concatenate([u, box_muller_edges().reshape(-1, 2)])
+
+
+def body_normals(fn, pairs):
+    """The normals of one kernel body on the rows of ``pairs`` (two adjacent doubles a row)."""
+    out = np.full(pairs.shape[0], np.nan)
+    fn.normals(pairs.ctypes.data, out.size, pairs.strides[0] // 8, out.ctypes.data)
+    return out
+
+
+def body_angles(fn, u):
+    """(cos, sin) of 2 pi u from one kernel body, for a 1-d ``u``."""
+    cos, sin = np.full(u.shape, np.nan), np.full(u.shape, np.nan)
+    fn.angles(u.ctypes.data, u.size, u.strides[0] // 8, cos.ctypes.data, sin.ctypes.data)
+    return cos, sin
+
+
+class TestBoxMuller:
+    """The Box-Muller bodies: C scalar, C vector and numpy give the same bits, close to the exact values."""
+
+    def test_load_check_holds_the_numpy_bodys_answers(self):
+        u = box_muller_edges()
+        pairs = u.reshape(-1, 2)
+        cos, sin = rng._numpy_cos_sin_2pi(u)
+        want = [*rng._numpy_box_muller(pairs)[:, 0], *rng._numpy_box_muller(pairs[::2])[:, 0], *cos, *sin]
+        assert rng._crc(want) == rng._BOX_MULLER_CRC
+        assert rng._crc(np.nextafter(want, 2.0).tolist()) != rng._BOX_MULLER_CRC
+
+    def test_both_bodies_match_numpy_normals(self, kernel_bodies):
+        pairs = million_pairs()
+        want = rng._numpy_box_muller(pairs)[:, 0]
+        for fn in kernel_bodies:
+            assert_same_bits(body_normals(fn, pairs), want)
+
+    def test_both_bodies_match_numpy_angles(self, kernel_bodies):
+        u = million_pairs().ravel()
+        want = rng._numpy_cos_sin_2pi(u)
+        for fn in kernel_bodies:
+            for got, ref in zip(body_angles(fn, u), want):
+                assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 23])
+    def test_both_bodies_on_strided_rows_and_tails(self, kernel_bodies, n):
+        # pairs 8 doubles apart, as the H3 step reads them, and 8k + tail rows
+        draw = uniforms(5, np.arange(n, dtype=np.uint64), 0, 8)
+        for j in (0, 2, 4, 6):
+            pairs = draw[:, j:j + 2]
+            want = rng._numpy_box_muller(pairs)[:, 0]
+            cos, sin = rng._numpy_cos_sin_2pi(draw[:, j])
+            for fn in kernel_bodies:
+                assert_same_bits(body_normals(fn, pairs), want)
+                got_cos, got_sin = body_angles(fn, draw[:, j])
+                assert_same_bits(got_cos, cos)
+                assert_same_bits(got_sin, sin)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 2, 6), (0, 2), (4, 0), (2,)])
+    def test_entry_points_match_numpy_on_every_layout(self, monkeypatch, shape):
+        u = uniforms(9, np.arange(int(np.prod(shape)), dtype=np.uint64), 0)[:, 0].reshape(shape)
+        layouts = [u, u[..., ::-1], np.asfortranarray(u), u[..., :2] if shape[-1] >= 2 else u]
+        for a in layouts:
+            got, ref = kernel_and_numpy(monkeypatch, lambda: rng.box_muller(a))
+            assert got.shape == a.shape[:-1] + (a.shape[-1] // 2,)
+            assert_same_bits(got, ref)
+            (gc, gs), (rc, rs) = kernel_and_numpy(monkeypatch, lambda: rng.cos_sin_2pi(a))
+            assert gc.shape == gs.shape == a.shape
+            assert_same_bits(gc, rc)
+            assert_same_bits(gs, rs)
+
+    def test_odd_last_axis_is_refused(self, monkeypatch):
+        # a pair would straddle two rows
+        u = uniforms(9, np.arange(2, dtype=np.uint64), 0, 3)
+        for kernel in (rng._kernel, lambda: None):
+            monkeypatch.setattr(rng, "_kernel", kernel)
+            with pytest.raises(ValueError, match="even length"):
+                rng.box_muller(u)
+
+    def test_accuracy_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        u = np.concatenate([uniforms(17, np.arange(10 ** 5, dtype=np.uint64), 0)[:, 0], box_muller_edges(),
+                            [0.0, 2.0 ** -1022]])
+        cos, sin = rng._numpy_cos_sin_2pi(u)
+        log = rng._numpy_log(u[u > 0.0])
+        with mpmath.workdps(40):
+            exact_cos = np.array([float(abs(mpmath.mpf(c) - mpmath.cospi(2 * mpmath.mpf(x)))) for x, c in zip(u, cos)])
+            exact_sin = np.array([float(abs(mpmath.mpf(s) - mpmath.sinpi(2 * mpmath.mpf(x)))) for x, s in zip(u, sin)])
+            exact_log = [mpmath.log(mpmath.mpf(x)) for x in u[u > 0.0]]
+            log_ulps = np.array([float(abs(mpmath.mpf(a) - b) / np.spacing(abs(float(b)))) if b else abs(a)
+                                 for a, b in zip(log, exact_log)])
+        assert exact_cos.max() <= 2.0 ** -52 and exact_sin.max() <= 2.0 ** -52
+        assert log_ulps.max() <= 2.0
+        assert rng._numpy_log(np.array([1.0]))[0] == 0.0  # the exact 1.0 at slot 2**53 - 1 keeps its zero normal
+
+    def test_constants_are_the_generators(self):
+        spec = importlib.util.spec_from_file_location(
+            "box_muller_coefficients", Path(__file__).resolve().parent.parent / "tools" / "box_muller_coefficients.py")
+        tool = importlib.util.module_from_spec(spec)
+        pytest.importorskip("mpmath")
+        spec.loader.exec_module(tool)
+        for name, value in tool.coefficients().items():
+            assert getattr(rng, name) == value
+        assert rng._LN2_HI.hex().endswith("00000p-1")  # 32 leading bits: e * _LN2_HI is exact
+
+    def test_normals_do_not_depend_on_numpy_simd_dispatch(self, tmp_path):
+        # numpy's AVX-512 loops off in a fresh interpreter, numpy body in both
+        code = ("from pathkernel import rng\n"
+                "import numpy as np\n"
+                "rng._kernel = lambda: None\n"
+                "print(rng.StreamCursor(5, np.arange(4096)).normals(3).tobytes().hex())\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(rng.__file__).parent.parent),
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rng, "_kernel", lambda: None)
+            here = StreamCursor(5, np.arange(4096)).normals(3).tobytes().hex()
+        assert proc.stdout.strip() == here
+
+
 # A fresh interpreter reports whether its kernel loaded and the bits of one draw.
 _PROBE = (
     "from pathkernel import rng\n"
@@ -434,4 +561,24 @@ class TestKernelCache:
         if rng._passes_check([vector]):
             pytest.skip("this CPU does not run the vector body")
         assert rng._passes_check([scalar])
+        assert probe(package_copy) == (False, numpy_bits(monkeypatch))
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="building the kernel needs cc")
+    @pytest.mark.parametrize("body, good, bad", [
+        # the scalar loop's radius, which the vector body's tail runs too
+        ("scalar", "sqrt(log_unit(u[0]) * -2.0) * c", "sqrt(log_unit(u[0]) * -2.0000000000000004) * c"),
+        # the vector body's sign of sin(2 pi u)
+        ("vector", "_mm512_test_epi64_mask(q, two), sq, sign)", "_mm512_test_epi64_mask(q, one), sq, sign)"),
+    ], ids=["scalar", "vector"])
+    def test_wrong_box_muller_body_falls_back_to_numpy(self, package_copy, monkeypatch, body, good, bad):
+        probe(package_copy)
+        (lib,) = cached_kernels(package_copy)
+        assert rng._KERNEL_SOURCE.count(good) == 1
+        subprocess.run(["cc", *rng._KERNEL_FLAGS, "-x", "c", "-", "-o", str(lib)],
+                       input=rng._KERNEL_SOURCE.replace(good, bad).encode(), capture_output=True, timeout=600,
+                       check=True)
+        vector, scalar = rng._load(lib)
+        if rng._passes_check([vector]):
+            pytest.skip("this CPU does not run the vector body")
+        assert rng._passes_check([scalar]) == (body == "vector")
         assert probe(package_copy) == (False, numpy_bits(monkeypatch))

@@ -38,6 +38,14 @@ a diff against the plain output checks that on every command:
 
     python tools/readme_digests.py --workers 2 > workers2.txt
     diff kernel.txt workers2.txt
+
+`--no-avx512` runs every command with numpy's AVX-512 dispatch turned off
+(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), standing in for
+a host without AVX-512; the lines that move belong to outputs that pass
+through a numpy transcendental function whose bits depend on the SIMD level:
+
+    python tools/readme_digests.py --no-avx512 > no_avx512.txt
+    diff kernel.txt no_avx512.txt
 """
 
 from __future__ import annotations
@@ -104,8 +112,7 @@ MATRIX = {
     "fk_kernel_oracle": "fk kernel --potential cos --y0={y} --oracle-m 20 " + _FK,
     # free paths reach the oracle's refusal on every model that draws them
     "fk_expectation_oracle": "fk expectation --potential cos --oracle-m 20 " + _FK,
-    # 512 and 256 slices: each block holds at most 2^22 cells (8,176 and
-    # 16,320 rows on a line) and is reduced in row slices of at most 2^18
+    # 512 and 256 slices of 20,000 samples: one block, folded row by row
     "fk_expectation_fine": "fk expectation --potential cos --t 0.5 --steps 512 --samples 20000 --x0 {x}",
     "fk_kernel_fine": "fk kernel --potential cos --y0={y} --t 0.5 --steps 256 --samples 20000 --x0 {x}",
     "fk_monotonicity": "fk monotonicity --potential const:0.5 --potential2 const:1 " + _FK,
@@ -119,13 +126,12 @@ MATRIX = {
 
 # name -> a command of one model at a size the matrix does not reach
 SINGLE = {
-    # 1,024 grid rows of 4 cells: blocks of 1,024 samples under the 2^22-cell
-    # cap, so three blocks, and the dumped sample lies in the last
+    # 40,000 samples: two blocks of at most 32,768, and the dumped sample lies in the last
     "hyperbolic3/sample_blocks":
-        "sample --model hyperbolic3 --x0 1,0,0,0 --T 1 --steps 1023 --samples 3000 --sample-index 2500",
-    # 2,048 cells a row: three blocks of at most 2,048 bridges, windings kept
+        "sample --model hyperbolic3 --x0 1,0,0,0 --T 1 --steps 64 --samples 40000 --sample-index 39000",
+    # two blocks of bridges, windings kept, and the dumped bridge the last
     "torus:1,2/bridge_blocks":
-        "bridge --model torus:1,2 --x0 0.2,0.5 --y0=0.7,1.5 --T 1 --steps 1023 --samples 5000 --sample-index 4999",
+        "bridge --model torus:1,2 --x0 0.2,0.5 --y0=0.7,1.5 --T 1 --steps 64 --samples 40000 --sample-index 39999",
     # past the image budget, where the winding is drawn as a rounded normal
     "circle:1.0/bridge_past_budget": "bridge --model circle:1.0 --x0 0 --y0 0.5 --T 1e12 --steps 2 --samples 64",
     # the oracle at points that lie on no grid of its mode counts
@@ -206,9 +212,14 @@ def run_digest(env, name, argv, outs):
     return lines
 
 
-def digests(root, src=None, path=None, workers=None):
+# numpy's dispatch targets that need AVX-512 on x86-64
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def digests(root, src=None, path=None, workers=None, disable=None):
     """Digest lines of every run, yielded as each run ends, with ``src`` (default: the checkout's)
-    on PYTHONPATH; ``path`` replaces PATH and ``workers``, if given, is PATHKERNEL_WORKERS."""
+    on PYTHONPATH; ``path`` replaces PATH, ``workers``, if given, is PATHKERNEL_WORKERS and
+    ``disable``, if given, is NPY_DISABLE_CPU_FEATURES."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str((src or root / "src").resolve())
     env.pop("PATHKERNEL_WORKERS", None)
@@ -216,6 +227,9 @@ def digests(root, src=None, path=None, workers=None):
         env["PATHKERNEL_WORKERS"] = str(workers)
     if path is not None:
         env["PATH"] = path
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disable is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = disable
     seen = {}
     for argv in readme_commands(root / "README.md"):
         name = command_name(argv)
@@ -236,13 +250,16 @@ def main(argv=None):
                              "so that no C draw kernel is built or loaded")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="run every command with PATHKERNEL_WORKERS=N")
+    parser.add_argument("--no-avx512", action="store_true",
+                        help=f'run every command with NPY_DISABLE_CPU_FEATURES="{NO_AVX512}"')
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         src = None
         if args.numpy_rng:
             src = Path(tmp) / "src"
             shutil.copytree(args.root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        for line in digests(args.root, src, "" if args.numpy_rng else None, args.workers):
+        for line in digests(args.root, src, "" if args.numpy_rng else None, args.workers,
+                            NO_AVX512 if args.no_avx512 else None):
             print(line, flush=True)
     return 0
 
