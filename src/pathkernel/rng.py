@@ -49,8 +49,25 @@ The largest errors on 10**5 draws are under 2**-52 for cos and sin and
 uniform (``cos_sin_2pi``: the H^3 directions and the H^3 bridge's
 azimuth).
 
-``uniforms``, ``box_muller`` and ``cos_sin_2pi`` run in a small C kernel
-where one can be built.  For ``uniforms`` it computes the
+``cos`` (the ``cos`` potential of ``feynman_kac``) takes cos x of general
+arguments with the same quarter-turn choice, after Cody and Waite's
+reduction in the split of fdlibm's ``__ieee754_rem_pio2``:
+
+- t = x * (2/pi) + 1.5 * 2**52, k = t - 1.5 * 2**52 = rint(x 2/pi), and
+  q = k mod 4 the two low bits of t;
+- r = (x - k * pio2_hi) - k * pio2_lo, where pio2_hi holds the leading 33
+  bits of pi/2, so k * pio2_hi and the first difference are exact for
+  |k| <= 2**20, and pio2_lo is the double nearest the rest;
+- z = r * r, C = Horner(cos r coefficients, z) and S = Horner(sin r / r
+  coefficients, z) * r, each 9 Taylor terms in r**2; cos x is C, -S, -C, S
+  for q = 0, 1, 2, 3.
+
+That holds for |x| < 2**20 * pio2_hi (about 1.647e6), with an absolute
+error below 2**-52.  Larger and non-finite arguments take ``np.cos``, so
+their bits may still depend on the host.
+
+``uniforms``, ``box_muller``, ``cos_sin_2pi`` and ``cos`` run in a small C
+kernel where one can be built.  For ``uniforms`` it computes the
 Philox block, the lane choice, the odd-start and wrap slot logic and the
 53-bit float.  That is integer arithmetic plus one IEEE add and a
 power-of-two scale, so the kernel's output is bit-identical to the numpy
@@ -61,9 +78,9 @@ AVX-512DQ, found at run time, a vector body computes eight addresses at
 once wherever 8 consecutive addresses start at slots of one parity; mixed
 groups and the tail of fewer than 8 take the scalar loop.  Its products
 are the same 32x32->64-bit products and its float conversion is exact
-below 2**53, so both bodies give the same bits.  The Box-Muller bodies
-are the numpy bodies (``_numpy_box_muller``, ``_numpy_cos_sin_2pi``)
-written in C, operation for operation, compiled with ``-ffp-contract=off``
+below 2**53, so both bodies give the same bits.  The Box-Muller and cos
+bodies are the numpy bodies (``_numpy_box_muller``, ``_numpy_cos_sin_2pi``,
+``_numpy_cos``) written in C, operation for operation, compiled with ``-ffp-contract=off``
 so that no multiply and add fuse into an FMA; the vector body takes eight
 values at once and the tail of fewer than 8 the scalar loop.  One library serves every
 x86-64 host; it lives in ``__pycache__/`` next to this file, under a name
@@ -74,12 +91,14 @@ Every load checks both bodies, on this CPU, against known answers of the
 numpy body (kept as a CRC-32 that the tests recompute), so a library
 built where the vector body could not run is checked where it does.
 With no ``cc`` on ``PATH``, a failed compile or check, an unwritable
-``__pycache__`` or a library that does not load, draws and normals run
-in numpy silently, with the same bits; normals are then several times slower.
+``__pycache__`` or a library that does not load, draws, normals and
+cosines run in numpy silently, with the same bits; normals and cosines are
+then several times slower than in the kernel.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import functools
 import importlib.util
@@ -130,6 +149,23 @@ _LOG_COEFFS = tuple(map(float.fromhex, (
 )))
 _LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
 _LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+# The cos body's constants, printed by the same tool: cos r and sin r / r
+# in r**2, 2/pi, and pi/2 split so that k * _PIO2_HI is exact for |k| <= 2**20.
+_COS_R_COEFFS = tuple(map(float.fromhex, (
+    "0x1.0000000000000p+0", "-0x1.0000000000000p-1", "0x1.5555555555555p-5", "-0x1.6c16c16c16c17p-10",
+    "0x1.a01a01a01a01ap-16", "-0x1.27e4fb7789f5cp-22", "0x1.1eed8eff8d898p-29", "-0x1.93974a8c07c9dp-37",
+    "0x1.ae7f3e733b81fp-45",
+)))
+_SIN_R_COEFFS = tuple(map(float.fromhex, (
+    "0x1.0000000000000p+0", "-0x1.5555555555555p-3", "0x1.1111111111111p-7", "-0x1.a01a01a01a01ap-13",
+    "0x1.71de3a556c734p-19", "-0x1.ae64567f544e4p-26", "0x1.6124613a86d09p-33", "-0x1.ae7f3e733b81fp-41",
+    "0x1.952c77030ad4ap-49",
+)))
+_TWO_OVER_PI = float.fromhex("0x1.45f306dc9c883p-1")
+_PIO2_HI = float.fromhex("0x1.921fb54400000p+0")
+_PIO2_LO = float.fromhex("0x1.0b4611a626331p-34")
+# below it x * _TWO_OVER_PI rounds to at most 2**20 in magnitude, so k * _PIO2_HI is exact
+_COS_BOUND = 2.0 ** 20 * _PIO2_HI
 
 _SQRT_HALF = float.fromhex("0x1.6a09e667f3bcdp-1")
 _ROUND = float.fromhex("0x1.8p52")  # x + _ROUND - _ROUND is x rounded to an integer, for |x| < 2**51
@@ -381,18 +417,21 @@ static AVX512 void uniforms_avx512(uint64_t seed, const uint64_t *sample, const 
 
 
 def _c_constants():
-    """The Box-Muller constants as C definitions, as hex literals: the numpy body's doubles exactly."""
+    """The Box-Muller and cos constants as C definitions, as hex literals: the numpy bodies' doubles exactly."""
     arrays = "".join(f"static const double {name}[{len(values)}] = {{{', '.join(v.hex() for v in values)}}};\n"
                      for name, values in (("COS_COEFFS", _COS_COEFFS), ("SIN_COEFFS", _SIN_COEFFS),
-                                          ("LOG_COEFFS", _LOG_COEFFS)))
+                                          ("LOG_COEFFS", _LOG_COEFFS), ("COS_R_COEFFS", _COS_R_COEFFS),
+                                          ("SIN_R_COEFFS", _SIN_R_COEFFS)))
     scalars = "".join(f"#define {name} {value.hex()}\n" for name, value in (
-        ("LN2_HI", _LN2_HI), ("LN2_LO", _LN2_LO), ("SQRT_HALF", _SQRT_HALF), ("ROUND", _ROUND)))
+        ("LN2_HI", _LN2_HI), ("LN2_LO", _LN2_LO), ("SQRT_HALF", _SQRT_HALF), ("ROUND", _ROUND),
+        ("TWO_OVER_PI", _TWO_OVER_PI), ("PIO2_HI", _PIO2_HI), ("PIO2_LO", _PIO2_LO), ("COS_BOUND", _COS_BOUND)))
     return arrays + scalars
 
 
-# The C form of ``_numpy_box_muller`` and ``_numpy_cos_sin_2pi``: the same
-# IEEE operations in the same order, so the same bits.  Every body reads
-# element i of ``u`` at ``u[i * stride]`` (a pair's angle one further on).
+# The C form of ``_numpy_box_muller``, ``_numpy_cos_sin_2pi`` and
+# ``_numpy_cos``: the same IEEE operations in the same order, so the same
+# bits.  Every body reads element i of ``u`` at ``u[i * stride]`` (a pair's
+# angle one further on).
 _KERNEL_SOURCE += _c_constants() + r"""
 #include <math.h>
 #include <string.h>
@@ -405,17 +444,38 @@ static inline double horner(const double *c, int n, double z)
     return acc;
 }
 
+/* cos and sin of q quarter turns plus r, from the n-term polynomials C and
+   S of the reduced argument in z = r * r: C(z) and S(z) * r, chosen and
+   negated by the two low bits of q */
+static inline void quarter(uint64_t q, double r, double z, const double *cc, const double *sc, int n,
+                           double *c, double *s)
+{
+    double cf = horner(cc, n, z), sf = horner(sc, n, z) * r;
+    double cq = q & 1 ? sf : cf, sq = q & 1 ? cf : sf;
+    *c = (q + 1) & 2 ? -cq : cq;
+    *s = q & 2 ? -sq : sq;
+}
+
 /* cos(2 pi u) and sin(2 pi u): 4u = k + f with k an integer and |f| <= 1/2,
    both exact; the quarter turn k mod 4 is the low bits of the rounding sum */
 static inline void turn(double u, double *c, double *s)
 {
-    double x = 4.0 * u, t = x + ROUND, f = x - (t - ROUND), z = f * f;
+    double x = 4.0 * u, t = x + ROUND, f = x - (t - ROUND);
     uint64_t q;
     memcpy(&q, &t, sizeof q);
-    double cf = horner(COS_COEFFS, 11, z), sf = horner(SIN_COEFFS, 11, z) * f;
-    double cq = q & 1 ? sf : cf, sq = q & 1 ? cf : sf;
-    *c = (q + 1) & 2 ? -cq : cq;
-    *s = q & 2 ? -sq : sq;
+    quarter(q, f, f * f, COS_COEFFS, SIN_COEFFS, 11, c, s);
+}
+
+/* cos x for |x| < COS_BOUND: x = k pi/2 + r with k = rint(x 2/pi), and
+   r = (x - k PIO2_HI) - k PIO2_LO, where k PIO2_HI and the first difference
+   are exact; other x give a value that the caller replaces */
+static inline double cos_reduced(double x)
+{
+    double t = x * TWO_OVER_PI + ROUND, k = t - ROUND, r = (x - k * PIO2_HI) - k * PIO2_LO, c, s;
+    uint64_t q;
+    memcpy(&q, &t, sizeof q);
+    quarter(q, r, r * r, COS_R_COEFFS, SIN_R_COEFFS, 9, &c, &s);
+    return c;
 }
 
 /* log u for u in [2**-1022, 1]: u = 2**e m with m in [sqrt(1/2), sqrt(2)) and f = m - 1 */
@@ -449,6 +509,17 @@ void pathkernel_angles_scalar(const double *u, size_t n, ptrdiff_t stride, doubl
         turn(*u, cos + i, sin + i);
 }
 
+/* returns the count of x past the bound or not finite, whose values the caller replaces */
+size_t pathkernel_cos_scalar(const double *x, size_t n, ptrdiff_t stride, double *out)
+{
+    size_t far = 0;
+    for (size_t i = 0; i < n; i++, x += stride) {
+        out[i] = cos_reduced(*x);
+        far += !(fabs(*x) < COS_BOUND);
+    }
+    return far;
+}
+
 #if defined(__x86_64__)
 static inline AVX512 __m512d horner8(const double *c, int n, __m512d z)
 {
@@ -458,19 +529,38 @@ static inline AVX512 __m512d horner8(const double *c, int n, __m512d z)
     return acc;
 }
 
-/* turn() on eight values; a negation flips the sign bit, as - does */
-static inline AVX512 void turn8(__m512d u, __m512d *c, __m512d *s)
+/* quarter() on eight values; a negation flips the sign bit, as - does */
+static inline AVX512 void quarter8(__m512i q, __m512d r, __m512d z, const double *cc, const double *sc, int n,
+                                   __m512d *c, __m512d *s)
 {
-    const __m512d round = _mm512_set1_pd(ROUND), sign = _mm512_set1_pd(-0.0);
+    const __m512d sign = _mm512_set1_pd(-0.0);
     const __m512i one = _mm512_set1_epi64(1), two = _mm512_set1_epi64(2);
-    __m512d x = _mm512_mul_pd(u, _mm512_set1_pd(4.0)), t = _mm512_add_pd(x, round);
-    __m512d f = _mm512_sub_pd(x, _mm512_sub_pd(t, round)), z = _mm512_mul_pd(f, f);
-    __m512i q = _mm512_castpd_si512(t);
-    __m512d cf = horner8(COS_COEFFS, 11, z), sf = _mm512_mul_pd(horner8(SIN_COEFFS, 11, z), f);
+    __m512d cf = horner8(cc, n, z), sf = _mm512_mul_pd(horner8(sc, n, z), r);
     __mmask8 odd = _mm512_test_epi64_mask(q, one);
     __m512d cq = _mm512_mask_blend_pd(odd, cf, sf), sq = _mm512_mask_blend_pd(odd, sf, cf);
     *c = _mm512_mask_xor_pd(cq, _mm512_test_epi64_mask(_mm512_add_epi64(q, one), two), cq, sign);
     *s = _mm512_mask_xor_pd(sq, _mm512_test_epi64_mask(q, two), sq, sign);
+}
+
+/* turn() on eight values */
+static inline AVX512 void turn8(__m512d u, __m512d *c, __m512d *s)
+{
+    const __m512d round = _mm512_set1_pd(ROUND);
+    __m512d x = _mm512_mul_pd(u, _mm512_set1_pd(4.0)), t = _mm512_add_pd(x, round);
+    __m512d f = _mm512_sub_pd(x, _mm512_sub_pd(t, round));
+    quarter8(_mm512_castpd_si512(t), f, _mm512_mul_pd(f, f), COS_COEFFS, SIN_COEFFS, 11, c, s);
+}
+
+/* cos_reduced() on eight values */
+static inline AVX512 __m512d cos8(__m512d x)
+{
+    const __m512d round = _mm512_set1_pd(ROUND);
+    __m512d t = _mm512_add_pd(_mm512_mul_pd(x, _mm512_set1_pd(TWO_OVER_PI)), round), k = _mm512_sub_pd(t, round);
+    __m512d r = _mm512_sub_pd(_mm512_sub_pd(x, _mm512_mul_pd(k, _mm512_set1_pd(PIO2_HI))),
+                              _mm512_mul_pd(k, _mm512_set1_pd(PIO2_LO)));
+    __m512d c, s;
+    quarter8(_mm512_castpd_si512(t), r, _mm512_mul_pd(r, r), COS_R_COEFFS, SIN_R_COEFFS, 9, &c, &s);
+    return c;
 }
 
 /* log_unit() on eight values */
@@ -527,6 +617,21 @@ static AVX512 void angles_avx512(const double *u, size_t n, ptrdiff_t stride, do
     pathkernel_angles_scalar(u, n - i, stride, cos + i, sin + i);
 }
 
+/* Eight values at once, loaded where adjacent and gathered otherwise; the n % 8 tail takes the scalar loop. */
+static AVX512 size_t cos_avx512(const double *x, size_t n, ptrdiff_t stride, double *out)
+{
+    const __m512i lanes = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0), _mm512_set1_epi64(stride));
+    const __m512d bound = _mm512_set1_pd(COS_BOUND);
+    size_t i = 0, far = 0;
+    for (; i + 8 <= n; i += 8, x += 8 * stride) {
+        __m512d v = stride == 1 ? _mm512_loadu_pd(x) : _mm512_i64gather_pd(lanes, x, 8);
+        _mm512_storeu_pd(out + i, cos8(v));
+        /* not below the bound, NaN included */
+        far += (size_t)__builtin_popcount(_mm512_cmp_pd_mask(_mm512_abs_pd(v), bound, _CMP_NLT_UQ));
+    }
+    return far + pathkernel_cos_scalar(x, n - i, stride, out + i);
+}
+
 static int vector_body(void)
 {
     return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
@@ -566,6 +671,15 @@ void pathkernel_angles(const double *u, size_t n, ptrdiff_t stride, double *cos,
 #endif
     pathkernel_angles_scalar(u, n, stride, cos, sin);
 }
+
+size_t pathkernel_cos(const double *x, size_t n, ptrdiff_t stride, double *out)
+{
+#if defined(__x86_64__)
+    if (vector_body())
+        return cos_avx512(x, n, stride, out);
+#endif
+    return pathkernel_cos_scalar(x, n, stride, out);
+}
 """
 # -ffp-contract=off: GNU C would fuse a * b + c into one FMA under the avx512f
 # target, which rounds once where the numpy body rounds twice.
@@ -588,20 +702,22 @@ def _kernel_path():
 def _load(path):
     """The library's two bodies: ``pathkernel_uniforms`` (vector where the CPU runs it) and the scalar loop.
 
-    Each carries the Box-Muller functions of the same body as its ``normals``
-    and ``angles`` attributes."""
+    Each carries the Box-Muller and cos functions of the same body as its
+    ``normals``, ``angles`` and ``cos`` attributes."""
     lib = ctypes.CDLL(str(path))
     bodies = []
     for body in ("", "_scalar"):
-        uniforms, normals, angles = (getattr(lib, f"pathkernel_{name}{body}")
-                                     for name in ("uniforms", "normals", "angles"))
+        uniforms, normals, angles, cos = (getattr(lib, f"pathkernel_{name}{body}")
+                                          for name in ("uniforms", "normals", "angles", "cos"))
         uniforms.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
                              ctypes.c_void_p]
         normals.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p]
         angles.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
+        cos.argtypes = normals.argtypes
         for fn in (uniforms, normals, angles):
             fn.restype = None
-        uniforms.normals, uniforms.angles = normals, angles
+        cos.restype = ctypes.c_size_t
+        uniforms.normals, uniforms.angles, uniforms.cos = normals, angles, cos
         bodies.append(uniforms)
     return tuple(bodies)
 
@@ -658,31 +774,79 @@ def _box_muller_check_inputs():
 _BOX_MULLER_CRC = 0x40AFB197
 
 
-def _passes_check(bodies):
-    """True if every kernel body in ``bodies`` gives the numpy body's variates at the check addresses,
-    and its normals, cosines and sines at the Box-Muller check inputs."""
+def _cos_check_inputs():
+    """Arguments of the cos known-answer check: five groups of 8 and a 7-value tail.
+
+    Edges first: +-0, the smallest subnormal and the smallest normal, the
+    double nearest pi/4 and the next one up (either side of the first
+    quadrant change), doubles near k pi/2 for k = 1, -1, 2, 3, 4 and
+    1000003, and the largest double below the reduction bound, both signs;
+    then 29 values from a Weyl sequence at magnitudes 2**-19 to 2**20.  Four
+    arguments, inside a full group, are past the bound or not finite: the
+    bound itself, -inf, NaN and 1e300.
+    """
+    below = math.nextafter(_COS_BOUND, 0.0)
+    edges = [0.0, -0.0, 5e-324, -2.0 ** -1022, math.pi / 4, math.nextafter(math.pi / 4, 1.0), math.pi / 2,
+             -math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi, 1000003 * math.pi / 2, below, -below]
+    weyl = [((i * 0x9E3779B97F4A7C15 % 2 ** 64 >> 11) * _TWO_NEG53 - 0.5) * 2.0 ** (3 * i % 41 - 19)
+            for i in range(1, 30)]
+    far = [_COS_BOUND, -math.inf, math.nan, 1e300]
+    return edges + weyl[:10] + far + weyl[10:]
+
+
+# The numpy body's cosines of the cos check inputs, then of every fourth
+# input (read 4 doubles apart, which the vector body gathers), each list
+# without the arguments past the bound, as their CRC-32; the tests
+# recompute it.
+_COS_CRC = 0x878F3906
+
+
+def _uniforms_pass(fn):
+    """True if the kernel body ``fn`` gives the numpy body's variates at the check addresses."""
     sample, draw = _check_addresses()
     n = len(draw)
-    samp, draw = (ctypes.c_uint64 * n)(*sample), (ctypes.c_uint64 * n)(*draw)
-    out = (ctypes.c_double * (n * _CHECK_WIDTH))()
+    out = (ctypes.c_double * (n * _CHECK_WIDTH))()  # zeros: no variate is 0, so a slot left unwritten fails
+    fn(_CHECK_SEED, (ctypes.c_uint64 * n)(*sample), (ctypes.c_uint64 * n)(*draw), n, _CHECK_WIDTH, out)
+    return _crc(out) == _CHECK_CRC
+
+
+def _box_muller_pass(fn):
+    """True if the kernel body ``fn`` gives the numpy body's normals, cosines and sines at the check inputs."""
     inputs = _box_muller_check_inputs()
     m = len(inputs)
     u = (ctypes.c_double * m)(*inputs)
     every, other = m // 2, len(inputs[::4])
     normals, cos, sin = (ctypes.c_double * (every + other))(), (ctypes.c_double * m)(), (ctypes.c_double * m)()
-    for fn in bodies:
-        ctypes.memset(out, 0, ctypes.sizeof(out))  # no variate is 0, so a slot left unwritten fails
-        fn(_CHECK_SEED, samp, draw, n, _CHECK_WIDTH, out)
-        if _crc(out) != _CHECK_CRC:
+    for buf in (normals, cos, sin):  # NaNs, which no body writes
+        ctypes.memset(buf, 0xFF, ctypes.sizeof(buf))
+    fn.normals(u, every, 2, normals)
+    fn.normals(u, other, 4, ctypes.byref(normals, 8 * every))
+    fn.angles(u, m, 1, cos, sin)
+    return _crc([*normals, *cos, *sin]) == _BOX_MULLER_CRC
+
+
+def _cos_pass(fn):
+    """True if the kernel body ``fn`` gives the numpy body's cosines at the cos check inputs,
+    and counts the arguments past the bound."""
+    inputs = _cos_check_inputs()
+    # array.array buffers: ctypes keeps every array type it makes for the life of
+    # the process, and two new ones kept a pool worker's peak about 0.25 MB higher
+    buf = array.array("d", inputs)
+    got = []
+    for stride in (1, 4):
+        x = inputs[::stride]
+        out = array.array("d", [math.nan]) * len(x)
+        far = fn.cos(buf.buffer_info()[0], len(x), stride, out.buffer_info()[0])
+        near = [abs(v) < _COS_BOUND for v in x]
+        if far != near.count(False):
             return False
-        for buf in (normals, cos, sin):  # NaNs, which no body writes
-            ctypes.memset(buf, 0xFF, ctypes.sizeof(buf))
-        fn.normals(u, every, 2, normals)
-        fn.normals(u, other, 4, ctypes.byref(normals, 8 * every))
-        fn.angles(u, m, 1, cos, sin)
-        if _crc([*normals, *cos, *sin]) != _BOX_MULLER_CRC:
-            return False
-    return True
+        got += [c for c, keep in zip(out, near) if keep]
+    return _crc(got) == _COS_CRC
+
+
+def _passes_check(bodies):
+    """True if every kernel body in ``bodies`` passes the uniform, Box-Muller and cos known-answer checks."""
+    return all(check(fn) for fn in bodies for check in (_uniforms_pass, _box_muller_pass, _cos_pass))
 
 
 def _build(path):
@@ -773,14 +937,46 @@ def cos_sin_2pi(u):
     return cos.reshape(np.shape(u)), sin.reshape(np.shape(u))
 
 
+def cos(x):
+    """cos x, elementwise, of x's shape.
+
+    Below ``_COS_BOUND`` (2**20 times pi/2's leading 33 bits, about
+    1.647e6) in magnitude the value comes from IEEE basic operations only
+    (the module docstring lists them), so it does not depend on the host;
+    a strided view, such as one coordinate of rows of points, is read in
+    place.  Its absolute error is below 2**-52.  Larger and non-finite
+    arguments take ``np.cos``, whose bits may depend on the host's libm and
+    SIMD level."""
+    x = np.asarray(x, dtype=np.float64)
+    kernel = _kernel()
+    if kernel is None:
+        out, far = _numpy_cos(x), True
+    else:
+        flat, stride = _strided(x, 1)
+        out = np.empty(flat.shape[0])
+        far = kernel.cos(flat.ctypes.data, out.size, stride, out.ctypes.data) if out.size else 0
+        out = out.reshape(x.shape)
+    if far:
+        far = ~(np.abs(x) < _COS_BOUND)
+        out[far] = np.cos(x[far])
+    return out
+
+
 def _horner(coeffs, z):
     """coeffs[0] + z (coeffs[1] + z (... + z coeffs[-1])), in a new array written in place."""
-    acc = np.multiply(z, coeffs[-1])
+    acc = np.multiply(z, coeffs[-1], out=np.empty(np.shape(z)))  # an array even where z is 0-d
     for c in coeffs[-2:0:-1]:
         acc += c
         acc *= z
     acc += coeffs[0]
     return acc
+
+
+def _low_bits(t):
+    """The two low bits of the float64 array ``t``'s bit patterns, as uint8: k mod 4 of t = k + 1.5 * 2**52."""
+    q = np.empty(t.shape, np.uint8)
+    np.bitwise_and(t.view(np.uint64), np.uint64(3), out=q, casting="unsafe")
+    return q
 
 
 def _numpy_cos_sin_2pi(u):
@@ -791,21 +987,52 @@ def _numpy_cos_sin_2pi(u):
     low bits of the rounding sum.  C(f) = cos(pi f / 2) and S(f) =
     sin(pi f / 2) are Horner polynomials in f**2 (times f for S), and
     cos(2 pi u) is C, -S, -C, S and sin(2 pi u) is S, C, -S, -C for
-    q = 0, 1, 2, 3.  The choice and the negations are bit operations on
-    the float buffers, which numpy runs far faster than masked copies."""
+    q = 0, 1, 2, 3."""
     f = np.multiply(u, 4.0, out=np.empty(np.shape(u)))
-    z = f + _ROUND
-    q = np.empty(z.shape, np.uint8)
-    np.bitwise_and(z.view(np.uint64), np.uint64(3), out=q, casting="unsafe")
+    z = np.add(f, _ROUND, out=np.empty(f.shape))  # an array even where u is 0-d
+    q = _low_bits(z)
     z -= _ROUND
     f -= z
     np.multiply(f, f, out=z)
-    cos = _horner(_COS_COEFFS, z)
-    sin = _horner(_SIN_COEFFS, z)
-    sin *= f
-    # f and z are free: a mask of all ones where q is odd, and the bits
+    return _quarter(q, f, z, _COS_COEFFS, _SIN_COEFFS)
+
+
+def _numpy_cos(x):
+    """The numpy body of ``cos`` below ``_COS_BOUND``: the kernel's reference.
+
+    t = x * (2/pi) + 1.5 * 2**52, k = t - 1.5 * 2**52 = rint(x * 2/pi) and
+    q = k mod 4 the two low bits of t; r = (x - k * pio2_hi) - k * pio2_lo,
+    where k * pio2_hi and the first difference are exact (Cody and Waite's
+    reduction, in fdlibm's split).  cos r and sin r are Horner polynomials in
+    r**2 (times r for sin), and cos x is C, -S, -C, S for q = 0, 1, 2, 3.
+    Other arguments give values that ``cos`` replaces."""
+    with np.errstate(over="ignore", invalid="ignore"):  # only past the bound
+        t = np.multiply(x, _TWO_OVER_PI, out=np.empty(np.shape(x)))
+        t += _ROUND
+        q = _low_bits(t)
+        t -= _ROUND
+        r = np.multiply(t, _PIO2_HI, out=np.empty(t.shape))
+        np.subtract(x, r, out=r)
+        t *= _PIO2_LO
+        r -= t
+        np.multiply(r, r, out=t)
+        cos, _ = _quarter(q, r, t, _COS_R_COEFFS, _SIN_R_COEFFS)
+    return cos
+
+
+def _quarter(q, r, z, cos_coeffs, sin_coeffs):
+    """cos and sin of q quarter turns plus r, with z = r * r; ``r`` and ``z`` are overwritten.
+
+    C = Horner(cos_coeffs, z) and S = Horner(sin_coeffs, z) * r; the cosine
+    is C, -S, -C, S and the sine S, C, -S, -C for q mod 4 = 0, 1, 2, 3.  The
+    choice and the negations are bit operations on the float buffers, which
+    numpy runs far faster than masked copies."""
+    cos = _horner(cos_coeffs, z)
+    sin = _horner(sin_coeffs, z)
+    sin *= r
+    # r and z are free: a mask of all ones where q is odd, and the bits
     # in which cos and sin differ there, swap the two
-    mask, swap = f.view(np.uint64), z.view(np.uint64)
+    mask, swap = r.view(np.uint64), z.view(np.uint64)
     cos_bits, sin_bits = cos.view(np.uint64), sin.view(np.uint64)
     np.bitwise_and(q, np.uint8(1), out=mask)
     np.negative(mask, out=mask)

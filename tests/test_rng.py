@@ -434,6 +434,13 @@ class TestBoxMuller:
             assert_same_bits(gc, rc)
             assert_same_bits(gs, rs)
 
+    def test_angles_of_a_scalar(self, monkeypatch):
+        (gc, gs), (rc, rs) = kernel_and_numpy(monkeypatch, lambda: rng.cos_sin_2pi(0.375))
+        assert gc.shape == gs.shape == ()
+        assert_same_bits(gc, rc)
+        assert_same_bits(gs, rs)
+        assert gc == pytest.approx(-0.5 ** 0.5) and gs == pytest.approx(0.5 ** 0.5)
+
     def test_odd_last_axis_is_refused(self, monkeypatch):
         # a pair would straddle two rows
         u = uniforms(9, np.arange(2, dtype=np.uint64), 0, 3)
@@ -482,6 +489,134 @@ class TestBoxMuller:
             m.setattr(rng, "_kernel", lambda: None)
             here = StreamCursor(5, np.arange(4096)).normals(3).tobytes().hex()
         assert proc.stdout.strip() == here
+
+
+def cos_inputs():
+    """10**5 arguments below the cos reduction bound, at magnitudes 2**-21 to 2**20, then the check inputs."""
+    u = uniforms(23, np.arange(10 ** 5, dtype=np.uint64), 0, 2)
+    x = (2.0 * u[:, 1] - 1.0) * 2.0 ** np.floor(42.0 * u[:, 0] - 21.0) * 1.5
+    return np.concatenate([x[np.abs(x) < rng._COS_BOUND], rng._cos_check_inputs()])
+
+
+def body_cos(fn, x):
+    """(cos, count past the bound) from one kernel body, for a 1-d ``x`` of any positive stride."""
+    out = np.full(x.shape, np.nan)
+    far = fn.cos(x.ctypes.data, x.size, x.strides[0] // 8, out.ctypes.data)
+    return out, far
+
+
+def near(x):
+    return np.abs(x) < rng._COS_BOUND
+
+
+class TestCos:
+    """The cos bodies: C scalar, C vector and numpy give the same bits below the bound, close to the exact values."""
+
+    def test_load_check_holds_the_numpy_bodys_answers(self):
+        x = np.array(rng._cos_check_inputs())
+        want = [c for stride in (1, 4) for c in rng._numpy_cos(x[::stride])[near(x[::stride])]]
+        assert rng._crc(want) == rng._COS_CRC
+        assert rng._crc(np.nextafter(want, 2.0).tolist()) != rng._COS_CRC
+        # the check covers a full vector group that holds arguments past the bound, and a tail
+        assert len(x) % 8 and not near(x[24:32]).all() and near(x[24:32]).any()
+
+    def test_both_bodies_match_numpy(self, kernel_bodies):
+        x = cos_inputs()
+        want = rng._numpy_cos(x)
+        for fn in kernel_bodies:
+            got, far = body_cos(fn, x)
+            assert far == np.count_nonzero(~near(x))
+            assert_same_bits(got[near(x)], want[near(x)])
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("tail", range(1, 8))
+    def test_both_bodies_at_strides_and_tails(self, kernel_bodies, stride, tail):
+        # 8k + tail values read stride doubles apart, as the potential reads one coordinate of H3 rows
+        rows = cos_inputs()[-4 * (16 + tail):].reshape(-1, 4)
+        x = rows[:, 0] if stride == 4 else rows.ravel()[::stride][:16 + tail]
+        assert x.strides[0] == 8 * stride
+        want = rng._numpy_cos(np.ascontiguousarray(x))
+        for fn in kernel_bodies:
+            got, far = body_cos(fn, x)
+            assert far == np.count_nonzero(~near(x))
+            assert_same_bits(got[near(x)], want[near(x)])
+
+    @pytest.mark.parametrize("shape", [(), (5,), (6, 4), (3, 2, 6), (0,), (4, 0)])
+    def test_entry_point_matches_numpy_on_every_layout(self, monkeypatch, shape):
+        x = cos_inputs()[-max(1, int(np.prod(shape))):][:int(np.prod(shape))].reshape(shape)
+        layouts = [x, np.asfortranarray(x)]
+        if x.ndim:
+            layouts += [x[..., ::-1]] + ([x[..., 0]] if x.shape[-1] else [])
+        for a in layouts:
+            with np.errstate(invalid="ignore"):  # np.cos of the infinite check input
+                got, ref = kernel_and_numpy(monkeypatch, lambda: rng.cos(a))
+            assert got.shape == a.shape
+            assert_same_bits(got, ref)
+
+    def test_arguments_past_the_bound_take_np_cos(self, monkeypatch):
+        x = np.array([rng._COS_BOUND, -rng._COS_BOUND, 1e300, -np.inf, np.nan, 0.5])
+        with np.errstate(invalid="ignore"):
+            want = np.cos(x)
+        for kernel in (rng._kernel, lambda: None):
+            monkeypatch.setattr(rng, "_kernel", kernel)
+            with np.errstate(invalid="ignore"):
+                got = rng.cos(x)
+            assert_same_bits(got[:5], want[:5])
+            assert_same_bits(got[5], rng._numpy_cos(x[5:])[0])
+
+    def test_the_bound_keeps_k_pio2_hi_exact(self):
+        # below the bound |rint(x 2/pi)| <= 2**20, and a 20-bit k times the 33-bit pio2_hi is exact
+        below = np.nextafter(rng._COS_BOUND, 0.0)
+        assert np.rint(below * rng._TWO_OVER_PI) <= 2.0 ** 20
+        assert rng._COS_BOUND == 2.0 ** 20 * rng._PIO2_HI
+        assert rng._PIO2_HI.hex().endswith("00000p+0")  # 33 leading bits
+        k = 2.0 ** 20 - 1.0
+        assert int(k) * int(rng._PIO2_HI * 2 ** 32) == int(k * rng._PIO2_HI * 2 ** 32)
+
+    def test_accuracy_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            # the doubles nearest k pi/2, and their neighbours
+            k_pio2 = np.array([float(k * mpmath.pi / 2) for k in (1, -1, 2, 3, 5, 7, 100, 12345, 2 ** 19, 2 ** 20 - 1)])
+        bound = rng._COS_BOUND
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, -2.0 ** -1022, np.nextafter(bound, 0.0), bound,
+                 np.nextafter(bound, np.inf), -bound, 1e300, -1e300]
+        x = np.concatenate([cos_inputs(), k_pio2, np.nextafter(k_pio2, 0.0), np.nextafter(k_pio2, np.inf), edges])
+        x = x[np.isfinite(x)]
+        got = rng.cos(x)
+        with mpmath.workdps(40):
+            err = np.array([float(abs(mpmath.mpf(c) - mpmath.cos(mpmath.mpf(v)))) for v, c in zip(x, got)])
+        assert err.max() <= 2.0 ** -52
+        assert np.abs(got).max() <= 1.0
+
+    def test_cos_potential_reads_the_first_coordinate_in_place(self, monkeypatch):
+        from pathkernel.feynman_kac import cos_potential
+
+        rows = cos_inputs()[:4 * 1001].reshape(-1, 4)
+        got, ref = kernel_and_numpy(monkeypatch, lambda: cos_potential()(rows))
+        assert_same_bits(got, ref)
+        assert_same_bits(got, rng._numpy_cos(np.ascontiguousarray(rows[:, 0])))
+
+    def test_cos_does_not_depend_on_numpy_simd_dispatch(self):
+        # numpy's AVX-512 loops off in a fresh interpreter, on the kernel and on the numpy body
+        code = ("from pathkernel import rng\n"
+                "import numpy as np\n"
+                "u = rng.uniforms(23, np.arange(10 ** 5, dtype=np.uint64), 0, 2)\n"
+                "x = (2.0 * u[:, 1] - 1.0) * 2.0 ** np.floor(42.0 * u[:, 0] - 21.0) * 1.5\n"
+                "x = np.concatenate([x[np.abs(x) < rng._COS_BOUND], rng._cos_check_inputs()])\n"
+                "x = x[np.abs(x) < rng._COS_BOUND]\n"
+                "print(rng._crc(rng.cos(x)), rng._kernel() is not None)\n"
+                "rng._kernel = lambda: None\n"
+                "print(rng._crc(rng.cos(x)))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(rng.__file__).parent.parent),
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        x = cos_inputs()
+        want = str(rng._crc(rng._numpy_cos(x[near(x)])))
+        kernel, loaded, numpy_body = proc.stdout.split()
+        assert kernel == numpy_body == want
+        assert loaded == str(rng._kernel() is not None)
 
 
 # A fresh interpreter reports whether its kernel loaded and the bits of one draw.
@@ -581,4 +716,33 @@ class TestKernelCache:
         if rng._passes_check([vector]):
             pytest.skip("this CPU does not run the vector body")
         assert rng._passes_check([scalar]) == (body == "vector")
+        assert probe(package_copy) == (False, numpy_bits(monkeypatch))
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="building the kernel needs cc")
+    @pytest.mark.parametrize("body, good, bad", [
+        # the sign of the cosine in quadrants 1 and 2, in the scalar loop that the vector body's tail runs too
+        ("scalar", "*c = (q + 1) & 2 ? -cq : cq;", "*c = q & 2 ? -cq : cq;"),
+        # the reduction without its second term, in either body
+        ("scalar", "r = (x - k * PIO2_HI) - k * PIO2_LO", "r = x - k * PIO2_HI"),
+        ("vector", "_mm512_sub_pd(_mm512_sub_pd(x, _mm512_mul_pd(k, _mm512_set1_pd(PIO2_HI))),\n"
+                   "                              _mm512_mul_pd(k, _mm512_set1_pd(PIO2_LO)))",
+         "_mm512_sub_pd(x, _mm512_mul_pd(k, _mm512_set1_pd(PIO2_HI)))"),
+        # a build that fuses multiplies and adds, which only the vector body's target can
+        ("vector", "-ffp-contract=off", "-ffp-contract=fast"),
+    ], ids=["quadrant-sign", "scalar-pio2-lo", "vector-pio2-lo", "fma-build"])
+    def test_wrong_cos_body_falls_back_to_numpy(self, package_copy, monkeypatch, body, good, bad):
+        probe(package_copy)
+        (lib,) = cached_kernels(package_copy)
+        source, flags = rng._KERNEL_SOURCE, rng._KERNEL_FLAGS
+        if good in flags:
+            flags = tuple(bad if f == good else f for f in flags)
+        else:
+            assert source.count(good) == 1
+            source = source.replace(good, bad)
+        subprocess.run(["cc", *flags, "-x", "c", "-", "-o", str(lib)], input=source.encode(), capture_output=True,
+                       timeout=600, check=True)
+        vector, scalar = rng._load(lib)
+        if rng._cos_pass(vector):
+            pytest.skip("this CPU does not run the vector body")
+        assert rng._cos_pass(scalar) == (body == "vector")
         assert probe(package_copy) == (False, numpy_bits(monkeypatch))

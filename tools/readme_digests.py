@@ -25,8 +25,9 @@ the results; byte-identical outputs give identical lines:
 
 `--numpy-rng` runs every command on a copy of the checkout's `src/` with
 no `__pycache__` and an empty PATH, so that no C compiler is found and
-every draw takes the numpy body of `rng.uniforms`; a diff against the
-plain output checks the compiled draw kernel on every command:
+every draw, normal and `cos` potential value takes its numpy body in
+`rng`; a diff against the plain output checks the compiled draw kernel on
+every command:
 
     python tools/readme_digests.py > kernel.txt
     python tools/readme_digests.py --numpy-rng > numpy.txt
@@ -153,6 +154,18 @@ SINGLE = {
     "hyperbolic3/bridge_tail":
         "bridge --model hyperbolic3 --x0 1,0,0,0 --y0=1.3374349463048447,0.888105982187623,0,0 --T 1 --steps 4 "
         "--samples 1001",
+    # one walk of 4,096 Gaussian steps dumped whole: its --out file carries
+    # 4,096 normals, so a normal whose bits depend on the host moves a line
+    "euclidean:1/sample_normals": "sample --model euclidean:1 --x0 0 --T 1 --steps 4096 --samples 2 --sample-index 1",
+    # the cos potential on rows of 4 coordinates, read 4 doubles apart, in
+    # two blocks of at most 32,768 samples
+    "hyperbolic3/fk_cos_blocks":
+        "fk expectation --model hyperbolic3 --potential cos --x0 1,0,0,0 --t 0.5 --steps 4 --samples 40000",
+    # a start at the cos kernel's reduction bound, 2**20 times pi/2's leading
+    # 33 bits = 1647099.3291...: about half the positions lie past it, where
+    # np.cos takes over
+    "cauchy/fk_cos_far":
+        "fk expectation --model cauchy --potential cos --x0 1647099.33 --t 0.5 --steps 4 --samples 1000",
 }
 
 
