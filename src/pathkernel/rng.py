@@ -67,26 +67,26 @@ error below 2**-52.  Larger and non-finite arguments take ``np.cos``, so
 their bits may still depend on the host.
 
 ``uniforms``, ``box_muller``, ``cos_sin_2pi`` and ``cos`` run in a small C
-kernel where one can be built.  For ``uniforms`` it computes the
-Philox block, the lane choice, the odd-start and wrap slot logic and the
-53-bit float.  That is integer arithmetic plus one IEEE add and a
-power-of-two scale, so the kernel's output is bit-identical to the numpy
-body (``_numpy_uniforms`` on ``philox_words``), which stays as its
-reference and as the fallback.  The kernel has two bodies.  The scalar
-loop computes one address at a time.  On x86-64 CPUs with AVX-512F and
-AVX-512DQ, found at run time, a vector body computes eight addresses at
-once wherever 8 consecutive addresses start at slots of one parity; mixed
-groups and the tail of fewer than 8 take the scalar loop.  Its products
-are the same 32x32->64-bit products and its float conversion is exact
-below 2**53, so both bodies give the same bits.  The Box-Muller and cos
-bodies are the numpy bodies (``_numpy_box_muller``, ``_numpy_cos_sin_2pi``,
-``_numpy_cos``) written in C, operation for operation, compiled with ``-ffp-contract=off``
-so that no multiply and add fuse into an FMA; the vector body takes eight
-values at once and the tail of fewer than 8 the scalar loop.  One library serves every
-x86-64 host; it lives in ``__pycache__/`` next to this file, under a name
-that carries a hash of the C source, the compiler flags and the machine
-type.  The first draw in a process loads it; if it is missing, that draw
-compiles it with ``cc`` into a temporary file and renames it into place.
+kernel where one can be built, with the bits of the numpy bodies
+(``_numpy_uniforms`` on ``philox_words``, ``_numpy_box_muller``,
+``_numpy_cos_sin_2pi`` and ``_numpy_cos``), which stay as its reference
+and as the fallback.  Philox is integer arithmetic plus one IEEE add and a
+power-of-two scale; the other loops are the numpy bodies' operations in
+their order, compiled with ``-ffp-contract=off`` so that no multiply and
+add fuse into an FMA, and each of them is written once.  The kernel has two
+bodies, chosen once per load: the scalar body runs the loops compiled for
+the base instruction set, and on x86-64 CPUs with AVX-512F and AVX-512DQ
+the vector body runs them compiled for AVX-512, which GCC vectorizes eight
+values wide with the same operations on every value.  Philox alone has a
+vector form written by hand, on eight addresses whose start slots share
+one parity, with the same 32x32->64-bit products and a float conversion
+exact below 2**53: its loop rewritten lane by lane and compiled for
+AVX-512 gave the same bits but ran about 5 times slower.  One library
+serves every x86-64 host; it lives in ``__pycache__/`` next to this file,
+under a name that carries a hash of the C source, the compiler flags and
+the machine type.  The first draw in a process loads it; if it is
+missing, that draw compiles it with ``cc`` into a temporary file and
+renames it into place.
 Every load checks both bodies, on this CPU, against known answers of the
 numpy body (kept as a CRC-32 that the tests recompute), so a library
 built where the vector body could not run is checked where it does.
@@ -296,8 +296,9 @@ def _numpy_uniforms(master_seed, samp, draw, width):
 
 # The C form of ``_numpy_uniforms``: one Philox4x32-10 block per pair of
 # slots, the same lane choice and 2**64 slot wrap, the same 53-bit float.
-# ``pathkernel_uniforms_scalar`` computes one address at a time;
-# ``pathkernel_uniforms`` runs the AVX-512 body where the CPU has it.
+# ``pathkernel_uniforms_scalar`` computes one address at a time and
+# ``pathkernel_uniforms_avx512`` eight, in AVX-512 intrinsics: the scalar
+# loop rewritten lane by lane and compiled for AVX-512 ran about 5 times slower.
 _KERNEL_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
@@ -377,8 +378,8 @@ static inline AVX512 __m512d u53x8(__m512i a, __m512i b)
 
 /* Eight addresses at once where their start slots share one parity; mixed
    groups and the n % 8 tail take the scalar loop. */
-static AVX512 void uniforms_avx512(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
-                                   size_t n, size_t width, double *out)
+AVX512 void pathkernel_uniforms_avx512(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
+                                       size_t n, size_t width, double *out)
 {
     const __m512i one = _mm512_set1_epi64(1), blocks = _mm512_set1_epi64(INT64_MAX);
     /* lane j writes row j of the group, width doubles apart */
@@ -430,7 +431,7 @@ def _c_constants():
 
 # The C form of ``_numpy_box_muller``, ``_numpy_cos_sin_2pi`` and
 # ``_numpy_cos``: the same IEEE operations in the same order, so the same
-# bits.  Every body reads element i of ``u`` at ``u[i * stride]`` (a pair's
+# bits.  Each loop reads element i of ``u`` at ``u[i * stride]`` (a pair's
 # angle one further on).
 _KERNEL_SOURCE += _c_constants() + r"""
 #include <math.h>
@@ -494,191 +495,78 @@ static inline double log_unit(double u)
     return e * LN2_HI + (e * LN2_LO + (f - (h - (h + r) * s)));
 }
 
-void pathkernel_normals_scalar(const double *u, size_t n, ptrdiff_t stride, double *out)
+/* The _scalar entries run each loop compiled for the base instruction set,
+   the _avx512 entries compiled for AVX-512, which GCC vectorizes with
+   64-byte vectors and the same operations on every element. */
+static inline void normals(const double *u, size_t n, ptrdiff_t stride, double *out)
 {
-    for (size_t i = 0; i < n; i++, u += stride) {
+    for (size_t i = 0; i < n; i++) {
         double c, s;
-        turn(u[1], &c, &s);
-        out[i] = sqrt(log_unit(u[0]) * -2.0) * c;
+        turn(u[i * stride + 1], &c, &s);
+        out[i] = sqrt(log_unit(u[i * stride]) * -2.0) * c;
     }
 }
 
-void pathkernel_angles_scalar(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
+static inline void angles(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
 {
-    for (size_t i = 0; i < n; i++, u += stride)
-        turn(*u, cos + i, sin + i);
+    for (size_t i = 0; i < n; i++)
+        turn(u[i * stride], cos + i, sin + i);
 }
 
 /* returns the count of x past the bound or not finite, whose values the caller replaces */
-size_t pathkernel_cos_scalar(const double *x, size_t n, ptrdiff_t stride, double *out)
+static inline size_t cosines(const double *x, size_t n, ptrdiff_t stride, double *out)
 {
     size_t far = 0;
-    for (size_t i = 0; i < n; i++, x += stride) {
-        out[i] = cos_reduced(*x);
-        far += !(fabs(*x) < COS_BOUND);
+    for (size_t i = 0; i < n; i++) {
+        out[i] = cos_reduced(x[i * stride]);
+        far += !(fabs(x[i * stride]) < COS_BOUND);
     }
     return far;
 }
 
+void pathkernel_normals_scalar(const double *u, size_t n, ptrdiff_t stride, double *out)
+{
+    normals(u, n, stride, out);
+}
+
+void pathkernel_angles_scalar(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
+{
+    angles(u, n, stride, cos, sin);
+}
+
+size_t pathkernel_cos_scalar(const double *x, size_t n, ptrdiff_t stride, double *out)
+{
+    return cosines(x, n, stride, out);
+}
+
 #if defined(__x86_64__)
-static inline AVX512 __m512d horner8(const double *c, int n, __m512d z)
+/* The common strides, adjacent pairs and adjacent values, are constants
+   here, so that their loops load whole vectors where other strides build
+   them value by value. */
+AVX512 void pathkernel_normals_avx512(const double *u, size_t n, ptrdiff_t stride, double *out)
 {
-    __m512d acc = _mm512_set1_pd(c[n - 1]);
-    for (int k = n - 2; k >= 0; k--)
-        acc = _mm512_add_pd(_mm512_mul_pd(acc, z), _mm512_set1_pd(c[k]));
-    return acc;
+    stride == 2 ? normals(u, n, 2, out) : normals(u, n, stride, out);
 }
 
-/* quarter() on eight values; a negation flips the sign bit, as - does */
-static inline AVX512 void quarter8(__m512i q, __m512d r, __m512d z, const double *cc, const double *sc, int n,
-                                   __m512d *c, __m512d *s)
+AVX512 void pathkernel_angles_avx512(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
 {
-    const __m512d sign = _mm512_set1_pd(-0.0);
-    const __m512i one = _mm512_set1_epi64(1), two = _mm512_set1_epi64(2);
-    __m512d cf = horner8(cc, n, z), sf = _mm512_mul_pd(horner8(sc, n, z), r);
-    __mmask8 odd = _mm512_test_epi64_mask(q, one);
-    __m512d cq = _mm512_mask_blend_pd(odd, cf, sf), sq = _mm512_mask_blend_pd(odd, sf, cf);
-    *c = _mm512_mask_xor_pd(cq, _mm512_test_epi64_mask(_mm512_add_epi64(q, one), two), cq, sign);
-    *s = _mm512_mask_xor_pd(sq, _mm512_test_epi64_mask(q, two), sq, sign);
+    angles(u, n, stride, cos, sin);
 }
 
-/* turn() on eight values */
-static inline AVX512 void turn8(__m512d u, __m512d *c, __m512d *s)
+AVX512 size_t pathkernel_cos_avx512(const double *x, size_t n, ptrdiff_t stride, double *out)
 {
-    const __m512d round = _mm512_set1_pd(ROUND);
-    __m512d x = _mm512_mul_pd(u, _mm512_set1_pd(4.0)), t = _mm512_add_pd(x, round);
-    __m512d f = _mm512_sub_pd(x, _mm512_sub_pd(t, round));
-    quarter8(_mm512_castpd_si512(t), f, _mm512_mul_pd(f, f), COS_COEFFS, SIN_COEFFS, 11, c, s);
+    return stride == 1 ? cosines(x, n, 1, out) : cosines(x, n, stride, out);
 }
+#endif
 
-/* cos_reduced() on eight values */
-static inline AVX512 __m512d cos8(__m512d x)
+/* 1 where the CPU runs the _avx512 entries */
+int pathkernel_avx512(void)
 {
-    const __m512d round = _mm512_set1_pd(ROUND);
-    __m512d t = _mm512_add_pd(_mm512_mul_pd(x, _mm512_set1_pd(TWO_OVER_PI)), round), k = _mm512_sub_pd(t, round);
-    __m512d r = _mm512_sub_pd(_mm512_sub_pd(x, _mm512_mul_pd(k, _mm512_set1_pd(PIO2_HI))),
-                              _mm512_mul_pd(k, _mm512_set1_pd(PIO2_LO)));
-    __m512d c, s;
-    quarter8(_mm512_castpd_si512(t), r, _mm512_mul_pd(r, r), COS_R_COEFFS, SIN_R_COEFFS, 9, &c, &s);
-    return c;
-}
-
-/* log_unit() on eight values */
-static inline AVX512 __m512d log8(__m512d u)
-{
-    const __m512d one = _mm512_set1_pd(1.0);
-    __m512i bits = _mm512_castpd_si512(u);
-    __m512d e = _mm512_cvtepi64_pd(_mm512_sub_epi64(_mm512_srli_epi64(bits, 52), _mm512_set1_epi64(1022)));
-    __m512d m = _mm512_castsi512_pd(_mm512_or_si512(_mm512_and_si512(bits, _mm512_set1_epi64(0x000FFFFFFFFFFFFF)),
-                                                    _mm512_set1_epi64(0x3FE0000000000000)));
-    __mmask8 low = _mm512_cmp_pd_mask(m, _mm512_set1_pd(SQRT_HALF), _CMP_LT_OQ);
-    m = _mm512_mask_mul_pd(m, low, m, _mm512_set1_pd(2.0));
-    e = _mm512_mask_sub_pd(e, low, e, one);
-    __m512d f = _mm512_sub_pd(m, one), s = _mm512_div_pd(f, _mm512_add_pd(f, _mm512_set1_pd(2.0)));
-    __m512d z = _mm512_mul_pd(s, s), h = _mm512_mul_pd(_mm512_mul_pd(f, f), _mm512_set1_pd(0.5));
-    __m512d r = _mm512_mul_pd(horner8(LOG_COEFFS, 14, z), z);
-    __m512d logm = _mm512_sub_pd(f, _mm512_sub_pd(h, _mm512_mul_pd(_mm512_add_pd(h, r), s)));
-    return _mm512_add_pd(_mm512_mul_pd(e, _mm512_set1_pd(LN2_HI)),
-                         _mm512_add_pd(_mm512_mul_pd(e, _mm512_set1_pd(LN2_LO)), logm));
-}
-
-/* Eight elements at once, gathered stride apart; the n % 8 tail takes the scalar loop. */
-static AVX512 void normals_avx512(const double *u, size_t n, ptrdiff_t stride, double *out)
-{
-    const __m512i lanes = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0), _mm512_set1_epi64(stride));
-    const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
-    const __m512i odd = _mm512_add_epi64(even, _mm512_set1_epi64(1));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8, u += 8 * stride) {
-        __m512d c, s, r, a;
-        if (stride == 2) { /* adjacent pairs: two loads, split into radii and angles */
-            __m512d lo = _mm512_loadu_pd(u), hi = _mm512_loadu_pd(u + 8);
-            r = _mm512_permutex2var_pd(lo, even, hi), a = _mm512_permutex2var_pd(lo, odd, hi);
-        } else {
-            r = _mm512_i64gather_pd(lanes, u, 8), a = _mm512_i64gather_pd(lanes, u + 1, 8);
-        }
-        turn8(a, &c, &s);
-        __m512d radius = _mm512_sqrt_pd(_mm512_mul_pd(log8(r), _mm512_set1_pd(-2.0)));
-        _mm512_storeu_pd(out + i, _mm512_mul_pd(radius, c));
-    }
-    pathkernel_normals_scalar(u, n - i, stride, out + i);
-}
-
-static AVX512 void angles_avx512(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
-{
-    const __m512i lanes = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0), _mm512_set1_epi64(stride));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8, u += 8 * stride) {
-        __m512d c, s;
-        turn8(_mm512_i64gather_pd(lanes, u, 8), &c, &s);
-        _mm512_storeu_pd(cos + i, c);
-        _mm512_storeu_pd(sin + i, s);
-    }
-    pathkernel_angles_scalar(u, n - i, stride, cos + i, sin + i);
-}
-
-/* Eight values at once, loaded where adjacent and gathered otherwise; the n % 8 tail takes the scalar loop. */
-static AVX512 size_t cos_avx512(const double *x, size_t n, ptrdiff_t stride, double *out)
-{
-    const __m512i lanes = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0), _mm512_set1_epi64(stride));
-    const __m512d bound = _mm512_set1_pd(COS_BOUND);
-    size_t i = 0, far = 0;
-    for (; i + 8 <= n; i += 8, x += 8 * stride) {
-        __m512d v = stride == 1 ? _mm512_loadu_pd(x) : _mm512_i64gather_pd(lanes, x, 8);
-        _mm512_storeu_pd(out + i, cos8(v));
-        /* not below the bound, NaN included */
-        far += (size_t)__builtin_popcount(_mm512_cmp_pd_mask(_mm512_abs_pd(v), bound, _CMP_NLT_UQ));
-    }
-    return far + pathkernel_cos_scalar(x, n - i, stride, out + i);
-}
-
-static int vector_body(void)
-{
+#if defined(__x86_64__)
     return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
-}
+#else
+    return 0;
 #endif
-
-void pathkernel_uniforms(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
-                         size_t n, size_t width, double *out)
-{
-#if defined(__x86_64__)
-    if (vector_body()) {
-        uniforms_avx512(seed, sample, draw, n, width, out);
-        return;
-    }
-#endif
-    pathkernel_uniforms_scalar(seed, sample, draw, n, width, out);
-}
-
-void pathkernel_normals(const double *u, size_t n, ptrdiff_t stride, double *out)
-{
-#if defined(__x86_64__)
-    if (vector_body()) {
-        normals_avx512(u, n, stride, out);
-        return;
-    }
-#endif
-    pathkernel_normals_scalar(u, n, stride, out);
-}
-
-void pathkernel_angles(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
-{
-#if defined(__x86_64__)
-    if (vector_body()) {
-        angles_avx512(u, n, stride, cos, sin);
-        return;
-    }
-#endif
-    pathkernel_angles_scalar(u, n, stride, cos, sin);
-}
-
-size_t pathkernel_cos(const double *x, size_t n, ptrdiff_t stride, double *out)
-{
-#if defined(__x86_64__)
-    if (vector_body())
-        return cos_avx512(x, n, stride, out);
-#endif
-    return pathkernel_cos_scalar(x, n, stride, out);
 }
 """
 # -ffp-contract=off: GNU C would fuse a * b + c into one FMA under the avx512f
@@ -700,13 +588,17 @@ def _kernel_path():
 
 
 def _load(path):
-    """The library's two bodies: ``pathkernel_uniforms`` (vector where the CPU runs it) and the scalar loop.
+    """The library's two bodies: the one ``_kernel`` runs and the scalar loops.
 
-    Each carries the Box-Muller and cos functions of the same body as its
-    ``normals``, ``angles`` and ``cos`` attributes."""
+    The first is the ``_avx512`` entries where ``pathkernel_avx512()`` finds
+    that this CPU runs them, else the ``_scalar`` ones.  Each body is its
+    ``uniforms`` function, with the Box-Muller and cos functions of the same
+    body as its ``normals``, ``angles`` and ``cos`` attributes."""
     lib = ctypes.CDLL(str(path))
+    lib.pathkernel_avx512.argtypes = []
+    lib.pathkernel_avx512.restype = ctypes.c_int
     bodies = []
-    for body in ("", "_scalar"):
+    for body in ("_avx512" if lib.pathkernel_avx512() else "_scalar", "_scalar"):
         uniforms, normals, angles, cos = (getattr(lib, f"pathkernel_{name}{body}")
                                           for name in ("uniforms", "normals", "angles", "cos"))
         uniforms.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
@@ -768,7 +660,7 @@ def _box_muller_check_inputs():
 
 
 # The numpy body's normals at the check pairs, then at every other pair (read
-# 4 doubles apart, which the vector body gathers), then its cosines and sines
+# 4 doubles apart, a stride with no entry of its own), then its cosines and sines
 # of every check input (``_numpy_box_muller`` and ``_numpy_cos_sin_2pi``),
 # as their CRC-32; the tests recompute it.
 _BOX_MULLER_CRC = 0x40AFB197
@@ -795,18 +687,20 @@ def _cos_check_inputs():
 
 
 # The numpy body's cosines of the cos check inputs, then of every fourth
-# input (read 4 doubles apart, which the vector body gathers), each list
+# input (read 4 doubles apart, a stride with no entry of its own), each list
 # without the arguments past the bound, as their CRC-32; the tests
 # recompute it.
 _COS_CRC = 0x878F3906
 
 
+# The check buffers are array.array objects, so that the check makes no ctypes
+# array type: ctypes keeps every one it makes for the life of the process.
 def _uniforms_pass(fn):
     """True if the kernel body ``fn`` gives the numpy body's variates at the check addresses."""
-    sample, draw = _check_addresses()
+    sample, draw = (array.array("Q", a) for a in _check_addresses())
     n = len(draw)
-    out = (ctypes.c_double * (n * _CHECK_WIDTH))()  # zeros: no variate is 0, so a slot left unwritten fails
-    fn(_CHECK_SEED, (ctypes.c_uint64 * n)(*sample), (ctypes.c_uint64 * n)(*draw), n, _CHECK_WIDTH, out)
+    out = array.array("d", bytes(8 * n * _CHECK_WIDTH))  # zeros: no variate is 0, so a slot left unwritten fails
+    fn(_CHECK_SEED, sample.buffer_info()[0], draw.buffer_info()[0], n, _CHECK_WIDTH, out.buffer_info()[0])
     return _crc(out) == _CHECK_CRC
 
 
@@ -814,14 +708,13 @@ def _box_muller_pass(fn):
     """True if the kernel body ``fn`` gives the numpy body's normals, cosines and sines at the check inputs."""
     inputs = _box_muller_check_inputs()
     m = len(inputs)
-    u = (ctypes.c_double * m)(*inputs)
+    u = array.array("d", inputs)
     every, other = m // 2, len(inputs[::4])
-    normals, cos, sin = (ctypes.c_double * (every + other))(), (ctypes.c_double * m)(), (ctypes.c_double * m)()
-    for buf in (normals, cos, sin):  # NaNs, which no body writes
-        ctypes.memset(buf, 0xFF, ctypes.sizeof(buf))
-    fn.normals(u, every, 2, normals)
-    fn.normals(u, other, 4, ctypes.byref(normals, 8 * every))
-    fn.angles(u, m, 1, cos, sin)
+    nan = array.array("d", [math.nan])  # which no body writes
+    normals, cos, sin = nan * (every + other), nan * m, nan * m
+    fn.normals(u.buffer_info()[0], every, 2, normals.buffer_info()[0])
+    fn.normals(u.buffer_info()[0], other, 4, normals.buffer_info()[0] + 8 * every)
+    fn.angles(u.buffer_info()[0], m, 1, cos.buffer_info()[0], sin.buffer_info()[0])
     return _crc([*normals, *cos, *sin]) == _BOX_MULLER_CRC
 
 
@@ -829,8 +722,6 @@ def _cos_pass(fn):
     """True if the kernel body ``fn`` gives the numpy body's cosines at the cos check inputs,
     and counts the arguments past the bound."""
     inputs = _cos_check_inputs()
-    # array.array buffers: ctypes keeps every array type it makes for the life of
-    # the process, and two new ones kept a pool worker's peak about 0.25 MB higher
     buf = array.array("d", inputs)
     got = []
     for stride in (1, 4):
@@ -878,7 +769,7 @@ def _build(path):
 
 @functools.lru_cache(maxsize=None)
 def _kernel():
-    """The compiled ``pathkernel_uniforms`` with its ``normals`` and ``angles``, or None where it cannot be had.
+    """The body that ``_load`` chose for this CPU, or None where it cannot be had.
 
     Every load checks both bodies against known answers of the numpy body:
     a library built on a host without AVX-512 has a vector body that only
