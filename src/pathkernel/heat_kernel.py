@@ -61,8 +61,8 @@ Gaussian and Cauchy laws give both in closed form and ignore tol:
   the peak at r^2 = a tau^2 / (2 - a) for a < 2 (unbounded for a >= 2).
 
 H3 (radially, over a range fitted to the integrand's peak), the circle
-and the interval integrate by adaptive Simpson to tol times the
-integrand's peak value times its width, which bounds the error relative
+and the interval integrate by adaptive Gauss-Kronrod quadrature to tol
+times the integrand's peak value times its width, which bounds the error relative
 to the moment itself.  The peaks of H3's and the circle's pointwise
 moments, and of the circle's and the interval's integrands, are searched
 with ``maximize_scalar``.
@@ -91,8 +91,8 @@ from .manifold import (
     validate_point,
 )
 from .quadrature import (
-    adaptive_simpson,
-    adaptive_simpson_batch,
+    adaptive_quadrature,
+    adaptive_quadrature_batch,
     gaussian_tail_radius,
     maximize_scalar,
 )
@@ -392,20 +392,27 @@ def dirichlet_survival_ratio(t, x, y, length, policy, owner=None):
         sel = np.maximum(near, far, out=near) < t * cut
         if np.any(sel):
             xs, ys, ts, lead = x[sel], y[sel], np.broadcast_to(t, x.shape)[sel], r[sel]
-            flip = xs * ys > (L - xs) * (L - ys)
+            flip = near[sel] > far[sel]  # near is max(xy, (L - x)(L - y)) by now
             xs, ys = np.where(flip, L - xs, xs), np.where(flip, L - ys, ys)
             hi, lo, total = np.maximum(xs, ys), np.minimum(xs, ys), lead.copy()
+            cols = ts, hi, lo, -np.expm1(-2.0 * hi * lo / ts), lead  # the same at every k
             live, k = np.flatnonzero(lead > 0.0), 1
+            every = live.size == lead.size  # no gathers while every row is live
             while live.size:
                 # up - down, with up = exp(-s(s + h - w)/t) (1 - exp(-w(h + 2s)/t))
                 # and down = exp(-(s - h)(s - w)/t) (1 - exp(-w(2s - h)/t)); its
                 # two parts are of order hw/t and (s^2/t) hw/t, s^2/t > pi^2
-                s, tl, h, w = k * L, ts[live], hi[live], lo[live]
+                s = k * L
+                tl, h, w, g, cap = cols if every else (c[live] for c in cols)
                 pair = np.exp(-((s - h) * (s - w)) / tl) * (
-                    np.exp(-w * (2.0 * s - h) / tl) * -np.expm1(-2.0 * h * w / tl)
+                    np.exp(-w * (2.0 * s - h) / tl) * g
                     + np.expm1(-h * (2.0 * s - w) / tl) * -np.expm1(-w * (h + 2.0 * s) / tl))
-                more = np.abs(pair) > tail * lead[live]
-                live, k = live[more], k + 1
+                more = np.abs(pair) > tail * cap
+                k += 1
+                if every and np.all(more):
+                    total += pair
+                    continue
+                every, live = False, live[more]
                 total[live] += pair[more]
             r[sel] = np.clip(total, 0.0, 1.0)
     return r.reshape(shape)
@@ -679,7 +686,7 @@ class _Line:
         def f(z):
             return u(z - ya[0]) * self.density(t, z[..., None], ya[None, :])
 
-        return adaptive_simpson(f, lo, hi, tol=tol)
+        return adaptive_quadrature(f, lo, hi, tol=tol)
 
 
 class _GaussianLaw(_Line, _Law):
@@ -703,7 +710,7 @@ class _GaussianLaw(_Line, _Law):
             def f(y, o):
                 return gauss_profile(t, (z[o] - y) ** 2, 1, o) * gauss_profile(s, (y - x[o]) ** 2, 1, o)
 
-            lhs *= adaptive_simpson_batch(f, np.minimum(x, z) - pad, np.maximum(x, z) + pad, tol=tol)
+            lhs *= adaptive_quadrature_batch(f, np.minimum(x, z) - pad, np.maximum(x, z) + pad, tol=tol)
         return lhs
 
     def integrated_moment(self, a, tau, tol):
@@ -752,7 +759,7 @@ class _CauchyLaw(_Line, _Law):
 
         eps = 1e-9
         k = len(s)
-        return adaptive_simpson_batch(f, np.full(k, -np.pi / 2 + eps), np.full(k, np.pi / 2 - eps), tol=tol)
+        return adaptive_quadrature_batch(f, np.full(k, -np.pi / 2 + eps), np.full(k, np.pi / 2 - eps), tol=tol)
 
     def integrated_moment(self, a, tau, tol):
         # |r|^a / (t^2 + r^2) is integrable for a < 1 only
@@ -794,7 +801,7 @@ class _H3Law(_Law):
             # sinh^2(r) * p_t(r) with the r/sinh(r) factor cancelled once
             return pref * r * np.sinh(r) * np.exp(-r * r / (4.0 * t))
 
-        return adaptive_simpson(f, 0.0, rmax, tol=quad_tol)
+        return adaptive_quadrature(f, 0.0, rmax, tol=quad_tol)
 
     def ck_integral(self, s, t, xa, za, tol):
         """Radial form after integrating out the sphere directions exactly.
@@ -824,7 +831,7 @@ class _H3Law(_Law):
 
         rmax = np.array([e + 4.0 * max(u, v) + gaussian_tail_radius(max(u, v), tol * 1e-3) + 5.0
                          for e, u, v in zip(d.tolist(), s.tolist(), t.tolist())])
-        return adaptive_simpson_batch(f, np.zeros(len(s)), rmax, tol=tol)
+        return adaptive_quadrature_batch(f, np.zeros(len(s)), rmax, tol=tol)
 
     def integrated_moment(self, a, tau, tol):
         """Radial quadrature to tol times the integrand's value at `peak`
@@ -832,8 +839,9 @@ class _H3Law(_Law):
         integrand whose curvature is below -1/(2 tau)."""
         # the integrand is log-concave with curvature below -1/(2 tau), and
         # coth r <= 1 + 1/r puts its peak below `peak`: it is spent a
-        # Gaussian tail radius past the peak.  A wider interval lets the
-        # first Simpson panels step over a peak of width sqrt(tau).
+        # Gaussian tail radius past the peak.  A wider interval would spread
+        # the first nodes, at most 1/154 of it apart, across a peak of width
+        # sqrt(tau).
         peak = tau + math.sqrt(tau * tau + 2.0 * (a + 2.0) * tau)
         rmax = peak + gaussian_tail_radius(tau, 1e-16)
         # r^(a+1) exp(-r^2/4 tau) is taken relative to its value at `peak`,
@@ -849,7 +857,7 @@ class _H3Law(_Law):
             return scale * np.sinh(r) * np.exp(shape)
 
         width = math.sqrt(4.0 * math.pi * tau)
-        return adaptive_simpson(f, 0.0, rmax, tol=_peak_tolerance(tol, float(f(np.array([peak]))[0]), width))
+        return adaptive_quadrature(f, 0.0, rmax, tol=_peak_tolerance(tol, float(f(np.array([peak]))[0]), width))
 
     def mean_distance(self, t):
         return math.exp(-t) * 2.0 / math.sqrt(math.pi) * math.sqrt(t) + math.erf(math.sqrt(t)) * (1.0 + 2.0 * t)
@@ -868,7 +876,7 @@ class _H3Law(_Law):
         def f(r):
             return 4.0 * np.pi * u(r) * np.sinh(r) ** 2 * h3_profile(t, r)
 
-        return adaptive_simpson(f, 0.0, w, tol=tol)
+        return adaptive_quadrature(f, 0.0, w, tol=tol)
 
     @staticmethod
     def _exp(base, direction, r, dt):
@@ -983,7 +991,7 @@ class _LatticeLaw(_Law):
             def f(y, o):
                 return circle_theta_arrays(t, z[o] - y, L, tr, o) * circle_theta_arrays(s, y - x[o], L, tr, o)
 
-            lhs *= adaptive_simpson_batch(f, np.zeros(k), np.full(k, L), tol=tol)
+            lhs *= adaptive_quadrature_batch(f, np.zeros(k), np.full(k, L), tol=tol)
         return lhs
 
     def mean_distance(self, t):
@@ -1041,7 +1049,7 @@ class _CircleLaw(_Line, _LatticeLaw):
             return rho ** a * circle_theta_arrays(tau, d, L, self.truncation)
 
         tol = _lobe_tolerance(tol, f, a, tau, L / 2.0)
-        return adaptive_simpson(f, 0.0, L / 2.0, tol=tol / 2) + adaptive_simpson(f, L / 2.0, L, tol=tol / 2)
+        return adaptive_quadrature(f, 0.0, L / 2.0, tol=tol / 2) + adaptive_quadrature(f, L / 2.0, L, tol=tol / 2)
 
     def pointwise_sup(self, a, tau):
         L = self.model.circumference
@@ -1053,9 +1061,11 @@ class _CircleLaw(_Line, _LatticeLaw):
         return val
 
     def delta_window(self, ya, width):
-        # a bump-width window centered on y puts the kernel spike at the
-        # first Simpson midpoint; the theta sum takes any real difference,
-        # and the window covers the support once
+        # a bump-width window centered on y puts the kernel spike on an
+        # edge of the first pieces, whose outermost nodes lie 2.7e-4 of the
+        # window's width from it, so a spike wider than that is seen; the
+        # theta sum takes any real difference, and the window covers the
+        # support once
         L = self.model.circumference
         w = width or 0.4 * L
         if w >= L / 2.0:
@@ -1080,8 +1090,8 @@ class _DirichletLaw(_Line, _Law):
 
     def mass(self, t, xa, quad_tol):
         L = self.model.length
-        return adaptive_simpson(lambda y: dirichlet_kernel_arrays(t, xa[0], y, L, self.truncation), 0.0, L,
-                                tol=quad_tol)
+        return adaptive_quadrature(lambda y: dirichlet_kernel_arrays(t, xa[0], y, L, self.truncation), 0.0, L,
+                                   tol=quad_tol)
 
     def ck_integral(self, s, t, xa, za, tol):
         L, tr = self.model.length, self.truncation
@@ -1091,7 +1101,7 @@ class _DirichletLaw(_Line, _Law):
             return dirichlet_kernel_arrays(t, z[o], y, L, tr, o) * dirichlet_kernel_arrays(s, y, x[o], L, tr, o)
 
         k = len(s)
-        return adaptive_simpson_batch(f, np.zeros(k), np.full(k, L), tol=tol)
+        return adaptive_quadrature_batch(f, np.zeros(k), np.full(k, L), tol=tol)
 
     def integrated_moment(self, a, tau, tol):
         L = self.model.length
@@ -1100,7 +1110,7 @@ class _DirichletLaw(_Line, _Law):
         def f(z):
             return np.abs(z - y0) ** a * dirichlet_kernel_arrays(tau, z, y0, L, self.truncation)
 
-        return adaptive_simpson(f, 0.0, L, tol=_lobe_tolerance(tol, lambda r: f(y0 - r), a, tau, y0))
+        return adaptive_quadrature(f, 0.0, L, tol=_lobe_tolerance(tol, lambda r: f(y0 - r), a, tau, y0))
 
     def delta_window(self, ya, width):
         L = self.model.length
@@ -1160,7 +1170,7 @@ class _KilledLaw(_Law):
             y = np.atleast_1d(y)
             return self.lost_mass(t, y) * dirichlet_kernel_arrays(s, y, xa[0], L, self.truncation)
 
-        lhs = adaptive_simpson(f, 0.0, L, tol=tol) + float(self.lost_mass(s, xa[0]))
+        lhs = adaptive_quadrature(f, 0.0, L, tol=tol) + float(self.lost_mass(s, xa[0]))
         return abs(lhs - float(self.lost_mass(s + t, xa[0])))
 
     def step(self, cursor, current, dt):
@@ -1281,8 +1291,9 @@ def total_mass(kernel, t, x, quad_tol=1e-10):
 # Chapman-Kolmogorov
 
 
-# Tuples are integrated CK_BLOCK at a time: one adaptive-Simpson worklist
-# per block keeps the per-call overhead small and the worklist's memory flat.
+# Tuples are integrated CK_BLOCK at a time: one adaptive Gauss-Kronrod
+# worklist per block keeps the per-call overhead small and the worklist's
+# memory flat.
 CK_BLOCK = 32
 
 
@@ -1291,7 +1302,7 @@ def chapman_kolmogorov_residuals(kernel, s, t, x, z, tol=1e-11):
     (s[i], t[i], x[i], z[i]), as a float array.
 
     The interior tuples are integrated CK_BLOCK at a time in one batched
-    adaptive-Simpson worklist; each residual is bit-identical to the same
+    adaptive Gauss-Kronrod worklist; each residual is bit-identical to the same
     tuple computed alone.  Rows of a compactified kernel with the
     cemetery as source or target are computed one at a time.
     """

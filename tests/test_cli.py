@@ -392,6 +392,13 @@ class TestExitCodes:
         out = json.loads(res.stdout)
         assert out["max_residual"] < 1e-9
 
+    @pytest.mark.parametrize("seed", ["90", "403"])
+    def test_verify_ck_dirichlet_within_tol(self, seed, capsys):
+        assert main(["verify", "chapman-kolmogorov", "--model", "dirichlet:3.14159265",
+                     "--tuples", "300", "--seed", seed]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["max_residual"] <= out["tol"]
+
     def test_cauchy_moment_divergence_is_numeric_failure(self):
         res = run_cli(["verify", "moments", "--model", "cauchy", "--a", "4", "--b", "1",
                        "--tau-grid", "0.01:0.1:0.09"])
