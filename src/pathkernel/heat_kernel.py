@@ -601,13 +601,16 @@ class _TrigBasis:
 # only from its own cursor, in this order per step.
 #
 # * Gaussian / lattice step: ``dim`` normals (2 uniform slots each),
-#   drawn for the whole ensemble at once.
+#   drawn for the whole ensemble at once.  ``StreamCursor.gaussian_step``
+#   draws them and makes the step (and the lattice's wrap) in one kernel
+#   pass; the slots and their order are those of ``normals(dim)``.
 # * Cauchy step: one uniform.
 # * H3 step: three normals (6 slots) for the radius, then two uniforms for
 #   the sphere direction.
 # * Killed step: one normal proposal (2 slots) plus one acceptance
 #   uniform; killed samples stop drawing.
-# * Gaussian bridge: ``dim`` normals per step before the last.
+# * Gaussian bridge: ``dim`` normals per step before the last, in the same
+#   pass from the bridge mean.
 # * Lattice bridge: one winding uniform per coordinate (past the image
 #   budget, one winding normal, 2 slots), then the Gaussian bridge steps.
 # * H3 bridge step: three normals (6 slots) for the radius to the
@@ -729,13 +732,13 @@ class _GaussianLaw(_Line, _Law):
         return ya[0] - w, ya[0] + w, w
 
     def step(self, cursor, current, dt):
-        return current + _scale(2.0 * dt, dt) * cursor.normals(self.model.dim)
+        return cursor.gaussian_step(current, _scale(2.0 * dt, dt))
 
     def bridge_step(self, cursor, current, y, dt, rem):
         """One conditional Gaussian step toward y, with rem time left."""
         mean = current + (dt / rem) * (y - current)
         var = 2.0 * dt * (rem - dt) / rem
-        return mean + _scale(var, dt) * cursor.normals(self.model.dim)
+        return cursor.gaussian_step(mean, _scale(var, dt))
 
 
 class _CauchyLaw(_Line, _Law):
@@ -1002,8 +1005,7 @@ class _LatticeLaw(_Law):
         return covering_of(self.model)
 
     def step(self, cursor, current, dt):
-        nxt = current + _scale(2.0 * dt, dt) * cursor.normals(self.model.dim)
-        return project_arrays(self.covering(), nxt)
+        return cursor.gaussian_step(current, _scale(2.0 * dt, dt), self.model.periods)
 
     def bridges(self, cursor, x0a, y0a, times):
         """A deck element per coordinate with Gaussian image weights, a

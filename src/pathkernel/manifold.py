@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import cos_sin_2pi
+from .rng import cos_sin_2pi, wrap
 
 HYPERBOLOID_TOL = 1e-12
 
@@ -400,20 +400,8 @@ def covering_of(base):
 
 
 def project_arrays(cov, x):
-    """Reduce total-space coordinates into the fundamental box [0, L_i).
-
-    x - floor(x / L) L is computed in place in one new array, so a call
-    costs that array and a boolean mask; x itself is never written.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    per = np.asarray(cov.periods)
-    out = np.divide(x, per)
-    np.floor(out, out=out)
-    np.multiply(out, per, out=out)
-    np.subtract(x, out, out=out)
-    # floor rounding can land exactly on the period for tiny negatives
-    np.subtract(out, per, out=out, where=out >= per)
-    return out
+    """Reduce total-space coordinates into the fundamental box [0, L_i): ``rng.wrap`` by the periods."""
+    return wrap(x, cov.periods)
 
 
 def lift_arrays(cov, x, anchor):

@@ -66,34 +66,49 @@ That holds for |x| < 2**20 * pio2_hi (about 1.647e6), with an absolute
 error below 2**-52.  Larger and non-finite arguments take ``np.cos``, so
 their bits may still depend on the host.
 
-``uniforms``, ``box_muller``, ``cos_sin_2pi`` and ``cos`` run in a small C
-kernel where one can be built, with the bits of the numpy bodies
-(``_numpy_uniforms`` on ``philox_words``, ``_numpy_box_muller``,
-``_numpy_cos_sin_2pi`` and ``_numpy_cos``), which stay as its reference
-and as the fallback.  Philox is integer arithmetic plus one IEEE add and a
-power-of-two scale; the other loops are the numpy bodies' operations in
-their order, compiled with ``-ffp-contract=off`` so that no multiply and
-add fuse into an FMA, and each of them is written once.  The kernel has two
-bodies, chosen once per load: the scalar body runs the loops compiled for
-the base instruction set, and on x86-64 CPUs with AVX-512F and AVX-512DQ
-the vector body runs them compiled for AVX-512, which GCC vectorizes eight
-values wide with the same operations on every value.  Philox alone has a
-vector form written by hand, on eight addresses whose start slots share
-one parity, with the same 32x32->64-bit products and a float conversion
-exact below 2**53: its loop rewritten lane by lane and compiled for
-AVX-512 gave the same bits but ran about 5 times slower.  One library
-serves every x86-64 host; it lives in ``__pycache__/`` next to this file,
-under a name that carries a hash of the C source, the compiler flags and
-the machine type.  The first draw in a process loads it; if it is
-missing, that draw compiles it with ``cc`` into a temporary file and
-renames it into place.
-Every load checks both bodies, on this CPU, against known answers of the
-numpy body (kept as a CRC-32 that the tests recompute), so a library
-built where the vector body could not run is checked where it does.
-With no ``cc`` on ``PATH``, a failed compile or check, an unwritable
-``__pycache__`` or a library that does not load, draws, normals and
-cosines run in numpy silently, with the same bits; normals and cosines are
-then several times slower than in the kernel.
+``StreamCursor.normals`` and ``StreamCursor.gaussian_step`` (the Gaussian
+and lattice steps and the Gaussian bridge step of ``heat_kernel``) draw a
+block's normals in one pass that makes no array but its output.  The pass
+goes tile by tile, 512 normals (8 KB of uniform slots) at a time, so that
+a tile stays in L1: the Philox body fills a stack tile with the slots of
+``normals(dim)``, in the order ``box_muller(uniforms(...))`` reads them,
+the Box-Muller loop turns it into normals, and for a step a last loop
+writes v = base + scale * z per value, wrapped where periods are given as
+``wrap`` does it: q = floor(v / L), v = v - q * L, then v - L where
+v >= L.  The floor is exact, and is computed from exact operations so that
+no body calls libm.  Rows of up to 64 normals go whole, as many as a tile
+holds; wider rows go in chunks of 64 normals, 8 rows a tile, so that the
+Philox body still draws eight addresses at once.
+
+``uniforms``, ``box_muller``, ``cos_sin_2pi``, ``cos`` and that pass run
+in a small C kernel where one can be built, with the bits of the numpy
+bodies (``_numpy_uniforms`` on ``philox_words``, ``_numpy_box_muller``,
+``_numpy_cos_sin_2pi``, ``_numpy_cos``, and for the pass ``box_muller`` of
+``uniforms``, then base + scale * z and ``wrap``), which stay as its
+reference and as the fallback.  Philox is integer arithmetic plus one IEEE
+add and a power-of-two scale; the other loops are the numpy bodies'
+operations in their order, compiled with ``-ffp-contract=off`` so that no
+multiply and add fuse into an FMA, and each of them is written once.  The
+kernel has two bodies, chosen once per load: the scalar body runs the
+loops compiled for the base instruction set, and on x86-64 CPUs with
+AVX-512F and AVX-512DQ the vector body runs them compiled for AVX-512,
+which GCC vectorizes eight values wide with the same operations on every
+value.  Philox alone has a vector form written by hand, on eight addresses
+whose start slots share one parity, with the same 32x32->64-bit products
+and a float conversion exact below 2**53: its loop rewritten lane by lane
+and compiled for AVX-512 gave the same bits but ran about 5 times slower.
+One library serves every x86-64 host; it lives in ``__pycache__/`` next to
+this file, under a name that carries a hash of the C source, the compiler
+flags and the machine type.  The first draw in a process loads it; if it
+is missing, that draw compiles it with ``cc`` into a temporary file and
+renames it into place.  Every load checks both bodies, on this CPU, against
+known answers of the numpy body (kept as a CRC-32 that the tests
+recompute), so a library built where the vector body could not run is
+checked where it does.  With no ``cc`` on ``PATH``, a failed compile or
+check, an unwritable ``__pycache__`` or a library that does not load,
+draws, normals, steps and cosines run in numpy silently, with the same
+bits; normals, steps and cosines are then several times slower than in the
+kernel.
 """
 
 from __future__ import annotations
@@ -106,7 +121,7 @@ import math
 import os
 import platform
 import shutil
-import struct
+import sys
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -326,7 +341,7 @@ static double u53(uint32_t a, uint32_t b)
 }
 
 void pathkernel_uniforms_scalar(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
-                                size_t n, size_t width, double *out)
+                                size_t n, size_t width, double *restrict out)
 {
     for (size_t i = 0; i < n; i++, out += width) {
         uint64_t slot = draw[i];
@@ -379,7 +394,7 @@ static inline AVX512 __m512d u53x8(__m512i a, __m512i b)
 /* Eight addresses at once where their start slots share one parity; mixed
    groups and the n % 8 tail take the scalar loop. */
 AVX512 void pathkernel_uniforms_avx512(uint64_t seed, const uint64_t *sample, const uint64_t *draw,
-                                       size_t n, size_t width, double *out)
+                                       size_t n, size_t width, double *restrict out)
 {
     const __m512i one = _mm512_set1_epi64(1), blocks = _mm512_set1_epi64(INT64_MAX);
     /* lane j writes row j of the group, width doubles apart */
@@ -497,8 +512,9 @@ static inline double log_unit(double u)
 
 /* The _scalar entries run each loop compiled for the base instruction set,
    the _avx512 entries compiled for AVX-512, which GCC vectorizes with
-   64-byte vectors and the same operations on every element. */
-static inline void normals(const double *u, size_t n, ptrdiff_t stride, double *out)
+   64-byte vectors and the same operations on every element.  Outputs are
+   restrict: no loop reads what it writes, so GCC needs no alias checks. */
+static inline void normals(const double *u, size_t n, ptrdiff_t stride, double *restrict out)
 {
     for (size_t i = 0; i < n; i++) {
         double c, s;
@@ -507,55 +523,141 @@ static inline void normals(const double *u, size_t n, ptrdiff_t stride, double *
     }
 }
 
-static inline void angles(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
+static inline void angles(const double *u, size_t n, ptrdiff_t stride, double *restrict cos, double *restrict sin)
 {
     for (size_t i = 0; i < n; i++)
         turn(u[i * stride], cos + i, sin + i);
 }
 
 /* returns the count of x past the bound or not finite, whose values the caller replaces */
-static inline size_t cosines(const double *x, size_t n, ptrdiff_t stride, double *out)
+static inline size_t cosines(const double *x, size_t n, ptrdiff_t stride, double *restrict out)
 {
     size_t far = 0;
     for (size_t i = 0; i < n; i++) {
-        out[i] = cos_reduced(x[i * stride]);
-        far += !(fabs(x[i * stride]) < COS_BOUND);
+        double v = x[i * stride];
+        out[i] = cos_reduced(v);
+        far += !(fabs(v) < COS_BOUND);
     }
     return far;
 }
 
-void pathkernel_normals_scalar(const double *u, size_t n, ptrdiff_t stride, double *out)
+/* floor x, from exact operations, so that no body calls libm: |x| < 2**52
+   rounds to an integer as (|x| + 2**52) - 2**52, one step down where that
+   rounded up; larger x, infinities and NaN are their own floor */
+static inline double floor_exact(double x)
+{
+    double a = fabs(x), t = a < 0x1p52 ? copysign((a + 0x1p52) - 0x1p52, x) : x;
+    return t > x ? t - 1.0 : t;
+}
+
+/* out = base + scale * z, wrapped into [0, L) by L = per[k] where per is
+   given: v - floor(v / L) L, less L where the rounding lands on L */
+static inline void steps(const double *base, double scale, const double *z, const double *per, size_t n,
+                         double *restrict out)
+{
+    for (size_t k = 0; k < n; k++) {
+        double v = base[k] + scale * z[k];
+        if (per) {
+            double L = per[k];
+            v = v - floor_exact(v / L) * L;
+            v = v >= L ? v - L : v;
+        }
+        out[k] = v;
+    }
+}
+
+/* Normals per tile: 8 KB of uniform slots, so that the slots, their
+   normals and the rows they make stay in L1. */
+#define TILE_NORMALS 512
+
+typedef void uniforms_fn(uint64_t, const uint64_t *, const uint64_t *, size_t, size_t, double *);
+
+/* The dim normals of each of n samples from its slots pos[i] on, written to
+   the rows of out (n by dim) or, where base is given, made into the step
+   base + scale * z row by row and wrapped where per is given.  A tile holds
+   the slots of rows rows and cols columns: rows of up to 64 normals are
+   whole and run as one flat loop, wider ones go in chunks of 64. */
+static inline __attribute__((always_inline)) void
+draw_steps(uniforms_fn *uniforms, uint64_t seed, const uint64_t *sample, const uint64_t *pos, size_t n, size_t dim,
+           const double *base, double scale, const double *per, double *restrict out)
+{
+    /* at least 8 rows a tile, so the Philox body runs on groups of eight */
+    size_t cols = dim < TILE_NORMALS / 8 ? dim : TILE_NORMALS / 8, rows = TILE_NORMALS / cols;
+    double u[2 * TILE_NORMALS], z[TILE_NORMALS], period[TILE_NORMALS];
+    uint64_t start[8]; /* the slots of chunk k, for the 8 rows of a tile of wide rows */
+    int whole = cols == dim;
+    if (per && whole)
+        for (size_t k = 0; k < rows * dim; k++)
+            period[k] = per[k % dim];
+    for (size_t i = 0; i < n; i += rows) {
+        size_t r = rows < n - i ? rows : n - i;
+        for (size_t k = 0; k < dim; k += cols) {
+            size_t c = cols < dim - k ? cols : dim - k;
+            const uint64_t *draw = pos + i;
+            if (k) {
+                for (size_t j = 0; j < r; j++)
+                    start[j] = pos[i + j] + 2 * k; /* unsigned: wraps modulo 2**64 */
+                draw = start;
+            }
+            uniforms(seed, sample + i, draw, r, 2 * c, u);
+            for (size_t j = 0; j < (whole ? 1 : r); j++) {
+                size_t m = whole ? r * c : c, at = (i + j) * dim + k;
+                if (!base) {
+                    normals(u + 2 * j * c, m, 2, out + at);
+                    continue;
+                }
+                normals(u + 2 * j * c, m, 2, z);
+                steps(base + at, scale, z, per ? (whole ? period : per + k) : 0, m, out + at);
+            }
+        }
+    }
+}
+
+void pathkernel_normals_scalar(const double *u, size_t n, ptrdiff_t stride, double *restrict out)
 {
     normals(u, n, stride, out);
 }
 
-void pathkernel_angles_scalar(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
+void pathkernel_angles_scalar(const double *u, size_t n, ptrdiff_t stride, double *restrict cos, double *restrict sin)
 {
     angles(u, n, stride, cos, sin);
 }
 
-size_t pathkernel_cos_scalar(const double *x, size_t n, ptrdiff_t stride, double *out)
+size_t pathkernel_cos_scalar(const double *x, size_t n, ptrdiff_t stride, double *restrict out)
 {
     return cosines(x, n, stride, out);
+}
+
+void pathkernel_steps_scalar(uint64_t seed, const uint64_t *sample, const uint64_t *pos, size_t n, size_t dim,
+                             const double *base, double scale, const double *per, double *restrict out)
+{
+    draw_steps(pathkernel_uniforms_scalar, seed, sample, pos, n, dim, base, scale, per, out);
 }
 
 #if defined(__x86_64__)
 /* The common strides, adjacent pairs and adjacent values, are constants
    here, so that their loops load whole vectors where other strides build
    them value by value. */
-AVX512 void pathkernel_normals_avx512(const double *u, size_t n, ptrdiff_t stride, double *out)
+AVX512 void pathkernel_normals_avx512(const double *u, size_t n, ptrdiff_t stride, double *restrict out)
 {
     stride == 2 ? normals(u, n, 2, out) : normals(u, n, stride, out);
 }
 
-AVX512 void pathkernel_angles_avx512(const double *u, size_t n, ptrdiff_t stride, double *cos, double *sin)
+AVX512 void pathkernel_angles_avx512(const double *u, size_t n, ptrdiff_t stride, double *restrict cos,
+                                     double *restrict sin)
 {
     angles(u, n, stride, cos, sin);
 }
 
-AVX512 size_t pathkernel_cos_avx512(const double *x, size_t n, ptrdiff_t stride, double *out)
+AVX512 size_t pathkernel_cos_avx512(const double *x, size_t n, ptrdiff_t stride, double *restrict out)
 {
     return stride == 1 ? cosines(x, n, 1, out) : cosines(x, n, stride, out);
+}
+
+AVX512 void pathkernel_steps_avx512(uint64_t seed, const uint64_t *sample, const uint64_t *pos, size_t n, size_t dim,
+                                    const double *base, double scale, const double *per, double *restrict out)
+{
+    draw_steps(pathkernel_uniforms_avx512, seed, sample, pos, n, dim, base, scale, per, out);
 }
 #endif
 
@@ -592,24 +694,26 @@ def _load(path):
 
     The first is the ``_avx512`` entries where ``pathkernel_avx512()`` finds
     that this CPU runs them, else the ``_scalar`` ones.  Each body is its
-    ``uniforms`` function, with the Box-Muller and cos functions of the same
-    body as its ``normals``, ``angles`` and ``cos`` attributes."""
+    ``uniforms`` function, with the Box-Muller, cos and step functions of
+    the same body as its ``normals``, ``angles``, ``cos`` and ``steps``
+    attributes."""
     lib = ctypes.CDLL(str(path))
     lib.pathkernel_avx512.argtypes = []
     lib.pathkernel_avx512.restype = ctypes.c_int
     bodies = []
     for body in ("_avx512" if lib.pathkernel_avx512() else "_scalar", "_scalar"):
-        uniforms, normals, angles, cos = (getattr(lib, f"pathkernel_{name}{body}")
-                                          for name in ("uniforms", "normals", "angles", "cos"))
+        uniforms, normals, angles, cos, steps = (getattr(lib, f"pathkernel_{name}{body}")
+                                                 for name in ("uniforms", "normals", "angles", "cos", "steps"))
         uniforms.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
                              ctypes.c_void_p]
         normals.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p]
         angles.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
         cos.argtypes = normals.argtypes
-        for fn in (uniforms, normals, angles):
+        steps.argtypes = [*uniforms.argtypes[:5], ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
+        for fn in (uniforms, normals, angles, steps):
             fn.restype = None
         cos.restype = ctypes.c_size_t
-        uniforms.normals, uniforms.angles, uniforms.cos = normals, angles, cos
+        uniforms.normals, uniforms.angles, uniforms.cos, uniforms.steps = normals, angles, cos, steps
         bodies.append(uniforms)
     return tuple(bodies)
 
@@ -631,7 +735,10 @@ def _check_addresses():
 
 def _crc(variates):
     """CRC-32 of float64 variates packed little-endian."""
-    return zlib.crc32(struct.pack(f"<{len(variates)}d", *variates))
+    packed = array.array("d", variates)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return zlib.crc32(packed)
 
 
 # The numpy body's variates at the check addresses, as their CRC-32; the
@@ -693,6 +800,38 @@ def _cos_check_inputs():
 _COS_CRC = 0x878F3906
 
 
+# The periods of the step check's wrapped runs, one per coordinate.
+_STEP_PERIODS = (1.0, 2.5, 0.3)
+
+
+def _steps_check_runs():
+    """Runs of the step known-answer check, as (rows, dim, base, scale, periods), on the first ``rows`` check addresses.
+
+    At every check address: 3 normals, then base + 0.75 z from base rows of
+    a Weyl sequence in [-4, 4), plain and wrapped into ``_STEP_PERIODS``.
+    At the first 9: 65 normals, wider than a tile's 64 columns, so each row
+    takes two chunks.  At the first 8, with scale 0, the wrap's edges: the
+    rows e * periods for e = -1e-17 (whose quotient's floor is -1, so that
+    the difference rounds to L), 0, -0.0, 1 (exactly L), 1e300, inf, -inf and NaN.
+    """
+    n, dim = len(_check_addresses()[1]), len(_STEP_PERIODS)
+    weyl = [((i * 0x9E3779B97F4A7C15 % 2 ** 64 >> 11) * _TWO_NEG53 - 0.5) * 8.0 for i in range(1, n * dim + 1)]
+    edges = [e * p for e in (-1e-17, 0.0, -0.0, 1.0, 1e300, math.inf, -math.inf, math.nan) for p in _STEP_PERIODS]
+    return [(n, dim, None, 1.0, None), (n, dim, weyl, 0.75, None), (n, dim, weyl, 0.75, _STEP_PERIODS),
+            (9, 65, None, 1.0, None), (8, dim, edges, 0.0, _STEP_PERIODS)]
+
+
+def _nan_free_crc(values):
+    """``_crc`` of values with every NaN read as one NaN: the check pins where NaN falls, not its sign or payload."""
+    return _crc([math.nan if v != v else v for v in values])
+
+
+# The numpy body's outputs of the step check runs, in order (``_numpy_box_muller``
+# of ``_numpy_uniforms``, then base + scale * z and ``wrap``), as their
+# ``_nan_free_crc``; the tests recompute it.
+_STEPS_CRC = 0xA3CFB76F
+
+
 # The check buffers are array.array objects, so that the check makes no ctypes
 # array type: ctypes keeps every one it makes for the life of the process.
 def _uniforms_pass(fn):
@@ -735,9 +874,22 @@ def _cos_pass(fn):
     return _crc(got) == _COS_CRC
 
 
+def _steps_pass(fn):
+    """True if the kernel body ``fn`` gives the numpy body's normals and steps in the step check runs."""
+    sample, draw = (array.array("Q", a) for a in _check_addresses())
+    got = []
+    for n, dim, base, scale, periods in _steps_check_runs():
+        base, periods = (None if a is None else array.array("d", a) for a in (base, periods))
+        out = array.array("d", [math.nan]) * (n * dim)
+        fn.steps(_CHECK_SEED, sample.buffer_info()[0], draw.buffer_info()[0], n, dim,
+                 base and base.buffer_info()[0], scale, periods and periods.buffer_info()[0], out.buffer_info()[0])
+        got += out
+    return _nan_free_crc(got) == _STEPS_CRC
+
+
 def _passes_check(bodies):
-    """True if every kernel body in ``bodies`` passes the uniform, Box-Muller and cos known-answer checks."""
-    return all(check(fn) for fn in bodies for check in (_uniforms_pass, _box_muller_pass, _cos_pass))
+    """True if every kernel body in ``bodies`` passes the uniform, Box-Muller, cos and step known-answer checks."""
+    return all(check(fn) for fn in bodies for check in (_uniforms_pass, _box_muller_pass, _cos_pass, _steps_pass))
 
 
 def _build(path):
@@ -850,6 +1002,24 @@ def cos(x):
     if far:
         far = ~(np.abs(x) < _COS_BOUND)
         out[far] = np.cos(x[far])
+    return out
+
+
+def wrap(x, periods):
+    """x reduced into [0, L) along its last axis, one period L per coordinate: x - floor(x / L) L.
+
+    Computed in place in one new array, so a call costs that array and a
+    boolean mask; x itself is never written.  Where floor's rounding lands
+    the difference exactly on L (a tiny negative x), L is subtracted once
+    more.  This is the numpy body of the kernel's wrapped steps, and
+    ``manifold.project_arrays``."""
+    x = np.asarray(x, dtype=np.float64)
+    per = np.asarray(periods)
+    out = np.divide(x, per)
+    np.floor(out, out=out)
+    np.multiply(out, per, out=out)
+    np.subtract(x, out, out=out)
+    np.subtract(out, per, out=out, where=out >= per)
     return out
 
 
@@ -998,6 +1168,7 @@ class StreamCursor:
         self.samples = np.asarray(sample_indices, dtype=np.uint64)
         if self.samples.ndim != 1:
             raise ValueError("sample_indices must be one-dimensional")
+        self.samples = np.ascontiguousarray(self.samples)  # read in place by the kernel
         self.pos = np.zeros(self.samples.shape[0], dtype=np.uint64)
 
     def __len__(self):
@@ -1011,7 +1182,39 @@ class StreamCursor:
 
     def normals(self, cols=1):
         """(n, cols) standard normals; advances cursors by 2*cols."""
-        out = box_muller(uniforms(self.master_seed, self.samples, self.pos, 2 * cols))
+        return self._normal_pass(cols)
+
+    def gaussian_step(self, base, scale, periods=None):
+        """base + scale * z for every sample, z its (n, dim) normals as ``normals(dim)`` draws them.
+
+        ``base`` is (n, dim) or a row of dim.  Where ``periods`` are given,
+        one a coordinate, each value is wrapped into [0, L) as ``wrap`` does.
+        Advances cursors by 2*dim."""
+        base = np.ascontiguousarray(np.broadcast_to(base, (len(self), np.shape(base)[-1])), dtype=np.float64)
+        if periods is not None and len(periods) != base.shape[1]:
+            raise ValueError("gaussian_step takes one period per coordinate")
+        return self._normal_pass(base.shape[1], base, scale, periods)
+
+    def _normal_pass(self, cols, base=None, scale=1.0, periods=None):
+        """The pass of ``normals`` (base None) and ``gaussian_step``: one tiled kernel call, or the numpy body."""
+        if cols < 1:
+            raise ValueError("cols must be at least 1")
+        kernel = _kernel()
+        if kernel is None:
+            out = box_muller(uniforms(self.master_seed, self.samples, self.pos, 2 * cols))
+            if base is not None:
+                out = base + scale * out
+                if periods is not None:
+                    out = wrap(out, periods)
+        else:
+            out = np.empty((len(self), cols))
+            if out.size:
+                # the kernel reads flat contiguous uint64 addresses and float64 periods
+                sample, pos = (np.ascontiguousarray(a, dtype=np.uint64) for a in (self.samples, self.pos))
+                per = None if periods is None else np.ascontiguousarray(periods, dtype=np.float64)
+                kernel.steps(self.master_seed & _SEED_MASK, sample.ctypes.data, pos.ctypes.data, len(self), cols,
+                             None if base is None else base.ctypes.data, scale,
+                             None if per is None else per.ctypes.data, out.ctypes.data)
         self.pos += np.uint64(2 * cols)
         return out
 

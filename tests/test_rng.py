@@ -341,8 +341,8 @@ class TestKernel:
                 assert_bodies_match_numpy(kernel_bodies, seed, sample, draw, width)
 
     def test_loops_vectorize_with_64_byte_vectors(self, tmp_path):
-        # the load check proves the bits of the AVX-512 entries, not their speed: a compiler
-        # that stopped vectorizing the normals, angles and cos loops would run them 4 to 6 times slower
+        # the load check proves the bits of the AVX-512 entries, not their speed: a compiler that
+        # stopped vectorizing the normals, angles, cos and step loops would run them several times slower
         cc = shutil.which("cc")
         macros = cc and subprocess.run([cc, "-dM", "-E", "-x", "c", "-"], input="", capture_output=True, text=True,
                                        timeout=60).stdout
@@ -354,7 +354,7 @@ class TestKernel:
         vectorized = {int(n) for n in re.findall(r"^<stdin>:(\d+):\d+: optimized: loop vectorized using 64 byte vectors",
                                                   done.stderr, re.M)}
         lines = rng._KERNEL_SOURCE.splitlines()
-        for loop in ("normals", "angles", "cosines"):
+        for loop in ("normals", "angles", "cosines", "steps"):
             head = next(i for i, line in enumerate(lines) if re.match(rf"static inline \w+ {loop}\(", line))
             first = next(i for i in range(head, len(lines)) if "for (" in lines[i])
             assert first + 1 in vectorized, loop
@@ -639,6 +639,113 @@ class TestCos:
         assert loaded == str(rng._kernel() is not None)
 
 
+def reference_steps(seed, sample, pos, dim, base=None, scale=1.0, periods=None):
+    """The numpy body of the step entry: Box-Muller of the uniforms, then base + scale z, wrapped."""
+    z = rng._numpy_box_muller(rng._numpy_uniforms(seed, sample, pos, 2 * dim))
+    if base is None:
+        return z
+    with np.errstate(invalid="ignore"):  # the infinite edge rows wrap to NaN
+        out = base + scale * z
+        return out if periods is None else rng.wrap(out, periods)
+
+
+def body_steps(fn, seed, sample, pos, dim, base=None, scale=1.0, periods=None):
+    """The step entry of one kernel body on contiguous uint64 addresses, into a NaN-filled (n, dim) array."""
+    out = np.full((sample.size, dim), np.nan)
+    per = None if periods is None else np.asarray(periods, np.float64)
+    fn.steps(seed, sample.ctypes.data, pos.ctypes.data, sample.size, dim, None if base is None else base.ctypes.data,
+             scale, None if per is None else per.ctypes.data, out.ctypes.data)
+    return out
+
+
+def step_cases(dim, n, seed):
+    """(base, scale, periods) of the three step kinds: normals alone, a plain step and a wrapped one."""
+    periods = np.linspace(0.5, 3.0, dim)
+    base = np.random.default_rng(seed).uniform(-2.0, 3.0, (n, dim)) * periods
+    return [(None, 1.0, None), (base, 0.9, None), (base, 0.9, periods)]
+
+
+# (dim, n): dims on either side of a tile's 64 columns and one of 4,095 (a
+# dyadic path's normals); row counts around the 8-row groups and the 512 normals of a tile
+STEP_SHAPES = [(dim, n) for dim in (1, 2, 3, 4, 5) for n in (0, 1, 7, 8, 9, 513, 32768)] + [
+    (dim, n) for dim in (63, 64, 65) for n in (1, 8, 9, 17, 513)] + [(4095, n) for n in (0, 1, 7, 8, 9, 17)]
+
+
+class TestSteps:
+    """The tiled step entry: C scalar, C vector and numpy give the same bits as Box-Muller of the uniforms."""
+
+    def test_load_check_holds_the_numpy_bodys_answers(self):
+        sample, draw = (np.array(a, np.uint64) for a in rng._check_addresses())
+        runs = rng._steps_check_runs()
+        want = [v for n, dim, base, scale, periods in runs
+                for v in reference_steps(rng._CHECK_SEED, sample[:n], draw[:n], dim,
+                                         None if base is None else np.reshape(base, (n, dim)), scale, periods).ravel()]
+        assert rng._nan_free_crc(want) == rng._STEPS_CRC
+        assert rng._nan_free_crc(np.nextafter(want, 2.0).tolist()) != rng._STEPS_CRC
+        # the wide run takes two chunks per row, and the edge rows reach the wrap's corner cases
+        assert runs[3][1] > 64
+        n, dim, edges, scale, periods = runs[4]
+        assert scale == 0.0 and len(edges) == n * dim
+        e = np.reshape(edges, (n, dim))[0]
+        assert np.all(e - np.floor(e / periods) * periods == periods)  # floor lands on L: one more L off
+        assert sorted(map(str, np.reshape(edges, (n, dim))[:, 0])) == sorted(
+            map(str, [-1e-17, 0.0, -0.0, 1.0, 1e300, np.inf, -np.inf, np.nan]))
+
+    @pytest.mark.parametrize("dim, n", STEP_SHAPES)
+    def test_both_bodies_match_numpy(self, kernel_bodies, dim, n):
+        sample = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        for parity in ("even", "odd", "mixed"):
+            pos = _group_draws(parity, n, dim)
+            for base, scale, periods in step_cases(dim, n, dim):
+                want = reference_steps(0x299F31D0A4093822, sample, pos, dim, base, scale, periods)
+                for fn in kernel_bodies:
+                    assert_same_bits(body_steps(fn, 0x299F31D0A4093822, sample, pos, dim, base, scale, periods), want)
+
+    @pytest.mark.parametrize("dim, n", [(1, 0), (1, 9), (2, 513), (3, 1), (65, 9), (4095, 8)])
+    def test_cursor_entry_points_match_numpy(self, monkeypatch, dim, n):
+        # a cursor on a strided index array, read where it lies in even and odd starts
+        for start in (0, 1):
+            for base, scale, periods in step_cases(dim, n, start):
+
+                def draw():
+                    cur = StreamCursor(41, np.arange(3 * n, dtype=np.uint64)[::3])
+                    cur.pos[:] = start
+                    out = cur.normals(dim) if base is None else cur.gaussian_step(base, scale, periods)
+                    return out, cur.pos.copy()
+
+                (got, got_pos), (ref, ref_pos) = kernel_and_numpy(monkeypatch, draw)
+                want = reference_steps(41, np.arange(0, 3 * n, 3, dtype=np.uint64), np.full(n, start, np.uint64),
+                                       dim, base, scale, periods)
+                assert_same_bits(got, want)
+                assert_same_bits(ref, want)
+                assert np.array_equal(got_pos, ref_pos) and np.all(got_pos == start + 2 * dim)
+
+    def test_strided_cursor_reads_its_own_samples(self):
+        strided = np.arange(60, dtype=np.uint64)[::3]
+        cur, flat = StreamCursor(5, strided), StreamCursor(5, strided.copy())
+        assert cur.samples.flags.c_contiguous
+        assert_same_bits(cur.gaussian_step(np.zeros(2), 0.5), flat.gaussian_step(np.zeros(2), 0.5))
+        assert_same_bits(cur.normals(3), flat.normals(3))
+
+    def test_a_row_base_broadcasts(self, monkeypatch):
+        row = np.array([0.25, -1.0, 7.5])
+        got, ref = kernel_and_numpy(monkeypatch,
+                                    lambda: StreamCursor(3, np.arange(20)).gaussian_step(row, 1.5, (1.0, 2.0, 3.0)))
+        assert got.shape == (20, 3)
+        assert_same_bits(got, ref)
+        assert np.all((got >= 0.0) & (got < [1.0, 2.0, 3.0]))
+
+    def test_bad_arguments_are_refused(self, monkeypatch):
+        for kernel in (rng._kernel, lambda: None):
+            monkeypatch.setattr(rng, "_kernel", kernel)
+            cur = StreamCursor(3, np.arange(4))
+            with pytest.raises(ValueError, match="one period per coordinate"):
+                cur.gaussian_step(np.zeros((4, 2)), 1.0, (1.0,))
+            with pytest.raises(ValueError, match="at least 1"):
+                cur.normals(0)
+            assert np.all(cur.pos == 0)
+
+
 # A fresh interpreter reports whether its kernel loaded and the bits of one draw.
 _PROBE = (
     "from pathkernel import rng\n"
@@ -761,4 +868,18 @@ class TestKernelCache:
             pytest.skip("this CPU does not run the vector body")
         assert not rng._cos_pass(vector)
         assert rng._cos_pass(scalar) == (reach == "vector")
+        assert probe(package_copy) == (False, numpy_bits(monkeypatch))
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="building the kernel needs cc")
+    @pytest.mark.parametrize("good, bad", [
+        # a difference that rounds onto L stays there
+        ("v = v >= L ? v - L : v;", "v = v > L ? v - L : v;"),
+        # the second chunk of a wide row starts one normal early
+        ("start[j] = pos[i + j] + 2 * k;", "start[j] = pos[i + j] + 2 * k - 2;"),
+    ], ids=["wrap-edge", "chunk-start"])
+    def test_wrong_step_body_falls_back_to_numpy(self, package_copy, monkeypatch, good, bad):
+        vector, scalar = build_mutant(package_copy, good, bad)
+        for fn in (vector, scalar):
+            assert not rng._steps_pass(fn)
+            assert rng._uniforms_pass(fn) and rng._box_muller_pass(fn) and rng._cos_pass(fn)
         assert probe(package_copy) == (False, numpy_bits(monkeypatch))
