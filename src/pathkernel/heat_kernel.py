@@ -85,9 +85,7 @@ from .manifold import (
     FlatTorus,
     Hyperbolic3,
     covering_of,
-    exp_point_arrays,
     project_arrays,
-    sphere_directions,
     validate_point,
 )
 from .quadrature import (
@@ -96,7 +94,7 @@ from .quadrature import (
     gaussian_tail_radius,
     maximize_scalar,
 )
-from .rng import box_muller, cos_sin_2pi
+from .rng import box_muller, cos_sin_2pi, h3_exp
 
 MAX_TERMS = 10 ** 6
 
@@ -606,7 +604,8 @@ class _TrigBasis:
 #   pass; the slots and their order are those of ``normals(dim)``.
 # * Cauchy step: one uniform.
 # * H3 step: three normals (6 slots) for the radius, then two uniforms for
-#   the sphere direction.
+#   the sphere direction.  ``StreamCursor.h3_draw`` draws them in one kernel
+#   pass, in the slots and order of ``uniforms(8)``.
 # * Killed step: one normal proposal (2 slots) plus one acceptance
 #   uniform; killed samples stop drawing.
 # * Gaussian bridge: ``dim`` normals per step before the last, in the same
@@ -883,11 +882,9 @@ class _H3Law(_Law):
 
     @staticmethod
     def _exp(base, direction, r, dt):
-        """exp_point_arrays for a step of time dt; overflow is an error."""
-        # overflow is reported once, below, as an error rather than a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = exp_point_arrays(base, direction, r)
-        if not np.all(np.isfinite(out)):
+        """``h3_exp`` for a step of time dt; a row that leaves the float range is an error."""
+        out, finite = h3_exp(base, direction, r)
+        if not finite:
             raise _left_range(dt, "a hyperbolic step")
         return out
 
@@ -903,17 +900,10 @@ class _H3Law(_Law):
         Z ~ N(2t e_1, 2t I_3) (Rogers & Pitman, 1981), so three normals give
         the radius; the direction is drawn independently and uniformly.  One
         draw of 8 slots per row: the normals from slots 0-5, the direction
-        from slots 6-7.
+        from slots 6-7, in the same slots and order on the kernel's draw
+        pass and on the numpy body (``StreamCursor.h3_draw``).
         """
-        s = _scale(2.0 * dt, dt)
-        u = cursor.uniforms(8)
-        # the direction first: its temporaries then meet the draw alone, not the normals too
-        direction = sphere_directions(u[:, 6:])
-        # one normal per slot pair, each a contiguous column: (n, 3) normals
-        # would leave the radius arithmetic on strided columns, 1.8x slower
-        z0, z1, z2 = (box_muller(u[:, j:j + 2])[:, 0] for j in (0, 2, 4))
-        del u  # 64 bytes a row, not to be held through the exp map
-        r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
+        r, direction = cursor.h3_draw(_scale(2.0 * dt, dt))
         return self._exp(current, direction, r, dt)
 
     def bridge_step(self, cursor, current, y, dt, tau_before):
@@ -963,11 +953,12 @@ class _H3Law(_Law):
             rc *= rim
             rs *= rim
             along = 1.0 - w
-            direction = np.empty((len(a), 3))
-            direction[:, 0] = along * e1 + rc * (1.0 + sign * (e1 * e1) * g) + rs * h
-            direction[:, 1] = along * e2 + rc * (sign * h) + rs * (sign + e2 * e2 * g)
-            direction[:, 2] = along * e3 + rc * (-sign * e1) + rs * -e2
-        return self._exp(y, direction, b, dt)
+            # one coordinate a row, which the exp-map pass reads in place, from y at row stride 0
+            direction = np.empty((3, len(a)))
+            direction[0] = along * e1 + rc * (1.0 + sign * (e1 * e1) * g) + rs * h
+            direction[1] = along * e2 + rc * (sign * h) + rs * (sign + e2 * e2 * g)
+            direction[2] = along * e3 + rc * (-sign * e1) + rs * -e2
+        return self._exp(y, direction.T, b, dt)
 
 
 class _LatticeLaw(_Law):

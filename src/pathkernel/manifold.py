@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import cos_sin_2pi, wrap
+from .rng import exp_point_arrays, sphere_directions, wrap
 
 HYPERBOLOID_TOL = 1e-12
 
@@ -295,7 +295,7 @@ def distance_arrays(model, x, y):
 
 
 # ---------------------------------------------------------------------------
-# hyperboloid exponential map
+# hyperboloid distance
 
 
 def _scaled_h3_distance(x, y):
@@ -318,54 +318,6 @@ def _scaled_h3_distance(x, y):
         t = q * s * s
         rho = np.log1p(t + np.sqrt(t * (2.0 + t)))
     return np.where(np.isfinite(rho), rho, np.log(2.0 * q) + 2.0 * np.log(s))
-
-
-def sphere_directions(uv):
-    """Uniform unit vectors in R^3 from the uniform pairs in the rows of ``uv``."""
-    c = 1.0 - 2.0 * uv[:, 0]
-    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    cos, sin = cos_sin_2pi(uv[:, 1])
-    out = np.empty((len(c), 3))
-    np.multiply(s, cos, out=out[:, 0])
-    np.multiply(s, sin, out=out[:, 1])
-    out[:, 2] = c
-    return out
-
-
-def exp_point_arrays(base, direction, r):
-    """Geodesic from base along a unit 3-vector direction in the origin
-    frame, of length r (H^3 only); broadcasts.
-
-    The origin frame is the orthonormal frame at (1,0,0,0) parallel-transported
-    along the geodesic to base p.  In it, d is the tangent vector
-    (pd, d + c pv) at p, with pd = p1 d1 + p2 d2 + p3 d3 and c = pd / (1 + p0).
-    So out_k = cosh(r) p_k + sinh(r) (d_k + c p_k) for k = 1..3, and out_0 is
-    re-projected onto the hyperboloid as sqrt(1 + (o1^2 + o2^2 + o3^2)).
-    Each sum runs left to right in the order written here.
-    """
-    base = np.asarray(base, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    p = [base[..., k] for k in range(4)]
-    d = [direction[..., k] for k in range(3)]
-    c = (p[1] * d[0] + p[2] * d[1] + p[3] * d[2]) / (1.0 + p[0])
-    ch, sh = np.cosh(r), np.sinh(r)
-    out = np.empty(np.broadcast_shapes(c.shape, r.shape) + (4,))
-    for k in (1, 2, 3):
-        out[..., k] = ch * p[k] + sh * (d[k - 1] + c * p[k])
-    o1, o2, o3 = out[..., 1], out[..., 2], out[..., 3]
-    # re-project onto the hyperboloid to stop constraint drift
-    with np.errstate(over="ignore"):
-        out[..., 0] = np.sqrt(1.0 + (o1 * o1 + o2 * o2 + o3 * o3))
-    # past r ~ 355 the squares overflow though cosh r is finite to 710;
-    # there 1 is below rounding and x0 is the scaled norm of out[1:]
-    inf = np.isinf(out[..., 0])
-    if np.any(inf):
-        huge = inf & np.all(np.isfinite(out[..., 1:]), axis=-1)
-        v = out[huge, 1:]
-        m = np.max(np.abs(v), axis=-1)
-        out[huge, 0] = m * np.sqrt(np.sum((v / m[:, None]) ** 2, axis=-1))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,25 @@ no body calls libm.  Rows of up to 64 normals go whole, as many as a tile
 holds; wider rows go in chunks of 64 normals, 8 rows a tile, so that the
 Philox body still draws eight addresses at once.
 
-``uniforms``, ``box_muller``, ``cos_sin_2pi``, ``cos`` and that pass run
-in a small C kernel where one can be built, with the bits of the numpy
+The exact H^3 step (``heat_kernel``) is two passes around numpy's ``cosh``
+and ``sinh``, whose bits come from numpy's SIMD dispatch and so stay
+numpy's.  ``StreamCursor.h3_draw`` goes 64 rows a tile: the Philox body
+fills each row's 8 slots from its cursor, as ``uniforms(8)`` reads them,
+the Box-Muller loop turns slot pairs 0-5 into z0, z1, z2 and the angle
+loop takes slot 7's angle, and a last loop writes the radius
+r = s sqrt(((z0 + s)^2 + z1^2) + z2^2) and the direction of
+``sphere_directions`` (slots 6-7).  ``h3_exp`` then writes each row of
+``exp_point_arrays`` with its operations in its order, from base rows read
+at a row stride (0 for the H^3 bridge's one endpoint), with its rescaled
+x0 where the squares overflow, and counts the rows that leave the float
+range.
+
+``uniforms``, ``box_muller``, ``cos_sin_2pi``, ``cos`` and those passes
+run in a small C kernel where one can be built, with the bits of the numpy
 bodies (``_numpy_uniforms`` on ``philox_words``, ``_numpy_box_muller``,
-``_numpy_cos_sin_2pi``, ``_numpy_cos``, and for the pass ``box_muller`` of
-``uniforms``, then base + scale * z and ``wrap``), which stay as its
+``_numpy_cos_sin_2pi``, ``_numpy_cos``, for the step pass ``box_muller`` of
+``uniforms``, then base + scale * z and ``wrap``, and for the H^3 passes
+the step's numpy expression and ``exp_point_arrays``), which stay as its
 reference and as the fallback.  Philox is integer arithmetic plus one IEEE
 add and a power-of-two scale; the other loops are the numpy bodies'
 operations in their order, compiled with ``-ffp-contract=off`` so that no
@@ -108,7 +122,8 @@ checked where it does.  With no ``cc`` on ``PATH``, a failed compile or
 check, an unwritable ``__pycache__`` or a library that does not load,
 draws, normals, steps and cosines run in numpy silently, with the same
 bits; normals, steps and cosines are then several times slower than in the
-kernel.
+kernel.  The H^3 exp map's numpy body, ``exp_point_arrays``, lives here for
+that reason, with ``sphere_directions``; ``manifold`` imports both.
 """
 
 from __future__ import annotations
@@ -613,6 +628,88 @@ draw_steps(uniforms_fn *uniforms, uint64_t seed, const uint64_t *sample, const u
     }
 }
 
+/* The H^3 step's radius and direction from rows of 8 slots u, with z0, z1,
+   z2 the normals of slot pairs 0-5 and (cos, sin) the angle of slot 7:
+   r = s sqrt(((z0 + s)^2 + z1^2) + z2^2), and with c = 1 - 2 u6 and
+   rim = sqrt(max(1 - c^2, 0)) the direction (rim cos, rim sin, c). */
+static inline void h3_rows(const double *u, const double *z0, const double *z1, const double *z2, const double *cos,
+                           const double *sin, size_t n, double s, double *restrict radius, double *restrict d0,
+                           double *restrict d1, double *restrict d2)
+{
+    for (size_t i = 0; i < n; i++) {
+        double a = z0[i] + s, c = 1.0 - 2.0 * u[8 * i + 6], w = 1.0 - c * c, rim = sqrt(w < 0.0 ? 0.0 : w);
+        radius[i] = s * sqrt((a * a + z1[i] * z1[i]) + z2[i] * z2[i]);
+        d0[i] = rim * cos[i];
+        d1[i] = rim * sin[i];
+        d2[i] = c;
+    }
+}
+
+/* Rows per tile of the H^3 draw: their 8 slots each fill as many doubles as a step tile. */
+#define TILE_H3 (TILE_NORMALS / 8)
+
+/* The radius and direction of one H^3 step for each of n samples, from its
+   slots pos[i] to pos[i] + 7, drawn as uniforms(8) draws them; the
+   direction is written one coordinate a row of dir, n doubles apart. */
+static inline __attribute__((always_inline)) void
+draw_h3(uniforms_fn *uniforms, uint64_t seed, const uint64_t *sample, const uint64_t *pos, size_t n, double s,
+        double *restrict radius, double *restrict dir)
+{
+    double u[8 * TILE_H3], z[3][TILE_H3], cos[TILE_H3], sin[TILE_H3];
+    for (size_t i = 0; i < n; i += TILE_H3) {
+        size_t r = TILE_H3 < n - i ? TILE_H3 : n - i;
+        uniforms(seed, sample + i, pos + i, r, 8, u);
+        for (int j = 0; j < 3; j++)
+            normals(u + 2 * j, r, 8, z[j]);
+        angles(u + 7, r, 8, cos, sin);
+        h3_rows(u, z[0], z[1], z[2], cos, sin, r, s, radius + i, dir + i, dir + n + i, dir + 2 * n + i);
+    }
+}
+
+/* exp_point_arrays on n rows: base row i at base + i stride, its direction
+   one coordinate a row of dir (n doubles apart), ch = cosh r and sh = sinh r.
+   With c = ((p1 d0 + p2 d1) + p3 d2) / (1 + p0), out_k = ch p_k + sh (d_k-1
+   + c p_k) for k = 1..3 and out_0 = sqrt(1 + ((o1^2 + o2^2) + o3^2)).
+   Returns the count of rows whose out_0 is not finite. */
+static inline size_t h3_exp(const double *base, ptrdiff_t stride, const double *dir, const double *ch,
+                            const double *sh, size_t n, double *restrict out)
+{
+    size_t far = 0;
+    for (size_t i = 0; i < n; i++) {
+        const double *p = base + i * stride;
+        double d0 = dir[i], d1 = dir[n + i], d2 = dir[2 * n + i];
+        double c = (p[1] * d0 + p[2] * d1 + p[3] * d2) / (1.0 + p[0]);
+        double o1 = ch[i] * p[1] + sh[i] * (d0 + c * p[1]);
+        double o2 = ch[i] * p[2] + sh[i] * (d1 + c * p[2]);
+        double o3 = ch[i] * p[3] + sh[i] * (d2 + c * p[3]);
+        double o0 = sqrt(1.0 + (o1 * o1 + o2 * o2 + o3 * o3));
+        out[4 * i] = o0, out[4 * i + 1] = o1, out[4 * i + 2] = o2, out[4 * i + 3] = o3;
+        far += !(o0 <= 0x1.fffffffffffffp+1023);
+    }
+    return far;
+}
+
+/* Past r ~ 355 the squares overflow though cosh r is finite to 710: where
+   out_0 is infinite and out_1..3 finite, out_0 is their scaled norm
+   m sqrt(((o1/m)^2 + (o2/m)^2) + (o3/m)^2), m = max |o_k|.  Returns the count
+   of rows with a coordinate that is still not finite. */
+static size_t h3_rescale(size_t n, double *out)
+{
+    size_t bad = 0;
+    for (size_t i = 0; i < n; i++, out += 4) {
+        double a1 = fabs(out[1]), a2 = fabs(out[2]), a3 = fabs(out[3]);
+        if (out[0] == INFINITY && a1 <= 0x1.fffffffffffffp+1023 && a2 <= 0x1.fffffffffffffp+1023
+            && a3 <= 0x1.fffffffffffffp+1023) {
+            double m = a1 > a2 ? a1 : a2;
+            m = m > a3 ? m : a3;
+            double v1 = out[1] / m, v2 = out[2] / m, v3 = out[3] / m;
+            out[0] = m * sqrt((v1 * v1 + v2 * v2) + v3 * v3);
+        }
+        bad += !(out[0] <= 0x1.fffffffffffffp+1023);
+    }
+    return bad;
+}
+
 void pathkernel_normals_scalar(const double *u, size_t n, ptrdiff_t stride, double *restrict out)
 {
     normals(u, n, stride, out);
@@ -632,6 +729,18 @@ void pathkernel_steps_scalar(uint64_t seed, const uint64_t *sample, const uint64
                              const double *base, double scale, const double *per, double *restrict out)
 {
     draw_steps(pathkernel_uniforms_scalar, seed, sample, pos, n, dim, base, scale, per, out);
+}
+
+void pathkernel_h3_draw_scalar(uint64_t seed, const uint64_t *sample, const uint64_t *pos, size_t n, double s,
+                               double *restrict radius, double *restrict dir)
+{
+    draw_h3(pathkernel_uniforms_scalar, seed, sample, pos, n, s, radius, dir);
+}
+
+size_t pathkernel_h3_exp_scalar(const double *base, ptrdiff_t stride, const double *dir, const double *ch,
+                                const double *sh, size_t n, double *restrict out)
+{
+    return h3_exp(base, stride, dir, ch, sh, n, out) ? h3_rescale(n, out) : 0;
 }
 
 #if defined(__x86_64__)
@@ -658,6 +767,21 @@ AVX512 void pathkernel_steps_avx512(uint64_t seed, const uint64_t *sample, const
                                     const double *base, double scale, const double *per, double *restrict out)
 {
     draw_steps(pathkernel_uniforms_avx512, seed, sample, pos, n, dim, base, scale, per, out);
+}
+
+AVX512 void pathkernel_h3_draw_avx512(uint64_t seed, const uint64_t *sample, const uint64_t *pos, size_t n, double s,
+                                      double *restrict radius, double *restrict dir)
+{
+    draw_h3(pathkernel_uniforms_avx512, seed, sample, pos, n, s, radius, dir);
+}
+
+/* base rows of 4 adjacent doubles, and one row read for every output row */
+AVX512 size_t pathkernel_h3_exp_avx512(const double *base, ptrdiff_t stride, const double *dir, const double *ch,
+                                       const double *sh, size_t n, double *restrict out)
+{
+    size_t far = stride == 4 ? h3_exp(base, 4, dir, ch, sh, n, out)
+                 : stride == 0 ? h3_exp(base, 0, dir, ch, sh, n, out) : h3_exp(base, stride, dir, ch, sh, n, out);
+    return far ? h3_rescale(n, out) : 0;
 }
 #endif
 
@@ -696,24 +820,29 @@ def _load(path):
     that this CPU runs them, else the ``_scalar`` ones.  Each body is its
     ``uniforms`` function, with the Box-Muller, cos and step functions of
     the same body as its ``normals``, ``angles``, ``cos`` and ``steps``
-    attributes."""
+    attributes, and its H^3 draw and exp-map passes as ``h3_draw`` and
+    ``h3_exp``."""
     lib = ctypes.CDLL(str(path))
     lib.pathkernel_avx512.argtypes = []
     lib.pathkernel_avx512.restype = ctypes.c_int
     bodies = []
     for body in ("_avx512" if lib.pathkernel_avx512() else "_scalar", "_scalar"):
-        uniforms, normals, angles, cos, steps = (getattr(lib, f"pathkernel_{name}{body}")
-                                                 for name in ("uniforms", "normals", "angles", "cos", "steps"))
+        uniforms, normals, angles, cos, steps, h3_draw, h3_exp = (
+            getattr(lib, f"pathkernel_{name}{body}")
+            for name in ("uniforms", "normals", "angles", "cos", "steps", "h3_draw", "h3_exp"))
         uniforms.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
                              ctypes.c_void_p]
         normals.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p]
         angles.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
         cos.argtypes = normals.argtypes
         steps.argtypes = [*uniforms.argtypes[:5], ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
-        for fn in (uniforms, normals, angles, steps):
+        h3_draw.argtypes = [*uniforms.argtypes[:4], ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
+        h3_exp.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, *[ctypes.c_void_p] * 3, ctypes.c_size_t, ctypes.c_void_p]
+        for fn in (uniforms, normals, angles, steps, h3_draw):
             fn.restype = None
-        cos.restype = ctypes.c_size_t
+        cos.restype = h3_exp.restype = ctypes.c_size_t
         uniforms.normals, uniforms.angles, uniforms.cos, uniforms.steps = normals, angles, cos, steps
+        uniforms.h3_draw, uniforms.h3_exp = h3_draw, h3_exp
         bodies.append(uniforms)
     return tuple(bodies)
 
@@ -832,6 +961,46 @@ def _nan_free_crc(values):
 _STEPS_CRC = 0xA3CFB76F
 
 
+# The step scales of the H^3 draw check: an ordinary one, and one whose
+# (z0 + s)^2 overflows, so that r is infinite.
+_H3_SCALES = (0.75, 2.0 ** 520)
+
+
+@functools.lru_cache(maxsize=1)  # both bodies run the check; the tuples are not written
+def _h3_check_inputs():
+    """Addresses and exp-map inputs of the H^3 known-answer check: (sample, draw, base, ch, sh), as tuples.
+
+    The check addresses twice over, so that the draw spans two tiles of 64
+    rows.  The exp map runs on as many rows as there are check addresses,
+    each with a base row off the origin: x1..x3 from a Weyl sequence in
+    [-4, 4) and x0 = sqrt(1 + |x|^2).  ch and sh stand for cosh r and
+    sinh r, given so that the check does not depend on numpy's: 1 + |w|
+    and |w'| from the same sequence, but on the first 8 rows
+    the edges 1 and 0 (r = 0), 2**600 (the squares overflow and x0 is
+    rescaled), 2**800, 2**1020 and 2**1022 (rows leave the float range, in
+    the rescaled x0 or in a coordinate), the largest double, inf and NaN.
+    """
+    sample, draw = _check_addresses()
+    n = len(draw)
+    weyl = [((i * 0x9E3779B97F4A7C15 % 2 ** 64 >> 11) * _TWO_NEG53 - 0.5) * 8.0 for i in range(1, 5 * n - 15)]
+    base = []
+    for x in zip(weyl[0:n], weyl[n:2 * n], weyl[2 * n:3 * n]):
+        base += [math.sqrt(1.0 + (x[0] * x[0] + x[1] * x[1] + x[2] * x[2])), *x]
+    edges = [2.0 ** 600, 2.0 ** 800, 2.0 ** 1020, 2.0 ** 1022, sys.float_info.max, math.inf, math.nan]
+    ch = [1.0, *edges, *(1.0 + abs(w) for w in weyl[3 * n:4 * n - 8])]
+    sh = [0.0, *edges, *map(abs, weyl[4 * n - 8:])]
+    return tuple(sample * 2), tuple(draw * 2), tuple(base), tuple(ch), tuple(sh)
+
+
+# The numpy body's outputs of the H^3 check, in order: r and the directions
+# (x, then y, then z coordinates) of ``StreamCursor.h3_draw`` at every
+# address at scale 0.75 and at the first 8 at 2**520, then ``_numpy_h3_exp``
+# on the first rows of the first draw's directions from their base rows and
+# from the first base row alone, as their ``_nan_free_crc``; the tests
+# recompute it.
+_H3_CRC = 0x32E54E3F
+
+
 # The check buffers are array.array objects, so that the check makes no ctypes
 # array type: ctypes keeps every one it makes for the life of the process.
 def _uniforms_pass(fn):
@@ -887,9 +1056,37 @@ def _steps_pass(fn):
     return _nan_free_crc(got) == _STEPS_CRC
 
 
+def _h3_pass(fn):
+    """True if the kernel body ``fn`` gives the numpy body's H^3 draws and exp-map rows in the H^3 check,
+    and counts the rows that leave the float range."""
+    sample, draw, base, ch, sh = _h3_check_inputs()
+    sample, draw = (array.array("Q", a) for a in (sample, draw))
+    base, ch, sh = (array.array("d", a) for a in (base, ch, sh))
+    got = array.array("d")
+    for s, rows in zip(_H3_SCALES, (len(draw), 8)):
+        r, direction = (array.array("d", [math.nan]) * (k * rows) for k in (1, 3))
+        fn.h3_draw(_CHECK_SEED, sample.buffer_info()[0], draw.buffer_info()[0], rows, s, r.buffer_info()[0],
+                   direction.buffer_info()[0])
+        got += r + direction
+        if rows == len(draw):
+            # the exp map's directions: the first rows of each coordinate of this draw
+            n = len(ch)
+            first = direction[:n] + direction[rows:rows + n] + direction[2 * rows:2 * rows + n]
+    for stride in (4, 0):
+        out = array.array("d", [math.nan]) * (4 * n)
+        bad = fn.h3_exp(base.buffer_info()[0], stride, first.buffer_info()[0], ch.buffer_info()[0],
+                        sh.buffer_info()[0], n, out.buffer_info()[0])
+        # where x0 is finite so is its row, which the CRC pins
+        if bad != sum(not math.isfinite(x0) for x0 in out[::4]):
+            return False
+        got += out
+    return _nan_free_crc(got) == _H3_CRC
+
+
 def _passes_check(bodies):
-    """True if every kernel body in ``bodies`` passes the uniform, Box-Muller, cos and step known-answer checks."""
-    return all(check(fn) for fn in bodies for check in (_uniforms_pass, _box_muller_pass, _cos_pass, _steps_pass))
+    """True if every kernel body in ``bodies`` passes the uniform, Box-Muller, cos, step and H^3 known-answer checks."""
+    return all(check(fn) for fn in bodies
+               for check in (_uniforms_pass, _box_muller_pass, _cos_pass, _steps_pass, _h3_pass))
 
 
 def _build(path):
@@ -1021,6 +1218,89 @@ def wrap(x, periods):
     np.subtract(x, out, out=out)
     np.subtract(out, per, out=out, where=out >= per)
     return out
+
+
+def sphere_directions(uv):
+    """Uniform unit vectors in R^3 from the uniform pairs in the rows of ``uv``."""
+    c = 1.0 - 2.0 * uv[:, 0]
+    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    cos, sin = cos_sin_2pi(uv[:, 1])
+    out = np.empty((len(c), 3))
+    np.multiply(s, cos, out=out[:, 0])
+    np.multiply(s, sin, out=out[:, 1])
+    out[:, 2] = c
+    return out
+
+
+def exp_point_arrays(base, direction, r):
+    """Geodesic from base along a unit 3-vector direction in the origin
+    frame, of length r (H^3 only); broadcasts.
+
+    The origin frame is the orthonormal frame at (1,0,0,0) parallel-transported
+    along the geodesic to base p.  In it, d is the tangent vector
+    (pd, d + c pv) at p, with pd = p1 d1 + p2 d2 + p3 d3 and c = pd / (1 + p0).
+    So out_k = cosh(r) p_k + sinh(r) (d_k + c p_k) for k = 1..3, and out_0 is
+    re-projected onto the hyperboloid as sqrt(1 + (o1^2 + o2^2 + o3^2)).
+    Each sum runs left to right in the order written here.  This is the
+    numpy body of ``h3_exp``.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    return _numpy_h3_exp(base, direction, np.cosh(r), np.sinh(r))
+
+
+def _numpy_h3_exp(base, direction, ch, sh):
+    """``exp_point_arrays`` with ch = cosh r and sh = sinh r given: the reference of the kernel's exp-map pass."""
+    base = np.asarray(base, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
+    p = [base[..., k] for k in range(4)]
+    d = [direction[..., k] for k in range(3)]
+    c = (p[1] * d[0] + p[2] * d[1] + p[3] * d[2]) / (1.0 + p[0])
+    out = np.empty(np.broadcast_shapes(c.shape, np.shape(ch)) + (4,))
+    for k in (1, 2, 3):
+        out[..., k] = ch * p[k] + sh * (d[k - 1] + c * p[k])
+    o1, o2, o3 = out[..., 1], out[..., 2], out[..., 3]
+    # re-project onto the hyperboloid to stop constraint drift
+    with np.errstate(over="ignore"):
+        out[..., 0] = np.sqrt(1.0 + (o1 * o1 + o2 * o2 + o3 * o3))
+    # past r ~ 355 the squares overflow though cosh r is finite to 710;
+    # there 1 is below rounding and x0 is the scaled norm of out[1:]
+    inf = np.isinf(out[..., 0])
+    if np.any(inf):
+        huge = inf & np.all(np.isfinite(out[..., 1:]), axis=-1)
+        v = out[huge, 1:]
+        m = np.max(np.abs(v), axis=-1)
+        out[huge, 0] = m * np.sqrt(np.sum((v / m[:, None]) ** 2, axis=-1))
+    return out
+
+
+def h3_exp(base, direction, r):
+    """``exp_point_arrays`` of n steps, and whether every coordinate of the result is finite: (out, finite).
+
+    ``base`` is a row of 4 or (n, 4) rows, ``direction`` (n, 3) and ``r``
+    (n,).  cosh r and sinh r come from numpy; on the kernel, one pass then
+    writes each row with ``exp_point_arrays``' operations in its order,
+    reading the base rows in place (a single row at stride 0) and the
+    directions in place where they are the transpose of (3, n) coordinate
+    rows, as ``StreamCursor.h3_draw`` gives them.  Rows that leave the float
+    range raise no warning."""
+    r = np.asarray(r, dtype=np.float64)
+    kernel = _kernel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kernel is None:
+            out = exp_point_arrays(base, direction, r)
+            return out, bool(np.all(np.isfinite(out)))
+        ch, sh = np.cosh(r), np.sinh(r)
+    n = r.shape[0]
+    base = np.asarray(base, dtype=np.float64)
+    if base.ndim == 1:
+        rows, stride = np.ascontiguousarray(np.broadcast_to(base, (4,))), 0
+    else:
+        rows, stride = _strided(np.broadcast_to(base, (n, 4)), 4)
+    coords = np.ascontiguousarray(np.broadcast_to(direction, (n, 3)).T, dtype=np.float64)
+    out = np.empty((n, 4))
+    bad = kernel.h3_exp(rows.ctypes.data, stride, coords.ctypes.data, ch.ctypes.data, sh.ctypes.data, n,
+                        out.ctypes.data) if n else 0
+    return out, bad == 0
 
 
 def _horner(coeffs, z):
@@ -1217,6 +1497,33 @@ class StreamCursor:
                              None if per is None else per.ctypes.data, out.ctypes.data)
         self.pos += np.uint64(2 * cols)
         return out
+
+    def h3_draw(self, s):
+        """The radius and direction of one exact H^3 step for every sample, s = sqrt(2t): (r, direction).
+
+        In the slots that ``uniforms(8)`` reads, three normals z from slot
+        pairs 0-5 give r = s |z + s e_1| = s sqrt(((z0 + s)^2 + z1^2) + z2^2),
+        and slots 6-7 a uniform direction (``sphere_directions``).
+        ``direction`` is (n, 3); on the kernel it is the transpose of (3, n)
+        coordinate rows, which ``h3_exp`` reads in place.  Advances cursors by 8."""
+        kernel = _kernel()
+        if kernel is None:
+            u = self.uniforms(8)
+            # the direction first: its temporaries then meet the draw alone, not the normals too
+            direction = sphere_directions(u[:, 6:])
+            # one normal per slot pair, each a contiguous column: (n, 3) normals
+            # would leave the radius arithmetic on strided columns, 1.8x slower
+            z0, z1, z2 = (box_muller(u[:, j:j + 2])[:, 0] for j in (0, 2, 4))
+            del u  # 64 bytes a row, not to be held through the exp map
+            return s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2), direction
+        n = len(self)
+        r, coords = np.empty(n), np.empty((3, n))
+        if n:
+            sample, pos = (np.ascontiguousarray(a, dtype=np.uint64) for a in (self.samples, self.pos))
+            kernel.h3_draw(self.master_seed & _SEED_MASK, sample.ctypes.data, pos.ctypes.data, n, s, r.ctypes.data,
+                           coords.ctypes.data)
+        self.pos += np.uint64(8)
+        return r, coords.T
 
     def uniforms_at(self, rows, cols=1):
         """(len(rows), cols) uniforms for the samples in ``rows`` (index array); advances those cursors by cols."""

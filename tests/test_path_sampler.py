@@ -498,11 +498,26 @@ def rowwise_bridge_step(law, cursor, current, y, dt, tau_before):
 
 class TestHyperbolicStep:
     def test_step_consumes_eight_slots(self, monkeypatch):
-        shapes = draw_shapes(monkeypatch)
-        cursor = StreamCursor(5, np.arange(3, dtype=np.uint64))
-        H3K._law.step(cursor, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), 0.4)
-        assert cursor.pos.tolist() == [8, 8, 8]
-        assert shapes == [(3, 8)]  # one draw call per move
+        # on the kernel, one draw pass and one exp-map pass per move and no uniform array;
+        # on the numpy body, one draw of 8 slots per move
+        kernel = rng._kernel()
+        for body in ("kernel", "numpy")[kernel is None:]:
+            with monkeypatch.context() as m:
+                passes = []
+                if body == "numpy":
+                    m.setattr(rng, "_kernel", lambda: None)
+                else:
+                    for name in ("h3_draw", "h3_exp"):
+                        m.setattr(kernel, name, lambda *args, fn=getattr(kernel, name), name=name:
+                                  passes.append(name) or fn(*args))
+                shapes = draw_shapes(m)
+                cursor = StreamCursor(5, np.arange(3, dtype=np.uint64))
+                H3K._law.step(cursor, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), 0.4)
+                assert cursor.pos.tolist() == [8, 8, 8]
+                if body == "kernel":
+                    assert passes == ["h3_draw", "h3_exp"] and shapes == []
+                else:
+                    assert shapes == [(3, 8)]
 
     def test_bridge_step_consumes_eight_slots(self, monkeypatch):
         # row 1 sits on the endpoint, where the angle has no reference direction
@@ -543,6 +558,49 @@ class TestHyperbolicStep:
         # steps of 200 reach a radius near 800; cosh r leaves the float range at 710
         with pytest.raises(NonFiniteSampleError):
             sample_paths(H3K, ORIGIN4, TimeGrid.uniform(400.0, 2), 0, 4)
+
+    def test_kernel_and_numpy_steps_agree(self, monkeypatch):
+        # off-origin rows at even and odd cursor starts, and rows far out whose
+        # squares overflow, so that the exp map rescales x0
+        gen = np.random.default_rng(4)
+        n = 1003
+        d = gen.normal(size=(n, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        for reach, dt in ((2.0, 0.3), (300.0, 100.0)):
+            current = exp_point_arrays(H3_OFF, d, gen.uniform(0.0, reach, n))
+            for start in (0, 1):
+                outs = []
+                for kernel in (rng._kernel, lambda: None):
+                    with monkeypatch.context() as m:
+                        m.setattr(rng, "_kernel", kernel)
+                        cursor = StreamCursor(12, np.arange(n, dtype=np.uint64))
+                        cursor.pos[:] = start
+                        outs.append(H3K._law.step(cursor, current, dt))
+                assert np.array_equal(outs[0].view(np.uint64), outs[1].view(np.uint64))
+                assert np.all(np.isfinite(outs[0]))
+            if reach > 2.0:
+                assert np.any(np.abs(outs[0][:, 1:]).max(axis=1) > 2.0 ** 512)
+
+    def test_overflow_names_the_step_on_both_bodies(self, monkeypatch):
+        message = r"^a hyperbolic step of time 200\.0 left the float range; shorten the steps or the horizon$"
+        for kernel in (rng._kernel, lambda: None):
+            monkeypatch.setattr(rng, "_kernel", kernel)
+            with pytest.raises(NonFiniteSampleError, match=message):
+                sample_paths(H3K, ORIGIN4, TimeGrid.uniform(400.0, 2), 0, 4)
+
+    def test_kernel_and_numpy_bridge_steps_agree(self, monkeypatch):
+        # the exp map from the endpoint, a base row read at stride 0
+        gen = np.random.default_rng(6)
+        n = 517
+        d = gen.normal(size=(n, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        y = h3_point(H3_OFF, [0.2, -0.9, 0.4], 0.6)
+        current = exp_point_arrays(H3_OFF, d, gen.uniform(0.0, 2.0, n))
+        outs = []
+        for kernel in (rng._kernel, lambda: None):
+            monkeypatch.setattr(rng, "_kernel", kernel)
+            outs.append(H3K._law.bridge_step(StreamCursor(8, np.arange(n, dtype=np.uint64)), current, y, 0.1, 0.4))
+        assert np.array_equal(outs[0].view(np.uint64), outs[1].view(np.uint64))
 
     def test_bridge_overflow_is_an_error(self):
         with pytest.raises(NonFiniteSampleError):

@@ -341,8 +341,8 @@ class TestKernel:
                 assert_bodies_match_numpy(kernel_bodies, seed, sample, draw, width)
 
     def test_loops_vectorize_with_64_byte_vectors(self, tmp_path):
-        # the load check proves the bits of the AVX-512 entries, not their speed: a compiler that
-        # stopped vectorizing the normals, angles, cos and step loops would run them several times slower
+        # the load check proves the bits of the AVX-512 entries, not their speed: a compiler that stopped
+        # vectorizing the normals, angles, cos, step and H^3 loops would run them several times slower
         cc = shutil.which("cc")
         macros = cc and subprocess.run([cc, "-dM", "-E", "-x", "c", "-"], input="", capture_output=True, text=True,
                                        timeout=60).stdout
@@ -354,7 +354,7 @@ class TestKernel:
         vectorized = {int(n) for n in re.findall(r"^<stdin>:(\d+):\d+: optimized: loop vectorized using 64 byte vectors",
                                                   done.stderr, re.M)}
         lines = rng._KERNEL_SOURCE.splitlines()
-        for loop in ("normals", "angles", "cosines", "steps"):
+        for loop in ("normals", "angles", "cosines", "steps", "h3_rows", "h3_exp"):
             head = next(i for i, line in enumerate(lines) if re.match(rf"static inline \w+ {loop}\(", line))
             first = next(i for i in range(head, len(lines)) if "for (" in lines[i])
             assert first + 1 in vectorized, loop
@@ -746,6 +746,153 @@ class TestSteps:
             assert np.all(cur.pos == 0)
 
 
+def todays_h3_step(seed, sample, pos, base, s):
+    """The H^3 step as the numpy body writes it, on the numpy bodies alone: 8 uniform slots, the
+    direction from slots 6-7, three normals from slots 0-5, the radius, then ``exp_point_arrays``.
+    Returns (out, r, direction)."""
+    u = rng._numpy_uniforms(seed, sample, pos, 8)
+    c = 1.0 - 2.0 * u[:, 6]
+    rim = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    cos, sin = rng._numpy_cos_sin_2pi(u[:, 7])
+    direction = np.stack([rim * cos, rim * sin, c], axis=1)
+    z0, z1, z2 = (rng._numpy_box_muller(u[:, j:j + 2])[:, 0] for j in (0, 2, 4))
+    r = s * np.sqrt((z0 + s) ** 2 + z1 * z1 + z2 * z2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rng.exp_point_arrays(base, direction, r), r, direction
+
+
+def body_h3_step(fn, seed, sample, pos, base, s):
+    """The H^3 draw and exp-map passes of one kernel body, with numpy's cosh and sinh between them,
+    into NaN-filled arrays; a base row is read at stride 0.  Returns (out, r, direction, bad rows)."""
+    n = sample.size
+    r, coords = np.full(n, np.nan), np.full((3, n), np.nan)
+    fn.h3_draw(seed, sample.ctypes.data, pos.ctypes.data, n, s, r.ctypes.data, coords.ctypes.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sh = np.cosh(r), np.sinh(r)
+    out = np.full((n, 4), np.nan)
+    bad = fn.h3_exp(base.ctypes.data, 0 if base.ndim == 1 else 4, coords.ctypes.data, ch.ctypes.data,
+                    sh.ctypes.data, n, out.ctypes.data)
+    return out, r, coords.T, bad
+
+
+def h3_bases(n, reach, seed):
+    """n hyperboloid rows at distances uniform in [0, reach) from the origin, in uniform directions."""
+    g = np.random.default_rng(seed)
+    d = g.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return rng.exp_point_arrays(np.array([1.0, 0.0, 0.0, 0.0]), d, g.uniform(0.0, reach, n))
+
+
+def one_nan(a):
+    """``a`` with every NaN the same NaN: the passes pin where NaN falls, not its sign or payload."""
+    return np.where(np.isnan(a), np.nan, a)
+
+
+def bad_rows(out):
+    return int(np.count_nonzero(~np.all(np.isfinite(out), axis=1)))
+
+
+# (reach, s): ordinary steps, then rows far out whose squares overflow (x0 is
+# rescaled), then rows of which some leave the float range
+H3_REACHES = [(2.0, 0.3), (2.0, 2.0), (300.0, 14.2), (360.0, 20.0)]
+
+
+class TestH3Step:
+    """The H^3 draw and exp-map passes: C scalar, C vector and numpy give the bits of the step's numpy expression."""
+
+    def test_load_check_holds_the_numpy_bodys_answers(self, monkeypatch):
+        sample, draw, base, ch, sh = rng._h3_check_inputs()
+        monkeypatch.setattr(rng, "_kernel", lambda: None)
+        want = []
+        for s, rows in zip(rng._H3_SCALES, (len(draw), 8)):
+            cur = StreamCursor(rng._CHECK_SEED, np.array(sample[:rows], np.uint64))
+            cur.pos[:] = draw[:rows]
+            with np.errstate(over="ignore", invalid="ignore"):
+                r, direction = cur.h3_draw(s)
+            want += [*r, *direction.T.ravel()]
+            if rows == len(draw):
+                first = direction[:len(ch)]
+        base = np.reshape(base, (-1, 4))
+        outs = []
+        with np.errstate(all="ignore"):
+            for b in (base, base[0]):
+                outs.append(rng._numpy_h3_exp(b, first, np.array(ch), np.array(sh)))
+                want += outs[-1].ravel().tolist()
+        assert rng._nan_free_crc(want) == rng._H3_CRC
+        assert rng._nan_free_crc(np.nextafter(want, 2.0).tolist()) != rng._H3_CRC
+        # the draw spans two tiles and the second scale's radii are infinite; the
+        # exp map reaches the rescaled x0, finite rows and rows past the float range
+        assert len(draw) > 64 and np.all(np.isinf(want[len(draw) * 4:len(draw) * 4 + 8]))
+        for out in outs:
+            rescaled = np.isfinite(out[:, 0]) & (np.abs(out[:, 1:]).max(axis=1) > 2.0 ** 512)
+            assert rescaled.any() and 0 < bad_rows(out) < len(out) - rescaled.sum()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 513, 32768])
+    def test_both_bodies_match_todays_expression(self, kernel_bodies, n):
+        sample = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        for parity in ("even", "odd", "mixed"):
+            pos = _group_draws(parity, n, n)
+            for reach, s in H3_REACHES:
+                rows = h3_bases(n, reach, n)
+                for base in (rows, np.ascontiguousarray(h3_bases(1, reach, n + 1)[0])):
+                    want, r, direction = todays_h3_step(0x299F31D0A4093822, sample, pos, base, s)
+                    for fn in kernel_bodies:
+                        got, got_r, got_direction, bad = body_h3_step(fn, 0x299F31D0A4093822, sample, pos, base, s)
+                        assert_same_bits(got_r, r)
+                        assert_same_bits(got_direction, direction)
+                        assert_same_bits(one_nan(got), one_nan(want))
+                        assert bad == bad_rows(want)
+
+    def test_far_rows_reach_the_rescaled_x0_and_the_float_range(self, kernel_bodies):
+        n = 4096
+        sample = np.arange(n, dtype=np.uint64)
+        pos = _group_draws("even", n, 3)
+        counts = []
+        for reach, s in H3_REACHES[2:]:
+            want, _, _ = todays_h3_step(7, sample, pos, h3_bases(n, reach, 5), s)
+            rescaled = np.isfinite(want[:, 0]) & (np.abs(want[:, 1:]).max(axis=1) > 2.0 ** 512)
+            counts.append((int(rescaled.sum()), bad_rows(want)))
+        assert counts[0][0] > 0 and counts[0][1] == 0
+        assert counts[1][0] > 0 and counts[1][1] > 0
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 513])
+    def test_entry_points_match_numpy(self, monkeypatch, n):
+        # the cursor on a strided index array, at even and odd starts; (n, 4) bases, a
+        # Fortran-order copy of them and a row; the drawn directions and a C-order copy
+        bases = h3_bases(n, 2.0, n)
+        for start in (0, 1):
+            for base in (bases, np.asfortranarray(bases), bases[:1][0] if n else np.array([1.0, 0, 0, 0])):
+
+                def step():
+                    cur = StreamCursor(41, np.arange(3 * n, dtype=np.uint64)[::3])
+                    cur.pos[:] = start
+                    r, direction = cur.h3_draw(0.6)
+                    out, finite = rng.h3_exp(base, direction, r)
+                    again, _ = rng.h3_exp(base, np.ascontiguousarray(direction), r)
+                    assert_same_bits(again, out)
+                    return out, r, np.asarray(direction), finite, cur.pos.copy()
+
+                got, ref = kernel_and_numpy(monkeypatch, step)
+                want = todays_h3_step(41, np.arange(0, 3 * n, 3, dtype=np.uint64), np.full(n, start, np.uint64),
+                                      base, 0.6)
+                for results in (got, ref):
+                    out, r, direction, finite, pos = results
+                    assert out.shape == (n, 4) and finite
+                    for a, b in zip((out, r, direction), want):
+                        assert_same_bits(a, b)
+                    assert np.all(pos == start + 8)
+
+    def test_exp_reports_rows_past_the_float_range(self, monkeypatch):
+        base = h3_bases(64, 360.0, 2)
+        direction = np.tile([0.0, 0.6, 0.8], (64, 1))
+        r = np.linspace(300.0, 720.0, 64)
+        (got, got_finite), (ref, ref_finite) = kernel_and_numpy(monkeypatch, lambda: rng.h3_exp(base, direction, r))
+        assert not got_finite and not ref_finite
+        assert_same_bits(one_nan(got), one_nan(ref))
+        ok, _ = kernel_and_numpy(monkeypatch, lambda: rng.h3_exp(base[:1], direction[:1], r[:1]))
+        assert ok[1]
+
+
 # A fresh interpreter reports whether its kernel loaded and the bits of one draw.
 _PROBE = (
     "from pathkernel import rng\n"
@@ -882,4 +1029,25 @@ class TestKernelCache:
         for fn in (vector, scalar):
             assert not rng._steps_pass(fn)
             assert rng._uniforms_pass(fn) and rng._box_muller_pass(fn) and rng._cos_pass(fn)
+        assert probe(package_copy) == (False, numpy_bits(monkeypatch))
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="building the kernel needs cc")
+    @pytest.mark.parametrize("reach, good, bad", [
+        # the direction's height from the angle's slot, in the loop that both bodies run
+        ("both", "c = 1.0 - 2.0 * u[8 * i + 6]", "c = 1.0 - 2.0 * u[8 * i + 7]"),
+        # the tangent's projection summed in another order, in the same exp loop
+        ("both", "(p[1] * d0 + p[2] * d1 + p[3] * d2)", "(p[1] * d0 + (p[2] * d1 + p[3] * d2))"),
+        # the rescaled x0 without the third coordinate's magnitude
+        ("both", "m = m > a3 ? m : a3;", ""),
+        # the vector entry for adjacent base rows reads them 8 doubles apart
+        ("vector", "stride == 4 ? h3_exp(base, 4,", "stride == 4 ? h3_exp(base, 8,"),
+    ], ids=["direction-slot", "projection-order", "rescale-max", "stride-4-entry"])
+    def test_wrong_h3_body_falls_back_to_numpy(self, package_copy, monkeypatch, reach, good, bad):
+        vector, scalar = build_mutant(package_copy, good, bad)
+        if reach == "vector" and rng._h3_pass(vector):
+            pytest.skip("this CPU does not run the vector body")
+        assert not rng._h3_pass(vector)
+        assert rng._h3_pass(scalar) == (reach == "vector")
+        for fn in (vector, scalar):
+            assert rng._uniforms_pass(fn) and rng._box_muller_pass(fn) and rng._cos_pass(fn) and rng._steps_pass(fn)
         assert probe(package_copy) == (False, numpy_bits(monkeypatch))

@@ -150,6 +150,11 @@ SINGLE = {
     # steps of 100: the dumped path reaches coordinates near 3e176, whose
     # squares overflow, so the exp map's rescaled x0 reaches the output
     "hyperbolic3/far_sample": "sample --model hyperbolic3 --x0 1,0,0,0 --T 200 --steps 2 --samples 1000",
+    # the H3 step's draw pass goes 64 rows a tile and its Philox body 8 rows
+    # a group: 1,003 rows leave a 3-row tail past both, and an off-origin
+    # start reads the exp-map pass's base rows off the axes from the first step
+    "hyperbolic3/sample_tail":
+        "sample --model hyperbolic3 --x0 1.5297058540778354,0.5,1,0.3 --T 1 --steps 8 --samples 1003",
     # one 8-slot draw per H3 bridge move, 1,001 rows: a 1-row tail
     "hyperbolic3/bridge_tail":
         "bridge --model hyperbolic3 --x0 1,0,0,0 --y0=1.3374349463048447,0.888105982187623,0,0 --T 1 --steps 4 "
