@@ -473,7 +473,7 @@ def _run_verify(config):
     if check == "covering":
         # the covering sum without a potential: every weight is 1, so one
         # 1-step bridge per term reads the kernels themselves, draws nothing
-        # that reaches the result and forks no pool
+        # that reaches the result and forks no worker
         check_task(k, "covering")
         (length,) = k.model.periods
         x = _point_option(config, "x", k.model, k.model.default_point())

@@ -30,3 +30,7 @@ class StepTooLargeError(PathkernelError):
 
 class PotentialBoundError(PathkernelError):
     """A potential evaluated outside its declared sup bound."""
+
+
+class WorkerLostError(PathkernelError):
+    """A forked worker process ended without sending back its results."""

@@ -12,7 +12,7 @@ Every ensemble drawn in blocks is reduced by one driver, ``over_paths``:
 the estimators here, the distance curve and the command line's ``sample``
 and ``bridge``.  It is the one caller of ``parallel.run_blocks``, and a
 job carries its own grid, so a covering sum's terms or a curve's t values
-are the jobs of one pass and a command forks at most one pool.  The
+are the jobs of one pass and a command forks its workers at most once.  The
 estimators share ``_visited`` (V along the path, checked against its sup
 bound, 0 at the cemetery), ``_Exponent``, ``_terminal`` and one
 mean/standard-error rule, ``EstimateWithError.of``.  A block is at most

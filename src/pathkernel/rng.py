@@ -3,7 +3,7 @@
 Every Monte Carlo sample owns a substream addressed by
 ``(master_seed, sample_index)``.  Draw ``j`` of a substream is a pure
 function of those three integers, so an ensemble can be evaluated
-serially, in blocks, or across a process pool and always produce
+serially, in blocks, or across forked worker processes and always produce
 bit-identical per-sample results.
 
 The generator is Philox4x32-10.  The 128-bit counter is laid out as
@@ -807,7 +807,7 @@ def _kernel_path():
 
     The hash is importlib's source hash, the one hash-based ``.pyc`` files
     carry; ``hashlib.sha256`` would load OpenSSL, which costs 3.5 MB and
-    5 ms in every process that draws, pool workers included.
+    5 ms in every process that draws, forked workers included.
     """
     tag = importlib.util.source_hash("\0".join((_KERNEL_SOURCE, *_KERNEL_FLAGS, platform.machine())).encode())
     return Path(__file__).with_name("__pycache__") / f"philox-{tag.hex()}.so"

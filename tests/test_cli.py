@@ -196,6 +196,15 @@ class TestExitCodes:
         assert json.loads(res.stdout)["error"] == "NonFiniteSampleError"
         assert "Traceback" not in res.stderr and not out.exists()
 
+    def test_a_two_block_overflow_is_the_same_failure_at_any_worker_count(self):
+        args = ["sample", "--model", "hyperbolic3", "--x0", "1,0,0,0", "--T", "1e300", "--steps", "2",
+                "--samples", "65536", "--seed", "1"]
+        runs = [run_cli(args + ["--workers", workers]) for workers in ("1", "2")]
+        for res in runs:
+            assert res.returncode == 1 and "Traceback" not in res.stderr
+            assert json.loads(res.stdout)["error"] == "NonFiniteSampleError"
+        assert runs[0].stdout == runs[1].stdout
+
     @pytest.mark.parametrize("exc", [MemoryError(), _ArrayMemoryError("Unable to allocate 24.6 GiB")],
                              ids=["bare", "numpy"])
     def test_out_of_memory_is_numeric_failure(self, monkeypatch, capsys, exc):
@@ -444,11 +453,11 @@ class TestExitCodes:
                  ("residual", "residual")]
         assert [check[a] for a, _ in pairs] == [fk[b] for _, b in pairs]
 
-    def test_verify_covering_forks_no_pool_and_ignores_the_seed(self, capsys, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("verify covering forked a pool")
+    def test_verify_covering_forks_nothing_and_ignores_the_seed(self, capsys, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("verify covering forked a worker")
 
-        monkeypatch.setattr(pathkernel.parallel.multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(pathkernel.parallel, "_fork", no_fork)
         monkeypatch.setenv("PATHKERNEL_WORKERS", "2")
         outputs = []
         for seed in ("1", "2"):
