@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -62,7 +63,6 @@ from .heat_kernel import (
     total_mass,
 )
 from .manifold import CEMETERY, Euclidean, Point, validate_point
-from .parallel import worker_count
 from .path_sampler import (
     TimeGrid,
     path_to_csv,
@@ -107,6 +107,17 @@ def _positive_int(text):
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return v
+
+
+def _worker_count(requested):
+    """The effective worker count: the PATHKERNEL_WORKERS environment variable wins."""
+    env = os.environ.get("PATHKERNEL_WORKERS")
+    if env is None:
+        return requested
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"PATHKERNEL_WORKERS must be an integer, got {env!r}") from None
 
 
 def _windings(text):
@@ -405,7 +416,7 @@ def parse_args(argv=None):
     argv = _merge_config_file(argv, parser)
     ns = parser.parse_args(argv)
     try:
-        worker_count()  # PATHKERNEL_WORKERS is part of the command line
+        ns.workers = _worker_count(ns.workers)  # PATHKERNEL_WORKERS is part of the command line
     except ValueError as exc:
         parser.error(str(exc))
     index = getattr(ns, "sample_index", None)
@@ -515,7 +526,7 @@ def _run_sample(config):
     grid = TimeGrid.uniform(config.options["T"], config.options["steps"])
     seed, n = config.options["seed"], config.options["samples"]
     [(killed,)] = over_paths([(k, x0, None, grid, lambda rows, _: (np.isnan(last_row(rows)[:, 0]),))], n,
-                             RngContract(seed), worker_count(config.options["workers"]))
+                             RngContract(seed), config.options["workers"])
     path = sample_paths(k, x0, grid, seed, 1, first_index=config.options["sample_index"]).path(0)
     return _emit_path(config, path, {
         "n_samples": n,
@@ -539,7 +550,7 @@ def _run_bridge(config):
         return () if windings is None else (windings[:, 0],)
 
     [kept] = over_paths([(k, x0, y0, grid, reduce)], config.options["samples"], RngContract(seed),
-                        worker_count(config.options["workers"]))
+                        config.options["workers"])
     path = sample_bridges(k, x0, y0, grid, seed, 1, first_index=config.options["sample_index"]).path(0)
     summary = {
         "n_samples": config.options["samples"],
@@ -589,7 +600,7 @@ def _run_fk(config):
     samples = config.options["samples"]
     seed = config.options["seed"]
     rule = config.options["rule"]
-    workers = worker_count(config.options["workers"])
+    workers = config.options["workers"]
     rng = RngContract(seed)
     g = config.options["terminal"] or constant_one
     y0 = _point_option(config, "y0", model)
@@ -653,7 +664,7 @@ def _run_curve(config):
     t_grid = _parse_grid_spec(config.options["t_grid"])
     rows = distance_curve(
         k, x0, t_grid, config.options["samples"], RngContract(config.options["seed"]),
-        workers=worker_count(config.options["workers"]),
+        workers=config.options["workers"],
     )
     _write_csv(config, curve_to_csv(rows, comment=_header_line(config)[2:]))
     return 0

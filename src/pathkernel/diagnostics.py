@@ -150,8 +150,8 @@ def expected_distance_analytic(model, t):
 
 def _distance_estimates(kernel, x0, t_grid, n_samples, rng, workers):
     """Per time in t_grid, the law's closed-form mean displacement, asked
-    before any draw, and a one-step Monte Carlo mean, each a job of one
-    ``over_paths`` pass; time j draws substreams rng.sample_index + j * n_samples on."""
+    before any draw, and a one-step Monte Carlo mean: time j is job j of
+    one ``over_paths`` pass."""
     x0a = validate_point(kernel.model, x0, "x0")
     check_task(kernel, "curve")
 

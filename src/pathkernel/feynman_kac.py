@@ -10,15 +10,16 @@ available behind a flag.
 
 Every ensemble drawn in blocks is reduced by one driver, ``over_paths``:
 the estimators here, the distance curve and the command line's ``sample``
-and ``bridge``.  It is the one caller of ``parallel.run_blocks``, and a
-job carries its own grid, so a covering sum's terms or a curve's t values
-are the jobs of one pass and a command forks its workers at most once.  The
-estimators share ``_visited`` (V along the path, checked against its sup
-bound, 0 at the cemetery), ``_Exponent``, ``_terminal`` and one
-mean/standard-error rule, ``EstimateWithError.of``.  A block is at most
-``BLOCK_SIZE`` samples at any step count, and its readers fold its rows
-one grid time at a time, so it holds a few rows; each sample has its own
-substream, so the block size moves no output bit.
+and ``bridge``.  It is the one caller of ``parallel.run_blocks`` and lays
+out every pass.  A job carries its own grid, so a covering sum's terms or
+a curve's t values are the jobs of one pass, laid end to end on one
+contiguous range of substreams, and a command forks its workers at most
+once.  The estimators share ``_visited`` (V along the path, checked
+against its sup bound, 0 at the cemetery), ``_Exponent``, ``_terminal``
+and one mean/standard-error rule, ``EstimateWithError.of``.  A block is
+at most ``BLOCK_SIZE`` samples at any step count, and its readers fold
+its rows one grid time at a time, so it holds a few rows; each sample has
+its own substream, so the block size moves no output bit.
 
 The covering sum takes the run's kernel: its law gives the deck group,
 the line kernel is built at its truncation, and the omitted winding tail
@@ -54,7 +55,7 @@ from .manifold import (
     project_arrays,
     validate_point,
 )
-from .parallel import per_job, run_blocks
+from .parallel import run_blocks
 from .path_sampler import TimeGrid, bridge_total_mass, sample_rows
 from .quadrature import gaussian_tail_radius
 from .rng import RngContract, cos
@@ -168,15 +169,18 @@ def over_paths(jobs, n_samples, rng, workers):
     """Per job (kernel, x0, y0, grid, reduce), lazily in job order: the per-sample
     arrays of reduce(*sample_rows(...)) on blocks of at most BLOCK_SIZE free paths
     (y0 None) or bridges to y0, joined, and the blocks freed, when the job is reached.
-    Job j runs on substreams rng.sample_index + j * n_samples on, all jobs in one
-    ``run_blocks`` pass."""
+
+    Job j runs on substreams rng.sample_index + j * n_samples on and is cut into
+    blocks on its own, so no block straddles two jobs and a block finds its job
+    from its first index.  All jobs' blocks run in one ``run_blocks`` pass."""
     def task(first, count):
         kernel, x0, y0, grid, reduce = jobs[(first - rng.sample_index) // n_samples]
         return reduce(*sample_rows(kernel, x0, y0, grid, rng.master_seed, count, first_index=first))
 
-    parts = per_job(run_blocks(task, n_samples, BLOCK_SIZE, first_index=rng.sample_index, workers=workers,
-                               jobs=len(jobs)), len(jobs))
-    return (_joined(parts.pop(0)) for _ in jobs)
+    starts = range(0, n_samples, BLOCK_SIZE)
+    parts = run_blocks(task, [(rng.sample_index + j * n_samples + a, min(BLOCK_SIZE, n_samples - a))
+                              for j in range(len(jobs)) for a in starts], workers)
+    return (_joined([parts.pop(0) for _ in starts]) for _ in jobs)
 
 
 def _joined(parts):

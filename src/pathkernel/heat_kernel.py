@@ -916,15 +916,13 @@ class _H3Law(_Law):
         ~ d exp(-d^2/4dt) on [|a-b|, a+b], a = d(c, y); one uniform draws the
         truncated exponential d^2, the law of cosines at y turns d into the
         angle from the geodesic y -> c, and a second uniform sets the azimuth.
-        As in ``step``, one draw of 8 slots: the normals from slots 0-5, the
-        two uniforms from slots 6-7.
+        As in ``step``, 8 slots a row: the normals from slots 0-5, the two
+        uniforms from slots 6-7.
         """
         k = 1.0 - dt / tau_before
         s = _scale(2.0 * dt * k, dt)
-        draw = cursor.uniforms(8)
-        z0, z1, z2 = (box_muller(draw[:, j:j + 2])[:, 0] for j in (0, 2, 4))
-        u, v = draw[:, 6:].T.copy()
-        del draw  # 64 bytes a row, not to be held through the exp map
+        z0, z1, z2 = cursor.normals(3).T
+        u, v = cursor.uniforms(2).T
         a = self.model.distance_arrays(current, y)
         b = np.sqrt((k * a + s * z0) ** 2 + s * s * (z1 * z1 + z2 * z2))
         lo, gap = np.minimum(a, b), np.abs(a - b)

@@ -1,19 +1,16 @@
 """Block-wise forked workers for ensemble computations.
 
-Samples are split into fixed-size blocks by sample index and each block
-is computed on its own substreams, so the assembled per-sample arrays
-are identical for any worker count (including serial).  The one caller,
-``feynman_kac.over_paths``, sizes the blocks; every sampling command
-draws through it and so forks at most once, for blocks that may belong
-to several estimates (a curve's t values, a covering sum's terms) laid
-on one contiguous sample range.  With N workers the command's own
-process runs blocks 0, N, 2N, ... and each of N - 1 plain forked
-children runs its own fixed share, so no block's process depends on
-timing.  Forking lets a task close over arbitrary callables without
-pickling them; only results come back, pickled through one pipe per
-child.  Each process starts on its own CPU of the parent's affinity set
-and is then handed the whole set back, so two do not begin on one CPU
-while another idles, yet the scheduler may still move them under
+``run_blocks`` runs a task over a list of blocks, each a pure function of
+its own (start, count), and returns the results in list order, so they
+are the same for any worker count (including serial).  The blocks are
+laid out by the one caller, ``feynman_kac.over_paths``.  With N workers
+the command's own process runs blocks 0, N, 2N, ... and each of N - 1
+plain forked children runs its own fixed share, so no block's process
+depends on timing.  Forking lets a task close over arbitrary callables
+without pickling them; only results come back, pickled through one pipe
+per child.  Each process starts on its own CPU of the parent's affinity
+set and is then handed the whole set back, so two do not begin on one
+CPU while another idles, yet the scheduler may still move them under
 outside load.  A child that dies without a result is a
 ``WorkerLostError``; no child outlives ``run_blocks``.
 """
@@ -27,17 +24,8 @@ import signal
 from .errors import WorkerLostError
 
 
-def run_blocks(task, n_total, block_size, first_index=0, workers=1, jobs=1):
-    """Evaluate task(start_index, count) over fixed blocks; results in block order.
-
-    The range holds ``jobs`` estimates of n_total samples each, estimate j
-    starting at first_index + j * n_total, so a task finds its estimate
-    as (start_index - first_index) // n_total.  Each estimate is cut into
-    blocks on its own, so no block straddles two, and all blocks share
-    one set of forks.
-    """
-    blocks = [(first_index + j * n_total + start, min(block_size, n_total - start))
-              for j in range(jobs) for start in range(0, n_total, block_size)]
+def run_blocks(task, blocks, workers=1):
+    """task(start, count) for each (start, count) of blocks; results in list order."""
     # more processes than usable CPUs only add forks; blocks and bits stay the same
     workers = min(workers or 1, len(blocks), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
@@ -117,28 +105,9 @@ def _place(cpus, k):
         pass
 
 
-def per_job(parts, jobs):
-    """``run_blocks`` results split into one list per estimate, in block order."""
-    n = len(parts) // max(jobs, 1)
-    return [parts[j * n:(j + 1) * n] for j in range(jobs)]
-
-
 def _usable_cpus():
     """CPUs this process may run on: its affinity set where the platform has one."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def worker_count(requested=None):
-    """Effective worker count; the PATHKERNEL_WORKERS env var wins."""
-    env = os.environ.get("PATHKERNEL_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"PATHKERNEL_WORKERS must be an integer, got {env!r}") from None
-    if requested is None:
-        return 1
-    return max(1, int(requested))

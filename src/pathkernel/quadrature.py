@@ -31,9 +31,10 @@ from .errors import QuadratureError
 
 # The most pieces one worklist may hold: an integral whose size times
 # machine epsilon exceeds its tolerance, or a NaN integrand, splits every
-# piece at every depth.  Converging worklists hold 512 pieces at most: a
-# Chapman-Kolmogorov block of 32 integrals at the guard partition.
-MAX_OPEN_INTERVALS = 2 ** 16
+# piece at every depth, and one integrand call then asks for 15 nodes a
+# piece (122,880 at the cap).  Converging worklists hold 512 pieces at
+# most: a Chapman-Kolmogorov block of 32 integrals at the guard partition.
+MAX_OPEN_INTERVALS = 2 ** 13
 
 # QUADPACK's qk15 table: the Kronrod nodes in [0, 1) from the outermost in,
 # their weights, and the Gauss weights at every second node.  Mirrored,

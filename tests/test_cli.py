@@ -262,9 +262,9 @@ class TestExitCodes:
          "PathkernelError", "at tau = 2.0, b = 1e+308"),
         (["verify", "moments", "--model", "hyperbolic3", "--a", "1000"], "PathkernelError",
          "at tau = 0.0109, b = 1.0 is out of the float range"),
-        (["mass", "--model", "hyperbolic3", "--t", "170", "--x", "1,0,0,0"], "QuadratureError", "65536"),
+        (["mass", "--model", "hyperbolic3", "--t", "170", "--x", "1,0,0,0"], "QuadratureError", "8192"),
         (["mass", "--model", "dirichlet:3.14159265", "--t", "1", "--x", "1.5707963", "--quad-tol", "1e-300"],
-         "QuadratureError", "65536"),
+         "QuadratureError", "8192"),
     ], ids=["fk-kernel-inf", "fk-kernel-oracle", "fk-monotonicity-inf", "fk-expectation-inf",
             "fk-covering-tail-inf", "moments-tau-underflow", "moments-tau-overflow", "moments-h3-a1000",
             "mass-h3-nan", "mass-quad-tol"])

@@ -6,11 +6,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from pathkernel import feynman_kac, parallel
-from pathkernel.cli import main
+from pathkernel.cli import main, parse_args
 from pathkernel.errors import NonFiniteSampleError, WorkerLostError
+from pathkernel.rng import RngContract
 
 
 class FakeForks:
@@ -45,7 +47,7 @@ def blocks_of(n_total, first, size):
 
 def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
     fake = fake_forks(monkeypatch, 3)
-    out = parallel.run_blocks(lambda a, c: (a, c), 70, first_index=5, workers=10 ** 6, block_size=7)
+    out = parallel.run_blocks(lambda a, c: (a, c), blocks_of(70, 5, 7), workers=10 ** 6)
     assert [k for k, _ in fake.forks] == [1, 2]  # three processes: this one and two children
     assert out == blocks_of(70, 5, 7)
 
@@ -53,21 +55,21 @@ def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
 def test_env_worker_count_is_capped_too(monkeypatch):
     fake = fake_forks(monkeypatch, 2)
     monkeypatch.setenv("PATHKERNEL_WORKERS", "5000")
-    workers = parallel.worker_count(1)
-    assert workers == 5000
-    assert parallel.run_blocks(lambda a, c: (a, c), 40, workers=workers, block_size=4) == blocks_of(40, 0, 4)
+    workers = parse_args(["curve", "--model", "euclidean:1", "--t-grid", "1:1:1", "--workers", "1"]).options["workers"]
+    assert workers == 5000  # the variable wins over --workers
+    assert parallel.run_blocks(lambda a, c: (a, c), blocks_of(40, 0, 4), workers=workers) == blocks_of(40, 0, 4)
     assert [k for k, _ in fake.forks] == [1]
 
 
 def test_fewer_blocks_than_cpus_size_the_worker_set(monkeypatch):
     fake = fake_forks(monkeypatch, 64)
-    assert parallel.run_blocks(lambda a, c: (a, c), 10, workers=8, block_size=4) == blocks_of(10, 0, 4)
+    assert parallel.run_blocks(lambda a, c: (a, c), blocks_of(10, 0, 4), workers=8) == blocks_of(10, 0, 4)
     assert [k for k, _ in fake.forks] == [1, 2]
 
 
 def test_one_usable_cpu_runs_serially(monkeypatch):
     fake = fake_forks(monkeypatch, 1)
-    assert parallel.run_blocks(lambda a, c: (a, c), 10, workers=8, block_size=4) == blocks_of(10, 0, 4)
+    assert parallel.run_blocks(lambda a, c: (a, c), blocks_of(10, 0, 4), workers=8) == blocks_of(10, 0, 4)
     assert fake.forks == []
     assert fake.places == []  # the serial path makes no placement
 
@@ -77,14 +79,35 @@ def test_usable_cpus_is_the_affinity_set():
     assert parallel._usable_cpus() == want
 
 
-def test_jobs_share_one_set_of_forks_and_keep_task_order(monkeypatch):
+def test_blocks_share_one_set_of_forks_and_keep_list_order(monkeypatch):
     fake = fake_forks(monkeypatch, 2)
-    out = parallel.run_blocks(lambda a, c: (a, c), 10, first_index=3, workers=2, block_size=4, jobs=3)
-    # each estimate is cut on its own: no block straddles two of them
     blocks = blocks_of(10, 3, 4) + blocks_of(10, 13, 4) + blocks_of(10, 23, 4)
-    assert out == blocks
+    assert parallel.run_blocks(lambda a, c: (a, c), blocks, workers=2) == blocks
     assert fake.forks == [(1, blocks[1::2])]  # this process ran the other five
-    assert parallel.per_job(out, 3) == [blocks_of(10, 3 + 10 * j, 4) for j in range(3)]
+
+
+def test_over_paths_lays_jobs_end_to_end_in_blocks_of_their_own(monkeypatch):
+    fake = fake_forks(monkeypatch, 2)
+    calls = []
+    real = feynman_kac.run_blocks
+
+    def spy(task, blocks, workers=1):
+        calls.append((list(blocks), workers))
+        return real(task, blocks, workers)
+
+    def rows(kernel, x0, y0, grid, seed, count, first_index):  # each sample's substream index, and its job
+        return np.arange(first_index, first_index + count), kernel
+
+    monkeypatch.setattr(feynman_kac, "run_blocks", spy)
+    monkeypatch.setattr(feynman_kac, "sample_rows", rows)
+    monkeypatch.setattr(feynman_kac, "BLOCK_SIZE", 4)
+    jobs = [(j, None, None, None, lambda index, job: (index, np.full(index.shape, job))) for j in range(3)]
+    out = list(feynman_kac.over_paths(jobs, 10, RngContract(7, sample_index=3), 2))
+    # job j runs on substreams 3 + 10 j on, cut on its own: no block straddles two jobs
+    blocks = blocks_of(10, 3, 4) + blocks_of(10, 13, 4) + blocks_of(10, 23, 4)
+    assert calls == [(blocks, 2)] and fake.forks == [(1, blocks[1::2])]
+    for j, (index, job) in enumerate(out):  # each job's blocks joined in block order
+        assert index.tolist() == list(range(3 + 10 * j, 13 + 10 * j)) and job.tolist() == [j] * 10
 
 
 PLACES = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here")
@@ -95,7 +118,7 @@ TWO_CPUS = pytest.mark.skipif(parallel._usable_cpus() < 2 or not hasattr(os, "fo
 @PLACES
 def test_each_process_is_placed_on_its_own_cpu(monkeypatch):
     fake = fake_forks(monkeypatch, 2)
-    parallel.run_blocks(lambda a, c: (a, c), 10, workers=2, block_size=4)
+    parallel.run_blocks(lambda a, c: (a, c), blocks_of(10, 0, 4), workers=2)
     cpus = sorted(os.sched_getaffinity(0))
     assert fake.places == [(cpus, 1), (cpus, 0)]  # the child on cpus[1], then this process on cpus[0]
 
@@ -128,7 +151,7 @@ def test_parent_and_child_start_on_distinct_cpus(monkeypatch, tmp_path):
     parent = os.sched_getaffinity(0)
     cpus = sorted(parent)
     monkeypatch.setattr(os, "sched_setaffinity", spy)
-    assert parallel.run_blocks(task, 4, workers=2, block_size=1) == [0, 1, 2, 3]
+    assert parallel.run_blocks(task, blocks_of(4, 0, 1), workers=2) == [0, 1, 2, 3]
     moves = [json.loads(line) for line in log.read_text().splitlines()]
     pids = {pid for pid, _, _ in moves}
     assert len(moves) == 4 and len(pids) == 2 and os.getpid() in pids
@@ -147,7 +170,7 @@ def test_a_refused_placement_is_skipped(monkeypatch):
     monkeypatch.setattr(os, "sched_setaffinity", refuse)
     parallel._place([0, 1], 1)
     if parallel._usable_cpus() >= 2 and hasattr(os, "fork"):  # and the blocks still run
-        assert parallel.run_blocks(lambda a, c: (a, c), 4, workers=2, block_size=1) == blocks_of(4, 0, 1)
+        assert parallel.run_blocks(lambda a, c: (a, c), blocks_of(4, 0, 1), workers=2) == blocks_of(4, 0, 1)
 
 
 @contextlib.contextmanager
@@ -189,7 +212,7 @@ def test_a_child_exception_reaches_the_caller_unchanged():
         return start
 
     with deadline(60), pytest.raises(NonFiniteSampleError) as info:
-        parallel.run_blocks(task, 4, workers=2, block_size=1)
+        parallel.run_blocks(task, blocks_of(4, 0, 1), workers=2)
     assert type(info.value) is NonFiniteSampleError
     assert str(info.value) == "block 1 overflowed"  # the child's first block
 
@@ -204,7 +227,7 @@ def test_a_killed_child_is_a_lost_worker():
         return start
 
     with deadline(60), pytest.raises(WorkerLostError, match=r"^worker 1 \(pid \d+\) .*signal 9"):
-        parallel.run_blocks(task, 4, workers=2, block_size=1)
+        parallel.run_blocks(task, blocks_of(4, 0, 1), workers=2)
 
 
 @TWO_CPUS
@@ -223,7 +246,7 @@ def test_a_failing_parent_share_leaves_no_child(tmp_path):
         raise ValueError("the parent's share failed")
 
     with deadline(60), pytest.raises(ValueError, match="the parent's share failed"):
-        parallel.run_blocks(task, 4, workers=2, block_size=1)
+        parallel.run_blocks(task, blocks_of(4, 0, 1), workers=2)
     [child] = [int(pid) for pid in pids.read_text().split()]
     assert child != parent and _reaped(child)
 
@@ -235,10 +258,9 @@ def test_a_child_leaves_without_flushing_stdio_or_running_atexit(tmp_path):
         "from pathkernel import parallel\n"
         "atexit.register(lambda: sys.stdout.write('atexit\\n'))\n"
         "sys.stdout.write('unflushed ')\n"
-        "print(parallel.run_blocks(lambda a, c: a, 4, block_size=1, workers=2))\n"
+        "print(parallel.run_blocks(lambda a, c: a, [(a, 1) for a in range(4)], workers=2))\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PATHKERNEL_WORKERS": "2"})
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "unflushed [0, 1, 2, 3]\natexit\n"
 

@@ -520,15 +520,22 @@ class TestHyperbolicStep:
                     assert shapes == [(3, 8)]
 
     def test_bridge_step_consumes_eight_slots(self, monkeypatch):
-        # row 1 sits on the endpoint, where the angle has no reference direction
-        shapes = draw_shapes(monkeypatch)
-        cursor = StreamCursor(5, np.arange(3, dtype=np.uint64))
-        y = h3_point(ORIGIN4.coords, [0.0, 1.0, 0.0], 0.8)
-        current = np.stack([H3_OFF, y, np.asarray(ORIGIN4.coords)])
-        out = H3K._law.bridge_step(cursor, current, y, 0.25, 0.75)
-        assert cursor.pos.tolist() == [8, 8, 8]
-        assert np.all(np.isfinite(out))
-        assert shapes == [(3, 8)]  # one draw call per move
+        # row 1 sits on the endpoint, where the angle has no reference direction;
+        # the three normals come from the cursor's normal pass (on the kernel, no
+        # uniform array; on the numpy body, a draw of 6 slots), then 2 uniforms
+        kernel = rng._kernel()
+        for body in ("kernel", "numpy")[kernel is None:]:
+            with monkeypatch.context() as m:
+                if body == "numpy":
+                    m.setattr(rng, "_kernel", lambda: None)
+                shapes = draw_shapes(m)
+                cursor = StreamCursor(5, np.arange(3, dtype=np.uint64))
+                y = h3_point(ORIGIN4.coords, [0.0, 1.0, 0.0], 0.8)
+                current = np.stack([H3_OFF, y, np.asarray(ORIGIN4.coords)])
+                out = H3K._law.bridge_step(cursor, current, y, 0.25, 0.75)
+                assert cursor.pos.tolist() == [8, 8, 8]
+                assert np.all(np.isfinite(out))
+                assert shapes == ([(3, 2)] if body == "kernel" else [(3, 6), (3, 2)])
 
     def test_bridge_step_matches_the_row_form(self):
         # rows off the axes, at the endpoint, and far from it, at three scales

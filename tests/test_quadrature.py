@@ -91,6 +91,18 @@ class TestBatchedQuadrature:
         assert info.value.owners == [1]
         assert f"cap {MAX_OPEN_INTERVALS}" in str(info.value)
 
+    def test_worklist_cap_bounds_one_integrand_call(self):
+        # 15 nodes a piece: a NaN integrand is refused before one call asks for 2^17 nodes
+        sizes = []
+
+        def f(x, owner):
+            sizes.append(x.size)
+            return np.full(x.shape, np.nan)
+
+        with pytest.raises(QuadratureError):
+            adaptive_quadrature_batch(f, [0.0], [1.0])
+        assert max(sizes) <= 131072
+
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             adaptive_quadrature_batch(lambda x, o: x, [0.0, 1.0], [1.0, 1.0])
