@@ -6,7 +6,6 @@ import math
 
 from pathkernel import (
     Circle,
-    FKProblem,
     Potential,
     RngContract,
     TransitionKernel,
@@ -30,13 +29,10 @@ oracle = spectral_oracle(Circle(TWO_PI), 512, cos_potential(), 1.0)
 want = oracle.value_at(constant_one, 0.0)
 print(f"spectral oracle (at most 512 modes):  {want:.6f}")
 for n_steps in (16, 64, 256):
-    prob = FKProblem(circle, cos_potential(), constant_one, point(0.0), 1.0,
-                     n_steps, 100000, RngContract(42))
-    est = fk_expectation(prob)
+    est = fk_expectation(circle, cos_potential(), point(0.0), 1.0, n_steps, 100000, RngContract(42))
     print(f"right-endpoint rule, {n_steps:3d} slices:     {est.value:.6f} +- {est.std_error:.6f}"
           f"   (bias {est.value - want:+.2e})")
-prob = FKProblem(circle, cos_potential(), constant_one, point(0.0), 1.0, 64, 100000, RngContract(42))
-trap = fk_expectation(prob, rule="trapezoid")
+trap = fk_expectation(circle, cos_potential(), point(0.0), 1.0, 64, 100000, RngContract(42), rule="trapezoid")
 print(f"trapezoid rule,       64 slices:     {trap.value:.6f} +- {trap.std_error:.6f}"
       f"   (bias {trap.value - want:+.2e})")
 

@@ -31,7 +31,6 @@ from .errors import (
 from .feynman_kac import (
     CoveringSumReport,
     EstimateWithError,
-    FKProblem,
     MonotonicityReport,
     Potential,
     SpectralOracle,

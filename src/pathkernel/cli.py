@@ -35,7 +35,6 @@ from .diagnostics import (
 )
 from .errors import PathkernelError
 from .feynman_kac import (
-    FKProblem,
     Potential,
     const_potential,
     constant_one,
@@ -577,20 +576,8 @@ def _oracle_value(config, task, kernel, pot, t, g, x0, y0):
     return orc.kernel_entry(x0.coords[0], y0.coords[0])
 
 
-# fk options with no default -> the tasks that read them
-_FK_TASK_OPTIONS = {
-    "terminal": ("expectation", "monotonicity"),
-    "potential2": ("monotonicity",),
-    "oracle_m": ("expectation", "kernel"),
-    "y0": ("kernel", "monotonicity", "covering-sum"),
-}
-
-
 def _run_fk(config):
     task = config.options["task"]
-    for key, tasks in _FK_TASK_OPTIONS.items():
-        if config.options[key] is not None and task not in tasks:
-            raise ValueError(f"fk {task} does not read --{key.replace('_', '-')}")
     k = _kernel_for(config)
     model = k.model
     pot = config.options["potential"]
@@ -615,7 +602,7 @@ def _run_fk(config):
         check_task(k, "bridges" if task == "kernel" else "paths")
         oracle = _oracle_value(config, task, k, pot, t, g, x0, y0)
         if task == "expectation":
-            est = fk_expectation(FKProblem(k, pot, g, x0, t, steps, samples, rng), rule=rule, workers=workers)
+            est = fk_expectation(k, pot, x0, t, steps, samples, rng, terminal=g, rule=rule, workers=workers)
         else:
             est = fk_kernel(k, pot, x0, y0, t, steps, samples, rng, rule=rule, workers=workers)
         payload = {"value": est.value, "std_error": est.std_error,
@@ -676,11 +663,11 @@ def _run_holder(config):
     seed = config.options["seed"]
     k = _kernel_for(config)
     check_task(k, "increments")
-    if k.kind == "heat" and k.model == Euclidean(1):
+    x0 = _point_option(config, "x0", k.model, k.model.default_point())
+    if k.kind == "heat" and k.model == Euclidean(1):  # increments do not depend on the start
         ensemble = brownian_dyadic_ensemble(n_paths, levels, seed)
         rep = holder_exponent(ensemble)
     else:
-        x0 = _point_option(config, "x0", k.model, k.model.default_point())
         ensemble = strided_dyadic_ensemble(k, x0, levels, n_paths, seed)
         rep = holder_exponent(ensemble, model=k.model)
     payload = {
@@ -706,6 +693,22 @@ _RUNNERS = {
 }
 
 
+# subcommand -> (its task's option, {option with no default: the tasks that read it})
+_TASK_OPTIONS = {
+    "fk": ("task", {"terminal": ("expectation", "monotonicity"), "potential2": ("monotonicity",),
+                    "oracle_m": ("expectation", "kernel"), "y0": ("kernel", "monotonicity", "covering-sum")}),
+    "verify": ("check", {"x": ("covering",), "y": ("covering", "delta-family")}),
+}
+
+
+def _refuse_unread(config):
+    """Refuse an option given to a task that does not read it."""
+    name, readers = _TASK_OPTIONS.get(config.subcommand, (None, {}))
+    for key, tasks in readers.items():
+        if config.options[key] is not None and config.options[name] not in tasks:
+            raise ValueError(f"{config.subcommand} {config.options[name]} does not read --{key.replace('_', '-')}")
+
+
 def run(config):
     """Execute a parsed configuration; returns the process exit code.
 
@@ -715,6 +718,7 @@ def run(config):
     stderr, as argparse does for bad flags.
     """
     try:
+        _refuse_unread(config)
         return _RUNNERS[config.subcommand](config)
     except (ValueError, TypeError, OSError) as exc:
         sys.stderr.write(f"pathkernel {config.subcommand}: error: {exc}\n")

@@ -15,11 +15,12 @@ out every pass.  A job carries its own grid, so a covering sum's terms or
 a curve's t values are the jobs of one pass, laid end to end on one
 contiguous range of substreams, and a command forks its workers at most
 once.  The estimators share ``_visited`` (V along the path, checked
-against its sup bound, 0 at the cemetery), ``_Exponent``, ``_terminal``
-and one mean/standard-error rule, ``EstimateWithError.of``.  A block is
-at most ``BLOCK_SIZE`` samples at any step count, and its readers fold
-its rows one grid time at a time, so it holds a few rows; each sample has
-its own substream, so the block size moves no output bit.
+against its sup bound, 0 at the cemetery), ``_Exponent``, ``_terminal``,
+one weight job on free paths or bridges, ``_weight_job``, and one
+mean/standard-error rule, ``EstimateWithError.of``.  A block is at most
+``BLOCK_SIZE`` samples at any step count, and its readers fold its rows
+one grid time at a time, so it holds a few rows; each sample has its own
+substream, so the block size moves no output bit.
 
 The covering sum takes the run's kernel: its law gives the deck group,
 the line kernel is built at its truncation, and the omitted winding tail
@@ -58,7 +59,7 @@ from .manifold import (
 from .parallel import run_blocks
 from .path_sampler import TimeGrid, bridge_total_mass, sample_rows
 from .quadrature import gaussian_tail_radius
-from .rng import RngContract, cos
+from .rng import cos
 
 BOUND_SLACK = 1e-9
 BLOCK_SIZE = 32768  # samples of one block, at most
@@ -147,24 +148,6 @@ class EstimateWithError:
             return EstimateWithError(float(np.mean(values)) * scale, se, n)
 
 
-@dataclass(frozen=True)
-class FKProblem:
-    kernel: TransitionKernel
-    potential: Potential
-    terminal: object  # g, mapping coordinate arrays (..., d) -> (...)
-    x0: Point
-    t: float
-    n_steps: int
-    n_samples: int
-    rng: RngContract
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        if self.n_steps < 1 or self.n_samples < 1:
-            raise ValueError("n_steps and n_samples must be positive")
-
-
 def over_paths(jobs, n_samples, rng, workers):
     """Per job (kernel, x0, y0, grid, reduce), lazily in job order: the per-sample
     arrays of reduce(*sample_rows(...)) on blocks of at most BLOCK_SIZE free paths
@@ -173,6 +156,9 @@ def over_paths(jobs, n_samples, rng, workers):
     Job j runs on substreams rng.sample_index + j * n_samples on and is cut into
     blocks on its own, so no block straddles two jobs and a block finds its job
     from its first index.  All jobs' blocks run in one ``run_blocks`` pass."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+
     def task(first, count):
         kernel, x0, y0, grid, reduce = jobs[(first - rng.sample_index) // n_samples]
         return reduce(*sample_rows(kernel, x0, y0, grid, rng.master_seed, count, first_index=first))
@@ -234,8 +220,8 @@ class _Exponent:
             self.last = vvals
         return vvals
 
-    def weights(self, end, gv=None):
-        """exp(-exponent) per path, times the terminal values gv if given; 0 if the end row is NaN."""
+    def weights(self, end, gv):
+        """exp(-exponent) per path times the terminal values gv; 0 if the end row is NaN."""
         # a sum or weight past the float range is infinite, and NaN times g = 0; the estimate reports either
         with np.errstate(over="ignore", invalid="ignore"):
             if self.rule == "right":
@@ -244,7 +230,7 @@ class _Exponent:
                 expo = self.tau * (0.5 * self.first + self.inner + 0.5 * self.last)
             weights = np.exp(-expo)
             weights[np.isnan(end[:, 0])] = 0.0
-            return weights if gv is None else weights * gv
+            return weights * gv
 
 
 def _terminal(g, end):
@@ -263,12 +249,25 @@ def _growth_bound(t, sup_v):
         return math.inf
 
 
-def fk_expectation(problem, rule="right", workers=1):
+def _weight_job(kernel, potential, x0, y0, t, n_steps, rule, g=constant_one):
+    """The ``over_paths`` job of g(end row) exp(-exponent) and g(end row) per
+    path: free paths if y0 is None, else bridges to y0."""
+    def reduce(rows, windings):
+        expo = _Exponent(potential, rule, t / n_steps)
+        for row in rows:
+            expo.add(row)
+        gv = _terminal(g, row)
+        return expo.weights(row, gv), gv
+
+    return kernel, x0, y0, TimeGrid.uniform(t, n_steps), reduce
+
+
+def fk_expectation(kernel, potential, x0, t, n_steps, n_samples, rng, terminal=None, rule="right", workers=1):
     """Monte Carlo value of the Schrodinger semigroup applied to terminal data.
 
-    Averages g(w(t)) exp(-Riemann sum of V) over free paths; killed
-    paths contribute zero.  Returns the estimate with its standard
-    error (sample standard deviation over sqrt(N)).
+    Averages g(w(t)) exp(-Riemann sum of V) over free paths, with g the
+    terminal data (default 1); killed paths contribute zero.  Returns the
+    estimate with its standard error (sample standard deviation over sqrt(N)).
 
     The estimator's mean is the n-step product of its slice rule, not
     the semigroup itself:
@@ -283,36 +282,14 @@ def fk_expectation(problem, rule="right", workers=1):
     for the right rule, tau (0.5 v_0 + (v_1 + ... + v_{n-1}) + 0.5 v_n) for the
     trapezoid, with tau = t/n and v_j = V(w(j tau)).
     """
-    p = problem
-    g = p.terminal if p.terminal is not None else constant_one
-
-    def reduce(rows, windings):
-        expo = _Exponent(p.potential, rule, p.t / p.n_steps)
-        for row in rows:
-            expo.add(row)
-        gv = _terminal(g, row)
-        return expo.weights(row, gv), gv
-
-    grid = TimeGrid.uniform(p.t, p.n_steps)
-    [(vals, gv)] = over_paths([(p.kernel, p.x0, None, grid, reduce)], p.n_samples, p.rng, workers)
+    job = _weight_job(kernel, potential, x0, None, t, n_steps, rule, constant_one if terminal is None else terminal)
+    [(vals, gv)] = over_paths([job], n_samples, rng, workers)
     est = EstimateWithError.of(vals)
     # an infinite cap (e^(t sup|V|) overflows) is never exceeded
-    cap = _growth_bound(p.t, p.potential.sup_bound) * float(np.max(np.abs(gv)))
+    cap = _growth_bound(t, potential.sup_bound) * float(np.max(np.abs(gv)))
     if abs(est.value) > cap * (1.0 + 1e-12) + 1e-300:
         raise PathkernelError(f"estimate {est.value:.6g} exceeds its a-priori bound {cap:.6g}")
     return est
-
-
-def _kernel_job(kernel, potential, x0, y0, t, n_steps, rule):
-    """The bridge mass p_t(y0, x0) and the ``over_paths`` job of the
-    normalized-bridge potential weights."""
-    def reduce(rows, windings):
-        expo = _Exponent(potential, rule, t / n_steps)
-        for row in rows:
-            expo.add(row)
-        return (expo.weights(row),)
-
-    return bridge_total_mass(kernel, x0, y0, t), (kernel, x0, y0, TimeGrid.uniform(t, n_steps), reduce)
 
 
 def fk_kernel(kernel, potential, x0, y0, t, n_steps, n_samples, rng, rule="right", workers=1):
@@ -321,8 +298,8 @@ def fk_kernel(kernel, potential, x0, y0, t, n_steps, n_samples, rng, rule="right
     Normalized-bridge average of the potential weight, scaled by the
     bridge mass p_t(y0, x0).
     """
-    mass, job = _kernel_job(kernel, potential, x0, y0, t, n_steps, rule)
-    [(w,)] = over_paths([job], n_samples, rng, workers)
+    mass = bridge_total_mass(kernel, x0, y0, t)
+    [(w, _)] = over_paths([_weight_job(kernel, potential, x0, y0, t, n_steps, rule)], n_samples, rng, workers)
     return EstimateWithError.of(w, mass)
 
 
@@ -426,11 +403,12 @@ def fk_covering_sum_check(
     gap = float(y0a[0] - x0a[0])
     x_line = Point((float(x0a[0]),))
     # the base kernel, then the line kernel at each deck shift k, on consecutive substream ranges
-    jobs = [_kernel_job(kernel, v_base, x0, y0, t, n_steps, rule)]
-    jobs += [_kernel_job(kernel_line, v_line, x_line, Point((float(x0a[0] + gap + k * length),)),
-                         t, n_steps, rule) for k in range(-w_max, w_max + 1)]
-    runs = over_paths([job for _, job in jobs], n_samples, rng, workers)
-    est_base, *terms = [EstimateWithError.of(w, mass) for (mass, _), (w,) in zip(jobs, runs)]
+    bridges = [(kernel, v_base, x0, y0)] + [(kernel_line, v_line, x_line, Point((float(x0a[0] + gap + k * length),)))
+                                            for k in range(-w_max, w_max + 1)]
+    masses = [bridge_total_mass(kern, x, y, t) for kern, _, x, y in bridges]
+    runs = over_paths([_weight_job(kern, v, x, y, t, n_steps, rule) for kern, v, x, y in bridges],
+                      n_samples, rng, workers)
+    est_base, *terms = [EstimateWithError.of(w, mass) for mass, (w, _) in zip(masses, runs)]
     line_sum = float(sum(e.value for e in terms))
     combined = math.sqrt(est_base.std_error ** 2 + sum(e.std_error ** 2 for e in terms))
     tail = _winding_tail_bound(t, gap, length, w_max, v_base.sup_bound)

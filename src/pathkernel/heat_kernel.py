@@ -212,7 +212,8 @@ def h3_profile(t, rho, owner=None):
     rho = np.asarray(rho, dtype=np.float64)
     small = rho < 1e-6
     safe = np.where(small, 1.0, rho)
-    ratio = np.where(small, 1.0 - rho * rho / 6.0, safe / np.sinh(safe))
+    with np.errstate(over="ignore"):  # rho / inf = 0 is the limit past sinh's range
+        ratio = np.where(small, 1.0 - rho * rho / 6.0, safe / np.sinh(safe))
     pref = _per_owner(_h3_norm, t, owner)
     return pref * ratio * np.exp(-rho * rho / (4.0 * _gather(t, owner)))
 
@@ -795,15 +796,21 @@ class _H3Law(_Law):
         return h3_profile(t, self.model.distance_arrays(x, y), owner)
 
     def mass(self, t, xa, quad_tol):
-        """Radial quadrature of the total mass."""
-        rmax = 4.0 * t + gaussian_tail_radius(t, 1e-14) + 5.0
-        pref = 4.0 * np.pi * math.exp(-t) * _gauss_norm(t, 3)
+        """Radial quadrature of the total mass within a Gaussian tail radius of its shell at r = 2t."""
+        radius = gaussian_tail_radius(t, 1e-16)
+        lo, hi = max(0.0, 2.0 * t - radius), 2.0 * t + radius
+        # rounding a node near 2t, by eps 2t on a shell sqrt(2t) wide, moves f by eps sqrt(2t) of its peak
+        blur = sys.float_info.epsilon * math.sqrt(2.0 * t)
+        if not (lo < hi and blur <= quad_tol):
+            raise PathkernelError(f"the mass at t = {t!r} is out of reach: rounding r near 2t moves the "
+                                  f"integrand by {blur:.3g} of its peak, more than the tolerance {quad_tol:.3g}")
+        pref = 2.0 * np.pi * _gauss_norm(t, 3)
 
         def f(r):
-            # sinh^2(r) * p_t(r) with the r/sinh(r) factor cancelled once
-            return pref * r * np.sinh(r) * np.exp(-r * r / (4.0 * t))
+            # 4 pi sinh^2(r) p_t(r), with sinh(r) e^(-t - r^2/4t) = (1 - e^(-2r)) e^(-(r - 2t)^2/4t) / 2
+            return pref * r * -np.expm1(-2.0 * r) * np.exp(-(r - 2.0 * t) ** 2 / (4.0 * t))
 
-        return adaptive_quadrature(f, 0.0, rmax, tol=quad_tol)
+        return adaptive_quadrature(f, lo, hi, tol=quad_tol)
 
     def ck_integral(self, s, t, xa, za, tol):
         """Radial form after integrating out the sphere directions exactly.
@@ -846,17 +853,17 @@ class _H3Law(_Law):
         # sqrt(tau).
         peak = tau + math.sqrt(tau * tau + 2.0 * (a + 2.0) * tau)
         rmax = peak + gaussian_tail_radius(tau, 1e-16)
-        # r^(a+1) exp(-r^2/4 tau) is taken relative to its value at `peak`,
-        # a scalar: the rest is one exponential whose exponent is small where
-        # the integrand is not, so nothing under- or overflows before the
-        # integrand itself does
-        scale = 4.0 * np.pi * math.exp(
-            (a + 1.0) * math.log(peak) - peak * peak / (4.0 * tau) - tau - 1.5 * math.log(4.0 * math.pi * tau))
+        # sinh(r) is e^r (1 - e^(-2r)) / 2, and r^(a+1) e^(r - r^2/4 tau) is
+        # taken relative to its value at `peak`, a scalar: the rest is one
+        # exponential whose exponent is small where the integrand is not, so
+        # nothing under- or overflows before the integrand itself does
+        scale = 2.0 * np.pi * math.exp(
+            (a + 1.0) * math.log(peak) - (peak - 2.0 * tau) ** 2 / (4.0 * tau) - 1.5 * math.log(4.0 * math.pi * tau))
 
         def f(r):
             with np.errstate(divide="ignore"):  # log 0 = -inf at r = 0, where f is 0
-                shape = (a + 1.0) * np.log(r / peak) - (r - peak) * (r + peak) / (4.0 * tau)
-            return scale * np.sinh(r) * np.exp(shape)
+                shape = (a + 1.0) * np.log(r / peak) + (r - peak) * (4.0 * tau - r - peak) / (4.0 * tau)
+            return scale * -np.expm1(-2.0 * r) * np.exp(shape)
 
         width = math.sqrt(4.0 * math.pi * tau)
         return adaptive_quadrature(f, 0.0, rmax, tol=_peak_tolerance(tol, float(f(np.array([peak]))[0]), width))

@@ -28,7 +28,6 @@ from pathkernel.diagnostics import (
     strided_dyadic_ensemble,
 )
 from pathkernel.feynman_kac import (
-    FKProblem,
     Potential,
     const_potential,
     constant_one,
@@ -230,10 +229,9 @@ def test_criterion_5_covering_identity():
 
 
 def _fk_circle_problem(n_steps, seed, n_samples=200000):
-    return FKProblem(
-        TransitionKernel(Circle(TWO_PI)), cos_potential(), constant_one,
-        point(0.0), 1.0, n_steps, n_samples, RngContract(seed),
-    )
+    """The positional arguments of ``fk_expectation``."""
+    return (TransitionKernel(Circle(TWO_PI)), cos_potential(), point(0.0), 1.0, n_steps, n_samples,
+            RngContract(seed))
 
 
 def test_criterion_6_fk_vs_oracle_relative_band_and_bias_decay():
@@ -241,7 +239,7 @@ def test_criterion_6_fk_vs_oracle_relative_band_and_bias_decay():
     want = orc.value_at(constant_one, 0.0)
 
     t0 = time.perf_counter()
-    est64 = fk_expectation(_fk_circle_problem(64, 20249), workers=4)
+    est64 = fk_expectation(*_fk_circle_problem(64, 20249), workers=4)
     elapsed = time.perf_counter() - t0
     rel = abs(est64.value - want) / want
     rel_ok = rel < 0.02
@@ -249,7 +247,7 @@ def test_criterion_6_fk_vs_oracle_relative_band_and_bias_decay():
 
     diffs = []
     for n_steps, seed in ((4, 20250), (16, 20251), (64, 20249), (256, 20252)):
-        e = fk_expectation(_fk_circle_problem(n_steps, seed), workers=4)
+        e = fk_expectation(*_fk_circle_problem(n_steps, seed), workers=4)
         diffs.append((abs(e.value - want), e.std_error))
     mono_ok = all(
         b[0] <= a[0] + 3.0 * math.hypot(a[1], b[1]) for a, b in zip(diffs, diffs[1:])
@@ -281,8 +279,8 @@ def test_criterion_6_fk_within_three_std_errors():
     orc = spectral_oracle(Circle(TWO_PI), 512, cos_potential(), 1.0)
     want = orc.value_at(constant_one, 0.0)
     problem = _fk_circle_problem(64, 20249)
-    trap64 = fk_expectation(problem, rule="trapezoid", workers=4)
-    right64 = fk_expectation(problem, workers=4)
+    trap64 = fk_expectation(*problem, rule="trapezoid", workers=4)
+    right64 = fk_expectation(*problem, workers=4)
 
     # the right rule's mean: heat step after each potential step, applied to 1,
     # on a 512-point periodic grid with the exact circle kernel and trapezoid weights
@@ -332,10 +330,8 @@ def test_criterion_7_fk_structure_theorems():
     c, t = 0.7, 1.0
     factor_ok = True
     for i in range(200):
-        w0 = fk_expectation(FKProblem(circ, zero_potential(), constant_one, point(0.0),
-                                      t, 64, 1, RngContract(20255, i))).value
-        wc = fk_expectation(FKProblem(circ, const_potential(c), constant_one, point(0.0),
-                                      t, 64, 1, RngContract(20255, i))).value
+        w0 = fk_expectation(circ, zero_potential(), point(0.0), t, 64, 1, RngContract(20255, i)).value
+        wc = fk_expectation(circ, const_potential(c), point(0.0), t, 64, 1, RngContract(20255, i)).value
         factor_ok &= abs(wc - math.exp(-c * t) * w0) <= 1e-15 * abs(wc)
     ok = crn_ok and cover_ok and factor_ok
     record_acceptance(

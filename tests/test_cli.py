@@ -262,12 +262,13 @@ class TestExitCodes:
          "PathkernelError", "at tau = 2.0, b = 1e+308"),
         (["verify", "moments", "--model", "hyperbolic3", "--a", "1000"], "PathkernelError",
          "at tau = 0.0109, b = 1.0 is out of the float range"),
-        (["mass", "--model", "hyperbolic3", "--t", "170", "--x", "1,0,0,0"], "QuadratureError", "8192"),
+        (["mass", "--model", "hyperbolic3", "--t", "1e300", "--x", "1,0,0,0"], "PathkernelError",
+         "the mass at t = 1e+300 is out of reach"),
         (["mass", "--model", "dirichlet:3.14159265", "--t", "1", "--x", "1.5707963", "--quad-tol", "1e-300"],
          "QuadratureError", "8192"),
     ], ids=["fk-kernel-inf", "fk-kernel-oracle", "fk-monotonicity-inf", "fk-expectation-inf",
             "fk-covering-tail-inf", "moments-tau-underflow", "moments-tau-overflow", "moments-h3-a1000",
-            "mass-h3-nan", "mass-quad-tol"])
+            "mass-h3-huge-t", "mass-quad-tol"])
     def test_numeric_failure_exits_1_with_record(self, tmp_path, args, error, message):
         out = tmp_path / "out.json"
         res = run_cli(args + ["--out", str(out)])
@@ -275,6 +276,23 @@ class TestExitCodes:
         record = json.loads(res.stdout)
         assert record["error"] == error and message in record["message"]
         assert "Traceback" not in res.stderr and not out.exists()
+
+    @pytest.mark.parametrize("t", ["170", "400", "1e4", "1e8"])
+    def test_h3_mass_past_sinh_overflow_is_one(self, t):
+        # sinh(r) overflows past r = 710, inside the shell around r = 2t
+        res = run_cli(["mass", "--model", "hyperbolic3", "--t", t, "--x", "1,0,0,0"])
+        assert res.returncode == 0 and res.stderr == ""
+        assert abs(json.loads(res.stdout)["value"] - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["integrated", "pointwise"])
+    def test_h3_moments_past_sinh_overflow_are_exit_0(self, mode):
+        res = run_cli(["verify", "moments", "--model", "hyperbolic3", "--mode", mode, "--tau-grid", "300:900:300"])
+        assert res.returncode == 0 and res.stderr == ""
+        out = json.loads(res.stdout)
+        assert out["taus"] == [300, 600, 900] and not any(out["divergent"])
+        if mode == "integrated":  # the even moment's closed form, over tau^2
+            for tau, ratio in zip(out["taus"], out["ratios"]):
+                assert ratio == pytest.approx(16.0 * tau * tau + 80.0 * tau + 60.0, rel=1e-12)
 
     @pytest.mark.parametrize("args", [
         ["--model", "hyperbolic3", "--a", "30"],
@@ -562,6 +580,13 @@ class TestInputErrors:
             (["fk", "covering-sum", *FK_CIRCLE, "--y0", "1", "--oracle-m", "64"],
              "fk covering-sum does not read --oracle-m"),
             (["fk", "expectation", *FK_CIRCLE, "--y0", "1"], "fk expectation does not read --y0"),
+            (["verify", "chapman-kolmogorov", "--model", "circle:1", "--tuples", "2", "--y", "abc"],
+             "verify chapman-kolmogorov does not read --y"),
+            (["verify", "moments", "--model", "circle:1", "--y", "0.5"], "verify moments does not read --y"),
+            (["verify", "delta-family", "--model", "circle:1", "--x", "abc"], "verify delta-family does not read --x"),
+            (["holder", "--model", "euclidean:1", "--x0", "abc", "--paths", "8", "--levels", "2:4"], "--x0 'abc'"),
+            (["holder", "--model", "euclidean:1", "--x0", "1,2", "--paths", "8", "--levels", "2:4"],
+             "--x0 has 2 coordinates, expected 1"),
             (["curve", "--model", "compactified:dirichlet:3", "--t-grid", "0.5:1:0.5", "--samples", "10"],
              "curve runs on the heat kernels of euclidean:N, hyperbolic3, circle:L and torus:L1,L2,..., "
              "not Compactified("),
@@ -587,6 +612,7 @@ class TestInputErrors:
              "fk-kernel-terminal", "fk-covering-terminal", "fk-monotonicity-bridge-terminal",
              "fk-monotonicity-terminal-cos", "fk-expectation-potential2", "fk-kernel-potential2",
              "fk-covering-potential2", "fk-monotonicity-oracle", "fk-covering-oracle", "fk-expectation-y0",
+             "verify-ck-y", "verify-moments-y", "verify-delta-x", "holder-x0-unparsable", "holder-x0-wrong-dim",
              "curve-compactified", "curve-cauchy", "fk-oracle-cemetery-x0", "fk-oracle-cemetery-y0",
              "fk-oracle-models", "verify-covering-torus", "fk-covering-torus", "verify-covering-line",
              *[f"tail-tol-{name}" for name in TAIL_TOL_RUNS]],

@@ -17,7 +17,6 @@ from pathkernel.errors import PotentialBoundError
 from pathkernel.feynman_kac import (
     ROUNDING_ULPS,
     EstimateWithError,
-    FKProblem,
     Potential,
     const_potential,
     constant_one,
@@ -64,37 +63,37 @@ def cli_outputs(args):
 
 def problem(kernel=CIRCLE, potential=None, x0=point(0.0), t=1.0, n_steps=16,
             n_samples=4000, seed=11, terminal=constant_one):
-    return FKProblem(kernel, potential or zero_potential(), terminal, x0, t,
-                     n_steps, n_samples, RngContract(seed))
+    """The positional arguments of ``fk_expectation``, through its terminal data."""
+    return (kernel, potential or zero_potential(), x0, t, n_steps, n_samples, RngContract(seed), terminal)
 
 
 class TestExpectation:
     def test_no_potential_conservative_model_is_exactly_one(self):
-        est = fk_expectation(problem())
+        est = fk_expectation(*problem())
         assert est.value == 1.0
         assert est.std_error == 0.0
 
     def test_constant_potential_factors_exactly(self):
         c = 0.8
-        base = fk_expectation(problem())
-        shifted = fk_expectation(problem(potential=const_potential(c)))
+        base = fk_expectation(*problem())
+        shifted = fk_expectation(*problem(potential=const_potential(c)))
         assert shifted.value == pytest.approx(math.exp(-c * 1.0) * base.value, rel=1e-15)
 
     def test_constant_factorization_per_sample_against_zero(self):
         # identical paths (same seed), so the weights divide out exactly
-        est0 = fk_expectation(problem(potential=zero_potential(), t=0.5, n_steps=64))
-        estc = fk_expectation(problem(potential=const_potential(1.3), t=0.5, n_steps=64))
+        est0 = fk_expectation(*problem(potential=zero_potential(), t=0.5, n_steps=64))
+        estc = fk_expectation(*problem(potential=const_potential(1.3), t=0.5, n_steps=64))
         assert estc.value == pytest.approx(math.exp(-1.3 * 0.5) * est0.value, rel=1e-15)
 
     def test_killed_paths_contribute_zero(self):
         kern = TransitionKernel(Compactified(DirichletInterval(math.pi)))
-        est = fk_expectation(problem(kernel=kern, x0=point(math.pi / 2), n_steps=32,
-                                     n_samples=50000, seed=5))
+        est = fk_expectation(*problem(kernel=kern, x0=point(math.pi / 2), n_steps=32,
+                                      n_samples=50000, seed=5))
         mass = float(dirichlet_mass_arrays(1.0, math.pi / 2, math.pi))
         assert abs(est.value - mass) < 3.0 * math.sqrt(mass * (1 - mass) / 50000)
 
     def test_a_priori_bound_holds(self):
-        est = fk_expectation(problem(potential=cos_potential(), n_samples=2000))
+        est = fk_expectation(*problem(potential=cos_potential(), n_samples=2000))
         assert abs(est.value) <= math.exp(1.0)
 
     def test_mean_is_exactly_the_sliced_product(self):
@@ -123,14 +122,14 @@ class TestExpectation:
             sliced_second = heat_step @ (v2 * sliced_second)
         sigma = math.sqrt(float(sliced_second[0]) - sliced_mean ** 2)
 
-        est = fk_expectation(problem(potential=cos_potential(), t=t, n_steps=n_steps,
-                                     n_samples=200000, seed=23))
+        est = fk_expectation(*problem(potential=cos_potential(), t=t, n_steps=n_steps,
+                                      n_samples=200000, seed=23))
         assert abs(est.value - sliced_mean) < 4.0 * est.std_error
         assert est.std_error == pytest.approx(sigma / math.sqrt(200000), rel=0.02)
 
     def test_matches_oracle_with_enough_slices(self):
-        est = fk_expectation(problem(potential=cos_potential(), n_steps=512,
-                                     n_samples=40000, seed=8))
+        est = fk_expectation(*problem(potential=cos_potential(), n_steps=512,
+                                      n_samples=40000, seed=8))
         orc = spectral_oracle(Circle(TWO_PI), 512, cos_potential(), 1.0)
         want = orc.value_at(constant_one, 0.0)
         assert est.value == pytest.approx(want, rel=0.02)
@@ -140,15 +139,15 @@ class TestExpectation:
         orc = spectral_oracle(Circle(TWO_PI), 512, cos_potential(), 1.0)
         want = orc.value_at(constant_one, 0.0)
         p = problem(potential=cos_potential(), n_steps=16, n_samples=100000, seed=9)
-        right = fk_expectation(p, rule="right")
-        trap = fk_expectation(p, rule="trapezoid")
+        right = fk_expectation(*p, rule="right")
+        trap = fk_expectation(*p, rule="trapezoid")
         assert right.value != trap.value
         assert abs(trap.value - want) < abs(right.value - want)
 
     def test_workers_change_nothing(self):
         # 70,000 samples are three blocks; the three estimators share the driver
         estimators = [
-            lambda w: fk_expectation(problem(potential=cos_potential(), n_samples=70000), workers=w),
+            lambda w: fk_expectation(*problem(potential=cos_potential(), n_samples=70000), workers=w),
             lambda w: fk_kernel(CIRCLE, cos_potential(), point(0.0), point(1.0), 1.0, 16, 70000,
                                 RngContract(12), workers=w),
             lambda w: fk_monotonicity_check(CIRCLE, cos_potential(), const_potential(1.0), point(0.0),
@@ -160,13 +159,13 @@ class TestExpectation:
     def test_sup_bound_violation_caught(self):
         lying = Potential(lambda c: np.cos(c[..., 0]), 0.1, name="lies")
         with pytest.raises(PotentialBoundError):
-            fk_expectation(problem(potential=lying, n_samples=500))
+            fk_expectation(*problem(potential=lying, n_samples=500))
 
     def test_nan_potential_fails_its_sup_bound(self):
         # NaN compares False with any bound, so the check must ask |V| <= bound
         nan_past_3 = Potential(lambda c: np.where(c[..., 0] > 3.0, np.nan, 0.0), 1.0, name="nan")
         estimators = [
-            lambda: fk_expectation(problem(potential=nan_past_3, x0=point(3.0), n_steps=8, n_samples=100)),
+            lambda: fk_expectation(*problem(potential=nan_past_3, x0=point(3.0), n_steps=8, n_samples=100)),
             lambda: fk_kernel(CIRCLE, nan_past_3, point(3.0), point(3.5), 1.0, 8, 100, RngContract(11)),
             lambda: fk_monotonicity_check(CIRCLE, zero_potential(), nan_past_3, point(3.0),
                                           1.0, 8, 100, RngContract(11)),
@@ -182,11 +181,11 @@ class TestBlocks:
 
     ESTIMATORS = {
         "expectation-circle": lambda w: fk_expectation(
-            problem(potential=cos_potential(), n_samples=41, seed=21), rule="trapezoid", workers=w),
+            *problem(potential=cos_potential(), n_samples=41, seed=21), rule="trapezoid", workers=w),
         # killed rows carry NaN positions, and a block may hold only those
         "expectation-killed": lambda w: fk_expectation(
-            problem(kernel=TransitionKernel(Compactified(DirichletInterval(math.pi))), potential=cos_potential(),
-                    x0=point(0.4), t=0.5, n_samples=41, seed=22), workers=w),
+            *problem(kernel=TransitionKernel(Compactified(DirichletInterval(math.pi))), potential=cos_potential(),
+                     x0=point(0.4), t=0.5, n_samples=41, seed=22), workers=w),
         # lattice bridges with windings, projected row by row
         "kernel-circle": lambda w: fk_kernel(
             TransitionKernel(Circle(1.0)), cos_potential(), point(0.2), point(0.7), 1.0, 16, 41,
@@ -223,9 +222,9 @@ class TestBlocks:
     ROWS = 24  # the most rows of its block (block samples x 8 bytes on a line) a pass may hold
 
     @pytest.mark.parametrize("run, block", [
-        (lambda: fk_expectation(problem(potential=cos_potential(), n_steps=64, n_samples=32768, seed=3),
+        (lambda: fk_expectation(*problem(potential=cos_potential(), n_steps=64, n_samples=32768, seed=3),
                                 rule="trapezoid"), 32768),
-        (lambda: fk_expectation(problem(potential=cos_potential(), n_steps=512, n_samples=16384, seed=3),
+        (lambda: fk_expectation(*problem(potential=cos_potential(), n_steps=512, n_samples=16384, seed=3),
                                 rule="trapezoid"), 16384),
         (lambda: cli_outputs(["sample", "--model", "circle:1.0", "--x0", "0", "--T", "1", "--steps", "4096",
                               "--samples", "2048", "--seed", "3"]), 2048),
@@ -256,8 +255,9 @@ class TestBlocks:
         # a host without cc draws its uniforms and normals in numpy: the 64-slice pass, under the same bound
         monkeypatch.setattr(rng, "_kernel", lambda: None)
         self.test_traced_peak_is_bounded(
-            monkeypatch, lambda: fk_expectation(problem(potential=cos_potential(), n_steps=64, n_samples=32768, seed=3),
-                                                rule="trapezoid"), 32768)
+            monkeypatch,
+            lambda: fk_expectation(*problem(potential=cos_potential(), n_steps=64, n_samples=32768, seed=3),
+                                   rule="trapezoid"), 32768)
 
 
 def sequential_weights(positions, potential, t, rule):
@@ -284,7 +284,7 @@ class TestSumOrder:
     @pytest.mark.parametrize("rule", ["right", "trapezoid"])
     def test_expectation_sums_in_time_order(self, rule):
         weights = sequential_weights(self.paths(), cos_potential(), 1.0, rule)
-        got = fk_expectation(problem(potential=cos_potential(), n_steps=64, n_samples=self.N, seed=self.SEED),
+        got = fk_expectation(*problem(potential=cos_potential(), n_steps=64, n_samples=self.N, seed=self.SEED),
                              rule=rule)
         assert got == EstimateWithError.of(weights)
 
@@ -336,6 +336,14 @@ class TestKernelEstimator:
         gap = abs(a.value - b.value)
         assert gap < 3.0 * math.hypot(a.std_error, b.std_error)
 
+    @pytest.mark.parametrize("run", [
+        lambda: fk_expectation(*problem(n_samples=0)),
+        lambda: fk_kernel(CIRCLE, zero_potential(), point(0.0), point(1.0), 0.5, 4, 0, RngContract(3)),
+    ], ids=["expectation", "kernel"])
+    def test_no_samples_is_a_value_error(self, run):
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            run()
+
 
 class TestMonotonicity:
     def test_constant_gap_is_exact_ratio(self):
@@ -383,9 +391,9 @@ class TestMonotonicity:
         rep = fk_monotonicity_check(CIRCLE, zero_potential(), const_potential(1.0), point(0.0),
                                     0.5, 16, 4096, RngContract(5), terminal=g)
         assert rep.passed
-        assert rep.estimate_low == fk_expectation(problem(t=0.5, n_samples=4096, seed=5, terminal=g))
-        assert rep.estimate_high == fk_expectation(problem(potential=const_potential(1.0), t=0.5,
-                                                           n_samples=4096, seed=5, terminal=g))
+        assert rep.estimate_low == fk_expectation(*problem(t=0.5, n_samples=4096, seed=5, terminal=g))
+        assert rep.estimate_high == fk_expectation(*problem(potential=const_potential(1.0), t=0.5,
+                                                            n_samples=4096, seed=5, terminal=g))
         with pytest.raises(ValueError, match="nonnegative"):
             fk_monotonicity_check(CIRCLE, zero_potential(), const_potential(1.0), point(0.0),
                                   0.5, 16, 4096, RngContract(5), terminal=cos_potential())
@@ -582,5 +590,5 @@ class TestStepPotential:
         assert v.sup_bound == 2.0
 
     def test_discontinuous_potential_runs(self):
-        est = fk_expectation(problem(potential=step_potential(0.0, 1.0, 1.0), n_samples=2000))
+        est = fk_expectation(*problem(potential=step_potential(0.0, 1.0, 1.0), n_samples=2000))
         assert 0.0 < est.value <= 1.0

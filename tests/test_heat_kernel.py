@@ -668,7 +668,8 @@ class TestClosedFormMoments:
         want = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0] for lo, hi in zip(cuts, cuts[1:]))
         assert TransitionKernel(model)._law.integrated_moment(a, tau, 1e-10) == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("a, tau", [(4, 1e-150), (4, 1e-6), (4, 0.1), (4, 1.0), (30, 1e-20), (30, 1e-3), (30, 1.0)])
+    @pytest.mark.parametrize("a, tau", [(4, 1e-150), (4, 1e-6), (4, 0.1), (4, 1.0), (30, 1e-20), (30, 1e-3), (30, 1.0),
+                                        (4, 300.0), (4, 900.0)])
     def test_hyperbolic_even_moment_is_exact(self, a, tau):
         # for even a, r^(a+1) sinh r is even in r, so the radial integral is
         # E[X^(a+1)] / (2 tau) for X ~ N(2 tau, 2 tau): a sum of Gaussian moments

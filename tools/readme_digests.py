@@ -171,6 +171,17 @@ SINGLE = {
     # np.cos takes over
     "cauchy/fk_cos_far":
         "fk expectation --model cauchy --potential cos --x0 1647099.33 --t 0.5 --steps 4 --samples 1000",
+    # terminal data g at each path's end row: a step, g on killed rows (0),
+    # and the monotonicity check's nonnegative g on both potentials
+    "circle:6.283185307179586/fk_terminal_step":
+        "fk expectation --model circle:6.283185307179586 --potential cos --terminal step:1,2,1 --t 0.5 --steps 8 "
+        "--samples 1000",
+    "compactified:dirichlet:3.14159265/fk_terminal_killed":
+        "fk expectation --model compactified:dirichlet:3.14159265 --potential cos --terminal cos --x0 1 --t 0.5 "
+        "--steps 8 --samples 1000",
+    "circle:1.0/fk_monotonicity_terminal":
+        "fk monotonicity --model circle:1.0 --potential const:0.5 --potential2 const:1 --terminal const:2 --t 0.5 "
+        "--steps 4 --samples 64",
 }
 
 
